@@ -21,6 +21,7 @@ import dataclasses
 import sys
 from typing import List, Optional
 
+from repro.core.errors import ConfigurationError
 from repro.core.overheads import (
     context_switch_overhead_fraction,
     hardware_area_fraction,
@@ -102,7 +103,11 @@ def cmd_usecase2(args) -> int:
     workload = BY_NAME[args.workload]
     if args.accesses:
         workload = dataclasses.replace(workload, accesses=args.accesses)
-    results = run_figure7(workload, pick_mapping=args.pick_mapping)
+    try:
+        results = run_figure7(workload, pick_mapping=args.pick_mapping)
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     base = results["baseline"]
     rows = []
     for system in ("baseline", "xmem", "ideal"):
@@ -578,8 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write one manifest+stats JSON document per "
                          "point into DIR")
     sw.add_argument("--engine", default=None,
-                    help="engine tier: object | packed | vector | "
-                         "analytical (default: REPRO_ENGINE or packed)")
+                    help="engine tier: object | packed | analytical "
+                         "(default: REPRO_ENGINE or packed)")
 
     co = sub.add_parser(
         "corun",

@@ -1,19 +1,23 @@
-"""Engine-tier selection: one model, four evaluation strategies.
+"""Engine-tier selection: one model, three evaluation strategies.
 
 The simulator has a single memory-system model, but several ways to
 drive a trace through it:
 
 ``object``
-    The original interpreter over a Python event stream.  Slowest;
-    the reference the others are pinned against.
+    :meth:`TraceEngine.run`, the interpreter over a Python event
+    stream.  Slowest; the reference the others are pinned against.
 ``packed``
-    :meth:`TraceEngine.run_packed` over :class:`PackedTrace` columns
-    (the zero-object fast path).  Bit-identical to ``object``.
-``vector``
-    :func:`repro.cpu.vector_engine.run_vector`: chunked columnar
-    probing with run-length fast-forwarding of pure-hit stretches.
-    Bit-identical to ``packed`` (falls back to it when the machine
-    shape is outside its verified domain).
+    The fused columnar interpreter,
+    :func:`repro.cpu.vector_engine.run_vector`, over
+    :class:`PackedTrace` columns: chunked numpy probing of the first
+    cache level, run-length fast-forwarding of pure-hit stretches, and
+    one loop body for the engine, caches, prefetchers and DRAM.
+    Bit-identical to ``object``.  Machine shapes outside its verified
+    domain (:func:`repro.cpu.vector_engine.eligible`) -- address
+    translation on the engine, ``REPRO_CHECK`` hooks, wrapped or
+    unrecognized components -- run through the scalar
+    :meth:`TraceEngine.run_packed` loop instead, with the same
+    statistics.
 ``analytical``
     :func:`repro.sim.analytical.estimate_packed`: a one-pass
     stack-distance estimator producing *estimated* EngineStats without
@@ -23,7 +27,7 @@ drive a trace through it:
 The active tier comes from the ``REPRO_ENGINE`` environment variable
 (so it propagates to sweep worker processes) or an explicit argument;
 ``packed`` is the default.  :func:`run_tier` is the single dispatch
-point used by :meth:`SystemHandle.run`.
+point used by :meth:`SystemHandle.run` and the Use Case 2 runner.
 """
 
 from __future__ import annotations
@@ -35,12 +39,12 @@ from repro.core.errors import ConfigurationError
 from repro.cpu.engine import EngineStats, TraceEngine
 from repro.cpu.trace import PackedTrace
 
-#: Recognized tiers, exact first.  ``object``/``packed``/``vector``
-#: are interchangeable on results; ``analytical`` is an estimate.
-ENGINE_TIERS = ("object", "packed", "vector", "analytical")
+#: Recognized tiers, exact first.  ``object``/``packed`` are
+#: interchangeable on results; ``analytical`` is an estimate.
+ENGINE_TIERS = ("object", "packed", "analytical")
 
 #: Tiers whose EngineStats are bit-identical to the reference model.
-EXACT_TIERS = ("object", "packed", "vector")
+EXACT_TIERS = ("object", "packed")
 
 _ENV_VAR = "REPRO_ENGINE"
 
@@ -71,8 +75,7 @@ def corun_tier(explicit: Optional[str] = None) -> str:
     ``object`` keeps the legacy per-event interleaver as the
     differential oracle; every other tier maps to ``packed`` -- the
     heap-scheduled batched interleaver (there is no separate
-    vector/analytical co-run variant, and both co-run tiers are
-    exact).
+    analytical co-run variant, and both co-run tiers are exact).
     """
     tier = resolve_engine_tier(explicit)
     return "object" if tier == "object" else "packed"
@@ -89,13 +92,11 @@ def run_tier(engine: TraceEngine, trace,
     tier = resolve_engine_tier(tier)
     if tier == "object":
         if isinstance(trace, PackedTrace):
-            trace = list(trace.events())
-        return engine.run(trace)
-    if tier == "packed":
+            trace = trace.events()
         return engine.run(trace)
     if not isinstance(trace, PackedTrace):
-        trace = PackedTrace.from_events(list(trace))
-    if tier == "vector":
+        trace = PackedTrace.from_events(trace)
+    if tier == "packed":
         from repro.cpu.vector_engine import run_vector
         return run_vector(engine, trace)
     # analytical

@@ -1,16 +1,16 @@
-"""Vectorized batch-interpretation tier over :class:`PackedTrace` columns.
+"""The fused columnar interpreter: the ``packed`` engine tier.
 
-:func:`run_vector` executes a packed trace with statistics bit-identical
-to :meth:`TraceEngine.run_packed`, restructured around the observation
-that the expensive part of interpretation is *per-event Python*, not the
-model arithmetic:
+:func:`run_vector` executes a :class:`PackedTrace` with statistics
+bit-identical to the scalar :meth:`TraceEngine.run_packed` loop (and so
+to the object tier), restructured around the observation that the
+expensive part of interpretation is *per-event Python*, not the model
+arithmetic:
 
 * **Chunked columnar probing.**  The dense columns are viewed as numpy
   ``int64`` arrays and consumed in fixed-size chunks.  Address
   decomposition (line/set/tag) is shift-and-mask over the whole chunk,
-  and residency of every access against the first-level cache is one
-  vectorized compare against a tag-table snapshot
-  (:meth:`Cache.resident_snapshot`).
+  and residency of every access against the first-level cache is a
+  vectorized compare against a tag-table snapshot.
 * **Run-length fast-forwarding.**  A maximal stretch whose accesses are
   all L1-resident (and not awaiting an in-flight prefetch) has a
   closed-form effect on the machine: counters advance by run totals,
@@ -21,12 +21,12 @@ model arithmetic:
   ``PIPELINED_LATENCY`` at eligibility time), never ripple fills, and
   never trigger the prefetchers, so nothing else in the machine can
   observe the difference.
-* **Fused scalar fallback.**  Events that can miss -- plus XMemOp
+* **Fused scalar loop.**  Events that can miss -- plus XMemOp
   boundaries -- run through a scalar path that inlines the engine /
-  hierarchy / DRAM bookkeeping of the exact model into one loop body
-  (same operations in the same order, so float accumulation is
-  unchanged), instead of descending through six layers of method calls
-  per miss.  Classification itself is adaptive: after several
+  hierarchy / prefetcher / DRAM bookkeeping of the exact model into one
+  loop body (same operations in the same order, so float accumulation
+  is unchanged), instead of descending through six layers of method
+  calls per access.  Classification itself is adaptive: after several
   consecutive chunks classify straight to the scalar loop (a
   miss-dense phase), the per-chunk numpy probe is skipped and
   re-attempted periodically -- the probe is a pure dispatch heuristic,
@@ -37,12 +37,13 @@ with a power-of-two issue width every batched increment is an exact
 dyadic rational, so float addition over a run commutes with the
 sequential order (no rounding occurs at any step while ``now`` stays
 below ``2**48``).  :func:`eligible` checks this and every structural
-assumption; when any fails, :func:`run_vector` silently falls back to
-``run_packed`` -- the tier is *never* allowed to be a different model,
-only a faster evaluation of the same one.
+assumption; when any fails, :func:`run_vector` falls back to
+``run_packed`` -- the fused path is *never* allowed to be a different
+model, only a faster evaluation of the same one.
 
-Divergence between this tier and the scalar tiers is fuzz-checked by
-the ``vector`` lane (:mod:`repro.testing.fuzz`) and pinned per kernel in
+Divergence from the object tier and from ``run_packed`` is fuzz-checked
+by the three-way ``packed`` lane (:mod:`repro.testing.fuzz`) and pinned
+per kernel and per Use Case 2 machine in
 ``tests/cpu/test_vector_engine.py``.
 """
 
@@ -58,11 +59,12 @@ except ImportError:          # pragma: no cover - numpy ships in the image
 
 from repro.cpu.engine import EngineStats, TraceEngine
 from repro.cpu.trace import PackedTrace
+from repro.dram.bank import RowOutcome
 from repro.dram.system import DramSystem
 from repro.mem.cache import Cache, INVALID_TAG
-from repro.mem.hierarchy import CacheHierarchy
+from repro.mem.hierarchy import CacheHierarchy, _never_pin
 from repro.mem.mshr import MSHRFile
-from repro.mem.prefetch import MultiStridePrefetcher, XMemPrefetcher
+from repro.mem.prefetch import MultiStridePrefetcher, XMemPrefetcher, _Stream
 from repro.mem.replacement import (
     BRRIPPolicy,
     DRRIPPolicy,
@@ -73,7 +75,6 @@ from repro.mem.replacement import (
     SRRIPPolicy,
 )
 from repro.sim.system import MemorySystem
-from repro.testing import checks as _checks
 
 #: Events per columnar chunk.
 CHUNK = 4096
@@ -81,7 +82,7 @@ CHUNK = 4096
 #: runs straight through the fused scalar loop.
 SCALAR_FRACTION = 0.05
 #: Segment length at or below which the batch paths use plain Python
-#: loops: numpy's per-call overhead (unique/argsort/isin on tiny
+#: loops: numpy's per-call overhead (slicing, masking, tolist on tiny
 #: arrays) exceeds a direct walk for short inter-miss hit runs.
 SMALL_SEGMENT = 64
 #: Policy-kind codes for the fused loop.
@@ -104,6 +105,18 @@ def dyadic_k(values, k_max: int = 12) -> Optional[int]:
 
 _dyadic_k = dyadic_k
 
+def _isin(values, members):
+    """``np.isin(values, members)`` for a hashed collection of ints.
+
+    Hash lookups rather than numpy's set routines: those sort, and go
+    through ``np.unique``, whose first call imports ``numpy.ma``; with
+    the sort code paged in, that costs about 1.6 MB of resident memory
+    for no speed gain at chunk size.
+    """
+    return _np.fromiter(map(members.__contains__, values.tolist()),
+                        bool, len(values))
+
+
 _POLICY_KIND = {
     LRUPolicy: _P_LRU,
     SRRIPPolicy: _P_RRIP,
@@ -120,12 +133,16 @@ BATCHABLE_POLICIES = frozenset(_POLICY_KIND)
 
 
 def eligible(engine: TraceEngine, trace) -> bool:
-    """Whether ``(engine, trace)`` is served by the vector fast path.
+    """Whether ``(engine, trace)`` is served by the fused interpreter.
 
     Anything unrecognized -- wrapped components, exotic policies,
-    non-power-of-two geometry, address translation -- falls back, so
-    the tier's correctness domain is exactly the configurations the
-    equivalence suite pins.
+    non-power-of-two geometry, address translation (callers translate
+    while packing instead), ``REPRO_CHECK`` hooks -- falls back to
+    :meth:`TraceEngine.run_packed`, so the fused path's correctness
+    domain is exactly the configurations the equivalence suite pins.
+    Checked components fall back because the fused loop inlines the
+    cache and MSHR operations the checks wrap: only the scalar loop
+    reaches the per-operation checkers.
     """
     if _np is None or type(trace) is not PackedTrace:
         return False
@@ -134,18 +151,20 @@ def eligible(engine: TraceEngine, trace) -> bool:
     issue = engine.issue_width
     if issue & (issue - 1):
         return False
-    if type(engine.mshr) is not MSHRFile:
+    if type(engine.mshr) is not MSHRFile or "reserve" in vars(engine.mshr):
         return False
     mem = engine.memory
     if type(mem) is not MemorySystem:
         return False
-    if type(mem.dram) is not DramSystem or mem.dram.perfect_rbl:
+    if type(mem.dram) is not DramSystem:
         return False
     hier = mem.hierarchy
     if type(hier) is not CacheHierarchy or hier._line_mask is None:
         return False
     for cache in hier.levels:
         if type(cache) is not Cache or cache._line_shift is None:
+            return False
+        if "access" in vars(cache):
             return False
         if type(cache.policy) not in _POLICY_KIND:
             return False
@@ -243,6 +262,7 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
     l1_smask = smask_lv[0]
     l1_tshift = tshift_lv[0]
     l1_nsets = nsets_lv[0]
+    l1_ways = ways_lv[0]
 
     # -- Memory-system state -----------------------------------------------
     mem_stats = memory.stats
@@ -262,7 +282,10 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
     t_burst = timing.t_burst
     channel_free = dram._channel_free
     dram_record = dram._record
-    bank_access = None  # resolved per call: Bank.access is a dataclass method
+    # The Ideal perfect-row-buffer system: every access is serviced as a
+    # row hit (DramSystem._service's force_hit path).
+    force_hit = dram.perfect_rbl
+    OUT_HIT = RowOutcome.HIT
 
     # L1 evictions / new in-flight prefetches performed by scalar events
     # demote later chunk positions out of the batchable set.
@@ -274,8 +297,8 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
         addr, bank = addr_bank(line)
         busy = bank.busy_until
         start = t if t > busy else busy
-        outcome = bank.classify(addr.row)
-        data_ready = bank.access(addr.row, start, timing)
+        outcome = OUT_HIT if force_hit else bank.classify(addr.row)
+        data_ready = bank.access(addr.row, start, timing, force_hit)
         channel = addr.channel
         free_at = channel_free[channel]
         burst_start = data_ready if data_ready > free_at else free_at
@@ -538,20 +561,14 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
     # the counter objects once per run.  Any other shape uses the
     # generic ``scalar_range`` above; both maintain exact model state at
     # their call boundaries, so they interleave freely.
-    from repro.dram.bank import RowOutcome as _RO
-    from repro.mem.hierarchy import _never_pin
-    from repro.mem.prefetch import _Stream
-
     use_specialized = (
-        not engine._check
-        and num_levels == 3
+        num_levels == 3
         and pkind_lv == [_P_LRU, _P_RRIP, _P_RRIP]
         and not drrip_lv[0] and drrip_lv[1] and drrip_lv[2]
         and (stride is None or stride._region_shift is not None)
         and not caches[1]._prefetched_tags
         and sum(caches[0]._pinned_counts) == 0
         and sum(caches[1]._pinned_counts) == 0
-        and "reserve" not in vars(mshr)
     )
 
     # Deferred statistics (flushed once, at end of run; sums commute
@@ -628,15 +645,13 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
             st_deg = stride.degree
             st_lb = stride.line_bytes
             st_max = stride.max_streams
-            sclk = stride._clock
 
         # DRAM, inlined (bank.classify/bank.access stay method calls:
         # they are the model's replaceable seam).
         dmemo = dram._decomposed
         chfree = dram._channel_free
         t_burst_ = timing_.t_burst
-        OUT_HIT = _RO.HIT
-        OUT_CLOSED = _RO.CLOSED
+        OUT_CLOSED = RowOutcome.CLOSED
         dbuck = dram.stats.read_latency_hist.buckets
 
         # MSHR heap, inlined (stats deferred like the rest).
@@ -898,8 +913,8 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
                 busy = dbank.busy_until
                 dstart = t_lookup if t_lookup > busy else busy
                 arow = daddr.row
-                outc = dbank.classify(arow)
-                dready = dbank.access(arow, dstart, timing_)
+                outc = OUT_HIT if force_hit else dbank.classify(arow)
+                dready = dbank.access(arow, dstart, timing_, force_hit)
                 dch = daddr.channel
                 dfree = chfree[dch]
                 dbs = dready if dready > dfree else dfree
@@ -939,21 +954,17 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
                         drain_writes(t_lookup)
             # ---- prefetchers (observe at `now`, as in the model) ----
             if stride_on and (hit_level is None or hit_level == 2):
-                sclk += 1
                 region = line >> st_rs
                 stm = st_streams.get(region)
                 if stm is None:
                     if len(st_streams) >= st_max:
-                        lru_r = min(
-                            st_streams,
-                            key=lambda r: st_streams[r].last_used)
-                        del st_streams[lru_r]
-                    st_streams[region] = _Stream(last_addr=line,
-                                                 last_used=sclk)
+                        del st_streams[next(iter(st_streams))]
+                    st_streams[region] = _Stream(last_addr=line)
                     s_alloc += 1
                 else:
+                    del st_streams[region]
+                    st_streams[region] = stm
                     delta = line - stm.last_addr
-                    stm.last_used = sclk
                     if delta != 0:
                         if delta == stm.stride:
                             stm.confirmations += 1
@@ -990,9 +1001,10 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
                                 busy = dbank.busy_until
                                 dstart = now if now > busy else busy
                                 arow = daddr.row
-                                outc = dbank.classify(arow)
+                                outc = (OUT_HIT if force_hit
+                                        else dbank.classify(arow))
                                 dready = dbank.access(arow, dstart,
-                                                      timing_)
+                                                      timing_, force_hit)
                                 dch = daddr.channel
                                 dfree = chfree[dch]
                                 dbs = (dready if dready > dfree
@@ -1038,8 +1050,8 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
                     busy = dbank.busy_until
                     dstart = now if now > busy else busy
                     arow = daddr.row
-                    outc = dbank.classify(arow)
-                    dready = dbank.access(arow, dstart, timing_)
+                    outc = OUT_HIT if force_hit else dbank.classify(arow)
+                    dready = dbank.access(arow, dstart, timing_, force_hit)
                     dch = daddr.channel
                     dfree = chfree[dch]
                     dbs = dready if dready > dfree else dfree
@@ -1089,8 +1101,6 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
         p2._psel = psel2
         b1._fill_count = fc1
         b2._fill_count = fc2
-        if stride_on:
-            stride._clock = sclk
 
     heavy_scalar = specialized_range if use_specialized else scalar_range
 
@@ -1208,21 +1218,16 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
         else:
             lines = va[begin:end] & line_mask
             writes = (m & 1) != 0
-        # Unique lines in last-occurrence order: first occurrence over
-        # the reversed run, mapped back.
-        rev = lines[::-1]
-        uniq, first_rev = np.unique(rev, return_index=True)
-        order = np.argsort(first_rev)[::-1]
-        replay = []
-        for ln in uniq[order]:
-            ln = int(ln)
-            replay.append(((ln >> l1_shift) & l1_smask, ln >> l1_tshift))
+        # Unique lines in last-occurrence order: a dict keeps the first
+        # occurrence over the reversed run, and reversing its keys maps
+        # that back (C-level, and no numpy sort code to page in).
+        order = list(dict.fromkeys(reversed(lines.tolist())))
+        order.reverse()
+        replay = [((ln >> l1_shift) & l1_smask, ln >> l1_tshift)
+                  for ln in order]
         if writes.any():
-            written = []
-            for ln in np.unique(lines[writes]):
-                ln = int(ln)
-                written.append(((ln >> l1_shift) & l1_smask,
-                                ln >> l1_tshift))
+            written = [((ln >> l1_shift) & l1_smask, ln >> l1_tshift)
+                       for ln in set(lines[writes].tolist())]
         else:
             written = ()
         l1_apply_hit_run(n_mem, replay, written)
@@ -1240,9 +1245,7 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
                             split = pos
                             break
                 else:
-                    hot = np.isin(va[begin:end] & line_mask,
-                                  np.fromiter(contam, np.int64,
-                                              len(contam)))
+                    hot = _isin(va[begin:end] & line_mask, contam)
                     bad = np.flatnonzero(hot)
                     split = begin + int(bad[0]) if bad.size else -1
                 if split >= 0:
@@ -1295,12 +1298,13 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
             set_idx = (v >> l1_shift) & l1_smask
             tag = v >> l1_tshift
             table = np.array(l1_tags, dtype=np.int64)
-            resident = (table[set_idx] == tag[:, None]).any(axis=1)
+            # One way at a time: chunk-sized temporaries only.
+            resident = table[set_idx, 0] == tag
+            for way in range(1, l1_ways):
+                resident |= table[set_idx, way] == tag
             blocked = is_mem & ~resident
             if prefetch_ready:
-                waiting = np.fromiter(prefetch_ready, np.int64,
-                                      len(prefetch_ready))
-                blocked |= is_mem & np.isin(lines, waiting)
+                blocked |= is_mem & _isin(lines, prefetch_ready)
             n_blocked = int(np.count_nonzero(blocked))
             if n_blocked == 0:
                 batch_apply(pos, stop)
@@ -1363,8 +1367,4 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
         misses_to_memory=misses_to_memory,
         stall_cycles=stall_cycles,
     )
-    if engine._check:
-        _checks.check_engine_run(engine, engine.last_stats)
-        for cache in caches:
-            _checks.check_cache_all(cache)
     return engine.last_stats

@@ -32,7 +32,6 @@ class _Stream:
     last_addr: int
     stride: int = 0
     confirmations: int = 0
-    last_used: int = 0
 
 
 @dataclass
@@ -67,6 +66,10 @@ class MultiStridePrefetcher:
     Streams are keyed by 4 KB region (a common PC-less organization).
     A slot confirms a stride when two consecutive deltas match; once
     confirmed, each access issues up to ``degree`` prefetches ahead.
+    When all slots are taken, a new region replaces the least recently
+    used stream: the stream dict is kept in recency order (a touched
+    stream is re-inserted), so the victim is its first key -- O(1)
+    instead of a scan over the slots.
     """
 
     def __init__(self, streams: int = 16, degree: int = 2,
@@ -80,22 +83,23 @@ class MultiStridePrefetcher:
         self._region_shift = (region_bytes.bit_length() - 1
                               if not (region_bytes & (region_bytes - 1))
                               else None)
+        #: region -> stream, least recently used first.
         self._streams: Dict[int, _Stream] = {}
-        self._clock = 0
         self.stats = PrefetchStats()
 
     def observe(self, addr: int) -> List[int]:
         """Train on a demand access; return line addresses to prefetch."""
-        self._clock += 1
         region = (addr >> self._region_shift
                   if self._region_shift is not None
                   else addr // self.region_bytes)
-        stream = self._streams.get(region)
+        streams = self._streams
+        stream = streams.get(region)
         if stream is None:
             self._allocate(region, addr)
             return []
+        del streams[region]             # touch: now most recently used
+        streams[region] = stream
         delta = addr - stream.last_addr
-        stream.last_used = self._clock
         if delta == 0:
             return []
         if delta == stream.stride:
@@ -119,9 +123,8 @@ class MultiStridePrefetcher:
 
     def _allocate(self, region: int, addr: int) -> None:
         if len(self._streams) >= self.max_streams:
-            lru = min(self._streams, key=lambda r: self._streams[r].last_used)
-            del self._streams[lru]
-        self._streams[region] = _Stream(last_addr=addr, last_used=self._clock)
+            del self._streams[next(iter(self._streams))]
+        self._streams[region] = _Stream(last_addr=addr)
         self.stats.stream_allocations += 1
 
     @property

@@ -576,9 +576,14 @@ class RunScheduler:
     def _progress_locked(self, run: RunHandle) -> Dict[str, object]:
         """Counts-by-state plus overall status for one run.
 
-        A run with every point terminal is never ``queued`` -- there is
-        nothing left in the queue that could advance it, so reporting
-        ``queued`` would promise progress that cannot come.
+        A run reports a terminal status only once every point's
+        completion event is in its log: a point turns terminal before
+        its worker thread persists it and logs the event, and a stream
+        or long-poll that ended on the terminal status in between would
+        miss that last event.  A run with every point terminal is never
+        ``queued`` -- there is nothing left in the queue that could
+        advance it, so reporting ``queued`` would promise progress that
+        cannot come.
         """
         counts = {"total": len(run.entries), "pending": 0,
                   "running": 0, "done": 0, "failed": 0, "cancelled": 0}
@@ -586,11 +591,12 @@ class RunScheduler:
             counts[pe.state] += 1
         terminal = (counts["done"] + counts["failed"]
                     + counts["cancelled"])
+        logged = len(run.evented) == counts["total"]
         if run.cancelled:
             status = "cancelled"
-        elif counts["done"] == counts["total"]:
+        elif logged and counts["done"] == counts["total"]:
             status = "done"
-        elif terminal == counts["total"]:
+        elif logged:
             status = "failed" if counts["failed"] else "cancelled"
         elif counts["running"] or terminal:
             status = "running"
@@ -928,10 +934,10 @@ class RunScheduler:
             self._maybe_complete_run(run)
 
     def _maybe_complete_run(self, run: RunHandle) -> None:
-        """Completion bookkeeping once every entry is terminal."""
+        """Completion bookkeeping once every entry's event is logged."""
         write = persist = False
         with self._lock:
-            if any(not e.finished for e in run.entries):
+            if len(run.evented) < len(run.entries):
                 return
             if not run.cancelled and run.written is None:
                 self.stats.bump("runs_completed")

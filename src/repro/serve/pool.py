@@ -2,7 +2,7 @@
 
 ``repro serve`` keeps its HTTP surface on threads (cheap, IO-bound)
 and pushes point execution onto real processes so CPU-bound
-packed/vector replays run truly in parallel instead of serializing
+packed-tier replays run truly in parallel instead of serializing
 behind the GIL.  Each scheduler worker thread owns at most one
 :class:`WorkerProcess`; jobs travel over a ``multiprocessing`` pipe
 one at a time, so a worker child is always either idle or executing

@@ -4,7 +4,7 @@
 pass over the packed columns without evolving the machine: no DRAM
 timing, no MSHR, no channel or bank state, no stall modelling.  It
 exists for quick sweeps and sanity triage; committed tables must be
-produced on an exact tier (``object``/``packed``/``vector``).
+produced on an exact tier (``object``/``packed``).
 
 Model
 -----

@@ -28,7 +28,7 @@ Two interleavers evaluate the same model:
     ``(core.now, core.index)`` schedules cores; between shared-LLC
     interactions a core's private stretch -- L1 hits and Work blocks,
     which touch nothing outside the core -- is fast-forwarded with the
-    vector tier's machinery (chunked columnar residency probing,
+    packed tier's machinery (chunked columnar residency probing,
     :meth:`Cache.apply_hit_run` replay, exact dyadic-grid time
     accumulation), so the core yields control only at *yield points*:
     accesses that can leave the L1 (they may ripple writebacks into
@@ -595,7 +595,7 @@ class CorunSystem:
 
         One vectorized sweep splits each position into L1 set index,
         tag, line key, work count and write flag (the loop-header
-        decomposition of the vector tier), so the planner's walk needs
+        decomposition of the packed tier), so the planner's walk needs
         no per-event address arithmetic.  Residency is *not*
         snapshotted: a chunk's own misses fill lines its later
         positions reuse, so a static residency table misclassifies

@@ -37,7 +37,7 @@ Environment knobs:
 * ``REPRO_JOBS``        -- worker processes for sweeps (default: all
   cores; ``1`` = serial in-process execution).
 * ``REPRO_ENGINE``      -- engine tier for every run
-  (``object``/``packed``/``vector``/``analytical``; default
+  (``object``/``packed``/``analytical``; default
   ``packed``; see :mod:`repro.cpu.tiers`).  Inherited by sweep
   workers and recorded in the run manifest.
 * ``REPRO_TRACE_CACHE`` -- trace cache directory; ``0``/``off``

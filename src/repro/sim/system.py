@@ -63,7 +63,8 @@ class MemorySystem:
         self._dram_access = dram.access_completes
         self._fill_prefetch_flat = hierarchy.fill_prefetch_flat
         #: When a list, every line entering ``_prefetch_ready`` is also
-        #: appended here (the vector engine's chunk-invalidation hook).
+        #: appended here (a chunk-invalidation hook; the fused
+        #: interpreter falls back to the scalar loop while it is set).
         self._prefetch_log: Optional[List[int]] = None
         #: line -> DRAM completion time of an in-flight prefetch; a
         #: demand hit to a line that has not arrived yet waits for it

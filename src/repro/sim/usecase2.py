@@ -14,6 +14,12 @@ Composes the three systems Figure 7/8 compare, for one workload model:
   scheme -- the baseline is still free to beat it with any scheme.
 * ``ideal``    -- the baseline machine with a perfect row buffer
   (every access a row hit): the upper bound for any RBL optimization.
+
+Every system runs on an exact engine tier (:mod:`repro.cpu.tiers`).
+The workload's pages are backed when it is instantiated, so address
+translation during the run is a pure page-table lookup: the access
+stream is translated once per access while it is packed, and the
+engine runs translation-free on physical addresses.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from typing import Dict, Iterable, Optional
 
 from repro.core.errors import ConfigurationError
 from repro.cpu.engine import TraceEngine
+from repro.cpu.tiers import EXACT_TIERS, resolve_engine_tier, run_tier
+from repro.cpu.trace import PackedTrace, TraceBuilder
 from repro.dram.system import DramSystem
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.prefetch import MultiStridePrefetcher
@@ -90,7 +98,14 @@ def run_system(
 
     ``collect=True`` snapshots the full stats registry after the run
     (strictly post-run, so it never perturbs the measurement).
+    The engine tier comes from ``REPRO_ENGINE`` (default ``packed``);
+    only exact tiers are accepted.
     """
+    tier = resolve_engine_tier()
+    if tier not in EXACT_TIERS:
+        raise ConfigurationError(
+            f"Use Case 2 runs on exact engine tiers only "
+            f"{EXACT_TIERS}, not {tier!r}")
     cfg = config or usecase2_config()
     if system == "baseline":
         mapping = mapping or XMEM_MAPPING
@@ -119,14 +134,14 @@ def run_system(
                                    degree=cfg.prefetcher.degree,
                                    line_bytes=cfg.line_bytes)
     memory = MemorySystem(hierarchy, dram, stride_prefetcher=stride)
-    engine = TraceEngine(memory, xmemlib=None, translate=proc.translate,
+    engine = TraceEngine(memory, xmemlib=None,
                          issue_width=cfg.cpu.issue_width,
                          window=cfg.cpu.window)
 
     trace = workload.trace(bases)
     if accesses is not None:
         trace = _truncate(trace, accesses)
-    stats = engine.run(trace)
+    stats = run_tier(engine, _pack_physical(trace, proc.translate), tier)
 
     record = RunRecord(
         workload=workload.name,
@@ -189,6 +204,15 @@ def run_figure7(
         "ideal": run_system(workload, "ideal", config, mapping,
                             collect=collect),
     }
+
+
+def _pack_physical(trace, translate) -> PackedTrace:
+    """Pack a suite access stream, translating each address once."""
+    out = TraceBuilder()
+    access = out.access
+    for ev in trace:
+        access(translate(ev.vaddr), ev.is_write, ev.work)
+    return out.build()
 
 
 def _truncate(trace, limit: int):

@@ -1,13 +1,17 @@
 """Differential fuzzing: optimized models vs. reference models.
 
-Nine lanes, each pairing a hot-path implementation with its oracle
+Eight lanes, each pairing a hot-path implementation with its oracle
 (:mod:`repro.testing.oracles`) over seeded random input
 (:mod:`repro.testing.generators`):
 
-* ``packed``  -- the same trace as an object stream and as a
-  :class:`PackedTrace` through two identically built full systems
-  (baseline or XMem, with atom churn): engine statistics and the full
-  stats snapshot must be bit-identical.
+* ``packed``  -- the same trace through three identically built full
+  systems (baseline or XMem, with atom churn, windows small enough to
+  saturate the MSHR file): as an object stream on the ``object`` tier,
+  as a :class:`PackedTrace` on the ``packed`` tier (the fused columnar
+  interpreter wherever it is eligible), and through
+  :meth:`TraceEngine.run_packed` called directly (the scalar fallback
+  loop).  Engine statistics and full stats snapshots must be
+  bit-identical across all three.
 * ``corun``   -- random multi-tenant mixes (2-3 cores, per-core
   generated streams, atom churn on the XMem tenant) through two
   identically built :class:`~repro.sim.corun.CorunSystem` machines:
@@ -15,11 +19,6 @@ Nine lanes, each pairing a hot-path implementation with its oracle
   engine, per-core CoreStats and full snapshot bit-identical.  Items
   are ``(core, event)`` pairs, so shrinking drops events from any
   tenant.
-* ``vector``  -- the same tri-way through the ``object``, ``packed``
-  and ``vector`` engine tiers (:mod:`repro.cpu.tiers`): all three
-  statistics and snapshots must be bit-identical, pinning the vector
-  batch interpreter (and its scalar-fallback boundary handling)
-  against both exact references.
 * ``cache``   -- random access/fill/unpin op strings through the
   columnar :class:`~repro.mem.cache.Cache` (LRU) and the dict-of-lists
   :class:`~repro.testing.oracles.ReferenceCache`: per-op hits,
@@ -144,9 +143,18 @@ class Lane:
 
 
 class PackedLane(Lane):
-    """Object stream vs. packed columns through identical full systems."""
+    """Object tier vs. packed tier vs. the scalar packed loop, tri-way.
+
+    Any pair diverging -- stats or full snapshot -- is a failure.  The
+    ``packed`` tier legitimately falls back to the scalar loop on
+    shapes outside the fused interpreter's domain; the comparison then
+    still holds, and the direct ``run_packed`` leg keeps the fallback
+    loop itself pinned either way.
+    """
 
     name = "packed"
+    #: How each of the three machines runs the trace.
+    WAYS = ("object", "packed", "run_packed")
 
     def make(self, rng: random.Random, length: int) -> Tuple[dict, list]:
         system = rng.choice(("baseline", "xmem", "xmem"))
@@ -184,18 +192,29 @@ class PackedLane(Lane):
         return handle
 
     def fail(self, params: dict, items: list) -> Optional[str]:
-        obj_sys = self._build(params)
-        packed_sys = self._build(params)
-        stats_obj = obj_sys.run(list(items))
-        stats_packed = packed_sys.run(PackedTrace.from_events(items))
-        if stats_obj != stats_packed:
-            return (f"engine stats diverged: object={stats_obj} "
-                    f"packed={stats_packed}")
-        snap_obj = obj_sys.stats_snapshot()
-        snap_packed = packed_sys.stats_snapshot()
-        if snap_obj != snap_packed:
-            keys = _first_snapshot_delta(snap_obj, snap_packed)
-            return f"stats snapshot diverged at {keys}"
+        from repro.cpu.trace import strip_xmem
+
+        systems = {way: self._build(params) for way in self.WAYS}
+        packed = PackedTrace.from_events(items)
+        direct = systems["run_packed"]
+        stats = {
+            "object": systems["object"].run(list(items),
+                                            engine_tier="object"),
+            "packed": systems["packed"].run(packed, engine_tier="packed"),
+            "run_packed": direct.engine.run_packed(
+                packed if direct.xmemlib is not None
+                else strip_xmem(packed)),
+        }
+        for way in self.WAYS[1:]:
+            if stats[way] != stats["object"]:
+                return (f"{way} stats diverged from object: "
+                        f"object={stats['object']} {way}={stats[way]}")
+        snaps = {way: handle.stats_snapshot()
+                 for way, handle in systems.items()}
+        for way in self.WAYS[1:]:
+            if snaps[way] != snaps["object"]:
+                keys = _first_snapshot_delta(snaps["object"], snaps[way])
+                return f"{way} snapshot diverged from object at {keys}"
         return None
 
     def to_json(self, items: list) -> list:
@@ -205,48 +224,12 @@ class PackedLane(Lane):
         return [event_from_json(item) for item in data]
 
 
-class VectorLane(PackedLane):
-    """Object vs. packed vs. vector engine tiers, tri-way.
-
-    Same generator and system shapes as the ``packed`` lane (so the
-    vector tier sees XMem side-tables, atom churn, and small windows);
-    any pair diverging -- stats or full snapshot -- is a failure.  The
-    vector tier legitimately falls back to the packed loop on shapes
-    outside its domain; the comparison then still holds trivially, so
-    the lane spends its cases where the fast path actually runs.
-    """
-
-    name = "vector"
-
-    def fail(self, params: dict, items: list) -> Optional[str]:
-        systems = {tier: self._build(params)
-                   for tier in ("object", "packed", "vector")}
-        stats = {}
-        for tier, handle in systems.items():
-            trace = (list(items) if tier == "object"
-                     else PackedTrace.from_events(items))
-            stats[tier] = handle.run(trace, engine_tier=tier)
-        for tier in ("packed", "vector"):
-            if stats[tier] != stats["object"]:
-                return (f"{tier} tier stats diverged from object: "
-                        f"object={stats['object']} "
-                        f"{tier}={stats[tier]}")
-        snaps = {tier: handle.stats_snapshot()
-                 for tier, handle in systems.items()}
-        for tier in ("packed", "vector"):
-            if snaps[tier] != snaps["object"]:
-                keys = _first_snapshot_delta(snaps["object"], snaps[tier])
-                return (f"{tier} tier snapshot diverged from object "
-                        f"at {keys}")
-        return None
-
-
 class CorunLane(Lane):
     """Legacy per-event co-run interleaver vs. the packed engine.
 
     The packed engine dispatches through ``run`` (so ineligible
     machine shapes legitimately fall back to the legacy loop and the
-    comparison holds trivially, as in the vector lane); the oracle
+    comparison holds trivially, as in the packed lane); the oracle
     side always takes ``run_events``.  Core 0 optionally carries XMem
     semantics with atom churn, exercising yield-at-XMemOp scheduling
     and the shared pin controller under interleaving.
@@ -1078,9 +1061,8 @@ def _kernel_scenario_hash(kernel: str, n: int, tile: int) -> str:
 
 LANES: Dict[str, Lane] = {
     lane.name: lane
-    for lane in (PackedLane(), VectorLane(), CorunLane(), CacheLane(),
-                 EngineLane(), DramLane(), SchedLane(), ServeLane(),
-                 ScenarioLane())
+    for lane in (PackedLane(), CorunLane(), CacheLane(), EngineLane(),
+                 DramLane(), SchedLane(), ServeLane(), ScenarioLane())
 }
 
 

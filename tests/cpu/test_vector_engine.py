@@ -1,12 +1,13 @@
-"""The vector batch-interpretation tier: equivalence and fallback.
+"""The ``packed`` tier's fused interpreter: equivalence and fallback.
 
-The load-bearing property mirrors ``test_packed_trace.py`` one tier
-up: for **every** registered polybench kernel, ``run_vector`` over the
-packed columns produces bit-for-bit the same :class:`EngineStats` --
-and the same full stats snapshot, every cache/DRAM/prefetch counter --
-as ``run_packed``, on both baseline and XMem machines.  The vector
-tier's correctness domain is guarded by :func:`eligible`; anything
-outside it must fall back to the packed loop rather than answer
+The load-bearing property mirrors ``test_packed_trace.py`` one level
+up: for **every** registered polybench kernel, ``run_vector`` (the
+fused columnar interpreter) over the packed columns produces
+bit-for-bit the same :class:`EngineStats` -- and the same full stats
+snapshot, every cache/DRAM/prefetch counter -- as the scalar
+``run_packed`` loop, on both baseline and XMem machines.  The fused
+path's correctness domain is guarded by :func:`eligible`; anything
+outside it must fall back to the scalar loop rather than answer
 wrongly.
 """
 
@@ -43,8 +44,9 @@ def mixed_events():
     ]
 
 
-def _pair(kernel, system_builder, with_lib):
-    """(packed handle+stats, vector handle+stats) on twin machines."""
+def _pair(kernel, system_builder, with_lib, fused=True):
+    """(run_packed handle+stats, run_vector handle+stats) on twin
+    machines; ``fused`` says whether the fused path must be taken."""
     cfg = scaled_config(32)
     h_pk = system_builder(cfg)
     packed_a = kernel.build_packed(N, TILE, lib=h_pk.xmemlib)
@@ -54,7 +56,7 @@ def _pair(kernel, system_builder, with_lib):
     h_vec = system_builder(cfg)
     packed_b = kernel.build_packed(N, TILE, lib=h_vec.xmemlib)
     trace_b = packed_b if with_lib else packed_b.without_xmem()
-    assert eligible(h_vec.engine, trace_b)
+    assert eligible(h_vec.engine, trace_b) is fused
     vec_stats = run_vector(h_vec.engine, trace_b)
     return h_pk, pk_stats, h_vec, vec_stats
 
@@ -80,11 +82,11 @@ def test_vector_equals_packed_xmem(name):
 
 
 def test_vector_equals_packed_checked_mode(monkeypatch):
-    """REPRO_CHECK=1 disables the specialized loop but not equivalence
-    (and the end-of-run invariant hooks all hold)."""
+    """REPRO_CHECK=1 sends runs to the scalar loop, where the
+    per-operation checks live (and every invariant hook holds)."""
     monkeypatch.setenv("REPRO_CHECK", "1")
     h_pk, pk_stats, h_vec, vec_stats = _pair(
-        KERNELS["gemm"], build_xmem, with_lib=True)
+        KERNELS["gemm"], build_xmem, with_lib=True, fused=False)
     assert vec_stats == pk_stats
     assert h_vec.stats_snapshot() == h_pk.stats_snapshot()
 
@@ -122,6 +124,22 @@ class TestEligibility:
         h.engine.translate = lambda v: v
         assert not eligible(h.engine, trace)
 
+    def test_perfect_row_buffer_is_eligible(self):
+        h, trace = self._handle()
+        h.dram.perfect_rbl = True
+        assert eligible(h.engine, trace)
+
+    @pytest.mark.parametrize("component", ["cache", "mshr"])
+    def test_installed_checks_fall_back(self, component):
+        """Checked components take the scalar loop, even when the
+        engine itself was built with checks off."""
+        h, trace = self._handle()
+        if component == "cache":
+            h.memory.hierarchy.levels[1]._install_checks()
+        else:
+            h.engine.mshr._install_checks()
+        assert not eligible(h.engine, trace)
+
     def test_non_pow2_issue_width_falls_back(self):
         h, trace = self._handle()
         h.engine.issue_width = 3
@@ -148,7 +166,7 @@ class TestEligibility:
 # Suite-catalog shapes (Use Case 2 machines, pre-translated streams)
 # ---------------------------------------------------------------------------
 
-def _suite_twin(name, accesses=8_000):
+def _suite_twin(name, accesses=8_000, perfect_rbl=False):
     """Twin translation-free UC2 machines + the workload's physical
     stream (the full-size 27-workload sweep runs out of band; this
     pins the same machine shape in-tree at test-sized streams)."""
@@ -179,7 +197,8 @@ def _suite_twin(name, accesses=8_000):
     def machine():
         hierarchy = CacheHierarchy(cfg.levels, cfg.line_bytes)
         dram = DramSystem(geometry=cfg.dram_geometry,
-                          timing=cfg.timing(), mapping=uc2.XMEM_MAPPING)
+                          timing=cfg.timing(), mapping=uc2.XMEM_MAPPING,
+                          perfect_rbl=perfect_rbl)
         stride = MultiStridePrefetcher(
             streams=cfg.prefetcher.streams, degree=cfg.prefetcher.degree,
             line_bytes=cfg.line_bytes)
@@ -194,9 +213,20 @@ def _suite_twin(name, accesses=8_000):
 
 @pytest.mark.parametrize("name", ["mcf", "milc", "lbm", "kmeans", "spmv"])
 def test_vector_equals_packed_suite_shapes(name):
+    _check_suite_twin(name)
+
+
+@pytest.mark.parametrize("name", ["mcf", "lbm"])
+def test_vector_equals_packed_perfect_row_buffer(name):
+    """The Ideal system's forced row hits, inlined at every DRAM
+    read site of the fused loop."""
+    _check_suite_twin(name, perfect_rbl=True)
+
+
+def _check_suite_twin(name, perfect_rbl=False):
     from repro.sim.system import SystemHandle
 
-    machine, packed = _suite_twin(name)
+    machine, packed = _suite_twin(name, perfect_rbl=perfect_rbl)
     m_pk, e_pk = machine()
     pk = e_pk.run_packed(packed)
     m_vec, e_vec = machine()
@@ -218,11 +248,11 @@ class TestTierSelector:
         assert resolve_engine_tier() == "packed"
 
     def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "vector")
-        assert resolve_engine_tier() == "vector"
+        monkeypatch.setenv("REPRO_ENGINE", "object")
+        assert resolve_engine_tier() == "object"
 
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "vector")
+        monkeypatch.setenv("REPRO_ENGINE", "analytical")
         assert resolve_engine_tier("object") == "object"
 
     def test_unknown_tier_rejected(self, monkeypatch):
@@ -231,9 +261,28 @@ class TestTierSelector:
             resolve_engine_tier()
 
     def test_registry_shape(self):
-        assert set(EXACT_TIERS) < set(ENGINE_TIERS)
-        assert "analytical" in ENGINE_TIERS
-        assert "analytical" not in EXACT_TIERS
+        assert ENGINE_TIERS == ("object", "packed", "analytical")
+        assert EXACT_TIERS == ("object", "packed")
+
+    def test_vector_is_not_a_tier(self):
+        """One exact fast tier: the fused interpreter *is* packed."""
+        with pytest.raises(ConfigurationError, match="vector"):
+            resolve_engine_tier("vector")
+
+    def test_packed_tier_runs_the_fused_interpreter(self, monkeypatch):
+        from repro.cpu import vector_engine
+
+        calls = []
+        real = vector_engine.run_vector
+
+        def spy(engine, trace):
+            calls.append(eligible(engine, trace))
+            return real(engine, trace)
+
+        monkeypatch.setattr(vector_engine, "run_vector", spy)
+        h = build_baseline(scaled_config(32))
+        h.run(KERNELS["gemm"].build_packed(N, TILE), engine_tier="packed")
+        assert calls == [True]
 
     @pytest.mark.parametrize("tier", EXACT_TIERS)
     def test_exact_tiers_agree_via_run_tier(self, tier):
@@ -258,10 +307,10 @@ class TestTierSelector:
         trace = KERNELS["gemm"].build_packed(N, TILE).without_xmem()
         ref = h_ref.run(trace)          # default: packed
         h = build_baseline(cfg)
-        assert h.run(trace, engine_tier="vector") == ref
+        assert h.run(trace, engine_tier="object") == ref
 
     def test_system_handle_run_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "vector")
+        monkeypatch.setenv("REPRO_ENGINE", "object")
         cfg = scaled_config(32)
         h_ref = build_baseline(cfg)
         trace = KERNELS["gemm"].build_packed(N, TILE).without_xmem()

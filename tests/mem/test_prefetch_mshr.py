@@ -1,5 +1,7 @@
 """Tests for prefetchers and MSHRs."""
 
+import random
+
 import pytest
 
 from repro.core.attributes import PatternType
@@ -67,6 +69,32 @@ class TestMultiStride:
         pf.observe(0 * 4096 + 64)
         pf.observe(0 * 4096 + 128)
         assert pf.observe(0 * 4096 + 192) != []  # retrained after 2 deltas
+
+    def test_victims_match_min_stamp_rule(self):
+        """Recency-ordered eviction picks the same victims as the
+        original rule: stamp every touch with a global clock and evict
+        the stream with the smallest stamp (200 seeded region streams)."""
+        for seed in range(200):
+            rng = random.Random(seed)
+            streams = rng.choice((1, 2, 4, 16))
+            regions = rng.randint(streams + 1, 3 * streams + 2)
+            pf = MultiStridePrefetcher(streams=streams)
+            stamps, clock = {}, 0
+            for _ in range(300):
+                region = rng.randrange(regions)
+                # Same-address repeats (zero deltas) are touches too.
+                addr = region * 4096 + 64 * rng.randrange(4)
+                clock += 1
+                want = set()
+                if region not in stamps and len(stamps) >= streams:
+                    victim = min(stamps, key=stamps.__getitem__)
+                    del stamps[victim]
+                    want = {victim}
+                stamps[region] = clock
+                before = set(pf._streams)
+                pf.observe(addr)
+                assert before - set(pf._streams) == want, seed
+                assert set(pf._streams) == set(stamps), seed
 
     def test_distinct_streams_tracked_independently(self):
         pf = MultiStridePrefetcher(streams=16, degree=1)

@@ -171,6 +171,34 @@ class TestStreaming:
         assert [l["seq"] for l in lines[:-1]] == [1]
         assert lines[-1]["status"] == "done"
 
+    def test_terminal_status_waits_for_the_last_event(self, tmp_path,
+                                                      monkeypatch):
+        """A point turns terminal before its worker thread persists it
+        and logs its event; the run must not report a terminal status
+        in between, or the stream ends one event short."""
+        from repro.serve.workspace import ArtifactWorkspace
+
+        real = ArtifactWorkspace.save_point
+
+        def slow_save_point(self, key, document):
+            time.sleep(0.5)
+            return real(self, key, document)
+
+        monkeypatch.setattr(ArtifactWorkspace, "save_point",
+                            slow_save_point)
+        srv, thread = boot_server(workers=2, executor="thread",
+                                  workspace=str(tmp_path))
+        try:
+            h = kernel_scenario(srv)
+            rid = submit_run(srv, h, [{}, {"scale": 2}])
+            *events, summary = self._stream_lines(srv, rid)
+            assert summary["status"] == "done"
+            assert sorted(e["seq"] for e in events) == [0, 1]
+            _, doc = call(srv, "GET", f"/v1/runs/{rid}?since=0&wait=30")
+            assert doc["status"] == "done" and doc["next"] == 2
+        finally:
+            stop_server(srv, thread)
+
     def test_archived_runs_do_not_long_poll(self, tmp_path):
         """A workspace-served run has no live event log: plain GET
         works, since/stream parameters are simply ignored."""

@@ -179,8 +179,7 @@ class TestShapes:
         assert doc["status"] == "ok"
         assert doc["workers"] == {"alive": 2, "configured": 2}
         assert doc["queue_depth"] == 0
-        assert doc["engine_tier"] in ("object", "packed", "vector",
-                                      "analytical")
+        assert doc["engine_tier"] in ("object", "packed", "analytical")
         assert doc["uptime_s"] >= 0
 
     def test_debug_state(self, server):
@@ -402,10 +401,11 @@ class TestQueueAndCancel:
         run_a = sched.get_run(first["run"])
         with sched._lock:
             (pe,) = run_a.entries
-            pe.state = "failed"
-            pe.error = "RuntimeError: injected"
-            pe.done.set()
+            pe.state = "running"
             sched._pending -= 1
+        # Fail it the way a worker thread does (state, then event log).
+        sched._finish(pe, time.perf_counter(), "failed",
+                      error="RuntimeError: injected")
         doc_a = call(idle_server, "GET", f"/v1/runs/{first['run']}")[1]
         assert doc_a["status"] == "failed"      # terminal, not 'queued'
         status, second = call(idle_server, "POST", "/v1/runs", body)
@@ -648,7 +648,7 @@ class TestEngineEnvRegression:
     @pytest.mark.parametrize("value,want", [
         ("packed", "packed"),
         ("  packed\n", "packed"),
-        (" vector ", "vector"),
+        (" object ", "object"),
         ("   ", "packed"),
         ("", "packed"),
     ])
@@ -713,13 +713,13 @@ class TestSpecAndConfigUnits:
         # A valid tier is accepted and becomes part of the point
         # identity: the same scenario under two engines is two points.
         plain = normalize_config(self._entry(), {})
-        vector = normalize_config(self._entry(), {"engine": "vector"})
+        obj = normalize_config(self._entry(), {"engine": "object"})
         assert plain["engine"] is None
-        assert vector["engine"] == "vector"
-        assert config_hash(plain) != config_hash(vector)
+        assert obj["engine"] == "object"
+        assert config_hash(plain) != config_hash(obj)
         # Whitespace normalizes like the CLI/env spelling does.
         assert normalize_config(
-            self._entry(), {"engine": " vector "})["engine"] == "vector"
+            self._entry(), {"engine": " object "})["engine"] == "object"
 
     def test_unknown_engine_tier_is_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):

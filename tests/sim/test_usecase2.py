@@ -44,6 +44,61 @@ class TestRunSystem:
         assert r.record.params["mapping"] == "scheme5"
 
 
+class TestEngineTiers:
+    """Use Case 2 runs on the exact tiers, translated while packing."""
+
+    SYSTEMS = ("baseline", "xmem", "ideal")
+    SMALL = 3_000
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    @pytest.mark.parametrize("name", ["lbm", "mcf"])
+    def test_object_and_packed_tiers_bit_identical(self, monkeypatch,
+                                                   name, system):
+        runs = {}
+        for tier in ("object", "packed"):
+            monkeypatch.setenv("REPRO_ENGINE", tier)
+            runs[tier] = run_system(BY_NAME[name], system,
+                                    accesses=self.SMALL, collect=True)
+        assert runs["object"].stats == runs["packed"].stats
+        assert runs["object"].record == runs["packed"].record
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_every_machine_shape_is_fused(self, monkeypatch, system):
+        from repro.cpu import vector_engine
+        from repro.sim import usecase2
+
+        seen = []
+        real = usecase2.run_tier
+
+        def spy(engine, trace, tier=None):
+            seen.append(vector_engine.eligible(engine, trace))
+            return real(engine, trace, tier)
+
+        monkeypatch.setattr(usecase2, "run_tier", spy)
+        run_system(BY_NAME["mcf"], system, accesses=500)
+        assert seen == [True]
+
+    def test_one_translation_per_access(self, monkeypatch):
+        from repro.xos.loader import Process
+
+        calls = []
+        real = Process.translate
+
+        def counting(proc, vaddr):
+            calls.append(vaddr)
+            return real(proc, vaddr)
+
+        monkeypatch.setattr(Process, "translate", counting)
+        r = run_system(BY_NAME["lbm"], "baseline", accesses=700,
+                       collect=True)
+        assert len(calls) == r.stats["engine"]["mem_accesses"] == 700
+
+    def test_analytical_tier_is_refused(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "analytical")
+        with pytest.raises(ConfigurationError, match="exact"):
+            run_system(BY_NAME["sc"], "baseline", accesses=100)
+
+
 class TestFigure7Shape:
     def test_ideal_beats_baseline_on_streaming(self):
         res = {

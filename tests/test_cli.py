@@ -48,6 +48,13 @@ class TestCommands:
     def test_usecase2_unknown_workload(self, capsys):
         assert main(["usecase2", "--workload", "nope"]) == 2
 
+    def test_usecase2_refuses_the_estimating_tier(self, capsys,
+                                                  monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "analytical")
+        assert main(["usecase2", "--workload", "sc",
+                     "--accesses", "200"]) == 2
+        assert "exact engine tiers" in capsys.readouterr().err
+
     def test_usecase1_small_run(self, capsys):
         rc = main(["usecase1", "--kernel", "mvt", "--n", "32",
                    "--tile", "16", "--scale", "16"])

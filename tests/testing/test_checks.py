@@ -161,6 +161,29 @@ class TestEngineHooks:
             checks.check_engine_run(engine, bad)
 
 
+class TestDefaultTierChecks:
+    """``REPRO_CHECK=1`` keeps per-operation checks on the default
+    (``packed``) tier: checked machines take the scalar loop, whose
+    cache calls go through the checked wrappers."""
+
+    def test_corrupt_count_fires_during_the_run(self, checked):
+        from repro.cpu.trace import TraceBuilder
+        from repro.sim import build_baseline, scaled_config
+
+        handle = build_baseline(scaled_config(32))
+        l1 = handle.memory.hierarchy.levels[0]
+        out = TraceBuilder()
+        line = l1.line_bytes
+        for i in range(64):
+            out.access(0x10000 + (i % 8) * line * l1.num_sets)
+        l1._valid_counts[l1._index(0x10000)] += 1
+        with pytest.raises(CheckError, match="valid count"):
+            handle.run(out.build(), engine_tier="packed")
+        # Caught at the first access to the corrupted set, long before
+        # any end-of-run check could see it.
+        assert l1.stats.accesses == 1
+
+
 class TestSchedulerHooks:
     def make(self):
         from repro.dram.scheduler import FRFCFSScheduler

@@ -128,8 +128,9 @@ class TestMutationCanary:
             assert not report.ok
 
     def test_vector_lane_catches_vector_drift(self):
-        """A vector-tier-only counter skew diverges from both exact
-        references (and only trips the vector lane, not packed)."""
+        """A counter skew in the fused interpreter (``vector_engine``)
+        diverges from both exact references in the three-way packed
+        lane, and trips no lane that does not run it."""
         from repro.cpu import vector_engine
 
         real = vector_engine.run_vector
@@ -144,14 +145,16 @@ class TestMutationCanary:
             # attribute at call time, so patching the module works.
             mp.setattr(vector_engine, "run_vector", skewed)
             report = run_fuzz(cases=4, seed=0, length=80,
-                              lanes=["vector"])
+                              lanes=["packed"])
             assert not report.ok
-            assert all(f.lane == "vector" for f in report.failures)
+            assert all(f.lane == "packed" for f in report.failures)
+            assert all(f.error.startswith("packed stats diverged")
+                       for f in report.failures)
             clean = run_fuzz(cases=2, seed=0, length=80,
-                             lanes=["packed"])
+                             lanes=["engine"])
             assert clean.ok
         assert run_fuzz(cases=2, seed=0, length=80,
-                        lanes=["vector"]).ok
+                        lanes=["packed"]).ok
 
     def test_reference_dram_catches_timing_drift(self):
         """Perturbing the bank busy bookkeeping trips the DRAM lane."""
