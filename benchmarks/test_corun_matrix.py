@@ -18,7 +18,7 @@ applies to the caches -- working sets then wrap within the trace and
 the shared LLC has temporal reuse worth protecting.
 
 The mixes fan out over ``REPRO_JOBS`` workers via
-:func:`repro.sim.runner.corun_sweep`; parallel runs are bit-identical
+:func:`repro.sim.runner.sweep`; parallel runs are bit-identical
 to serial ones, so the committed tables regenerate byte-identical
 regardless of the worker count.
 """
@@ -33,9 +33,9 @@ from _bench_utils import save_result
 from repro.sim import (
     CorunPoint,
     amean,
-    corun_sweep,
     format_matrix,
     format_table,
+    sweep,
 )
 
 #: The matrix slice: two pointer/graph victims (mcf, omnetpp), a
@@ -77,7 +77,7 @@ def run_matrix():
                    for aggressor in MATRIX_WORKLOADS
                    if victim != aggressor]
     triple_points = [point(mix) for mix in TRIPLES]
-    results = corun_sweep(solo_points + pair_points + triple_points)
+    results = sweep(solo_points + pair_points + triple_points)
 
     solo = {r.point.tenants[0]: r.cycles("baseline")
             for r in results[:len(solo_points)]}

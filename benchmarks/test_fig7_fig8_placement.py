@@ -23,7 +23,7 @@ from _bench_utils import (
     save_result,
     save_uc2_stats_documents,
 )
-from repro.sim import UC2Point, amean, format_table, uc2_sweep
+from repro.sim import UC2Point, amean, format_table, sweep
 from repro.workloads.suite import (
     LOW_HEADROOM,
     RANDOM_DOMINATED,
@@ -45,7 +45,7 @@ def run_suite():
     points = [UC2Point(workload=w.name, accesses=accesses,
                        collect_stats=collect_stats())
               for w in SUITE]
-    out = uc2_sweep(points)
+    out = sweep(points)
     results = {p.workload: r for p, r in zip(points, out)}
     save_uc2_stats_documents("fig7_fig8", results)
     _cache["results"] = results

@@ -130,12 +130,12 @@ def cmd_usecase2(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Run a (kernel x tile) sweep on the parallel experiment runner."""
-    import os
     from pathlib import Path
 
     from repro.cpu.tiers import ENGINE_TIERS, EXACT_TIERS
     from repro.sim.runner import (
         SYSTEM_BUILDERS,
+        RunContext,
         ScenarioPoint,
         SimPoint,
         jobs_from_env,
@@ -148,9 +148,6 @@ def cmd_sweep(args) -> int:
             print(f"unknown engine tier {args.engine!r}; "
                   f"choices: {ENGINE_TIERS}", file=sys.stderr)
             return 2
-        # Through the environment (not an argument) so pool workers
-        # inherit it, and so the manifest provenance records it.
-        os.environ["REPRO_ENGINE"] = args.engine
         if args.engine not in EXACT_TIERS:
             print(f"note: {args.engine} is an estimating tier; "
                   f"results are approximate (see docs/simulator.md)",
@@ -208,7 +205,8 @@ def cmd_sweep(args) -> int:
         return 2
     jobs = args.jobs if args.jobs else jobs_from_env()
     collect = args.stats_json is not None
-    results = sweep(points, jobs=jobs, collect_stats=collect)
+    results = sweep(points, jobs=jobs, collect_stats=collect,
+                    ctx=RunContext.from_env(args.engine))
     if collect:
         written = write_point_documents(Path(args.stats_json), results)
         print(f"wrote {len(written)} stats documents to "
@@ -242,12 +240,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_corun(args) -> int:
     """Run one multi-tenant mix on the shared-LLC co-run engine."""
-    import os
     from pathlib import Path
 
     from repro.sim.runner import (
         CorunPoint,
-        run_corun_point,
+        RunContext,
+        run_point,
         write_point_documents,
     )
 
@@ -286,18 +284,16 @@ def cmd_corun(args) -> int:
         print(f"--xmem-tenants {xmem} outside the "
               f"{len(tenants)}-tenant mix", file=sys.stderr)
         return 2
-    if args.engine:
-        if args.engine not in ("object", "packed"):
-            print(f"unknown co-run engine {args.engine!r}; "
-                  f"choices: object, packed", file=sys.stderr)
-            return 2
-        # Via the environment so the manifest provenance records it.
-        os.environ["REPRO_ENGINE"] = args.engine
+    if args.engine and args.engine not in ("object", "packed"):
+        print(f"unknown co-run engine {args.engine!r}; "
+              f"choices: object, packed", file=sys.stderr)
+        return 2
     point = CorunPoint(tenants=tenants, accesses=args.accesses,
                        scale=args.scale, xmem_tenants=xmem,
                        footprint_div=args.footprint_div)
     collect = args.stats_json is not None
-    result = run_corun_point(point, collect=collect)
+    result = run_point(point, collect=collect,
+                       ctx=RunContext.from_env(args.engine))
     if collect:
         written = write_point_documents(Path(args.stats_json), [result])
         print(f"wrote {len(written)} stats documents to "

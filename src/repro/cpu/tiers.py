@@ -24,10 +24,12 @@ drive a trace through it:
     evolving the machine.  Not exact -- see the module's error model;
     committed tables must never be produced on this tier.
 
-The active tier comes from the ``REPRO_ENGINE`` environment variable
-(so it propagates to sweep worker processes) or an explicit argument;
-``packed`` is the default.  :func:`run_tier` is the single dispatch
-point used by :meth:`SystemHandle.run` and the Use Case 2 runner.
+The active tier is an explicit argument -- the experiment runner
+passes the one its :class:`~repro.sim.runner.RunContext` resolved --
+or, when a caller names none, the ``REPRO_ENGINE`` environment
+variable; ``packed`` is the default.  :func:`run_tier` is the single
+dispatch point used by :meth:`SystemHandle.run` and the Use Case 2
+runner.
 """
 
 from __future__ import annotations

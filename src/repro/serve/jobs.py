@@ -17,12 +17,15 @@ Two executors:
   GIL), a crashed worker fails only its point, cancel of an in-flight
   point terminates the child and frees the slot immediately, and
   children are recycled after ``recycle_after`` jobs to cap RSS.
-  Per-run ``engine`` overrides ride the job message and scope
-  ``REPRO_ENGINE`` inside the child.
 * ``thread`` -- the PR 8 in-process path, kept as the measured
   baseline (see ``benchmarks/results/serve_throughput.txt``) and for
   environments where spawning processes is unwanted.  No in-flight
-  cancel, no per-run engine (``REPRO_ENGINE`` is process-wide here).
+  cancel.
+
+Both executors run a point through
+:func:`repro.sim.runner.execute_point_job`, so a per-run ``engine``
+override travels as an explicit argument into the run context on
+either one, and they produce the same documents.
 
 Progress is observable incrementally: every run keeps an append-only
 completion-ordered event list, long-polled via ``GET
@@ -59,9 +62,7 @@ from repro.sim.runner import (
     CorunPoint,
     ScenarioPoint,
     SimPoint,
-    point_document,
-    point_document_name,
-    run_any_point,
+    execute_point_job,
 )
 
 #: Completed runs retained in memory for ``GET /v1/runs/<id>``
@@ -154,12 +155,10 @@ def normalize_config(entry: ScenarioEntry, config: object
     anything malformed.  ``engine`` selects the engine tier for
     exactly this run (validated against
     :data:`repro.cpu.tiers.ENGINE_TIERS`); ``null``/omitted means the
-    server's process-wide tier.  The override is part of the hashed
+    server's default tier.  The override is part of the hashed
     config, so the same machine knobs on two tiers are two distinct
-    points.  It requires the process executor -- the worker child
-    scopes ``REPRO_ENGINE`` around the one job it runs -- and is
-    rejected at submission under ``--executor thread``, where the
-    variable is process-wide.
+    points.  Both executors honour it: it reaches the run as an
+    explicit argument, never through the process environment.
     """
     if config is None:
         config = {}
@@ -260,13 +259,6 @@ def build_point(entry: ScenarioEntry, config: Dict[str, object]):
         xmem_tenants=tuple(config["xmem_tenants"]),
         modes=tuple(config["modes"]),
     )
-
-
-class _NamedResult:
-    """The ``.point``-only shim :func:`point_document_name` needs."""
-
-    def __init__(self, point) -> None:
-        self.point = point
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +416,10 @@ class RunScheduler:
             fresh_by_key: Dict[Tuple[str, str], PointEntry] = {}
             for index, (entry, config) in enumerate(points):
                 engine = config.get("engine")
-                if engine is not None and self.executor != "process":
-                    raise ConfigurationError(
-                        "per-run engine overrides need the process "
-                        "executor; this server runs --executor thread "
-                        "where REPRO_ENGINE is process-wide")
                 key = (entry.hash, config_hash(config))
                 point = build_point(entry, config)
                 keys.append(key)
-                names.append(point_document_name(index,
-                                                 _NamedResult(point)))
+                names.append(point.document_name(index))
                 if key in fresh_by_key:
                     self.stats.bump("points_deduped")
                     entries.append(fresh_by_key[key])
@@ -767,9 +753,10 @@ class RunScheduler:
     def _execute(self, pe: PointEntry, info: Dict[str, object]) -> None:
         t0 = time.perf_counter()
         try:
-            result = run_any_point(pe.point, cache=self.store.new_cache(),
-                                   collect=True)
-            doc = point_document(result)
+            doc = execute_point_job(
+                pe.point, cache_root=self.store.cache_root,
+                cache_disabled=self.store.cache_disabled,
+                engine=pe.engine)
             self._retag(doc, pe)
             self.stats.bump("points_executed")
             info["executed"] = int(info["executed"]) + 1

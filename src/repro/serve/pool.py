@@ -24,45 +24,16 @@ Design points, all load-bearing:
   replaced, capping RSS growth from allocator fragmentation and
   per-job caches in long-lived workers.
 
-Fault injection for tests and the fuzz lane rides on two environment
-variables (inherited by spawn children, so they are set before the
-worker exists): ``REPRO_SERVE_TEST_CRASH=<scenario-hash>`` makes a
-worker ``os._exit(23)`` when it picks up a job for that scenario, and
-``REPRO_SERVE_TEST_SLOW=<scenario-hash>:<seconds>`` sleeps before
-executing -- a deterministic window for cancel-while-running.
+Tests inject faults by substituting the spawn target (see
+:mod:`repro.testing.faults`); nothing here reads a test hook.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import signal
-import time
 from pathlib import Path
 from typing import Optional, Tuple
-
-#: Scenario hash a worker must crash on (test/fuzz fault injection).
-CRASH_ENV = "REPRO_SERVE_TEST_CRASH"
-
-#: ``<scenario-hash>:<seconds>`` a worker must stall on before running.
-SLOW_ENV = "REPRO_SERVE_TEST_SLOW"
-
-#: Exit code of an injected crash (distinguishes it from real faults).
-CRASH_EXIT = 23
-
-
-def _apply_test_hooks(scenario_hash: str) -> None:
-    """Honor the fault-injection markers for one picked-up job."""
-    if os.environ.get(CRASH_ENV, "") == scenario_hash:
-        os._exit(CRASH_EXIT)
-    slow = os.environ.get(SLOW_ENV, "")
-    if slow:
-        target, _, seconds = slow.partition(":")
-        if target == scenario_hash:
-            try:
-                time.sleep(float(seconds or "1"))
-            except ValueError:
-                pass
 
 
 def pool_worker_main(conn, cache_root: Optional[Path],
@@ -72,9 +43,8 @@ def pool_worker_main(conn, cache_root: Optional[Path],
     Protocol: the parent sends ``(key, point, engine)`` jobs and the
     child replies ``("ok", document)`` or ``("error", message)``; a
     ``None`` job asks the child to exit (recycling / shutdown).  One
-    job is in flight at a time, which is what makes the per-job
-    ``REPRO_ENGINE`` override in
-    :func:`repro.sim.runner.execute_point_job` safe.
+    job is in flight at a time; ``engine`` reaches
+    :func:`repro.sim.runner.execute_point_job` as an argument.
     """
     try:
         # The parent handles interrupts; a Ctrl-C must not take the
@@ -91,8 +61,7 @@ def pool_worker_main(conn, cache_root: Optional[Path],
             break
         if job is None:
             break
-        key, point, engine = job
-        _apply_test_hooks(key[0])
+        _, point, engine = job
         try:
             document = execute_point_job(
                 point, cache_root=cache_root,

@@ -44,13 +44,11 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.sim.runner import (
+    ScenarioPoint,
+    SimPoint,
     TraceCache,
-    get_recording_with_source,
-    get_scenario_recording_with_source,
-    get_suite_recording_with_source,
-    scenario_trace_key,
-    suite_trace_key,
-    trace_key,
+    fetch_recording,
+    suite_trace_source,
 )
 
 #: How long a parked duplicate request waits for the in-flight build.
@@ -82,7 +80,7 @@ class ScenarioSpec:
     ``workload``/``n``/``tile`` hold ``(kernel, n, tile)`` for kernel
     scenarios and ``(workload, accesses, footprint_div)`` for suite
     scenarios -- the same field-reuse discipline as
-    :func:`~repro.sim.runner.suite_trace_key`.  ``spec`` scenarios
+    :func:`~repro.sim.runner.suite_trace_source`.  ``spec`` scenarios
     carry their canonical compact JSON in ``spec`` (``workload`` holds
     the declared name; ``n``/``tile`` are 0).
     """
@@ -215,26 +213,26 @@ class ScenarioSpec:
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
+    def trace_source(self):
+        """The recording's cache key and generator: the same hook the
+        runs against this scenario use, so a build warms their
+        caches."""
+        if self.kind == "spec":
+            return ScenarioPoint(self.spec).trace_source()
+        if self.kind == "kernel":
+            return SimPoint(self.workload, self.n,
+                            self.tile).trace_source()
+        return suite_trace_source(self.workload, self.n, self.tile)
+
     @property
     def trace_cache_key(self) -> str:
         """The underlying trace-cache key the build populates."""
-        if self.kind == "spec":
-            return scenario_trace_key(self.scenario_hash)
-        if self.kind == "kernel":
-            return trace_key(self.workload, self.n, self.tile, True)
-        return suite_trace_key(self.workload, self.n, self.tile)
+        return self.trace_source()[0]
 
     def build(self, cache: TraceCache):
         """Generate (or fetch) the recording; returns
         ``(recording, source)``."""
-        if self.kind == "spec":
-            return get_scenario_recording_with_source(
-                self.spec, cache=cache)
-        if self.kind == "kernel":
-            return get_recording_with_source(
-                self.workload, self.n, self.tile, cache=cache)
-        return get_suite_recording_with_source(
-            self.workload, self.n, self.tile, cache=cache)
+        return fetch_recording(*self.trace_source(), cache)
 
 
 def _positive_int(value: object, name: str) -> int:

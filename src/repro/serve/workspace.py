@@ -89,13 +89,18 @@ class ArtifactWorkspace:
         return self.root / "scenarios" / f"{scenario_hash}.json"
 
     def _write_atomic(self, path: Path, payload: bytes) -> None:
+        """Temp file + rename.  The temp file goes on *every* failure
+        path, not just ``OSError``: eviction and size accounting only
+        see ``*.json``, so a stranded ``.tmp`` (say, after a
+        ``KeyboardInterrupt`` between ``mkstemp`` and ``os.replace``)
+        would escape the workspace bound forever."""
         fd, tmp = tempfile.mkstemp(dir=str(path.parent),
                                    prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
             os.replace(tmp, path)
-        except OSError:
+        except BaseException:
             try:
                 os.unlink(tmp)
             except OSError:

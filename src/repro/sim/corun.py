@@ -355,20 +355,22 @@ class CorunSystem:
 
     # -- Running --------------------------------------------------------
 
-    def run(self, traces: Sequence[Trace]) -> List[CoreStats]:
+    def run(self, traces: Sequence[Trace],
+            tier: Optional[str] = None) -> List[CoreStats]:
         """Interleave one trace per core until all complete.
 
         All-:class:`PackedTrace` inputs run on the heap-scheduled
-        batched interleaver unless ``REPRO_ENGINE=object`` selects the
-        legacy loop; object event streams always take the legacy loop.
-        Both produce bit-identical :class:`CoreStats`.
+        batched interleaver unless the ``object`` tier (``tier``, or
+        ``REPRO_ENGINE`` when None) selects the legacy loop; object
+        event streams always take the legacy loop.  Both produce
+        bit-identical :class:`CoreStats`.
         """
         if len(traces) != len(self.cores):
             raise ConfigurationError(
                 f"{len(self.cores)} cores need {len(self.cores)} traces"
             )
         if (all(type(t) is PackedTrace for t in traces)
-                and corun_tier() == "packed"):
+                and corun_tier(tier) == "packed"):
             return self.run_packed(traces)
         return self.run_events(traces)
 

@@ -24,6 +24,14 @@ serially.  This module fixes both:
   a content digest; corrupted or stale files are detected and
   silently regenerated, never replayed.
 
+* **One point protocol, one run context.**  The four point kinds
+  (:class:`SimPoint`, :class:`ScenarioPoint`, :class:`CorunPoint`,
+  :class:`UC2Point`) each implement ``run(ctx, collect)``, and
+  :func:`run_point` / :func:`sweep` are the only entry points.  The
+  frozen :class:`RunContext` (engine tier, trace-cache root,
+  ``REPRO_*`` provenance) is resolved once at the CLI or serve
+  boundary and passed down, into sweep workers too.
+
 * **Process fan-out.**  :func:`sweep` (and the generic
   :func:`run_parallel`) distribute points over a
   ``ProcessPoolExecutor``.  The worker count comes from the
@@ -32,14 +40,14 @@ serially.  This module fixes both:
   are returned in submission order, so parallel output is
   bit-identical to serial output.
 
-Environment knobs:
+Environment knobs (read, never written):
 
 * ``REPRO_JOBS``        -- worker processes for sweeps (default: all
   cores; ``1`` = serial in-process execution).
-* ``REPRO_ENGINE``      -- engine tier for every run
+* ``REPRO_ENGINE``      -- engine tier
   (``object``/``packed``/``analytical``; default
-  ``packed``; see :mod:`repro.cpu.tiers`).  Inherited by sweep
-  workers and recorded in the run manifest.
+  ``packed``; see :mod:`repro.cpu.tiers`) unless the run context
+  names one.  Recorded in the run manifest.
 * ``REPRO_TRACE_CACHE`` -- trace cache directory; ``0``/``off``
   disables the on-disk layer (the in-memory layer still shares one
   generation across the systems of a point).
@@ -48,6 +56,7 @@ Environment knobs:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -59,7 +68,7 @@ from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.xmemlib import XMemLib
@@ -252,9 +261,9 @@ class TraceRecording:
         )
 
 
-def record_trace(kernel_name: str, n: int, tile: int,
-                 instrument: bool = True) -> TraceRecording:
-    """Walk a kernel's loop nest once and pack its trace."""
+def record_trace(kernel_name: str, n: int, tile: int) -> TraceRecording:
+    """Walk a kernel's XMem-instrumented loop nest once and pack its
+    trace (baseline machines drop the hints at replay)."""
     from repro.workloads.polybench import KERNELS
     try:
         kernel = KERNELS[kernel_name]
@@ -262,13 +271,11 @@ def record_trace(kernel_name: str, n: int, tile: int,
         raise ConfigurationError(
             f"unknown kernel {kernel_name!r}"
         ) from None
-    recorder = SetupRecorder() if instrument else None
+    recorder = SetupRecorder()
     packed = kernel.build_packed(n, tile, lib=recorder)
-    return TraceRecording(
-        kernel=kernel_name, n=n, tile=tile, instrumented=instrument,
-        setup=recorder.log if recorder is not None else [],
-        packed=packed,
-    )
+    return TraceRecording(kernel=kernel_name, n=n, tile=tile,
+                          instrumented=True, setup=recorder.log,
+                          packed=packed)
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +481,18 @@ def _memo_put(key: str, recording: TraceRecording) -> None:
         _MEMO[key] = recording
 
 
-def _cached_recording(key: str, generate: Callable[[], TraceRecording],
-                      cache: Optional[TraceCache]
-                      ) -> Tuple[TraceRecording, str]:
+def fetch_recording(key: str, generate: Callable[[], TraceRecording],
+                    cache: Optional[TraceCache]
+                    ) -> Tuple[TraceRecording, str]:
     """Memo -> disk -> ``generate()``, with the provenance string.
 
     The source string lands in run manifests: ``memo`` (in-process),
-    ``disk`` (trace-cache hit), or ``generated`` (fresh walk); callers
-    upgrade it to ``regenerated`` when a cached recording turns out
-    stale at replay time.
+    ``disk`` (trace-cache hit), ``generated`` (fresh walk), or
+    ``regenerated``.  A disk entry whose setup log no longer re-applies
+    to a fresh library predates a library change: it is regenerated
+    and written back here, the one place a stale recording is
+    replaced.  Memo entries need no such check -- each was generated
+    or validated in this process.
     """
     with _MEMO_LOCK:
         recording = _MEMO.get(key)
@@ -491,64 +501,101 @@ def _cached_recording(key: str, generate: Callable[[], TraceRecording],
     if cache is None:
         cache = TraceCache()
     recording = cache.load(key)
-    source = "disk"
+    source = "disk" if recording is not None else "generated"
+    if recording is not None:
+        try:
+            apply_setup(XMemLib(), recording.setup)
+        except StaleRecordingError:
+            recording, source = None, "regenerated"
     if recording is None:
         recording = generate()
         cache.store(key, recording)
-        source = "generated"
     _memo_put(key, recording)
     return recording, source
 
 
-def get_recording_with_source(
-        kernel: str, n: int, tile: int, instrument: bool = True,
-        cache: Optional[TraceCache] = None
-) -> Tuple[TraceRecording, str]:
-    """One kernel recording plus where it came from."""
-    key = trace_key(kernel, n, tile, instrument)
-    return _cached_recording(
-        key, lambda: record_trace(kernel, n, tile, instrument), cache)
-
-
 def get_recording(kernel: str, n: int, tile: int,
-                  instrument: bool = True,
                   cache: Optional[TraceCache] = None) -> TraceRecording:
     """One recording, via memo -> disk cache -> fresh generation."""
-    return get_recording_with_source(kernel, n, tile, instrument,
-                                     cache=cache)[0]
+    return fetch_recording(*SimPoint(kernel, n, tile).trace_source(),
+                           cache)[0]
 
 
 # ---------------------------------------------------------------------------
-# Simulation points
+# The run context
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SimPoint:
-    """One independent Use-Case-1 simulation point.
+class RunContext:
+    """What a run takes from its caller: resolved once, passed down.
 
-    Everything here is plain data so points pickle cleanly into worker
-    processes.  ``systems`` selects which machines to compare (any of
-    ``baseline``/``xmem``/``xmem-pref``); all of them replay the same
-    recording.
+    ``engine`` is the engine tier every machine of the run uses;
+    ``cache_root`` is the trace-cache directory (None: the on-disk
+    layer is off); ``env`` is the ``REPRO_*`` provenance block that
+    manifests record, as sorted pairs so the context stays immutable.
+    Plain data, so it pickles into sweep and serve workers.
     """
 
-    kernel: str
-    n: int
-    tile: int
-    scale: int = 32
-    llc_bytes: Optional[int] = None
-    bandwidth: float = 1.0
-    systems: Tuple[str, ...] = ("baseline", "xmem")
+    engine: str
+    cache_root: Optional[Path]
+    env: Tuple[Tuple[str, str], ...]
 
-    def config(self) -> SimConfig:
-        """The machine configuration this point runs on."""
-        cfg = scaled_config(self.scale)
-        if self.llc_bytes is not None:
-            cfg = cfg.with_llc(self.llc_bytes)
-        if self.bandwidth != 1.0:
-            cfg = cfg.with_bandwidth(self.bandwidth)
-        return cfg
+    @classmethod
+    def from_env(cls, engine: Optional[str] = None,
+                 cache_root: Optional[Path] = None,
+                 cache_disabled: bool = False) -> "RunContext":
+        """The context this process's environment describes.
 
+        ``engine`` overrides ``REPRO_ENGINE``, and the provenance block
+        then records it as ``REPRO_ENGINE`` -- exactly what running
+        with ``REPRO_ENGINE=<tier>`` exported would have recorded.
+        ``cache_root`` overrides ``REPRO_TRACE_CACHE``;
+        ``cache_disabled`` turns the on-disk layer off.
+        """
+        explicit = (engine or "").strip() or None
+        tier = resolve_engine_tier(explicit)
+        env = collect_repro_env()
+        if explicit is not None:
+            env["REPRO_ENGINE"] = tier
+        if cache_disabled:
+            cache_root = None
+        elif cache_root is None:
+            cache_root = default_cache_dir()
+        return cls(engine=tier, cache_root=cache_root,
+                   env=tuple(sorted(env.items())))
+
+    def trace_cache(self) -> TraceCache:
+        """A fresh cache at this context's root.
+
+        Fresh per run on purpose: the hit/miss counters that land in
+        the manifest stay scoped to that run.
+        """
+        cache = TraceCache(self.cache_root)
+        if self.cache_root is None:
+            cache.root = None
+        return cache
+
+
+def _manifest(kind: str, cfg: SimConfig, trace: dict, cache: TraceCache,
+              ctx: RunContext, timer: PhaseTimer, **blocks) -> dict:
+    """The run manifest every collecting point kind writes.
+
+    ``trace`` gains the cache provenance; ``blocks`` holds what names
+    the point (``point``, plus ``scenario`` for spec points).
+    """
+    trace.update(
+        cache_dir=str(cache.root) if cache.root is not None else None,
+        cache_hits=cache.hits,
+        cache_misses=cache.misses,
+    )
+    return {"schema": 1, "kind": kind, **blocks,
+            "config": dataclasses.asdict(cfg), "trace": trace,
+            "env": dict(ctx.env), "phases": timer.phases}
+
+
+# ---------------------------------------------------------------------------
+# Machine points: every system replays one recording
+# ---------------------------------------------------------------------------
 
 @dataclass
 class SystemRun:
@@ -569,264 +616,138 @@ class SystemRun:
 
 @dataclass
 class PointResult:
-    """All systems of one point, plus the point itself.
+    """What one point's run measured, plus the point itself.
 
-    ``stats`` and ``manifest`` are populated only by collecting runs
+    ``runs`` maps each machine the point compared -- a system, or a
+    co-run mode -- to its measurement: a :class:`SystemRun`, or a
+    co-run mode's per-core :class:`CoreStats` list.  ``stats`` and
+    ``manifest`` are populated only by collecting runs
     (``run_point(..., collect=True)`` / ``sweep(collect_stats=True)``):
-    ``stats`` maps system name -> full registry snapshot, ``manifest``
-    records the provenance of the run (point, config, trace-cache
-    outcome, ``REPRO_*`` env, per-phase wall time and peak RSS).
+    ``stats`` maps the same names to full registry snapshots,
+    ``manifest`` records the provenance of the run (point, config,
+    trace-cache outcome, ``REPRO_*`` env, per-phase wall time and peak
+    RSS).
     """
 
-    point: SimPoint
-    runs: Dict[str, SystemRun]
+    point: object
+    runs: Dict[str, object]
     stats: Optional[Dict[str, Snapshot]] = None
     manifest: Optional[dict] = None
 
-    def cycles(self, system: str) -> float:
-        """Shorthand: one system's cycle count."""
-        return self.runs[system].cycles
+    def cycles(self, system: str, core: int = 0) -> float:
+        """Shorthand: one machine's cycle count (a co-run mode's: the
+        cycle count of the tenant on ``core``)."""
+        run = self.runs[system]
+        return run[core].cycles if isinstance(run, list) else run.cycles
 
 
-def run_point(point: SimPoint,
-              cache: Optional[TraceCache] = None,
-              collect: bool = False) -> PointResult:
-    """Execute every system of one point from one shared recording.
+class _MachinePoint:
+    """What :class:`SimPoint` and :class:`ScenarioPoint` share: every
+    system of the point replays one recording on one configuration.
 
-    ``collect=True`` additionally snapshots each system's full stats
-    registry and assembles a run manifest.  Collection happens strictly
-    after each system's run completes, so it cannot perturb timing --
-    collecting and plain runs produce identical ``SystemRun`` numbers.
+    A subclass names its recording (``trace_source``) and may override
+    the manifest blocks that identify it (``_describe``).
     """
-    timer = PhaseTimer() if collect else None
-    cfg = point.config()
-    if cache is None:
-        cache = TraceCache()
-    if timer is not None:
-        timer.start("trace")
-    recording, source = get_recording_with_source(
-        point.kernel, point.n, point.tile, instrument=True, cache=cache)
-    if timer is not None:
-        timer.stop()
-    runs: Dict[str, SystemRun] = {}
-    snapshots: Optional[Dict[str, Snapshot]] = {} if collect else None
-    for system in point.systems:
-        try:
-            build = SYSTEM_BUILDERS[system]
-        except KeyError:
+
+    def config(self) -> SimConfig:
+        """The machine configuration this point runs on."""
+        cfg = scaled_config(self.scale)
+        if self.llc_bytes is not None:
+            cfg = cfg.with_llc(self.llc_bytes)
+        if self.bandwidth != 1.0:
+            cfg = cfg.with_bandwidth(self.bandwidth)
+        return cfg
+
+    def _describe(self, recording: TraceRecording) -> dict:
+        return {"point": dataclasses.asdict(self)}
+
+    def run(self, ctx: RunContext, collect: bool = False,
+            cache: Optional[TraceCache] = None) -> PointResult:
+        """Execute every system of this point from one shared recording.
+
+        ``collect=True`` additionally snapshots each system's full
+        stats registry and assembles a run manifest.  Collection
+        happens strictly after each system's run completes, so it
+        cannot perturb timing -- collecting and plain runs produce
+        identical ``SystemRun`` numbers.
+        """
+        unknown = [s for s in self.systems if s not in SYSTEM_BUILDERS]
+        if unknown:
             raise ConfigurationError(
-                f"unknown system {system!r}; "
-                f"choices: {sorted(SYSTEM_BUILDERS)}"
-            ) from None
-        handle = build(cfg)
-        if timer is not None:
+                f"unknown system {unknown[0]!r}; "
+                f"choices: {sorted(SYSTEM_BUILDERS)}")
+        if cache is None:
+            cache = ctx.trace_cache()
+        cfg = self.config()
+        key, generate = self.trace_source()
+        timer = PhaseTimer()
+        timer.start("trace")
+        recording, source = fetch_recording(key, generate, cache)
+        timer.stop()
+        runs: Dict[str, SystemRun] = {}
+        snapshots: Dict[str, Snapshot] = {}
+        for system in self.systems:
+            handle = SYSTEM_BUILDERS[system](cfg)
             timer.start(f"run:{system}")
-        try:
-            trace = recording.replay(handle.xmemlib)
-        except StaleRecordingError:
-            # The recording no longer re-applies cleanly (library
-            # semantics moved): regenerate once and refresh the caches.
-            recording = record_trace(point.kernel, point.n, point.tile)
-            source = "regenerated"
-            key = trace_key(point.kernel, point.n, point.tile, True)
-            cache.store(key, recording)
-            _memo_put(key, recording)
-            handle = build(cfg)
-            trace = recording.replay(handle.xmemlib)
-        stats = handle.run(trace)
-        if timer is not None:
+            stats = handle.run(recording.replay(handle.xmemlib),
+                               ctx.engine)
             timer.stop()
-        runs[system] = SystemRun(
-            system=system,
-            stats=stats,
-            llc_miss_rate=handle.llc.stats.miss_rate,
-            llc_accesses=handle.llc.stats.accesses,
-            dram_reads=handle.dram.stats.reads,
-            dram_row_hit_rate=handle.dram.stats.row_hit_rate,
-        )
-        if snapshots is not None:
-            snapshots[system] = handle.stats_snapshot()
-    manifest = None
-    if collect:
-        manifest = {
-            "schema": 1,
-            "kind": "simpoint",
-            "point": dataclasses.asdict(point),
-            "config": dataclasses.asdict(cfg),
-            "trace": {
-                "key": trace_key(point.kernel, point.n, point.tile, True),
-                "source": source,
-                "format_version": TRACE_FORMAT_VERSION,
-                # Which engine tier produced the stats: `repro diff`
-                # flags cross-tier comparisons (an analytical-vs-exact
-                # diff reports estimation error, not nondeterminism).
-                "tier": resolve_engine_tier(),
-                "cache_dir": (str(cache.root) if cache.root is not None
-                              else None),
-                "cache_hits": cache.hits,
-                "cache_misses": cache.misses,
-            },
-            "env": collect_repro_env(),
-            "phases": timer.phases,
+            runs[system] = SystemRun(
+                system=system,
+                stats=stats,
+                llc_miss_rate=handle.llc.stats.miss_rate,
+                llc_accesses=handle.llc.stats.accesses,
+                dram_reads=handle.dram.stats.reads,
+                dram_row_hit_rate=handle.dram.stats.row_hit_rate,
+            )
+            if collect:
+                snapshots[system] = handle.stats_snapshot()
+        if not collect:
+            return PointResult(point=self, runs=runs)
+        trace = {
+            "key": key,
+            "source": source,
+            "format_version": TRACE_FORMAT_VERSION,
+            # Which engine tier produced the stats: `repro diff` flags
+            # cross-tier comparisons (an analytical-vs-exact diff
+            # reports estimation error, not nondeterminism).
+            "tier": ctx.engine,
         }
-    return PointResult(point=point, runs=runs, stats=snapshots,
-                       manifest=manifest)
+        manifest = _manifest(self.KIND, cfg, trace, cache, ctx, timer,
+                             **self._describe(recording))
+        return PointResult(point=self, runs=runs, stats=snapshots,
+                           manifest=manifest)
 
-
-def _run_point_collecting(point: SimPoint) -> PointResult:
-    """Module-level ``collect=True`` wrapper (pickles into workers)."""
-    return run_point(point, collect=True)
-
-
-# ---------------------------------------------------------------------------
-# Fan-out
-# ---------------------------------------------------------------------------
-
-def run_parallel(fn: Callable, items: Sequence,
-                 jobs: Optional[int] = None) -> List:
-    """Map ``fn`` over ``items`` with deterministic result ordering.
-
-    ``fn`` must be a module-level callable and every item picklable.
-    ``jobs`` resolves explicit argument -> ``REPRO_JOBS`` ->
-    ``os.cpu_count()``; 1 means serial in-process execution (no pool,
-    full tracebacks -- the debugging path).  Results always come back
-    in item order, so parallel runs are bit-identical to serial ones.
-    """
-    items = list(items)
-    if jobs is None:
-        jobs = jobs_from_env()
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    workers = min(jobs, len(items))
-    chunksize = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
-
-
-def sweep(points: Sequence[SimPoint],
-          jobs: Optional[int] = None,
-          collect_stats: bool = False) -> List[PointResult]:
-    """Run independent simulation points, fanned out over processes.
-
-    ``collect_stats=True`` makes every point also return its registry
-    snapshots and run manifest (see :func:`run_point`); pair with
-    :func:`write_point_documents` to persist them.  Points may mix
-    :class:`SimPoint`, :class:`ScenarioPoint`, and :class:`CorunPoint`
-    freely -- dispatch is per point via :func:`run_any_point`.
-    """
-    fn = _run_any_collecting if collect_stats else run_any_point
-    return run_parallel(fn, points, jobs=jobs)
-
-
-# ---------------------------------------------------------------------------
-# Stats/manifest documents
-# ---------------------------------------------------------------------------
-
-def point_document(result) -> dict:
-    """The one-JSON-document form of a collecting point run
-    (:class:`PointResult` or :class:`CorunResult`)."""
-    if result.manifest is None or result.stats is None:
-        raise ConfigurationError(
-            "point_document needs a collect=True run "
-            "(manifest/stats missing)"
-        )
-    return {"manifest": result.manifest, "stats": result.stats}
-
-
-def point_document_name(index: int, result) -> str:
-    """Deterministic per-point filename for a sweep's documents.
-
-    Accepts :class:`PointResult` and :class:`CorunResult` (suite
-    workload names are filename-safe identifiers, so a mix joins with
-    ``+``; a ``scenario:`` tenant's colon becomes ``-``).  Scenario
-    points name themselves by declared name plus hash prefix, so two
-    specs sharing a name cannot collide in one sweep directory.
-    """
-    p = result.point
-    if isinstance(p, CorunPoint):
-        div = f"_d{p.footprint_div}" if p.footprint_div != 1 else ""
-        mix = "+".join(t.replace(":", "-").replace("/", "-")
-                       for t in p.tenants)
-        return f"{index:03d}_corun_{mix}_a{p.accesses}{div}.json"
-    if isinstance(p, ScenarioPoint):
-        return (f"{index:03d}_scn_{p.name}"
-                f"_{p.scenario_hash[:8]}.json")
-    return f"{index:03d}_{p.kernel}_n{p.n}_t{p.tile}.json"
-
-
-def write_point_documents(root: Path,
-                          results: Sequence[PointResult]) -> List[Path]:
-    """Write one manifest+stats JSON per collecting point under root.
-
-    Filenames encode the sweep index and point identity, and keys are
-    sorted, so two runs of the same sweep produce directly comparable
-    trees (the ``repro diff`` determinism gate relies on this).
-    """
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-    for index, result in enumerate(results):
-        path = root / point_document_name(index, result)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(point_document(result), fh, sort_keys=True,
-                      indent=2)
-            fh.write("\n")
-        written.append(path)
-    return written
-
-
-# ---------------------------------------------------------------------------
-# Use-Case-2 points (Figures 7/8)
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UC2Point:
-    """One independent Use-Case-2 (workload, three-system) point.
+class SimPoint(_MachinePoint):
+    """One independent Use-Case-1 simulation point.
 
-    ``collect_stats`` makes each system's result carry its registry
-    snapshot (``UseCase2Result.stats``).
+    Everything here is plain data so points pickle cleanly into worker
+    processes.  ``systems`` selects which machines to compare (any of
+    ``baseline``/``xmem``/``xmem-pref``); all of them replay the same
+    recording.
     """
 
-    workload: str
-    accesses: Optional[int] = None
-    pick_mapping: bool = False
-    collect_stats: bool = False
+    KIND = "simpoint"
 
+    kernel: str
+    n: int
+    tile: int
+    scale: int = 32
+    llc_bytes: Optional[int] = None
+    bandwidth: float = 1.0
+    systems: Tuple[str, ...] = ("baseline", "xmem")
 
-def run_uc2_point(point: UC2Point):
-    """All three Figure 7/8 systems for one workload.
+    def trace_source(self) -> Tuple[str, Callable[[], TraceRecording]]:
+        """The recording's cache key and its generator."""
+        return (trace_key(self.kernel, self.n, self.tile, True),
+                lambda: record_trace(self.kernel, self.n, self.tile))
 
-    Returns the :func:`repro.sim.usecase2.run_figure7` dict
-    (system name -> ``UseCase2Result``); everything in it is plain
-    data, so results travel cleanly back from worker processes.
-    """
-    import dataclasses
+    def document_name(self, index: int) -> str:
+        """This point's stats-document filename in a sweep."""
+        return f"{index:03d}_{self.kernel}_n{self.n}_t{self.tile}.json"
 
-    from repro.sim.usecase2 import run_figure7
-    from repro.workloads.suite import BY_NAME
-
-    try:
-        workload = BY_NAME[point.workload]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown workload {point.workload!r}"
-        ) from None
-    if point.accesses is not None:
-        workload = dataclasses.replace(workload,
-                                       accesses=point.accesses)
-    return run_figure7(workload, pick_mapping=point.pick_mapping,
-                       collect=point.collect_stats)
-
-
-def uc2_sweep(points: Sequence[UC2Point],
-              jobs: Optional[int] = None) -> List[dict]:
-    """Run independent Use-Case-2 points, fanned out over processes."""
-    return run_parallel(run_uc2_point, points, jobs=jobs)
-
-
-# ---------------------------------------------------------------------------
-# Scenario points (declarative workload specs; repro.scenarios)
-# ---------------------------------------------------------------------------
 
 def scenario_trace_key(scenario_hash: str) -> str:
     """Cache key of one compiled scenario recording.
@@ -839,34 +760,20 @@ def scenario_trace_key(scenario_hash: str) -> str:
     return trace_key(f"scenario:{scenario_hash}", 0, 0, True)
 
 
-def get_scenario_recording_with_source(
-        spec_json: str, cache: Optional[TraceCache] = None
-) -> Tuple[TraceRecording, str]:
-    """One compiled-scenario recording plus where it came from.
-
-    ``spec_json`` is the canonical compact JSON of the spec (see
-    :func:`repro.scenarios.spec.canonical_json`) -- a plain string so
-    scenario points pickle cleanly into sweep workers.  The content
-    hash keys all three cache layers, so identical specs share one
-    compilation across processes and sessions.
-    """
-    from repro.scenarios.spec import compile_canonical, spec_hash
-
-    canonical = json.loads(spec_json)
-    key = scenario_trace_key(spec_hash(canonical))
-    return _cached_recording(
-        key, lambda: compile_canonical(canonical), cache)
-
-
 @dataclass(frozen=True)
-class ScenarioPoint:
+class ScenarioPoint(_MachinePoint):
     """One independent spec-defined simulation point.
 
     The mirror of :class:`SimPoint` with the kernel identity replaced
     by a canonical spec (as compact JSON, so the point stays plain
     picklable data).  Runs on the same machines, caches, manifests,
-    and diff tooling.
+    and diff tooling.  The manifest's ``point`` block carries the
+    scenario's name and content hash rather than the full spec (an
+    import spec embeds the whole trace text); the ``scenario`` block
+    records the provenance a reader needs to re-resolve it.
     """
+
+    KIND = "scenariopoint"
 
     spec_json: str
     scale: int = 32
@@ -889,82 +796,21 @@ class ScenarioPoint:
         from repro.scenarios.spec import spec_hash
         return spec_hash(self.canonical())
 
-    def config(self) -> SimConfig:
-        """The machine configuration this point runs on."""
-        cfg = scaled_config(self.scale)
-        if self.llc_bytes is not None:
-            cfg = cfg.with_llc(self.llc_bytes)
-        if self.bandwidth != 1.0:
-            cfg = cfg.with_bandwidth(self.bandwidth)
-        return cfg
+    def trace_source(self) -> Tuple[str, Callable[[], TraceRecording]]:
+        """The compilation's cache key and its generator.
 
+        The content hash keys all three cache layers, so identical
+        specs share one compilation across processes and sessions.
+        """
+        from repro.scenarios.spec import compile_canonical, spec_hash
+        canonical = self.canonical()
+        return (scenario_trace_key(spec_hash(canonical)),
+                lambda: compile_canonical(canonical))
 
-def run_scenario_point(point: ScenarioPoint,
-                       cache: Optional[TraceCache] = None,
-                       collect: bool = False) -> PointResult:
-    """Execute every system of one scenario point (see
-    :func:`run_point`).
-
-    The manifest's ``point`` block carries the scenario's name and
-    content hash rather than the full spec (an import spec embeds the
-    whole trace text); the ``scenario`` block records the provenance a
-    reader needs to re-resolve it.
-    """
-    from repro.scenarios.spec import compile_canonical, spec_hash
-
-    timer = PhaseTimer() if collect else None
-    cfg = point.config()
-    if cache is None:
-        cache = TraceCache()
-    canonical = point.canonical()
-    scn_hash = spec_hash(canonical)
-    key = scenario_trace_key(scn_hash)
-    if timer is not None:
-        timer.start("trace")
-    recording, source = get_scenario_recording_with_source(
-        point.spec_json, cache=cache)
-    if timer is not None:
-        timer.stop()
-    runs: Dict[str, SystemRun] = {}
-    snapshots: Optional[Dict[str, Snapshot]] = {} if collect else None
-    for system in point.systems:
-        try:
-            build = SYSTEM_BUILDERS[system]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown system {system!r}; "
-                f"choices: {sorted(SYSTEM_BUILDERS)}"
-            ) from None
-        handle = build(cfg)
-        if timer is not None:
-            timer.start(f"run:{system}")
-        try:
-            trace = recording.replay(handle.xmemlib)
-        except StaleRecordingError:
-            # The cached compilation predates a library change:
-            # recompile from the spec and refresh the caches.
-            recording = compile_canonical(canonical)
-            source = "regenerated"
-            cache.store(key, recording)
-            _memo_put(key, recording)
-            handle = build(cfg)
-            trace = recording.replay(handle.xmemlib)
-        stats = handle.run(trace)
-        if timer is not None:
-            timer.stop()
-        runs[system] = SystemRun(
-            system=system,
-            stats=stats,
-            llc_miss_rate=handle.llc.stats.miss_rate,
-            llc_accesses=handle.llc.stats.accesses,
-            dram_reads=handle.dram.stats.reads,
-            dram_row_hit_rate=handle.dram.stats.row_hit_rate,
-        )
-        if snapshots is not None:
-            snapshots[system] = handle.stats_snapshot()
-    manifest = None
-    if collect:
-        scenario_block = {
+    def _describe(self, recording: TraceRecording) -> dict:
+        canonical = self.canonical()
+        scn_hash = self.scenario_hash
+        scenario = {
             "name": canonical["name"],
             "hash": scn_hash,
             "kind": canonical["kind"],
@@ -973,36 +819,23 @@ def run_scenario_point(point: ScenarioPoint,
             "setup_calls": len(recording.setup),
         }
         if canonical["kind"] == "import":
-            scenario_block["format"] = canonical["format"]
-            scenario_block["sha256"] = canonical["sha256"]
-        manifest = {
-            "schema": 1,
-            "kind": "scenariopoint",
-            "point": {
-                "scenario": canonical["name"],
-                "hash": scn_hash,
-                "scale": point.scale,
-                "llc_bytes": point.llc_bytes,
-                "bandwidth": point.bandwidth,
-                "systems": list(point.systems),
-            },
-            "config": dataclasses.asdict(cfg),
-            "trace": {
-                "key": key,
-                "source": source,
-                "format_version": TRACE_FORMAT_VERSION,
-                "tier": resolve_engine_tier(),
-                "cache_dir": (str(cache.root) if cache.root is not None
-                              else None),
-                "cache_hits": cache.hits,
-                "cache_misses": cache.misses,
-            },
-            "scenario": scenario_block,
-            "env": collect_repro_env(),
-            "phases": timer.phases,
+            scenario["format"] = canonical["format"]
+            scenario["sha256"] = canonical["sha256"]
+        point = {
+            "scenario": canonical["name"],
+            "hash": scn_hash,
+            "scale": self.scale,
+            "llc_bytes": self.llc_bytes,
+            "bandwidth": self.bandwidth,
+            "systems": list(self.systems),
         }
-    return PointResult(point=point, runs=runs, stats=snapshots,
-                       manifest=manifest)
+        return {"point": point, "scenario": scenario}
+
+    def document_name(self, index: int) -> str:
+        """Declared name plus hash prefix, so two specs sharing a name
+        cannot collide in one sweep directory."""
+        return (f"{index:03d}_scn_{self.name}"
+                f"_{self.scenario_hash[:8]}.json")
 
 
 # ---------------------------------------------------------------------------
@@ -1014,16 +847,16 @@ def run_scenario_point(point: ScenarioPoint,
 PAGE_BYTES = 4096
 
 
-def suite_trace_key(name: str, accesses: int,
-                    footprint_div: int = 1) -> str:
-    """Cache key of one suite-tenant recording.
-
-    Shares :func:`trace_key`'s keyspace: the ``suite:`` prefix cannot
-    collide with a Polybench kernel name, ``accesses`` rides in the
-    ``n`` slot, and the footprint divisor in the ``tile`` slot (both
-    are meaningless for suite streams).
-    """
-    return trace_key(f"suite:{name}", accesses, footprint_div, True)
+def _suite_workload(name: str, accesses: Optional[int]):
+    """A suite catalog entry by name, with its access budget set
+    (``None`` keeps the catalog's)."""
+    from repro.workloads.suite import BY_NAME
+    if name not in BY_NAME:
+        raise ConfigurationError(f"unknown suite workload {name!r}")
+    workload = BY_NAME[name]
+    if accesses is None:
+        return workload
+    return dataclasses.replace(workload, accesses=accesses)
 
 
 def record_suite_trace(name: str, accesses: int,
@@ -1047,17 +880,11 @@ def record_suite_trace(name: str, accesses: int,
     caches.  Working sets then wrap within a few thousand accesses,
     which is what gives the shared LLC temporal reuse to protect.
     """
-    from repro.workloads.suite import BY_NAME, LINE
-    try:
-        workload = BY_NAME[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown suite workload {name!r}"
-        ) from None
+    from repro.workloads.suite import LINE
+    workload = _suite_workload(name, accesses)
     if footprint_div < 1:
         raise ConfigurationError(
             f"footprint_div must be >= 1: {footprint_div}")
-    workload = dataclasses.replace(workload, accesses=accesses)
     if footprint_div > 1:
         workload = dataclasses.replace(workload, structures=tuple(
             dataclasses.replace(s, size_bytes=max(
@@ -1090,45 +917,17 @@ def record_suite_trace(name: str, accesses: int,
     )
 
 
-def get_suite_recording_with_source(
-        name: str, accesses: int, footprint_div: int = 1,
-        cache: Optional[TraceCache] = None
-) -> Tuple[TraceRecording, str]:
-    """One suite-tenant recording plus where it came from."""
-    return _cached_recording(
-        suite_trace_key(name, accesses, footprint_div),
-        lambda: record_suite_trace(name, accesses, footprint_div),
-        cache)
+def suite_trace_source(name: str, accesses: int, footprint_div: int = 1
+                       ) -> Tuple[str, Callable[[], TraceRecording]]:
+    """One suite tenant's cache key and its generator.
 
-
-def _scenario_tenant(ref: str, accesses: int, cache: TraceCache
-                     ) -> Tuple[TraceRecording, str, str]:
-    """Resolve one ``scenario:<ref>`` co-run tenant.
-
-    The full compiled trace is what the cache holds (keyed by the
-    spec's content hash alone); the mix's ``accesses`` budget is
-    applied in-memory via :meth:`PackedTrace.truncated`, so every
-    budget shares one compilation.
+    The key shares :func:`trace_key`'s keyspace: the ``suite:`` prefix
+    cannot collide with a Polybench kernel name, ``accesses`` rides in
+    the ``n`` slot, and the footprint divisor in the ``tile`` slot
+    (both are meaningless for suite streams).
     """
-    from repro.scenarios import resolve
-    from repro.scenarios.spec import compile_canonical, spec_hash
-
-    canonical = resolve(ref)
-    key = scenario_trace_key(spec_hash(canonical))
-    recording, source = _cached_recording(
-        key, lambda: compile_canonical(canonical), cache)
-    try:
-        apply_setup(XMemLib(), recording.setup)
-    except StaleRecordingError:
-        recording = compile_canonical(canonical)
-        source = "regenerated"
-        cache.store(key, recording)
-        _memo_put(key, recording)
-    packed = recording.packed.truncated(accesses)
-    if packed is not recording.packed:
-        recording = dataclasses.replace(recording, n=accesses,
-                                        packed=packed)
-    return recording, source, key
+    return (trace_key(f"suite:{name}", accesses, footprint_div, True),
+            lambda: record_suite_trace(name, accesses, footprint_div))
 
 
 @dataclass(frozen=True)
@@ -1143,6 +942,8 @@ class CorunPoint:
     other tenants).  Plain data; pickles cleanly into sweep workers.
     """
 
+    KIND = "corunpoint"
+
     tenants: Tuple[str, ...]
     accesses: int = 4000
     scale: int = 32
@@ -1155,208 +956,256 @@ class CorunPoint:
         """The machine configuration this mix runs on."""
         return scaled_config(self.scale)
 
+    def document_name(self, index: int) -> str:
+        """Suite workload names are filename-safe identifiers, so a
+        mix joins with ``+``; a ``scenario:`` tenant's colon becomes
+        ``-``."""
+        div = f"_d{self.footprint_div}" if self.footprint_div != 1 else ""
+        mix = "+".join(t.replace(":", "-").replace("/", "-")
+                       for t in self.tenants)
+        return f"{index:03d}_corun_{mix}_a{self.accesses}{div}.json"
 
-@dataclass
-class CorunResult:
-    """Per-mode, per-core results of one co-run point.
+    def _tenant(self, name: str, cache: TraceCache
+                ) -> Tuple[TraceRecording, str, str]:
+        """One tenant's recording, its provenance and its cache key.
 
-    ``stats`` and ``manifest`` follow the :class:`PointResult`
-    contract: populated only by collecting runs, with ``stats``
-    mapping mode -> full registry snapshot and ``manifest`` recording
-    per-tenant trace provenance -- so co-run stats documents flow
-    through ``repro diff`` unchanged.
-    """
+        A ``scenario:<ref>`` tenant's cache entry is the full compiled
+        trace (keyed by the spec's content hash alone); the mix's
+        ``accesses`` budget is applied in-memory via
+        :meth:`PackedTrace.truncated`, so every budget shares one
+        compilation.
+        """
+        if not name.startswith("scenario:"):
+            key, generate = suite_trace_source(name, self.accesses,
+                                               self.footprint_div)
+            return (*fetch_recording(key, generate, cache), key)
+        if self.footprint_div != 1:
+            raise ConfigurationError(
+                f"footprint_div scales suite structures; scenario "
+                f"tenant {name!r} has a fixed declared footprint")
+        from repro.scenarios import resolve
+        from repro.scenarios.spec import canonical_json
+        key, generate = ScenarioPoint(canonical_json(
+            resolve(name[len("scenario:"):]))).trace_source()
+        recording, source = fetch_recording(key, generate, cache)
+        packed = recording.packed.truncated(self.accesses)
+        if packed is not recording.packed:
+            recording = dataclasses.replace(recording, n=self.accesses,
+                                            packed=packed)
+        return recording, source, key
 
-    point: CorunPoint
-    runs: Dict[str, List[CoreStats]]
-    stats: Optional[Dict[str, Snapshot]] = None
-    manifest: Optional[dict] = None
+    def run(self, ctx: RunContext, collect: bool = False,
+            cache: Optional[TraceCache] = None) -> PointResult:
+        """Run this tenant mix under every requested mode.
 
-    def cycles(self, mode: str, core: int = 0) -> float:
-        """Shorthand: one tenant's cycle count under one mode."""
-        return self.runs[mode][core].cycles
-
-
-def run_corun_point(point: CorunPoint,
-                    cache: Optional[TraceCache] = None,
-                    collect: bool = False) -> CorunResult:
-    """Run one tenant mix under every requested mode.
-
-    All modes replay the same per-tenant recordings: XMem tenants get
-    the recorded atom setup re-applied on their core's library plus
-    the full packed trace (XMemOps inline); every other tenant consumes
-    the same columns with the side-table dropped.  Setup logs are
-    validated against a throwaway library up front, so a stale cached
-    recording is regenerated once, before any machine state exists.
-    ``collect=True`` snapshots each mode's full stats registry and
-    assembles a manifest, strictly after the runs -- collecting and
-    plain runs produce identical :class:`CoreStats`.
-    """
-    if not point.tenants:
-        raise ConfigurationError("a co-run point needs tenants")
-    bad_modes = [m for m in point.modes if m not in ("baseline", "xmem")]
-    if bad_modes:
-        raise ConfigurationError(
-            f"unknown co-run modes {bad_modes}; "
-            f"choices: ('baseline', 'xmem')")
-    out_of_range = [i for i in point.xmem_tenants
-                    if not 0 <= i < len(point.tenants)]
-    if out_of_range:
-        raise ConfigurationError(
-            f"xmem_tenants {out_of_range} outside the "
-            f"{len(point.tenants)}-tenant mix")
-    timer = PhaseTimer() if collect else None
-    cfg = point.config()
-    if cache is None:
-        cache = TraceCache()
-    if timer is not None:
+        All modes replay the same per-tenant recordings: XMem tenants
+        get the recorded atom setup re-applied on their core's library
+        plus the full packed trace (XMemOps inline); every other tenant
+        consumes the same columns with the side-table dropped.
+        ``collect=True`` snapshots each mode's full stats registry and
+        assembles a manifest, strictly after the runs -- collecting and
+        plain runs produce identical :class:`CoreStats`.
+        """
+        if not self.tenants:
+            raise ConfigurationError("a co-run point needs tenants")
+        bad_modes = [m for m in self.modes
+                     if m not in ("baseline", "xmem")]
+        if bad_modes:
+            raise ConfigurationError(
+                f"unknown co-run modes {bad_modes}; "
+                f"choices: ('baseline', 'xmem')")
+        out_of_range = [i for i in self.xmem_tenants
+                        if not 0 <= i < len(self.tenants)]
+        if out_of_range:
+            raise ConfigurationError(
+                f"xmem_tenants {out_of_range} outside the "
+                f"{len(self.tenants)}-tenant mix")
+        if cache is None:
+            cache = ctx.trace_cache()
+        cfg = self.config()
+        timer = PhaseTimer()
         timer.start("trace")
-    tenants: List[Tuple[TraceRecording, str]] = []
-    tenant_info: List[Dict[str, str]] = []
-    for name in point.tenants:
-        if name.startswith("scenario:"):
-            # A compiled spec as a tenant: full-trace cache key,
-            # truncated in-memory to the mix's access budget.
-            if point.footprint_div != 1:
-                raise ConfigurationError(
-                    f"footprint_div scales suite structures; scenario "
-                    f"tenant {name!r} has a fixed declared footprint")
-            recording, source, key = _scenario_tenant(
-                name[len("scenario:"):], point.accesses, cache)
-        else:
-            key = suite_trace_key(name, point.accesses,
-                                  point.footprint_div)
-            recording, source = get_suite_recording_with_source(
-                name, point.accesses, point.footprint_div, cache=cache)
-            try:
-                apply_setup(XMemLib(), recording.setup)
-            except StaleRecordingError:
-                recording = record_suite_trace(name, point.accesses,
-                                               point.footprint_div)
-                source = "regenerated"
-                cache.store(key, recording)
-                _memo_put(key, recording)
-        tenants.append((recording, source))
-        tenant_info.append({"workload": name, "key": key,
-                            "source": source})
-    if timer is not None:
+        tenants = [self._tenant(name, cache) for name in self.tenants]
         timer.stop()
-    runs: Dict[str, List[CoreStats]] = {}
-    snapshots: Optional[Dict[str, Snapshot]] = {} if collect else None
-    for mode in point.modes:
-        xmem = tuple(point.xmem_tenants) if mode == "xmem" else ()
-        system = CorunSystem(cfg, len(point.tenants), xmem_cores=xmem)
-        traces = []
-        for core, (recording, _) in zip(system.cores, tenants):
-            if core.xmemlib is not None:
-                traces.append(recording.replay(core.xmemlib))
-            else:
-                traces.append(recording.packed.without_xmem())
-        if timer is not None:
+        runs: Dict[str, List[CoreStats]] = {}
+        snapshots: Dict[str, Snapshot] = {}
+        for mode in self.modes:
+            xmem = tuple(self.xmem_tenants) if mode == "xmem" else ()
+            system = CorunSystem(cfg, len(self.tenants), xmem_cores=xmem)
+            traces = [recording.replay(core.xmemlib)
+                      if core.xmemlib is not None
+                      else recording.packed.without_xmem()
+                      for core, (recording, _, _)
+                      in zip(system.cores, tenants)]
             timer.start(f"run:{mode}")
-        runs[mode] = list(system.run(traces))
-        if timer is not None:
+            runs[mode] = list(system.run(traces, ctx.engine))
             timer.stop()
-        if snapshots is not None:
-            snapshots[mode] = system.stats_snapshot()
-    manifest = None
-    if collect:
-        manifest = {
-            "schema": 1,
-            "kind": "corunpoint",
-            "point": dataclasses.asdict(point),
-            "config": dataclasses.asdict(cfg),
-            "trace": {
-                # Which co-run engine produced the stats ("object" is
-                # the legacy oracle, "packed" the heap-scheduled
-                # interleaver); both are exact, so `repro diff` holds
-                # cross-engine documents to zero deltas.
-                "tier": corun_tier(),
-                "format_version": TRACE_FORMAT_VERSION,
-                "tenants": tenant_info,
-                "cache_dir": (str(cache.root) if cache.root is not None
-                              else None),
-                "cache_hits": cache.hits,
-                "cache_misses": cache.misses,
-            },
-            "env": collect_repro_env(),
-            "phases": timer.phases,
+            if collect:
+                snapshots[mode] = system.stats_snapshot()
+        if not collect:
+            return PointResult(point=self, runs=runs)
+        trace = {
+            # Which co-run engine produced the stats ("object" is the
+            # legacy oracle, "packed" the heap-scheduled interleaver);
+            # both are exact, so `repro diff` holds cross-engine
+            # documents to zero deltas.
+            "tier": corun_tier(ctx.engine),
+            "format_version": TRACE_FORMAT_VERSION,
+            "tenants": [{"workload": name, "key": key, "source": source}
+                        for name, (_, source, key)
+                        in zip(self.tenants, tenants)],
         }
-    return CorunResult(point=point, runs=runs, stats=snapshots,
-                       manifest=manifest)
+        manifest = _manifest(self.KIND, cfg, trace, cache, ctx, timer,
+                             point=dataclasses.asdict(self))
+        return PointResult(point=self, runs=runs, stats=snapshots,
+                           manifest=manifest)
 
 
-def _run_corun_collecting(point: CorunPoint) -> CorunResult:
-    """Module-level ``collect=True`` wrapper (pickles into workers)."""
-    return run_corun_point(point, collect=True)
+# ---------------------------------------------------------------------------
+# Use-Case-2 points (Figures 7/8)
+# ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class UC2Point:
+    """One independent Use-Case-2 (workload, three-system) point.
 
-def run_any_point(point, cache: Optional[TraceCache] = None,
-                  collect: bool = False):
-    """Execute one point of either kind (the serve job-queue adapter).
-
-    ``repro serve`` queues :class:`SimPoint` and :class:`CorunPoint`
-    work items through one bounded queue; this is the single dispatch
-    its workers call.  Passing a fresh :class:`TraceCache` per request
-    keeps the manifest's hit/miss provenance scoped to that request
-    instead of accumulating across the server's lifetime.
+    ``collect_stats`` makes each system's result carry its registry
+    snapshot (``UseCase2Result.stats``), as a collecting run does.
     """
-    if isinstance(point, CorunPoint):
-        return run_corun_point(point, cache=cache, collect=collect)
-    if isinstance(point, ScenarioPoint):
-        return run_scenario_point(point, cache=cache, collect=collect)
-    if isinstance(point, SimPoint):
-        return run_point(point, cache=cache, collect=collect)
-    raise ConfigurationError(
-        f"not a runnable point: {type(point).__name__}")
+
+    workload: str
+    accesses: Optional[int] = None
+    pick_mapping: bool = False
+    collect_stats: bool = False
+
+    def run(self, ctx: RunContext, collect: bool = False,
+            cache: Optional[TraceCache] = None) -> dict:
+        """All three Figure 7/8 systems for this workload.
+
+        Returns the :func:`repro.sim.usecase2.run_figure7` dict
+        (system name -> ``UseCase2Result``); everything in it is plain
+        data, so results travel cleanly back from worker processes.
+        Use Case 2 streams are generated in place: ``cache`` is unused.
+        """
+        from repro.sim.usecase2 import run_figure7
+        return run_figure7(_suite_workload(self.workload, self.accesses),
+                           pick_mapping=self.pick_mapping,
+                           collect=collect or self.collect_stats,
+                           tier=ctx.engine)
 
 
-def _run_any_collecting(point):
-    """Module-level ``collect=True`` wrapper (pickles into workers)."""
-    return run_any_point(point, collect=True)
+# ---------------------------------------------------------------------------
+# Running points
+# ---------------------------------------------------------------------------
+
+#: The point kinds :func:`run_point` and :func:`sweep` accept.
+POINT_KINDS = (SimPoint, ScenarioPoint, CorunPoint, UC2Point)
+
+
+def run_point(point, cache: Optional[TraceCache] = None,
+              collect: bool = False, ctx: Optional[RunContext] = None):
+    """Execute one point of any kind; the single per-point entry.
+
+    ``ctx`` defaults to :meth:`RunContext.from_env`.  ``cache``
+    defaults to a fresh cache at the context's root; ``repro serve``
+    passes a fresh one per request so the manifest's hit/miss
+    provenance stays scoped to that request.  ``collect=True``
+    snapshots every machine's stats and assembles the run manifest
+    (:func:`point_document` turns the result into one JSON document).
+    """
+    if not isinstance(point, POINT_KINDS):
+        raise ConfigurationError(
+            f"not a runnable point: {type(point).__name__}")
+    if ctx is None:
+        ctx = RunContext.from_env()
+    return point.run(ctx, collect=collect, cache=cache)
+
+
+def run_parallel(fn: Callable, items: Sequence,
+                 jobs: Optional[int] = None) -> List:
+    """Map ``fn`` over ``items`` with deterministic result ordering.
+
+    ``fn`` must be a module-level callable and every item picklable.
+    ``jobs`` resolves explicit argument -> ``REPRO_JOBS`` ->
+    ``os.cpu_count()``; 1 means serial in-process execution (no pool,
+    full tracebacks -- the debugging path).  Results always come back
+    in item order, so parallel runs are bit-identical to serial ones.
+    """
+    items = list(items)
+    if jobs is None:
+        jobs = jobs_from_env()
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    workers = min(jobs, len(items))
+    chunksize = max(1, len(items) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
+
+
+def sweep(points: Sequence, jobs: Optional[int] = None,
+          collect_stats: bool = False,
+          ctx: Optional[RunContext] = None) -> List:
+    """Run independent points of any kinds, fanned out over processes.
+
+    The context is resolved once, here in the parent, and pickled into
+    every worker with its points.  ``collect_stats=True`` makes every
+    point also return its registry snapshots and run manifest (see
+    :func:`run_point`); pair with :func:`write_point_documents` to
+    persist them.
+    """
+    if ctx is None:
+        ctx = RunContext.from_env()
+    return run_parallel(
+        functools.partial(run_point, collect=collect_stats, ctx=ctx),
+        points, jobs=jobs)
 
 
 def execute_point_job(point, cache_root: Optional[Path] = None,
                       cache_disabled: bool = False,
                       engine: Optional[str] = None) -> dict:
-    """One serve pool job: run a point, return its JSON document.
+    """One serve job: run a point, return its JSON document.
 
     Module-level and argument-complete so it pickles into spawn-started
-    worker processes (the serve process pool's counterpart of
-    :func:`_run_any_collecting`).  ``engine`` overrides the engine tier
-    for exactly this job by scoping ``REPRO_ENGINE`` around the run --
-    safe because a pool worker executes one job at a time, and exactly
-    what ``REPRO_ENGINE=<tier> repro sweep`` would do, so the manifest's
-    ``trace.tier`` and ``env`` blocks come out the same.
+    pool workers; the thread executor calls it in-process.  ``engine``
+    overrides the engine tier for exactly this job, through the run
+    context, so the manifest's ``trace.tier`` and ``env`` blocks come
+    out as ``REPRO_ENGINE=<tier> repro sweep`` would write them.
     """
-    if engine is not None:
-        engine = resolve_engine_tier(engine)
-    cache = TraceCache(cache_root)
-    if cache_disabled:
-        cache.root = None
-    previous = os.environ.get("REPRO_ENGINE")
-    try:
-        if engine is not None:
-            os.environ["REPRO_ENGINE"] = engine
-        result = run_any_point(point, cache=cache, collect=True)
-    finally:
-        if engine is not None:
-            if previous is None:
-                os.environ.pop("REPRO_ENGINE", None)
-            else:
-                os.environ["REPRO_ENGINE"] = previous
-    return point_document(result)
+    ctx = RunContext.from_env(engine, cache_root=cache_root,
+                              cache_disabled=cache_disabled)
+    return point_document(run_point(point, collect=True, ctx=ctx))
 
 
-def corun_sweep(points: Sequence[CorunPoint],
-                jobs: Optional[int] = None,
-                collect_stats: bool = False) -> List[CorunResult]:
-    """Run independent co-location mixes, fanned out over processes.
+# ---------------------------------------------------------------------------
+# Stats/manifest documents
+# ---------------------------------------------------------------------------
 
-    Each worker replays the per-tenant recordings from the shared
-    content-verified trace cache (one generation per tenant across the
-    whole sweep, not per mix); results come back in point order, so
-    parallel sweeps are bit-identical to serial ones.
+def point_document(result: PointResult) -> dict:
+    """The one-JSON-document form of a collecting point run."""
+    if result.manifest is None or result.stats is None:
+        raise ConfigurationError(
+            "point_document needs a collect=True run "
+            "(manifest/stats missing)"
+        )
+    return {"manifest": result.manifest, "stats": result.stats}
+
+
+def write_point_documents(root: Path, results: Sequence) -> List[Path]:
+    """Write one manifest+stats JSON per collecting point under root.
+
+    Filenames come from each point's ``document_name`` (sweep index
+    plus point identity), and keys are sorted, so two runs of the same
+    sweep produce directly comparable trees (the ``repro diff``
+    determinism gate relies on this).
     """
-    fn = _run_corun_collecting if collect_stats else run_corun_point
-    return run_parallel(fn, points, jobs=jobs)
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    written: List[Path] = []
+    for index, result in enumerate(results):
+        path = root / result.point.document_name(index)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(point_document(result), fh, sort_keys=True,
+                      indent=2)
+            fh.write("\n")
+        written.append(path)
+    return written

@@ -93,15 +93,16 @@ def run_system(
     mapping: Optional[str] = None,
     accesses: Optional[int] = None,
     collect: bool = False,
+    tier: Optional[str] = None,
 ) -> UseCase2Result:
     """Run one workload on one of the three systems.
 
     ``collect=True`` snapshots the full stats registry after the run
     (strictly post-run, so it never perturbs the measurement).
-    The engine tier comes from ``REPRO_ENGINE`` (default ``packed``);
-    only exact tiers are accepted.
+    The engine tier is ``tier``, or ``REPRO_ENGINE`` when None
+    (default ``packed``); only exact tiers are accepted.
     """
-    tier = resolve_engine_tier()
+    tier = resolve_engine_tier(tier)
     if tier not in EXACT_TIERS:
         raise ConfigurationError(
             f"Use Case 2 runs on exact engine tiers only "
@@ -173,6 +174,7 @@ def pick_baseline_mapping(
     config: Optional[SimConfig] = None,
     probe_accesses: int = 20_000,
     candidates: Iterable[str] = BASELINE_MAPPING_CANDIDATES,
+    tier: Optional[str] = None,
 ) -> str:
     """Choose the best-performing mapping for the baseline (Section 6.3).
 
@@ -182,7 +184,8 @@ def pick_baseline_mapping(
     best_name, best_cycles = None, float("inf")
     for name in candidates:
         result = run_system(workload, "baseline", config=config,
-                            mapping=name, accesses=probe_accesses)
+                            mapping=name, accesses=probe_accesses,
+                            tier=tier)
         if result.cycles < best_cycles:
             best_name, best_cycles = name, result.cycles
     return best_name
@@ -193,16 +196,18 @@ def run_figure7(
     config: Optional[SimConfig] = None,
     pick_mapping: bool = True,
     collect: bool = False,
+    tier: Optional[str] = None,
 ) -> Dict[str, UseCase2Result]:
     """All three systems for one workload (one Figure 7/8 column)."""
-    mapping = (pick_baseline_mapping(workload, config)
+    mapping = (pick_baseline_mapping(workload, config, tier=tier)
                if pick_mapping else XMEM_MAPPING)
     return {
         "baseline": run_system(workload, "baseline", config, mapping,
-                               collect=collect),
-        "xmem": run_system(workload, "xmem", config, collect=collect),
+                               collect=collect, tier=tier),
+        "xmem": run_system(workload, "xmem", config, collect=collect,
+                           tier=tier),
         "ideal": run_system(workload, "ideal", config, mapping,
-                            collect=collect),
+                            collect=collect, tier=tier),
     }
 
 

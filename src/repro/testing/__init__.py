@@ -16,7 +16,9 @@ package holds that second way and the machinery to compare the two:
 * :mod:`repro.testing.shrink` -- the greedy delta-debugging shrinker;
 * :mod:`repro.testing.fuzz` -- the differential lanes behind
   ``repro fuzz``: optimized vs. reference, failing cases shrunk to
-  minimal reproducers and written to a corpus directory.
+  minimal reproducers and written to a corpus directory;
+* :mod:`repro.testing.faults` -- the crash/stall fault injection the
+  serve tests and fuzz lane substitute into the worker pool.
 
 This ``__init__`` is deliberately import-light: production modules
 import :mod:`repro.testing.checks` at module load, and anything
@@ -25,7 +27,8 @@ heavier here would create an import cycle back into ``repro.mem``.
 
 from __future__ import annotations
 
-_SUBMODULES = ("checks", "oracles", "generators", "shrink", "fuzz")
+_SUBMODULES = ("checks", "oracles", "generators", "shrink", "fuzz",
+               "faults")
 
 
 def __getattr__(name: str):

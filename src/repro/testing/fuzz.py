@@ -547,7 +547,7 @@ class ServeLane(Lane):
     same POST twice *concurrently* (barrier-synchronized threads), so
     the build-once and point-dedup paths are exercised under real
     races.  Cases drawn with the process executor also inject worker
-    faults through the ``REPRO_SERVE_TEST_*`` hooks: ``crash`` ops run
+    faults through :mod:`repro.testing.faults`: ``crash`` ops run
     a scenario whose worker child exits mid-job (the point must fail,
     the server must stay healthy) and ``cancel`` ops DELETE a run
     whose point is stalled inside a worker (the child must die and the
@@ -610,19 +610,27 @@ class ServeLane(Lane):
         import threading
         import time
 
+        from repro.serve import pool
         from repro.serve.app import serve
-        from repro.serve.pool import CRASH_ENV, SLOW_ENV
+        from repro.testing.faults import (
+            CRASH_ENV,
+            SLOW_ENV,
+            faulty_worker_main,
+        )
 
         executor = params.get("executor", "thread")
         crash_hash = _kernel_scenario_hash(*self.CRASH_SCENARIO)
         slow_hash = _kernel_scenario_hash(*self.SLOW_SCENARIO)
-        # The markers must be in the environment before any worker
-        # child spawns (children inherit it); scope them to this case.
+        # The markers and the fault-injecting spawn target must be in
+        # place before any worker child spawns (children inherit the
+        # environment); scope them to this case.
         env_backup = {CRASH_ENV: os.environ.get(CRASH_ENV),
                       SLOW_ENV: os.environ.get(SLOW_ENV)}
+        stock_worker_main = pool.pool_worker_main
         if executor == "process":
             os.environ[CRASH_ENV] = crash_hash
             os.environ[SLOW_ENV] = f"{slow_hash}:20"
+            pool.pool_worker_main = faulty_worker_main
 
         server = serve(port=0, workers=params["workers"],
                        queue_limit=params["queue_limit"], cache_dir="off",
@@ -920,6 +928,7 @@ class ServeLane(Lane):
             server.shutdown()
             server.close()
             thread.join(timeout=10)
+            pool.pool_worker_main = stock_worker_main
             for var, old in env_backup.items():
                 if old is None:
                     os.environ.pop(var, None)

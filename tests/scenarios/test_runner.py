@@ -10,13 +10,12 @@ from repro.core.errors import ConfigurationError
 from repro.scenarios import canonical_json, get_example, spec_hash
 from repro.sim.runner import (
     CorunPoint,
+    RunContext,
     ScenarioPoint,
     SimPoint,
     TraceCache,
-    point_document_name,
-    run_any_point,
-    run_corun_point,
-    run_scenario_point,
+    UC2Point,
+    run_point,
     scenario_trace_key,
     sweep,
 )
@@ -47,8 +46,8 @@ class TestScenarioPoint:
         assert point.scenario_hash == spec_hash(get_example("hotcold"))
 
     def test_runs_both_systems_deterministically(self, disk_cache):
-        first = run_scenario_point(example_point(), cache=disk_cache)
-        second = run_scenario_point(example_point(), cache=disk_cache)
+        first = run_point(example_point(), cache=disk_cache)
+        second = run_point(example_point(), cache=disk_cache)
         assert set(first.runs) == {"baseline", "xmem"}
         for system in first.runs:
             assert first.runs[system].stats \
@@ -56,8 +55,7 @@ class TestScenarioPoint:
 
     def test_manifest_provenance(self, disk_cache):
         point = example_point()
-        result = run_scenario_point(point, cache=disk_cache,
-                                    collect=True)
+        result = run_point(point, cache=disk_cache, collect=True)
         manifest = result.manifest
         assert manifest["kind"] == "scenariopoint"
         assert manifest["point"]["scenario"] == "hotcold"
@@ -72,8 +70,8 @@ class TestScenarioPoint:
 
     def test_import_manifest_carries_format_and_sha(self, disk_cache):
         point = example_point("lackey-sample")
-        manifest = run_scenario_point(point, cache=disk_cache,
-                                      collect=True).manifest
+        manifest = run_point(point, cache=disk_cache,
+                             collect=True).manifest
         scn = manifest["scenario"]
         assert scn["kind"] == "import"
         assert scn["format"] == "lackey-v1"
@@ -82,30 +80,31 @@ class TestScenarioPoint:
 
     def test_cold_then_hot_cache(self, disk_cache):
         point = example_point()
-        cold = run_scenario_point(point, cache=disk_cache,
-                                  collect=True)
+        cold = run_point(point, cache=disk_cache, collect=True)
         runner_mod._MEMO.clear()
-        hot = run_scenario_point(point, cache=disk_cache, collect=True)
+        hot = run_point(point, cache=disk_cache, collect=True)
         assert cold.manifest["trace"]["source"] == "generated"
         assert hot.manifest["trace"]["source"] == "disk"
         assert cold.stats == hot.stats
 
-    def test_run_any_point_dispatch(self, disk_cache):
-        direct = run_scenario_point(example_point(), cache=disk_cache)
-        routed = run_any_point(example_point(), cache=disk_cache)
+    def test_run_point_dispatch(self, disk_cache):
+        direct = example_point().run(RunContext.from_env(),
+                                     cache=disk_cache)
+        routed = run_point(example_point(), cache=disk_cache)
         for system in direct.runs:
             assert direct.runs[system].stats \
                 == routed.runs[system].stats
+        with pytest.raises(ConfigurationError, match="not a runnable"):
+            run_point(object())
 
     def test_unknown_system_rejected(self, disk_cache):
         point = example_point(systems=("warp",))
         with pytest.raises(ConfigurationError, match="unknown system"):
-            run_scenario_point(point, cache=disk_cache)
+            run_point(point, cache=disk_cache)
 
     def test_document_name(self, disk_cache):
         point = example_point()
-        result = run_scenario_point(point, cache=disk_cache)
-        name = point_document_name(3, result)
+        name = point.document_name(3)
         assert name == f"003_scn_hotcold_{point.scenario_hash[:8]}.json"
 
 
@@ -113,8 +112,8 @@ class TestScenarioTenants:
     def test_corun_with_scenario_tenant(self, disk_cache):
         point = CorunPoint(tenants=("scenario:hotcold", "mcf"),
                            accesses=800, scale=16)
-        first = run_corun_point(point, cache=disk_cache, collect=True)
-        second = run_corun_point(point, cache=disk_cache)
+        first = run_point(point, cache=disk_cache, collect=True)
+        second = run_point(point, cache=disk_cache)
         assert set(first.runs) == {"baseline", "xmem"}
         for mode in first.runs:
             assert first.runs[mode] == second.runs[mode]
@@ -131,8 +130,8 @@ class TestScenarioTenants:
                            scale=16, modes=("baseline",))
         large = CorunPoint(tenants=("scenario:hotcold",), accesses=900,
                            scale=16, modes=("baseline",))
-        a = run_corun_point(small, cache=disk_cache, collect=True)
-        b = run_corun_point(large, cache=disk_cache, collect=True)
+        a = run_point(small, cache=disk_cache, collect=True)
+        b = run_point(large, cache=disk_cache, collect=True)
         assert a.manifest["trace"]["tenants"][0]["key"] \
             == b.manifest["trace"]["tenants"][0]["key"]
         assert b.manifest["trace"]["tenants"][0]["source"] == "memo"
@@ -145,24 +144,34 @@ class TestScenarioTenants:
         point = CorunPoint(tenants=("scenario:hotcold",),
                            accesses=200, footprint_div=4)
         with pytest.raises(ConfigurationError, match="footprint_div"):
-            run_corun_point(point, cache=disk_cache)
+            run_point(point, cache=disk_cache)
 
     def test_unknown_ref_is_configuration_error(self, disk_cache):
         point = CorunPoint(tenants=("scenario:nope",), accesses=200)
         with pytest.raises(ConfigurationError):
-            run_corun_point(point, cache=disk_cache)
+            run_point(point, cache=disk_cache)
 
 
 class TestMixedSweep:
     def test_serial_parallel_identical(self, disk_cache, monkeypatch):
+        """Every point kind runs through the one run_point and the one
+        sweep, serial or over two workers, with the same results."""
         monkeypatch.setattr(runner_mod, "TraceCache",
                             lambda root=None: disk_cache)
         points = [SimPoint(kernel="mvt", n=12, tile=4),
-                  example_point(scale=16)]
+                  example_point(scale=16),
+                  CorunPoint(tenants=("mcf", "lbm"), accesses=400,
+                             scale=16, footprint_div=256),
+                  UC2Point(workload="lbm", accesses=1500)]
+        direct = [run_point(p, collect=True) for p in points]
         serial = sweep(points, jobs=1, collect_stats=True)
         parallel = sweep(points, jobs=2, collect_stats=True)
-        assert len(serial) == len(parallel) == 2
-        for s, p in zip(serial, parallel):
-            assert s.stats == p.stats
-            for system in s.runs:
-                assert s.runs[system].stats == p.runs[system].stats
+        assert len(serial) == len(parallel) == len(points)
+        for d, s, p in zip(direct[:3], serial, parallel):
+            assert d.point == s.point == p.point
+            assert d.stats == s.stats == p.stats
+            assert d.runs == s.runs == p.runs
+        uc2 = [direct[3], serial[3], parallel[3]]
+        for system in ("baseline", "xmem", "ideal"):
+            assert uc2[0][system] == uc2[1][system] == uc2[2][system]
+            assert uc2[0][system].stats is not None

@@ -3,13 +3,14 @@ in-flight cancel, and the per-run engine knob.
 
 Everything here boots ``executor="process"`` -- the pieces the thread
 executor cannot do (true parallelism aside): a crashed worker failing
-only its point, a cancelled in-flight point freeing its pool slot
-immediately, and per-point ``REPRO_ENGINE`` overrides scoped inside a
-child process.
+only its point and a cancelled in-flight point freeing its pool slot
+immediately -- plus per-point engine overrides, which both executors
+must honour identically.
 
-Fault injection rides the two ``REPRO_SERVE_TEST_*`` environment
-variables from :mod:`repro.serve.pool`; they are set *before* the
-server boots so the spawn children inherit them.
+Fault injection substitutes :func:`repro.testing.faults.
+faulty_worker_main` as the pool's spawn target and rides its two
+``REPRO_SERVE_TEST_*`` environment variables; both are in place
+*before* the server boots so the spawn children see them.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import time
 
 import pytest
 
-from repro.serve.pool import CRASH_ENV, SLOW_ENV
+from repro.serve import pool
 from repro.serve.scenarios import ScenarioSpec
+from repro.testing.faults import CRASH_ENV, SLOW_ENV, faulty_worker_main
 
 from .conftest import (boot_server, call, kernel_scenario, stop_server,
                        submit_run, wait_run)
@@ -126,6 +128,7 @@ class TestCrashIsolation:
 
     def test_crash_fails_one_point_not_the_run_sibling(self, monkeypatch):
         monkeypatch.setenv(CRASH_ENV, _hash("jacobi2d"))
+        monkeypatch.setattr(pool, "pool_worker_main", faulty_worker_main)
         srv, thread = boot_server(workers=1, executor="process")
         try:
             good = kernel_scenario(srv, "mvt")
@@ -165,6 +168,7 @@ class TestInFlightCancel:
 
     def test_cancel_kills_the_running_point(self, monkeypatch):
         monkeypatch.setenv(SLOW_ENV, f"{_hash('gemver')}:30")
+        monkeypatch.setattr(pool, "pool_worker_main", faulty_worker_main)
         srv, thread = boot_server(workers=1, executor="process")
         try:
             slow = kernel_scenario(srv, "gemver")
@@ -237,17 +241,28 @@ class TestPerRunEngine:
         assert status == 400
         assert "unknown engine" in doc["error"]
 
-    def test_thread_executor_rejects_engine_overrides(self):
-        srv, thread = boot_server(workers=1, executor="thread")
-        try:
-            h = kernel_scenario(srv)
-            status, doc = call(srv, "POST", "/v1/runs",
-                               {"scenario": h,
-                                "configs": [{"engine": "object"}]})
-            assert status == 400
-            assert "process executor" in doc["error"]
-            # Engine-free configs still run fine.
-            final = wait_run(srv, submit_run(srv, h))
-            assert final["status"] == "done"
-        finally:
-            stop_server(srv, thread)
+    def test_engine_override_is_executor_independent(self):
+        """The override reaches the run as an explicit argument, so the
+        thread executor honours it exactly like the process one."""
+        documents = {}
+        for executor in ("thread", "process"):
+            srv, thread = boot_server(workers=1, executor=executor)
+            try:
+                h = kernel_scenario(srv)
+                final = wait_run(srv, submit_run(
+                    srv, h, [{"engine": "object"}]))
+                assert final["status"] == "done"
+                (doc,) = final["documents"].values()
+            finally:
+                stop_server(srv, thread)
+            manifest = doc["manifest"]
+            assert manifest["trace"]["tier"] == "object"
+            assert manifest["env"]["REPRO_ENGINE"] == "object"
+            assert manifest["serve"]["engine"] == "object"
+            # Wall times, and whether the recording came from the
+            # server's memo or the child's, are per-process facts.
+            del manifest["phases"]
+            for volatile in ("source", "cache_hits", "cache_misses"):
+                del manifest["trace"][volatile]
+            documents[executor] = doc
+        assert documents["thread"] == documents["process"]

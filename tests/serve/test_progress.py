@@ -17,8 +17,9 @@ import time
 
 import pytest
 
-from repro.serve.pool import SLOW_ENV
+from repro.serve import pool
 from repro.serve.scenarios import ScenarioSpec
+from repro.testing.faults import SLOW_ENV, faulty_worker_main
 
 from .conftest import (boot_server, call, kernel_scenario, stop_server,
                        submit_run, wait_run)
@@ -88,6 +89,7 @@ class TestSincePolling:
         slow = ScenarioSpec(kind="kernel", workload="gemver",
                             n=48, tile=16).scenario_hash
         monkeypatch.setenv(SLOW_ENV, f"{slow}:1.5")
+        monkeypatch.setattr(pool, "pool_worker_main", faulty_worker_main)
         srv, thread = boot_server(workers=1, executor="process")
         try:
             kernel_scenario(srv, "gemver")

@@ -110,7 +110,7 @@ class TestScenarioDedup:
         """Two racing identical POSTs generate the trace exactly once."""
         import repro.serve.scenarios as scenarios_mod
 
-        real = scenarios_mod.get_recording_with_source
+        real = scenarios_mod.fetch_recording
         started = threading.Event()
         release = threading.Event()
         calls = []
@@ -121,8 +121,7 @@ class TestScenarioDedup:
             assert release.wait(30)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scenarios_mod,
-                            "get_recording_with_source", slow)
+        monkeypatch.setattr(scenarios_mod, "fetch_recording", slow)
         results = []
 
         def post():
@@ -805,7 +804,7 @@ class TestSpecScenarios:
 
     def test_spec_run_matches_direct_scenario_point(self, server):
         from repro.scenarios import canonical_json, canonicalize
-        from repro.sim.runner import ScenarioPoint, run_scenario_point
+        from repro.sim.runner import ScenarioPoint, run_point
 
         _, sdoc = call(server, "POST", "/v1/scenarios", SPEC_SCENARIO)
         status, rdoc = call(server, "POST", "/v1/runs",
@@ -821,7 +820,7 @@ class TestSpecScenarios:
         assert got["manifest"]["serve"]["base_kind"] == "scenariopoint"
         assert got["manifest"]["scenario"]["hash"] == sdoc["scenario"]
 
-        want = point_document(run_scenario_point(
+        want = point_document(run_point(
             ScenarioPoint(
                 spec_json=canonical_json(canonicalize(SPEC_SCENARIO)),
                 scale=16),

@@ -53,6 +53,25 @@ class TestWorkspaceUnits:
         assert raw == (json.dumps(doc, sort_keys=True, indent=2)
                        + "\n").encode()
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path,
+                                               monkeypatch):
+        """Any exception between mkstemp and the rename -- not just an
+        OSError -- removes the temp file, which eviction and the size
+        accounting (``*.json`` only) would never see."""
+        ws = ArtifactWorkspace(tmp_path)
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            ws.save_point((H1, H2), {"v": 1})
+        with pytest.raises(KeyboardInterrupt):
+            ws.save_run({"run": "run-000001", "status": "done"})
+        assert list(tmp_path.rglob("*.tmp")) == []
+        monkeypatch.undo()
+        assert ws.save_point((H1, H2), {"v": 1}) is True
+
     def test_run_records_and_id_sequence(self, tmp_path):
         ws = ArtifactWorkspace(tmp_path)
         ws.save_run({"run": "run-000007", "status": "done",

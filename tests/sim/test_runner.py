@@ -30,10 +30,8 @@ from repro.sim import (
     record_trace,
     run_parallel,
     run_point,
-    run_uc2_point,
     scaled_config,
     sweep,
-    uc2_sweep,
 )
 from repro.sim.runner import (
     SetupRecorder,
@@ -291,8 +289,8 @@ def test_uc2_parallel_matches_serial(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "tc"))
     points = [UC2Point(workload="lbm", accesses=2000),
               UC2Point(workload="mcf", accesses=2000)]
-    serial = uc2_sweep(points, jobs=1)
-    parallel = uc2_sweep(points, jobs=2)
+    serial = sweep(points, jobs=1)
+    parallel = sweep(points, jobs=2)
     for s, p in zip(serial, parallel):
         for system in ("baseline", "xmem", "ideal"):
             assert s[system].cycles == p[system].cycles
@@ -401,12 +399,12 @@ def test_collecting_sweep_documents(tmp_path, monkeypatch):
 
 def test_uc2_collecting_snapshot(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "tc"))
-    res = run_uc2_point(UC2Point(workload="lbm", accesses=2000,
-                                 collect_stats=True))
+    res = run_point(UC2Point(workload="lbm", accesses=2000,
+                             collect_stats=True))
     for system in ("baseline", "xmem", "ideal"):
         assert res[system].stats is not None
         assert "dram" in res[system].stats
-    plain = run_uc2_point(UC2Point(workload="lbm", accesses=2000))
+    plain = run_point(UC2Point(workload="lbm", accesses=2000))
     assert plain["xmem"].stats is None
     assert plain["xmem"].cycles == res["xmem"].cycles
 
@@ -437,7 +435,7 @@ def test_unknown_kernel_and_system_rejected():
                            systems=("warp-drive",)),
                   cache=TraceCache(root=None))
     with pytest.raises(ConfigurationError):
-        run_uc2_point(UC2Point(workload="nope"))
+        run_point(UC2Point(workload="nope"))
 
 
 def test_simpoint_config_applies_knobs():
