@@ -17,7 +17,7 @@ so consecutive lines stream within a row) and ``col_high``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 
@@ -63,9 +63,8 @@ class DramGeometry:
         return self.row_bytes // self.line_bytes
 
 
-@dataclass(frozen=True)
-class DramAddress:
-    """One decomposed physical address."""
+class DramAddress(NamedTuple):
+    """One decomposed physical address; orders as (bank key, row, col)."""
 
     channel: int
     rank: int
@@ -76,7 +75,7 @@ class DramAddress:
     @property
     def bank_key(self) -> Tuple[int, int, int]:
         """Globally unique (channel, rank, bank) triple."""
-        return (self.channel, self.rank, self.bank)
+        return self[:3]
 
 
 class AddressMapping:
@@ -98,10 +97,18 @@ class FieldOrderMapping(AddressMapping):
     (the 64 B line offset) is implicitly lowest and ignored.
     Recognized fields: ``col_low``, ``col_high``, ``channel``, ``rank``,
     ``bank``, ``row``.  ``col_low`` must appear below ``col_high``.
+
+    The order is compiled once, here, into per-field shift/mask
+    constants, and ``decompose`` is a straight-line function of them.
+    The fields together span exactly ``capacity_bytes``, so an address
+    beyond capacity aliases onto ``paddr % capacity_bytes``.
     """
 
     #: Lines kept consecutive within col_low before other fields rotate.
     COL_LOW_LINES = 8
+
+    #: XOR the bank index with the low bits of the row index.
+    PERMUTE_BANK = False
 
     def __init__(self, geometry: DramGeometry, name: str,
                  order: Sequence[str]) -> None:
@@ -118,7 +125,7 @@ class FieldOrderMapping(AddressMapping):
         g = geometry
         col_bits = _log2(g.lines_per_row, "lines_per_row")
         col_low_bits = min(col_bits, _log2(self.COL_LOW_LINES, "col_low"))
-        self._widths: Dict[str, int] = {
+        widths = {
             "col_low": col_low_bits,
             "col_high": col_bits - col_low_bits,
             "channel": _log2(g.channels, "channels"),
@@ -126,47 +133,47 @@ class FieldOrderMapping(AddressMapping):
             "bank": _log2(g.banks_per_rank, "banks"),
             "row": _log2(g.rows_per_bank, "rows"),
         }
+        shift, pos = {}, 0
+        for field_name in self.order:
+            shift[field_name] = pos
+            pos += widths[field_name]
+        line_shift = _log2(g.line_bytes, "line_bytes")
+        ch_s, ch_m = shift["channel"], g.channels - 1
+        rk_s, rk_m = shift["rank"], g.ranks_per_channel - 1
+        bk_s, bk_m = shift["bank"], g.banks_per_rank - 1
+        rw_s, rw_m = shift["row"], g.rows_per_bank - 1
+        lo_s, lo_m = shift["col_low"], (1 << col_low_bits) - 1
+        hi_s, hi_m = shift["col_high"], (1 << widths["col_high"]) - 1
+        bank_xor = bk_m if self.PERMUTE_BANK else 0
+        new = tuple.__new__
 
-    def decompose(self, paddr: int) -> DramAddress:
-        """Split an address along the configured field order."""
-        bits = paddr // self.geometry.line_bytes
-        fields: Dict[str, int] = {}
-        for name in self.order:
-            width = self._widths[name]
-            fields[name] = bits & ((1 << width) - 1)
-            bits >>= width
-        col = (fields["col_high"] << self._widths["col_low"]) | \
-            fields["col_low"]
-        # Address bits above the mapped space fold into the row index so
-        # out-of-capacity addresses still decompose deterministically.
-        row = (fields["row"] + bits * (1 << self._widths["row"])) % \
-            self.geometry.rows_per_bank
-        return DramAddress(channel=fields["channel"], rank=fields["rank"],
-                           bank=fields["bank"], row=row, col=col)
+        def decompose(paddr: int) -> DramAddress:
+            line = paddr >> line_shift
+            row = (line >> rw_s) & rw_m
+            return new(DramAddress, (
+                (line >> ch_s) & ch_m,
+                (line >> rk_s) & rk_m,
+                ((line >> bk_s) & bk_m) ^ (row & bank_xor),
+                row,
+                ((line >> hi_s) & hi_m) << col_low_bits
+                | (line >> lo_s) & lo_m,
+            ))
+
+        self.decompose = decompose
+
+    def __reduce__(self):
+        # ``decompose`` is a closure; pickle the recipe instead.
+        return type(self), (self.geometry, self.name, self.order)
 
 
-class PermutationMapping(AddressMapping):
+class PermutationMapping(FieldOrderMapping):
     """Permutation-based page interleaving (Zhang et al. [106]).
 
-    Starts from a base field-order scheme and XORs the bank index with
-    the low bits of the row index, spreading row-conflicting addresses
-    across banks.
+    A field-order scheme whose bank index is XORed with the low bits
+    of the row index, spreading row-conflicting addresses across banks.
     """
 
-    def __init__(self, geometry: DramGeometry, name: str,
-                 base: FieldOrderMapping) -> None:
-        super().__init__(geometry)
-        self.name = name
-        self._base = base
-        self._bank_bits = _log2(geometry.banks_per_rank, "banks")
-
-    def decompose(self, paddr: int) -> DramAddress:
-        """Base-scheme decomposition with the bank bits permuted."""
-        addr = self._base.decompose(paddr)
-        mask = (1 << self._bank_bits) - 1
-        bank = addr.bank ^ (addr.row & mask)
-        return DramAddress(channel=addr.channel, rank=addr.rank, bank=bank,
-                           row=addr.row, col=addr.col)
+    PERMUTE_BANK = True
 
 
 def make_mapping(name: str, geometry: DramGeometry) -> AddressMapping:
@@ -175,14 +182,12 @@ def make_mapping(name: str, geometry: DramGeometry) -> AddressMapping:
     if name in orders:
         return FieldOrderMapping(geometry, name, orders[name])
     if name == "permutation":
-        base = FieldOrderMapping(geometry, "scheme2", orders["scheme2"])
-        return PermutationMapping(geometry, "permutation", base)
+        return PermutationMapping(geometry, name, orders["scheme2"])
     if name == "minimalist_open":
         # Minimalist open-page [107]: a small number of consecutive
         # lines per row per stream, then rotate channel/bank -- modelled
         # as the col_low-then-bank ordering with permutation.
-        base = FieldOrderMapping(geometry, "scheme7", orders["scheme7"])
-        return PermutationMapping(geometry, "minimalist_open", base)
+        return PermutationMapping(geometry, name, orders["scheme7"])
     raise ConfigurationError(
         f"unknown mapping scheme {name!r}; choices: {sorted(ALL_SCHEMES)}"
     )

@@ -137,7 +137,7 @@ class FRFCFSScheduler:
         """The oldest arrived request that would hit an open row of a
         currently idle bank."""
         for req in arrived:
-            addr = self.dram.mapping.decompose(req.paddr)
+            addr = self.dram.decomposed(req.paddr)
             bank = self.dram.bank(addr.bank_key)
             if bank.open_row == addr.row and bank.busy_until <= req.arrival:
                 return req

@@ -17,10 +17,9 @@ Two executors:
   GIL), a crashed worker fails only its point, cancel of an in-flight
   point terminates the child and frees the slot immediately, and
   children are recycled after ``recycle_after`` jobs to cap RSS.
-* ``thread`` -- the PR 8 in-process path, kept as the measured
-  baseline (see ``benchmarks/results/serve_throughput.txt``) and for
-  environments where spawning processes is unwanted.  No in-flight
-  cancel.
+* ``thread`` -- the in-process path, measured against the pool by
+  ``benchmarks/test_serve_throughput.py`` and kept for environments
+  where spawning processes is unwanted.  No in-flight cancel.
 
 Both executors run a point through
 :func:`repro.sim.runner.execute_point_job`, so a per-run ``engine``

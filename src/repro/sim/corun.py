@@ -142,14 +142,14 @@ class _PackedCursor:
 
     Holds the dense position / XMemOp index pair, the planned yield
     kind, and the current decomposition chunk: per-position set index,
-    tag, line key, work count and write flag, pre-split from the
-    packed columns in one vectorized pass (numpy planner only).
+    tag, work count and write flag, pre-split from the packed columns
+    in one vectorized pass (numpy planner only).
     """
 
     __slots__ = ("core", "trace", "tv", "tm", "xmem", "n_dense", "n_x",
                  "pos", "xi", "kind", "va", "me",
                  "cbase", "cend",
-                 "csets_l", "ctags_l", "cmem_l", "clkey_l", "cwrite_l",
+                 "csets_l", "ctags_l", "cmem_l", "cwrite_l",
                  "ccum_l", "cmcum_l")
 
     def __init__(self, core: _Core, trace: PackedTrace) -> None:
@@ -178,7 +178,6 @@ class _PackedCursor:
         self.csets_l: list = []
         self.ctags_l: list = []
         self.cmem_l: list = []
-        self.clkey_l: list = []
         self.cwrite_l: list = []
         self.ccum_l: list = []
         self.cmcum_l: list = []
@@ -596,9 +595,9 @@ class CorunSystem:
         """Decompose the next chunk of packed columns in one pass.
 
         One vectorized sweep splits each position into L1 set index,
-        tag, line key, work count and write flag (the loop-header
-        decomposition of the packed tier), so the planner's walk needs
-        no per-event address arithmetic.  Residency is *not*
+        tag, work count and write flag (the loop-header decomposition
+        of the packed tier), so the planner's walk needs no per-event
+        address arithmetic.  Residency is *not*
         snapshotted: a chunk's own misses fill lines its later
         positions reuse, so a static residency table misclassifies
         whole miss-then-reuse groups -- the planner probes the live
@@ -619,7 +618,6 @@ class CorunSystem:
         cur.csets_l = (lkey & l1._set_mask).tolist()
         cur.ctags_l = (ga >> l1._tag_shift).tolist()
         cur.cmem_l = is_mem.tolist()
-        cur.clkey_l = lkey.tolist()
         cur.cwrite_l = ((m & META_WRITE_BIT) != 0).tolist()
         # Inclusive prefix sums of the work counts and the MemAccess
         # flags: any walked range's instruction/access totals become

@@ -137,16 +137,13 @@ class MemorySystem:
 
         Sorting by (bank, row) is what an FR-FCFS controller's write
         drain achieves: consecutive writes to the same row become row
-        hits instead of ping-ponging the row buffer under reads.
+        hits instead of ping-ponging the row buffer under reads.  A
+        DramAddress orders as (bank key, row, column): it is the key.
         """
         if not self._write_buffer:
             return
         dram = self.dram
-        decomposed = [(dram.decomposed(line), line)
-                      for line in self._write_buffer]
-        decomposed.sort(key=lambda pair: (pair[0].bank_key, pair[0].row,
-                                          pair[0].col))
-        for _, line in decomposed:
+        for line in sorted(self._write_buffer, key=dram.decomposed):
             dram.access_completes(line, now, is_write=True)
         self._write_buffer.clear()
 

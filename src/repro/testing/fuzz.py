@@ -30,8 +30,8 @@ Eight lanes, each pairing a hot-path implementation with its oracle
   :class:`~repro.testing.oracles.ReferenceEngine` must return
   bit-identical :class:`EngineStats` (windows small enough to
   saturate the MSHR file).
-* ``dram``    -- timed FIFO request streams through
-  :class:`~repro.dram.system.DramSystem` and the naive
+* ``dram``    -- timed FIFO request streams, under every mapping
+  scheme, through :class:`~repro.dram.system.DramSystem` and the naive
   :class:`~repro.testing.oracles.ReferenceDram`: per-request row
   outcome, latency, and completion time, plus the final counters.
 * ``sched``   -- request lists through
@@ -75,6 +75,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cpu.trace import MemAccess, PackedTrace, TraceEvent, Work, XMemOp
+from repro.dram.mapping import ALL_SCHEMES
 from repro.testing import generators
 from repro.testing.generators import GenConfig, setup_atoms
 from repro.testing.oracles import (
@@ -449,8 +450,7 @@ class DramLane(Lane):
 
     name = "dram"
 
-    MAPPINGS = ("scheme1", "scheme2", "scheme3", "scheme5",
-                "permutation", "xmem_interleaved")
+    MAPPINGS = ALL_SCHEMES
 
     def make(self, rng: random.Random, length: int) -> Tuple[dict, list]:
         cfg = GenConfig(

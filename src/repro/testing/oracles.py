@@ -16,8 +16,10 @@ require the answers to agree exactly:
   bit-identical -- every arithmetic expression mirrors the engine, so
   float accumulation order is the same.
 * :class:`ReferenceDram` vs. :class:`repro.dram.system.DramSystem`
-  under FIFO issue: a naive open-row bank/channel timing model.
-  Per-request (outcome, latency, completion) must match exactly.
+  under FIFO issue: a naive open-row bank/channel timing model over
+  :func:`reference_decompose`, the field-by-field restatement of the
+  compiled address mapping.  Per-request (outcome, latency,
+  completion) must match exactly.
 * :class:`ToyMemory`: not an oracle but a seeded, deterministic memory
   stand-in for engine lanes -- two instances with the same seed give
   identical (completes_at, went_to_memory) streams, with enough long
@@ -30,7 +32,12 @@ import random
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cpu.trace import MemAccess, PackedTrace, Trace, Work, XMemOp
-from repro.dram.mapping import AddressMapping, DramGeometry, make_mapping
+from repro.dram.mapping import (
+    DramAddress,
+    DramGeometry,
+    FieldOrderMapping,
+    make_mapping,
+)
 from repro.dram.timing import DramTiming, ddr3_1066
 
 
@@ -232,6 +239,46 @@ class ReferenceEngine:
 # DRAM reference
 # ---------------------------------------------------------------------------
 
+def reference_decompose(mapping: FieldOrderMapping,
+                        paddr: int) -> DramAddress:
+    """``mapping``'s decomposition of ``paddr``, one field at a time.
+
+    Walks the scheme's field order low to high, peeling each field's
+    width off the line index, with the geometry re-derived on every
+    call.  Address bits above the mapped space are folded back into the
+    row and reduced modulo the rows per bank, so an address beyond
+    capacity lands where ``paddr % capacity_bytes`` does.  Permutation
+    schemes then XOR the bank index with the low row bits.  Only the
+    scheme's field order, geometry and permutation flag are read, never
+    its compiled ``decompose``.
+    """
+    g = mapping.geometry
+    col_bits = (g.lines_per_row - 1).bit_length()
+    col_low_bits = min(col_bits,
+                       (FieldOrderMapping.COL_LOW_LINES - 1).bit_length())
+    widths: Dict[str, int] = {
+        "col_low": col_low_bits,
+        "col_high": col_bits - col_low_bits,
+        "channel": (g.channels - 1).bit_length(),
+        "rank": (g.ranks_per_channel - 1).bit_length(),
+        "bank": (g.banks_per_rank - 1).bit_length(),
+        "row": (g.rows_per_bank - 1).bit_length(),
+    }
+    bits = paddr // g.line_bytes
+    fields: Dict[str, int] = {}
+    for field_name in mapping.order:
+        width = widths[field_name]
+        fields[field_name] = bits & ((1 << width) - 1)
+        bits >>= width
+    col = (fields["col_high"] << widths["col_low"]) | fields["col_low"]
+    row = (fields["row"] + bits * (1 << widths["row"])) % g.rows_per_bank
+    bank = fields["bank"]
+    if mapping.PERMUTE_BANK:
+        bank ^= row & ((1 << widths["bank"]) - 1)
+    return DramAddress(channel=fields["channel"], rank=fields["rank"],
+                       bank=bank, row=row, col=col)
+
+
 class ReferenceDram:
     """Naive FIFO open-row DRAM model.
 
@@ -240,9 +287,8 @@ class ReferenceDram:
     presented.  Restates the
     :class:`~repro.dram.system.DramSystem`/:class:`~repro.dram.bank.Bank`
     arithmetic (classify, per-outcome overhead, bank busy advance,
-    channel burst serialization) without the object structure.  Address
-    decomposition is shared input, not model under test, so the same
-    mapping scheme object is used.
+    channel burst serialization) without the object structure, over
+    :func:`reference_decompose` instead of the compiled mapping.
     """
 
     def __init__(self, geometry: Optional[DramGeometry] = None,
@@ -250,7 +296,7 @@ class ReferenceDram:
                  mapping: str = "scheme2") -> None:
         self.geometry = geometry or DramGeometry()
         self.timing = timing or ddr3_1066()
-        self.mapping: AddressMapping = make_mapping(mapping, self.geometry)
+        self.mapping = make_mapping(mapping, self.geometry)
         self.banks: Dict[Tuple[int, int, int], List] = {}
         self.channel_free = [0.0] * self.geometry.channels
         self.reads = 0
@@ -265,7 +311,7 @@ class ReferenceDram:
                is_write: bool = False) -> Tuple[str, float, float]:
         """Serve one request; returns (outcome, latency, completes_at)."""
         t = self.timing
-        addr = self.mapping.decompose(paddr)
+        addr = reference_decompose(self.mapping, paddr)
         bank = self.banks.setdefault(addr.bank_key, [None, 0.0])
         start = now if now >= bank[1] else bank[1]
         if bank[0] is None:

@@ -1,5 +1,7 @@
 """Tests for DRAM timing and address-mapping schemes."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from repro.dram.mapping import (
     make_mapping,
 )
 from repro.dram.timing import DramTiming, ddr3_1066
+from repro.testing.oracles import reference_decompose
 
 
 class TestTiming:
@@ -121,6 +124,14 @@ class TestMappings:
                       for i in range(8)}
         assert len(perm_banks) > len(base_banks)
 
+    @pytest.mark.parametrize("name", ["scheme5", "permutation"])
+    def test_mapping_pickles(self, name):
+        m = make_mapping(name, DramGeometry(channels=4))
+        clone = pickle.loads(pickle.dumps(m))
+        assert type(clone) is type(m) and clone.name == name
+        for addr in (0, 4096, 0x123456, 1 << 31):
+            assert clone.decompose(addr) == m.decompose(addr)
+
     @pytest.mark.parametrize("name", ALL_SCHEMES)
     def test_decompose_total_and_deterministic(self, name):
         m = make_mapping(name, DramGeometry())
@@ -157,3 +168,44 @@ def test_scheme2_bijective_over_capacity(addr):
     shift += (g.rows_per_bank - 1).bit_length()
     rebuilt |= a.channel << shift
     assert rebuilt == line
+
+
+#: Machine shapes for the compiled-vs-reference check: 1/2/4 channels,
+#: 1/2 ranks, 4/8/16 banks, rows narrower than a col_low group, and
+#: capacities from 16 MB to 8 GB.
+GEOMETRIES = st.builds(
+    DramGeometry,
+    channels=st.sampled_from([1, 2, 4]),
+    ranks_per_channel=st.sampled_from([1, 2]),
+    banks_per_rank=st.sampled_from([4, 8, 16]),
+    row_bytes=st.sampled_from([256, 2048, 8192]),
+    capacity_bytes=st.sampled_from([1 << 24, 1 << 28, 1 << 30, 1 << 33]),
+)
+
+
+@given(geometry=GEOMETRIES, name=st.sampled_from(list(ALL_SCHEMES)),
+       addr=st.one_of(st.integers(0, 1 << 40),
+                      st.integers(0, 1 << 20).map(lambda a: a * 64 + 63)))
+def test_compiled_matches_reference(geometry, name, addr):
+    """The compiled shift/mask form equals the field-by-field walk,
+    for unaligned addresses and addresses far beyond capacity too."""
+    m = make_mapping(name, geometry)
+    assert m.decompose(addr) == reference_decompose(m, addr)
+
+
+@given(geometry=GEOMETRIES, name=st.sampled_from(list(ALL_SCHEMES)),
+       addr=st.integers(0, 1 << 34), k=st.integers(1, 1 << 10))
+def test_beyond_capacity_aliases_modulo_capacity(geometry, name, addr, k):
+    m = make_mapping(name, geometry)
+    assert m.decompose(addr) == \
+        m.decompose(addr + k * geometry.capacity_bytes)
+
+
+def test_address_orders_as_bank_row_col():
+    """The write drain sorts addresses themselves: the tuple order is
+    (bank key, row, column)."""
+    g = DramGeometry()
+    m = make_mapping("scheme2", g)
+    addrs = [m.decompose(a * 4160) for a in range(200)]
+    assert sorted(addrs) == sorted(
+        addrs, key=lambda a: (a.bank_key, a.row, a.col))

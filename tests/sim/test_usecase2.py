@@ -1,5 +1,8 @@
 """Integration tests for the Use-Case-2 runner (Section 6)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -97,6 +100,52 @@ class TestEngineTiers:
         monkeypatch.setenv("REPRO_ENGINE", "analytical")
         with pytest.raises(ConfigurationError, match="exact"):
             run_system(BY_NAME["sc"], "baseline", accesses=100)
+
+
+def stats_digest(stats) -> str:
+    """sha256 of a stats tree in canonical (sorted-key) JSON."""
+    text = json.dumps(stats, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestMappingPins:
+    """Use Case 2 stats under each candidate mapping stay what they were.
+
+    The mapping decides the frames the OS hands out and the DRAM bank
+    and row of every access; the object and packed tiers share it, so
+    only fixed digests can see it drift.
+    """
+
+    BASELINE = {
+        "scheme2": "c97907d0d70bdbd0ad89e62db099e5c6"
+                   "8fa8ae36dd08e2fa2a7e0e181d687aea",
+        "scheme5": "b037c388b49727563cdc5a86b6bc8eee"
+                   "ac2edcd4c275d72d16418a341d347930",
+        "minimalist_open": "4b5894ae0fa87343b5fa4f42b78f28dd"
+                           "c8c65445bd0e0075ac3c22c1549d6bb1",
+        "permutation": "705d4935c82a9dc4b2f3d73982e195d6"
+                       "07a6ef94755bb87d0ef99c880a06a5e3",
+        "xmem_interleaved": "61e801ba853aed2db4d25a01e661549e"
+                            "53036cfbea1cc836005eafcf9de68f23",
+    }
+    XMEM = ("c24c1165857b944bccbe2a2448a906d4"
+            "4dad435f7321caa92c2ef00ea92428de")
+    ACCESSES = 3_000
+
+    def test_pins_cover_every_candidate(self):
+        assert set(BASELINE_MAPPING_CANDIDATES) | {"xmem_interleaved"} \
+            == set(self.BASELINE)
+
+    @pytest.mark.parametrize("mapping", sorted(BASELINE))
+    def test_baseline_stats_pinned(self, mapping):
+        r = run_system(BY_NAME["sc"], "baseline", mapping=mapping,
+                       accesses=self.ACCESSES, collect=True)
+        assert stats_digest(r.stats) == self.BASELINE[mapping]
+
+    def test_xmem_stats_pinned(self):
+        r = run_system(BY_NAME["sc"], "xmem", accesses=self.ACCESSES,
+                       collect=True)
+        assert stats_digest(r.stats) == self.XMEM
 
 
 class TestFigure7Shape:
