@@ -132,7 +132,7 @@ def cmd_sweep(args) -> int:
     """Run a (kernel x tile) sweep on the parallel experiment runner."""
     from pathlib import Path
 
-    from repro.cpu.tiers import ENGINE_TIERS, EXACT_TIERS
+    from repro.cpu.tiers import ENGINE_TIERS
     from repro.sim.runner import (
         SYSTEM_BUILDERS,
         RunContext,
@@ -148,7 +148,7 @@ def cmd_sweep(args) -> int:
             print(f"unknown engine tier {args.engine!r}; "
                   f"choices: {ENGINE_TIERS}", file=sys.stderr)
             return 2
-        if args.engine not in EXACT_TIERS:
+        if args.engine == "analytical":
             print(f"note: {args.engine} is an estimating tier; "
                   f"results are approximate (see docs/simulator.md)",
                   file=sys.stderr)
@@ -284,16 +284,11 @@ def cmd_corun(args) -> int:
         print(f"--xmem-tenants {xmem} outside the "
               f"{len(tenants)}-tenant mix", file=sys.stderr)
         return 2
-    if args.engine and args.engine not in ("object", "packed"):
-        print(f"unknown co-run engine {args.engine!r}; "
-              f"choices: object, packed", file=sys.stderr)
-        return 2
     point = CorunPoint(tenants=tenants, accesses=args.accesses,
                        scale=args.scale, xmem_tenants=xmem,
                        footprint_div=args.footprint_div)
     collect = args.stats_json is not None
-    result = run_point(point, collect=collect,
-                       ctx=RunContext.from_env(args.engine))
+    result = run_point(point, collect=collect, ctx=RunContext.from_env())
     if collect:
         written = write_point_documents(Path(args.stats_json), [result])
         print(f"wrote {len(written)} stats documents to "
@@ -364,7 +359,6 @@ def cmd_diff(args) -> int:
     Exit status: 0 = zero deltas (the determinism gate passes), 1 =
     deltas found, 2 = unreadable/mismatched inputs.
     """
-    from repro.cpu.tiers import EXACT_TIERS
     from repro.sim.stats import diff_stats
 
     docs_a = _load_stats_docs(args.run_a)
@@ -385,23 +379,15 @@ def cmd_diff(args) -> int:
         stats_a, tier_a = docs_a[name]
         stats_b, tier_b = docs_b[name]
         if tier_a != tier_b:
-            if tier_a in EXACT_TIERS and tier_b in EXACT_TIERS:
-                # Exact tiers are bit-identical by contract: note the
-                # tier difference but hold the counters to zero deltas
-                # as usual (this diff *is* the equivalence gate).
-                print(f"{name}: note: cross-tier comparison of exact "
-                      f"tiers ({tier_a} vs {tier_b}); deltas below "
-                      f"are real")
-            else:
-                # An estimating (or unrecorded) tier is involved: the
-                # deltas are estimation error, not nondeterminism --
-                # flag the comparison instead of dumping them.
-                print(f"{name}: cross-tier comparison "
-                      f"({tier_a or 'pre-tier'} vs "
-                      f"{tier_b or 'pre-tier'}); counter deltas "
-                      f"suppressed")
-                cross_tier += 1
-                continue
+            # An estimate, or a document from before tiers were
+            # recorded or from a retired tier: the deltas are not
+            # nondeterminism -- flag the comparison instead of dumping
+            # them.
+            print(f"{name}: cross-tier comparison "
+                  f"({tier_a or 'pre-tier'} vs {tier_b or 'pre-tier'}); "
+                  f"counter deltas suppressed")
+            cross_tier += 1
+            continue
         # One document holds {system: snapshot}; prefix group paths
         # with the system name so the flat keys are fully qualified.
         flat_a = {f"{system}.{path}": values
@@ -579,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write one manifest+stats JSON document per "
                          "point into DIR")
     sw.add_argument("--engine", default=None,
-                    help="engine tier: object | packed | analytical "
+                    help="engine tier: packed | analytical "
                          "(default: REPRO_ENGINE or packed)")
 
     co = sub.add_parser(
@@ -598,9 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--xmem-tenants", default="0",
                     help="comma-separated core indices carrying XMem "
                          "semantics under the xmem mode (default 0)")
-    co.add_argument("--engine", default=None,
-                    help="co-run engine: object | packed "
-                         "(default: REPRO_ENGINE or packed)")
     co.add_argument("--stats-json", default=None, metavar="DIR",
                     help="write the mix's manifest+stats JSON document "
                          "into DIR (compare runs with `repro diff`)")

@@ -13,19 +13,19 @@ This is the reproduction's stand-in for the paper's zsim OOO core
   first-order behaviour that makes thrashing (Use Case 1) and bank
   conflicts (Use Case 2) expensive.
 
-The engine owns no policy: it translates virtual addresses through an
-optional MMU hook and forwards physical accesses to a memory system
-(see :class:`repro.sim.system.MemorySystem`).
+The engine owns no policy: it forwards the trace's accesses to a
+memory system (see :class:`repro.sim.system.MemorySystem`).  Traces
+carry the addresses the memory system sees; callers that model an MMU
+translate while packing (see :func:`repro.sim.usecase2.run_system`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional
 
 from repro.core.errors import ConfigurationError
-from repro.cpu.trace import MemAccess, PackedTrace, Trace, Work, XMemOp
+from repro.cpu.trace import PackedTrace, Trace
 from repro.mem.mshr import MSHRFile
 from repro.testing import checks as _checks
 
@@ -58,16 +58,15 @@ class TraceEngine:
     """Interprets a trace against a memory system.
 
     ``memory`` must provide ``access(paddr, is_write, now) ->
-    (completes_at, served_by_memory)``; ``translate`` maps VA->PA
-    (identity when absent); ``xmemlib`` receives :class:`XMemOp` events
-    (skipped when absent -- the baseline machine).
+    (completes_at, served_by_memory)``; ``xmemlib`` receives
+    :class:`XMemOp` events (skipped when absent -- the baseline
+    machine).
     """
 
     def __init__(
         self,
         memory,
         xmemlib=None,
-        translate: Optional[Callable[[int], int]] = None,
         issue_width: int = 4,
         window: int = 32,
     ) -> None:
@@ -75,7 +74,6 @@ class TraceEngine:
             raise ConfigurationError(f"issue_width must be > 0: {issue_width}")
         self.memory = memory
         self.xmemlib = xmemlib
-        self.translate = translate
         self.issue_width = issue_width
         self.mshr = MSHRFile(window)
         #: Statistics of the most recent :meth:`run` (zeroed until one
@@ -98,101 +96,33 @@ class TraceEngine:
     def run(self, trace: Trace) -> EngineStats:
         """Execute ``trace`` to completion; returns the statistics.
 
-        A :class:`PackedTrace` is routed to :meth:`run_packed` -- same
-        statistics, no per-event object materialization.
+        Object event streams are packed first
+        (:meth:`PackedTrace.from_events`, which rejects anything that
+        is not a trace event with ``TypeError``) and every trace then
+        runs through :meth:`run_packed`.
         """
-        if type(trace) is PackedTrace:
-            return self.run_packed(trace)
-        # The interpreter loop runs once per trace event (millions per
-        # experiment): every attribute lookup it would repeat -- stats
-        # fields, PIPELINED_LATENCY, bound methods -- is hoisted into a
-        # local, counters accumulate in plain ints/floats and are
-        # written back once, and the hit fast path (the overwhelmingly
-        # common case) touches nothing but `now`.
-        now = 0.0
-        issue = self.issue_width
-        slot = 1.0 / issue
-        pipelined = self.PIPELINED_LATENCY
-        translate = self.translate
-        memory_access = self.memory.access
-        mshr = self.mshr
-        reserve = mshr.reserve
-        xmemlib = self.xmemlib
-        instructions = 0
-        mem_accesses = 0
-        xmem_instructions = 0
-        misses_to_memory = 0
-        stall_cycles = 0.0
-        for ev in trace:
-            kind = type(ev)
-            if kind is MemAccess:
-                work = ev.work
-                if work:
-                    now += work / issue
-                    instructions += work
-                instructions += 1
-                mem_accesses += 1
-                vaddr = ev.vaddr
-                completes_at, to_memory = memory_access(
-                    translate(vaddr) if translate else vaddr,
-                    ev.is_write, now,
-                )
-                if to_memory:
-                    misses_to_memory += 1
-                if completes_at - now > pipelined:
-                    # Long access: overlap it within the window; stall
-                    # only when the window is full.
-                    start = reserve(now, completes_at)
-                    if start > now:
-                        stall_cycles += start - now
-                        now = start
-                # Either way the access itself takes one issue slot
-                # (first-level hits are fully pipelined).
-                now += slot
-            elif kind is Work:
-                now += ev.count / issue
-                instructions += ev.count
-            elif kind is XMemOp:
-                instructions += 1
-                xmem_instructions += 1
-                now += slot
-                if xmemlib is not None:
-                    getattr(xmemlib, ev.method)(*ev.args)
-            else:
-                raise TypeError(f"not a trace event: {ev!r}")
-        # Drain the window: execution ends when the last miss lands.
-        tail = mshr.latest_completion()
-        if tail is not None and tail > now:
-            now = tail
-        mshr.flush()
-        self.last_stats = EngineStats(
-            cycles=now,
-            instructions=instructions,
-            mem_accesses=mem_accesses,
-            xmem_instructions=xmem_instructions,
-            misses_to_memory=misses_to_memory,
-            stall_cycles=stall_cycles,
-        )
-        if self._check:
-            _checks.check_engine_run(self, self.last_stats)
-        return self.last_stats
+        if type(trace) is not PackedTrace:
+            trace = PackedTrace.from_events(trace)
+        return self.run_packed(trace)
 
     def run_packed(self, trace: PackedTrace) -> EngineStats:
-        """Execute a packed trace; statistics are bit-identical to
-        :meth:`run` over ``trace.events()``.
+        """Execute a packed trace: the scalar interpreter loop.
 
-        The zero-object fast path: the dense stream is consumed as
-        (vaddr, flag-word) integer pairs straight from the columns --
-        no event objects, no ``type()`` dispatch -- and the sparse
-        XMemOp side-table partitions it into segments, each drained
-        with one ``islice`` pass.  Every arithmetic expression mirrors
-        :meth:`run` exactly so float accumulation is unchanged.
+        The dense stream is consumed as (vaddr, flag-word) integer
+        pairs straight from the columns -- no event objects, no
+        ``type()`` dispatch -- and the sparse XMemOp side-table
+        partitions it into segments, each drained with one ``islice``
+        pass.  The loop runs once per trace event (millions per
+        experiment): every attribute lookup it would repeat is hoisted
+        into a local, and counters accumulate in plain ints/floats
+        written back once.  Statistics are bit-identical to
+        :class:`repro.testing.oracles.ReferenceEngine` over the same
+        events.
         """
         now = 0.0
         issue = self.issue_width
         slot = 1.0 / issue
         pipelined = self.PIPELINED_LATENCY
-        translate = self.translate
         memory_access = self.memory.access
         mshr = self.mshr
         reserve = mshr.reserve
@@ -224,17 +154,18 @@ class TraceEngine:
                     instructions += work
                 instructions += 1
                 mem_accesses += 1
-                completes_at, to_memory = memory_access(
-                    translate(vaddr) if translate else vaddr,
-                    m & 1, now,
-                )
+                completes_at, to_memory = memory_access(vaddr, m & 1, now)
                 if to_memory:
                     misses_to_memory += 1
                 if completes_at - now > pipelined:
+                    # Long access: overlap it within the window; stall
+                    # only when the window is full.
                     start = reserve(now, completes_at)
                     if start > now:
                         stall_cycles += start - now
                         now = start
+                # Either way the access itself takes one issue slot
+                # (first-level hits are fully pipelined).
                 now += slot
             if op is not None:
                 instructions += 1
@@ -242,6 +173,7 @@ class TraceEngine:
                 now += slot
                 if xmemlib is not None:
                     getattr(xmemlib, op.method)(*op.args)
+        # Drain the window: execution ends when the last miss lands.
         tail = mshr.latest_completion()
         if tail is not None and tail > now:
             now = tail

@@ -2,9 +2,9 @@
 
 :func:`run_vector` executes a :class:`PackedTrace` with statistics
 bit-identical to the scalar :meth:`TraceEngine.run_packed` loop (and so
-to the object tier), restructured around the observation that the
-expensive part of interpretation is *per-event Python*, not the model
-arithmetic:
+to :class:`repro.testing.oracles.ReferenceEngine`), restructured around
+the observation that the expensive part of interpretation is
+*per-event Python*, not the model arithmetic:
 
 * **Chunked columnar probing.**  The dense columns are viewed as numpy
   ``int64`` arrays and consumed in fixed-size chunks.  Address
@@ -41,9 +41,9 @@ assumption; when any fails, :func:`run_vector` falls back to
 ``run_packed`` -- the fused path is *never* allowed to be a different
 model, only a faster evaluation of the same one.
 
-Divergence from the object tier and from ``run_packed`` is fuzz-checked
-by the three-way ``packed`` lane (:mod:`repro.testing.fuzz`) and pinned
-per kernel and per Use Case 2 machine in
+Divergence from the reference engine and from ``run_packed`` is
+fuzz-checked by the three-way ``packed`` lane (:mod:`repro.testing.fuzz`)
+and pinned per kernel and per Use Case 2 machine in
 ``tests/cpu/test_vector_engine.py``.
 """
 
@@ -74,7 +74,6 @@ from repro.mem.replacement import (
     RandomPolicy,
     SRRIPPolicy,
 )
-from repro.sim.system import MemorySystem
 
 #: Events per columnar chunk.
 CHUNK = 4096
@@ -136,17 +135,18 @@ def eligible(engine: TraceEngine, trace) -> bool:
     """Whether ``(engine, trace)`` is served by the fused interpreter.
 
     Anything unrecognized -- wrapped components, exotic policies,
-    non-power-of-two geometry, address translation (callers translate
-    while packing instead), ``REPRO_CHECK`` hooks -- falls back to
+    non-power-of-two geometry, ``REPRO_CHECK`` hooks -- falls back to
     :meth:`TraceEngine.run_packed`, so the fused path's correctness
     domain is exactly the configurations the equivalence suite pins.
     Checked components fall back because the fused loop inlines the
     cache and MSHR operations the checks wrap: only the scalar loop
     reaches the per-operation checkers.
     """
+    # Imported here: repro.sim imports the co-run engine, which
+    # imports this module.
+    from repro.sim.system import MemorySystem
+
     if _np is None or type(trace) is not PackedTrace:
-        return False
-    if engine.translate is not None:
         return False
     issue = engine.issue_width
     if issue & (issue - 1):

@@ -4,7 +4,7 @@
 pass over the packed columns without evolving the machine: no DRAM
 timing, no MSHR, no channel or bank state, no stall modelling.  It
 exists for quick sweeps and sanity triage; committed tables must be
-produced on an exact tier (``object``/``packed``).
+produced on the exact ``packed`` tier.
 
 Model
 -----
@@ -261,7 +261,6 @@ def estimate(engine: TraceEngine, trace) -> AnalyticalEstimate:
     num_levels = len(levels)
     last = num_levels - 1
     line_bytes = hier.line_bytes
-    translate = engine.translate
 
     # -- Exact columnar accounting -----------------------------------------
     me = (np.frombuffer(trace.meta, dtype=np.int64) if len(trace.meta)
@@ -316,8 +315,6 @@ def estimate(engine: TraceEngine, trace) -> AnalyticalEstimate:
             fill(level + 1, vline, True)
 
     for addr, w in zip(addrs.tolist(), writes.tolist()):
-        if translate is not None:
-            addr = translate(addr)
         line = (addr & line_mask if line_mask is not None
                 else addr - (addr % line_bytes))
         hit_level = None

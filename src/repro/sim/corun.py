@@ -15,42 +15,37 @@ own trace, sharing the L3 and DRAM:
 * per-application address spaces are disjoint (each core's addresses
   are offset), so one AAM lookup per application resolves cleanly.
 
-Two interleavers evaluate the same model:
-
-``run_events``
-    The legacy per-event loop: an ``argmin`` over core clocks picks
-    the next core, which interprets one object event.  O(N) per event
-    and per-event Python for every L1 hit.  Kept verbatim as the
-    differential oracle (fuzz lane ``corun``, equivalence pins in
-    ``tests/sim/test_corun_packed.py``).
-``run_packed``
-    The PackedTrace-native engine.  A binary heap keyed by
-    ``(core.now, core.index)`` schedules cores; between shared-LLC
-    interactions a core's private stretch -- L1 hits and Work blocks,
-    which touch nothing outside the core -- is fast-forwarded with the
-    packed tier's machinery (chunked columnar residency probing,
-    :meth:`Cache.apply_hit_run` replay, exact dyadic-grid time
-    accumulation), so the core yields control only at *yield points*:
-    accesses that can leave the L1 (they may ripple writebacks into
-    the shared LLC/DRAM or consume shared prefetch state) and XMemOps
-    (they can retrigger the global pinning decision).  Yield points
-    execute through the very same ``_access`` path as the legacy
-    loop, so shared-resource contention still interleaves in
-    timestamp order with the legacy tie-break (lowest core index) and
-    the per-core :class:`CoreStats` are bit-identical.
+The interleaver is PackedTrace-native (object event streams are packed
+first).  A binary heap keyed by ``(core.now, core.index)`` schedules
+cores; between shared-LLC interactions a core's private stretch -- L1
+hits and Work blocks, which touch nothing outside the core -- is
+fast-forwarded with the packed tier's machinery (chunked columnar
+residency probing, inline replacement updates, exact dyadic-grid time
+accumulation), so the core yields control only at *yield points*:
+accesses that can leave the L1 (they may ripple writebacks into the
+shared LLC/DRAM or consume shared prefetch state) and XMemOps (they can
+retrigger the global pinning decision).  Yield points execute through
+one shared ``_access`` path, in timestamp order with the lowest core
+index breaking ties.  Machine shapes outside the fast-forward domain
+(:meth:`CorunSystem.packed_eligible`) skip fast-forwarding: every dense
+event is then a yield point.
 
 Private events commute with other cores' shared events (disjoint
-state), which is why the packed engine may apply a core's private
-prefix eagerly while sibling cores are still behind in model time:
-only the *order of shared interactions* is observable, and the heap
-reproduces the legacy order exactly.
+state), which is why a core's private prefix may be applied eagerly
+while sibling cores are still behind in model time: only the *order of
+shared interactions* is observable, and the heap fixes it.  The
+per-event reference interleaver,
+:class:`repro.testing.oracles.ReferenceCorun`, steps one event of the
+``(now, index)``-smallest core at a time; per-core :class:`CoreStats`
+and every counter must be bit-identical to it (fuzz lane ``corun``,
+pins in ``tests/sim/test_corun_packed.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 try:
     import numpy as _np
@@ -60,16 +55,12 @@ except ImportError:          # pragma: no cover - numpy ships in the image
 from repro.core.errors import ConfigurationError
 from repro.core.stats import iter_stat_groups
 from repro.core.xmemlib import XMemLib
-from repro.cpu.tiers import corun_tier
 from repro.cpu.trace import (
-    MemAccess,
     META_COUNT_SHIFT,
     META_WORK_BIT,
     META_WRITE_BIT,
     PackedTrace,
     Trace,
-    Work,
-    XMemOp,
 )
 from repro.cpu.vector_engine import BATCHABLE_POLICIES, dyadic_k
 from repro.dram.system import DramSystem
@@ -122,8 +113,6 @@ class _Core:
         self.now = 0.0
         self.mshr = MSHRFile(config.cpu.window)
         self.stats = CoreStats()
-        self.trace: Optional[Iterator] = None
-        self.done = False
 
     def stat_groups(self):
         """StatGroup protocol: the core's private machine state."""
@@ -307,10 +296,13 @@ class CorunSystem:
                 core.xmem_pf = pf
                 self.controller.register(core.offset, lib, pf)
         self._prefetch_ready: Dict[int, float] = {}
-        # Hot-loop hoists (issue width, line size) and the exactness
-        # ceiling of batched time accumulation (set by packed_eligible).
+        # Hot-loop hoists (issue width, line size), whether private
+        # stretches are fast-forwarded (set by ``run``), and the
+        # exactness ceiling of batched time accumulation (set by
+        # ``packed_eligible``).
         self._issue = config.cpu.issue_width
         self._line_bytes = config.line_bytes
+        self._fast_forward = False
         self._now_limit = 0.0
 
     @staticmethod
@@ -354,88 +346,54 @@ class CorunSystem:
 
     # -- Running --------------------------------------------------------
 
-    def run(self, traces: Sequence[Trace],
-            tier: Optional[str] = None) -> List[CoreStats]:
+    def run(self, traces: Sequence[Trace]) -> List[CoreStats]:
         """Interleave one trace per core until all complete.
 
-        All-:class:`PackedTrace` inputs run on the heap-scheduled
-        batched interleaver unless the ``object`` tier (``tier``, or
-        ``REPRO_ENGINE`` when None) selects the legacy loop; object
-        event streams always take the legacy loop.  Both produce
-        bit-identical :class:`CoreStats`.
+        Object event streams are packed first.  The heap pops the core
+        with the smallest ``(now, index)``, which executes its planned
+        yield point and plans its next one.
         """
         if len(traces) != len(self.cores):
             raise ConfigurationError(
                 f"{len(self.cores)} cores need {len(self.cores)} traces"
             )
-        if (all(type(t) is PackedTrace for t in traces)
-                and corun_tier(tier) == "packed"):
-            return self.run_packed(traces)
-        return self.run_events(traces)
-
-    def run_events(self, traces: Sequence[Trace]) -> List[CoreStats]:
-        """The legacy per-event interleaver (the differential oracle).
-
-        Accepts object event iterables or :class:`PackedTrace` (which
-        is unpacked to its event stream).
-        """
-        if len(traces) != len(self.cores):
-            raise ConfigurationError(
-                f"{len(self.cores)} cores need {len(self.cores)} traces"
-            )
-        for core, trace in zip(self.cores, traces):
-            if type(trace) is PackedTrace:
-                core.trace = trace.events()
-            else:
-                core.trace = iter(trace)
-            core.done = False
-        pending = set(range(len(self.cores)))
-        while pending:
-            core = min((self.cores[i] for i in pending),
-                       key=lambda c: c.now)
-            if not self._step(core):
+        self._fast_forward = self.packed_eligible()
+        issue = self._issue
+        cursors = [_PackedCursor(core, trace if type(trace) is PackedTrace
+                                 else PackedTrace.from_events(trace))
+                   for core, trace in zip(self.cores, traces)]
+        heap: List[Tuple[float, int]] = []
+        for cur in cursors:
+            self._plan(cur)
+            heappush(heap, (cur.core.now, cur.core.index))
+        while heap:
+            _, idx = heappop(heap)
+            cur = cursors[idx]
+            core = cur.core
+            kind = cur.kind
+            if kind == _Y_END:
+                # Drain the window: the core ends when its last miss
+                # lands.
                 tail = core.mshr.latest_completion()
                 if tail is not None and tail > core.now:
                     core.now = tail
                 core.mshr.flush()
                 core.stats.cycles = core.now
-                core.done = True
-                pending.discard(core.index)
+                continue
+            if kind == _Y_XMEM:
+                op = cur.xmem[cur.xi][1]
+                core.stats.instructions += 1
+                core.now += 1.0 / issue
+                if core.xmemlib is not None:
+                    getattr(core.xmemlib, op.method)(*op.args)
+                cur.xi += 1
+            else:
+                self._exec_packed_event(cur)
+            self._plan(cur)
+            heappush(heap, (core.now, idx))
         return [c.stats for c in self.cores]
 
-    def _step(self, core: _Core) -> bool:
-        try:
-            ev = next(core.trace)
-        except StopIteration:
-            return False
-        issue = self.config.cpu.issue_width
-        if type(ev) is MemAccess:
-            if ev.work:
-                core.now += ev.work / issue
-                core.stats.instructions += ev.work
-            core.stats.instructions += 1
-            core.stats.mem_accesses += 1
-            completes = self._access(core, ev.vaddr + core.offset,
-                                     ev.is_write)
-            latency = completes - core.now
-            if latency > 4.0:
-                start = core.mshr.reserve(core.now, completes)
-                core.now = max(core.now, start) + 1.0 / issue
-            else:
-                core.now += 1.0 / issue
-        elif type(ev) is Work:
-            core.now += ev.count / issue
-            core.stats.instructions += ev.count
-        elif type(ev) is XMemOp:
-            core.stats.instructions += 1
-            core.now += 1.0 / issue
-            if core.xmemlib is not None:
-                getattr(core.xmemlib, ev.method)(*ev.args)
-        else:
-            raise TypeError(f"not a trace event: {ev!r}")
-        return True
-
-    # -- Packed interleaver ---------------------------------------------
+    # -- Fast-forward planner --------------------------------------------
 
     def packed_eligible(self) -> bool:
         """Whether the machine shape admits the batched fast path.
@@ -445,9 +403,9 @@ class CorunSystem:
         shift-decomposable geometry, no prefetched L1 tags (co-run
         prefetches only fill the LLC, so this holds by construction),
         and every time quantum on one dyadic grid so batched ``now``
-        accumulation is exact.  Failing the gate falls back to
-        :meth:`run_events` -- the packed tier is never a different
-        model, only a faster evaluation of the same one.
+        accumulation is exact.  Failing the gate turns fast-forwarding
+        off -- every event then executes as a yield point -- so the
+        gate never changes the model, only how fast it is evaluated.
         """
         issue = self.config.cpu.issue_width
         if issue <= 0 or issue & (issue - 1):
@@ -473,62 +431,9 @@ class CorunSystem:
         self._now_limit = float(1 << (52 - k))
         return True
 
-    def run_packed(self, traces: Sequence[PackedTrace]) -> List[CoreStats]:
-        """The heap-scheduled batched interleaver.
-
-        Bit-identical to :meth:`run_events` on the same traces; falls
-        back to it whenever :meth:`packed_eligible` says no.
-        """
-        if len(traces) != len(self.cores):
-            raise ConfigurationError(
-                f"{len(self.cores)} cores need {len(self.cores)} traces"
-            )
-        for trace in traces:
-            if type(trace) is not PackedTrace:
-                raise ConfigurationError(
-                    f"run_packed needs PackedTrace inputs: {trace!r}")
-        if not self.packed_eligible():
-            return self.run_events(traces)
-        for core in self.cores:
-            core.trace = None
-            core.done = False
-        issue = self.config.cpu.issue_width
-        self._issue = issue
-        cursors = [_PackedCursor(core, trace)
-                   for core, trace in zip(self.cores, traces)]
-        heap: List[Tuple[float, int]] = []
-        for cur in cursors:
-            self._plan(cur)
-            heappush(heap, (cur.core.now, cur.core.index))
-        while heap:
-            _, idx = heappop(heap)
-            cur = cursors[idx]
-            core = cur.core
-            kind = cur.kind
-            if kind == _Y_END:
-                tail = core.mshr.latest_completion()
-                if tail is not None and tail > core.now:
-                    core.now = tail
-                core.mshr.flush()
-                core.stats.cycles = core.now
-                core.done = True
-                continue
-            if kind == _Y_XMEM:
-                op = cur.xmem[cur.xi][1]
-                core.stats.instructions += 1
-                core.now += 1.0 / issue
-                if core.xmemlib is not None:
-                    getattr(core.xmemlib, op.method)(*op.args)
-                cur.xi += 1
-            else:
-                self._exec_packed_event(cur)
-            self._plan(cur)
-            heappush(heap, (core.now, idx))
-        return [c.stats for c in self.cores]
-
     def _exec_packed_event(self, cur: _PackedCursor) -> None:
-        """Execute the dense event at ``cur.pos`` with the legacy
-        arithmetic (same operations, same order as :meth:`_step`)."""
+        """Execute the dense event at ``cur.pos`` (a Work block or a
+        memory access through the shared ``_access`` path)."""
         core = cur.core
         issue = self._issue
         pos = cur.pos
@@ -561,7 +466,8 @@ class CorunSystem:
         Applies batched L1-hit/Work stretches eagerly (they commute
         with other cores' shared events), stopping at the first access
         that can leave the L1, at the next XMemOp position, or at the
-        end of the trace.
+        end of the trace.  Without fast-forwarding, the next dense
+        event is the yield point.
         """
         n_dense = cur.n_dense
         while True:
@@ -571,6 +477,9 @@ class CorunSystem:
                 return
             if pos >= n_dense:
                 cur.kind = _Y_END
+                return
+            if not self._fast_forward:
+                cur.kind = _Y_MEM
                 return
             bound = cur.xmem[cur.xi][0] if cur.xi < cur.n_x else n_dense
             if not self._advance(cur, bound):
@@ -631,9 +540,9 @@ class CorunSystem:
         Walks positions with set/tag/write pre-decomposed (no per-event
         address arithmetic), probing the *live* L1 tag table, and
         applies each hit's replacement/dirty effect inline -- the same
-        per-event state writes the legacy hit path performs (LRU: one
-        clock tick and a stamp; RRIP: RRPV promotion to 0; random:
-        nothing), so no replay pass is needed.  Counters and model time
+        per-event state writes an L1 hit through ``_access`` performs
+        (LRU: one clock tick and a stamp; RRIP: RRPV promotion to 0;
+        random: nothing), so no replay pass is needed.  Counters and model time
         for the whole run then commit in one batched step.  Probes are
         live, so snapshot staleness never matters here.  True iff
         ``bound`` reached.
@@ -715,10 +624,10 @@ class CorunSystem:
         """Fallback planner over the raw packed columns (no numpy, or
         addresses outside the int64-safe window).
 
-        Interprets hit events one at a time with the exact legacy
-        arithmetic -- pure Python ints, so it is exact for any
-        addresses -- and yields at the first probe miss.  True iff
-        ``bound`` reached.
+        Interprets hit events one at a time with the arithmetic of
+        :meth:`_exec_packed_event` -- pure Python ints, so it is exact
+        for any addresses -- and yields at the first probe miss.  True
+        iff ``bound`` reached.
         """
         core = cur.core
         l1 = core.l1
@@ -766,7 +675,7 @@ class CorunSystem:
         the run's exact issue-slot sum (dyadic grid), the core and L1
         counters by batch increments.  Past the exactness ceiling --
         unreachable in practice -- model time is re-walked event by
-        event with legacy rounding instead.
+        event with per-event rounding instead.
         """
         core = cur.core
         issue = self._issue
@@ -786,8 +695,8 @@ class CorunSystem:
 
     def _commit_sequential(self, cur: _PackedCursor, begin: int,
                            end: int, total: int, n_mem: int) -> None:
-        """Event-by-event time replay of a known-hit run (legacy float
-        rounding beyond the dyadic-grid ceiling).  Replacement state
+        """Event-by-event time replay of a known-hit run (per-event
+        float rounding beyond the dyadic-grid ceiling).  Replacement state
         was already applied by the fused walk; only ``now`` needs the
         per-event rounding, and the integer counters batch as usual."""
         core = cur.core
@@ -810,7 +719,7 @@ class CorunSystem:
         l1stats.accesses += n_mem
         l1stats.hits += n_mem
 
-    # -- Shared memory path (both interleavers) -------------------------
+    # -- Shared memory path ----------------------------------------------
 
     def _access(self, core: _Core, addr: int, is_write: bool) -> float:
         line = addr - addr % self._line_bytes

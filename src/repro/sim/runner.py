@@ -44,10 +44,9 @@ Environment knobs (read, never written):
 
 * ``REPRO_JOBS``        -- worker processes for sweeps (default: all
   cores; ``1`` = serial in-process execution).
-* ``REPRO_ENGINE``      -- engine tier
-  (``object``/``packed``/``analytical``; default
-  ``packed``; see :mod:`repro.cpu.tiers`) unless the run context
-  names one.  Recorded in the run manifest.
+* ``REPRO_ENGINE``      -- engine tier (``packed``/``analytical``;
+  default ``packed``; see :mod:`repro.cpu.tiers`) unless the run
+  context names one.  Recorded in the run manifest.
 * ``REPRO_TRACE_CACHE`` -- trace cache directory; ``0``/``off``
   disables the on-disk layer (the in-memory layer still shares one
   generation across the systems of a point).
@@ -73,7 +72,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.errors import ConfigurationError
 from repro.core.xmemlib import XMemLib
 from repro.cpu.engine import EngineStats
-from repro.cpu.tiers import corun_tier, resolve_engine_tier
+from repro.cpu.tiers import resolve_engine_tier
 from repro.cpu.trace import PackedTrace, TraceBuilder, TraceEvent, XMemOp
 from repro.sim.config import SimConfig, scaled_config
 from repro.sim.corun import CoreStats, CorunSystem
@@ -1038,18 +1037,17 @@ class CorunPoint:
                       for core, (recording, _, _)
                       in zip(system.cores, tenants)]
             timer.start(f"run:{mode}")
-            runs[mode] = list(system.run(traces, ctx.engine))
+            runs[mode] = list(system.run(traces))
             timer.stop()
             if collect:
                 snapshots[mode] = system.stats_snapshot()
         if not collect:
             return PointResult(point=self, runs=runs)
         trace = {
-            # Which co-run engine produced the stats ("object" is the
-            # legacy oracle, "packed" the heap-scheduled interleaver);
-            # both are exact, so `repro diff` holds cross-engine
-            # documents to zero deltas.
-            "tier": corun_tier(ctx.engine),
+            # The co-run engine has one exact interleaver whatever
+            # tier the context names, so served and swept documents
+            # record the same tier.
+            "tier": "packed",
             "format_version": TRACE_FORMAT_VERSION,
             "tenants": [{"workload": name, "key": key, "source": source}
                         for name, (_, source, key)

@@ -18,7 +18,7 @@ and (when applicable) the XMem library to hand to workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.xmemlib import XMemLib, XMemProcess
 from repro.cpu.engine import EngineStats, TraceEngine
@@ -248,20 +248,17 @@ def _base_parts(config: SimConfig):
     return hierarchy, dram, stride
 
 
-def build_baseline(config: SimConfig,
-                   translate: Optional[Callable[[int], int]] = None
-                   ) -> SystemHandle:
+def build_baseline(config: SimConfig) -> SystemHandle:
     """The strengthened baseline: DRRIP + multi-stride prefetcher."""
     hierarchy, dram, stride = _base_parts(config)
     memory = MemorySystem(hierarchy, dram, stride_prefetcher=stride)
-    engine = TraceEngine(memory, xmemlib=None, translate=translate,
+    engine = TraceEngine(memory, xmemlib=None,
                          issue_width=config.cpu.issue_width,
                          window=config.cpu.window)
     return SystemHandle("baseline", config, engine, memory)
 
 
 def build_xmem(config: SimConfig,
-               translate: Optional[Callable[[int], int]] = None,
                process: Optional[XMemProcess] = None) -> SystemHandle:
     """Baseline + Use-Case-1 cache management + XMem prefetching."""
     hierarchy, dram, stride = _base_parts(config)
@@ -275,16 +272,14 @@ def build_xmem(config: SimConfig,
     controller = CacheController(xmemlib, hierarchy.llc,
                                  prefetcher=xmem_pf)
     controller.install(hierarchy)
-    engine = TraceEngine(memory, xmemlib=xmemlib, translate=translate,
+    engine = TraceEngine(memory, xmemlib=xmemlib,
                          issue_width=config.cpu.issue_width,
                          window=config.cpu.window)
     return SystemHandle("xmem", config, engine, memory,
                         xmemlib=xmemlib, controller=controller)
 
 
-def build_xmem_pref(config: SimConfig,
-                    translate: Optional[Callable[[int], int]] = None
-                    ) -> SystemHandle:
+def build_xmem_pref(config: SimConfig) -> SystemHandle:
     """Figure 6's XMem-Pref: semantic prefetching, DRRIP caching.
 
     The controller still tracks the "pinned" working set so the
@@ -302,7 +297,7 @@ def build_xmem_pref(config: SimConfig,
     controller = CacheController(xmemlib, hierarchy.llc,
                                  prefetcher=xmem_pf)
     # Deliberately NOT installed on the hierarchy: no pinning.
-    engine = TraceEngine(memory, xmemlib=xmemlib, translate=translate,
+    engine = TraceEngine(memory, xmemlib=xmemlib,
                          issue_width=config.cpu.issue_width,
                          window=config.cpu.window)
     return SystemHandle("xmem-pref", config, engine, memory,

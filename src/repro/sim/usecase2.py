@@ -15,11 +15,12 @@ Composes the three systems Figure 7/8 compare, for one workload model:
 * ``ideal``    -- the baseline machine with a perfect row buffer
   (every access a row hit): the upper bound for any RBL optimization.
 
-Every system runs on an exact engine tier (:mod:`repro.cpu.tiers`).
+Every system runs on the exact ``packed`` engine tier
+(:mod:`repro.cpu.tiers`).
 The workload's pages are backed when it is instantiated, so address
 translation during the run is a pure page-table lookup: the access
 stream is translated once per access while it is packed, and the
-engine runs translation-free on physical addresses.
+engine runs on physical addresses.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Dict, Iterable, Optional
 
 from repro.core.errors import ConfigurationError
 from repro.cpu.engine import TraceEngine
-from repro.cpu.tiers import EXACT_TIERS, resolve_engine_tier, run_tier
+from repro.cpu.tiers import resolve_engine_tier, run_tier
 from repro.cpu.trace import PackedTrace, TraceBuilder
 from repro.dram.system import DramSystem
 from repro.mem.hierarchy import CacheHierarchy
@@ -100,13 +101,13 @@ def run_system(
     ``collect=True`` snapshots the full stats registry after the run
     (strictly post-run, so it never perturbs the measurement).
     The engine tier is ``tier``, or ``REPRO_ENGINE`` when None
-    (default ``packed``); only exact tiers are accepted.
+    (default ``packed``); the estimating ``analytical`` tier is refused.
     """
     tier = resolve_engine_tier(tier)
-    if tier not in EXACT_TIERS:
+    if tier == "analytical":
         raise ConfigurationError(
-            f"Use Case 2 runs on exact engine tiers only "
-            f"{EXACT_TIERS}, not {tier!r}")
+            "Use Case 2 runs on exact engine tiers only ('packed'), "
+            "not 'analytical'")
     cfg = config or usecase2_config()
     if system == "baseline":
         mapping = mapping or XMEM_MAPPING

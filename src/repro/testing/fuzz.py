@@ -6,30 +6,32 @@ Eight lanes, each pairing a hot-path implementation with its oracle
 
 * ``packed``  -- the same trace through three identically built full
   systems (baseline or XMem, with atom churn, windows small enough to
-  saturate the MSHR file): as an object stream on the ``object`` tier,
-  as a :class:`PackedTrace` on the ``packed`` tier (the fused columnar
-  interpreter wherever it is eligible), and through
-  :meth:`TraceEngine.run_packed` called directly (the scalar fallback
-  loop).  Engine statistics and full stats snapshots must be
+  saturate the MSHR file): as an object stream through
+  :class:`~repro.testing.oracles.ReferenceEngine` in place of the
+  machine's engine, as a :class:`PackedTrace` on the ``packed`` tier
+  (the fused columnar interpreter wherever it is eligible), and
+  through :meth:`TraceEngine.run_packed` called directly (the scalar
+  fallback loop).  Engine statistics and full stats snapshots must be
   bit-identical across all three.
 * ``corun``   -- random multi-tenant mixes (2-3 cores, per-core
-  generated streams, atom churn on the XMem tenant) through two
-  identically built :class:`~repro.sim.corun.CorunSystem` machines:
-  the legacy per-event interleaver vs. the heap-scheduled packed
-  engine, per-core CoreStats and full snapshot bit-identical.  Items
-  are ``(core, event)`` pairs, so shrinking drops events from any
-  tenant.
+  generated streams, atom churn on the XMem tenant, issue width 3 or
+  4) through two identically built
+  :class:`~repro.sim.corun.CorunSystem` machines: the per-event
+  :class:`~repro.testing.oracles.ReferenceCorun` vs. the
+  heap-scheduled interleaver (fast-forwarding at width 4, every event
+  a yield point at width 3), per-core CoreStats and full snapshot
+  bit-identical.  Items are ``(core, event)`` pairs, so shrinking
+  drops events from any tenant.
 * ``cache``   -- random access/fill/unpin op strings through the
   columnar :class:`~repro.mem.cache.Cache` (LRU) and the dict-of-lists
   :class:`~repro.testing.oracles.ReferenceCache`: per-op hits,
   writeback addresses, eviction/refusal counts, pinned totals, and the
   final resident set must match.
 * ``engine``  -- MemAccess/Work streams against a seeded
-  :class:`~repro.testing.oracles.ToyMemory`: the object loop, the
-  zero-object packed loop, and the naive
-  :class:`~repro.testing.oracles.ReferenceEngine` must return
-  bit-identical :class:`EngineStats` (windows small enough to
-  saturate the MSHR file).
+  :class:`~repro.testing.oracles.ToyMemory`: the packed loop and the
+  naive :class:`~repro.testing.oracles.ReferenceEngine` must return
+  bit-identical :class:`EngineStats` and MSHR counters (windows small
+  enough to saturate the MSHR file).
 * ``dram``    -- timed FIFO request streams, under every mapping
   scheme, through :class:`~repro.dram.system.DramSystem` and the naive
   :class:`~repro.testing.oracles.ReferenceDram`: per-request row
@@ -80,9 +82,11 @@ from repro.testing import generators
 from repro.testing.generators import GenConfig, setup_atoms
 from repro.testing.oracles import (
     ReferenceCache,
+    ReferenceCorun,
     ReferenceDram,
     ReferenceEngine,
     ToyMemory,
+    with_reference_engine,
 )
 from repro.testing.shrink import DEFAULT_BUDGET, shrink
 
@@ -144,7 +148,7 @@ class Lane:
 
 
 class PackedLane(Lane):
-    """Object tier vs. packed tier vs. the scalar packed loop, tri-way.
+    """Reference engine vs. packed tier vs. the scalar packed loop.
 
     Any pair diverging -- stats or full snapshot -- is a failure.  The
     ``packed`` tier legitimately falls back to the scalar loop on
@@ -155,7 +159,7 @@ class PackedLane(Lane):
 
     name = "packed"
     #: How each of the three machines runs the trace.
-    WAYS = ("object", "packed", "run_packed")
+    WAYS = ("reference", "packed", "run_packed")
 
     def make(self, rng: random.Random, length: int) -> Tuple[dict, list]:
         system = rng.choice(("baseline", "xmem", "xmem"))
@@ -196,26 +200,29 @@ class PackedLane(Lane):
         from repro.cpu.trace import strip_xmem
 
         systems = {way: self._build(params) for way in self.WAYS}
+        ref = with_reference_engine(systems["reference"])
         packed = PackedTrace.from_events(items)
         direct = systems["run_packed"]
         stats = {
-            "object": systems["object"].run(list(items),
-                                            engine_tier="object"),
+            "reference": ref.engine.run(
+                items if ref.xmemlib is not None else strip_xmem(items)),
             "packed": systems["packed"].run(packed, engine_tier="packed"),
             "run_packed": direct.engine.run_packed(
                 packed if direct.xmemlib is not None
                 else strip_xmem(packed)),
         }
+        want = stats["reference"]
         for way in self.WAYS[1:]:
-            if stats[way] != stats["object"]:
-                return (f"{way} stats diverged from object: "
-                        f"object={stats['object']} {way}={stats[way]}")
+            if stats[way] != want:
+                return (f"{way} stats diverged from reference: "
+                        f"reference={want} {way}={stats[way]}")
         snaps = {way: handle.stats_snapshot()
                  for way, handle in systems.items()}
         for way in self.WAYS[1:]:
-            if snaps[way] != snaps["object"]:
-                keys = _first_snapshot_delta(snaps["object"], snaps[way])
-                return f"{way} snapshot diverged from object at {keys}"
+            if snaps[way] != snaps["reference"]:
+                keys = _first_snapshot_delta(snaps["reference"],
+                                             snaps[way])
+                return f"{way} snapshot diverged from reference at {keys}"
         return None
 
     def to_json(self, items: list) -> list:
@@ -226,14 +233,14 @@ class PackedLane(Lane):
 
 
 class CorunLane(Lane):
-    """Legacy per-event co-run interleaver vs. the packed engine.
+    """Per-event reference interleaver vs. ``CorunSystem.run``.
 
-    The packed engine dispatches through ``run`` (so ineligible
-    machine shapes legitimately fall back to the legacy loop and the
-    comparison holds trivially, as in the packed lane); the oracle
-    side always takes ``run_events``.  Core 0 optionally carries XMem
-    semantics with atom churn, exercising yield-at-XMemOp scheduling
-    and the shared pin controller under interleaving.
+    Issue width 3 is outside the fast-forward domain
+    (:meth:`~repro.sim.corun.CorunSystem.packed_eligible`), so those
+    cases pit the heap's every-event-a-yield-point path against the
+    reference.  Core 0 optionally carries XMem semantics with atom
+    churn, exercising yield-at-XMemOp scheduling and the shared pin
+    controller under interleaving.
     """
 
     name = "corun"
@@ -260,15 +267,21 @@ class CorunLane(Lane):
             "xmem": [0] if mode == "xmem" else [],
             "atoms": atoms,
             "scale": rng.choice((16, 32)),
+            "issue_width": rng.choice((3, 4)),
         }
         return params, items
 
     def _build(self, params: dict):
-        from repro.sim.config import scaled_config
+        import dataclasses as dc
+
+        from repro.sim.config import CpuConfig, scaled_config
         from repro.sim.corun import CorunSystem
 
-        system = CorunSystem(scaled_config(params["scale"]),
-                             params["cores"],
+        # Reproducers written before the issue-width draw ran at the
+        # default width.
+        cfg = dc.replace(scaled_config(params["scale"]), cpu=CpuConfig(
+            issue_width=params.get("issue_width", 4)))
+        system = CorunSystem(cfg, params["cores"],
                              xmem_cores=tuple(params["xmem"]))
         for idx in params["xmem"]:
             setup_atoms(system.cores[idx].xmemlib,
@@ -279,18 +292,18 @@ class CorunLane(Lane):
         streams: List[list] = [[] for _ in range(params["cores"])]
         for core, ev in items:
             streams[core].append(ev)
-        obj_sys = self._build(params)
-        stats_obj = obj_sys.run_events([list(s) for s in streams])
+        ref_sys = self._build(params)
+        stats_ref = ReferenceCorun(ref_sys).run(streams)
         packed_sys = self._build(params)
         stats_packed = packed_sys.run(
             [PackedTrace.from_events(s) for s in streams])
-        if stats_obj != stats_packed:
-            return (f"core stats diverged: object={stats_obj} "
+        if stats_ref != stats_packed:
+            return (f"core stats diverged: reference={stats_ref} "
                     f"packed={stats_packed}")
-        snap_obj = obj_sys.stats_snapshot()
+        snap_ref = ref_sys.stats_snapshot()
         snap_packed = packed_sys.stats_snapshot()
-        if snap_obj != snap_packed:
-            keys = _first_snapshot_delta(snap_obj, snap_packed)
+        if snap_ref != snap_packed:
+            keys = _first_snapshot_delta(snap_ref, snap_packed)
             return f"stats snapshot diverged at {keys}"
         return None
 
@@ -396,7 +409,7 @@ class CacheLane(Lane):
 
 
 class EngineLane(Lane):
-    """Object loop vs. packed loop vs. naive reference engine."""
+    """Packed loop vs. naive reference engine."""
 
     name = "engine"
 
@@ -425,17 +438,15 @@ class EngineLane(Lane):
 
         opt = TraceEngine(toy(), issue_width=params["issue_width"],
                           window=params["window"])
-        got_obj = opt.run(list(items))
-        opt_packed = TraceEngine(toy(), issue_width=params["issue_width"],
-                                 window=params["window"])
-        got_packed = opt_packed.run(PackedTrace.from_events(items))
+        got = opt.run_packed(PackedTrace.from_events(items))
         ref = ReferenceEngine(toy(), issue_width=params["issue_width"],
                               window=params["window"])
-        want = ref.run(list(items))
-        if got_obj != want:
-            return f"object loop diverged: engine={got_obj} ref={want}"
-        if got_packed != want:
-            return f"packed loop diverged: engine={got_packed} ref={want}"
+        want = ref.run(items)
+        if got != want:
+            return f"packed loop diverged: engine={got} ref={want}"
+        if opt.mshr.stats != ref.mshr_stats:
+            return (f"MSHR counters diverged: engine={opt.mshr.stats} "
+                    f"ref={ref.mshr_stats}")
         return None
 
     def to_json(self, items: list) -> list:

@@ -14,7 +14,13 @@ require the answers to agree exactly:
   a naive in-order interpreter with a plain-list outstanding-miss
   window (``min``/``remove`` instead of a heap).  Statistics must be
   bit-identical -- every arithmetic expression mirrors the engine, so
-  float accumulation order is the same.
+  float accumulation order is the same.  :func:`with_reference_engine`
+  puts one on a full machine, so the whole stats snapshot compares.
+* :class:`ReferenceCorun` vs. :meth:`repro.sim.corun.CorunSystem.run`:
+  the per-event co-run interleaver, an explicit ``(now, index)``
+  minimum over the unfinished cores instead of a heap, one object
+  event per step through the system's shared memory path.  Per-core
+  statistics and the full snapshot must be bit-identical.
 * :class:`ReferenceDram` vs. :class:`repro.dram.system.DramSystem`
   under FIFO issue: a naive open-row bank/channel timing model over
   :func:`reference_decompose`, the field-by-field restatement of the
@@ -165,18 +171,35 @@ class ReferenceEngine:
     outstanding-miss window as a list scanned with ``min``.  Every
     arithmetic expression restates the engine's, so the returned
     :class:`~repro.cpu.engine.EngineStats` is bit-identical for any
-    trace over the same memory behaviour.
+    trace over the same memory behaviour.  The window's
+    :class:`~repro.mem.mshr.MSHRStats` are counted with the MSHR
+    file's rule (one reservation per long access, one full stall per
+    reservation that found the window full) and, like the engine's,
+    accumulate across runs.
+
+    Speaks the engine's StatGroup protocol, so a machine whose engine
+    is swapped for a reference (:func:`with_reference_engine`)
+    snapshots the same tree as the original.
     """
 
     PIPELINED_LATENCY = 4.0
 
-    def __init__(self, memory, xmemlib=None, translate=None,
-                 issue_width: int = 4, window: int = 32) -> None:
+    def __init__(self, memory, xmemlib=None, issue_width: int = 4,
+                 window: int = 32) -> None:
+        from repro.cpu.engine import EngineStats
+        from repro.mem.mshr import MSHRStats
+
         self.memory = memory
         self.xmemlib = xmemlib
-        self.translate = translate
         self.issue_width = issue_width
         self.window = window
+        self.last_stats = EngineStats()
+        self.mshr_stats = MSHRStats()
+
+    def stat_groups(self):
+        """StatGroup protocol: the run's statistics and the window's."""
+        yield "", self.last_stats
+        yield "mshr", self.mshr_stats
 
     def run(self, trace: Trace):
         from repro.cpu.engine import EngineStats
@@ -188,6 +211,7 @@ class ReferenceEngine:
         slot = 1.0 / issue
         outstanding: List[float] = []
         stats = EngineStats()
+        mshr = self.mshr_stats
         for ev in trace:
             if isinstance(ev, MemAccess):
                 work = ev.work
@@ -196,11 +220,8 @@ class ReferenceEngine:
                     stats.instructions += work
                 stats.instructions += 1
                 stats.mem_accesses += 1
-                vaddr = ev.vaddr
-                if self.translate is not None:
-                    vaddr = self.translate(vaddr)
                 completes_at, to_memory = self.memory.access(
-                    vaddr, ev.is_write, now)
+                    ev.vaddr, ev.is_write, now)
                 if to_memory:
                     stats.misses_to_memory += 1
                 if completes_at - now > self.PIPELINED_LATENCY:
@@ -211,7 +232,9 @@ class ReferenceEngine:
                     if len(outstanding) >= self.window:
                         start = min(outstanding)
                         outstanding.remove(start)
+                        mshr.full_stalls += 1
                     outstanding.append(completes_at)
+                    mshr.reservations += 1
                     if start > now:
                         stats.stall_cycles += start - now
                         now = start
@@ -232,7 +255,98 @@ class ReferenceEngine:
             if tail > now:
                 now = tail
         stats.cycles = now
+        self.last_stats = stats
         return stats
+
+
+def with_reference_engine(handle):
+    """``handle`` (a :class:`~repro.sim.system.SystemHandle`) with its
+    engine replaced by a :class:`ReferenceEngine` over the same memory
+    side, XMem library, issue width and window.
+
+    The handle's stats tree keeps its shape, so a reference run on one
+    machine and an optimized run on an identically built twin compare
+    as whole snapshots.  Run the reference with ``handle.engine.run``
+    (``handle.run`` dispatches to the engine tiers); a baseline
+    machine's trace must have its XMem operations stripped first, as
+    :meth:`~repro.sim.system.SystemHandle.run` does.
+    """
+    engine = handle.engine
+    handle.engine = ReferenceEngine(
+        engine.memory, engine.xmemlib, issue_width=engine.issue_width,
+        window=engine.mshr.entries)
+    return handle
+
+
+# ---------------------------------------------------------------------------
+# Co-run reference
+# ---------------------------------------------------------------------------
+
+class ReferenceCorun:
+    """Per-event co-run interleaver over a :class:`CorunSystem`.
+
+    Restates :meth:`repro.sim.corun.CorunSystem.run` without its
+    structure: no packing, no heap, no fast-forwarding.  Each step
+    picks the unfinished core with the smallest ``(now, index)`` -- the
+    lowest core index breaks clock ties -- and interprets that core's
+    next object event; a memory access goes through the system's
+    shared ``_access`` path and the core's MSHR window with the
+    engine's stall rule.  A core whose stream is exhausted drains its
+    window and stops.  Per-core :class:`~repro.sim.corun.CoreStats`
+    and the system's full stats snapshot must be bit-identical to a
+    ``CorunSystem.run`` on an identically built twin.
+    """
+
+    PIPELINED_LATENCY = 4.0
+
+    def __init__(self, system) -> None:
+        self.system = system
+
+    def run(self, traces: List[Trace]):
+        from repro.core.errors import ConfigurationError
+
+        cores = self.system.cores
+        if len(traces) != len(cores):
+            raise ConfigurationError(
+                f"{len(cores)} cores need {len(cores)} traces")
+        streams = [iter(t) for t in traces]     # PackedTrace: events()
+        issue = self.system.config.cpu.issue_width
+        pending = list(range(len(cores)))
+        while pending:
+            idx = min(pending, key=lambda i: (cores[i].now, i))
+            core = cores[idx]
+            ev = next(streams[idx], None)
+            if ev is None:
+                tail = core.mshr.latest_completion()
+                if tail is not None and tail > core.now:
+                    core.now = tail
+                core.mshr.flush()
+                core.stats.cycles = core.now
+                pending.remove(idx)
+            elif isinstance(ev, MemAccess):
+                if ev.work:
+                    core.now += ev.work / issue
+                    core.stats.instructions += ev.work
+                core.stats.instructions += 1
+                core.stats.mem_accesses += 1
+                completes = self.system._access(
+                    core, ev.vaddr + core.offset, ev.is_write)
+                if completes - core.now > self.PIPELINED_LATENCY:
+                    start = core.mshr.reserve(core.now, completes)
+                    core.now = max(core.now, start) + 1.0 / issue
+                else:
+                    core.now += 1.0 / issue
+            elif isinstance(ev, Work):
+                core.now += ev.count / issue
+                core.stats.instructions += ev.count
+            elif isinstance(ev, XMemOp):
+                core.stats.instructions += 1
+                core.now += 1.0 / issue
+                if core.xmemlib is not None:
+                    getattr(core.xmemlib, ev.method)(*ev.args)
+            else:
+                raise TypeError(f"not a trace event: {ev!r}")
+        return [c.stats for c in cores]
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 engine fast path.
 
 The load-bearing property is the last test class: for **every**
-registered polybench kernel, `run_packed` over the packed columns
-produces bit-for-bit the same :class:`EngineStats` as the object-path
-interpreter over the reconstructed event stream, on both baseline and
-XMem machines.  Everything the figures report flows through one of
-those two paths, so their equivalence is what makes the packed format
-a pure optimization.
+registered polybench kernel, the packed tier over the packed columns
+produces bit-for-bit the same :class:`EngineStats` as the object-event
+reference interpreter (:class:`~repro.testing.oracles.ReferenceEngine`)
+over the reconstructed event stream, on both baseline and XMem
+machines.  Everything the figures report flows through the packed
+tier, so this equivalence is what makes the packed format a pure
+optimization.
 """
 
 import pytest
@@ -27,6 +28,7 @@ from repro.cpu.trace import (
 )
 from repro.sim.config import scaled_config
 from repro.sim.system import build_baseline, build_xmem
+from repro.testing.oracles import with_reference_engine
 from repro.workloads.polybench import KERNELS
 
 N = 16
@@ -139,22 +141,24 @@ class TestWithoutXmem:
 
 
 # ---------------------------------------------------------------------------
-# Engine fast path == object path, for every kernel
+# Engine fast path == object-event reference, for every kernel
 # ---------------------------------------------------------------------------
 
 def _stats_pair(kernel, system_builder, with_lib):
-    """(object-path stats, packed-path stats) on fresh twin machines."""
+    """(object-path, packed-path) (stats, full snapshot) pairs on fresh
+    twin machines."""
     cfg = scaled_config(32)
-    h_obj = system_builder(cfg)
+    h_obj = with_reference_engine(system_builder(cfg))
     packed_a = kernel.build_packed(N, TILE, lib=h_obj.xmemlib)
     trace_a = packed_a if with_lib else packed_a.without_xmem()
-    # Force the object interpreter: materialize the event stream.
+    # The reference interprets the materialized event stream.
     obj_stats = h_obj.engine.run(list(trace_a.events()))
 
     h_pk = system_builder(cfg)
     packed_b = kernel.build_packed(N, TILE, lib=h_pk.xmemlib)
     pk_stats = h_pk.run(packed_b)
-    return obj_stats, pk_stats
+    return ((obj_stats, h_obj.stats_snapshot()),
+            (pk_stats, h_pk.stats_snapshot()))
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))

@@ -106,12 +106,6 @@ class TestEngineTiming:
         assert stats.instructions == 11
         assert stats.cycles >= 5
 
-    def test_translation_applied(self):
-        mem = FakeMemory()
-        eng = TraceEngine(mem, translate=lambda va: va + 0x1000)
-        eng.run([MemAccess(0x10)])
-        assert mem.calls[0][0] == 0x1010
-
     def test_junk_event_raises(self):
         eng = TraceEngine(FakeMemory())
         with pytest.raises(TypeError):

@@ -14,12 +14,7 @@ wrongly.
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.cpu.tiers import (
-    ENGINE_TIERS,
-    EXACT_TIERS,
-    resolve_engine_tier,
-    run_tier,
-)
+from repro.cpu.tiers import ENGINE_TIERS, resolve_engine_tier, run_tier
 from repro.cpu.trace import MemAccess, PackedTrace, Work, XMemOp
 from repro.cpu.vector_engine import eligible, run_vector
 from repro.sim.config import scaled_config
@@ -102,6 +97,31 @@ def test_vector_mixed_events():
     assert h_vec.stats_snapshot() == h_pk.stats_snapshot()
 
 
+@pytest.mark.parametrize("system", ["baseline", "xmem"])
+@pytest.mark.parametrize("kernel,tile", [
+    ("gemm", 12), ("gemm", 48), ("mvt", 12), ("mvt", 48)])
+def test_sweep_points_match_reference(kernel, tile, system):
+    """The tier gate's sweep points (``repro sweep --kernels gemm,mvt
+    --n 48 --tiles 12,48``), built as the runner builds them: the
+    packed tier and the object-event reference engine give the same
+    EngineStats and the same full stats snapshot."""
+    from repro.cpu.trace import strip_xmem
+    from repro.sim.runner import SYSTEM_BUILDERS, SimPoint, record_trace
+    from repro.testing.oracles import with_reference_engine
+
+    point = SimPoint(kernel, 48, tile)
+    cfg = point.config()
+    recording = record_trace(kernel, 48, tile)
+    h_pk = SYSTEM_BUILDERS[system](cfg)
+    pk = h_pk.run(recording.replay(h_pk.xmemlib), "packed")
+    h_ref = with_reference_engine(SYSTEM_BUILDERS[system](cfg))
+    trace = recording.replay(h_ref.xmemlib)
+    ref = h_ref.engine.run(trace if h_ref.xmemlib is not None
+                           else strip_xmem(trace))
+    assert pk == ref
+    assert h_pk.stats_snapshot() == h_ref.stats_snapshot()
+
+
 # ---------------------------------------------------------------------------
 # Eligibility gates and the fallback contract
 # ---------------------------------------------------------------------------
@@ -118,11 +138,6 @@ class TestEligibility:
     def test_object_stream_is_not(self):
         h, trace = self._handle()
         assert not eligible(h.engine, list(trace.events()))
-
-    def test_translate_falls_back(self):
-        h, trace = self._handle()
-        h.engine.translate = lambda v: v
-        assert not eligible(h.engine, trace)
 
     def test_perfect_row_buffer_is_eligible(self):
         h, trace = self._handle()
@@ -203,7 +218,7 @@ def _suite_twin(name, accesses=8_000, perfect_rbl=False):
             streams=cfg.prefetcher.streams, degree=cfg.prefetcher.degree,
             line_bytes=cfg.line_bytes)
         memory = MemorySystem(hierarchy, dram, stride_prefetcher=stride)
-        engine = TraceEngine(memory, xmemlib=None, translate=None,
+        engine = TraceEngine(memory, xmemlib=None,
                              issue_width=cfg.cpu.issue_width,
                              window=cfg.cpu.window)
         return memory, engine
@@ -248,12 +263,12 @@ class TestTierSelector:
         assert resolve_engine_tier() == "packed"
 
     def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "object")
-        assert resolve_engine_tier() == "object"
+        monkeypatch.setenv("REPRO_ENGINE", "analytical")
+        assert resolve_engine_tier() == "analytical"
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "analytical")
-        assert resolve_engine_tier("object") == "object"
+        assert resolve_engine_tier("packed") == "packed"
 
     def test_unknown_tier_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "warp")
@@ -261,13 +276,14 @@ class TestTierSelector:
             resolve_engine_tier()
 
     def test_registry_shape(self):
-        assert ENGINE_TIERS == ("object", "packed", "analytical")
-        assert EXACT_TIERS == ("object", "packed")
+        assert ENGINE_TIERS == ("packed", "analytical")
 
     def test_vector_is_not_a_tier(self):
-        """One exact fast tier: the fused interpreter *is* packed."""
-        with pytest.raises(ConfigurationError, match="vector"):
-            resolve_engine_tier("vector")
+        """One exact tier: the fused interpreter *is* packed, and the
+        object-event interpreter lives on only as the test oracle."""
+        for name in ("vector", "object"):
+            with pytest.raises(ConfigurationError, match=name):
+                resolve_engine_tier(name)
 
     def test_packed_tier_runs_the_fused_interpreter(self, monkeypatch):
         from repro.cpu import vector_engine
@@ -284,15 +300,19 @@ class TestTierSelector:
         h.run(KERNELS["gemm"].build_packed(N, TILE), engine_tier="packed")
         assert calls == [True]
 
-    @pytest.mark.parametrize("tier", EXACT_TIERS)
-    def test_exact_tiers_agree_via_run_tier(self, tier):
+    @pytest.mark.parametrize("form", ["object", "packed"])
+    def test_exact_tiers_agree_via_run_tier(self, form):
+        """The exact tier through ``run_tier`` matches the scalar loop,
+        whether the caller passes an object stream or packed columns."""
         cfg = scaled_config(32)
         h_ref = build_xmem(cfg)
         trace = KERNELS["mvt"].build_packed(N, TILE, lib=h_ref.xmemlib)
         ref = h_ref.engine.run_packed(trace)
         h = build_xmem(cfg)
         trace2 = KERNELS["mvt"].build_packed(N, TILE, lib=h.xmemlib)
-        assert run_tier(h.engine, trace2, tier) == ref
+        if form == "object":
+            trace2 = list(trace2.events())
+        assert run_tier(h.engine, trace2, "packed") == ref
 
     def test_every_tier_accepts_object_streams(self):
         """Tier selection never changes what a caller may pass."""
@@ -302,21 +322,26 @@ class TestTierSelector:
             assert stats.mem_accesses == 1
 
     def test_system_handle_run_takes_tier(self, monkeypatch):
+        from repro.sim.analytical import estimate_packed
+
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         cfg = scaled_config(32)
-        h_ref = build_baseline(cfg)
         trace = KERNELS["gemm"].build_packed(N, TILE).without_xmem()
-        ref = h_ref.run(trace)          # default: packed
+        est = estimate_packed(build_baseline(cfg).engine, trace)
         h = build_baseline(cfg)
-        assert h.run(trace, engine_tier="object") == ref
+        assert h.run(trace, engine_tier="analytical") == est
+        assert h.run(trace) != est          # default: packed
 
     def test_system_handle_run_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "object")
+        from repro.sim.analytical import estimate_packed
+
+        monkeypatch.setenv("REPRO_ENGINE", "analytical")
         cfg = scaled_config(32)
-        h_ref = build_baseline(cfg)
         trace = KERNELS["gemm"].build_packed(N, TILE).without_xmem()
-        ref = h_ref.engine.run_packed(trace)
+        est = estimate_packed(build_baseline(cfg).engine, trace)
         h = build_baseline(cfg)
-        assert h.run(trace) == ref
+        assert h.run(trace) == est
+        assert h.run(trace, engine_tier="packed") != est
 
 
 # ---------------------------------------------------------------------------

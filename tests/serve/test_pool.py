@@ -206,19 +206,20 @@ class TestPerRunEngine:
 
     def test_engine_reaches_the_manifest_tier(self, pool_server):
         h = kernel_scenario(pool_server)
-        rid = submit_run(pool_server, h, [{}, {"engine": "object"}])
+        rid = submit_run(pool_server, h, [{}, {"engine": "analytical"}])
         doc = wait_run(pool_server, rid)
         assert doc["status"] == "done"
         tiers = {name: d["manifest"]["trace"]["tier"]
                  for name, d in doc["documents"].items()}
-        assert sorted(tiers.values()) == ["object", "packed"]
+        assert sorted(tiers.values()) == ["analytical", "packed"]
         # The override is recorded in the serve block and the
         # manifest env, exactly like REPRO_ENGINE on a CLI sweep.
         for name, d in doc["documents"].items():
             serve_block = d["manifest"]["serve"]
-            if tiers[name] == "object":
-                assert serve_block["engine"] == "object"
-                assert d["manifest"]["env"]["REPRO_ENGINE"] == "object"
+            if tiers[name] == "analytical":
+                assert serve_block["engine"] == "analytical"
+                assert d["manifest"]["env"]["REPRO_ENGINE"] == \
+                    "analytical"
             else:
                 assert "engine" not in serve_block
 
@@ -226,7 +227,7 @@ class TestPerRunEngine:
         h = kernel_scenario(pool_server)
         wait_run(pool_server, submit_run(pool_server, h, [{}]))
         doc = wait_run(pool_server, submit_run(
-            pool_server, h, [{"engine": "object"}]))
+            pool_server, h, [{"engine": "analytical"}]))
         assert doc["status"] == "done"
         _, state = call(pool_server, "GET", "/debug/state")
         # Different engine, different point: no dedup.
@@ -250,15 +251,15 @@ class TestPerRunEngine:
             try:
                 h = kernel_scenario(srv)
                 final = wait_run(srv, submit_run(
-                    srv, h, [{"engine": "object"}]))
+                    srv, h, [{"engine": "analytical"}]))
                 assert final["status"] == "done"
                 (doc,) = final["documents"].values()
             finally:
                 stop_server(srv, thread)
             manifest = doc["manifest"]
-            assert manifest["trace"]["tier"] == "object"
-            assert manifest["env"]["REPRO_ENGINE"] == "object"
-            assert manifest["serve"]["engine"] == "object"
+            assert manifest["trace"]["tier"] == "analytical"
+            assert manifest["env"]["REPRO_ENGINE"] == "analytical"
+            assert manifest["serve"]["engine"] == "analytical"
             # Wall times, and whether the recording came from the
             # server's memo or the child's, are per-process facts.
             del manifest["phases"]

@@ -178,7 +178,7 @@ class TestShapes:
         assert doc["status"] == "ok"
         assert doc["workers"] == {"alive": 2, "configured": 2}
         assert doc["queue_depth"] == 0
-        assert doc["engine_tier"] in ("object", "packed", "analytical")
+        assert doc["engine_tier"] in ("packed", "analytical")
         assert doc["uptime_s"] >= 0
 
     def test_debug_state(self, server):
@@ -647,7 +647,7 @@ class TestEngineEnvRegression:
     @pytest.mark.parametrize("value,want", [
         ("packed", "packed"),
         ("  packed\n", "packed"),
-        (" object ", "object"),
+        (" analytical ", "analytical"),
         ("   ", "packed"),
         ("", "packed"),
     ])
@@ -712,13 +712,14 @@ class TestSpecAndConfigUnits:
         # A valid tier is accepted and becomes part of the point
         # identity: the same scenario under two engines is two points.
         plain = normalize_config(self._entry(), {})
-        obj = normalize_config(self._entry(), {"engine": "object"})
+        est = normalize_config(self._entry(), {"engine": "analytical"})
         assert plain["engine"] is None
-        assert obj["engine"] == "object"
-        assert config_hash(plain) != config_hash(obj)
+        assert est["engine"] == "analytical"
+        assert config_hash(plain) != config_hash(est)
         # Whitespace normalizes like the CLI/env spelling does.
         assert normalize_config(
-            self._entry(), {"engine": " object "})["engine"] == "object"
+            self._entry(), {"engine": " analytical "})["engine"] \
+            == "analytical"
 
     def test_unknown_engine_tier_is_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):

@@ -84,7 +84,8 @@ class TestGeneratorFamilies:
 
 
 def _suite_machine(name):
-    """One Use-Case-2 baseline machine + event stream for a workload."""
+    """One Use-Case-2 baseline machine + the workload's physical
+    stream, translated while packing as the Use Case 2 runner does."""
     wl = BY_NAME[name]
     cfg = usecase2_config()
     osys = OperatingSystem(cfg.dram_geometry, mapping=uc2.XMEM_MAPPING,
@@ -98,7 +99,7 @@ def _suite_machine(name):
                                    degree=cfg.prefetcher.degree,
                                    line_bytes=cfg.line_bytes)
     memory = MemorySystem(hierarchy, dram, stride_prefetcher=stride)
-    engine = TraceEngine(memory, xmemlib=None, translate=proc.translate,
+    engine = TraceEngine(memory, xmemlib=None,
                          issue_width=cfg.cpu.issue_width,
                          window=cfg.cpu.window)
     events = []
@@ -106,7 +107,7 @@ def _suite_machine(name):
         if i >= 12_000:
             break
         events.append(ev)
-    return engine, events
+    return engine, uc2._pack_physical(events, proc.translate)
 
 
 class TestSuiteBound:
@@ -116,9 +117,9 @@ class TestSuiteBound:
 
     @pytest.mark.parametrize("name", SUBSET)
     def test_miss_count_within_bound(self, name):
-        engine, events = _suite_machine(name)
-        exact = engine.run(list(events))
-        est = estimate(engine, PackedTrace.from_events(events))
+        engine, packed = _suite_machine(name)
+        exact = engine.run(packed)
+        est = estimate(engine, packed)
         got = est.stats.misses_to_memory
         want = exact.misses_to_memory
         assert want > 0

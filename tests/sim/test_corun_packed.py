@@ -1,22 +1,26 @@
-"""The packed co-run interleaver vs. the legacy per-event oracle.
+"""The co-run interleaver vs. the per-event reference oracle.
 
-The heap-scheduled batched engine (:meth:`CorunSystem.run_packed`)
-must be bit-identical to the legacy ``run_events`` loop -- CoreStats
-and the full stats snapshot -- on real suite-catalog tenant mixes,
-baseline and XMem.  Plus unit coverage of the global pin controller's
-budget edge cases.
+:meth:`CorunSystem.run` (heap-scheduled, with private stretches
+fast-forwarded) must be bit-identical to
+:class:`~repro.testing.oracles.ReferenceCorun` -- CoreStats and the
+full stats snapshot -- on real suite-catalog tenant mixes, baseline
+and XMem, and on a machine shape outside the fast-forward domain.
+Plus unit coverage of the global pin controller's budget edge cases.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from repro.core.attributes import PatternType
 from repro.core.xmemlib import XMemLib
 from repro.mem.cache import Cache
-from repro.sim.config import scaled_config
+from repro.sim.config import CpuConfig, scaled_config
 from repro.sim.corun import CorunSystem, MultiProcessController
 from repro.sim.runner import record_suite_trace
+from repro.testing.oracles import ReferenceCorun
 
 PAIRS = [
     ("mcf", "lbm"),
@@ -25,9 +29,12 @@ PAIRS = [
 ]
 
 
-def run_pair(names, mode, engine, accesses=2500, footprint_div=256):
-    """One mix through the selected engine (None = ``run`` dispatch)."""
-    cfg = scaled_config(32)
+def run_pair(names, mode, engine, accesses=2500, footprint_div=256,
+             cfg=None):
+    """One mix through ``engine``: ``"reference"`` (the per-event
+    oracle), ``"packed"`` (``CorunSystem.run``) or ``"object"``
+    (``CorunSystem.run`` over materialized event streams)."""
+    cfg = cfg or scaled_config(32)
     xmem = (0,) if mode == "xmem" else ()
     system = CorunSystem(cfg, len(names), xmem_cores=xmem)
     traces = []
@@ -37,33 +44,49 @@ def run_pair(names, mode, engine, accesses=2500, footprint_div=256):
             traces.append(recording.replay(core.xmemlib))
         else:
             traces.append(recording.packed.without_xmem())
-    run = {"object": system.run_events,
-           "packed": system.run_packed,
-           None: system.run}[engine]
-    return run(traces), system.stats_snapshot()
+    if engine == "reference":
+        stats = ReferenceCorun(system).run(traces)
+    elif engine == "object":
+        stats = system.run([list(t.events()) for t in traces])
+    else:
+        stats = system.run(traces)
+    return stats, system.stats_snapshot()
 
 
 @pytest.mark.parametrize("mode", ["baseline", "xmem"])
 @pytest.mark.parametrize("names", PAIRS,
                          ids=["+".join(p) for p in PAIRS])
 def test_packed_bit_identical_to_legacy(names, mode):
-    stats_obj, snap_obj = run_pair(names, mode, "object")
+    """``mcf+lbm`` at 2500 accesses and footprint-div 256 is the
+    ``repro corun`` mix the CI corun gate pins."""
+    stats_ref, snap_ref = run_pair(names, mode, "reference")
     stats_packed, snap_packed = run_pair(names, mode, "packed")
-    for legacy, packed in zip(stats_obj, stats_packed):
-        assert (packed.cycles, packed.instructions,
-                packed.mem_accesses, packed.llc_misses) == (
-            legacy.cycles, legacy.instructions,
-            legacy.mem_accesses, legacy.llc_misses)
-    assert snap_obj == snap_packed
+    assert stats_packed == stats_ref
+    assert snap_packed == snap_ref
 
 
-def test_run_dispatch_honours_engine_tier(monkeypatch):
-    """All-packed traces take the batched engine by default; the
-    oracle stays selectable via REPRO_ENGINE -- and both agree."""
-    stats_default, _ = run_pair(PAIRS[0], "xmem", None)
-    monkeypatch.setenv("REPRO_ENGINE", "object")
-    stats_object, _ = run_pair(PAIRS[0], "xmem", None)
-    assert stats_default == stats_object
+def test_run_packs_object_streams():
+    """Object event streams are packed first and take the same
+    interleaver: identical stats and snapshot."""
+    stats_packed, snap_packed = run_pair(PAIRS[0], "xmem", "packed")
+    stats_object, snap_object = run_pair(PAIRS[0], "xmem", "object")
+    assert stats_object == stats_packed
+    assert snap_object == snap_packed
+
+
+@pytest.mark.parametrize("mode", ["baseline", "xmem"])
+def test_ineligible_shape_matches_reference(mode):
+    """Issue width 3 is off the dyadic time grid, so the heap runs
+    without fast-forwarding -- every event a yield point -- and must
+    still match the reference exactly."""
+    cfg = dataclasses.replace(scaled_config(32),
+                              cpu=CpuConfig(issue_width=3))
+    assert not CorunSystem(cfg, 2).packed_eligible()
+    stats_ref, snap_ref = run_pair(PAIRS[0], mode, "reference", cfg=cfg)
+    stats_packed, snap_packed = run_pair(PAIRS[0], mode, "packed",
+                                         cfg=cfg)
+    assert stats_packed == stats_ref
+    assert snap_packed == snap_ref
 
 
 # -- MultiProcessController.refresh edge cases --------------------------

@@ -48,7 +48,8 @@ class TestRunSystem:
 
 
 class TestEngineTiers:
-    """Use Case 2 runs on the exact tiers, translated while packing."""
+    """Use Case 2 runs on the exact packed tier, translated while
+    packing."""
 
     SYSTEMS = ("baseline", "xmem", "ideal")
     SMALL = 3_000
@@ -57,13 +58,21 @@ class TestEngineTiers:
     @pytest.mark.parametrize("name", ["lbm", "mcf"])
     def test_object_and_packed_tiers_bit_identical(self, monkeypatch,
                                                    name, system):
-        runs = {}
-        for tier in ("object", "packed"):
-            monkeypatch.setenv("REPRO_ENGINE", tier)
-            runs[tier] = run_system(BY_NAME[name], system,
-                                    accesses=self.SMALL, collect=True)
-        assert runs["object"].stats == runs["packed"].stats
-        assert runs["object"].record == runs["packed"].record
+        """The object-event reference interpreter and the packed tier:
+        the same run record and the same full stats snapshot."""
+        from repro.sim import usecase2
+        from repro.testing.oracles import ReferenceEngine
+
+        packed = run_system(BY_NAME[name], system, accesses=self.SMALL,
+                            collect=True)
+        with monkeypatch.context() as mp:
+            mp.setattr(usecase2, "TraceEngine", ReferenceEngine)
+            mp.setattr(usecase2, "run_tier",
+                       lambda engine, trace, tier=None: engine.run(trace))
+            reference = run_system(BY_NAME[name], system,
+                                   accesses=self.SMALL, collect=True)
+        assert reference.stats == packed.stats
+        assert reference.record == packed.record
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_every_machine_shape_is_fused(self, monkeypatch, system):
@@ -112,7 +121,7 @@ class TestMappingPins:
     """Use Case 2 stats under each candidate mapping stay what they were.
 
     The mapping decides the frames the OS hands out and the DRAM bank
-    and row of every access; the object and packed tiers share it, so
+    and row of every access; the engine and its reference share it, so
     only fixed digests can see it drift.
     """
 

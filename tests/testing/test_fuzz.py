@@ -111,7 +111,7 @@ class TestMutationCanary:
         assert replay(report.corpus_paths[0]) is None
 
     def test_packed_lane_catches_engine_skew(self):
-        """A packed-loop-only off-by-one diverges from the object loop."""
+        """A packed-loop-only off-by-one diverges from the reference."""
         from repro.cpu.engine import TraceEngine
 
         real = TraceEngine.run_packed
@@ -129,8 +129,9 @@ class TestMutationCanary:
 
     def test_vector_lane_catches_vector_drift(self):
         """A counter skew in the fused interpreter (``vector_engine``)
-        diverges from both exact references in the three-way packed
-        lane, and trips no lane that does not run it."""
+        diverges from the reference engine and the scalar loop in the
+        three-way packed lane, and trips no lane that does not run
+        it."""
         from repro.cpu import vector_engine
 
         real = vector_engine.run_vector

@@ -4,18 +4,23 @@ These are directed unit tests of the oracles themselves -- the fuzz
 lanes (:mod:`repro.testing.fuzz`) add randomized coverage on top.
 """
 
+import dataclasses
 import random
 
 from repro.cpu.engine import TraceEngine
-from repro.cpu.trace import PackedTrace, TraceBuilder
+from repro.cpu.trace import MemAccess, PackedTrace, TraceBuilder
 from repro.dram.system import DramSystem
 from repro.mem.cache import Cache
+from repro.sim.config import CpuConfig, scaled_config
+from repro.sim.corun import CorunSystem
 from repro.testing.generators import GenConfig, generate_lines, generate_trace
 from repro.testing.oracles import (
     ReferenceCache,
+    ReferenceCorun,
     ReferenceDram,
     ReferenceEngine,
     ToyMemory,
+    with_reference_engine,
 )
 
 
@@ -90,6 +95,36 @@ class TestReferenceEngineVsTraceEngine:
         c = ReferenceEngine(ToyMemory(3), window=2).run(packed)
         assert a == b == c
 
+    def test_mshr_counters_match(self):
+        """Reservations and full stalls follow the MSHR file's rule."""
+        for seed in range(4):
+            events, _ = self.build_trace(seed)
+            opt = TraceEngine(ToyMemory(seed), window=2)
+            ref = ReferenceEngine(ToyMemory(seed), window=2)
+            opt.run(events)
+            ref.run(events)
+            assert opt.mshr.stats == ref.mshr_stats
+            assert ref.mshr_stats.full_stalls > 0
+
+    def test_swapped_into_a_machine_snapshot_matches(self):
+        """A full machine with the reference engine snapshots the same
+        tree -- engine, MSHR and every memory-side counter -- as its
+        twin on the packed tier."""
+        from repro.sim.system import build_xmem
+        from repro.testing.generators import setup_atoms
+
+        gen = GenConfig(seed=4, length=400, atoms=3, churn=0.3)
+        events, packed = generate_trace(gen)
+        machines = []
+        for _ in range(2):
+            handle = build_xmem(scaled_config(32))
+            setup_atoms(handle.xmemlib, gen)
+            machines.append(handle)
+        ref, opt = machines
+        with_reference_engine(ref).engine.run(events)
+        opt.run(packed)
+        assert ref.stats_snapshot() == opt.stats_snapshot()
+
     def test_window_one_serializes(self):
         events, _ = self.build_trace(8)
         one = ReferenceEngine(ToyMemory(8, miss_rate=1.0), window=1)
@@ -132,3 +167,36 @@ class TestToyMemory:
         completes, to_memory = mem.access(0, False, 0.0)
         assert to_memory
         assert completes > TraceEngine.PIPELINED_LATENCY
+
+
+class TestReferenceCorunVsCorunSystem:
+    def _system(self, issue_width=4):
+        cfg = dataclasses.replace(scaled_config(16),
+                                  cpu=CpuConfig(issue_width=issue_width))
+        return CorunSystem(cfg, 2)
+
+    def test_bit_identical(self):
+        """Fast-forwarded (width 4) and every-event (width 3) heap runs
+        both match the per-event reference."""
+        streams = [generate_trace(GenConfig(seed=s, length=300))[0]
+                   for s in (1, 2)]
+        for width in (3, 4):
+            ref_sys, opt_sys = self._system(width), self._system(width)
+            assert opt_sys.packed_eligible() is (width == 4)
+            assert ReferenceCorun(ref_sys).run(streams) \
+                == opt_sys.run(streams)
+            assert ref_sys.stats_snapshot() == opt_sys.stats_snapshot()
+
+    def test_ties_go_to_the_lowest_core(self):
+        system = self._system()
+        order = []
+        real = system._access
+
+        def spy(core, addr, is_write):
+            order.append(core.index)
+            return real(core, addr, is_write)
+
+        system._access = spy
+        stream = [MemAccess(0x1000)]
+        ReferenceCorun(system).run([stream, stream])
+        assert order == [0, 1]
