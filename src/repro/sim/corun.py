@@ -24,9 +24,16 @@ residency probing, inline replacement updates, exact dyadic-grid time
 accumulation), so the core yields control only at *yield points*:
 accesses that can leave the L1 (they may ripple writebacks into the
 shared LLC/DRAM or consume shared prefetch state) and XMemOps (they can
-retrigger the global pinning decision).  Yield points execute through
-one shared ``_access`` path, in timestamp order with the lowest core
-index breaking ties.  Machine shapes outside the fast-forward domain
+retrigger the global pinning decision).  Yield points execute in
+timestamp order, the lowest core index breaking ties, through one
+fused memory-path body built per run (:meth:`CorunSystem._yield_body`):
+the L1/L2/LLC probes, fills and victim ripples, prefetch issue and the
+MSHR reserve written out over hoisted tables, in the order the method
+descent (:class:`repro.testing.oracles.ReferenceCorun`) performs them,
+so every float sum is the same.  The body is specialised to the one
+machine shape every caller builds (``scaled_config``: LRU L1, DRRIP
+L2/L3, power-of-two lines), which the constructor enforces.  Machine
+shapes outside the fast-forward domain
 (:meth:`CorunSystem.packed_eligible`) skip fast-forwarding: every dense
 event is then a yield point.
 
@@ -36,9 +43,12 @@ while sibling cores are still behind in model time: only the *order of
 shared interactions* is observable, and the heap fixes it.  The
 per-event reference interleaver,
 :class:`repro.testing.oracles.ReferenceCorun`, steps one event of the
-``(now, index)``-smallest core at a time; per-core :class:`CoreStats`
-and every counter must be bit-identical to it (fuzz lane ``corun``,
-pins in ``tests/sim/test_corun_packed.py``).
+``(now, index)``-smallest core at a time through its own method
+descent over the system's components; per-core :class:`CoreStats` and
+every counter must be bit-identical to it (fuzz lane ``corun``, pins
+in ``tests/sim/test_corun_packed.py``).  With ``REPRO_CHECK=1`` the
+fused body re-derives every cache set a yield point touched and the
+MSHR occupancy after each reservation.
 """
 
 from __future__ import annotations
@@ -62,13 +72,19 @@ from repro.cpu.trace import (
     PackedTrace,
     Trace,
 )
-from repro.cpu.vector_engine import BATCHABLE_POLICIES, dyadic_k
+from repro.cpu.vector_engine import dyadic_k
 from repro.dram.system import DramSystem
-from repro.mem.cache import Cache
-from repro.mem.replacement import LRUPolicy, RandomPolicy
+from repro.mem.cache import INVALID_TAG, Cache
+from repro.mem.replacement import (
+    RRPV_LONG,
+    RRPV_MAX,
+    BRRIPPolicy,
+    DRRIPPolicy,
+)
 from repro.mem.mshr import MSHRFile
 from repro.mem.prefetch import MultiStridePrefetcher, XMemPrefetcher
 from repro.sim.config import SimConfig
+from repro.testing import checks as _checks
 
 #: Address-space stride between co-running applications.
 APP_SPACE = 1 << 40
@@ -82,6 +98,10 @@ _ADDR_BOUND = 1 << 61
 
 # Yield kinds of a planned cursor.
 _Y_MEM, _Y_XMEM, _Y_END = 0, 1, 2
+
+#: The replacement policy of each level the fused memory path is
+#: written for (the ``scaled_config`` shape every caller builds).
+LEVEL_POLICIES = (("L1", "lru"), ("L2", "drrip"), ("L3", "drrip"))
 
 
 @dataclass
@@ -243,7 +263,11 @@ class MultiProcessController:
         spans = self._pin_spans.get(offset)
         if not spans:
             return False
-        return any(s <= global_addr < e for s, e in spans)
+        # Once per LLC fill; a plain loop avoids the generator frame.
+        for s, e in spans:
+            if s <= global_addr < e:
+                return True
+        return False
 
     def stat_groups(self):
         """StatGroup protocol: a lazy summary of the pinning decision."""
@@ -269,6 +293,15 @@ class CorunSystem:
             raise ConfigurationError(f"need at least one core: {n_cores}")
         if len(config.levels) != 3:
             raise ConfigurationError("corun expects an L1/L2/L3 config")
+        for level, (name, policy) in zip(config.levels, LEVEL_POLICIES):
+            if level.policy != policy:
+                raise ConfigurationError(
+                    f"corun's {name} must use {policy!r}, "
+                    f"not {level.policy!r}")
+        if config.line_bytes & (config.line_bytes - 1):
+            raise ConfigurationError(
+                f"corun expects a power-of-two line size: "
+                f"{config.line_bytes}")
         self.config = config
         l3 = config.levels[2]
         self.llc = Cache("sharedL3", l3.size_bytes, l3.ways,
@@ -351,7 +384,8 @@ class CorunSystem:
 
         Object event streams are packed first.  The heap pops the core
         with the smallest ``(now, index)``, which executes its planned
-        yield point and plans its next one.
+        yield point (an XMemOp here, a dense event through the fused
+        body of :meth:`_yield_body`) and plans its next one.
         """
         if len(traces) != len(self.cores):
             raise ConfigurationError(
@@ -359,6 +393,7 @@ class CorunSystem:
             )
         self._fast_forward = self.packed_eligible()
         issue = self._issue
+        step = self._yield_body()
         cursors = [_PackedCursor(core, trace if type(trace) is PackedTrace
                                  else PackedTrace.from_events(trace))
                    for core, trace in zip(self.cores, traces)]
@@ -388,7 +423,7 @@ class CorunSystem:
                     getattr(core.xmemlib, op.method)(*op.args)
                 cur.xi += 1
             else:
-                self._exec_packed_event(cur)
+                step(cur)
             self._plan(cur)
             heappush(heap, (core.now, idx))
         return [c.stats for c in self.cores]
@@ -398,27 +433,20 @@ class CorunSystem:
     def packed_eligible(self) -> bool:
         """Whether the machine shape admits the batched fast path.
 
-        The gate mirrors :func:`repro.cpu.vector_engine.eligible`:
-        plain :class:`Cache` L1s under a batchable policy with
-        shift-decomposable geometry, no prefetched L1 tags (co-run
-        prefetches only fill the LLC, so this holds by construction),
-        and every time quantum on one dyadic grid so batched ``now``
-        accumulation is exact.  Failing the gate turns fast-forwarding
-        off -- every event then executes as a yield point -- so the
-        gate never changes the model, only how fast it is evaluated.
+        The constructor already fixes the L1 to a shift-decomposable
+        LRU cache that never holds prefetched tags (co-run prefetches
+        only fill the LLC), so what remains of
+        :func:`repro.cpu.vector_engine.eligible` is time: every quantum
+        on one dyadic grid, so batched ``now`` accumulation is exact.
+        Failing the gate turns fast-forwarding off -- every event then
+        executes as a yield point -- so the gate never changes the
+        model, only how fast it is evaluated.
         """
         issue = self.config.cpu.issue_width
         if issue <= 0 or issue & (issue - 1):
             return False
         lats = [float(self.llc_lat)]
         for core in self.cores:
-            l1 = core.l1
-            if type(l1) is not Cache or l1._line_shift is None:
-                return False
-            if type(l1.policy) not in BATCHABLE_POLICIES:
-                return False
-            if l1._prefetched_tags:
-                return False
             lats.append(float(core.l1_lat))
             lats.append(float(core.l2_lat))
         timing = self.dram.timing
@@ -430,34 +458,6 @@ class CorunSystem:
         # every addition in a batched sum is exact.
         self._now_limit = float(1 << (52 - k))
         return True
-
-    def _exec_packed_event(self, cur: _PackedCursor) -> None:
-        """Execute the dense event at ``cur.pos`` (a Work block or a
-        memory access through the shared ``_access`` path)."""
-        core = cur.core
-        issue = self._issue
-        pos = cur.pos
-        m = cur.tm[pos]
-        cur.pos = pos + 1
-        if m & META_WORK_BIT:
-            count = m >> META_COUNT_SHIFT
-            core.now += count / issue
-            core.stats.instructions += count
-            return
-        work = m >> META_COUNT_SHIFT
-        if work:
-            core.now += work / issue
-            core.stats.instructions += work
-        core.stats.instructions += 1
-        core.stats.mem_accesses += 1
-        addr = cur.tv[pos] + core.offset
-        completes = self._access(core, addr, bool(m & META_WRITE_BIT))
-        latency = completes - core.now
-        if latency > 4.0:
-            start = core.mshr.reserve(core.now, completes)
-            core.now = max(core.now, start) + 1.0 / issue
-        else:
-            core.now += 1.0 / issue
 
     def _plan(self, cur: _PackedCursor) -> None:
         """Fast-forward the core's private prefix and record the next
@@ -540,12 +540,11 @@ class CorunSystem:
         Walks positions with set/tag/write pre-decomposed (no per-event
         address arithmetic), probing the *live* L1 tag table, and
         applies each hit's replacement/dirty effect inline -- the same
-        per-event state writes an L1 hit through ``_access`` performs
-        (LRU: one clock tick and a stamp; RRIP: RRPV promotion to 0;
-        random: nothing), so no replay pass is needed.  Counters and model time
-        for the whole run then commit in one batched step.  Probes are
-        live, so snapshot staleness never matters here.  True iff
-        ``bound`` reached.
+        per-event state writes an L1 hit performs (one LRU clock tick
+        and a stamp, the dirty bit of a write), so no replay pass is
+        needed.  Counters and model time for the whole run then commit
+        in one batched step.  Probes are live, so snapshot staleness
+        never matters here.  True iff ``bound`` reached.
         """
         core = cur.core
         l1 = core.l1
@@ -559,56 +558,23 @@ class CorunSystem:
         start = pos = cur.pos
         i = pos - base
         pol = l1.policy
-        tpol = type(pol)
-        if tpol is LRUPolicy:
-            clock = pol._clock
-            stamp = pol._stamp
-            while pos < bound:
-                if cmem[i]:
-                    sidx = csets[i]
-                    tags = l1_tags[sidx]
-                    try:
-                        w = tags.index(ctags[i])
-                    except ValueError:
-                        break
-                    clock += 1
-                    stamp[sidx][w] = clock
-                    if cwr[i]:
-                        l1_dirty[sidx][w] = True
-                pos += 1
-                i += 1
-            pol._clock = clock
-        elif tpol is RandomPolicy:
-            while pos < bound:
-                if cmem[i]:
-                    sidx = csets[i]
-                    tags = l1_tags[sidx]
-                    if cwr[i]:
-                        try:
-                            w = tags.index(ctags[i])
-                        except ValueError:
-                            break
-                        l1_dirty[sidx][w] = True
-                    elif ctags[i] not in tags:
-                        break
-                pos += 1
-                i += 1
-        else:
-            # The RRIP family: a hit promotes the line to RRPV 0.
-            rrpv = pol._rrpv
-            while pos < bound:
-                if cmem[i]:
-                    sidx = csets[i]
-                    tags = l1_tags[sidx]
-                    try:
-                        w = tags.index(ctags[i])
-                    except ValueError:
-                        break
-                    rrpv[sidx][w] = 0
-                    if cwr[i]:
-                        l1_dirty[sidx][w] = True
-                pos += 1
-                i += 1
+        clock = pol._clock
+        stamp = pol._stamp
+        while pos < bound:
+            if cmem[i]:
+                sidx = csets[i]
+                tags = l1_tags[sidx]
+                try:
+                    w = tags.index(ctags[i])
+                except ValueError:
+                    break
+                clock += 1
+                stamp[sidx][w] = clock
+                if cwr[i]:
+                    l1_dirty[sidx][w] = True
+            pos += 1
+            i += 1
+        pol._clock = clock
         if pos > start:
             i0 = start - base
             i1 = pos - base - 1
@@ -624,8 +590,8 @@ class CorunSystem:
         """Fallback planner over the raw packed columns (no numpy, or
         addresses outside the int64-safe window).
 
-        Interprets hit events one at a time with the arithmetic of
-        :meth:`_exec_packed_event` -- pure Python ints, so it is exact
+        Interprets hit events one at a time with the arithmetic of the
+        yield-point body -- pure Python ints, so it is exact
         for any addresses -- and yields at the first probe miss.  True
         iff ``bound`` reached.
         """
@@ -719,76 +685,385 @@ class CorunSystem:
         l1stats.accesses += n_mem
         l1stats.hits += n_mem
 
-    # -- Shared memory path ----------------------------------------------
+    # -- Fused memory path ------------------------------------------------
 
-    def _access(self, core: _Core, addr: int, is_write: bool) -> float:
-        line = addr - addr % self._line_bytes
-        now = core.now
-        # Private L1.
-        if core.l1.access(line, is_write).hit:
-            return now + 1.0
-        t = now + core.l1_lat
-        # Private L2.
-        if core.l2.access(line, False).hit:
-            self._fill_private(core, line, is_write, l2_resident=True)
-            return t + core.l2_lat
-        t += core.l2_lat
-        # Shared L3.
-        result = self.llc.access(line, False)
-        t += self.llc_lat
-        if self.stride_pf is not None:
-            for target in self.stride_pf.observe(line):
-                self._prefetch(target, now)
-        if result.hit:
-            ready = self._prefetch_ready.pop(line, None)
-            if ready is not None and ready > t:
-                t = ready
-            self._fill_private(core, line, is_write)
-            return t
-        core.stats.llc_misses += 1
-        res = self.dram.access(line, t, is_write=False)
-        self._prefetch_ready.pop(line, None)
-        wb = self.llc.fill(line,
-                           pinned=self.controller.pin_predicate(line))
-        if wb is not None:
-            self.dram.access(wb, t, is_write=True)
-        if core.xmem_pf is not None:
-            for target in core.xmem_pf.on_demand_miss(line):
-                self._prefetch(target, now)
-        self._fill_private(core, line, is_write)
-        return res.completes_at
+    def _yield_body(self):
+        """Build the yield-point body of one :meth:`run`.
 
-    def _fill_private(self, core: _Core, line: int, is_write: bool,
-                      l2_resident: bool = False) -> None:
-        # Callers establish the line's L2 state within the same
-        # ``_access`` (nothing in between touches the private levels):
-        # a resident merge with no flags is a no-op, and an absent
-        # line can fill without the presence re-scan.  The writeback
-        # ripples keep plain :meth:`Cache.fill` -- an L1 victim is
-        # usually still L2-resident.
-        if not l2_resident:
-            wb2 = core.l2.fill_absent(line)
-            if wb2 is not None:
-                wb3 = self.llc.fill(wb2, dirty=True)
-                if wb3 is not None:
-                    self.dram.access(wb3, core.now, is_write=True)
-        wb1 = core.l1.fill_absent(line, dirty=is_write)
-        if wb1 is not None:
-            wb2 = core.l2.fill(wb1, dirty=True)
-            if wb2 is not None:
-                wb3 = self.llc.fill(wb2, dirty=True)
-                if wb3 is not None:
-                    self.dram.access(wb3, core.now, is_write=True)
+        Returns ``step(cur)``, which executes the dense event at
+        ``cur.pos``: a Work block, or a memory access through the
+        core's L1 and L2, the shared LLC, DRAM and the core's MSHR
+        window.  Every per-core and shared table is hoisted here, once
+        per run; the body then performs the method descent of
+        :class:`repro.testing.oracles.ReferenceCorun` -- ``Cache.access``
+        / ``fill_absent`` / ``fill``, the replacement hooks, the
+        prefetchers and ``MSHRFile.reserve`` -- written out for the
+        shape the constructor enforces (LRU L1, DRRIP L2/L3, pins and
+        prefetched tags only at the LLC), statement for statement in
+        the same order, so counters and float sums are identical.
+        Scalar replacement state (the L1 clock, which the planner also
+        advances, and the DRRIP duel counters) is read and written
+        through its owner on every use.  DRAM stays behind
+        :meth:`DramSystem.access_completes`.
 
-    def _prefetch(self, line: int, now: float) -> None:
-        if self.llc.probe(line):
-            return
-        res = self.dram.access(line, now, is_write=False)
-        self._prefetch_ready[line] = res.completes_at
-        wb = self.llc.fill(line, prefetch=True,
-                           pinned=self.controller.pin_predicate(line))
-        if wb is not None:
-            self.dram.access(wb, now, is_write=True)
+        With ``REPRO_CHECK`` set (read once, here) every cache set a
+        yield point touched is re-derived by
+        :func:`~repro.testing.checks.check_cache_set` and every
+        reservation by :func:`~repro.testing.checks.check_mshr`.
+        """
+        checking = _checks.enabled()
+        issue = self._issue
+        slot = 1.0 / issue
+        lb = self._line_bytes
+        line_mask = ~(lb - 1)
+        duel = DRRIPPolicy.DUEL_PERIOD
+        lip = BRRIPPolicy.LONG_INTERVAL_PERIOD
+        RMAX, RLONG, ITAG = RRPV_MAX, RRPV_LONG, INVALID_TAG
+        # Geometry and latencies (every core's private levels are alike).
+        first = self.cores[0]
+        llc = self.llc
+        ((ls0, sm0, ts0, ns0, ways0), (ls1, sm1, ts1, ns1, ways1),
+         (ls2, sm2, ts2, ns2, ways2)) = [
+            (c._line_shift, c._set_mask, c._tag_shift, c.num_sets, c.ways)
+            for c in (first.l1, first.l2, llc)]
+        lat1, lat2, lat3 = first.l1_lat, first.l2_lat, self.llc_lat
+        # The shared LLC.
+        tags2, dirty2, pinned2 = llc._tags, llc._dirty, llc._pinned
+        vc2, pc2 = llc._valid_counts, llc._pinned_counts
+        allways2, maxpin2 = llc._all_ways, llc._max_pinned_ways
+        p2 = llc.policy
+        b2 = p2._brrip
+        rrpv2 = p2._rrpv
+        st2 = llc.stats
+        pfd2 = llc._prefetched_tags
+        # DRAM, prefetchers and the pin decision.
+        dram_access = self.dram.access_completes
+        prefetch_ready = self._prefetch_ready
+        observe = (self.stride_pf.observe if self.stride_pf is not None
+                   else None)
+        pin_predicate = self.controller.pin_predicate
+
+        def llc_fill(si, tg, dty, pin_req, pref):
+            """``Cache.fill_absent`` at the LLC; returns the dirty victim."""
+            row = tags2[si]
+            rr = rrpv2[si]
+            pr = pinned2[si]
+            victim = None
+            if vc2[si] < ways2:
+                way = row.index(ITAG)
+                vc2[si] += 1
+            else:
+                if pc2[si]:
+                    cands = [w for w in allways2 if not pr[w]] or allways2
+                    hi = max(map(rr.__getitem__, cands))
+                    if hi < RMAX:
+                        for w in cands:
+                            rr[w] += RMAX - hi
+                    for w in cands:
+                        if rr[w] >= RMAX:
+                            way = w
+                            break
+                elif RMAX in rr:
+                    way = rr.index(RMAX)
+                else:
+                    bump = RMAX - max(rr)
+                    for w in allways2:
+                        rr[w] += bump
+                    way = rr.index(RMAX)
+                st2.evictions += 1
+                vt = row[way]
+                if dirty2[si][way]:
+                    st2.writebacks += 1
+                    victim = (vt * ns2 + si) * lb
+                if pfd2:
+                    pfd2.discard((si, vt))
+                if pr[way]:
+                    pr[way] = False
+                    pc2[si] -= 1
+            row[way] = tg
+            dirty2[si][way] = dty
+            if pin_req and pc2[si] < maxpin2:
+                pr[way] = True
+                st2.pinned_fills += 1
+                pc2[si] += 1
+                rr[way] = 0
+            else:
+                if pin_req:
+                    st2.pin_refusals += 1
+                pr[way] = False
+                ph = si % duel
+                if ph == 1 or (ph != 0 and p2._psel > p2._psel_half):
+                    b2._fill_count += 1
+                    rr[way] = RLONG if b2._fill_count % lip == 0 else RMAX
+                else:
+                    rr[way] = RLONG
+            if pref:
+                st2.prefetch_fills += 1
+                pfd2.add((si, tg))
+            return victim
+
+        def llc_put(line, now):
+            """``Cache.fill(line, dirty=True)`` at the LLC (a victim
+            ripple); a dirty LLC victim is written to DRAM at ``now``."""
+            si = (line >> ls2) & sm2
+            tg = line >> ts2
+            row = tags2[si]
+            if tg in row:
+                dirty2[si][row.index(tg)] = True
+                return
+            victim = llc_fill(si, tg, True, False, False)
+            if victim is not None:
+                dram_access(victim, now, True)
+
+        def prefetch(line, now):
+            """One prefetch issue: LLC-only, skipped when resident."""
+            si = (line >> ls2) & sm2
+            tg = line >> ts2
+            if tg in tags2[si]:
+                return
+            prefetch_ready[line] = dram_access(line, now, False)
+            victim = llc_fill(si, tg, False, pin_predicate(line), True)
+            if victim is not None:
+                dram_access(victim, now, True)
+
+        def private_l2(l2):
+            """The fill paths of one core's L2 (DRRIP; never pinned or
+            prefetched): ``fill_absent`` and the victim-ripple ``put``."""
+            tags1, dirty1, vc1 = l2._tags, l2._dirty, l2._valid_counts
+            p1 = l2.policy
+            b1 = p1._brrip
+            rrpv1 = p1._rrpv
+            st1 = l2.stats
+
+            def l2_fill(si, tg, dty):
+                row = tags1[si]
+                rr = rrpv1[si]
+                victim = None
+                if vc1[si] < ways1:
+                    way = row.index(ITAG)
+                    vc1[si] += 1
+                else:
+                    if RMAX in rr:
+                        way = rr.index(RMAX)
+                    else:
+                        bump = RMAX - max(rr)
+                        for w in range(ways1):
+                            rr[w] += bump
+                        way = rr.index(RMAX)
+                    st1.evictions += 1
+                    if dirty1[si][way]:
+                        st1.writebacks += 1
+                        victim = (row[way] * ns1 + si) * lb
+                row[way] = tg
+                dirty1[si][way] = dty
+                ph = si % duel
+                if ph == 1 or (ph != 0 and p1._psel > p1._psel_half):
+                    b1._fill_count += 1
+                    rr[way] = RLONG if b1._fill_count % lip == 0 else RMAX
+                else:
+                    rr[way] = RLONG
+                return victim
+
+            def l2_put(line, now):
+                si = (line >> ls1) & sm1
+                tg = line >> ts1
+                row = tags1[si]
+                if tg in row:
+                    dirty1[si][row.index(tg)] = True
+                    return
+                victim = l2_fill(si, tg, True)
+                if victim is not None:
+                    llc_put(victim, now)
+
+            if checking:
+                l2_fill = _checked(l2_fill, l2, by_line=False)
+                l2_put = _checked(l2_put, l2, by_line=True)
+            return l2_fill, l2_put
+
+        if checking:
+            llc_fill = _checked(llc_fill, llc, by_line=False)
+            llc_put = _checked(llc_put, llc, by_line=True)
+
+        per_core = []
+        for core in self.cores:
+            l1, l2, mshr = core.l1, core.l2, core.mshr
+            per_core.append((
+                l1._tags, l1._dirty, l1._valid_counts, l1.policy,
+                l1.policy._stamp, l1.stats,
+                l2._tags, l2.policy, l2.policy._rrpv, l2.stats,
+                *private_l2(l2),
+                mshr, mshr._completions, mshr.entries, mshr.stats,
+                core.stats, core.offset,
+                (core.xmem_pf.on_demand_miss if core.xmem_pf is not None
+                 else None),
+            ))
+
+        def step(cur):
+            core = cur.core
+            pos = cur.pos
+            m = cur.tm[pos]
+            cur.pos = pos + 1
+            if m & META_WORK_BIT:
+                count = m >> META_COUNT_SHIFT
+                core.now += count / issue
+                core.stats.instructions += count
+                return
+            (tags0, dirty0, vc0, pol0, stamps0, st0, tags1, p1, rrpv1, st1,
+             l2_fill, l2_put, mshr, comp, cap, mstats, cstats, offset,
+             xmem_miss) = per_core[core.index]
+            now = core.now
+            work = m >> META_COUNT_SHIFT
+            if work:
+                now += work / issue
+                cstats.instructions += work
+            cstats.instructions += 1
+            cstats.mem_accesses += 1
+            line = (cur.tv[pos] + offset) & line_mask
+            is_write = (m & META_WRITE_BIT) != 0
+            # L1 probe (LRU).
+            si0 = (line >> ls0) & sm0
+            tg0 = line >> ts0
+            row0 = tags0[si0]
+            st0.accesses += 1
+            if tg0 in row0:
+                st0.hits += 1
+                way = row0.index(tg0)
+                if is_write:
+                    dirty0[si0][way] = True
+                pol0._clock += 1
+                stamps0[si0][way] = pol0._clock
+                # Completes after the 1.0 L1 latency: never past the
+                # 4.0 MSHR threshold.
+                core.now = now + slot
+                return
+            st0.misses += 1
+            t = now + lat1
+            # L2 probe (DRRIP; a miss trains the duel).
+            si1 = (line >> ls1) & sm1
+            tg1 = line >> ts1
+            row1 = tags1[si1]
+            st1.accesses += 1
+            if tg1 in row1:
+                st1.hits += 1
+                rrpv1[si1][row1.index(tg1)] = 0
+                completes = t + lat2
+            else:
+                st1.misses += 1
+                ph = si1 % duel
+                if ph == 0:
+                    if p1._psel < p1._psel_max:
+                        p1._psel += 1
+                elif ph == 1:
+                    if p1._psel > 0:
+                        p1._psel -= 1
+                t += lat2
+                # LLC probe (DRRIP, prefetched tags).
+                si2 = (line >> ls2) & sm2
+                tg2 = line >> ts2
+                row2 = tags2[si2]
+                st2.accesses += 1
+                llc_hit = tg2 in row2
+                if llc_hit:
+                    st2.hits += 1
+                    rrpv2[si2][row2.index(tg2)] = 0
+                    if pfd2 and (si2, tg2) in pfd2:
+                        st2.prefetch_hits += 1
+                        pfd2.discard((si2, tg2))
+                else:
+                    st2.misses += 1
+                    ph = si2 % duel
+                    if ph == 0:
+                        if p2._psel < p2._psel_max:
+                            p2._psel += 1
+                    elif ph == 1:
+                        if p2._psel > 0:
+                            p2._psel -= 1
+                t += lat3
+                if observe is not None:
+                    for target in observe(line):
+                        prefetch(target, now)
+                if llc_hit:
+                    ready = prefetch_ready.pop(line, None)
+                    if ready is not None and ready > t:
+                        t = ready
+                    completes = t
+                else:
+                    # Stride targets are never the demand line, so it
+                    # is still absent.
+                    cstats.llc_misses += 1
+                    completes = dram_access(line, t, False)
+                    prefetch_ready.pop(line, None)
+                    victim = llc_fill(si2, tg2, False, pin_predicate(line),
+                                      False)
+                    if victim is not None:
+                        dram_access(victim, t, True)
+                    if xmem_miss is not None:
+                        for target in xmem_miss(line):
+                            prefetch(target, now)
+                victim = l2_fill(si1, tg1, False)
+                if victim is not None:
+                    llc_put(victim, now)
+            # L1 fill (LRU victim) and its ripple down the hierarchy.
+            if vc0[si0] < ways0:
+                way = row0.index(ITAG)
+                vc0[si0] += 1
+                victim = None
+            else:
+                stamps = stamps0[si0]
+                way = stamps.index(min(stamps))
+                st0.evictions += 1
+                if dirty0[si0][way]:
+                    st0.writebacks += 1
+                    victim = (row0[way] * ns0 + si0) * lb
+                else:
+                    victim = None
+            row0[way] = tg0
+            dirty0[si0][way] = is_write
+            pol0._clock += 1
+            stamps0[si0][way] = pol0._clock
+            if victim is not None:
+                l2_put(victim, now)
+            # MSHR reserve for a long access.
+            if completes - now > 4.0:
+                while comp and comp[0] <= now:
+                    heappop(comp)
+                start = now
+                if len(comp) >= cap:
+                    start = heappop(comp)
+                    mstats.full_stalls += 1
+                heappush(comp, completes)
+                mstats.reservations += 1
+                if checking:
+                    _checks.check_mshr(mshr, now, start)
+                if start > now:
+                    now = start
+            core.now = now + slot
+
+        if not checking:
+            return step
+        unchecked = step
+
+        def checked_step(cur):
+            core = cur.core
+            pos = cur.pos
+            unchecked(cur)
+            if not cur.tm[pos] & META_WORK_BIT:
+                addr = cur.tv[pos] + core.offset
+                for cache in (core.l1, core.l2, llc):
+                    _checks.check_cache_set(cache, cache._index(addr))
+        return checked_step
+
+
+def _checked(fill, cache: Cache, by_line: bool):
+    """``REPRO_CHECK`` wrapper of one fused fill path: re-derive the set
+    it touched (its first argument is a line address when ``by_line``,
+    else the set index)."""
+    def checked(key, *args):
+        result = fill(key, *args)
+        _checks.check_cache_set(cache, cache._index(key) if by_line
+                                else key)
+        return result
+    return checked
 
 
 def _coalesce(chunks: List[int], chunk_bytes: int

@@ -19,8 +19,9 @@ require the answers to agree exactly:
 * :class:`ReferenceCorun` vs. :meth:`repro.sim.corun.CorunSystem.run`:
   the per-event co-run interleaver, an explicit ``(now, index)``
   minimum over the unfinished cores instead of a heap, one object
-  event per step through the system's shared memory path.  Per-core
-  statistics and the full snapshot must be bit-identical.
+  event per step through its own method descent over the system's
+  caches, prefetchers and DRAM (production runs a fused body).
+  Per-core statistics and the full snapshot must be bit-identical.
 * :class:`ReferenceDram` vs. :class:`repro.dram.system.DramSystem`
   under FIFO issue: a naive open-row bank/channel timing model over
   :func:`reference_decompose`, the field-by-field restatement of the
@@ -283,24 +284,32 @@ def with_reference_engine(handle):
 # ---------------------------------------------------------------------------
 
 class ReferenceCorun:
-    """Per-event co-run interleaver over a :class:`CorunSystem`.
+    """Per-event co-run interleaver and memory path over a
+    :class:`CorunSystem`'s components.
 
     Restates :meth:`repro.sim.corun.CorunSystem.run` without its
-    structure: no packing, no heap, no fast-forwarding.  Each step
-    picks the unfinished core with the smallest ``(now, index)`` -- the
-    lowest core index breaks clock ties -- and interprets that core's
-    next object event; a memory access goes through the system's
-    shared ``_access`` path and the core's MSHR window with the
-    engine's stall rule.  A core whose stream is exhausted drains its
-    window and stops.  Per-core :class:`~repro.sim.corun.CoreStats`
-    and the system's full stats snapshot must be bit-identical to a
-    ``CorunSystem.run`` on an identically built twin.
+    structure: no packing, no heap, no fast-forwarding, no fused body.
+    Each step picks the unfinished core with the smallest ``(now,
+    index)`` -- the lowest core index breaking clock ties -- and
+    interprets that core's next object event; a memory access descends
+    through the components' own methods (:meth:`_access`:
+    ``Cache.access``/``fill_absent``/``fill`` and their replacement
+    hooks, the prefetchers, ``DramSystem.access``) and the core's
+    ``MSHRFile.reserve`` with the engine's stall rule.  A core whose
+    stream is exhausted drains its window and stops.  It calls no
+    method of the system itself, so a bug in the production memory
+    path cannot hide on both sides.  Per-core
+    :class:`~repro.sim.corun.CoreStats` and the system's full stats
+    snapshot must be bit-identical to a ``CorunSystem.run`` on an
+    identically built twin.
     """
 
     PIPELINED_LATENCY = 4.0
 
     def __init__(self, system) -> None:
         self.system = system
+        #: In-flight prefetches: line -> completion time.
+        self._prefetch_ready: Dict[int, float] = {}
 
     def run(self, traces: List[Trace]):
         from repro.core.errors import ConfigurationError
@@ -329,7 +338,7 @@ class ReferenceCorun:
                     core.stats.instructions += ev.work
                 core.stats.instructions += 1
                 core.stats.mem_accesses += 1
-                completes = self.system._access(
+                completes = self._access(
                     core, ev.vaddr + core.offset, ev.is_write)
                 if completes - core.now > self.PIPELINED_LATENCY:
                     start = core.mshr.reserve(core.now, completes)
@@ -347,6 +356,80 @@ class ReferenceCorun:
             else:
                 raise TypeError(f"not a trace event: {ev!r}")
         return [c.stats for c in cores]
+
+    def _access(self, core, addr: int, is_write: bool) -> float:
+        """One demand access by ``core``; returns its completion time.
+
+        L1, then L2, then the shared LLC (where the stride prefetcher
+        observes, and a miss reads DRAM, fills the LLC with the pin
+        controller's decision and triggers the core's XMem
+        prefetcher); the private levels fill on the way back.
+        """
+        system = self.system
+        llc = system.llc
+        line = addr - addr % system.config.line_bytes
+        now = core.now
+        if core.l1.access(line, is_write).hit:
+            return now + 1.0
+        t = now + core.l1_lat
+        if core.l2.access(line, False).hit:
+            self._fill_private(core, line, is_write, l2_resident=True)
+            return t + core.l2_lat
+        t += core.l2_lat
+        result = llc.access(line, False)
+        t += system.llc_lat
+        if system.stride_pf is not None:
+            for target in system.stride_pf.observe(line):
+                self._prefetch(target, now)
+        if result.hit:
+            ready = self._prefetch_ready.pop(line, None)
+            if ready is not None and ready > t:
+                t = ready
+            self._fill_private(core, line, is_write)
+            return t
+        core.stats.llc_misses += 1
+        res = system.dram.access(line, t, is_write=False)
+        self._prefetch_ready.pop(line, None)
+        wb = llc.fill(line, pinned=system.controller.pin_predicate(line))
+        if wb is not None:
+            system.dram.access(wb, t, is_write=True)
+        if core.xmem_pf is not None:
+            for target in core.xmem_pf.on_demand_miss(line):
+                self._prefetch(target, now)
+        self._fill_private(core, line, is_write)
+        return res.completes_at
+
+    def _fill_private(self, core, line: int, is_write: bool,
+                      l2_resident: bool = False) -> None:
+        """Fill the L2 (unless it hit) and the L1, each victim rippling
+        down with :meth:`Cache.fill` and ending in a DRAM write."""
+        llc = self.system.llc
+        dram = self.system.dram
+        if not l2_resident:
+            wb2 = core.l2.fill(line)
+            if wb2 is not None:
+                wb3 = llc.fill(wb2, dirty=True)
+                if wb3 is not None:
+                    dram.access(wb3, core.now, is_write=True)
+        wb1 = core.l1.fill(line, dirty=is_write)
+        if wb1 is not None:
+            wb2 = core.l2.fill(wb1, dirty=True)
+            if wb2 is not None:
+                wb3 = llc.fill(wb2, dirty=True)
+                if wb3 is not None:
+                    dram.access(wb3, core.now, is_write=True)
+
+    def _prefetch(self, line: int, now: float) -> None:
+        """An LLC prefetch, skipped when the line is resident."""
+        system = self.system
+        if system.llc.probe(line):
+            return
+        res = system.dram.access(line, now, is_write=False)
+        self._prefetch_ready[line] = res.completes_at
+        wb = system.llc.fill(line, prefetch=True,
+                             pinned=system.controller.pin_predicate(line))
+        if wb is not None:
+            system.dram.access(wb, now, is_write=True)
 
 
 # ---------------------------------------------------------------------------

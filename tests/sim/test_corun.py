@@ -1,5 +1,7 @@
 """Tests for multi-core co-running (repro.sim.corun)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.attributes import PatternType
@@ -20,6 +22,22 @@ class TestBasics:
     def test_core_count_validation(self):
         with pytest.raises(ConfigurationError):
             CorunSystem(scaled_config(16), 0)
+
+    @pytest.mark.parametrize("level,policy", [(0, "drrip"), (1, "lru"),
+                                              (2, "srrip")])
+    def test_shape_gate_names_the_level(self, level, policy):
+        """The fused memory path is written for LRU L1, DRRIP L2/L3;
+        any other policy is refused up front, naming the level."""
+        cfg = scaled_config(16)
+        levels = list(cfg.levels)
+        levels[level] = dataclasses.replace(levels[level], policy=policy)
+        with pytest.raises(ConfigurationError, match=f"L{level + 1}"):
+            CorunSystem(dataclasses.replace(cfg, levels=levels), 2)
+
+    def test_shape_gate_line_size(self):
+        cfg = dataclasses.replace(scaled_config(16), line_bytes=48)
+        with pytest.raises(ConfigurationError, match="line size"):
+            CorunSystem(cfg, 1)
 
     def test_trace_count_validation(self):
         sys_ = CorunSystem(scaled_config(16), 2)

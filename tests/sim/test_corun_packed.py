@@ -4,8 +4,10 @@
 fast-forwarded) must be bit-identical to
 :class:`~repro.testing.oracles.ReferenceCorun` -- CoreStats and the
 full stats snapshot -- on real suite-catalog tenant mixes, baseline
-and XMem, and on a machine shape outside the fast-forward domain.
-Plus unit coverage of the global pin controller's budget edge cases.
+and XMem, on a machine shape outside the fast-forward domain, and on a
+mix that reaches the fused memory path's rare branches.  Plus
+``REPRO_CHECK`` coverage of that path and unit coverage of the global
+pin controller's budget edge cases.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ import pytest
 
 from repro.core.attributes import PatternType
 from repro.core.xmemlib import XMemLib
+from repro.cpu.trace import MemAccess
 from repro.mem.cache import Cache
 from repro.sim.config import CpuConfig, scaled_config
 from repro.sim.corun import CorunSystem, MultiProcessController
 from repro.sim.runner import record_suite_trace
+from repro.testing.checks import CheckError
 from repro.testing.oracles import ReferenceCorun
 
 PAIRS = [
@@ -29,11 +33,9 @@ PAIRS = [
 ]
 
 
-def run_pair(names, mode, engine, accesses=2500, footprint_div=256,
-             cfg=None):
-    """One mix through ``engine``: ``"reference"`` (the per-event
-    oracle), ``"packed"`` (``CorunSystem.run``) or ``"object"``
-    (``CorunSystem.run`` over materialized event streams)."""
+def build_pair(names, mode, accesses=2500, footprint_div=256, cfg=None):
+    """A co-run system for one mix (XMem on core 0 in ``"xmem"``
+    mode) and its per-core traces."""
     cfg = cfg or scaled_config(32)
     xmem = (0,) if mode == "xmem" else ()
     system = CorunSystem(cfg, len(names), xmem_cores=xmem)
@@ -44,6 +46,15 @@ def run_pair(names, mode, engine, accesses=2500, footprint_div=256,
             traces.append(recording.replay(core.xmemlib))
         else:
             traces.append(recording.packed.without_xmem())
+    return system, traces
+
+
+def run_pair(names, mode, engine, accesses=2500, footprint_div=256,
+             cfg=None):
+    """One mix through ``engine``: ``"reference"`` (the per-event
+    oracle), ``"packed"`` (``CorunSystem.run``) or ``"object"``
+    (``CorunSystem.run`` over materialized event streams)."""
+    system, traces = build_pair(names, mode, accesses, footprint_div, cfg)
     if engine == "reference":
         stats = ReferenceCorun(system).run(traces)
     elif engine == "object":
@@ -87,6 +98,48 @@ def test_ineligible_shape_matches_reference(mode):
                                          cfg=cfg)
     assert stats_packed == stats_ref
     assert snap_packed == snap_ref
+
+
+#: A mix whose pinned spans spread unevenly over the LLC sets, so some
+#: sets reach the pin quota and later pin requests are refused.
+RARE_BRANCH_MIX = dict(names=("astar", "lbm"), mode="xmem",
+                       accesses=1500, footprint_div=200)
+
+
+def test_rare_branches_covered_and_identical():
+    """Snapshot equality only vouches for the fused body's branches the
+    mix reaches: pins and pin refusals at the LLC, prefetched-tag hits,
+    dirty victims rippling from every core's L1 and L2, DRAM writes."""
+    stats_ref, snap_ref = run_pair(engine="reference", **RARE_BRANCH_MIX)
+    stats_packed, snap = run_pair(engine="packed", **RARE_BRANCH_MIX)
+    assert stats_packed == stats_ref
+    assert snap == snap_ref
+    llc = snap["llc"]
+    assert llc["pinned_fills"] > 0
+    assert llc["pin_refusals"] > 0
+    assert llc["prefetch_hits"] > 0
+    assert snap["dram"]["writes"] > 0
+    for core in range(2):
+        assert snap[f"core{core}.l1"]["writebacks"] > 0
+        assert snap[f"core{core}.l2"]["writebacks"] > 0
+
+
+def test_checked_run_identical_and_catches_drift(monkeypatch):
+    """``REPRO_CHECK`` covers the fused body: a checked run snapshots
+    exactly like an unchecked one, and a corrupted L1 occupancy count
+    is caught at the first yield point touching its set."""
+    _, snap_plain = run_pair(PAIRS[0], "xmem", "packed")
+    monkeypatch.setenv("REPRO_CHECK", "1")
+    _, snap_checked = run_pair(PAIRS[0], "xmem", "packed")
+    assert snap_checked == snap_plain
+
+    system, traces = build_pair(PAIRS[0], "xmem")
+    l1 = system.cores[1].l1
+    first = next(ev for ev in traces[1].events()
+                 if isinstance(ev, MemAccess))
+    l1._valid_counts[l1._index(first.vaddr + system.cores[1].offset)] += 1
+    with pytest.raises(CheckError, match="valid count"):
+        system.run(traces)
 
 
 # -- MultiProcessController.refresh edge cases --------------------------

@@ -188,15 +188,33 @@ class TestReferenceCorunVsCorunSystem:
             assert ref_sys.stats_snapshot() == opt_sys.stats_snapshot()
 
     def test_ties_go_to_the_lowest_core(self):
-        system = self._system()
+        reference = ReferenceCorun(self._system())
         order = []
-        real = system._access
+        real = reference._access
 
         def spy(core, addr, is_write):
             order.append(core.index)
             return real(core, addr, is_write)
 
-        system._access = spy
+        reference._access = spy
         stream = [MemAccess(0x1000)]
-        ReferenceCorun(system).run([stream, stream])
+        reference.run([stream, stream])
         assert order == [0, 1]
+
+    def test_reference_shares_no_production_memory_path(self, monkeypatch):
+        """With the fused yield-point body unbuildable, the reference
+        still runs -- it owns its memory path -- and still matches an
+        unpatched twin's ``CorunSystem.run``."""
+        streams = [generate_trace(GenConfig(seed=s, length=300))[0]
+                   for s in (3, 4)]
+        for width in (3, 4):
+            ref_sys, opt_sys = self._system(width), self._system(width)
+
+            def unbuildable(system):
+                raise AssertionError("production memory path used")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(CorunSystem, "_yield_body", unbuildable)
+                stats_ref = ReferenceCorun(ref_sys).run(streams)
+            assert stats_ref == opt_sys.run(streams)
+            assert ref_sys.stats_snapshot() == opt_sys.stats_snapshot()
