@@ -240,12 +240,15 @@ class PhaseTimer:
         """Close the open phase, recording wall seconds and peak RSS."""
         if self._name is None:
             return
-        self.phases[self._name] = {
-            "wall_s": time.perf_counter() - self._t0,
-            "peak_rss_kb": peak_rss_kb(),
-        }
+        self.record(self._name, time.perf_counter() - self._t0)
         self._name = None
         self._t0 = None
+
+    def record(self, name: str, wall_s: float) -> None:
+        """Record a phase timed elsewhere (``wall_s`` seconds), with
+        the peak RSS so far."""
+        self.phases[name] = {"wall_s": wall_s,
+                             "peak_rss_kb": peak_rss_kb()}
 
 
 # ---------------------------------------------------------------------------

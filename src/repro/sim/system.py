@@ -18,7 +18,7 @@ and (when applicable) the XMem library to hand to workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.xmemlib import XMemLib, XMemProcess
 from repro.cpu.engine import EngineStats, TraceEngine
@@ -194,9 +194,13 @@ class SystemHandle:
         ``packed``) -- see :mod:`repro.cpu.tiers`.
         """
         from repro.cpu.tiers import run_tier
-        if self.xmemlib is None:
-            trace = strip_xmem(trace)
-        return run_tier(self.engine, trace, engine_tier)
+        return run_tier(self.engine, self.trace_for(trace), engine_tier)
+
+    def trace_for(self, trace: Trace) -> Trace:
+        """``trace`` as this machine executes it: machines without an
+        XMem system drop the XMem operations (hints are supplemental:
+        the binary still runs)."""
+        return strip_xmem(trace) if self.xmemlib is None else trace
 
     @property
     def llc(self):
@@ -229,6 +233,19 @@ class SystemHandle:
     def stats_snapshot(self) -> dict:
         """One nested, JSON-ready snapshot of every component counter."""
         return self.stats_registry().snapshot()
+
+
+def run_machines(handles: Sequence[SystemHandle], traces: Sequence[Trace],
+                 engine_tier: Optional[str] = None,
+                 seconds: Optional[List[float]] = None) -> List[EngineStats]:
+    """Execute ``traces[k]`` on ``handles[k]`` for every ``k`` in one
+    :func:`repro.cpu.tiers.run_tiers` call: each result equals
+    ``handles[k].run(traces[k], engine_tier)``, and machines that
+    share their private levels share one pass over them."""
+    from repro.cpu.tiers import run_tiers
+    return run_tiers([h.engine for h in handles],
+                     [h.trace_for(t) for h, t in zip(handles, traces)],
+                     engine_tier, seconds)
 
 
 def _base_parts(config: SimConfig):

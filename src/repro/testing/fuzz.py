@@ -12,7 +12,11 @@ Eight lanes, each pairing a hot-path implementation with its oracle
   (the fused columnar interpreter wherever it is eligible), and
   through :meth:`TraceEngine.run_packed` called directly (the scalar
   fallback loop).  Engine statistics and full stats snapshots must be
-  bit-identical across all three.
+  bit-identical across all three.  A fourth, *shared* leg runs the
+  trace on two machines that differ only below L2 (LLC size, DRAM
+  bandwidth, or XMem vs. baseline) in one shared call -- one
+  front-end pass over L1, L2 and stride training -- and holds each to
+  its own ``ReferenceEngine`` twin.
 * ``corun``   -- random multi-tenant mixes (2-3 cores, per-core
   generated streams, atom churn on the XMem tenant, issue width 3 or
   4) through two identically built
@@ -148,18 +152,23 @@ class Lane:
 
 
 class PackedLane(Lane):
-    """Reference engine vs. packed tier vs. the scalar packed loop.
+    """Reference engine vs. packed tier vs. the scalar packed loop,
+    plus a shared leg: two machines in one shared call.
 
     Any pair diverging -- stats or full snapshot -- is a failure.  The
     ``packed`` tier legitimately falls back to the scalar loop on
     shapes outside the fused interpreter's domain; the comparison then
     still holds, and the direct ``run_packed`` leg keeps the fallback
-    loop itself pinned either way.
+    loop itself pinned either way.  Reproducers written before the
+    shared leg existed carry no ``shared`` param and replay it as
+    XMem vs. baseline.
     """
 
     name = "packed"
     #: How each of the three machines runs the trace.
     WAYS = ("reference", "packed", "run_packed")
+    #: What the shared leg's second machine changes below L2.
+    SHARED = ("llc", "bandwidth", "system")
 
     def make(self, rng: random.Random, length: int) -> Tuple[dict, list]:
         system = rng.choice(("baseline", "xmem", "xmem"))
@@ -178,6 +187,7 @@ class PackedLane(Lane):
             "atoms": atoms,
             "window": rng.choice((2, 4, 8, 32)),
             "scale": rng.choice((32, 64)),
+            "shared": rng.choice(self.SHARED),
         }
         return params, events
 
@@ -189,6 +199,10 @@ class PackedLane(Lane):
 
         cfg = scaled_config(params["scale"])
         cfg = dc.replace(cfg, cpu=CpuConfig(window=params["window"]))
+        if params.get("llc_div"):
+            cfg = cfg.with_llc(cfg.llc_bytes // params["llc_div"])
+        if params.get("bandwidth"):
+            cfg = cfg.with_bandwidth(params["bandwidth"])
         if params["system"] == "xmem":
             handle = build_xmem(cfg)
             setup_atoms(handle.xmemlib, GenConfig(atoms=params["atoms"]))
@@ -223,6 +237,37 @@ class PackedLane(Lane):
                 keys = _first_snapshot_delta(snaps["reference"],
                                              snaps[way])
                 return f"{way} snapshot diverged from reference at {keys}"
+        return self._shared_fail(params, items, packed)
+
+    def _shared_fail(self, params: dict, items: list,
+                     packed: PackedTrace) -> Optional[str]:
+        """The shared leg: two machines that differ only below L2 run
+        in one shared call; each must equal its reference twin."""
+        from repro.cpu.trace import strip_xmem
+        from repro.sim.system import run_machines
+
+        shared = params.get("shared", "system")
+        if shared == "system":
+            twins = [dict(params, system="baseline"),
+                     dict(params, system="xmem")]
+        elif shared == "llc":
+            twins = [params, dict(params, llc_div=2)]
+        else:
+            twins = [params, dict(params, bandwidth=0.5)]
+        handles = [self._build(p) for p in twins]
+        got = run_machines(handles, [packed] * 2, "packed")
+        for k, (p, handle, stats) in enumerate(zip(twins, handles, got)):
+            ref = with_reference_engine(self._build(p))
+            want = ref.engine.run(
+                items if ref.xmemlib is not None else strip_xmem(items))
+            if stats != want:
+                return (f"shared machine {k} stats diverged from "
+                        f"reference: reference={want} shared={stats}")
+            snap, ref_snap = handle.stats_snapshot(), ref.stats_snapshot()
+            if snap != ref_snap:
+                keys = _first_snapshot_delta(ref_snap, snap)
+                return (f"shared machine {k} snapshot diverged from "
+                        f"reference at {keys}")
         return None
 
     def to_json(self, items: list) -> list:

@@ -385,3 +385,251 @@ class TestApplyHitRun:
         # Evicting the line must now produce a writeback.
         c.fill(0x100, dirty=False)
         assert c.fill(0x200, dirty=False) == 0x000
+
+
+
+# ---------------------------------------------------------------------------
+# Shared runs: one front-end pass, per-machine back-ends
+# ---------------------------------------------------------------------------
+
+def _plain(trace):
+    """A trace source for machines that need no XMem setup."""
+    return lambda handle: trace
+
+
+def _recorded(kernel, n, tile):
+    """A trace source replaying one recording (setup included)."""
+    from repro.sim.runner import record_trace
+
+    recording = record_trace(kernel, n, tile)
+    return lambda handle: recording.replay(handle.xmemlib)
+
+
+def _assert_shared_matches(machines, trace_for, warm=()):
+    """Run ``machines`` ((builder, cfg) pairs) three ways -- in one
+    shared call, one at a time, and on ``ReferenceEngine`` twins -- on
+    the trace ``trace_for(handle)`` gives each, and require equal
+    EngineStats and full snapshots.  Machines whose index is in
+    ``warm`` run the trace once beforehand, in every way.  Returns the
+    shared run's handles and the sizes of its lockstep groups."""
+    from repro.cpu import vector_engine
+    from repro.cpu.trace import strip_xmem
+    from repro.sim.system import run_machines
+    from repro.testing.oracles import with_reference_engine
+
+    groups = []
+    lockstep = vector_engine._run_lockstep
+
+    def spy(engines, traces):
+        groups.append(len(engines))
+        return lockstep(engines, traces)
+
+    def reference_run(ref):
+        trace = trace_for(ref)
+        return ref.engine.run(trace if ref.xmemlib is not None
+                              else strip_xmem(trace))
+
+    shared = [builder(cfg) for builder, cfg in machines]
+    for k in warm:
+        shared[k].run(trace_for(shared[k]), "packed")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vector_engine, "_run_lockstep", spy)
+        got = run_machines(shared, [trace_for(h) for h in shared],
+                           "packed")
+    for k, ((builder, cfg), h, stats) in enumerate(
+            zip(machines, shared, got)):
+        solo = builder(cfg)
+        ref = with_reference_engine(builder(cfg))
+        for _ in range(2 if k in warm else 1):
+            solo_stats = solo.run(trace_for(solo), "packed")
+            ref_stats = reference_run(ref)
+        assert solo_stats == stats == ref_stats
+        assert h.stats_snapshot() == solo.stats_snapshot() \
+            == ref.stats_snapshot()
+    return shared, groups
+
+
+def _tiny_llc_config():
+    """A machine whose L2 (8 lines) and LLC (16 lines) are far smaller
+    than its L1 (128 lines): lines outlive their LLC copy in L1."""
+    import dataclasses
+
+    from repro.mem.hierarchy import LevelConfig
+
+    return dataclasses.replace(scaled_config(32), levels=[
+        LevelConfig("L1", 8 * 1024, 8, latency=4, policy="lru"),
+        LevelConfig("L2", 512, 8, latency=8, policy="drrip"),
+        LevelConfig("L3", 1024, 16, latency=27, policy="drrip"),
+    ])
+
+
+def _inflight_hit_trace():
+    """Line X enters every level; 40 lines elsewhere push it out of L2
+    and the LLC but not out of L1; a stride stream X-192, X-128, X-64
+    then prefetches X into the LLC, and X is read at once -- an L1 hit
+    on a line whose prefetch has not landed."""
+    x = 0x100400
+    events = [MemAccess(x, False, 0)]
+    events += [MemAccess(0x200000 + 64 * k, False, 0) for k in range(40)]
+    events += [MemAccess(x - 192, False, 0), MemAccess(x - 128, False, 0),
+               MemAccess(x - 64, False, 0), MemAccess(x, False, 1),
+               Work(3), MemAccess(0x300000, True, 0)]
+    return PackedTrace.from_events(events)
+
+
+@pytest.mark.parametrize("chunk", [4096, 44])
+def test_inflight_prefetch_l1_hit(monkeypatch, chunk):
+    """An L1 hit that must wait for an in-flight prefetch: the shared
+    run, the one-machine run and ReferenceEngine agree.  ``chunk=44``
+    ends a chunk right after the prefetching access, so the awaited
+    line is carried into the next chunk."""
+    from repro.cpu import vector_engine
+
+    monkeypatch.setattr(vector_engine, "CHUNK", chunk)
+    cfg = _tiny_llc_config()
+    shared, groups = _assert_shared_matches(
+        [(build_baseline, cfg), (build_baseline, cfg.with_bandwidth(0.5))],
+        _plain(_inflight_hit_trace()))
+    assert groups == [2]
+    for h in shared:
+        l1 = h.memory.hierarchy.levels[0].stats
+        # Every L1 miss reserves an MSHR entry (its L2 lookup alone
+        # outlasts a pipelined access); one more reservation can only
+        # come from an L1 hit that waited for its prefetch.
+        assert h.engine.mshr.stats.reservations == l1.misses + 1
+
+
+def test_copied_private_state_carries_into_the_next_run():
+    """After a shared run every machine holds the front-end's L1, L2
+    and stride state: running the trace again matches a reference
+    twin that ran it twice."""
+    from repro.cpu.trace import strip_xmem
+    from repro.sim.system import run_machines
+    from repro.testing.oracles import with_reference_engine
+
+    cfg = scaled_config(32)
+    trace_for = _recorded("mvt", 24, TILE)
+    builders = [build_baseline, build_xmem]
+    shared = [builder(cfg) for builder in builders]
+    run_machines(shared, [trace_for(h) for h in shared], "packed")
+    for builder, h in zip(builders, shared):
+        ref = with_reference_engine(builder(cfg))
+        for _ in range(2):
+            trace = trace_for(ref)
+            ref_stats = ref.engine.run(trace if ref.xmemlib is not None
+                                       else strip_xmem(trace))
+        assert h.run(trace_for(h), "packed") == ref_stats
+        assert h.stats_snapshot() == ref.stats_snapshot()
+
+
+@pytest.mark.parametrize("systems", [("baseline",), ("baseline", "xmem")])
+def test_exactness_ceiling_falls_back_to_per_event_time(monkeypatch,
+                                                        systems):
+    """Past ``now_limit`` time accrues per event, as in the reference.
+    A patched grid exponent puts the ceiling at 2**12 cycles, so an
+    ordinary run crosses it after a few chunks."""
+    from repro.cpu import vector_engine
+    from repro.sim.runner import SYSTEM_BUILDERS
+
+    monkeypatch.setattr(vector_engine, "_dyadic_k", lambda values: 40)
+    monkeypatch.setattr(vector_engine, "CHUNK", 128)
+    cfg = scaled_config(32)
+    shared, _ = _assert_shared_matches(
+        [(SYSTEM_BUILDERS[s], cfg) for s in systems],
+        _recorded("gemm", 24, TILE))
+    assert all(h.engine.last_stats.cycles > 3 * 2 ** 12 for h in shared)
+
+
+def _variant(cfg, level=None, **changes):
+    """``cfg`` with one cache level's (or the stride prefetcher's)
+    fields changed."""
+    import dataclasses
+
+    if level is None:
+        return dataclasses.replace(cfg, prefetcher=dataclasses.replace(
+            cfg.prefetcher, **changes))
+    levels = list(cfg.levels)
+    levels[level] = dataclasses.replace(levels[level], **changes)
+    return dataclasses.replace(cfg, levels=levels)
+
+
+class TestSharingGate:
+    """Machines share a front-end pass only when their private parts
+    are equal; every other machine runs alone and still matches the
+    reference."""
+
+    CFG = scaled_config(32)
+
+    def _run(self, machines, warm=()):
+        return _assert_shared_matches(
+            machines, _recorded("gemm", N, TILE), warm=warm)[1]
+
+    def test_machines_below_l2_share(self):
+        from repro.sim.system import build_xmem_pref
+
+        machines = [(build_baseline, self.CFG),
+                    (build_xmem, self.CFG.with_llc(16 * 1024)),
+                    (build_xmem_pref, self.CFG.with_bandwidth(0.5))]
+        assert self._run(machines) == [3]
+
+    def test_l1_size_runs_apart(self):
+        machines = [(build_baseline, self.CFG),
+                    (build_baseline, _variant(self.CFG, 0,
+                                              size_bytes=4096))]
+        assert self._run(machines) == [1, 1]
+
+    def test_l2_policy_runs_apart(self):
+        """An SRRIP L2 is outside the split shape: that machine runs
+        the generic fused loop, the other one alone."""
+        machines = [(build_baseline, self.CFG),
+                    (build_baseline, _variant(self.CFG, 1,
+                                              policy="srrip"))]
+        assert self._run(machines) == [1]
+
+    def test_stride_degree_runs_apart(self):
+        machines = [(build_baseline, self.CFG),
+                    (build_xmem, _variant(self.CFG, degree=4))]
+        assert self._run(machines) == [1, 1]
+
+    def test_already_run_machine_runs_apart(self):
+        machines = [(build_baseline, self.CFG), (build_xmem, self.CFG)]
+        assert self._run(machines, warm=(1,)) == [1, 1]
+
+    def test_checked_runs_keep_the_scalar_loop(self, monkeypatch):
+        from repro.cpu.engine import TraceEngine
+
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        calls = []
+        real = TraceEngine.run_packed
+
+        def spy(engine, trace):
+            calls.append(engine)
+            return real(engine, trace)
+
+        monkeypatch.setattr(TraceEngine, "run_packed", spy)
+        machines = [(build_baseline, self.CFG), (build_xmem, self.CFG)]
+        shared, groups = _assert_shared_matches(
+            machines, _recorded("gemm", N, TILE))
+        assert groups == [] and calls[:2] == [h.engine for h in shared]
+
+    def test_analytical_runs_estimate_each_machine(self, monkeypatch):
+        from repro.cpu import vector_engine
+        from repro.sim import analytical
+        from repro.sim.system import run_machines
+
+        calls = []
+        real = analytical.estimate_packed
+
+        def spy(engine, trace):
+            calls.append(engine)
+            return real(engine, trace)
+
+        monkeypatch.setattr(analytical, "estimate_packed", spy)
+        monkeypatch.setattr(vector_engine, "run_shared", None)
+        trace_for = _recorded("gemm", N, TILE)
+        handles = [build_baseline(self.CFG), build_xmem(self.CFG)]
+        got = run_machines(handles, [trace_for(h) for h in handles],
+                           "analytical")
+        assert calls == [h.engine for h in handles]
+        twin = build_xmem(self.CFG)
+        assert got[1] == twin.run(trace_for(twin), "analytical")

@@ -277,6 +277,12 @@ class TestManifest:
             assert phase["wall_s"] >= 0.0
             assert phase["peak_rss_kb"] > 0
 
+    def test_phase_timer_records_external_time(self):
+        t = PhaseTimer()
+        t.record("run:x", 1.5)
+        assert t.phases["run:x"]["wall_s"] == 1.5
+        assert t.phases["run:x"]["peak_rss_kb"] > 0
+
     def test_peak_rss_positive(self):
         assert peak_rss_kb() > 0
 
@@ -301,6 +307,8 @@ class TestManifest:
         assert m["trace"]["format_version"] >= 2
         assert "trace" in m["phases"]
         assert "run:baseline" in m["phases"]
+        # One phase per machine plus the shared front-end passes.
+        assert {"front-end", "run:baseline", "run:xmem"} <= set(m["phases"])
         assert set(doc["stats"]) == {"baseline", "xmem"}
         paths = write_point_documents(tmp_path / "docs", [res])
         loaded = json.loads(paths[0].read_text())
