@@ -132,7 +132,6 @@ def cmd_sweep(args) -> int:
     """Run a (kernel x tile) sweep on the parallel experiment runner."""
     from pathlib import Path
 
-    from repro.cpu.tiers import ENGINE_TIERS
     from repro.sim.runner import (
         SYSTEM_BUILDERS,
         RunContext,
@@ -142,16 +141,6 @@ def cmd_sweep(args) -> int:
         sweep,
         write_point_documents,
     )
-
-    if args.engine:
-        if args.engine not in ENGINE_TIERS:
-            print(f"unknown engine tier {args.engine!r}; "
-                  f"choices: {ENGINE_TIERS}", file=sys.stderr)
-            return 2
-        if args.engine == "analytical":
-            print(f"note: {args.engine} is an estimating tier; "
-                  f"results are approximate (see docs/simulator.md)",
-                  file=sys.stderr)
 
     if args.kernels == "all":
         kernels = list(FIGURE4_KERNELS)
@@ -206,7 +195,7 @@ def cmd_sweep(args) -> int:
     jobs = args.jobs if args.jobs else jobs_from_env()
     collect = args.stats_json is not None
     results = sweep(points, jobs=jobs, collect_stats=collect,
-                    ctx=RunContext.from_env(args.engine))
+                    ctx=RunContext.from_env())
     if collect:
         written = write_point_documents(Path(args.stats_json), results)
         print(f"wrote {len(written)} stats documents to "
@@ -315,15 +304,11 @@ def cmd_corun(args) -> int:
 
 
 def _load_stats_docs(target: "Path") -> Optional[dict]:
-    """``{doc_name: (stats_subtree, engine_tier)}`` from a --stats-json
-    file or dir.
+    """``{doc_name: stats_subtree}`` from a --stats-json file or dir.
 
     Only the ``stats`` subtree of each document participates in diffs:
     manifests legitimately differ between runs (wall times, RSS,
-    cache hit counts) while the stats must not.  The engine tier is the
-    one manifest field the diff *does* consult: comparing documents
-    produced by different tiers is flagged instead of being reported as
-    spurious counter deltas (pre-tier documents carry None).
+    cache hit counts) while the stats must not.
     """
     import json
     from pathlib import Path
@@ -344,8 +329,7 @@ def _load_stats_docs(target: "Path") -> Optional[dict]:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            tier = doc.get("manifest", {}).get("trace", {}).get("tier")
-            docs[path.name] = (doc["stats"], tier)
+            docs[path.name] = doc["stats"]
         except (OSError, ValueError, KeyError) as exc:
             print(f"cannot read stats document {path}: {exc}",
                   file=sys.stderr)
@@ -374,20 +358,8 @@ def cmd_diff(args) -> int:
             print(f"only in {args.run_b}: {name}", file=sys.stderr)
         return 2
     total = 0
-    cross_tier = 0
     for name in sorted(docs_a):
-        stats_a, tier_a = docs_a[name]
-        stats_b, tier_b = docs_b[name]
-        if tier_a != tier_b:
-            # An estimate, or a document from before tiers were
-            # recorded or from a retired tier: the deltas are not
-            # nondeterminism -- flag the comparison instead of dumping
-            # them.
-            print(f"{name}: cross-tier comparison "
-                  f"({tier_a or 'pre-tier'} vs {tier_b or 'pre-tier'}); "
-                  f"counter deltas suppressed")
-            cross_tier += 1
-            continue
+        stats_a, stats_b = docs_a[name], docs_b[name]
         # One document holds {system: snapshot}; prefix group paths
         # with the system name so the flat keys are fully qualified.
         flat_a = {f"{system}.{path}": values
@@ -400,14 +372,9 @@ def cmd_diff(args) -> int:
         for key, va, vb in deltas:
             print(f"{name}: {key}: {va} != {vb}")
         total += len(deltas)
-    if total or cross_tier:
-        if total:
-            print(f"\n{total} counter delta(s) across {len(docs_a)} "
-                  f"document(s)")
-        if cross_tier:
-            print(f"{cross_tier} cross-tier document pair(s) flagged "
-                  f"(rerun both sides on the same --engine to diff "
-                  f"counters)")
+    if total:
+        print(f"\n{total} counter delta(s) across {len(docs_a)} "
+              f"document(s)")
         return 1
     print(f"identical stats: {len(docs_a)} document(s), zero deltas")
     return 0
@@ -564,9 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--stats-json", default=None, metavar="DIR",
                     help="write one manifest+stats JSON document per "
                          "point into DIR")
-    sw.add_argument("--engine", default=None,
-                    help="engine tier: packed | analytical "
-                         "(default: REPRO_ENGINE or packed)")
 
     co = sub.add_parser(
         "corun",

@@ -17,6 +17,13 @@ The engine owns no policy: it forwards the trace's accesses to a
 memory system (see :class:`repro.sim.system.MemorySystem`).  Traces
 carry the addresses the memory system sees; callers that model an MMU
 translate while packing (see :func:`repro.sim.usecase2.run_system`).
+
+:meth:`TraceEngine.run_packed` is the scalar interpreter loop.
+Production runs go through :mod:`repro.cpu.tiers`, which sends machines
+of the shipped shape to the split interpreter
+(:mod:`repro.cpu.vector_engine`) and every other machine -- including
+every ``REPRO_CHECK`` run -- here; :meth:`TraceEngine.run` always runs
+here.
 """
 
 from __future__ import annotations

@@ -1,31 +1,16 @@
-"""The fused columnar interpreter: the ``packed`` engine tier.
+"""The split interpreter: the production single-core engine.
 
 :func:`run_shared` executes :class:`PackedTrace` runs on one or more
 machines with statistics bit-identical to the scalar
 :meth:`TraceEngine.run_packed` loop (and so to
 :class:`repro.testing.oracles.ReferenceEngine`); :func:`run_vector` is
-its one-machine case.  It is built around two observations.
-
-**Interpretation cost is per-event Python**, not model arithmetic:
-
-* **Chunked columnar probing.**  The dense columns are viewed as numpy
-  ``int64`` arrays and consumed in fixed-size chunks.  Address
-  decomposition (line/set/tag) is shift-and-mask over the whole chunk,
-  and residency of every access against the first-level cache is a
-  vectorized compare against a tag-table snapshot.
-* **Run-length fast-forwarding.**  A stretch whose accesses are all
-  L1-resident has a closed-form effect on the machine: counters
-  advance by run totals, ``now`` by the run's exact issue-slot sum,
-  and replacement state is replayed once per *unique line* in
-  last-occurrence order (:meth:`Cache.apply_hit_run`).  L1 hits never
-  ripple fills and never trigger the prefetchers, and they enter the
-  MSHR file only when their line awaits an in-flight prefetch (the L1
-  latency is bounded by ``PIPELINED_LATENCY`` at eligibility time).
-* **Fused scalar loops.**  Events that can miss run through scalar
-  code that inlines the engine / hierarchy / prefetcher / DRAM
-  bookkeeping of the exact model (same operations in the same order,
-  so float accumulation is unchanged) instead of descending through
-  six layers of method calls per access.
+its one-machine case.  Interpretation cost is per-event Python, not
+model arithmetic, so the interpreter decodes whole chunks of the dense
+columns with numpy (line/set/tag by shift and mask) and runs each
+event through scalar code that inlines the engine / hierarchy /
+prefetcher / DRAM bookkeeping of the exact model -- the same
+operations in the same order, so float accumulation is unchanged --
+instead of descending through six layers of method calls per access.
 
 **The private levels depend on the trace alone.**  The hierarchy is
 inclusive-by-fill with no back-invalidation, prefetches fill only the
@@ -34,7 +19,7 @@ fills, victims and writebacks, and the stride prefetcher's training,
 are functions of the dense stream and the private parts' geometry,
 policy and state -- the same on every machine of a point that differs
 only at or below the LLC (baseline vs. XMem, LLC size, bandwidth).
-The shipped machine shape (:func:`_split_shape`) therefore runs split:
+The machine therefore runs split:
 
 * a **front-end** (:func:`_front_end`) decodes each chunk, probes and
   fills L1 and L2 with both victim ripples, trains the stride
@@ -48,19 +33,19 @@ Machines of one point whose private parts are equal run in lockstep
 (:func:`_run_lockstep`): per chunk the front-end runs once, on the
 first machine's own L1, L2 and stride prefetcher, and each back-end
 consumes the chunk; at the end the other machines' private state and
-counters are set to the front-end's.  Any other machine runs alone
-through the same code (a one-machine group), through
-:func:`_run_generic` (eligible machines of another shape: one fused
-loop over every level), or through ``run_packed``.
+counters are set to the front-end's.  Any other machine of the shape
+runs alone through the same code (a one-machine group).
 
-Exactness of the batched and folded time accounting relies on the
-timing grid: with a power-of-two issue width every increment is an
-exact dyadic rational, so float addition over a run commutes with the
+Exactness of the folded time accounting relies on the timing grid:
+with a power-of-two issue width every increment is an exact dyadic
+rational, so float addition over a run of L1 hits commutes with the
 sequential order while ``now`` stays below ``2**(52-k)``; past that
-ceiling each chunk is replayed event by event.  :func:`eligible`
-checks this and every structural assumption; when any fails, the run
-falls back to ``run_packed`` -- the fused path is *never* allowed to be
-a different model, only a faster evaluation of the same one.
+ceiling each chunk is replayed event by event.  :func:`eligible` is
+the one gate: the shipped machine shape (LRU L1, DRRIP L2 and LLC,
+pins and prefetched tags only at the LLC) on that grid, with no
+wrapped or ``REPRO_CHECK``-hooked component.  Every other machine runs
+through ``run_packed`` -- the split path is *never* allowed to be a
+different model, only a faster evaluation of the same one.
 
 Divergence from the reference engine and from ``run_packed`` is
 fuzz-checked by the ``packed`` lane (:mod:`repro.testing.fuzz`),
@@ -95,22 +80,11 @@ from repro.mem.replacement import (
     LRUPolicy,
     RRPV_MAX,
     RRPV_LONG,
-    RandomPolicy,
     ReplacementPolicy,
-    SRRIPPolicy,
 )
 
 #: Events per columnar chunk.
 CHUNK = 4096
-#: Blocked fraction above which a chunk skips the numpy machinery and
-#: runs straight through the fused scalar loop.
-SCALAR_FRACTION = 0.05
-#: Segment length at or below which the batch paths use plain Python
-#: loops: numpy's per-call overhead (slicing, masking, tolist on tiny
-#: arrays) exceeds a direct walk for short inter-miss hit runs.
-SMALL_SEGMENT = 64
-#: Policy-kind codes for the fused loop.
-_P_LRU, _P_RRIP, _P_RANDOM = 0, 1, 2
 #: A chunk index past every chunk (no event pending).
 _NEVER = 1 << 62
 
@@ -118,10 +92,10 @@ _NEVER = 1 << 62
 def dyadic_k(values, k_max: int = 12) -> Optional[int]:
     """Smallest ``k`` with every value an integer multiple of ``2**-k``.
 
-    The batch path reorders float additions; that is exact only while
-    every addend and every partial sum is exactly representable, i.e.
-    all time quanta live on one dyadic grid and ``now`` stays small
-    enough that grid points need at most 53 mantissa bits.
+    Folded time accounting reorders float additions; that is exact only
+    while every addend and every partial sum is exactly representable,
+    i.e. all time quanta live on one dyadic grid and ``now`` stays
+    small enough that grid points need at most 53 mantissa bits.
     """
     for k in range(k_max + 1):
         scale = 1 << k
@@ -131,76 +105,18 @@ def dyadic_k(values, k_max: int = 12) -> Optional[int]:
 
 _dyadic_k = dyadic_k
 
-def _isin(values, members):
-    """``np.isin(values, members)`` for a hashed collection of ints.
-
-    Hash lookups rather than numpy's set routines: those sort, and go
-    through ``np.unique``, whose first call imports ``numpy.ma``; with
-    the sort code paged in, that costs about 1.6 MB of resident memory
-    for no speed gain at chunk size.
-    """
-    return _np.fromiter(map(members.__contains__, values.tolist()),
-                        bool, len(values))
-
-
-def _replay_hits(cache: Cache, lines, writes) -> None:
-    """Account a run of demand hits with one :meth:`Cache.apply_hit_run`.
-
-    ``lines`` is the run's line addresses (a numpy array, every line
-    resident), ``writes`` its write mask.
-    """
-    shift, smask, tshift = cache._line_shift, cache._set_mask, \
-        cache._tag_shift
-    # Unique lines in last-occurrence order: a dict keeps the first
-    # occurrence over the reversed run, and reversing its keys maps
-    # that back (C-level, and no numpy sort code to page in).
-    order = list(dict.fromkeys(reversed(lines.tolist())))
-    order.reverse()
-    replay = [((ln >> shift) & smask, ln >> tshift) for ln in order]
-    if writes.any():
-        written = [((ln >> shift) & smask, ln >> tshift)
-                   for ln in set(lines[writes].tolist())]
-    else:
-        written = ()
-    cache.apply_hit_run(len(lines), replay, written)
-
-
-def _resident(cache: Cache, addrs):
-    """Per-address residency in ``cache`` for a numpy address array: a
-    vectorized compare against a snapshot of the tag table."""
-    set_idx = (addrs >> cache._line_shift) & cache._set_mask
-    tag = addrs >> cache._tag_shift
-    table = _np.array(cache._tags, dtype=_np.int64)
-    # One way at a time: chunk-sized temporaries only.
-    resident = table[set_idx, 0] == tag
-    for way in range(1, cache.ways):
-        resident |= table[set_idx, way] == tag
-    return resident
-
-
-_POLICY_KIND = {
-    LRUPolicy: _P_LRU,
-    SRRIPPolicy: _P_RRIP,
-    BRRIPPolicy: _P_RRIP,
-    DRRIPPolicy: _P_RRIP,
-    RandomPolicy: _P_RANDOM,
-}
-
-#: Replacement policies whose hit-path effect :meth:`Cache.apply_hit_run`
-#: can replay in one call.  Shared with the co-run interleaver
-#: (:mod:`repro.sim.corun`), whose batch eligibility gate is the same
-#: argument over a different machine shape.
-BATCHABLE_POLICIES = frozenset(_POLICY_KIND)
-
 
 def eligible(engine: TraceEngine, trace) -> bool:
-    """Whether ``(engine, trace)`` is served by the fused interpreter.
+    """Whether ``(engine, trace)`` runs on the split interpreter.
 
-    Anything unrecognized -- wrapped components, exotic policies,
-    non-power-of-two geometry, ``REPRO_CHECK`` hooks -- falls back to
-    :meth:`TraceEngine.run_packed`, so the fused path's correctness
+    The shipped three-level shape -- LRU L1, DRRIP L2 and LLC, pins and
+    prefetched tags only at the LLC, a shift-form stride prefetcher --
+    with unwrapped components on the dyadic timing grid.  Anything else
+    -- wrapped components, other policies or depths, non-power-of-two
+    issue widths, ``REPRO_CHECK`` hooks -- runs through
+    :meth:`TraceEngine.run_packed`, so the split path's correctness
     domain is exactly the configurations the equivalence suite pins.
-    Checked components fall back because the fused loop inlines the
+    Checked components fall back because the split loop inlines the
     cache and MSHR operations the checks wrap: only the scalar loop
     reaches the per-operation checkers.
     """
@@ -216,34 +132,34 @@ def eligible(engine: TraceEngine, trace) -> bool:
     if type(engine.mshr) is not MSHRFile or "reserve" in vars(engine.mshr):
         return False
     mem = engine.memory
-    if type(mem) is not MemorySystem:
-        return False
-    if type(mem.dram) is not DramSystem:
+    if type(mem) is not MemorySystem or type(mem.dram) is not DramSystem:
         return False
     hier = mem.hierarchy
     if type(hier) is not CacheHierarchy or hier._line_mask is None:
         return False
-    for cache in hier.levels:
+    caches = hier.levels
+    if len(caches) != 3 or hier.line_bytes < 8:
+        return False
+    for cache in caches:
         if type(cache) is not Cache or cache._line_shift is None:
             return False
         if "access" in vars(cache):
             return False
-        if type(cache.policy) not in _POLICY_KIND:
-            return False
+    if [type(c.policy) for c in caches] != [LRUPolicy, DRRIPPolicy,
+                                            DRRIPPolicy]:
+        return False
+    if caches[0]._prefetched_tags or caches[1]._prefetched_tags:
+        return False
+    if any(caches[0]._pinned_counts) or any(caches[1]._pinned_counts):
+        return False
     stride = mem.stride_prefetcher
-    if stride is not None and type(stride) is not MultiStridePrefetcher:
+    if stride is not None and (type(stride) is not MultiStridePrefetcher
+                               or stride._region_shift is None):
         return False
     xmem_pf = mem.xmem_prefetcher
     if xmem_pf is not None and type(xmem_pf) is not XMemPrefetcher:
         return False
-    if len(hier.levels) == 1 and (stride is not None
-                                  or xmem_pf is not None):
-        # Prefetches would fill the only level, breaking the batch
-        # path's "L1 never holds prefetched tags" assumption.
-        return False
     if hier.latencies[0] > engine.PIPELINED_LATENCY:
-        return False
-    if hier.levels[0]._prefetched_tags:
         return False
     if mem._prefetch_log is not None:
         return False
@@ -251,29 +167,7 @@ def eligible(engine: TraceEngine, trace) -> bool:
     if _dyadic_k((1.0 / issue, engine.PIPELINED_LATENCY, timing.t_cl,
                   timing.t_rcd, timing.t_rp, timing.t_burst)) is None:
         return False
-    if any(lat != int(lat) for lat in hier.latencies):
-        return False
-    return True
-
-
-def _split_shape(engine: TraceEngine) -> bool:
-    """Whether an eligible machine runs the split interpreter: the
-    shipped three-level shape -- LRU L1, DRRIP L2 and LLC, pins and
-    prefetched tags only at the LLC, a shift-form stride prefetcher.
-    Every production machine has it; other shapes run
-    :func:`_run_generic`."""
-    memory = engine.memory
-    hier = memory.hierarchy
-    caches = hier.levels
-    stride = memory.stride_prefetcher
-    return (len(caches) == 3
-            and [type(c.policy) for c in caches]
-            == [LRUPolicy, DRRIPPolicy, DRRIPPolicy]
-            and (stride is None or stride._region_shift is not None)
-            and not caches[1]._prefetched_tags
-            and not any(caches[0]._pinned_counts)
-            and not any(caches[1]._pinned_counts)
-            and hier.line_bytes >= 8)
+    return all(lat == int(lat) for lat in hier.latencies)
 
 
 #: Per-level state the front-end evolves (plus stats and policy state).
@@ -346,11 +240,11 @@ def run_shared(engines: Sequence[TraceEngine], traces: Sequence,
     """Execute ``traces[k]`` on ``engines[k]`` for every ``k``; each
     result is bit-identical to ``engines[k].run_packed(traces[k])``.
 
-    Machines of the split shape whose dense streams and private parts
-    are equal (:func:`_same_private`) run in lockstep on one front-end
-    pass.  Any other machine runs alone: through the split interpreter,
-    through :func:`_run_generic`, or -- when :func:`eligible` says no
-    -- through ``run_packed``.  ``seconds``, when given, is a list of
+    Machines that pass :func:`eligible` and whose dense streams and
+    private parts are equal (:func:`_same_private`) run in lockstep on
+    one front-end pass; an eligible machine with no twin is a
+    one-machine group.  Every other machine runs through
+    ``run_packed``.  ``seconds``, when given, is a list of
     ``len(engines) + 1`` floats that accumulates each machine's own
     wall seconds and, last, the seconds of the shared front-end passes.
     """
@@ -359,21 +253,18 @@ def run_shared(engines: Sequence[TraceEngine], traces: Sequence,
     results: List[Optional[EngineStats]] = [None] * len(engines)
     groups: List[List[int]] = []
     for k, (engine, trace) in enumerate(zip(engines, traces)):
-        fused = eligible(engine, trace)
-        if fused and _split_shape(engine):
-            for group in groups:
-                lead = group[0]
-                if _same_private(engines[lead], traces[lead], engine,
-                                 trace):
-                    group.append(k)
-                    break
-            else:
-                groups.append([k])
+        if not eligible(engine, trace):
+            t0 = perf_counter()
+            results[k] = engine.run_packed(trace)
+            seconds[k] += perf_counter() - t0
             continue
-        t0 = perf_counter()
-        results[k] = (_run_generic(engine, trace) if fused
-                      else engine.run_packed(trace))
-        seconds[k] += perf_counter() - t0
+        for group in groups:
+            lead = group[0]
+            if _same_private(engines[lead], traces[lead], engine, trace):
+                group.append(k)
+                break
+        else:
+            groups.append([k])
     for group in groups:
         stats, front_s, own_s = _run_lockstep([engines[k] for k in group],
                                               [traces[k] for k in group])
@@ -485,18 +376,13 @@ def _front_end(engine: TraceEngine, trace: PackedTrace):
         st_lb = stride.line_bytes
         st_max = stride.max_streams
 
-    # Deferred counters (flushed by finish; sums commute with the
-    # immediate updates of the hit fast-forward).
+    # Deferred counters (flushed by finish).
     c0a = c0m = c0ev = c0wb = 0
     c1a = c1h = c1m = c1ev = c1wb = 0
     s_iss = s_alloc = 0
     n_mem_total = 0
     u_base = 0
     psel1 = fc1 = 0
-    # Adaptive probing, as in _run_generic: after several chunks
-    # straight to the scalar loop, skip the (pure-heuristic) numpy
-    # residency probe for a while and re-probe periodically.
-    streak = skips = 0
 
     def fa1(si, tg, dty):
         """L2 fill_absent: DRRIP, never pinned, never prefetched."""
@@ -531,7 +417,7 @@ def _front_end(engine: TraceEngine, trace: PackedTrace):
 
     def chunk(begin: int, end: int):
         nonlocal c0a, c0m, c0ev, c0wb, c1a, c1h, c1m, s_iss, s_alloc
-        nonlocal n_mem_total, u_base, psel1, fc1, streak, skips
+        nonlocal n_mem_total, u_base, psel1, fc1
         n = end - begin
         seg_m = me[begin:end]
         seg_ln = va[begin:end] & line_mask
@@ -549,23 +435,6 @@ def _front_end(engine: TraceEngine, trace: PackedTrace):
         rec_i: List[int] = []
         rec_code: List[int] = []
         rec_ext: list = []
-        if streak < 4:
-            blocked = int(np.count_nonzero(is_mem & ~_resident(l1, seg_ln)))
-            if blocked == 0:
-                # Every access hits L1: replay the run in one call.
-                if n_mem:
-                    _replay_hits(l1, seg_ln[is_mem],
-                                 (seg_m[is_mem] & 1) != 0)
-                streak = 0
-                rec_i.append(n)
-                rec_code.append(-1)
-                return (begin, n, ua, lines, line_set, rec_i, rec_code,
-                        rec_ext, u_end)
-            streak = streak + 1 if blocked > SCALAR_FRACTION * n else 0
-        else:
-            skips += 1
-            if skips >= 12:
-                streak = skips = 0
         c0a += n_mem
         clk = l1pol._clock
         psel1 = p1._psel
@@ -1166,555 +1035,3 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache):
         return engine.last_stats
 
     return consume, finish
-
-
-def _run_generic(engine: TraceEngine, trace) -> EngineStats:
-    """The fused interpreter for eligible machines of any other shape
-    than the split one (:func:`_split_shape`): one exact loop body over
-    every level, around the shared chunk fast-forward."""
-    np = _np
-    memory = engine.memory
-    hier = memory.hierarchy
-    dram = memory.dram
-    mshr = engine.mshr
-    reserve = mshr.reserve
-    xmemlib = engine.xmemlib
-
-    # -- Engine accumulators (mirroring run_packed's locals) ---------------
-    now = 0.0
-    issue = engine.issue_width
-    slot = 1.0 / issue
-    pipelined = engine.PIPELINED_LATENCY
-    timing = dram.timing
-    grid_k = _dyadic_k((slot, pipelined, timing.t_cl, timing.t_rcd,
-                        timing.t_rp, timing.t_burst))
-    # Exactness ceiling: grid points below 2**(52-k) use <= 52 mantissa
-    # bits, so every addition in a batched sum is exact.
-    now_limit = float(1 << (52 - grid_k))
-    instructions = 0
-    mem_accesses = 0
-    xmem_instructions = 0
-    misses_to_memory = 0
-    stall_cycles = 0.0
-
-    # -- Hierarchy state, hoisted per level --------------------------------
-    caches = hier.levels
-    num_levels = len(caches)
-    last = num_levels - 1
-    latencies = hier.latencies
-    pin_predicate = hier.pin_predicate
-    tags_lv = [c._tags for c in caches]
-    dirty_lv = [c._dirty for c in caches]
-    pinned_lv = [c._pinned for c in caches]
-    vcount_lv = [c._valid_counts for c in caches]
-    pcount_lv = [c._pinned_counts for c in caches]
-    allways_lv = [c._all_ways for c in caches]
-    ways_lv = [c.ways for c in caches]
-    cstats_lv = [c.stats for c in caches]
-    lshift_lv = [c._line_shift for c in caches]
-    smask_lv = [c._set_mask for c in caches]
-    tshift_lv = [c._tag_shift for c in caches]
-    nsets_lv = [c.num_sets for c in caches]
-    maxpin_lv = [c._max_pinned_ways for c in caches]
-    pfdtags_lv = [c._prefetched_tags for c in caches]
-    line_bytes = hier.line_bytes
-    line_mask = hier._line_mask
-    policy_lv = [c.policy for c in caches]
-    pkind_lv = [_POLICY_KIND[type(c.policy)] for c in caches]
-    stamp_lv = [getattr(c.policy, "_stamp", None) for c in caches]
-    rrpv_lv = [getattr(c.policy, "_rrpv", None) for c in caches]
-    drrip_lv = [type(c.policy) is DRRIPPolicy for c in caches]
-    l1 = caches[0]
-    l1_apply_hit_run = l1.apply_hit_run
-    l1_shift = lshift_lv[0]
-    l1_smask = smask_lv[0]
-    l1_tshift = tshift_lv[0]
-    l1_nsets = nsets_lv[0]
-
-    # -- Memory-system state -----------------------------------------------
-    mem_stats = memory.stats
-    prefetch_ready = memory._prefetch_ready
-    wbuf = memory._write_buffer
-    drain_threshold = memory.write_drain_threshold
-    drain_writes = memory.drain_writes
-    llc_level = memory._llc_level
-    stride = memory.stride_prefetcher
-    stride_observe = stride.observe if stride is not None else None
-    xmem_pf = memory.xmem_prefetcher
-    xmem_on_miss = xmem_pf.on_demand_miss if xmem_pf is not None else None
-
-    # -- DRAM state ---------------------------------------------------------
-    addr_bank = dram._addr_bank
-    t_burst = timing.t_burst
-    channel_free = dram._channel_free
-    dram_record = dram._record
-    # The Ideal perfect-row-buffer system: every access is serviced as a
-    # row hit (DramSystem._service's force_hit path).
-    force_hit = dram.perfect_rbl
-    OUT_HIT = RowOutcome.HIT
-
-    # L1 evictions / new in-flight prefetches performed by scalar events
-    # demote later chunk positions out of the batchable set.
-    contam: Set[int] = set()
-
-    def dram_read(line: int, t: float) -> float:
-        """Inline of DramSystem.access_completes for a demand/prefetch
-        read (same operations, same order)."""
-        addr, bank = addr_bank(line)
-        busy = bank.busy_until
-        start = t if t > busy else busy
-        outcome = OUT_HIT if force_hit else bank.classify(addr.row)
-        data_ready = bank.access(addr.row, start, timing, force_hit)
-        channel = addr.channel
-        free_at = channel_free[channel]
-        burst_start = data_ready if data_ready > free_at else free_at
-        done = burst_start + t_burst
-        channel_free[channel] = done
-        dram_record(outcome, done - t, False)
-        return done
-
-    def fill_absent(level: int, line: int, dirty: bool, pinned_req: bool,
-                    prefetch: bool) -> Optional[int]:
-        """Inline of Cache.fill_absent (policy hooks included)."""
-        set_idx = (line >> lshift_lv[level]) & smask_lv[level]
-        tag = line >> tshift_lv[level]
-        tags = tags_lv[level][set_idx]
-        dirty_row = dirty_lv[level][set_idx]
-        pinned_row = pinned_lv[level][set_idx]
-        pcounts = pcount_lv[level]
-        stats = cstats_lv[level]
-        pkind = pkind_lv[level]
-        policy = policy_lv[level]
-        writeback = None
-        vcounts = vcount_lv[level]
-        if vcounts[set_idx] < ways_lv[level]:
-            way = tags.index(INVALID_TAG)
-            vcounts[set_idx] += 1
-        else:
-            if pcounts[set_idx]:
-                candidates = [w for w in allways_lv[level]
-                              if not pinned_row[w]]
-                if not candidates:
-                    candidates = allways_lv[level]
-            else:
-                candidates = allways_lv[level]
-            if pkind == _P_LRU:
-                stamp = stamp_lv[level][set_idx]
-                way = min(candidates, key=stamp.__getitem__)
-            elif pkind == _P_RRIP:
-                rrpv = rrpv_lv[level][set_idx]
-                highest = max(map(rrpv.__getitem__, candidates))
-                if highest < RRPV_MAX:
-                    bump = RRPV_MAX - highest
-                    for w in candidates:
-                        rrpv[w] += bump
-                for w in candidates:
-                    if rrpv[w] >= RRPV_MAX:
-                        way = w
-                        break
-            else:
-                way = policy.victim(set_idx, candidates)
-            stats.evictions += 1
-            victim_tag = tags[way]
-            if dirty_row[way]:
-                stats.writebacks += 1
-                writeback = ((victim_tag * nsets_lv[level] + set_idx)
-                             * line_bytes)
-            pfd = pfdtags_lv[level]
-            if pfd:
-                pfd.discard((set_idx, victim_tag))
-            if pinned_row[way]:
-                pinned_row[way] = False
-                pcounts[set_idx] -= 1
-            if pkind == _P_LRU:
-                stamp_lv[level][set_idx][way] = 0
-            elif pkind == _P_RRIP:
-                rrpv_lv[level][set_idx][way] = RRPV_MAX
-            if level == 0:
-                contam.add((victim_tag * l1_nsets + set_idx)
-                           * line_bytes)
-        tags[way] = tag
-        dirty_row[way] = dirty
-        want_pin = pinned_req and pcounts[set_idx] < maxpin_lv[level]
-        if pinned_req and not want_pin:
-            stats.pin_refusals += 1
-        pinned_row[way] = want_pin
-        if want_pin:
-            stats.pinned_fills += 1
-            pcounts[set_idx] += 1
-        if prefetch:
-            stats.prefetch_fills += 1
-            pfdtags_lv[level].add((set_idx, tag))
-        if pkind == _P_LRU:
-            policy._clock += 1
-            stamp_lv[level][set_idx][way] = policy._clock
-        elif pkind == _P_RRIP:
-            if want_pin:
-                rrpv_lv[level][set_idx][way] = 0
-            elif drrip_lv[level]:
-                phase = set_idx % DRRIPPolicy.DUEL_PERIOD
-                if phase == 1 or (phase != 0
-                                  and policy._psel > policy._psel_half):
-                    brrip = policy._brrip
-                    brrip._fill_count += 1
-                    if brrip._fill_count % brrip.LONG_INTERVAL_PERIOD == 0:
-                        rrpv_lv[level][set_idx][way] = RRPV_LONG
-                    else:
-                        rrpv_lv[level][set_idx][way] = RRPV_MAX
-                else:
-                    rrpv_lv[level][set_idx][way] = RRPV_LONG
-            else:
-                policy.on_fill(set_idx, way, high_priority=False)
-        else:
-            policy.on_fill(set_idx, way, high_priority=want_pin)
-        return writeback
-
-    def buffer_write(line: int, t: float) -> None:
-        mem_stats.writebacks += 1
-        wbuf.append(line)
-        if len(wbuf) >= drain_threshold:
-            drain_writes(t)
-
-    def prefetch_fill(line: int, t: float) -> None:
-        """Inline of MemorySystem._prefetch over fill_prefetch_flat."""
-        set_idx = (line >> lshift_lv[last]) & smask_lv[last]
-        if (line >> tshift_lv[last]) in tags_lv[last][set_idx]:
-            return
-        wb = fill_absent(last, line, False, pin_predicate(line), True)
-        mem_stats.prefetch_reads += 1
-        prefetch_ready[line] = dram_read(line, t)
-        contam.add(line)
-        if wb is not None:
-            buffer_write(wb, t)
-
-    def scalar_range(begin: int, end: int) -> None:
-        """The fused scalar interpreter over dense positions
-        ``[begin, end)`` -- the exact model, one loop body."""
-        nonlocal now, instructions, mem_accesses, misses_to_memory, \
-            stall_cycles
-        for vaddr, m in zip(tv[begin:end], tm[begin:end]):
-            if m & 2:                        # Work block
-                count = m >> 2
-                now += count / issue
-                instructions += count
-                continue
-            work = m >> 2                    # MemAccess
-            if work:
-                now += work / issue
-                instructions += work
-            instructions += 1
-            mem_accesses += 1
-            is_write = m & 1
-            # ---- MemorySystem.access, inlined ----
-            line = vaddr & line_mask
-            # Hierarchy walk (access_flat).
-            lookup = 0
-            hit_level = None
-            llc_prefetch_hit = False
-            for i in range(num_levels):
-                lookup += latencies[i]
-                set_idx = (line >> lshift_lv[i]) & smask_lv[i]
-                tag = line >> tshift_lv[i]
-                tags = tags_lv[i][set_idx]
-                stats = cstats_lv[i]
-                stats.accesses += 1
-                if tag not in tags:
-                    stats.misses += 1
-                    if drrip_lv[i]:
-                        policy = policy_lv[i]
-                        phase = set_idx % DRRIPPolicy.DUEL_PERIOD
-                        if phase == 0:
-                            if policy._psel < policy._psel_max:
-                                policy._psel += 1
-                        elif phase == 1:
-                            if policy._psel > 0:
-                                policy._psel -= 1
-                    continue
-                way = tags.index(tag)
-                stats.hits += 1
-                if is_write and i == 0:
-                    dirty_lv[i][set_idx][way] = True
-                pkind = pkind_lv[i]
-                if pkind == _P_LRU:
-                    policy = policy_lv[i]
-                    policy._clock += 1
-                    stamp_lv[i][set_idx][way] = policy._clock
-                elif pkind == _P_RRIP:
-                    rrpv_lv[i][set_idx][way] = 0
-                pfd = pfdtags_lv[i]
-                if pfd:
-                    key = (set_idx, tag)
-                    if key in pfd:
-                        stats.prefetch_hits += 1
-                        pfd.discard(key)
-                        if i == last:
-                            llc_prefetch_hit = True
-                hit_level = i
-                break
-            mem_wbs = None
-            if hit_level != 0:
-                top = hit_level if hit_level is not None else num_levels
-                for i in range(top - 1, -1, -1):
-                    pinned = i == last and pin_predicate(line)
-                    wb = fill_absent(i, line, bool(is_write) and i == 0,
-                                     pinned, False)
-                    if wb is not None:
-                        j = i + 1
-                        while True:
-                            if j > last:
-                                if mem_wbs is None:
-                                    mem_wbs = []
-                                mem_wbs.append(wb)
-                                break
-                            # Cache.fill: merge if resident, else
-                            # fill_absent (ripple victims may land on
-                            # resident lines).
-                            sj = (wb >> lshift_lv[j]) & smask_lv[j]
-                            tj = wb >> tshift_lv[j]
-                            wj = tags_lv[j][sj]
-                            if tj in wj:
-                                dirty_lv[j][sj][wj.index(tj)] = True
-                                break
-                            wb = fill_absent(j, wb, True, False, False)
-                            if wb is None:
-                                break
-                            j += 1
-            t_lookup = now + lookup
-            memory_read = hit_level is None
-            if memory_read:
-                completes = dram_read(line, t_lookup)
-                if prefetch_ready:
-                    prefetch_ready.pop(line, None)
-                if is_write:
-                    mem_stats.demand_writes += 1
-                else:
-                    mem_stats.demand_reads += 1
-            else:
-                completes = t_lookup
-                if prefetch_ready:
-                    ready = prefetch_ready.pop(line, None)
-                    if ready is not None and ready > completes:
-                        completes = ready
-            if mem_wbs is not None:
-                for wb in mem_wbs:
-                    buffer_write(wb, t_lookup)
-            reached_llc = memory_read or hit_level >= llc_level
-            if stride_observe is not None and reached_llc:
-                for target in stride_observe(line):
-                    prefetch_fill(target, now)
-            if xmem_on_miss is not None and (memory_read
-                                             or llc_prefetch_hit):
-                for target in xmem_on_miss(vaddr):
-                    prefetch_fill(target, now)
-            # ---- back in the engine ----
-            if memory_read:
-                misses_to_memory += 1
-            if completes - now > pipelined:
-                start = reserve(now, completes)
-                if start > now:
-                    stall_cycles += start - now
-                    now = start
-            now += slot
-
-    # -- Batched application ------------------------------------------------
-
-    va = np.frombuffer(trace.vaddr, dtype=np.int64) if len(trace.vaddr) \
-        else np.empty(0, dtype=np.int64)
-    me = np.frombuffer(trace.meta, dtype=np.int64) if len(trace.meta) \
-        else np.empty(0, dtype=np.int64)
-    tv = trace.vaddr
-    tm = trace.meta
-
-    def batch_apply(begin: int, end: int) -> None:
-        """Fast-forward dense positions ``[begin, end)``: all accesses
-        are L1 hits; Work blocks ride along.  Exact by the dyadic-grid
-        argument in the module docstring."""
-        nonlocal now, instructions, mem_accesses
-        if end - begin <= SMALL_SEGMENT:
-            # Short inter-miss hit runs: a direct walk beats numpy's
-            # per-call overhead.  A dict keyed by line, re-inserted on
-            # repeat, yields unique lines in last-occurrence order.
-            total = 0
-            n_mem = 0
-            seen: dict = {}
-            written = None
-            for pos in range(begin, end):
-                m = tm[pos]
-                if m & 2:
-                    total += m >> 2
-                    continue
-                total += m >> 2
-                n_mem += 1
-                ln = tv[pos] & line_mask
-                if ln in seen:
-                    del seen[ln]
-                seen[ln] = None
-                if m & 1:
-                    if written is None:
-                        written = {ln}
-                    else:
-                        written.add(ln)
-            instructions += total + n_mem
-            if total:
-                now += total / issue
-            if not n_mem:
-                return
-            mem_accesses += n_mem
-            now += n_mem * slot
-            replay = [((ln >> l1_shift) & l1_smask, ln >> l1_tshift)
-                      for ln in seen]
-            wr = (() if written is None else
-                  [((ln >> l1_shift) & l1_smask, ln >> l1_tshift)
-                   for ln in written])
-            l1_apply_hit_run(n_mem, replay, wr)
-            return
-        m = me[begin:end]
-        counts = m >> 2
-        total = int(counts.sum())
-        work_rows = (m & 2) != 0
-        n_work = int(np.count_nonzero(work_rows))
-        n_mem = (end - begin) - n_work
-        instructions += total + n_mem
-        if total:
-            now += total / issue
-        if not n_mem:
-            return
-        mem_accesses += n_mem
-        now += n_mem * slot
-        if n_work:
-            mem_rows = ~work_rows
-            lines = va[begin:end][mem_rows] & line_mask
-            writes = (m[mem_rows] & 1) != 0
-        else:
-            lines = va[begin:end] & line_mask
-            writes = (m & 1) != 0
-        _replay_hits(l1, lines, writes)
-
-    def batch_guarded(begin: int, end: int) -> None:
-        """Apply ``[begin, end)`` as hit batches, splitting at positions
-        whose line was contaminated (evicted from L1 or newly awaited
-        from a prefetch) by an earlier scalar event of this chunk."""
-        while begin < end:
-            if contam:
-                if end - begin <= SMALL_SEGMENT:
-                    split = -1
-                    for pos in range(begin, end):
-                        if (tv[pos] & line_mask) in contam:
-                            split = pos
-                            break
-                else:
-                    hot = _isin(va[begin:end] & line_mask, contam)
-                    bad = np.flatnonzero(hot)
-                    split = begin + int(bad[0]) if bad.size else -1
-                if split >= 0:
-                    if split > begin:
-                        batch_apply(begin, split)
-                    scalar_range(split, split + 1)
-                    begin = split + 1
-                    continue
-            batch_apply(begin, end)
-            return
-
-    # Adaptive probing: after several consecutive chunks classified
-    # straight to the scalar loop, the workload is in a miss-dense
-    # phase -- skip the (pure-heuristic) numpy classification for a
-    # while and re-probe periodically.  Exact either way: the scalar
-    # loop is the reference interpretation of any range.
-    scalar_streak = 0
-    scalar_skips = 0
-
-    def process_range(begin: int, end: int) -> None:
-        """One dense segment (no XMemOp inside), chunk by chunk."""
-        nonlocal scalar_streak, scalar_skips
-        pos = begin
-        while pos < end:
-            stop = pos + CHUNK
-            if stop > end:
-                stop = end
-            if now >= now_limit:
-                # Too large for exact batched accumulation (unreachable
-                # in practice); finish the run scalar.
-                scalar_range(pos, end)
-                return
-            if scalar_streak >= 4:
-                scalar_range(pos, stop)
-                pos = stop
-                scalar_skips += 1
-                if scalar_skips >= 12:
-                    scalar_streak = 0
-                    scalar_skips = 0
-                continue
-            contam.clear()
-            v = va[pos:stop]
-            m = me[pos:stop]
-            is_mem = (m & 2) == 0
-            if not is_mem.any():
-                batch_apply(pos, stop)
-                pos = stop
-                continue
-            lines = v & line_mask
-            blocked = is_mem & ~_resident(l1, v)
-            if prefetch_ready:
-                blocked |= is_mem & _isin(lines, prefetch_ready)
-            n_blocked = int(np.count_nonzero(blocked))
-            if n_blocked == 0:
-                batch_apply(pos, stop)
-                scalar_streak = 0
-            elif n_blocked > SCALAR_FRACTION * (stop - pos):
-                scalar_range(pos, stop)
-                scalar_streak += 1
-            else:
-                scalar_streak = 0
-                # Coalesce adjacent blocked positions into one scalar
-                # call; batch the guarded gaps between them.
-                cursor = pos
-                run_start = -1
-                run_end = -1
-                for p in np.flatnonzero(blocked):
-                    p = pos + int(p)
-                    if p == run_end:
-                        run_end = p + 1
-                        continue
-                    if run_start >= 0:
-                        if run_start > cursor:
-                            batch_guarded(cursor, run_start)
-                        scalar_range(run_start, run_end)
-                        cursor = run_end
-                    run_start, run_end = p, p + 1
-                if run_start >= 0:
-                    if run_start > cursor:
-                        batch_guarded(cursor, run_start)
-                    scalar_range(run_start, run_end)
-                    cursor = run_end
-                if cursor < stop:
-                    batch_guarded(cursor, stop)
-            pos = stop
-
-    # -- Drive the segments (XMemOp side table as in run_packed) -----------
-    done = 0
-    for idx, op in trace.xmem:
-        if idx > done:
-            process_range(done, idx)
-            done = idx
-        instructions += 1
-        xmem_instructions += 1
-        now += slot
-        if xmemlib is not None:
-            getattr(xmemlib, op.method)(*op.args)
-    total_dense = len(tv)
-    if total_dense > done:
-        process_range(done, total_dense)
-
-    tail = mshr.latest_completion()
-    if tail is not None and tail > now:
-        now = tail
-    mshr.flush()
-    engine.last_stats = EngineStats(
-        cycles=now,
-        instructions=instructions,
-        mem_accesses=mem_accesses,
-        xmem_instructions=xmem_instructions,
-        misses_to_memory=misses_to_memory,
-        stall_cycles=stall_cycles,
-    )
-    return engine.last_stats

@@ -24,7 +24,6 @@ from typing import List, Optional
 from repro.core.errors import ConfigurationError
 from repro.mem.replacement import (
     DRRIPPolicy,
-    LRUPolicy,
     ReplacementPolicy,
     make_policy,
 )
@@ -205,14 +204,6 @@ class Cache:
             _checks.check_cache_set(self, self._index(addr))
             return result
 
-        apply_hit_run_inner = self.apply_hit_run
-
-        def apply_hit_run(n_hits, replay, written) -> None:
-            replay = list(replay)
-            apply_hit_run_inner(n_hits, replay, written)
-            for set_idx, _ in replay:
-                _checks.check_cache_set(self, set_idx)
-
         def unpin_all() -> int:
             result = unpin_inner()
             _checks.check_cache_all(self)
@@ -226,7 +217,6 @@ class Cache:
         self.access = access            # type: ignore[method-assign]
         self.fill = fill                # type: ignore[method-assign]
         self.fill_absent = fill_absent  # type: ignore[method-assign]
-        self.apply_hit_run = apply_hit_run  # type: ignore[method-assign]
         self.unpin_all = unpin_all      # type: ignore[method-assign]
         self.invalidate_all = invalidate_all  # type: ignore[method-assign]
 
@@ -393,55 +383,6 @@ class Cache:
 
     def _pin_ok(self, set_idx: int) -> bool:
         return self._pinned_counts[set_idx] < self._max_pinned_ways
-
-    # -- Batched probe / hit application (vector-engine support) ------------
-
-    def resident_snapshot(self) -> List[List[int]]:
-        """A copy of the per-set tag table (``INVALID_TAG`` = empty way).
-
-        The batch interpreter probes whole trace chunks against this
-        snapshot with vectorized compares; it stays valid until the
-        next fill or invalidation (demand hits never change residency).
-        """
-        return [list(row) for row in self._tags]
-
-    def apply_hit_run(self, n_hits, replay, written) -> None:
-        """Account a run of ``n_hits`` demand hits in one call.
-
-        ``replay`` is the run's unique ``(set_idx, tag)`` pairs in
-        order of **last** occurrence; ``written`` is the unique pairs
-        that saw at least one write.  Every line must be resident.
-
-        Equivalent to ``n_hits`` sequential hit-path :meth:`access`
-        calls up to replacement-clock granularity: one ``on_hit`` per
-        unique line, in last-occurrence order, leaves every policy in a
-        state with identical future behaviour (for LRU only the per-set
-        recency *order* is observable, and it is reproduced; RRIP's
-        promotion to RRPV 0 is idempotent), while counters and dirty
-        bits match exactly.  Callers must ensure no run line is awaited
-        from a prefetch (``_prefetched_tags`` bookkeeping is skipped).
-        """
-        stats = self.stats
-        stats.accesses += n_hits
-        stats.hits += n_hits
-        tags = self._tags
-        for set_idx, tag in written:
-            self._dirty[set_idx][tags[set_idx].index(tag)] = True
-        pol = self.policy
-        if type(pol) is LRUPolicy:
-            # The dominant replay target: inline the stamp update
-            # (one bound-method call per pair otherwise dominates the
-            # whole batch commit).
-            clock = pol._clock
-            stamp = pol._stamp
-            for set_idx, tag in replay:
-                clock += 1
-                stamp[set_idx][tags[set_idx].index(tag)] = clock
-            pol._clock = clock
-            return
-        on_hit = self._policy_on_hit
-        for set_idx, tag in replay:
-            on_hit(set_idx, tags[set_idx].index(tag))
 
     def _victim_addr(self, set_idx: int, tag: int) -> int:
         return (tag * self.num_sets + set_idx) * self.line_bytes

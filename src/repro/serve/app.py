@@ -9,8 +9,7 @@ Endpoints (all bodies and responses are JSON):
 * ``POST /v1/runs``           -- schedule sweep points against built
   scenarios (``{"scenario": h, "configs": [...]}`` or
   ``{"points": [{"scenario": h, "config": {...}}, ...]}``, plus an
-  optional ``out_dir`` the server writes completed documents into;
-  each config may carry a per-run ``engine`` tier).
+  optional ``out_dir`` the server writes completed documents into).
 * ``GET  /v1/runs``           -- list runs and their progress.
 * ``GET  /v1/runs/<id>``      -- progress; completed runs include the
   per-point manifest+stats documents.  ``?since=<counter>`` long-polls
@@ -26,7 +25,7 @@ Endpoints (all bodies and responses are JSON):
   pool state (executor, per-worker pid / jobs since last recycle).
 * ``GET  /debug/state``       -- full introspection: serve counters,
   queue/worker/pool state, workspace usage, scenario and run tables,
-  trace memo bounds, engine tier, ``REPRO_*`` env.
+  trace memo bounds, ``REPRO_*`` env.
 
 Error mapping: malformed JSON and :class:`ConfigurationError` are 400
 (a bad config must never surface as a 500), unknown
@@ -52,7 +51,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.stats import stat_values
-from repro.cpu.tiers import resolve_engine_tier
 from repro.serve.jobs import QueueFullError, RunScheduler, ServeStats
 from repro.serve.scenarios import (
     ScenarioBuildError,
@@ -126,9 +124,6 @@ class ServerState:
                 cache_disabled = True
             else:
                 cache_root = Path(cache_dir).expanduser()
-        # Resolved once, up front: a bad REPRO_ENGINE should refuse to
-        # boot the server, not 500 every request.
-        self.engine_tier = resolve_engine_tier()
         self.stats = ServeStats()
         self.workspace: Optional[ArtifactWorkspace] = None
         if workspace is not None:
@@ -186,7 +181,6 @@ class ServerState:
             "pool": sched.pool_report(),
             "scenarios": len(self.store),
             "runs": sched.run_count(),
-            "engine_tier": self.engine_tier,
         }
         return (200 if healthy else 503), doc
 
@@ -199,7 +193,6 @@ class ServerState:
         return {
             "serve": stat_values(self.stats),
             "uptime_s": round(self.uptime_s, 3),
-            "engine_tier": self.engine_tier,
             "env": collect_repro_env(),
             "queue": {"depth": sched.queue_depth(),
                       "limit": sched.queue_limit},
@@ -696,8 +689,7 @@ def main(host: str, port: int, workers: int, queue_limit: int,
     bound = server.server_address
     print(f"repro serve: listening on http://{bound[0]}:{bound[1]} "
           f"(workers={workers}, executor={executor}, "
-          f"queue_limit={queue_limit}, "
-          f"engine={server.state.engine_tier}"
+          f"queue_limit={queue_limit}"
           + (f", workspace={workspace}" if workspace else "")
           + ")", file=sys.stderr)
     try:

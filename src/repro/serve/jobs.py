@@ -22,9 +22,8 @@ Two executors:
   where spawning processes is unwanted.  No in-flight cancel.
 
 Both executors run a point through
-:func:`repro.sim.runner.execute_point_job`, so a per-run ``engine``
-override travels as an explicit argument into the run context on
-either one, and they produce the same documents.
+:func:`repro.sim.runner.execute_point_job`, so they produce the same
+documents.
 
 Progress is observable incrementally: every run keeps an append-only
 completion-ordered event list, long-polled via ``GET
@@ -52,7 +51,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.cpu.tiers import ENGINE_TIERS
 from repro.serve.pool import WorkerProcess
 from repro.serve.scenarios import ScenarioEntry, ScenarioStore
 from repro.serve.workspace import ArtifactWorkspace
@@ -124,25 +122,8 @@ class ServeStats:
 # Run configs -> points
 # ---------------------------------------------------------------------------
 
-_KERNEL_CONFIG_KEYS = ("scale", "llc_bytes", "bandwidth", "systems",
-                       "engine")
-_SUITE_CONFIG_KEYS = ("scale", "xmem_tenants", "modes", "engine")
-
-
-def _normalize_engine(config: dict) -> Optional[str]:
-    """The validated per-run engine tier, or None for the server's."""
-    engine = config.get("engine")
-    if engine is None:
-        return None
-    if not isinstance(engine, str):
-        raise ConfigurationError(
-            f"engine must be a tier name string, got {engine!r}")
-    engine = engine.strip()
-    if engine not in ENGINE_TIERS:
-        raise ConfigurationError(
-            f"unknown engine tier {engine!r}; "
-            f"choices: {list(ENGINE_TIERS)}")
-    return engine
+_KERNEL_CONFIG_KEYS = ("scale", "llc_bytes", "bandwidth", "systems")
+_SUITE_CONFIG_KEYS = ("scale", "xmem_tenants", "modes")
 
 
 def normalize_config(entry: ScenarioEntry, config: object
@@ -151,13 +132,7 @@ def normalize_config(entry: ScenarioEntry, config: object
 
     Returns the fully defaulted, canonically ordered config dict (what
     gets hashed); raises :class:`ConfigurationError` -- HTTP 400 -- on
-    anything malformed.  ``engine`` selects the engine tier for
-    exactly this run (validated against
-    :data:`repro.cpu.tiers.ENGINE_TIERS`); ``null``/omitted means the
-    server's default tier.  The override is part of the hashed
-    config, so the same machine knobs on two tiers are two distinct
-    points.  Both executors honour it: it reaches the run as an
-    explicit argument, never through the process environment.
+    anything malformed.
     """
     if config is None:
         config = {}
@@ -175,7 +150,6 @@ def normalize_config(entry: ScenarioEntry, config: object
         raise ConfigurationError(
             f"unknown {entry.spec.kind}-run config keys {unknown}; "
             f"allowed: {sorted(allowed)}")
-    engine = _normalize_engine(config)
     scale = config.get("scale", 32)
     if isinstance(scale, bool) or not isinstance(scale, int) or scale <= 0:
         raise ConfigurationError(
@@ -205,7 +179,7 @@ def normalize_config(entry: ScenarioEntry, config: object
             raise ConfigurationError(
                 f"unknown systems {bad}; "
                 f"choices: {sorted(SYSTEM_BUILDERS)}")
-        return {"engine": engine, "scale": scale, "llc_bytes": llc,
+        return {"scale": scale, "llc_bytes": llc,
                 "bandwidth": float(bandwidth),
                 "systems": list(systems)}
     modes = config.get("modes", ["baseline", "xmem"])
@@ -225,7 +199,7 @@ def normalize_config(entry: ScenarioEntry, config: object
         # A suite scenario is one tenant; core 0 is the only index.
         raise ConfigurationError(
             f"xmem_tenants {xmem_tenants} outside the 1-tenant mix")
-    return {"engine": engine, "scale": scale, "modes": list(modes),
+    return {"scale": scale, "modes": list(modes),
             "xmem_tenants": list(xmem_tenants)}
 
 
@@ -282,7 +256,6 @@ class PointEntry:
 
     key: Tuple[str, str]
     point: object
-    engine: Optional[str] = None
     state: str = "pending"    # -> running -> done | failed | cancelled
     document: Optional[dict] = None
     error: Optional[str] = None
@@ -414,7 +387,6 @@ class RunScheduler:
             fresh: List[PointEntry] = []
             fresh_by_key: Dict[Tuple[str, str], PointEntry] = {}
             for index, (entry, config) in enumerate(points):
-                engine = config.get("engine")
                 key = (entry.hash, config_hash(config))
                 point = build_point(entry, config)
                 keys.append(key)
@@ -429,12 +401,11 @@ class RunScheduler:
                     self.stats.bump("points_deduped")
                     entries.append(known)
                     continue
-                restored = self._restore_from_workspace(key, point,
-                                                        engine)
+                restored = self._restore_from_workspace(key, point)
                 if restored is not None:
                     entries.append(restored)
                     continue
-                pe = PointEntry(key=key, point=point, engine=engine)
+                pe = PointEntry(key=key, point=point)
                 fresh_by_key[key] = pe
                 fresh.append(pe)
                 entries.append(pe)
@@ -479,8 +450,7 @@ class RunScheduler:
         return run
 
     def _restore_from_workspace(self, key: Tuple[str, str],
-                                point: object, engine: Optional[str]
-                                ) -> Optional[PointEntry]:
+                                point: object) -> Optional[PointEntry]:
         """An entry born ``done`` from a persisted document, or None.
 
         Called under the scheduler lock (lock order: scheduler before
@@ -494,8 +464,8 @@ class RunScheduler:
             document = None
         if document is None:
             return None
-        pe = PointEntry(key=key, point=point, engine=engine,
-                        state="done", document=document)
+        pe = PointEntry(key=key, point=point, state="done",
+                        document=document)
         pe.done.set()
         self._points[key] = pe
         self.stats.bump("workspace_hits")
@@ -754,8 +724,7 @@ class RunScheduler:
         try:
             doc = execute_point_job(
                 pe.point, cache_root=self.store.cache_root,
-                cache_disabled=self.store.cache_disabled,
-                engine=pe.engine)
+                cache_disabled=self.store.cache_disabled)
             self._retag(doc, pe)
             self.stats.bump("points_executed")
             info["executed"] = int(info["executed"]) + 1
@@ -864,7 +833,8 @@ class RunScheduler:
                     info["pid"] = worker.pid
                     info["jobs_since_recycle"] = 0
             try:
-                worker.submit(pe.key, pe.point, pe.engine)
+                # benchmarks/perf/spans.py wraps a three-argument submit.
+                worker.submit(pe.key, pe.point, None)
                 self.stats.bump("points_dispatched")
                 return worker
             except (BrokenPipeError, OSError):
@@ -885,8 +855,6 @@ class RunScheduler:
             "config_hash": pe.key[1],
             "base_kind": manifest["kind"],
         }
-        if pe.engine is not None:
-            manifest["serve"]["engine"] = pe.engine
         manifest["kind"] = "servepoint"
 
     def _finish(self, pe: PointEntry, t0: float, state: str,

@@ -2,7 +2,7 @@
 
 ``repro serve`` keeps its HTTP surface on threads (cheap, IO-bound)
 and pushes point execution onto real processes so CPU-bound
-packed-tier replays run truly in parallel instead of serializing
+trace replays run truly in parallel instead of serializing
 behind the GIL.  Each scheduler worker thread owns at most one
 :class:`WorkerProcess`; jobs travel over a ``multiprocessing`` pipe
 one at a time, so a worker child is always either idle or executing
@@ -40,11 +40,10 @@ def pool_worker_main(conn, cache_root: Optional[Path],
                      cache_disabled: bool) -> None:
     """Entry point of one worker child (spawn target).
 
-    Protocol: the parent sends ``(key, point, engine)`` jobs and the
-    child replies ``("ok", document)`` or ``("error", message)``; a
-    ``None`` job asks the child to exit (recycling / shutdown).  One
-    job is in flight at a time; ``engine`` reaches
-    :func:`repro.sim.runner.execute_point_job` as an argument.
+    Protocol: the parent sends ``(key, point)`` jobs and the child
+    replies ``("ok", document)`` or ``("error", message)``; a ``None``
+    job asks the child to exit (recycling / shutdown).  One job is in
+    flight at a time.
     """
     try:
         # The parent handles interrupts; a Ctrl-C must not take the
@@ -61,11 +60,11 @@ def pool_worker_main(conn, cache_root: Optional[Path],
             break
         if job is None:
             break
-        _, point, engine = job
+        _, point = job
         try:
             document = execute_point_job(
                 point, cache_root=cache_root,
-                cache_disabled=cache_disabled, engine=engine)
+                cache_disabled=cache_disabled)
             reply = ("ok", document)
         except BaseException as exc:  # noqa: BLE001 - one bad point
             # must report, not kill the worker loop.
@@ -108,9 +107,13 @@ class WorkerProcess:
         return self.process.is_alive()
 
     def submit(self, key: Tuple[str, str], point: object,
-               engine: Optional[str]) -> None:
-        """Hand one job to the child (raises OSError if it is gone)."""
-        self.conn.send((key, point, engine))
+               unused: None = None) -> None:
+        """Hand one job to the child (raises OSError if it is gone).
+
+        ``unused`` keeps the call shape ``benchmarks/perf/spans.py``
+        wraps; it is ignored.
+        """
+        self.conn.send((key, point))
 
     def poll(self, timeout: float) -> bool:
         """True when a reply (or the child's EOF) is readable."""

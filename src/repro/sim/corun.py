@@ -19,8 +19,8 @@ The interleaver is PackedTrace-native (object event streams are packed
 first).  A binary heap keyed by ``(core.now, core.index)`` schedules
 cores; between shared-LLC interactions a core's private stretch -- L1
 hits and Work blocks, which touch nothing outside the core -- is
-fast-forwarded with the packed tier's machinery (chunked columnar
-residency probing, inline replacement updates, exact dyadic-grid time
+fast-forwarded with the single-core engine's techniques (chunked
+columnar decoding, inline replacement updates, exact dyadic-grid time
 accumulation), so the core yields control only at *yield points*:
 accesses that can leave the L1 (they may ripple writebacks into the
 shared LLC/DRAM or consume shared prefetch state) and XMemOps (they can
@@ -505,7 +505,7 @@ class CorunSystem:
 
         One vectorized sweep splits each position into L1 set index,
         tag, work count and write flag (the loop-header decomposition
-        of the packed tier), so the planner's walk needs no per-event
+        of the single-core engine), so the planner's walk needs no per-event
         address arithmetic.  Residency is *not*
         snapshotted: a chunk's own misses fill lines its later
         positions reuse, so a static residency table misclassifies

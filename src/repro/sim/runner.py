@@ -28,8 +28,8 @@ serially.  This module fixes both:
   (:class:`SimPoint`, :class:`ScenarioPoint`, :class:`CorunPoint`,
   :class:`UC2Point`) each implement ``run(ctx, collect)``, and
   :func:`run_point` / :func:`sweep` are the only entry points.  The
-  frozen :class:`RunContext` (engine tier, trace-cache root,
-  ``REPRO_*`` provenance) is resolved once at the CLI or serve
+  frozen :class:`RunContext` (trace-cache root, ``REPRO_*``
+  provenance) is resolved once at the CLI or serve
   boundary and passed down, into sweep workers too.
 
 * **Process fan-out.**  :func:`sweep` (and the generic
@@ -44,9 +44,6 @@ Environment knobs (read, never written):
 
 * ``REPRO_JOBS``        -- worker processes for sweeps (default: all
   cores; ``1`` = serial in-process execution).
-* ``REPRO_ENGINE``      -- engine tier (``packed``/``analytical``;
-  default ``packed``; see :mod:`repro.cpu.tiers`) unless the run
-  context names one.  Recorded in the run manifest.
 * ``REPRO_TRACE_CACHE`` -- trace cache directory; ``0``/``off``
   disables the on-disk layer (the in-memory layer still shares one
   generation across the systems of a point).
@@ -73,7 +70,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.errors import ConfigurationError
 from repro.core.xmemlib import XMemLib
 from repro.cpu.engine import EngineStats
-from repro.cpu.tiers import resolve_engine_tier
 from repro.cpu.trace import PackedTrace, TraceBuilder, TraceEvent, XMemOp
 from repro.sim.config import SimConfig, scaled_config
 from repro.sim.corun import CoreStats, CorunSystem
@@ -530,40 +526,29 @@ def get_recording(kernel: str, n: int, tile: int,
 class RunContext:
     """What a run takes from its caller: resolved once, passed down.
 
-    ``engine`` is the engine tier every machine of the run uses;
     ``cache_root`` is the trace-cache directory (None: the on-disk
     layer is off); ``env`` is the ``REPRO_*`` provenance block that
     manifests record, as sorted pairs so the context stays immutable.
     Plain data, so it pickles into sweep and serve workers.
     """
 
-    engine: str
     cache_root: Optional[Path]
     env: Tuple[Tuple[str, str], ...]
 
     @classmethod
-    def from_env(cls, engine: Optional[str] = None,
-                 cache_root: Optional[Path] = None,
+    def from_env(cls, cache_root: Optional[Path] = None,
                  cache_disabled: bool = False) -> "RunContext":
         """The context this process's environment describes.
 
-        ``engine`` overrides ``REPRO_ENGINE``, and the provenance block
-        then records it as ``REPRO_ENGINE`` -- exactly what running
-        with ``REPRO_ENGINE=<tier>`` exported would have recorded.
         ``cache_root`` overrides ``REPRO_TRACE_CACHE``;
         ``cache_disabled`` turns the on-disk layer off.
         """
-        explicit = (engine or "").strip() or None
-        tier = resolve_engine_tier(explicit)
-        env = collect_repro_env()
-        if explicit is not None:
-            env["REPRO_ENGINE"] = tier
         if cache_disabled:
             cache_root = None
         elif cache_root is None:
             cache_root = default_cache_dir()
-        return cls(engine=tier, cache_root=cache_root,
-                   env=tuple(sorted(env.items())))
+        return cls(cache_root=cache_root,
+                   env=tuple(sorted(collect_repro_env().items())))
 
     def trace_cache(self) -> TraceCache:
         """A fresh cache at this context's root.
@@ -697,7 +682,7 @@ class _MachinePoint:
             handles.append(handle)
             traces.append(recording.replay(handle.xmemlib))
             seconds[k] += time.perf_counter() - t0
-        results = run_machines(handles, traces, ctx.engine, seconds)
+        results = run_machines(handles, traces, seconds)
         timer.record("front-end", seconds[-1])
         runs: Dict[str, SystemRun] = {}
         snapshots: Dict[str, Snapshot] = {}
@@ -720,10 +705,9 @@ class _MachinePoint:
             "key": key,
             "source": source,
             "format_version": TRACE_FORMAT_VERSION,
-            # Which engine tier produced the stats: `repro diff` flags
-            # cross-tier comparisons (an analytical-vs-exact diff
-            # reports estimation error, not nondeterminism).
-            "tier": ctx.engine,
+            # One exact engine; the field stays for document
+            # compatibility.
+            "tier": "packed",
         }
         manifest = _manifest(self.KIND, cfg, trace, cache, ctx, timer,
                              **self._describe(recording))
@@ -1057,9 +1041,6 @@ class CorunPoint:
         if not collect:
             return PointResult(point=self, runs=runs)
         trace = {
-            # The co-run engine has one exact interleaver whatever
-            # tier the context names, so served and swept documents
-            # record the same tier.
             "tier": "packed",
             "format_version": TRACE_FORMAT_VERSION,
             "tenants": [{"workload": name, "key": key, "source": source}
@@ -1101,8 +1082,7 @@ class UC2Point:
         from repro.sim.usecase2 import run_figure7
         return run_figure7(_suite_workload(self.workload, self.accesses),
                            pick_mapping=self.pick_mapping,
-                           collect=collect or self.collect_stats,
-                           tier=ctx.engine)
+                           collect=collect or self.collect_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -1172,17 +1152,13 @@ def sweep(points: Sequence, jobs: Optional[int] = None,
 
 
 def execute_point_job(point, cache_root: Optional[Path] = None,
-                      cache_disabled: bool = False,
-                      engine: Optional[str] = None) -> dict:
+                      cache_disabled: bool = False) -> dict:
     """One serve job: run a point, return its JSON document.
 
     Module-level and argument-complete so it pickles into spawn-started
-    pool workers; the thread executor calls it in-process.  ``engine``
-    overrides the engine tier for exactly this job, through the run
-    context, so the manifest's ``trace.tier`` and ``env`` blocks come
-    out as ``REPRO_ENGINE=<tier> repro sweep`` would write them.
+    pool workers; the thread executor calls it in-process.
     """
-    ctx = RunContext.from_env(engine, cache_root=cache_root,
+    ctx = RunContext.from_env(cache_root=cache_root,
                               cache_disabled=cache_disabled)
     return point_document(run_point(point, collect=True, ctx=ctx))
 

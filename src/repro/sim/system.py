@@ -183,18 +183,15 @@ class SystemHandle:
     xmemlib: Optional[XMemLib] = None
     controller: Optional[CacheController] = None
 
-    def run(self, trace: Trace,
-            engine_tier: Optional[str] = None) -> EngineStats:
+    def run(self, trace: Trace) -> EngineStats:
         """Execute a trace on this machine.
 
         Machines without an XMem system automatically drop the trace's
         XMem operations (hints are supplemental: the binary still runs).
-        The evaluation strategy comes from ``engine_tier`` (or, when
-        None, the ``REPRO_ENGINE`` environment variable; default
-        ``packed``) -- see :mod:`repro.cpu.tiers`.
+        See :mod:`repro.cpu.tiers` for how the trace is evaluated.
         """
         from repro.cpu.tiers import run_tier
-        return run_tier(self.engine, self.trace_for(trace), engine_tier)
+        return run_tier(self.engine, self.trace_for(trace))
 
     def trace_for(self, trace: Trace) -> Trace:
         """``trace`` as this machine executes it: machines without an
@@ -236,16 +233,15 @@ class SystemHandle:
 
 
 def run_machines(handles: Sequence[SystemHandle], traces: Sequence[Trace],
-                 engine_tier: Optional[str] = None,
                  seconds: Optional[List[float]] = None) -> List[EngineStats]:
     """Execute ``traces[k]`` on ``handles[k]`` for every ``k`` in one
     :func:`repro.cpu.tiers.run_tiers` call: each result equals
-    ``handles[k].run(traces[k], engine_tier)``, and machines that
-    share their private levels share one pass over them."""
+    ``handles[k].run(traces[k])``, and machines that share their
+    private levels share one pass over them."""
     from repro.cpu.tiers import run_tiers
     return run_tiers([h.engine for h in handles],
                      [h.trace_for(t) for h, t in zip(handles, traces)],
-                     engine_tier, seconds)
+                     seconds)
 
 
 def _base_parts(config: SimConfig):

@@ -15,8 +15,8 @@ Composes the three systems Figure 7/8 compare, for one workload model:
 * ``ideal``    -- the baseline machine with a perfect row buffer
   (every access a row hit): the upper bound for any RBL optimization.
 
-Every system runs on the exact ``packed`` engine tier
-(:mod:`repro.cpu.tiers`).
+Every system runs on the single-core engine (:mod:`repro.cpu.tiers`):
+each is of the shipped shape, so it takes the split interpreter.
 The workload's pages are backed when it is instantiated, so address
 translation during the run is a pure page-table lookup: the access
 stream is translated once per access while it is packed, and the
@@ -30,7 +30,7 @@ from typing import Dict, Iterable, Optional
 
 from repro.core.errors import ConfigurationError
 from repro.cpu.engine import TraceEngine
-from repro.cpu.tiers import resolve_engine_tier, run_tier
+from repro.cpu.tiers import run_tier
 from repro.cpu.trace import PackedTrace, TraceBuilder
 from repro.dram.system import DramSystem
 from repro.mem.hierarchy import CacheHierarchy
@@ -94,20 +94,12 @@ def run_system(
     mapping: Optional[str] = None,
     accesses: Optional[int] = None,
     collect: bool = False,
-    tier: Optional[str] = None,
 ) -> UseCase2Result:
     """Run one workload on one of the three systems.
 
     ``collect=True`` snapshots the full stats registry after the run
     (strictly post-run, so it never perturbs the measurement).
-    The engine tier is ``tier``, or ``REPRO_ENGINE`` when None
-    (default ``packed``); the estimating ``analytical`` tier is refused.
     """
-    tier = resolve_engine_tier(tier)
-    if tier == "analytical":
-        raise ConfigurationError(
-            "Use Case 2 runs on exact engine tiers only ('packed'), "
-            "not 'analytical'")
     cfg = config or usecase2_config()
     if system == "baseline":
         mapping = mapping or XMEM_MAPPING
@@ -143,7 +135,7 @@ def run_system(
     trace = workload.trace(bases)
     if accesses is not None:
         trace = _truncate(trace, accesses)
-    stats = run_tier(engine, _pack_physical(trace, proc.translate), tier)
+    stats = run_tier(engine, _pack_physical(trace, proc.translate))
 
     record = RunRecord(
         workload=workload.name,
@@ -175,7 +167,6 @@ def pick_baseline_mapping(
     config: Optional[SimConfig] = None,
     probe_accesses: int = 20_000,
     candidates: Iterable[str] = BASELINE_MAPPING_CANDIDATES,
-    tier: Optional[str] = None,
 ) -> str:
     """Choose the best-performing mapping for the baseline (Section 6.3).
 
@@ -185,8 +176,7 @@ def pick_baseline_mapping(
     best_name, best_cycles = None, float("inf")
     for name in candidates:
         result = run_system(workload, "baseline", config=config,
-                            mapping=name, accesses=probe_accesses,
-                            tier=tier)
+                            mapping=name, accesses=probe_accesses)
         if result.cycles < best_cycles:
             best_name, best_cycles = name, result.cycles
     return best_name
@@ -197,18 +187,16 @@ def run_figure7(
     config: Optional[SimConfig] = None,
     pick_mapping: bool = True,
     collect: bool = False,
-    tier: Optional[str] = None,
 ) -> Dict[str, UseCase2Result]:
     """All three systems for one workload (one Figure 7/8 column)."""
-    mapping = (pick_baseline_mapping(workload, config, tier=tier)
+    mapping = (pick_baseline_mapping(workload, config)
                if pick_mapping else XMEM_MAPPING)
     return {
         "baseline": run_system(workload, "baseline", config, mapping,
-                               collect=collect, tier=tier),
-        "xmem": run_system(workload, "xmem", config, collect=collect,
-                           tier=tier),
+                               collect=collect),
+        "xmem": run_system(workload, "xmem", config, collect=collect),
         "ideal": run_system(workload, "ideal", config, mapping,
-                            collect=collect, tier=tier),
+                            collect=collect),
     }
 
 

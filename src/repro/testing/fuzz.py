@@ -8,15 +8,15 @@ Eight lanes, each pairing a hot-path implementation with its oracle
   systems (baseline or XMem, with atom churn, windows small enough to
   saturate the MSHR file): as an object stream through
   :class:`~repro.testing.oracles.ReferenceEngine` in place of the
-  machine's engine, as a :class:`PackedTrace` on the ``packed`` tier
-  (the fused columnar interpreter wherever it is eligible), and
-  through :meth:`TraceEngine.run_packed` called directly (the scalar
-  fallback loop).  Engine statistics and full stats snapshots must be
-  bit-identical across all three.  A fourth, *shared* leg runs the
-  trace on two machines that differ only below L2 (LLC size, DRAM
-  bandwidth, or XMem vs. baseline) in one shared call -- one
-  front-end pass over L1, L2 and stride training -- and holds each to
-  its own ``ReferenceEngine`` twin.
+  machine's engine, as a :class:`PackedTrace` through
+  :meth:`SystemHandle.run` (the split interpreter wherever it is
+  eligible), and through :meth:`TraceEngine.run_packed` called
+  directly (the scalar loop).  Engine statistics and full stats
+  snapshots must be bit-identical across all three.  A fourth,
+  *shared* leg runs the trace on two machines that differ only below
+  L2 (LLC size, DRAM bandwidth, or XMem vs. baseline) in one shared
+  call -- one front-end pass over L1, L2 and stride training -- and
+  holds each to its own ``ReferenceEngine`` twin.
 * ``corun``   -- random multi-tenant mixes (2-3 cores, per-core
   generated streams, atom churn on the XMem tenant, issue width 3 or
   4) through two identically built
@@ -152,14 +152,14 @@ class Lane:
 
 
 class PackedLane(Lane):
-    """Reference engine vs. packed tier vs. the scalar packed loop,
-    plus a shared leg: two machines in one shared call.
+    """Reference engine vs. ``SystemHandle.run`` vs. the scalar packed
+    loop, plus a shared leg: two machines in one shared call.
 
-    Any pair diverging -- stats or full snapshot -- is a failure.  The
-    ``packed`` tier legitimately falls back to the scalar loop on
-    shapes outside the fused interpreter's domain; the comparison then
-    still holds, and the direct ``run_packed`` leg keeps the fallback
-    loop itself pinned either way.  Reproducers written before the
+    Any pair diverging -- stats or full snapshot -- is a failure.
+    ``SystemHandle.run`` legitimately takes the scalar loop on shapes
+    outside the split interpreter's domain; the comparison then still
+    holds, and the direct ``run_packed`` leg keeps the scalar loop
+    itself pinned either way.  Reproducers written before the
     shared leg existed carry no ``shared`` param and replay it as
     XMem vs. baseline.
     """
@@ -220,7 +220,7 @@ class PackedLane(Lane):
         stats = {
             "reference": ref.engine.run(
                 items if ref.xmemlib is not None else strip_xmem(items)),
-            "packed": systems["packed"].run(packed, engine_tier="packed"),
+            "packed": systems["packed"].run(packed),
             "run_packed": direct.engine.run_packed(
                 packed if direct.xmemlib is not None
                 else strip_xmem(packed)),
@@ -255,7 +255,7 @@ class PackedLane(Lane):
         else:
             twins = [params, dict(params, bandwidth=0.5)]
         handles = [self._build(p) for p in twins]
-        got = run_machines(handles, [packed] * 2, "packed")
+        got = run_machines(handles, [packed] * 2)
         for k, (p, handle, stats) in enumerate(zip(twins, handles, got)):
             ref = with_reference_engine(self._build(p))
             want = ref.engine.run(
@@ -816,8 +816,8 @@ class ServeLane(Lane):
                     status, doc = call("GET", "/health")
                     if status != 200 or doc is None:
                         return (f"{where}: HTTP {status}, doc {doc!r}")
-                    missing = {"status", "queue_depth", "workers",
-                               "engine_tier"} - set(doc)
+                    missing = {"status", "queue_depth",
+                               "workers"} - set(doc)
                     if missing:
                         return f"{where}: missing keys {sorted(missing)}"
                 elif op == "state":

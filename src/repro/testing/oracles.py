@@ -268,7 +268,7 @@ def with_reference_engine(handle):
     The handle's stats tree keeps its shape, so a reference run on one
     machine and an optimized run on an identically built twin compare
     as whole snapshots.  Run the reference with ``handle.engine.run``
-    (``handle.run`` dispatches to the engine tiers); a baseline
+    (``handle.run`` dispatches to the production engine); a baseline
     machine's trace must have its XMem operations stripped first, as
     :meth:`~repro.sim.system.SystemHandle.run` does.
     """

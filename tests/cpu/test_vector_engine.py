@@ -1,20 +1,19 @@
-"""The ``packed`` tier's fused interpreter: equivalence and fallback.
+"""The split interpreter: equivalence, the one gate, and the scalar path.
 
 The load-bearing property mirrors ``test_packed_trace.py`` one level
 up: for **every** registered polybench kernel, ``run_vector`` (the
-fused columnar interpreter) over the packed columns produces
-bit-for-bit the same :class:`EngineStats` -- and the same full stats
-snapshot, every cache/DRAM/prefetch counter -- as the scalar
-``run_packed`` loop, on both baseline and XMem machines.  The fused
-path's correctness domain is guarded by :func:`eligible`; anything
-outside it must fall back to the scalar loop rather than answer
-wrongly.
+split interpreter) over the packed columns produces bit-for-bit the
+same :class:`EngineStats` -- and the same full stats snapshot, every
+cache/DRAM/prefetch counter -- as the scalar ``run_packed`` loop, on
+both baseline and XMem machines.  The split path's correctness domain
+is guarded by :func:`eligible`; every machine the runner, Use Case 2
+and serve build must pass it, and anything outside it must run on the
+scalar loop rather than answer wrongly.
 """
 
 import pytest
 
-from repro.core.errors import ConfigurationError
-from repro.cpu.tiers import ENGINE_TIERS, resolve_engine_tier, run_tier
+from repro.cpu.tiers import run_tier
 from repro.cpu.trace import MemAccess, PackedTrace, Work, XMemOp
 from repro.cpu.vector_engine import eligible, run_vector
 from repro.sim.config import scaled_config
@@ -41,7 +40,7 @@ def mixed_events():
 
 def _pair(kernel, system_builder, with_lib, fused=True):
     """(run_packed handle+stats, run_vector handle+stats) on twin
-    machines; ``fused`` says whether the fused path must be taken."""
+    machines; ``fused`` says whether the split path must be taken."""
     cfg = scaled_config(32)
     h_pk = system_builder(cfg)
     packed_a = kernel.build_packed(N, TILE, lib=h_pk.xmemlib)
@@ -101,9 +100,9 @@ def test_vector_mixed_events():
 @pytest.mark.parametrize("kernel,tile", [
     ("gemm", 12), ("gemm", 48), ("mvt", 12), ("mvt", 48)])
 def test_sweep_points_match_reference(kernel, tile, system):
-    """The tier gate's sweep points (``repro sweep --kernels gemm,mvt
-    --n 48 --tiles 12,48``), built as the runner builds them: the
-    packed tier and the object-event reference engine give the same
+    """CI's sweep points (``repro sweep --kernels gemm,mvt --n 48
+    --tiles 12,48``), built as the runner builds them: the production
+    engine and the object-event reference engine give the same
     EngineStats and the same full stats snapshot."""
     from repro.cpu.trace import strip_xmem
     from repro.sim.runner import SYSTEM_BUILDERS, SimPoint, record_trace
@@ -113,7 +112,7 @@ def test_sweep_points_match_reference(kernel, tile, system):
     cfg = point.config()
     recording = record_trace(kernel, 48, tile)
     h_pk = SYSTEM_BUILDERS[system](cfg)
-    pk = h_pk.run(recording.replay(h_pk.xmemlib), "packed")
+    pk = h_pk.run(recording.replay(h_pk.xmemlib))
     h_ref = with_reference_engine(SYSTEM_BUILDERS[system](cfg))
     trace = recording.replay(h_ref.xmemlib)
     ref = h_ref.engine.run(trace if h_ref.xmemlib is not None
@@ -123,8 +122,19 @@ def test_sweep_points_match_reference(kernel, tile, system):
 
 
 # ---------------------------------------------------------------------------
-# Eligibility gates and the fallback contract
+# The one gate and the scalar path
 # ---------------------------------------------------------------------------
+
+#: Every (scale, LLC bytes, bandwidth) the runner builds machines at
+#: for the committed tables, the perf bench and serve's defaults:
+#: scale 32 (SimPoint and serve), 16 (ablation), 8 (Use Case 2's
+#: base); Fig. 5's three LLC sizes and Fig. 6's bandwidth scales.
+PRODUCTION_SHAPES = (
+    [(scale, None, 1.0) for scale in (8, 16, 32)]
+    + [(32, llc, 1.0) for llc in (64 * 1024, 32 * 1024, 16 * 1024)]
+    + [(32, None, bw) for bw in (0.5, 0.25)]
+)
+
 
 class TestEligibility:
     def _handle(self):
@@ -164,6 +174,22 @@ class TestEligibility:
         h, trace = self._handle()
         h.memory._prefetch_log = []
         assert not eligible(h.engine, trace)
+
+    @pytest.mark.parametrize("scale,llc,bandwidth", PRODUCTION_SHAPES)
+    def test_every_production_machine_passes_the_gate(self, scale, llc,
+                                                      bandwidth):
+        """Every machine the runner builds (each ``SYSTEM_BUILDERS``
+        system, with the point's LLC and bandwidth variants) takes the
+        split interpreter: a new production shape must not drop
+        silently to the scalar loop."""
+        from repro.sim.runner import SYSTEM_BUILDERS, SimPoint
+
+        cfg = SimPoint("gemm", N, TILE, scale=scale, llc_bytes=llc,
+                       bandwidth=bandwidth).config()
+        trace = KERNELS["gemm"].build_packed(N, TILE)
+        for build in SYSTEM_BUILDERS.values():
+            h = build(cfg)
+            assert eligible(h.engine, h.trace_for(trace))
 
     def test_fallback_still_runs_exactly(self):
         """An ineligible shape answers through run_packed, not wrongly."""
@@ -254,56 +280,45 @@ def _check_suite_twin(name, perfect_rbl=False):
 
 
 # ---------------------------------------------------------------------------
-# Tier selection / dispatch
+# Dispatch: SystemHandle.run / run_tier
 # ---------------------------------------------------------------------------
 
 class TestTierSelector:
-    def test_default_is_packed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine_tier() == "packed"
+    def test_default_is_packed(self, monkeypatch, tmp_path):
+        """``REPRO_ENGINE`` is no longer read: with any value exported,
+        a run takes the split interpreter and its manifest records the
+        constant ``trace.tier`` of ``packed``."""
+        from repro.sim.runner import RunContext, SimPoint, run_point
 
-    def test_env_var_selects(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "analytical")
-        assert resolve_engine_tier() == "analytical"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "analytical")
-        assert resolve_engine_tier("packed") == "packed"
-
-    def test_unknown_tier_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "warp")
-        with pytest.raises(ConfigurationError, match="warp"):
-            resolve_engine_tier()
-
-    def test_registry_shape(self):
-        assert ENGINE_TIERS == ("packed", "analytical")
-
-    def test_vector_is_not_a_tier(self):
-        """One exact tier: the fused interpreter *is* packed, and the
-        object-event interpreter lives on only as the test oracle."""
-        for name in ("vector", "object"):
-            with pytest.raises(ConfigurationError, match=name):
-                resolve_engine_tier(name)
+        ctx = RunContext.from_env(cache_root=tmp_path)
+        result = run_point(SimPoint("mvt", N, TILE), collect=True,
+                           ctx=ctx)
+        assert result.manifest["trace"]["tier"] == "packed"
+        assert result.manifest["env"]["REPRO_ENGINE"] == "analytical"
+        h = build_baseline(scaled_config(32))
+        stats = h.run(KERNELS["mvt"].build_packed(N, TILE))
+        assert result.runs["baseline"].stats == stats
 
     def test_packed_tier_runs_the_fused_interpreter(self, monkeypatch):
         from repro.cpu import vector_engine
 
         calls = []
-        real = vector_engine.run_vector
+        real = vector_engine.run_shared
 
-        def spy(engine, trace):
-            calls.append(eligible(engine, trace))
-            return real(engine, trace)
+        def spy(engines, traces, seconds=None):
+            calls.extend(eligible(e, t) for e, t in zip(engines, traces))
+            return real(engines, traces, seconds)
 
-        monkeypatch.setattr(vector_engine, "run_vector", spy)
+        monkeypatch.setattr(vector_engine, "run_shared", spy)
         h = build_baseline(scaled_config(32))
-        h.run(KERNELS["gemm"].build_packed(N, TILE), engine_tier="packed")
+        h.run(KERNELS["gemm"].build_packed(N, TILE))
         assert calls == [True]
 
     @pytest.mark.parametrize("form", ["object", "packed"])
     def test_exact_tiers_agree_via_run_tier(self, form):
-        """The exact tier through ``run_tier`` matches the scalar loop,
-        whether the caller passes an object stream or packed columns."""
+        """``run_tier`` matches the scalar loop, whether the caller
+        passes an object stream or packed columns."""
         cfg = scaled_config(32)
         h_ref = build_xmem(cfg)
         trace = KERNELS["mvt"].build_packed(N, TILE, lib=h_ref.xmemlib)
@@ -312,80 +327,13 @@ class TestTierSelector:
         trace2 = KERNELS["mvt"].build_packed(N, TILE, lib=h.xmemlib)
         if form == "object":
             trace2 = list(trace2.events())
-        assert run_tier(h.engine, trace2, "packed") == ref
+        assert run_tier(h.engine, trace2) == ref
 
     def test_every_tier_accepts_object_streams(self):
-        """Tier selection never changes what a caller may pass."""
-        for tier in ENGINE_TIERS:
-            h = build_baseline(scaled_config(32))
-            stats = run_tier(h.engine, mixed_events()[1:2], tier)
-            assert stats.mem_accesses == 1
-
-    def test_system_handle_run_takes_tier(self, monkeypatch):
-        from repro.sim.analytical import estimate_packed
-
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        cfg = scaled_config(32)
-        trace = KERNELS["gemm"].build_packed(N, TILE).without_xmem()
-        est = estimate_packed(build_baseline(cfg).engine, trace)
-        h = build_baseline(cfg)
-        assert h.run(trace, engine_tier="analytical") == est
-        assert h.run(trace) != est          # default: packed
-
-    def test_system_handle_run_reads_env(self, monkeypatch):
-        from repro.sim.analytical import estimate_packed
-
-        monkeypatch.setenv("REPRO_ENGINE", "analytical")
-        cfg = scaled_config(32)
-        trace = KERNELS["gemm"].build_packed(N, TILE).without_xmem()
-        est = estimate_packed(build_baseline(cfg).engine, trace)
-        h = build_baseline(cfg)
-        assert h.run(trace) == est
-        assert h.run(trace, engine_tier="packed") != est
-
-
-# ---------------------------------------------------------------------------
-# apply_hit_run: the batched L1 hit replay primitive
-# ---------------------------------------------------------------------------
-
-class TestApplyHitRun:
-    @pytest.mark.parametrize("policy", ["lru", "drrip"])
-    def test_matches_sequential_hits(self, policy):
-        """One batched call == the same hits applied one at a time,
-        observed through victim choice and counters afterwards."""
-        from repro.mem.cache import Cache
-
-        def build():
-            c = Cache("t", 4 * 2 * 64, 2, 64, policy=policy)
-            for a in (0x000, 0x100):     # fill set 0 both ways
-                c.fill(a, dirty=False)
-            return c
-
-        run = [0x100, 0x000, 0x100]      # last-occurrence order: 0, 100
-        seq = build()
-        for a in run:
-            assert seq.access(a, False).hit
-        bat = build()
-        replay = [(0, 0), (0, 1)]        # unique (set, tag), last occ.
-        bat.apply_hit_run(len(run), replay, written=[])
-        assert bat.stats.accesses == seq.stats.accesses
-        assert bat.stats.hits == seq.stats.hits
-        # Future behaviour is identical: both evict the same victim.
-        seq.fill(0x200, dirty=False)
-        bat.fill(0x200, dirty=False)
-        assert seq.probe(0x000) == bat.probe(0x000)
-        assert seq.probe(0x100) == bat.probe(0x100)
-
-    def test_written_sets_dirty(self):
-        from repro.mem.cache import Cache
-
-        c = Cache("t", 4 * 2 * 64, 2, 64, policy="lru")
-        c.fill(0x000, dirty=False)
-        c.apply_hit_run(1, [(0, 0)], written=[(0, 0)])
-        # Evicting the line must now produce a writeback.
-        c.fill(0x100, dirty=False)
-        assert c.fill(0x200, dirty=False) == 0x000
-
+        """Callers may pass object streams as well as packed columns."""
+        h = build_baseline(scaled_config(32))
+        stats = run_tier(h.engine, mixed_events()[1:2])
+        assert stats.mem_accesses == 1
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +379,16 @@ def _assert_shared_matches(machines, trace_for, warm=()):
 
     shared = [builder(cfg) for builder, cfg in machines]
     for k in warm:
-        shared[k].run(trace_for(shared[k]), "packed")
+        shared[k].run(trace_for(shared[k]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vector_engine, "_run_lockstep", spy)
-        got = run_machines(shared, [trace_for(h) for h in shared],
-                           "packed")
+        got = run_machines(shared, [trace_for(h) for h in shared])
     for k, ((builder, cfg), h, stats) in enumerate(
             zip(machines, shared, got)):
         solo = builder(cfg)
         ref = with_reference_engine(builder(cfg))
         for _ in range(2 if k in warm else 1):
-            solo_stats = solo.run(trace_for(solo), "packed")
+            solo_stats = solo.run(trace_for(solo))
             ref_stats = reference_run(ref)
         assert solo_stats == stats == ref_stats
         assert h.stats_snapshot() == solo.stats_snapshot() \
@@ -511,14 +458,14 @@ def test_copied_private_state_carries_into_the_next_run():
     trace_for = _recorded("mvt", 24, TILE)
     builders = [build_baseline, build_xmem]
     shared = [builder(cfg) for builder in builders]
-    run_machines(shared, [trace_for(h) for h in shared], "packed")
+    run_machines(shared, [trace_for(h) for h in shared])
     for builder, h in zip(builders, shared):
         ref = with_reference_engine(builder(cfg))
         for _ in range(2):
             trace = trace_for(ref)
             ref_stats = ref.engine.run(trace if ref.xmemlib is not None
                                        else strip_xmem(trace))
-        assert h.run(trace_for(h), "packed") == ref_stats
+        assert h.run(trace_for(h)) == ref_stats
         assert h.stats_snapshot() == ref.stats_snapshot()
 
 
@@ -580,7 +527,7 @@ class TestSharingGate:
 
     def test_l2_policy_runs_apart(self):
         """An SRRIP L2 is outside the split shape: that machine runs
-        the generic fused loop, the other one alone."""
+        the scalar loop, the other one alone."""
         machines = [(build_baseline, self.CFG),
                     (build_baseline, _variant(self.CFG, 1,
                                               policy="srrip"))]
@@ -612,24 +559,37 @@ class TestSharingGate:
             machines, _recorded("gemm", N, TILE))
         assert groups == [] and calls[:2] == [h.engine for h in shared]
 
-    def test_analytical_runs_estimate_each_machine(self, monkeypatch):
-        from repro.cpu import vector_engine
-        from repro.sim import analytical
-        from repro.sim.system import run_machines
+    @pytest.mark.parametrize("shape", ["srrip-l2", "random-l1",
+                                       "two-level", "issue-3"])
+    def test_off_shape_runs_the_scalar_loop(self, monkeypatch, shape):
+        """A machine off the shipped shape goes through ``run_shared``
+        to ``run_packed`` and still equals ``ReferenceEngine``; the
+        shipped machine beside it keeps the split interpreter."""
+        import dataclasses
 
+        from repro.cpu.engine import TraceEngine
+        from repro.sim.config import CpuConfig
+
+        cfg = self.CFG
+        if shape == "srrip-l2":
+            off = _variant(cfg, 1, policy="srrip")
+        elif shape == "random-l1":
+            off = _variant(cfg, 0, policy="random")
+        elif shape == "two-level":
+            off = dataclasses.replace(
+                cfg, levels=[cfg.levels[0], cfg.levels[2]])
+        else:
+            off = dataclasses.replace(cfg, cpu=CpuConfig(issue_width=3))
         calls = []
-        real = analytical.estimate_packed
+        real = TraceEngine.run_packed
 
         def spy(engine, trace):
             calls.append(engine)
             return real(engine, trace)
 
-        monkeypatch.setattr(analytical, "estimate_packed", spy)
-        monkeypatch.setattr(vector_engine, "run_shared", None)
-        trace_for = _recorded("gemm", N, TILE)
-        handles = [build_baseline(self.CFG), build_xmem(self.CFG)]
-        got = run_machines(handles, [trace_for(h) for h in handles],
-                           "analytical")
-        assert calls == [h.engine for h in handles]
-        twin = build_xmem(self.CFG)
-        assert got[1] == twin.run(trace_for(twin), "analytical")
+        monkeypatch.setattr(TraceEngine, "run_packed", spy)
+        shared, groups = _assert_shared_matches(
+            [(build_xmem, off), (build_baseline, cfg)],
+            _recorded("gemm", N, TILE))
+        assert groups == [1]
+        assert calls[0] is shared[0].engine

@@ -1,11 +1,10 @@
 """The process-pool executor: parity, recycling, crash isolation,
-in-flight cancel, and the per-run engine knob.
+in-flight cancel, and run configs that cannot name an engine.
 
 Everything here boots ``executor="process"`` -- the pieces the thread
 executor cannot do (true parallelism aside): a crashed worker failing
 only its point and a cancelled in-flight point freeing its pool slot
-immediately -- plus per-point engine overrides, which both executors
-must honour identically.
+immediately -- plus the document parity both executors must keep.
 
 Fault injection substitutes :func:`repro.testing.faults.
 faulty_worker_main` as the pool's spawn target and rides its two
@@ -202,64 +201,40 @@ class TestInFlightCancel:
 
 
 class TestPerRunEngine:
-    """``{"engine": tier}`` in a run config -- satellite 1."""
+    """Runs have one engine: a run config cannot name one."""
 
-    def test_engine_reaches_the_manifest_tier(self, pool_server):
+    def test_served_documents_record_one_engine(self, pool_server):
         h = kernel_scenario(pool_server)
-        rid = submit_run(pool_server, h, [{}, {"engine": "analytical"}])
-        doc = wait_run(pool_server, rid)
+        doc = wait_run(pool_server, submit_run(pool_server, h, [{}]))
         assert doc["status"] == "done"
-        tiers = {name: d["manifest"]["trace"]["tier"]
-                 for name, d in doc["documents"].items()}
-        assert sorted(tiers.values()) == ["analytical", "packed"]
-        # The override is recorded in the serve block and the
-        # manifest env, exactly like REPRO_ENGINE on a CLI sweep.
-        for name, d in doc["documents"].items():
-            serve_block = d["manifest"]["serve"]
-            if tiers[name] == "analytical":
-                assert serve_block["engine"] == "analytical"
-                assert d["manifest"]["env"]["REPRO_ENGINE"] == \
-                    "analytical"
-            else:
-                assert "engine" not in serve_block
-
-    def test_engine_is_part_of_point_identity(self, pool_server):
-        h = kernel_scenario(pool_server)
-        wait_run(pool_server, submit_run(pool_server, h, [{}]))
-        doc = wait_run(pool_server, submit_run(
-            pool_server, h, [{"engine": "analytical"}]))
-        assert doc["status"] == "done"
-        _, state = call(pool_server, "GET", "/debug/state")
-        # Different engine, different point: no dedup.
-        assert state["serve"]["points_executed"] == 2
-        assert state["serve"]["points_deduped"] == 0
+        for d in doc["documents"].values():
+            assert d["manifest"]["trace"]["tier"] == "packed"
+            assert "engine" not in d["manifest"]["serve"]
 
     def test_unknown_engine_is_a_400(self, pool_server):
         h = kernel_scenario(pool_server)
-        status, doc = call(pool_server, "POST", "/v1/runs",
-                           {"scenario": h,
-                            "configs": [{"engine": "warp"}]})
-        assert status == 400
-        assert "unknown engine" in doc["error"]
+        for value in ("warp", "packed"):
+            status, doc = call(pool_server, "POST", "/v1/runs",
+                               {"scenario": h,
+                                "configs": [{"engine": value}]})
+            assert status == 400
+            assert "unknown kernel-run config keys ['engine']" \
+                in doc["error"]
 
-    def test_engine_override_is_executor_independent(self):
-        """The override reaches the run as an explicit argument, so the
-        thread executor honours it exactly like the process one."""
+    def test_documents_are_executor_independent(self):
+        """The thread and process executors run a point through the
+        same job function and write the same document."""
         documents = {}
         for executor in ("thread", "process"):
             srv, thread = boot_server(workers=1, executor=executor)
             try:
                 h = kernel_scenario(srv)
-                final = wait_run(srv, submit_run(
-                    srv, h, [{"engine": "analytical"}]))
+                final = wait_run(srv, submit_run(srv, h, [{}]))
                 assert final["status"] == "done"
                 (doc,) = final["documents"].values()
             finally:
                 stop_server(srv, thread)
             manifest = doc["manifest"]
-            assert manifest["trace"]["tier"] == "analytical"
-            assert manifest["env"]["REPRO_ENGINE"] == "analytical"
-            assert manifest["serve"]["engine"] == "analytical"
             # Wall times, and whether the recording came from the
             # server's memo or the child's, are per-process facts.
             del manifest["phases"]

@@ -5,8 +5,8 @@ scenario POSTs share one trace build, runs produce the same stats
 documents as direct :func:`~repro.sim.runner.run_point` calls, bad
 configs are 400s, the queue bound is a 429 -- plus the regression
 pins for the bug sweep that rode along: the ``_MEMO`` eviction bound,
-``TraceCache.store`` tmp-file cleanup on every failure path, and
-whitespace-tolerant ``REPRO_ENGINE`` parsing.
+``TraceCache.store`` tmp-file cleanup on every failure path, and a
+server that no longer reads ``REPRO_ENGINE``.
 """
 
 import http.client
@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.cpu.tiers import resolve_engine_tier
 from repro.serve.app import ServerState, serve
 from repro.serve.jobs import config_hash, normalize_config
 from repro.serve.scenarios import ScenarioEntry, ScenarioSpec
@@ -178,7 +177,7 @@ class TestShapes:
         assert doc["status"] == "ok"
         assert doc["workers"] == {"alive": 2, "configured": 2}
         assert doc["queue_depth"] == 0
-        assert doc["engine_tier"] in ("packed", "analytical")
+        assert "engine_tier" not in doc
         assert doc["uptime_s"] >= 0
 
     def test_debug_state(self, server):
@@ -196,6 +195,7 @@ class TestShapes:
         assert doc["trace_cache"]["enabled"] == 0
         assert doc["scenarios"] == {}
         assert doc["runs"] == {}
+        assert "engine_tier" not in doc
 
     def test_serve_stats_is_a_stat_group(self):
         from repro.core.stats import stat_values
@@ -642,28 +642,15 @@ class TestTraceCacheTmpRegression:
 
 
 class TestEngineEnvRegression:
-    """``REPRO_ENGINE`` must tolerate whitespace, like ``REPRO_JOBS``."""
+    """The server has one engine: ``REPRO_ENGINE`` is not read."""
 
-    @pytest.mark.parametrize("value,want", [
-        ("packed", "packed"),
-        ("  packed\n", "packed"),
-        (" analytical ", "analytical"),
-        ("   ", "packed"),
-        ("", "packed"),
-    ])
-    def test_resolve_strips(self, monkeypatch, value, want):
-        monkeypatch.setenv("REPRO_ENGINE", value)
-        assert resolve_engine_tier() == want
-
-    def test_bad_tier_still_rejected(self, monkeypatch):
+    def test_server_boots_whatever_repro_engine_says(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "warp9")
-        with pytest.raises(ConfigurationError):
-            resolve_engine_tier()
-
-    def test_server_refuses_to_boot_on_bad_tier(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "warp9")
-        with pytest.raises(ConfigurationError):
-            ServerState(workers=0)
+        state = ServerState(workers=0)
+        try:
+            assert "engine_tier" not in state.health()[1]
+        finally:
+            state.close()
 
 
 class TestSpecAndConfigUnits:
@@ -708,24 +695,18 @@ class TestSpecAndConfigUnits:
         assert normalize_config(entry, {"xmem_tenants": []}) \
             ["xmem_tenants"] == []
 
-    def test_engine_is_a_per_point_config_knob(self):
-        # A valid tier is accepted and becomes part of the point
-        # identity: the same scenario under two engines is two points.
-        plain = normalize_config(self._entry(), {})
-        est = normalize_config(self._entry(), {"engine": "analytical"})
-        assert plain["engine"] is None
-        assert est["engine"] == "analytical"
-        assert config_hash(plain) != config_hash(est)
-        # Whitespace normalizes like the CLI/env spelling does.
-        assert normalize_config(
-            self._entry(), {"engine": " analytical "})["engine"] \
-            == "analytical"
-
     def test_unknown_engine_tier_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            normalize_config(self._entry(), {"engine": "warp"})
-        with pytest.raises(ConfigurationError, match="engine"):
-            normalize_config(self._entry(), {"engine": 3})
+        """Runs have one engine: ``engine`` in a config is an unknown
+        key (HTTP 400), whatever its value, and the hashed config
+        carries no ``engine`` field."""
+        for kind in ("kernel", "suite"):
+            entry = self._entry(kind)
+            for value in ("packed", "analytical", None, 3):
+                with pytest.raises(
+                        ConfigurationError,
+                        match=r"unknown .*config keys \['engine'\]"):
+                    normalize_config(entry, {"engine": value})
+            assert "engine" not in normalize_config(entry, {})
 
 
 SPEC_SCENARIO = {

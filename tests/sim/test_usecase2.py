@@ -48,7 +48,7 @@ class TestRunSystem:
 
 
 class TestEngineTiers:
-    """Use Case 2 runs on the exact packed tier, translated while
+    """Use Case 2 runs on the split interpreter, translated while
     packing."""
 
     SYSTEMS = ("baseline", "xmem", "ideal")
@@ -58,8 +58,9 @@ class TestEngineTiers:
     @pytest.mark.parametrize("name", ["lbm", "mcf"])
     def test_object_and_packed_tiers_bit_identical(self, monkeypatch,
                                                    name, system):
-        """The object-event reference interpreter and the packed tier:
-        the same run record and the same full stats snapshot."""
+        """The object-event reference interpreter and the production
+        engine: the same run record and the same full stats
+        snapshot."""
         from repro.sim import usecase2
         from repro.testing.oracles import ReferenceEngine
 
@@ -68,7 +69,7 @@ class TestEngineTiers:
         with monkeypatch.context() as mp:
             mp.setattr(usecase2, "TraceEngine", ReferenceEngine)
             mp.setattr(usecase2, "run_tier",
-                       lambda engine, trace, tier=None: engine.run(trace))
+                       lambda engine, trace: engine.run(trace))
             reference = run_system(BY_NAME[name], system,
                                    accesses=self.SMALL, collect=True)
         assert reference.stats == packed.stats
@@ -82,9 +83,9 @@ class TestEngineTiers:
         seen = []
         real = usecase2.run_tier
 
-        def spy(engine, trace, tier=None):
+        def spy(engine, trace):
             seen.append(vector_engine.eligible(engine, trace))
-            return real(engine, trace, tier)
+            return real(engine, trace)
 
         monkeypatch.setattr(usecase2, "run_tier", spy)
         run_system(BY_NAME["mcf"], system, accesses=500)
@@ -104,11 +105,6 @@ class TestEngineTiers:
         r = run_system(BY_NAME["lbm"], "baseline", accesses=700,
                        collect=True)
         assert len(calls) == r.stats["engine"]["mem_accesses"] == 700
-
-    def test_analytical_tier_is_refused(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "analytical")
-        with pytest.raises(ConfigurationError, match="exact"):
-            run_system(BY_NAME["sc"], "baseline", accesses=100)
 
 
 def stats_digest(stats) -> str:

@@ -48,12 +48,19 @@ class TestCommands:
     def test_usecase2_unknown_workload(self, capsys):
         assert main(["usecase2", "--workload", "nope"]) == 2
 
-    def test_usecase2_refuses_the_estimating_tier(self, capsys,
-                                                  monkeypatch):
+    def test_usecase2_ignores_repro_engine(self, capsys, monkeypatch):
+        """``REPRO_ENGINE`` is no longer read: any value runs the one
+        engine."""
         monkeypatch.setenv("REPRO_ENGINE", "analytical")
         assert main(["usecase2", "--workload", "sc",
-                     "--accesses", "200"]) == 2
-        assert "exact engine tiers" in capsys.readouterr().err
+                     "--accesses", "200"]) == 0
+        assert "ideal" in capsys.readouterr().out
+
+    def test_sweep_engine_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--kernels", "mvt", "--engine", "packed"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_usecase1_small_run(self, capsys):
         rc = main(["usecase1", "--kernel", "mvt", "--n", "32",
@@ -334,8 +341,8 @@ class TestCorunCliAudit:
 
 
 class TestDiffCrossTier:
-    """`repro diff` across manifests recorded on different engine
-    tiers."""
+    """`repro diff` compares stats only: documents written before the
+    manifest recorded an engine tier diff on their counters."""
 
     @pytest.fixture
     def run_dir(self, capsys, monkeypatch, tmp_path):
@@ -348,25 +355,35 @@ class TestDiffCrossTier:
         capsys.readouterr()
         return out
 
-    def _retier(self, run_dir, tmp_path, tier):
+    def _pre_tier(self, run_dir, tmp_path, bump=False):
+        """A copy of ``run_dir`` without ``trace.tier``; ``bump`` adds
+        one to the baseline engine's ``misses_to_memory``."""
         import json
         import shutil
 
-        run_b = tmp_path / f"run_{tier}"
+        run_b = tmp_path / "run_pre_tier"
         shutil.copytree(run_dir, run_b)
         for path in run_b.glob("*.json"):
             doc = json.loads(path.read_text())
-            doc["manifest"]["trace"]["tier"] = tier
+            del doc["manifest"]["trace"]["tier"]
+            if bump:
+                doc["stats"]["baseline"]["engine"]["misses_to_memory"] += 1
             path.write_text(json.dumps(doc))
         return run_b
 
-    def test_estimating_tier_suppresses_deltas(self, run_dir, tmp_path,
-                                               capsys):
-        run_b = self._retier(run_dir, tmp_path, "analytical")
+    def test_pre_tier_document_diffs_clean(self, run_dir, tmp_path,
+                                           capsys):
+        run_b = self._pre_tier(run_dir, tmp_path)
+        assert main(["diff", str(run_dir), str(run_b)]) == 0
+        assert "zero deltas" in capsys.readouterr().out
+
+    def test_pre_tier_document_reports_deltas(self, run_dir, tmp_path,
+                                              capsys):
+        run_b = self._pre_tier(run_dir, tmp_path, bump=True)
         assert main(["diff", str(run_dir), str(run_b)]) == 1
         out = capsys.readouterr().out
-        assert "suppressed" in out
-        assert "cross-tier document pair(s) flagged" in out
+        assert "baseline.engine.misses_to_memory" in out
+        assert "1 counter delta(s)" in out
 
 
 class TestScenarioCli:

@@ -162,9 +162,9 @@ class TestEngineHooks:
 
 
 class TestDefaultTierChecks:
-    """``REPRO_CHECK=1`` keeps per-operation checks on the default
-    (``packed``) tier: checked machines take the scalar loop, whose
-    cache calls go through the checked wrappers."""
+    """``REPRO_CHECK=1`` keeps per-operation checks on the production
+    path: checked machines take the scalar loop, whose cache calls go
+    through the checked wrappers."""
 
     def test_corrupt_count_fires_during_the_run(self, checked):
         from repro.cpu.trace import TraceBuilder
@@ -178,7 +178,7 @@ class TestDefaultTierChecks:
             out.access(0x10000 + (i % 8) * line * l1.num_sets)
         l1._valid_counts[l1._index(0x10000)] += 1
         with pytest.raises(CheckError, match="valid count"):
-            handle.run(out.build(), engine_tier="packed")
+            handle.run(out.build())
         # Caught at the first access to the corrupted set, long before
         # any end-of-run check could see it.
         assert l1.stats.accesses == 1
