@@ -18,23 +18,20 @@ memory system (see :class:`repro.sim.system.MemorySystem`).  Traces
 carry the addresses the memory system sees; callers that model an MMU
 translate while packing (see :func:`repro.sim.usecase2.run_system`).
 
-:meth:`TraceEngine.run_packed` is the scalar interpreter loop.
-Production runs go through :mod:`repro.cpu.tiers`, which sends machines
-of the shipped shape to the split interpreter
-(:mod:`repro.cpu.vector_engine`) and every other machine -- including
-every ``REPRO_CHECK`` run -- here; :meth:`TraceEngine.run` always runs
-here.
+:class:`TraceEngine` holds the machine's core-side state (issue
+width, MSHR file, last run's statistics); the interpreter is the split
+interpreter of :mod:`repro.cpu.vector_engine`, which
+:meth:`TraceEngine.run` calls.  The model's textbook statement is the
+oracle :class:`repro.testing.oracles.ReferenceEngine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from repro.core.errors import ConfigurationError
 from repro.cpu.trace import PackedTrace, Trace
 from repro.mem.mshr import MSHRFile
-from repro.testing import checks as _checks
 
 
 @dataclass
@@ -64,8 +61,9 @@ class EngineStats:
 class TraceEngine:
     """Interprets a trace against a memory system.
 
-    ``memory`` must provide ``access(paddr, is_write, now) ->
-    (completes_at, served_by_memory)``; ``xmemlib`` receives
+    ``memory`` is a :class:`repro.sim.system.MemorySystem` of the shape
+    :func:`repro.cpu.vector_engine.check_shape` accepts (a run raises
+    :class:`ConfigurationError` otherwise); ``xmemlib`` receives
     :class:`XMemOp` events (skipped when absent -- the baseline
     machine).
     """
@@ -86,10 +84,6 @@ class TraceEngine:
         #: Statistics of the most recent :meth:`run` (zeroed until one
         #: completes) -- what the engine contributes to the stats tree.
         self.last_stats = EngineStats()
-        #: ``REPRO_CHECK=1``: validate end-of-run statistics.  Read
-        #: once at construction so the per-run cost of a disabled check
-        #: is a single attribute test.
-        self._check = _checks.enabled()
 
     def stat_groups(self):
         """StatGroup protocol: the engine and its MSHR file."""
@@ -105,94 +99,14 @@ class TraceEngine:
 
         Object event streams are packed first
         (:meth:`PackedTrace.from_events`, which rejects anything that
-        is not a trace event with ``TypeError``) and every trace then
-        runs through :meth:`run_packed`.
+        is not a trace event with ``TypeError``); the run is the
+        one-machine case of :func:`repro.cpu.vector_engine.run_shared`.
         """
+        from repro.cpu.vector_engine import run_shared
         if type(trace) is not PackedTrace:
             trace = PackedTrace.from_events(trace)
-        return self.run_packed(trace)
+        return run_shared([self], [trace])[0]
 
     def run_packed(self, trace: PackedTrace) -> EngineStats:
-        """Execute a packed trace: the scalar interpreter loop.
-
-        The dense stream is consumed as (vaddr, flag-word) integer
-        pairs straight from the columns -- no event objects, no
-        ``type()`` dispatch -- and the sparse XMemOp side-table
-        partitions it into segments, each drained with one ``islice``
-        pass.  The loop runs once per trace event (millions per
-        experiment): every attribute lookup it would repeat is hoisted
-        into a local, and counters accumulate in plain ints/floats
-        written back once.  Statistics are bit-identical to
-        :class:`repro.testing.oracles.ReferenceEngine` over the same
-        events.
-        """
-        now = 0.0
-        issue = self.issue_width
-        slot = 1.0 / issue
-        pipelined = self.PIPELINED_LATENCY
-        memory_access = self.memory.access
-        mshr = self.mshr
-        reserve = mshr.reserve
-        xmemlib = self.xmemlib
-        instructions = 0
-        mem_accesses = 0
-        xmem_instructions = 0
-        misses_to_memory = 0
-        stall_cycles = 0.0
-        # Segment the dense stream at the side-table positions; one
-        # shared zip iterator walks the columns exactly once.
-        pairs = zip(trace.vaddr, trace.meta)
-        segments = []
-        done = 0
-        for idx, op in trace.xmem:
-            segments.append((idx - done, op))
-            done = idx
-        segments.append((len(trace.vaddr) - done, None))
-        for seg_len, op in segments:
-            for vaddr, m in islice(pairs, seg_len):
-                if m & 2:                       # Work block
-                    count = m >> 2
-                    now += count / issue
-                    instructions += count
-                    continue
-                work = m >> 2                   # MemAccess
-                if work:
-                    now += work / issue
-                    instructions += work
-                instructions += 1
-                mem_accesses += 1
-                completes_at, to_memory = memory_access(vaddr, m & 1, now)
-                if to_memory:
-                    misses_to_memory += 1
-                if completes_at - now > pipelined:
-                    # Long access: overlap it within the window; stall
-                    # only when the window is full.
-                    start = reserve(now, completes_at)
-                    if start > now:
-                        stall_cycles += start - now
-                        now = start
-                # Either way the access itself takes one issue slot
-                # (first-level hits are fully pipelined).
-                now += slot
-            if op is not None:
-                instructions += 1
-                xmem_instructions += 1
-                now += slot
-                if xmemlib is not None:
-                    getattr(xmemlib, op.method)(*op.args)
-        # Drain the window: execution ends when the last miss lands.
-        tail = mshr.latest_completion()
-        if tail is not None and tail > now:
-            now = tail
-        mshr.flush()
-        self.last_stats = EngineStats(
-            cycles=now,
-            instructions=instructions,
-            mem_accesses=mem_accesses,
-            xmem_instructions=xmem_instructions,
-            misses_to_memory=misses_to_memory,
-            stall_cycles=stall_cycles,
-        )
-        if self._check:
-            _checks.check_engine_run(self, self.last_stats)
-        return self.last_stats
+        """:meth:`run` under the name the perf harness's spans wrap."""
+        return self.run(trace)

@@ -1,25 +1,20 @@
-"""Running traces on single-core machines: one exact path per trace.
+"""Running traces on single-core machines.
 
-:func:`run_tiers` hands the machines of one point to
-:func:`repro.cpu.vector_engine.run_shared`, which sends each machine
-one of two ways:
+Every single-core run goes through
+:func:`repro.cpu.vector_engine.run_shared`, the split interpreter: a
+front-end over L1, L2 and stride training, run once for every machine
+of a point whose private levels are equal, and a per-machine back-end
+over the LLC, DRAM, prefetch issue, the MSHR file and time.  A machine
+outside the shape it is written for
+(:func:`repro.cpu.vector_engine.check_shape`) is refused with
+:class:`~repro.core.errors.ConfigurationError`.  The interpreter is
+pinned against the textbook
+:class:`repro.testing.oracles.ReferenceEngine`.
 
-* a machine of the shipped shape (:func:`repro.cpu.vector_engine.
-  eligible`) runs on the split interpreter -- a front-end over L1, L2
-  and stride training, run once for every machine of a point whose
-  private levels are equal, and a per-machine back-end over the LLC,
-  DRAM, prefetch issue, the MSHR file and time;
-* any other machine -- ``REPRO_CHECK`` hooks, wrapped or unrecognized
-  components, other policies or depths, non-power-of-two issue widths
-  -- runs through the scalar :meth:`TraceEngine.run_packed` loop, with
-  the same statistics.
-
-Both are pinned against the textbook
-:class:`repro.testing.oracles.ReferenceEngine`.  Object event streams
-are packed first.  :func:`run_tier` runs one machine
-(:meth:`SystemHandle.run` and the Use Case 2 runner); :func:`run_tiers`
-runs the machines of one point in one call
-(:func:`repro.sim.system.run_machines`).
+:func:`run_tier` runs one machine (:meth:`SystemHandle.run` and the Use
+Case 2 runner); :func:`run_tiers` runs the machines of one point in one
+call (:func:`repro.sim.system.run_machines`).  Object event streams are
+packed first.
 """
 
 from __future__ import annotations
@@ -31,15 +26,9 @@ from repro.cpu.trace import PackedTrace
 
 
 def run_tier(engine: TraceEngine, trace) -> EngineStats:
-    """Execute ``trace`` on ``engine``.
-
-    Object traces (iterables of events) are packed first, so callers
-    may pass either form.
-    """
-    from repro.cpu.vector_engine import run_vector
-    if not isinstance(trace, PackedTrace):
-        trace = PackedTrace.from_events(trace)
-    return run_vector(engine, trace)
+    """Execute ``trace`` (packed columns or an event iterable) on
+    ``engine``: :meth:`TraceEngine.run`."""
+    return engine.run(trace)
 
 
 def run_tiers(engines: Sequence[TraceEngine], traces: Sequence,

@@ -21,8 +21,8 @@ Traces run to millions of events, and two representations coexist:
   ``MemAccess``/``Work`` stream lives in two parallel ``array('q')``
   columns (``vaddr`` and a flag word, see :data:`META` below) with the
   rare ``XMemOp`` events in a sparse side-table of ``(index, op)``
-  pairs.  No event objects exist at all: the engine's
-  ``run_packed`` interprets the columns directly, serialization is
+  pairs.  No event objects exist at all: the engine decodes the
+  columns directly (:mod:`repro.cpu.vector_engine`), serialization is
   ``tobytes()``/``frombytes()`` (a memcpy instead of per-event object
   construction), and pickling to worker processes is equally cheap.
   :class:`TraceBuilder` is the append-side of the format -- the

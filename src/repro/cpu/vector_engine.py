@@ -1,16 +1,16 @@
-"""The split interpreter: the production single-core engine.
+"""The split interpreter: the single-core engine.
 
 :func:`run_shared` executes :class:`PackedTrace` runs on one or more
-machines with statistics bit-identical to the scalar
-:meth:`TraceEngine.run_packed` loop (and so to
-:class:`repro.testing.oracles.ReferenceEngine`); :func:`run_vector` is
-its one-machine case.  Interpretation cost is per-event Python, not
-model arithmetic, so the interpreter decodes whole chunks of the dense
-columns with numpy (line/set/tag by shift and mask) and runs each
-event through scalar code that inlines the engine / hierarchy /
-prefetcher / DRAM bookkeeping of the exact model -- the same
-operations in the same order, so float accumulation is unchanged --
-instead of descending through six layers of method calls per access.
+machines with statistics bit-identical to
+:class:`repro.testing.oracles.ReferenceEngine`, the model's textbook
+statement; :meth:`TraceEngine.run` is its one-machine case.
+Interpretation cost is per-event Python, not model arithmetic, so the
+interpreter decodes whole chunks of the dense columns with numpy
+(line/set/tag by shift and mask) and runs each event through scalar
+code that inlines the engine / hierarchy / prefetcher / DRAM
+bookkeeping of the exact model -- the same operations in the same
+order, so float accumulation is unchanged -- instead of descending
+through six layers of method calls per access.
 
 **The private levels depend on the trace alone.**  The hierarchy is
 inclusive-by-fill with no back-invalidation, prefetches fill only the
@@ -33,25 +33,33 @@ Machines of one point whose private parts are equal run in lockstep
 (:func:`_run_lockstep`): per chunk the front-end runs once, on the
 first machine's own L1, L2 and stride prefetcher, and each back-end
 consumes the chunk; at the end the other machines' private state and
-counters are set to the front-end's.  Any other machine of the shape
-runs alone through the same code (a one-machine group).
+counters are set to the front-end's.  Any other machine runs alone
+through the same code (a one-machine group).
 
-Exactness of the folded time accounting relies on the timing grid:
-with a power-of-two issue width every increment is an exact dyadic
-rational, so float addition over a run of L1 hits commutes with the
-sequential order while ``now`` stays below ``2**(52-k)``; past that
-ceiling each chunk is replayed event by event.  :func:`eligible` is
-the one gate: the shipped machine shape (LRU L1, DRRIP L2 and LLC,
-pins and prefetched tags only at the LLC) on that grid, with no
-wrapped or ``REPRO_CHECK``-hooked component.  Every other machine runs
-through ``run_packed`` -- the split path is *never* allowed to be a
-different model, only a faster evaluation of the same one.
+:func:`check_shape` is the one gate: the shipped machine shape (LRU
+L1, DRRIP L2 and LLC, pins and prefetched tags only at the LLC,
+integer latencies with pipelined first-level hits); any other machine
+is refused with :class:`ConfigurationError`.  Time between L1 misses
+folds in closed form when the timing grid is dyadic: with a
+power-of-two issue width and dyadic DRAM timings every increment is an
+exact dyadic rational, so float addition over a run of L1 hits
+commutes with the sequential order while ``now`` stays below
+``2**(52-k)``.  Past that ceiling, and on any other grid (issue width
+3), every position is replayed as its own event.
 
-Divergence from the reference engine and from ``run_packed`` is
-fuzz-checked by the ``packed`` lane (:mod:`repro.testing.fuzz`),
-whose shared leg runs two machines in one call, and pinned per kernel,
-per Use Case 2 machine and per sharing rule in
-``tests/cpu/test_vector_engine.py``.
+With ``REPRO_CHECK`` set (read once per :func:`run_shared` call) the
+interpreter checks itself (:func:`~repro.testing.checks.
+check_cache_set`): every L2 and LLC fill re-derives its set as it
+happens, and at every chunk end each L1 set the chunk touched and
+each L2 and LLC set its records probed is re-derived and the MSHR heap
+is held to its capacity; every run ends in
+:func:`~repro.testing.checks.check_engine_run`.  The checked closures
+are built instead of the plain ones, so an unchecked run pays nothing.
+
+Divergence from the reference engine is fuzz-checked by the ``packed``
+lane (:mod:`repro.testing.fuzz`), whose shared leg runs two machines
+in one call, and pinned per kernel, per Use Case 2 machine and per
+sharing rule in ``tests/cpu/test_vector_engine.py``.
 """
 from __future__ import annotations
 
@@ -61,27 +69,24 @@ from heapq import heappop, heappush
 from time import perf_counter
 from typing import List, Optional, Sequence, Set
 
-try:
-    import numpy as _np
-except ImportError:          # pragma: no cover - numpy ships in the image
-    _np = None
+import numpy as np
 
+from repro.core.errors import ConfigurationError
 from repro.cpu.engine import EngineStats, TraceEngine
 from repro.cpu.trace import PackedTrace
 from repro.dram.bank import RowOutcome
-from repro.dram.system import DramSystem
 from repro.mem.cache import Cache, INVALID_TAG
-from repro.mem.hierarchy import CacheHierarchy, _never_pin
-from repro.mem.mshr import MSHRFile
-from repro.mem.prefetch import MultiStridePrefetcher, XMemPrefetcher, _Stream
+from repro.mem.hierarchy import _never_pin
+from repro.mem.prefetch import _Stream
 from repro.mem.replacement import (
     BRRIPPolicy,
     DRRIPPolicy,
-    LRUPolicy,
+    POLICIES,
     RRPV_MAX,
     RRPV_LONG,
     ReplacementPolicy,
 )
+from repro.testing import checks as _checks
 
 #: Events per columnar chunk.
 CHUNK = 4096
@@ -106,68 +111,61 @@ def dyadic_k(values, k_max: int = 12) -> Optional[int]:
 _dyadic_k = dyadic_k
 
 
-def eligible(engine: TraceEngine, trace) -> bool:
-    """Whether ``(engine, trace)`` runs on the split interpreter.
+def check_shape(engine: TraceEngine) -> None:
+    """Refuse a machine the split interpreter is not written for, with
+    a :class:`ConfigurationError` naming the component.
 
-    The shipped three-level shape -- LRU L1, DRRIP L2 and LLC, pins and
-    prefetched tags only at the LLC, a shift-form stride prefetcher --
-    with unwrapped components on the dyadic timing grid.  Anything else
-    -- wrapped components, other policies or depths, non-power-of-two
-    issue widths, ``REPRO_CHECK`` hooks -- runs through
-    :meth:`TraceEngine.run_packed`, so the split path's correctness
-    domain is exactly the configurations the equivalence suite pins.
-    Checked components fall back because the split loop inlines the
-    cache and MSHR operations the checks wrap: only the scalar loop
-    reaches the per-operation checkers.
+    The shape is the shipped three-level one: the policies of
+    :data:`repro.sim.corun.LEVEL_POLICIES` (LRU L1, DRRIP L2 and LLC),
+    power-of-two lines of at least 8 bytes, integer latencies with
+    first-level hits pipelined, pins and prefetched tags only at the
+    LLC, and a power-of-two stride-prefetcher region, all behind a
+    :class:`~repro.sim.system.MemorySystem`.  Components carrying
+    ``REPRO_CHECK`` wrappers pass: the interpreter inlines what they
+    wrap and checks it itself.
     """
     # Imported here: repro.sim imports the co-run engine, which
     # imports this module.
+    from repro.sim.corun import LEVEL_POLICIES
     from repro.sim.system import MemorySystem
 
-    if _np is None or type(trace) is not PackedTrace:
-        return False
-    issue = engine.issue_width
-    if issue & (issue - 1):
-        return False
-    if type(engine.mshr) is not MSHRFile or "reserve" in vars(engine.mshr):
-        return False
     mem = engine.memory
-    if type(mem) is not MemorySystem or type(mem.dram) is not DramSystem:
-        return False
+    if not isinstance(mem, MemorySystem):
+        raise ConfigurationError(
+            f"the engine's memory must be a MemorySystem, not "
+            f"{type(mem).__name__}")
     hier = mem.hierarchy
-    if type(hier) is not CacheHierarchy or hier._line_mask is None:
-        return False
+    if hier._line_mask is None or hier.line_bytes < 8:
+        raise ConfigurationError(
+            f"cache lines must be a power of two of at least 8 bytes: "
+            f"{hier.line_bytes}")
     caches = hier.levels
-    if len(caches) != 3 or hier.line_bytes < 8:
-        return False
-    for cache in caches:
-        if type(cache) is not Cache or cache._line_shift is None:
-            return False
-        if "access" in vars(cache):
-            return False
-    if [type(c.policy) for c in caches] != [LRUPolicy, DRRIPPolicy,
-                                            DRRIPPolicy]:
-        return False
-    if caches[0]._prefetched_tags or caches[1]._prefetched_tags:
-        return False
-    if any(caches[0]._pinned_counts) or any(caches[1]._pinned_counts):
-        return False
+    if len(caches) != len(LEVEL_POLICIES):
+        raise ConfigurationError(
+            f"the engine expects an L1/L2/L3 hierarchy, not "
+            f"{len(caches)} levels")
+    for cache, (name, policy) in zip(caches, LEVEL_POLICIES):
+        if type(cache.policy) is not POLICIES[policy]:
+            raise ConfigurationError(
+                f"the engine's {name} must use {policy!r}, not "
+                f"{cache.policy.name!r}")
+    for cache in caches[:2]:
+        if cache._prefetched_tags or any(cache._pinned_counts):
+            raise ConfigurationError(
+                f"{cache.name} holds pinned or prefetched lines; only "
+                f"the LLC may")
     stride = mem.stride_prefetcher
-    if stride is not None and (type(stride) is not MultiStridePrefetcher
-                               or stride._region_shift is None):
-        return False
-    xmem_pf = mem.xmem_prefetcher
-    if xmem_pf is not None and type(xmem_pf) is not XMemPrefetcher:
-        return False
+    if stride is not None and stride._region_shift is None:
+        raise ConfigurationError(
+            f"the stride prefetcher's region must be a power of two: "
+            f"{stride.region_bytes}")
+    if any(lat != int(lat) for lat in hier.latencies):
+        raise ConfigurationError(
+            f"cache latencies must be whole cycles: {hier.latencies}")
     if hier.latencies[0] > engine.PIPELINED_LATENCY:
-        return False
-    if mem._prefetch_log is not None:
-        return False
-    timing = mem.dram.timing
-    if _dyadic_k((1.0 / issue, engine.PIPELINED_LATENCY, timing.t_cl,
-                  timing.t_rcd, timing.t_rp, timing.t_burst)) is None:
-        return False
-    return all(lat == int(lat) for lat in hier.latencies)
+        raise ConfigurationError(
+            f"{caches[0].name} latency {hier.latencies[0]} exceeds the "
+            f"pipelined {engine.PIPELINED_LATENCY} cycles")
 
 
 #: Per-level state the front-end evolves (plus stats and policy state).
@@ -227,37 +225,28 @@ def _copy_private(src: TraceEngine, dst: TraceEngine) -> None:
             vars(ms.stride_prefetcher.stats))
 
 
-def run_vector(engine: TraceEngine, trace) -> EngineStats:
-    """Execute ``trace``; bit-identical to ``engine.run_packed(trace)``.
-
-    The one-machine case of :func:`run_shared`.
-    """
-    return run_shared([engine], [trace])[0]
-
-
-def run_shared(engines: Sequence[TraceEngine], traces: Sequence,
+def run_shared(engines: Sequence[TraceEngine], traces: Sequence[PackedTrace],
                seconds: Optional[List[float]] = None) -> List[EngineStats]:
     """Execute ``traces[k]`` on ``engines[k]`` for every ``k``; each
-    result is bit-identical to ``engines[k].run_packed(traces[k])``.
+    result is bit-identical to a
+    :class:`~repro.testing.oracles.ReferenceEngine` run of the same
+    trace on the same machine.
 
-    Machines that pass :func:`eligible` and whose dense streams and
-    private parts are equal (:func:`_same_private`) run in lockstep on
-    one front-end pass; an eligible machine with no twin is a
-    one-machine group.  Every other machine runs through
-    ``run_packed``.  ``seconds``, when given, is a list of
+    Every machine must pass :func:`check_shape`.  Machines whose dense
+    streams and private parts are equal (:func:`_same_private`) run in
+    lockstep on one front-end pass; a machine with no twin is a
+    one-machine group.  ``seconds``, when given, is a list of
     ``len(engines) + 1`` floats that accumulates each machine's own
     wall seconds and, last, the seconds of the shared front-end passes.
     """
+    for engine in engines:
+        check_shape(engine)
+    checking = _checks.enabled()
     if seconds is None:
         seconds = [0.0] * (len(engines) + 1)
     results: List[Optional[EngineStats]] = [None] * len(engines)
     groups: List[List[int]] = []
     for k, (engine, trace) in enumerate(zip(engines, traces)):
-        if not eligible(engine, trace):
-            t0 = perf_counter()
-            results[k] = engine.run_packed(trace)
-            seconds[k] += perf_counter() - t0
-            continue
         for group in groups:
             lead = group[0]
             if _same_private(engines[lead], traces[lead], engine, trace):
@@ -267,7 +256,8 @@ def run_shared(engines: Sequence[TraceEngine], traces: Sequence,
             groups.append([k])
     for group in groups:
         stats, front_s, own_s = _run_lockstep([engines[k] for k in group],
-                                              [traces[k] for k in group])
+                                              [traces[k] for k in group],
+                                              checking)
         seconds[-1] += front_s
         for k, result, wall_s in zip(group, stats, own_s):
             results[k] = result
@@ -275,18 +265,20 @@ def run_shared(engines: Sequence[TraceEngine], traces: Sequence,
     return results
 
 
-def _run_lockstep(engines: List[TraceEngine], traces: List[PackedTrace]):
+def _run_lockstep(engines: List[TraceEngine], traces: List[PackedTrace],
+                  checking: bool):
     """Run machines that share a dense stream and private parts: per
     chunk, one front-end pass on the first machine's L1, L2 and stride
     prefetcher, then every machine's back-end over the records.
+    ``checking`` builds the ``REPRO_CHECK`` closures.
 
     Returns the machines' stats, the front-end's seconds, and each
     machine's own (back-end) seconds.
     """
     lead = engines[0]
-    front, front_finish = _front_end(lead, traces[0])
+    front, front_finish = _front_end(lead, traces[0], checking)
     l1 = lead.memory.hierarchy.levels[0]
-    backs = [_back_end(engine, trace, l1)
+    backs = [_back_end(engine, trace, l1, checking)
              for engine, trace in zip(engines, traces)]
     front_s = 0.0
     own_s = [0.0] * len(engines)
@@ -310,6 +302,9 @@ def _run_lockstep(engines: List[TraceEngine], traces: List[PackedTrace]):
     instructions, mem_accesses = front_finish()
     for engine in engines[1:]:
         _copy_private(lead, engine)
+        if checking:
+            for cache in engine.memory.hierarchy.levels[:2]:
+                _checks.check_cache_all(cache)
     front_s += perf_counter() - t0
     results = []
     for k, (_, finish) in enumerate(backs):
@@ -319,7 +314,7 @@ def _run_lockstep(engines: List[TraceEngine], traces: List[PackedTrace]):
     return results, front_s, own_s
 
 
-def _front_end(engine: TraceEngine, trace: PackedTrace):
+def _front_end(engine: TraceEngine, trace: PackedTrace, checking: bool):
     """The private half of the split interpreter, on ``engine``'s own
     L1, L2 and stride prefetcher.
 
@@ -337,9 +332,10 @@ def _front_end(engine: TraceEngine, trace: PackedTrace):
     victim, L1-victim ripple victim, stride targets) -- the LLC-bound
     writebacks and prefetches, in model order.  A sentinel record
     ``(n, -1)`` ends the lists.  ``finish()`` flushes the counters and
-    returns the trace's (instructions, mem_accesses).
+    returns the trace's (instructions, mem_accesses).  When
+    ``checking``, every L2 fill re-derives its set, and ``chunk`` ends
+    by re-deriving every L1 and L2 set it probed.
     """
-    np = _np
     memory = engine.memory
     hier = memory.hierarchy
     l1, l2 = hier.levels[0], hier.levels[1]
@@ -559,10 +555,28 @@ def _front_end(engine: TraceEngine, trace: PackedTrace):
             stride.stats.stream_allocations += s_alloc
         return u_base, n_mem_total
 
-    return chunk, finish
+    if not checking:
+        return chunk, finish
+    # ``chunk`` reads ``fa1`` from this scope when it runs, so the
+    # rebinding re-derives the set of every L2 fill as it happens.
+    fa1 = _checks.checked_fill(fa1, l2)
+    plain_chunk = chunk
+
+    def checked_chunk(begin: int, end: int):
+        records = plain_chunk(begin, end)
+        for si in {(ln >> ls0) & sm0 for ln in records[4] if ln >= 0}:
+            _checks.check_cache_set(l1, si)
+        # Every L1 miss probed L2 (record codes keep the line above
+        # bit 2, and lines are at least 8 bytes).
+        for si in {(code >> ls1) & sm1 for code in records[6][:-1]}:
+            _checks.check_cache_set(l2, si)
+        return records
+
+    return checked_chunk, finish
 
 
-def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache):
+def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
+              checking: bool):
     """The per-machine half of the split interpreter: the LLC, its
     writebacks, DRAM, prefetch issue, the write drain, the MSHR file
     and model time, over the records of :func:`_front_end`.
@@ -570,13 +584,19 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache):
     ``l1`` is the front-end's L1 (the lockstep group's shared state).
     Returns ``(consume, finish)``: ``consume(chunk)`` replays one
     chunk, ``finish(instructions, mem_accesses)`` ends the run and
-    returns its :class:`EngineStats`.
+    returns its :class:`EngineStats`.  When ``checking``, every LLC
+    fill re-derives its set, ``consume`` ends by re-deriving every LLC
+    set it probed and bounding the MSHR heap, and ``finish`` by
+    :func:`~repro.testing.checks.check_engine_run`.
 
     Time between records folds in closed form: every L1 hit and Work
     block only adds issue slots, so ``now`` advances by the slot
     count since the last record -- exact by the dyadic-grid argument
     in the module docstring while ``now`` stays below ``now_limit``;
-    past it, every position of a chunk is replayed as its own event.
+    past it, and from the start on a non-dyadic grid, every position
+    of a chunk is replayed as its own event: each position's
+    ``(u - u_done) / issue`` step then adds just its Work block's
+    count, or its access's work, as the reference engine does.
     An L1 hit is replayed on its own too (a *special*) when its line
     awaits an in-flight prefetch: a prefetch that targets a line the
     front-end's L1 holds marks the line's next access, if that access
@@ -595,8 +615,9 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache):
     grid_k = _dyadic_k((slot, pipelined, timing.t_cl, timing.t_rcd,
                         timing.t_rp, timing.t_burst))
     # Exactness ceiling: grid points below 2**(52-k) use <= 52 mantissa
-    # bits, so every addition in a folded sum is exact.
-    now_limit = float(1 << (52 - grid_k))
+    # bits, so every addition in a folded sum is exact.  Off the grid
+    # nothing folds.
+    now_limit = 0.0 if grid_k is None else float(1 << (52 - grid_k))
     lk1 = hier.latencies[0]
     lk12 = lk1 + hier.latencies[1]
     lk123 = lk12 + hier.latencies[2]
@@ -808,7 +829,7 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache):
         begin, n, ua, lines, line_set, rec_i, rec_code, rec_ext, u_end = \
             chunk
         if now >= now_limit:
-            # Past the exactness ceiling (unreachable in practice):
+            # Past the exactness ceiling, or off the dyadic grid:
             # replay every position as its own event.
             in_rec = set(rec_i)
             specials = [q for q in range(n) if q not in in_rec]
@@ -1034,4 +1055,25 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache):
         )
         return engine.last_stats
 
-    return consume, finish
+    if not checking:
+        return consume, finish
+    # ``consume`` and ``prefetch`` read ``fa2`` from this scope when
+    # they run, so the rebinding re-derives the set of every LLC fill
+    # as it happens.
+    fa2 = _checks.checked_fill(fa2, llc)
+    plain_consume, plain_finish = consume, finish
+
+    def checked_consume(chunk) -> None:
+        plain_consume(chunk)
+        # Every record that missed L2 probed the LLC.
+        for si in {(code >> ls2) & sm2 for code in chunk[6][:-1]
+                   if not code & 2}:
+            _checks.check_cache_set(llc, si)
+        _checks.check_mshr_capacity(mshr)
+
+    def checked_finish(instructions: int, mem_accesses: int) -> EngineStats:
+        stats = plain_finish(instructions, mem_accesses)
+        _checks.check_engine_run(engine, stats)
+        return stats
+
+    return checked_consume, checked_finish

@@ -57,10 +57,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:          # pragma: no cover - numpy ships in the image
-    _np = None
+import numpy as _np
 
 from repro.core.errors import ConfigurationError
 from repro.core.stats import iter_stat_groups
@@ -152,7 +149,8 @@ class _PackedCursor:
     Holds the dense position / XMemOp index pair, the planned yield
     kind, and the current decomposition chunk: per-position set index,
     tag, work count and write flag, pre-split from the packed columns
-    in one vectorized pass (numpy planner only).
+    in one vectorized pass (numpy planner only: addresses inside the
+    int64-safe window).
     """
 
     __slots__ = ("core", "trace", "tv", "tm", "xmem", "n_dense", "n_x",
@@ -174,7 +172,7 @@ class _PackedCursor:
         self.kind = _Y_END
         self.va = None
         self.me = None
-        if _np is not None and self.n_dense:
+        if self.n_dense:
             va = _np.frombuffer(trace.vaddr, dtype=_np.int64)
             lo = int(va.min()) + core.offset
             hi = int(va.max()) + core.offset
@@ -435,9 +433,10 @@ class CorunSystem:
 
         The constructor already fixes the L1 to a shift-decomposable
         LRU cache that never holds prefetched tags (co-run prefetches
-        only fill the LLC), so what remains of
-        :func:`repro.cpu.vector_engine.eligible` is time: every quantum
-        on one dyadic grid, so batched ``now`` accumulation is exact.
+        only fill the LLC), so what remains is time, as in the
+        single-core interpreter (:mod:`repro.cpu.vector_engine`): every
+        quantum on one dyadic grid, so batched ``now`` accumulation is
+        exact.
         Failing the gate turns fast-forwarding off -- every event then
         executes as a yield point -- so the gate never changes the
         model, only how fast it is evaluated.
@@ -587,8 +586,8 @@ class CorunSystem:
         return pos >= bound
 
     def _advance_scalar(self, cur: _PackedCursor, bound: int) -> bool:
-        """Fallback planner over the raw packed columns (no numpy, or
-        addresses outside the int64-safe window).
+        """Fallback planner over the raw packed columns (addresses
+        outside the int64-safe window).
 
         Interprets hit events one at a time with the arithmetic of the
         yield-point body -- pure Python ints, so it is exact
@@ -876,13 +875,13 @@ class CorunSystem:
                     llc_put(victim, now)
 
             if checking:
-                l2_fill = _checked(l2_fill, l2, by_line=False)
-                l2_put = _checked(l2_put, l2, by_line=True)
+                l2_fill = _checks.checked_fill(l2_fill, l2)
+                l2_put = _checks.checked_fill(l2_put, l2, by_line=True)
             return l2_fill, l2_put
 
         if checking:
-            llc_fill = _checked(llc_fill, llc, by_line=False)
-            llc_put = _checked(llc_put, llc, by_line=True)
+            llc_fill = _checks.checked_fill(llc_fill, llc)
+            llc_put = _checks.checked_fill(llc_put, llc, by_line=True)
 
         per_core = []
         for core in self.cores:
@@ -1052,18 +1051,6 @@ class CorunSystem:
                 for cache in (core.l1, core.l2, llc):
                     _checks.check_cache_set(cache, cache._index(addr))
         return checked_step
-
-
-def _checked(fill, cache: Cache, by_line: bool):
-    """``REPRO_CHECK`` wrapper of one fused fill path: re-derive the set
-    it touched (its first argument is a line address when ``by_line``,
-    else the set index)."""
-    def checked(key, *args):
-        result = fill(key, *args)
-        _checks.check_cache_set(cache, cache._index(key) if by_line
-                                else key)
-        return result
-    return checked
 
 
 def _coalesce(chunks: List[int], chunk_bytes: int

@@ -62,10 +62,6 @@ class MemorySystem:
         self._line_mask = hierarchy._line_mask
         self._dram_access = dram.access_completes
         self._fill_prefetch_flat = hierarchy.fill_prefetch_flat
-        #: When a list, every line entering ``_prefetch_ready`` is also
-        #: appended here (a chunk-invalidation hook; the fused
-        #: interpreter falls back to the scalar loop while it is set).
-        self._prefetch_log: Optional[List[int]] = None
         #: line -> DRAM completion time of an in-flight prefetch; a
         #: demand hit to a line that has not arrived yet waits for it
         #: (prefetch timeliness).
@@ -166,8 +162,6 @@ class MemorySystem:
             self.stats.prefetch_reads += 1
             self._prefetch_ready[line] = self._dram_access(
                 line, now, is_write=False)
-            if self._prefetch_log is not None:
-                self._prefetch_log.append(line)
         if wb is not None:
             self._buffer_write(wb, now)
 

@@ -1,16 +1,17 @@
 """Property/differential testing for the optimized memory system.
 
-The hot paths of this reproduction (packed traces, the zero-object
-engine loop, the columnar cache, the flattened MSHR/scheduler paths)
+The hot paths of this reproduction (packed traces, the split engine
+interpreter, the columnar cache, the flattened MSHR/scheduler paths)
 each have a second, simpler way to compute the same answer.  This
 package holds that second way and the machinery to compare the two:
 
 * :mod:`repro.testing.checks` -- the ``REPRO_CHECK=1`` runtime
-  invariant hooks the engine/cache/MSHR/scheduler install on
-  themselves (zero-cost when disabled);
+  invariant checks the cache/MSHR/scheduler install on themselves and
+  the engines call (zero-cost when disabled);
 * :mod:`repro.testing.oracles` -- executable reference models: a
   dict-of-lists LRU cache, a naive in-order miss engine, a FIFO
-  open-row DRAM model, and a seeded toy memory for engine lanes;
+  open-row DRAM model, and a seeded toy memory for reference-engine
+  tests;
 * :mod:`repro.testing.generators` -- seeded random trace/request
   generators (strided, pointer-chase-like, hot-set, atom churn);
 * :mod:`repro.testing.shrink` -- the greedy delta-debugging shrinker;

@@ -12,18 +12,25 @@ construction time that re-derive that state the slow way and compare:
   (<= 75% of the ways by default), and no valid tag may be duplicated;
 * :class:`repro.mem.mshr.MSHRFile` -- a reservation may never leave
   more than ``entries`` misses outstanding, nor start in the past;
-* :class:`repro.cpu.engine.TraceEngine` -- end-of-run statistics must
-  be mutually consistent (stalls within cycles, retirement no faster
-  than the issue width allows) and the window must drain;
+* single-core runs -- end-of-run statistics must be mutually
+  consistent (stalls within cycles, retirement no faster than the
+  issue width allows) and the window must drain;
 * :class:`repro.dram.scheduler.FRFCFSScheduler` -- no request may be
   bypassed by younger row-hit requests more than ``starvation_cap``
   times.
 
-The flag is read once per component construction, so a disabled run
-pays nothing per event -- components only consult this module inside
-``__init__``.  Checkers raise :class:`CheckError` (an
-``AssertionError`` subclass, so plain ``pytest`` machinery and
-``python -O`` semantics treat it as an assertion).
+The engines inline the cache and MSHR operations, so they call the
+same checkers themselves: the single-core split interpreter
+(:mod:`repro.cpu.vector_engine`) after every L2 and LLC fill
+(:func:`checked_fill`), at every chunk end on the sets it probed and
+on its MSHR heap, and at the end of every run; the co-run interleaver
+(:mod:`repro.sim.corun`) after every fill and at every yield point.
+
+The flag is read once per component construction and once per engine
+run, so a disabled run pays nothing per event.  Checkers raise
+:class:`CheckError` (an ``AssertionError`` subclass, so plain
+``pytest`` machinery and ``python -O`` semantics treat it as an
+assertion).
 
 This module must stay dependency-free within the package: the
 production models import it at module load, and any import back into
@@ -91,6 +98,17 @@ def check_cache_set(cache, set_idx: int) -> None:
             )
 
 
+def checked_fill(fill, cache, by_line: bool = False):
+    """``fill`` -- one of an engine's inlined fill paths -- followed by
+    a re-derivation of the set it touched.  Its first argument is a
+    line address when ``by_line``, else the set index."""
+    def checked(key, *args):
+        result = fill(key, *args)
+        check_cache_set(cache, cache._index(key) if by_line else key)
+        return result
+    return checked
+
+
 def check_cache_all(cache) -> None:
     """Every set, plus the cache-wide maintained aggregates."""
     for set_idx in range(cache.num_sets):
@@ -123,13 +141,18 @@ def check_cache_all(cache) -> None:
 # MSHR invariants
 # ---------------------------------------------------------------------------
 
-def check_mshr(mshr, now: float, start: float) -> None:
-    """Post-``reserve`` state: bounded occupancy, no time travel."""
+def check_mshr_capacity(mshr) -> None:
+    """No more than ``entries`` misses outstanding."""
     if len(mshr._completions) > mshr.entries:
         raise CheckError(
             f"MSHR over capacity: {len(mshr._completions)} outstanding "
             f"misses in a {mshr.entries}-entry file"
         )
+
+
+def check_mshr(mshr, now: float, start: float) -> None:
+    """Post-``reserve`` state: bounded occupancy, no time travel."""
+    check_mshr_capacity(mshr)
     if start < now:
         raise CheckError(
             f"MSHR reservation started at {start} before now={now}"

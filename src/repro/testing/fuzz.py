@@ -1,22 +1,21 @@
 """Differential fuzzing: optimized models vs. reference models.
 
-Eight lanes, each pairing a hot-path implementation with its oracle
+Seven lanes, each pairing a hot-path implementation with its oracle
 (:mod:`repro.testing.oracles`) over seeded random input
 (:mod:`repro.testing.generators`):
 
-* ``packed``  -- the same trace through three identically built full
-  systems (baseline or XMem, with atom churn, windows small enough to
-  saturate the MSHR file): as an object stream through
+* ``packed``  -- the same trace (MemAccess/Work streams with attached
+  work) through two identically built full systems (baseline or XMem,
+  with atom churn, issue widths 1-4, windows small enough to saturate
+  the MSHR file): as an object stream through
   :class:`~repro.testing.oracles.ReferenceEngine` in place of the
-  machine's engine, as a :class:`PackedTrace` through
-  :meth:`SystemHandle.run` (the split interpreter wherever it is
-  eligible), and through :meth:`TraceEngine.run_packed` called
-  directly (the scalar loop).  Engine statistics and full stats
-  snapshots must be bit-identical across all three.  A fourth,
-  *shared* leg runs the trace on two machines that differ only below
-  L2 (LLC size, DRAM bandwidth, or XMem vs. baseline) in one shared
-  call -- one front-end pass over L1, L2 and stride training -- and
-  holds each to its own ``ReferenceEngine`` twin.
+  machine's engine, and as a :class:`PackedTrace` through
+  :meth:`SystemHandle.run` (the split interpreter).  Engine statistics
+  and full stats snapshots must be bit-identical.  A *shared* leg runs
+  the trace on two machines that differ only below L2 (LLC size, DRAM
+  bandwidth, or XMem vs. baseline) in one shared call -- one front-end
+  pass over L1, L2 and stride training -- and holds each to its own
+  ``ReferenceEngine`` twin.
 * ``corun``   -- random multi-tenant mixes (2-3 cores, per-core
   generated streams, atom churn on the XMem tenant, issue width 3 or
   4) through two identically built
@@ -31,11 +30,6 @@ Eight lanes, each pairing a hot-path implementation with its oracle
   :class:`~repro.testing.oracles.ReferenceCache`: per-op hits,
   writeback addresses, eviction/refusal counts, pinned totals, and the
   final resident set must match.
-* ``engine``  -- MemAccess/Work streams against a seeded
-  :class:`~repro.testing.oracles.ToyMemory`: the packed loop and the
-  naive :class:`~repro.testing.oracles.ReferenceEngine` must return
-  bit-identical :class:`EngineStats` and MSHR counters (windows small
-  enough to saturate the MSHR file).
 * ``dram``    -- timed FIFO request streams, under every mapping
   scheme, through :class:`~repro.dram.system.DramSystem` and the naive
   :class:`~repro.testing.oracles.ReferenceDram`: per-request row
@@ -88,8 +82,6 @@ from repro.testing.oracles import (
     ReferenceCache,
     ReferenceCorun,
     ReferenceDram,
-    ReferenceEngine,
-    ToyMemory,
     with_reference_engine,
 )
 from repro.testing.shrink import DEFAULT_BUDGET, shrink
@@ -152,21 +144,20 @@ class Lane:
 
 
 class PackedLane(Lane):
-    """Reference engine vs. ``SystemHandle.run`` vs. the scalar packed
-    loop, plus a shared leg: two machines in one shared call.
+    """Reference engine vs. ``SystemHandle.run``, plus a shared leg:
+    two machines in one shared call.
 
     Any pair diverging -- stats or full snapshot -- is a failure.
-    ``SystemHandle.run`` legitimately takes the scalar loop on shapes
-    outside the split interpreter's domain; the comparison then still
-    holds, and the direct ``run_packed`` leg keeps the scalar loop
-    itself pinned either way.  Reproducers written before the
-    shared leg existed carry no ``shared`` param and replay it as
-    XMem vs. baseline.
+    Issue width 3 puts the split interpreter off its dyadic grid, so
+    those cases replay every position as its own event.  Reproducers
+    written before the shared leg existed carry no ``shared`` param and
+    replay it as XMem vs. baseline; those written before issue widths
+    were drawn carry no ``issue_width`` and replay at width 4.
     """
 
     name = "packed"
-    #: How each of the three machines runs the trace.
-    WAYS = ("reference", "packed", "run_packed")
+    #: How each of the two machines runs the trace.
+    WAYS = ("reference", "packed")
     #: What the shared leg's second machine changes below L2.
     SHARED = ("llc", "bandwidth", "system")
 
@@ -178,6 +169,7 @@ class PackedLane(Lane):
             length=length,
             regions=rng.randint(2, 5),
             write_frac=rng.uniform(0.0, 0.6),
+            work_frac=rng.uniform(0.0, 0.25),
             atoms=atoms,
             churn=rng.uniform(0.1, 0.5) if atoms else 0.0,
         )
@@ -185,7 +177,8 @@ class PackedLane(Lane):
         params = {
             "system": system,
             "atoms": atoms,
-            "window": rng.choice((2, 4, 8, 32)),
+            "issue_width": rng.choice((1, 2, 3, 4)),
+            "window": rng.choice((1, 2, 4, 8, 16, 32)),
             "scale": rng.choice((32, 64)),
             "shared": rng.choice(self.SHARED),
         }
@@ -198,7 +191,9 @@ class PackedLane(Lane):
         from repro.sim.config import CpuConfig
 
         cfg = scaled_config(params["scale"])
-        cfg = dc.replace(cfg, cpu=CpuConfig(window=params["window"]))
+        cfg = dc.replace(cfg, cpu=CpuConfig(
+            issue_width=params.get("issue_width", 4),
+            window=params["window"]))
         if params.get("llc_div"):
             cfg = cfg.with_llc(cfg.llc_bytes // params["llc_div"])
         if params.get("bandwidth"):
@@ -216,27 +211,17 @@ class PackedLane(Lane):
         systems = {way: self._build(params) for way in self.WAYS}
         ref = with_reference_engine(systems["reference"])
         packed = PackedTrace.from_events(items)
-        direct = systems["run_packed"]
-        stats = {
-            "reference": ref.engine.run(
-                items if ref.xmemlib is not None else strip_xmem(items)),
-            "packed": systems["packed"].run(packed),
-            "run_packed": direct.engine.run_packed(
-                packed if direct.xmemlib is not None
-                else strip_xmem(packed)),
-        }
-        want = stats["reference"]
-        for way in self.WAYS[1:]:
-            if stats[way] != want:
-                return (f"{way} stats diverged from reference: "
-                        f"reference={want} {way}={stats[way]}")
-        snaps = {way: handle.stats_snapshot()
-                 for way, handle in systems.items()}
-        for way in self.WAYS[1:]:
-            if snaps[way] != snaps["reference"]:
-                keys = _first_snapshot_delta(snaps["reference"],
-                                             snaps[way])
-                return f"{way} snapshot diverged from reference at {keys}"
+        want = ref.engine.run(
+            items if ref.xmemlib is not None else strip_xmem(items))
+        got = systems["packed"].run(packed)
+        if got != want:
+            return (f"packed stats diverged from reference: "
+                    f"reference={want} packed={got}")
+        snap, ref_snap = (systems["packed"].stats_snapshot(),
+                          ref.stats_snapshot())
+        if snap != ref_snap:
+            keys = _first_snapshot_delta(ref_snap, snap)
+            return f"packed snapshot diverged from reference at {keys}"
         return self._shared_fail(params, items, packed)
 
     def _shared_fail(self, params: dict, items: list,
@@ -451,54 +436,6 @@ class CacheLane(Lane):
                     f" {cache.stats.pin_refusals}) ref=({ref.evictions},"
                     f" {ref.writebacks}, {ref.pin_refusals})")
         return None
-
-
-class EngineLane(Lane):
-    """Packed loop vs. naive reference engine."""
-
-    name = "engine"
-
-    def make(self, rng: random.Random, length: int) -> Tuple[dict, list]:
-        cfg = GenConfig(
-            seed=rng.randrange(1 << 32),
-            length=length,
-            work_frac=rng.uniform(0.0, 0.25),
-            write_frac=rng.uniform(0.0, 0.6),
-        )
-        events, _ = generators.generate_trace(cfg)
-        params = {
-            "window": rng.choice((1, 2, 4, 8, 16)),
-            "issue_width": rng.choice((1, 2, 4)),
-            "mem_seed": rng.randrange(1 << 32),
-            "miss_rate": round(rng.uniform(0.1, 0.9), 3),
-        }
-        return params, events
-
-    def fail(self, params: dict, items: list) -> Optional[str]:
-        from repro.cpu.engine import TraceEngine
-
-        def toy() -> ToyMemory:
-            return ToyMemory(params["mem_seed"],
-                             miss_rate=params["miss_rate"])
-
-        opt = TraceEngine(toy(), issue_width=params["issue_width"],
-                          window=params["window"])
-        got = opt.run_packed(PackedTrace.from_events(items))
-        ref = ReferenceEngine(toy(), issue_width=params["issue_width"],
-                              window=params["window"])
-        want = ref.run(items)
-        if got != want:
-            return f"packed loop diverged: engine={got} ref={want}"
-        if opt.mshr.stats != ref.mshr_stats:
-            return (f"MSHR counters diverged: engine={opt.mshr.stats} "
-                    f"ref={ref.mshr_stats}")
-        return None
-
-    def to_json(self, items: list) -> list:
-        return [event_to_json(ev) for ev in items]
-
-    def from_json(self, data: list) -> list:
-        return [event_from_json(item) for item in data]
 
 
 class DramLane(Lane):
@@ -1126,8 +1063,8 @@ def _kernel_scenario_hash(kernel: str, n: int, tile: int) -> str:
 
 LANES: Dict[str, Lane] = {
     lane.name: lane
-    for lane in (PackedLane(), CorunLane(), CacheLane(), EngineLane(),
-                 DramLane(), SchedLane(), ServeLane(), ScenarioLane())
+    for lane in (PackedLane(), CorunLane(), CacheLane(), DramLane(),
+                 SchedLane(), ServeLane(), ScenarioLane())
 }
 
 

@@ -28,9 +28,9 @@ require the answers to agree exactly:
   compiled address mapping.  Per-request (outcome, latency,
   completion) must match exactly.
 * :class:`ToyMemory`: not an oracle but a seeded, deterministic memory
-  stand-in for engine lanes -- two instances with the same seed give
-  identical (completes_at, went_to_memory) streams, with enough long
-  misses to saturate small windows.
+  stand-in for :class:`ReferenceEngine` tests -- two instances with
+  the same seed give identical (completes_at, went_to_memory) streams,
+  with enough long misses to saturate small windows.
 """
 
 from __future__ import annotations
@@ -541,18 +541,20 @@ class ReferenceDram:
 
 
 # ---------------------------------------------------------------------------
-# Seeded toy memory for engine lanes
+# Seeded toy memory for reference-engine tests
 # ---------------------------------------------------------------------------
 
 class ToyMemory:
     """Deterministic seeded stand-in for a memory system.
 
-    Engine lanes need two *identical* memory behaviours -- one for the
-    optimized engine, one for the reference -- without sharing mutable
-    state between the runs.  Two ``ToyMemory(seed)`` instances draw the
-    same per-access pseudo-random (hit-or-miss, latency) stream, so the
-    engines see the same machine.  Miss latencies are long enough to
-    pile misses into small windows (MSHR saturation).
+    Tests of :class:`ReferenceEngine`'s timing need memory behaviour
+    without a full machine, and two runs that compare need two
+    *identical* behaviours without sharing mutable state.  Two
+    ``ToyMemory(seed)`` instances draw the same per-access
+    pseudo-random (hit-or-miss, latency) stream, so the runs see the
+    same machine.  Miss latencies are long enough to pile misses into
+    small windows (MSHR saturation).  The production engine runs only
+    on real memory systems.
     """
 
     def __init__(self, seed: int, hit_latency: float = 2.0,

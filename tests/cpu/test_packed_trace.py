@@ -176,7 +176,8 @@ def test_packed_equals_object_xmem(name):
 
 
 def test_run_redirects_packed():
-    """engine.run(PackedTrace) takes the fast path, same result."""
+    """engine.run takes packed columns as they are and packs an object
+    stream first: the same result either way."""
     cfg = scaled_config(32)
     kernel = KERNELS["gemm"]
     h1 = build_xmem(cfg)
@@ -184,8 +185,8 @@ def test_run_redirects_packed():
     via_run = h1.engine.run(packed)
     h2 = build_xmem(cfg)
     kernel.build_packed(N, TILE, lib=h2.xmemlib)
-    via_run_packed = h2.engine.run_packed(packed)
-    assert via_run == via_run_packed
+    via_events = h2.engine.run(list(packed.events()))
+    assert via_run == via_events
 
 
 def test_side_table_applies_at_recorded_position():
@@ -201,13 +202,13 @@ def test_side_table_applies_at_recorded_position():
             calls.append(("access", paddr))
             return now, False
 
-    from repro.cpu.engine import TraceEngine
+    from repro.testing.oracles import ReferenceEngine
     b = TraceBuilder()
     b.access(0x40)
     b.op(XMemOp("atom_map", 7, 0x40, 64))
     b.access(0x80)
-    engine = TraceEngine(NullMemory(), xmemlib=SpyLib())
-    engine.run_packed(b.build())
+    engine = ReferenceEngine(NullMemory(), xmemlib=SpyLib())
+    engine.run(b.build())
     assert calls == [("access", 0x40), ("atom_map", (7, 0x40, 64)),
                      ("access", 0x80)]
 

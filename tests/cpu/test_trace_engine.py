@@ -1,4 +1,10 @@
-"""Tests for trace events and the timing engine."""
+"""Tests for trace events and the timing model.
+
+The model's timing semantics are stated by
+:class:`repro.testing.oracles.ReferenceEngine`, so they are tested
+there, over scriptable memories; the production engine is held to the
+reference on real machines (``tests/cpu/test_vector_engine.py``).
+"""
 
 import pytest
 
@@ -11,6 +17,7 @@ from repro.cpu.trace import (
     count_events,
     strip_xmem,
 )
+from repro.testing.oracles import ReferenceEngine
 
 
 class FakeMemory:
@@ -61,7 +68,7 @@ class TestTraceHelpers:
 
 class TestEngineTiming:
     def test_work_retires_at_issue_width(self):
-        eng = TraceEngine(FakeMemory(), issue_width=4)
+        eng = ReferenceEngine(FakeMemory(), issue_width=4)
         stats = eng.run([Work(400)])
         assert stats.cycles == pytest.approx(100)
         assert stats.instructions == 400
@@ -72,7 +79,7 @@ class TestEngineTiming:
             TraceEngine(FakeMemory(), issue_width=0)
 
     def test_fast_hits_pipelined(self):
-        eng = TraceEngine(FakeMemory(default=1.0), issue_width=1)
+        eng = ReferenceEngine(FakeMemory(default=1.0), issue_width=1)
         stats = eng.run([MemAccess(i * 64) for i in range(100)])
         assert stats.cycles == pytest.approx(100)
         assert stats.misses_to_memory == 0
@@ -80,7 +87,7 @@ class TestEngineTiming:
     def test_long_latency_overlaps_in_window(self):
         # 10 accesses of 100 cycles each, window 16: all overlap.
         mem = FakeMemory(default=100.0)
-        eng = TraceEngine(mem, issue_width=1, window=16)
+        eng = ReferenceEngine(mem, issue_width=1, window=16)
         stats = eng.run([MemAccess(i * 64) for i in range(10)])
         # Far less than serialized 1000 cycles.
         assert stats.cycles < 150
@@ -88,7 +95,7 @@ class TestEngineTiming:
 
     def test_window_full_stalls(self):
         mem = FakeMemory(default=100.0)
-        eng = TraceEngine(mem, issue_width=1, window=2)
+        eng = ReferenceEngine(mem, issue_width=1, window=2)
         stats = eng.run([MemAccess(i * 64) for i in range(10)])
         assert stats.stall_cycles > 0
         # Far above the fully-overlapped ~110 cycles: pair-serialized.
@@ -96,17 +103,19 @@ class TestEngineTiming:
 
     def test_trailing_miss_counted(self):
         mem = FakeMemory(default=500.0)
-        eng = TraceEngine(mem, issue_width=1, window=8)
+        eng = ReferenceEngine(mem, issue_width=1, window=8)
         stats = eng.run([MemAccess(0)])
         assert stats.cycles >= 500
 
     def test_work_attached_to_access(self):
-        eng = TraceEngine(FakeMemory(), issue_width=2)
+        eng = ReferenceEngine(FakeMemory(), issue_width=2)
         stats = eng.run([MemAccess(0, work=10)])
         assert stats.instructions == 11
         assert stats.cycles >= 5
 
     def test_junk_event_raises(self):
+        """The production engine packs first, and packing rejects
+        anything that is not a trace event."""
         eng = TraceEngine(FakeMemory())
         with pytest.raises(TypeError):
             eng.run([object()])
@@ -115,7 +124,7 @@ class TestEngineTiming:
 class TestEngineXMem:
     def test_xmem_ops_executed_in_order(self):
         lib = FakeLib()
-        eng = TraceEngine(FakeMemory(), xmemlib=lib)
+        eng = ReferenceEngine(FakeMemory(), xmemlib=lib)
         eng.run([
             XMemOp("atom_map", 0, 0, 4096),
             MemAccess(0),
@@ -126,21 +135,21 @@ class TestEngineXMem:
 
     def test_xmem_ops_counted_as_instructions(self):
         lib = FakeLib()
-        eng = TraceEngine(FakeMemory(), xmemlib=lib)
+        eng = ReferenceEngine(FakeMemory(), xmemlib=lib)
         stats = eng.run([XMemOp("atom_activate", 0), Work(999)])
         assert stats.instructions == 1000
         assert stats.xmem_instructions == 1
         assert stats.xmem_instruction_overhead == pytest.approx(0.001)
 
     def test_xmem_ops_skipped_without_lib(self):
-        eng = TraceEngine(FakeMemory(), xmemlib=None)
+        eng = ReferenceEngine(FakeMemory(), xmemlib=None)
         stats = eng.run([XMemOp("atom_activate", 0)])
         # Still counted (the instruction exists in the binary) but not
         # executed anywhere.
         assert stats.xmem_instructions == 1
 
     def test_overhead_zero_when_empty(self):
-        eng = TraceEngine(FakeMemory())
+        eng = ReferenceEngine(FakeMemory())
         stats = eng.run([])
         assert stats.xmem_instruction_overhead == 0.0
         assert stats.ipc == 0.0

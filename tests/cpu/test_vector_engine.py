@@ -1,23 +1,27 @@
-"""The split interpreter: equivalence, the one gate, and the scalar path.
+"""The split interpreter: equivalence, the one gate, and its checks.
 
 The load-bearing property mirrors ``test_packed_trace.py`` one level
-up: for **every** registered polybench kernel, ``run_vector`` (the
-split interpreter) over the packed columns produces bit-for-bit the
-same :class:`EngineStats` -- and the same full stats snapshot, every
-cache/DRAM/prefetch counter -- as the scalar ``run_packed`` loop, on
-both baseline and XMem machines.  The split path's correctness domain
-is guarded by :func:`eligible`; every machine the runner, Use Case 2
-and serve build must pass it, and anything outside it must run on the
-scalar loop rather than answer wrongly.
+up: for **every** registered polybench kernel, the split interpreter
+over the packed columns produces bit-for-bit the same
+:class:`EngineStats` -- and the same full stats snapshot, every
+cache/DRAM/prefetch counter -- as the textbook ``ReferenceEngine`` on
+an identically built machine, on both baseline and XMem machines.
+:func:`check_shape` is the one gate: every machine the runner, Use
+Case 2 and serve build must pass it, and anything outside it is
+refused rather than answered wrongly.  With ``REPRO_CHECK`` set the
+interpreter re-derives what it touched at every chunk end.
 """
 
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.cpu.tiers import run_tier
 from repro.cpu.trace import MemAccess, PackedTrace, Work, XMemOp
-from repro.cpu.vector_engine import eligible, run_vector
+from repro.cpu.vector_engine import check_shape
 from repro.sim.config import scaled_config
 from repro.sim.system import build_baseline, build_xmem
+from repro.testing.checks import CheckError
+from repro.testing.oracles import ReferenceEngine, with_reference_engine
 from repro.workloads.polybench import KERNELS
 
 N = 16
@@ -38,21 +42,36 @@ def mixed_events():
     ]
 
 
-def _pair(kernel, system_builder, with_lib, fused=True):
-    """(run_packed handle+stats, run_vector handle+stats) on twin
-    machines; ``fused`` says whether the split path must be taken."""
-    cfg = scaled_config(32)
-    h_pk = system_builder(cfg)
-    packed_a = kernel.build_packed(N, TILE, lib=h_pk.xmemlib)
+def _pair(kernel, system_builder, with_lib, cfg=None):
+    """(ReferenceEngine handle+stats, production handle+stats) on twin
+    machines."""
+    cfg = cfg or scaled_config(32)
+    h_ref = with_reference_engine(system_builder(cfg))
+    packed_a = kernel.build_packed(N, TILE, lib=h_ref.xmemlib)
     trace_a = packed_a if with_lib else packed_a.without_xmem()
-    pk_stats = h_pk.engine.run_packed(trace_a)
+    ref_stats = h_ref.engine.run(trace_a)
 
     h_vec = system_builder(cfg)
     packed_b = kernel.build_packed(N, TILE, lib=h_vec.xmemlib)
     trace_b = packed_b if with_lib else packed_b.without_xmem()
-    assert eligible(h_vec.engine, trace_b) is fused
-    vec_stats = run_vector(h_vec.engine, trace_b)
-    return h_pk, pk_stats, h_vec, vec_stats
+    vec_stats = h_vec.engine.run(trace_b)
+    return h_ref, ref_stats, h_vec, vec_stats
+
+
+def _spy_lockstep(monkeypatch):
+    """Record every lockstep group the split interpreter runs, as
+    ``(machines, checking)``."""
+    from repro.cpu import vector_engine
+
+    groups = []
+    real = vector_engine._run_lockstep
+
+    def spy(engines, traces, checking):
+        groups.append((len(engines), checking))
+        return real(engines, traces, checking)
+
+    monkeypatch.setattr(vector_engine, "_run_lockstep", spy)
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -61,39 +80,41 @@ def _pair(kernel, system_builder, with_lib, fused=True):
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_vector_equals_packed_baseline(name):
-    h_pk, pk_stats, h_vec, vec_stats = _pair(
+    h_ref, ref_stats, h_vec, vec_stats = _pair(
         KERNELS[name], build_baseline, with_lib=False)
-    assert vec_stats == pk_stats
-    assert h_vec.stats_snapshot() == h_pk.stats_snapshot()
+    assert vec_stats == ref_stats
+    assert h_vec.stats_snapshot() == h_ref.stats_snapshot()
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_vector_equals_packed_xmem(name):
-    h_pk, pk_stats, h_vec, vec_stats = _pair(
+    h_ref, ref_stats, h_vec, vec_stats = _pair(
         KERNELS[name], build_xmem, with_lib=True)
-    assert vec_stats == pk_stats
-    assert h_vec.stats_snapshot() == h_pk.stats_snapshot()
+    assert vec_stats == ref_stats
+    assert h_vec.stats_snapshot() == h_ref.stats_snapshot()
 
 
 def test_vector_equals_packed_checked_mode(monkeypatch):
-    """REPRO_CHECK=1 sends runs to the scalar loop, where the
-    per-operation checks live (and every invariant hook holds)."""
+    """With REPRO_CHECK=1 the run still takes the split interpreter,
+    now with its checks armed, and every invariant holds."""
     monkeypatch.setenv("REPRO_CHECK", "1")
-    h_pk, pk_stats, h_vec, vec_stats = _pair(
-        KERNELS["gemm"], build_xmem, with_lib=True, fused=False)
-    assert vec_stats == pk_stats
-    assert h_vec.stats_snapshot() == h_pk.stats_snapshot()
+    groups = _spy_lockstep(monkeypatch)
+    h_ref, ref_stats, h_vec, vec_stats = _pair(
+        KERNELS["gemm"], build_xmem, with_lib=True)
+    assert groups == [(1, True)]
+    assert vec_stats == ref_stats
+    assert h_vec.stats_snapshot() == h_ref.stats_snapshot()
 
 
 def test_vector_mixed_events():
     bare = PackedTrace.from_events(mixed_events()).without_xmem()
     cfg = scaled_config(32)
-    h_pk = build_baseline(cfg)
-    pk = h_pk.engine.run_packed(bare)
+    h_ref = with_reference_engine(build_baseline(cfg))
+    ref = h_ref.engine.run(bare)
     h_vec = build_baseline(cfg)
-    vec = run_vector(h_vec.engine, bare)
-    assert vec == pk
-    assert h_vec.stats_snapshot() == h_pk.stats_snapshot()
+    vec = h_vec.engine.run(bare)
+    assert vec == ref
+    assert h_vec.stats_snapshot() == h_ref.stats_snapshot()
 
 
 @pytest.mark.parametrize("system", ["baseline", "xmem"])
@@ -122,7 +143,7 @@ def test_sweep_points_match_reference(kernel, tile, system):
 
 
 # ---------------------------------------------------------------------------
-# The one gate and the scalar path
+# The one gate
 # ---------------------------------------------------------------------------
 
 #: Every (scale, LLC bytes, bandwidth) the runner builds machines at
@@ -136,71 +157,127 @@ PRODUCTION_SHAPES = (
 )
 
 
+def _issue3_config(cfg=None):
+    """``cfg`` with issue width 3: off the dyadic timing grid."""
+    import dataclasses
+
+    from repro.sim.config import CpuConfig
+
+    cfg = cfg or scaled_config(32)
+    return dataclasses.replace(cfg, cpu=CpuConfig(issue_width=3))
+
+
 class TestEligibility:
     def _handle(self):
         h = build_baseline(scaled_config(32))
         return h, KERNELS["gemm"].build_packed(N, TILE).without_xmem()
 
     def test_baseline_machine_is_eligible(self):
-        h, trace = self._handle()
-        assert eligible(h.engine, trace)
+        h, _ = self._handle()
+        check_shape(h.engine)
 
-    def test_object_stream_is_not(self):
+    def test_object_stream_is_not(self, monkeypatch):
+        """Object streams are packed before they reach the
+        interpreter."""
+        from repro.cpu import vector_engine
+
+        seen = []
+        real = vector_engine.run_shared
+
+        def spy(engines, traces, seconds=None):
+            seen.extend(type(t) for t in traces)
+            return real(engines, traces, seconds)
+
+        monkeypatch.setattr(vector_engine, "run_shared", spy)
         h, trace = self._handle()
-        assert not eligible(h.engine, list(trace.events()))
+        h.engine.run(list(trace.events()))
+        assert seen == [PackedTrace]
 
     def test_perfect_row_buffer_is_eligible(self):
-        h, trace = self._handle()
+        h, _ = self._handle()
         h.dram.perfect_rbl = True
-        assert eligible(h.engine, trace)
+        check_shape(h.engine)
 
     @pytest.mark.parametrize("component", ["cache", "mshr"])
-    def test_installed_checks_fall_back(self, component):
-        """Checked components take the scalar loop, even when the
-        engine itself was built with checks off."""
+    def test_installed_checks_fall_back(self, monkeypatch, component):
+        """Components carrying ``REPRO_CHECK`` wrappers run on the split
+        interpreter, which checks what they wrap itself."""
         h, trace = self._handle()
         if component == "cache":
             h.memory.hierarchy.levels[1]._install_checks()
         else:
             h.engine.mshr._install_checks()
-        assert not eligible(h.engine, trace)
+        check_shape(h.engine)
+        groups = _spy_lockstep(monkeypatch)
+        ref = with_reference_engine(build_baseline(scaled_config(32)))
+        assert h.engine.run(trace) == ref.engine.run(trace)
+        assert groups == [(1, False)]
+        assert h.stats_snapshot() == ref.stats_snapshot()
 
-    def test_non_pow2_issue_width_falls_back(self):
-        h, trace = self._handle()
-        h.engine.issue_width = 3
-        assert not eligible(h.engine, trace)
+    def test_non_pow2_issue_width_falls_back(self, monkeypatch):
+        """Issue width 3 is off the dyadic grid: the machine passes the
+        gate, runs split, and its back-end finds no grid, so it falls
+        back to per-event time (``test_fallback_still_runs_exactly``
+        holds the result to the reference)."""
+        from repro.cpu import vector_engine
 
-    def test_prefetch_log_hook_falls_back(self):
+        h = build_baseline(_issue3_config())
+        check_shape(h.engine)
+        grids = []
+        real = vector_engine._dyadic_k
+
+        def spy(values):
+            grids.append(real(values))
+            return grids[-1]
+
+        monkeypatch.setattr(vector_engine, "_dyadic_k", spy)
+        groups = _spy_lockstep(monkeypatch)
+        h.run(KERNELS["gemm"].build_packed(N, TILE))
+        assert groups == [(1, False)] and grids == [None]
+
+    @pytest.mark.parametrize("off", ["memory", "l1-latency",
+                                     "fractional-latency"])
+    def test_off_shape_is_refused(self, off):
+        """Machines the interpreter is not written for raise
+        ConfigurationError naming the component."""
+        from repro.cpu.engine import TraceEngine
+        from repro.testing.oracles import ToyMemory
+
         h, trace = self._handle()
-        h.memory._prefetch_log = []
-        assert not eligible(h.engine, trace)
+        engine = h.engine
+        if off == "memory":
+            engine = TraceEngine(ToyMemory(0))
+            match = "memory must be a MemorySystem"
+        elif off == "l1-latency":
+            h.memory.hierarchy.latencies[0] = 5
+            match = "L1 latency 5 exceeds"
+        else:
+            h.memory.hierarchy.latencies[1] = 8.5
+            match = "whole cycles"
+        with pytest.raises(ConfigurationError, match=match):
+            engine.run(trace)
 
     @pytest.mark.parametrize("scale,llc,bandwidth", PRODUCTION_SHAPES)
     def test_every_production_machine_passes_the_gate(self, scale, llc,
                                                       bandwidth):
         """Every machine the runner builds (each ``SYSTEM_BUILDERS``
-        system, with the point's LLC and bandwidth variants) takes the
-        split interpreter: a new production shape must not drop
-        silently to the scalar loop."""
+        system, with the point's LLC and bandwidth variants) passes
+        the gate: a new production shape must not be refused."""
         from repro.sim.runner import SYSTEM_BUILDERS, SimPoint
 
         cfg = SimPoint("gemm", N, TILE, scale=scale, llc_bytes=llc,
                        bandwidth=bandwidth).config()
-        trace = KERNELS["gemm"].build_packed(N, TILE)
         for build in SYSTEM_BUILDERS.values():
-            h = build(cfg)
-            assert eligible(h.engine, h.trace_for(trace))
+            check_shape(build(cfg).engine)
 
     def test_fallback_still_runs_exactly(self):
-        """An ineligible shape answers through run_packed, not wrongly."""
-        cfg = scaled_config(32)
-        h_pk = build_baseline(cfg)
-        trace = KERNELS["gemm"].build_packed(N, TILE).without_xmem()
-        pk = h_pk.engine.run_packed(trace)
-        h_vec = build_baseline(cfg)
-        h_vec.memory._prefetch_log = []
-        vec = run_vector(h_vec.engine, trace)
-        assert vec == pk
+        """The per-event fallback (issue width 3) answers exactly:
+        stats and full snapshot equal ReferenceEngine's."""
+        h_ref, ref_stats, h_vec, vec_stats = _pair(
+            KERNELS["gemm"], build_xmem, with_lib=True,
+            cfg=_issue3_config())
+        assert vec_stats == ref_stats
+        assert h_vec.stats_snapshot() == h_ref.stats_snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +345,17 @@ def _check_suite_twin(name, perfect_rbl=False):
     from repro.sim.system import SystemHandle
 
     machine, packed = _suite_twin(name, perfect_rbl=perfect_rbl)
-    m_pk, e_pk = machine()
-    pk = e_pk.run_packed(packed)
+    m_ref, e = machine()
+    e_ref = ReferenceEngine(m_ref, issue_width=e.issue_width,
+                            window=e.mshr.entries)
+    ref = e_ref.run(packed)
     m_vec, e_vec = machine()
-    assert eligible(e_vec, packed)
-    vec = run_vector(e_vec, packed)
-    assert vec == pk
-    h_pk = SystemHandle(name="t", config=None, engine=e_pk, memory=m_pk)
+    check_shape(e_vec)
+    vec = e_vec.run(packed)
+    assert vec == ref
+    h_ref = SystemHandle(name="t", config=None, engine=e_ref, memory=m_ref)
     h_vec = SystemHandle(name="t", config=None, engine=e_vec, memory=m_vec)
-    assert h_vec.stats_snapshot() == h_pk.stats_snapshot()
+    assert h_vec.stats_snapshot() == h_ref.stats_snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -301,28 +380,19 @@ class TestTierSelector:
         assert result.runs["baseline"].stats == stats
 
     def test_packed_tier_runs_the_fused_interpreter(self, monkeypatch):
-        from repro.cpu import vector_engine
-
-        calls = []
-        real = vector_engine.run_shared
-
-        def spy(engines, traces, seconds=None):
-            calls.extend(eligible(e, t) for e, t in zip(engines, traces))
-            return real(engines, traces, seconds)
-
-        monkeypatch.setattr(vector_engine, "run_shared", spy)
+        groups = _spy_lockstep(monkeypatch)
         h = build_baseline(scaled_config(32))
         h.run(KERNELS["gemm"].build_packed(N, TILE))
-        assert calls == [True]
+        assert groups == [(1, False)]
 
     @pytest.mark.parametrize("form", ["object", "packed"])
     def test_exact_tiers_agree_via_run_tier(self, form):
-        """``run_tier`` matches the scalar loop, whether the caller
+        """``run_tier`` matches ReferenceEngine, whether the caller
         passes an object stream or packed columns."""
         cfg = scaled_config(32)
-        h_ref = build_xmem(cfg)
+        h_ref = with_reference_engine(build_xmem(cfg))
         trace = KERNELS["mvt"].build_packed(N, TILE, lib=h_ref.xmemlib)
-        ref = h_ref.engine.run_packed(trace)
+        ref = h_ref.engine.run(trace)
         h = build_xmem(cfg)
         trace2 = KERNELS["mvt"].build_packed(N, TILE, lib=h.xmemlib)
         if form == "object":
@@ -363,14 +433,13 @@ def _assert_shared_matches(machines, trace_for, warm=()):
     from repro.cpu import vector_engine
     from repro.cpu.trace import strip_xmem
     from repro.sim.system import run_machines
-    from repro.testing.oracles import with_reference_engine
 
     groups = []
     lockstep = vector_engine._run_lockstep
 
-    def spy(engines, traces):
+    def spy(engines, traces, checking):
         groups.append(len(engines))
-        return lockstep(engines, traces)
+        return lockstep(engines, traces, checking)
 
     def reference_run(ref):
         trace = trace_for(ref)
@@ -452,7 +521,6 @@ def test_copied_private_state_carries_into_the_next_run():
     twin that ran it twice."""
     from repro.cpu.trace import strip_xmem
     from repro.sim.system import run_machines
-    from repro.testing.oracles import with_reference_engine
 
     cfg = scaled_config(32)
     trace_for = _recorded("mvt", 24, TILE)
@@ -526,12 +594,16 @@ class TestSharingGate:
         assert self._run(machines) == [1, 1]
 
     def test_l2_policy_runs_apart(self):
-        """An SRRIP L2 is outside the split shape: that machine runs
-        the scalar loop, the other one alone."""
-        machines = [(build_baseline, self.CFG),
-                    (build_baseline, _variant(self.CFG, 1,
-                                              policy="srrip"))]
-        assert self._run(machines) == [1]
+        """An SRRIP L2 is outside the split shape: the call is refused
+        before any machine runs."""
+        from repro.sim.system import run_machines
+
+        handles = [build_baseline(self.CFG),
+                   build_baseline(_variant(self.CFG, 1, policy="srrip"))]
+        trace = KERNELS["gemm"].build_packed(N, TILE).without_xmem()
+        with pytest.raises(ConfigurationError, match="L2 must use"):
+            run_machines(handles, [trace] * 2)
+        assert handles[0].engine.last_stats.instructions == 0
 
     def test_stride_degree_runs_apart(self):
         machines = [(build_baseline, self.CFG),
@@ -543,53 +615,122 @@ class TestSharingGate:
         assert self._run(machines, warm=(1,)) == [1, 1]
 
     def test_checked_runs_keep_the_scalar_loop(self, monkeypatch):
-        from repro.cpu.engine import TraceEngine
+        """``REPRO_CHECK`` runs keep the split interpreter -- the two
+        machines still share one front-end -- with its checks armed:
+        every run ends in ``check_engine_run``."""
+        from repro.testing import checks
 
         monkeypatch.setenv("REPRO_CHECK", "1")
-        calls = []
-        real = TraceEngine.run_packed
+        checked = []
+        real = checks.check_engine_run
 
-        def spy(engine, trace):
-            calls.append(engine)
-            return real(engine, trace)
+        def spy(engine, stats):
+            checked.append(engine)
+            return real(engine, stats)
 
-        monkeypatch.setattr(TraceEngine, "run_packed", spy)
+        monkeypatch.setattr(checks, "check_engine_run", spy)
         machines = [(build_baseline, self.CFG), (build_xmem, self.CFG)]
         shared, groups = _assert_shared_matches(
             machines, _recorded("gemm", N, TILE))
-        assert groups == [] and calls[:2] == [h.engine for h in shared]
+        assert groups[0] == 2
+        assert checked[:2] == [h.engine for h in shared]
 
     @pytest.mark.parametrize("shape", ["srrip-l2", "random-l1",
                                        "two-level", "issue-3"])
-    def test_off_shape_runs_the_scalar_loop(self, monkeypatch, shape):
-        """A machine off the shipped shape goes through ``run_shared``
-        to ``run_packed`` and still equals ``ReferenceEngine``; the
-        shipped machine beside it keeps the split interpreter."""
+    def test_off_shape_runs_the_scalar_loop(self, shape):
+        """A machine off the shipped shape is refused with a
+        ConfigurationError naming the level; issue width 3 is in the
+        shape and runs split -- alone, and in a shared group with a
+        width-4 machine -- equal to ``ReferenceEngine``."""
         import dataclasses
 
-        from repro.cpu.engine import TraceEngine
-        from repro.sim.config import CpuConfig
+        from repro.sim.system import run_machines
 
         cfg = self.CFG
+        if shape == "issue-3":
+            shared, groups = _assert_shared_matches(
+                [(build_xmem, _issue3_config(cfg)), (build_baseline, cfg)],
+                _recorded("gemm", N, TILE))
+            assert groups == [2]
+            return
         if shape == "srrip-l2":
-            off = _variant(cfg, 1, policy="srrip")
+            off, match = _variant(cfg, 1, policy="srrip"), "L2 must use"
         elif shape == "random-l1":
-            off = _variant(cfg, 0, policy="random")
-        elif shape == "two-level":
+            off, match = _variant(cfg, 0, policy="random"), "L1 must use"
+        else:
             off = dataclasses.replace(
                 cfg, levels=[cfg.levels[0], cfg.levels[2]])
-        else:
-            off = dataclasses.replace(cfg, cpu=CpuConfig(issue_width=3))
-        calls = []
-        real = TraceEngine.run_packed
+            match = "L1/L2/L3 hierarchy, not 2 levels"
+        handles = [build_xmem(off), build_baseline(cfg)]
+        trace = _recorded("gemm", N, TILE)
+        with pytest.raises(ConfigurationError, match=match):
+            run_machines(handles, [trace(h) for h in handles])
 
-        def spy(engine, trace):
-            calls.append(engine)
-            return real(engine, trace)
 
-        monkeypatch.setattr(TraceEngine, "run_packed", spy)
-        shared, groups = _assert_shared_matches(
-            [(build_xmem, off), (build_baseline, cfg)],
-            _recorded("gemm", N, TILE))
-        assert groups == [1]
-        assert calls[0] is shared[0].engine
+# ---------------------------------------------------------------------------
+# REPRO_CHECK inside the split interpreter
+# ---------------------------------------------------------------------------
+
+def _checked_pair(monkeypatch):
+    """A baseline+XMem pair -- XMem first, so the baseline machine is
+    the second of the lockstep group -- and a gemm trace of many
+    chunks.  The chunks are short: an L1 set that fills up evicts the
+    way an inflated count left invalid, which would mend the count
+    before a longer chunk ended."""
+    from repro.cpu import vector_engine
+
+    monkeypatch.setattr(vector_engine, "CHUNK", 32)
+    handles = [build_xmem(scaled_config(32)),
+               build_baseline(scaled_config(32))]
+    trace_for = _recorded("gemm", N, TILE)
+    return handles, [trace_for(h) for h in handles]
+
+
+def _count_chunks(monkeypatch):
+    """Count the front-end chunks the split interpreter runs."""
+    from repro.cpu import vector_engine
+
+    chunks = []
+    real = vector_engine._front_end
+
+    def spy(engine, trace, checking):
+        chunk, finish = real(engine, trace, checking)
+
+        def counted(begin, end):
+            chunks.append(begin)
+            return chunk(begin, end)
+        return counted, finish
+
+    monkeypatch.setattr(vector_engine, "_front_end", spy)
+    return chunks
+
+
+def test_checked_run_identical_and_catches_drift(monkeypatch):
+    """``REPRO_CHECK`` covers the split interpreter: a checked run of a
+    baseline+XMem pair snapshots exactly like an unchecked one, and a
+    corrupted occupancy count -- in the first machine's L1, or in the
+    LLC of the second machine of the lockstep group -- is caught at
+    the end of the first chunk."""
+    from repro.sim.system import run_machines
+
+    handles, traces = _checked_pair(monkeypatch)
+    plain = run_machines(handles, traces)
+    snaps = [h.stats_snapshot() for h in handles]
+    monkeypatch.setenv("REPRO_CHECK", "1")
+    handles, traces = _checked_pair(monkeypatch)
+    groups = _spy_lockstep(monkeypatch)
+    assert run_machines(handles, traces) == plain
+    assert [h.stats_snapshot() for h in handles] == snaps
+    assert groups == [(2, True)]
+    assert len(traces[0]) > 4 * 32
+
+    first = next(ev.vaddr for ev in traces[1].events()
+                 if isinstance(ev, MemAccess))
+    for level, victim in ((0, 0), (2, 1)):
+        handles, traces = _checked_pair(monkeypatch)
+        cache = handles[victim].memory.hierarchy.levels[level]
+        cache._valid_counts[cache._index(first)] += 1
+        chunks = _count_chunks(monkeypatch)
+        with pytest.raises(CheckError, match="valid count"):
+            run_machines(handles, traces)
+        assert chunks == [0]

@@ -7,11 +7,11 @@ package, so adding a spec file *is* adding its conformance coverage.
 """
 
 import copy
+import dataclasses
 import json
 
 import pytest
 
-from repro.cpu.engine import TraceEngine
 from repro.cpu.trace import PackedTrace, strip_xmem
 from repro.scenarios import (
     canonical_json,
@@ -22,8 +22,10 @@ from repro.scenarios import (
     spec_hash,
 )
 from repro.core.errors import ScenarioError
+from repro.sim import build_baseline, scaled_config
+from repro.sim.config import CpuConfig
 from repro.sim.runner import scenario_trace_key
-from repro.testing.oracles import ReferenceEngine, ToyMemory
+from repro.testing.oracles import with_reference_engine
 
 EXAMPLES = example_names()
 
@@ -48,22 +50,21 @@ class TestExampleConformance:
 
     def test_object_stream_equivalence(self, name):
         """Packed columns == reconstructed object stream == naive
-        reference, on a seeded toy memory (the differential oracle)."""
+        reference, on twin baseline machines (the differential
+        oracle)."""
         recording = compile_canonical(get_example(name))
         baseline = recording.packed.without_xmem()
         events = list(baseline.events())
-
-        def toy():
-            return ToyMemory(17, miss_rate=0.4)
-
-        packed_stats = TraceEngine(toy(), issue_width=2,
-                                   window=4).run(baseline)
-        object_stats = TraceEngine(toy(), issue_width=2,
-                                   window=4).run(events)
-        want = ReferenceEngine(toy(), issue_width=2,
-                               window=4).run(events)
+        cfg = dataclasses.replace(scaled_config(32),
+                                  cpu=CpuConfig(issue_width=2, window=4))
+        on_packed, on_events = build_baseline(cfg), build_baseline(cfg)
+        ref = with_reference_engine(build_baseline(cfg))
+        packed_stats = on_packed.run(baseline)
+        object_stats = on_events.run(events)
+        want = ref.engine.run(events)
         assert packed_stats == want
         assert object_stats == want
+        assert on_packed.stats_snapshot() == ref.stats_snapshot()
 
     def test_packed_round_trips_through_events(self, name):
         packed = compile_canonical(get_example(name)).packed

@@ -77,19 +77,20 @@ class TestEngineTiers:
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_every_machine_shape_is_fused(self, monkeypatch, system):
+        """Every Use Case 2 machine passes the split interpreter's
+        gate and runs on it as a one-machine group."""
         from repro.cpu import vector_engine
-        from repro.sim import usecase2
 
         seen = []
-        real = usecase2.run_tier
+        real = vector_engine._run_lockstep
 
-        def spy(engine, trace):
-            seen.append(vector_engine.eligible(engine, trace))
-            return real(engine, trace)
+        def spy(engines, traces, checking):
+            seen.append(len(engines))
+            return real(engines, traces, checking)
 
-        monkeypatch.setattr(usecase2, "run_tier", spy)
+        monkeypatch.setattr(vector_engine, "_run_lockstep", spy)
         run_system(BY_NAME["mcf"], system, accesses=500)
-        assert seen == [True]
+        assert seen == [1]
 
     def test_one_translation_per_access(self, monkeypatch):
         from repro.xos.loader import Process

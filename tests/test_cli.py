@@ -238,6 +238,12 @@ class TestFuzzCommand:
         assert main(["fuzz", "--lanes", "bogus"]) == 2
         assert "choices" in capsys.readouterr().err
 
+    def test_retired_engine_lane_exits_two(self, capsys):
+        """The ``engine`` lane is gone: its subject, a scalar
+        interpreter loop, no longer exists."""
+        assert main(["fuzz", "--lanes", "engine"]) == 2
+        assert "unknown lanes ['engine']" in capsys.readouterr().err
+
     def test_nonpositive_cases_exits_two(self, capsys):
         assert main(["fuzz", "--cases", "0"]) == 2
 

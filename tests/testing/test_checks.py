@@ -5,7 +5,6 @@ import pytest
 from repro.testing import checks
 from repro.testing.checks import CheckError
 from repro.testing.generators import GenConfig, generate_trace
-from repro.testing.oracles import ToyMemory
 
 
 @pytest.fixture
@@ -128,15 +127,35 @@ class TestMshrHooks:
 
 class TestEngineHooks:
     def make_engine(self, **kw):
-        from repro.cpu.engine import TraceEngine
+        import dataclasses
 
-        return TraceEngine(ToyMemory(0), **kw)
+        from repro.sim import build_baseline, scaled_config
+        from repro.sim.config import CpuConfig
 
-    def test_flag_follows_env(self, checked):
-        assert self.make_engine()._check
+        cfg = dataclasses.replace(scaled_config(32), cpu=CpuConfig(**kw))
+        return build_baseline(cfg).engine
 
-    def test_flag_off_by_default(self, unchecked):
-        assert not self.make_engine()._check
+    def checking_of_a_run(self, monkeypatch):
+        """The ``checking`` flag one run hands the split interpreter."""
+        from repro.cpu import vector_engine
+
+        flags = []
+        real = vector_engine._run_lockstep
+
+        def spy(engines, traces, checking):
+            flags.append(checking)
+            return real(engines, traces, checking)
+
+        monkeypatch.setattr(vector_engine, "_run_lockstep", spy)
+        _, packed = generate_trace(GenConfig(seed=1, length=50))
+        self.make_engine().run(packed)
+        return flags
+
+    def test_flag_follows_env(self, checked, monkeypatch):
+        assert self.checking_of_a_run(monkeypatch) == [True]
+
+    def test_flag_off_by_default(self, unchecked, monkeypatch):
+        assert self.checking_of_a_run(monkeypatch) == [False]
 
     def test_clean_runs_pass_object_and_packed(self, checked):
         events, packed = generate_trace(GenConfig(seed=1, length=200))
@@ -162,14 +181,17 @@ class TestEngineHooks:
 
 
 class TestDefaultTierChecks:
-    """``REPRO_CHECK=1`` keeps per-operation checks on the production
-    path: checked machines take the scalar loop, whose cache calls go
-    through the checked wrappers."""
+    """``REPRO_CHECK=1`` checks the production path itself: the split
+    interpreter re-derives every cache set it touched at each chunk
+    end."""
 
-    def test_corrupt_count_fires_during_the_run(self, checked):
+    def test_corrupt_count_fires_during_the_run(self, checked,
+                                                monkeypatch):
+        from repro.cpu import vector_engine
         from repro.cpu.trace import TraceBuilder
         from repro.sim import build_baseline, scaled_config
 
+        monkeypatch.setattr(vector_engine, "CHUNK", 4)
         handle = build_baseline(scaled_config(32))
         l1 = handle.memory.hierarchy.levels[0]
         out = TraceBuilder()
@@ -179,9 +201,9 @@ class TestDefaultTierChecks:
         l1._valid_counts[l1._index(0x10000)] += 1
         with pytest.raises(CheckError, match="valid count"):
             handle.run(out.build())
-        # Caught at the first access to the corrupted set, long before
-        # any end-of-run check could see it.
-        assert l1.stats.accesses == 1
+        # Caught at the end of the first chunk, long before the end of
+        # the run, where the counters are flushed.
+        assert l1.stats.accesses == 0
 
 
 class TestSchedulerHooks:

@@ -111,10 +111,11 @@ class TestMutationCanary:
         assert replay(report.corpus_paths[0]) is None
 
     def test_packed_lane_catches_engine_skew(self):
-        """A packed-loop-only off-by-one diverges from the reference."""
+        """A production-engine-only off-by-one diverges from the
+        reference."""
         from repro.cpu.engine import TraceEngine
 
-        real = TraceEngine.run_packed
+        real = TraceEngine.run
 
         def skewed(self, trace):
             stats = real(self, trace)
@@ -122,29 +123,30 @@ class TestMutationCanary:
             return stats
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(TraceEngine, "run_packed", skewed)
+            mp.setattr(TraceEngine, "run", skewed)
             report = run_fuzz(cases=4, seed=0, length=80,
-                              lanes=["packed", "engine"])
+                              lanes=["packed"])
             assert not report.ok
 
     def test_vector_lane_catches_vector_drift(self):
-        """A counter skew in the fused interpreter (``vector_engine``)
-        diverges from the reference engine and the scalar loop in the
-        three-way packed lane, and trips no lane that does not run
-        it."""
+        """A counter skew in the split interpreter (``vector_engine``)
+        diverges from the reference engine in the packed lane, and
+        trips no lane that does not run it."""
         from repro.cpu import vector_engine
 
-        real = vector_engine.run_vector
+        real = vector_engine.run_shared
 
-        def skewed(engine, trace):
-            stats = real(engine, trace)
-            stats.misses_to_memory += 1
-            return stats
+        def skewed(engines, traces, seconds=None):
+            results = real(engines, traces, seconds)
+            for stats in results:
+                stats.misses_to_memory += 1
+            return results
 
         with pytest.MonkeyPatch.context() as mp:
-            # tiers.run_tier resolves run_vector through the module
-            # attribute at call time, so patching the module works.
-            mp.setattr(vector_engine, "run_vector", skewed)
+            # TraceEngine.run and tiers.run_tiers resolve run_shared
+            # through the module attribute at call time, so patching
+            # the module works.
+            mp.setattr(vector_engine, "run_shared", skewed)
             report = run_fuzz(cases=4, seed=0, length=80,
                               lanes=["packed"])
             assert not report.ok
@@ -152,7 +154,7 @@ class TestMutationCanary:
             assert all(f.error.startswith("packed stats diverged")
                        for f in report.failures)
             clean = run_fuzz(cases=2, seed=0, length=80,
-                             lanes=["engine"])
+                             lanes=["cache"])
             assert clean.ok
         assert run_fuzz(cases=2, seed=0, length=80,
                         lanes=["packed"]).ok

@@ -79,32 +79,43 @@ class TestReferenceEngineVsTraceEngine:
         events, packed = generate_trace(GenConfig(seed=seed, length=length))
         return events, packed
 
+    def machines(self, count, window, issue_width=4):
+        """``count`` identical baseline machines, the first one with a
+        :class:`ReferenceEngine`."""
+        from repro.sim.system import build_baseline
+
+        cfg = dataclasses.replace(scaled_config(32), cpu=CpuConfig(
+            issue_width=issue_width, window=window))
+        handles = [build_baseline(cfg) for _ in range(count)]
+        with_reference_engine(handles[0])
+        return handles
+
     def test_bit_identical_stats(self):
         for seed in range(5):
             events, packed = self.build_trace(seed)
-            opt = TraceEngine(ToyMemory(seed), issue_width=4, window=4)
-            ref = ReferenceEngine(ToyMemory(seed), issue_width=4, window=4)
+            ref, opt = self.machines(2, window=4)
             a = opt.run(list(events))
-            b = ref.run(list(events))
+            b = ref.engine.run(list(events))
             assert a == b
+            assert opt.stats_snapshot() == ref.stats_snapshot()
 
     def test_packed_three_way(self):
         events, packed = self.build_trace(21)
-        a = TraceEngine(ToyMemory(3), window=2).run(list(events))
-        b = TraceEngine(ToyMemory(3), window=2).run(packed)
-        c = ReferenceEngine(ToyMemory(3), window=2).run(packed)
+        ref, on_events, on_packed = self.machines(3, window=2)
+        a = on_events.run(list(events))
+        b = on_packed.run(packed)
+        c = ref.engine.run(packed)
         assert a == b == c
 
     def test_mshr_counters_match(self):
         """Reservations and full stalls follow the MSHR file's rule."""
         for seed in range(4):
             events, _ = self.build_trace(seed)
-            opt = TraceEngine(ToyMemory(seed), window=2)
-            ref = ReferenceEngine(ToyMemory(seed), window=2)
+            ref, opt = self.machines(2, window=1)
             opt.run(events)
-            ref.run(events)
-            assert opt.mshr.stats == ref.mshr_stats
-            assert ref.mshr_stats.full_stalls > 0
+            ref.engine.run(events)
+            assert opt.engine.mshr.stats == ref.engine.mshr_stats
+            assert ref.engine.mshr_stats.full_stalls > 0
 
     def test_swapped_into_a_machine_snapshot_matches(self):
         """A full machine with the reference engine snapshots the same
