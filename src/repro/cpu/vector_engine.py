@@ -1,4 +1,5 @@
-"""The split interpreter: the single-core engine.
+"""The split interpreter: the private-level front-end of both engines,
+and the single-core engine.
 
 :func:`run_shared` executes :class:`PackedTrace` runs on one or more
 machines with statistics bit-identical to
@@ -18,16 +19,19 @@ LLC, and XMem pins and prefetches only there.  So L1 and L2 hits,
 fills, victims and writebacks, and the stride prefetcher's training,
 are functions of the dense stream and the private parts' geometry,
 policy and state -- the same on every machine of a point that differs
-only at or below the LLC (baseline vs. XMem, LLC size, bandwidth).
-The machine therefore runs split:
+only at or below the LLC (baseline vs. XMem, LLC size, bandwidth), and
+the same whatever a co-running core does to the shared LLC.  Every
+run therefore runs split:
 
 * a **front-end** (:func:`_front_end`) decodes each chunk, probes and
-  fills L1 and L2 with both victim ripples, trains the stride
+  fills L1 and L2 with both victim ripples, optionally trains a stride
   prefetcher, and records every L1 miss -- its position, whether L2
   hit, its LLC-bound writebacks and its stride targets;
-* a per-machine **back-end** (:func:`_back_end`) replays the records:
-  LLC probe and fill, writebacks, DRAM, prefetch issue, the write
-  drain, the MSHR file and model time.
+* a **back-end** replays the records.  Here it is the single-core
+  machine's own (:func:`_back_end`: LLC probe and fill, writebacks,
+  DRAM, prefetch issue, the write drain, the MSHR file and model
+  time); the co-run engine (:mod:`repro.sim.corun`) replays each
+  core's records at its yield points through the shared LLC.
 
 Machines of one point whose private parts are equal run in lockstep
 (:func:`_run_lockstep`): per chunk the front-end runs once, on the
@@ -36,23 +40,25 @@ consumes the chunk; at the end the other machines' private state and
 counters are set to the front-end's.  Any other machine runs alone
 through the same code (a one-machine group).
 
-:func:`check_shape` is the one gate: the shipped machine shape (LRU
-L1, DRRIP L2 and LLC, pins and prefetched tags only at the LLC,
-integer latencies with pipelined first-level hits); any other machine
-is refused with :class:`ConfigurationError`.  Time between L1 misses
-folds in closed form when the timing grid is dyadic: with a
+:func:`check_shape` is the one gate: the shipped machine shape (the
+:data:`LEVEL_POLICIES` -- LRU L1, DRRIP L2 and LLC -- pins and
+prefetched tags only at the LLC, integer latencies with pipelined
+first-level hits); any other machine is refused with
+:class:`ConfigurationError`.  Time between L1 misses folds in closed
+form when the timing grid is dyadic (:func:`fold_ceiling`): with a
 power-of-two issue width and dyadic DRAM timings every increment is an
 exact dyadic rational, so float addition over a run of L1 hits
 commutes with the sequential order while ``now`` stays below
 ``2**(52-k)``.  Past that ceiling, and on any other grid (issue width
 3), every position is replayed as its own event.
 
-With ``REPRO_CHECK`` set (read once per :func:`run_shared` call) the
-interpreter checks itself (:func:`~repro.testing.checks.
-check_cache_set`): every L2 and LLC fill re-derives its set as it
-happens, and at every chunk end each L1 set the chunk touched and
-each L2 and LLC set its records probed is re-derived and the MSHR heap
-is held to its capacity; every run ends in
+With ``REPRO_CHECK`` set (read once per run) the interpreter checks
+itself (:func:`~repro.testing.checks.check_cache_set`): every L2 and
+LLC fill re-derives its set as it happens; at every chunk end each L1
+set the chunk touched and each L2 and LLC set its records probed is
+re-derived, the L1's valid lines are held to fill conservation
+(:func:`~repro.testing.checks.check_fill_conservation`) and the MSHR
+heap to its capacity; every single-core run ends in
 :func:`~repro.testing.checks.check_engine_run`.  The checked closures
 are built instead of the plain ones, so an unchecked run pays nothing.
 
@@ -93,6 +99,10 @@ CHUNK = 4096
 #: A chunk index past every chunk (no event pending).
 _NEVER = 1 << 62
 
+#: The replacement policy of each level the split interpreter and the
+#: co-run engine are written for (the ``scaled_config`` shape).
+LEVEL_POLICIES = (("L1", "lru"), ("L2", "drrip"), ("L3", "drrip"))
+
 
 def dyadic_k(values, k_max: int = 12) -> Optional[int]:
     """Smallest ``k`` with every value an integer multiple of ``2**-k``.
@@ -111,22 +121,35 @@ def dyadic_k(values, k_max: int = 12) -> Optional[int]:
 _dyadic_k = dyadic_k
 
 
+def fold_ceiling(issue_width: int, timing, latencies=()) -> float:
+    """The exactness ceiling of folded time, for both engines.
+
+    Every time quantum -- the issue slot, the cache ``latencies``, the
+    DRAM ``timing`` -- on one grid ``2**-k`` puts every grid point
+    below ``2**(52-k)`` within 52 mantissa bits, so every addition of a
+    folded sum below that ceiling is exact.  Off any dyadic grid
+    nothing folds: the ceiling is 0.
+    """
+    k = _dyadic_k((1.0 / issue_width, *latencies, timing.t_cl,
+                   timing.t_rcd, timing.t_rp, timing.t_burst))
+    return 0.0 if k is None else float(1 << (52 - k))
+
+
 def check_shape(engine: TraceEngine) -> None:
     """Refuse a machine the split interpreter is not written for, with
     a :class:`ConfigurationError` naming the component.
 
     The shape is the shipped three-level one: the policies of
-    :data:`repro.sim.corun.LEVEL_POLICIES` (LRU L1, DRRIP L2 and LLC),
-    power-of-two lines of at least 8 bytes, integer latencies with
-    first-level hits pipelined, pins and prefetched tags only at the
-    LLC, and a power-of-two stride-prefetcher region, all behind a
+    :data:`LEVEL_POLICIES` (LRU L1, DRRIP L2 and LLC), power-of-two
+    lines of at least 8 bytes, integer latencies with first-level hits
+    pipelined, pins and prefetched tags only at the LLC, and a
+    power-of-two stride-prefetcher region, all behind a
     :class:`~repro.sim.system.MemorySystem`.  Components carrying
     ``REPRO_CHECK`` wrappers pass: the interpreter inlines what they
     wrap and checks it itself.
     """
-    # Imported here: repro.sim imports the co-run engine, which
-    # imports this module.
-    from repro.sim.corun import LEVEL_POLICIES
+    # Imported here: the repro.sim package imports the co-run engine,
+    # which imports this module.
     from repro.sim.system import MemorySystem
 
     mem = engine.memory
@@ -276,8 +299,10 @@ def _run_lockstep(engines: List[TraceEngine], traces: List[PackedTrace],
     machine's own (back-end) seconds.
     """
     lead = engines[0]
-    front, front_finish = _front_end(lead, traces[0], checking)
-    l1 = lead.memory.hierarchy.levels[0]
+    hier = lead.memory.hierarchy
+    l1, l2 = hier.levels[0], hier.levels[1]
+    front, front_finish = _front_end(l1, l2, lead.memory.stride_prefetcher,
+                                     hier.line_bytes, traces[0], checking)
     backs = [_back_end(engine, trace, l1, checking)
              for engine, trace in zip(engines, traces)]
     front_s = 0.0
@@ -314,9 +339,12 @@ def _run_lockstep(engines: List[TraceEngine], traces: List[PackedTrace],
     return results, front_s, own_s
 
 
-def _front_end(engine: TraceEngine, trace: PackedTrace, checking: bool):
-    """The private half of the split interpreter, on ``engine``'s own
-    L1, L2 and stride prefetcher.
+def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
+               trace: PackedTrace, checking: bool):
+    """The private half of the split interpreter, on one machine's or
+    one co-run core's own L1 and L2, and its stride prefetcher unless
+    ``stride`` is None (a co-run machine's is shared and trains at its
+    yield points).
 
     Returns ``(chunk, finish)``.  ``chunk(begin, end)`` decodes dense
     positions ``[begin, end)``, probes and fills L1 and L2 (both victim
@@ -334,12 +362,13 @@ def _front_end(engine: TraceEngine, trace: PackedTrace, checking: bool):
     ``(n, -1)`` ends the lists.  ``finish()`` flushes the counters and
     returns the trace's (instructions, mem_accesses).  When
     ``checking``, every L2 fill re-derives its set, and ``chunk`` ends
-    by re-deriving every L1 and L2 set it probed.
+    by re-deriving every L1 and L2 set it probed and holding the L1's
+    valid lines to fill conservation.
+
+    The caches hold the trace's own addresses: a co-run core adds its
+    address-space offset to a record's lines where they leave the core.
     """
-    memory = engine.memory
-    hier = memory.hierarchy
-    l1, l2 = hier.levels[0], hier.levels[1]
-    line_mask = hier._line_mask
+    line_mask = -line_bytes
     va = np.frombuffer(trace.vaddr, dtype=np.int64) if len(trace.vaddr) \
         else np.empty(0, dtype=np.int64)
     me = np.frombuffer(trace.meta, dtype=np.int64) if len(trace.meta) \
@@ -354,7 +383,7 @@ def _front_end(engine: TraceEngine, trace: PackedTrace, checking: bool):
     ns0, ns1 = l1.num_sets, l2.num_sets
     ways0, ways1 = l1.ways, l2.ways
     allways1 = l2._all_ways
-    lb = hier.line_bytes
+    lb = line_bytes
     l1pol, p1 = l1.policy, l2.policy
     stamps0 = l1pol._stamp
     rrpv1 = p1._rrpv
@@ -363,7 +392,6 @@ def _front_end(engine: TraceEngine, trace: PackedTrace, checking: bool):
     lip = BRRIPPolicy.LONG_INTERVAL_PERIOD
     RMAX, RLONG = RRPV_MAX, RRPV_LONG
     ITAG = INVALID_TAG
-    stride = memory.stride_prefetcher
     stride_on = stride is not None
     if stride_on:
         st_streams = stride._streams
@@ -561,11 +589,15 @@ def _front_end(engine: TraceEngine, trace: PackedTrace, checking: bool):
     # rebinding re-derives the set of every L2 fill as it happens.
     fa1 = _checks.checked_fill(fa1, l2)
     plain_chunk = chunk
+    # An L1 fill is inline: a count a later fill of the same chunk
+    # mends passes the set recount, but not conservation.
+    valid0 = _checks.valid_lines(l1)
 
     def checked_chunk(begin: int, end: int):
         records = plain_chunk(begin, end)
         for si in {(ln >> ls0) & sm0 for ln in records[4] if ln >= 0}:
             _checks.check_cache_set(l1, si)
+        _checks.check_fill_conservation(l1, valid0, c0m, c0ev)
         # Every L1 miss probed L2 (record codes keep the line above
         # bit 2, and lines are at least 8 bytes).
         for si in {(code >> ls1) & sm1 for code in records[6][:-1]}:
@@ -612,12 +644,7 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
     slot = 1.0 / issue
     pipelined = engine.PIPELINED_LATENCY
     timing = dram.timing
-    grid_k = _dyadic_k((slot, pipelined, timing.t_cl, timing.t_rcd,
-                        timing.t_rp, timing.t_burst))
-    # Exactness ceiling: grid points below 2**(52-k) use <= 52 mantissa
-    # bits, so every addition in a folded sum is exact.  Off the grid
-    # nothing folds.
-    now_limit = 0.0 if grid_k is None else float(1 << (52 - grid_k))
+    now_limit = fold_ceiling(issue, timing)
     lk1 = hier.latencies[0]
     lk12 = lk1 + hier.latencies[1]
     lk123 = lk12 + hier.latencies[2]

@@ -15,40 +15,52 @@ own trace, sharing the L3 and DRAM:
 * per-application address spaces are disjoint (each core's addresses
   are offset), so one AAM lookup per application resolves cleanly.
 
-The interleaver is PackedTrace-native (object event streams are packed
-first).  A binary heap keyed by ``(core.now, core.index)`` schedules
-cores; between shared-LLC interactions a core's private stretch -- L1
-hits and Work blocks, which touch nothing outside the core -- is
-fast-forwarded with the single-core engine's techniques (chunked
-columnar decoding, inline replacement updates, exact dyadic-grid time
-accumulation), so the core yields control only at *yield points*:
-accesses that can leave the L1 (they may ripple writebacks into the
-shared LLC/DRAM or consume shared prefetch state) and XMemOps (they can
-retrigger the global pinning decision).  Yield points execute in
-timestamp order, the lowest core index breaking ties, through one
-fused memory-path body built per run (:meth:`CorunSystem._yield_body`):
-the L1/L2/LLC probes, fills and victim ripples, prefetch issue and the
-MSHR reserve written out over hoisted tables, in the order the method
-descent (:class:`repro.testing.oracles.ReferenceCorun`) performs them,
-so every float sum is the same.  The body is specialised to the one
+A core's private levels depend on its own trace alone: the hierarchy
+is inclusive-by-fill with no back-invalidation, and prefetches and
+pins fill only the LLC.  So each core runs its L1 and L2 ahead, chunk
+by chunk, through the single-core interpreter's front-end
+(:func:`repro.cpu.vector_engine._front_end`, with no stride
+prefetcher: the shared one trains at the LLC), and only events that
+reach shared state are ordered -- the bound/weave split of zsim.  A
+core's *yield points* are the front-end's records (its L1 misses) and
+its XMemOps (they can retrigger the global pinning decision).  A
+binary heap keyed by ``(now, index)`` -- the core's time before the
+event's own work, the lowest core index breaking ties -- executes them
+in the order of the per-event reference, each record through the
+shared half of the memory path built once per run
+(:meth:`CorunSystem._yield_body`): the LLC probe and duel training,
+the shared stride prefetcher's training, prefetch issue, the demand
+DRAM read and LLC fill, the XMem prefetcher, the record's LLC-bound
+writebacks and the core's MSHR reserve, written out over hoisted
+tables in the order the method descent
+(:class:`repro.testing.oracles.ReferenceCorun`) performs them, so
+every float sum is the same.  The body is specialised to the one
 machine shape every caller builds (``scaled_config``: LRU L1, DRRIP
-L2/L3, power-of-two lines), which the constructor enforces.  Machine
-shapes outside the fast-forward domain
-(:meth:`CorunSystem.packed_eligible`) skip fast-forwarding: every dense
-event is then a yield point.
+L2/L3, power-of-two lines of at least 8 bytes), which the constructor
+enforces.
+
+Private caches hold tenant-local lines; the core's address-space
+offset (:data:`APP_SPACE`) is added where a record leaves the core --
+at the LLC, DRAM, the prefetchers and the pin predicate.  The offset
+is a multiple of every cache's set span, so set indices are unchanged
+and tags are relabelled one-to-one.  Time between yield points folds
+from the records' issue-slot counts, exact on the dyadic grid below
+:func:`~repro.cpu.vector_engine.fold_ceiling`; past that ceiling, or
+off the grid (issue width 3), every position is replayed in the
+reference's order.
 
 Private events commute with other cores' shared events (disjoint
-state), which is why a core's private prefix may be applied eagerly
-while sibling cores are still behind in model time: only the *order of
-shared interactions* is observable, and the heap fixes it.  The
-per-event reference interleaver,
-:class:`repro.testing.oracles.ReferenceCorun`, steps one event of the
-``(now, index)``-smallest core at a time through its own method
-descent over the system's components; per-core :class:`CoreStats` and
-every counter must be bit-identical to it (fuzz lane ``corun``, pins
-in ``tests/sim/test_corun_packed.py``).  With ``REPRO_CHECK=1`` the
-fused body re-derives every cache set a yield point touched and the
-MSHR occupancy after each reservation.
+state), which is why a core's private levels may run ahead while
+sibling cores are still behind in model time: only the *order of
+shared interactions* is observable, and the heap fixes it.  Per-core
+:class:`CoreStats` and every counter must be bit-identical to
+:class:`~repro.testing.oracles.ReferenceCorun`, which steps one event
+of the ``(now, index)``-smallest core at a time through its own
+method descent (fuzz lane ``corun``, pins in
+``tests/sim/test_corun_packed.py``).  With ``REPRO_CHECK=1`` the
+front-end checks each core's L1 and L2 per chunk, and the shared half
+re-derives every LLC set a yield point touched and the MSHR occupancy
+after each reservation.
 """
 
 from __future__ import annotations
@@ -57,19 +69,17 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as _np
-
 from repro.core.errors import ConfigurationError
 from repro.core.stats import iter_stat_groups
 from repro.core.xmemlib import XMemLib
-from repro.cpu.trace import (
-    META_COUNT_SHIFT,
-    META_WORK_BIT,
-    META_WRITE_BIT,
-    PackedTrace,
-    Trace,
+from repro.cpu.trace import PackedTrace, Trace
+from repro.cpu.vector_engine import (
+    CHUNK,
+    LEVEL_POLICIES,
+    _NEVER,
+    _front_end,
+    fold_ceiling,
 )
-from repro.cpu.vector_engine import dyadic_k
 from repro.dram.system import DramSystem
 from repro.mem.cache import INVALID_TAG, Cache
 from repro.mem.replacement import (
@@ -86,20 +96,6 @@ from repro.testing import checks as _checks
 #: Address-space stride between co-running applications.
 APP_SPACE = 1 << 40
 
-#: Events per columnar decomposition chunk of the packed interleaver.
-CHUNK = 2048
-#: Addresses must stay well inside int64 after the per-app offset for
-#: the numpy decomposition; traces outside use the (equally exact)
-#: raw scalar planner.
-_ADDR_BOUND = 1 << 61
-
-# Yield kinds of a planned cursor.
-_Y_MEM, _Y_XMEM, _Y_END = 0, 1, 2
-
-#: The replacement policy of each level the fused memory path is
-#: written for (the ``scaled_config`` shape every caller builds).
-LEVEL_POLICIES = (("L1", "lru"), ("L2", "drrip"), ("L3", "drrip"))
-
 
 @dataclass
 class CoreStats:
@@ -112,7 +108,8 @@ class CoreStats:
 
 
 class _Core:
-    """Private state of one core."""
+    """Private state of one core.  :meth:`CorunSystem.run` fills its L1
+    and L2 with tenant-local lines (the trace's own addresses)."""
 
     def __init__(self, index: int, config: SimConfig,
                  xmemlib: Optional[XMemLib]) -> None:
@@ -141,53 +138,6 @@ class _Core:
             yield "prefetch.xmem", self.xmem_pf.stats
         if self.xmemlib is not None:
             yield from iter_stat_groups(self.xmemlib.process.amu, "amu")
-
-
-class _PackedCursor:
-    """Per-core interleaver state over one :class:`PackedTrace`.
-
-    Holds the dense position / XMemOp index pair, the planned yield
-    kind, and the current decomposition chunk: per-position set index,
-    tag, work count and write flag, pre-split from the packed columns
-    in one vectorized pass (numpy planner only: addresses inside the
-    int64-safe window).
-    """
-
-    __slots__ = ("core", "trace", "tv", "tm", "xmem", "n_dense", "n_x",
-                 "pos", "xi", "kind", "va", "me",
-                 "cbase", "cend",
-                 "csets_l", "ctags_l", "cmem_l", "cwrite_l",
-                 "ccum_l", "cmcum_l")
-
-    def __init__(self, core: _Core, trace: PackedTrace) -> None:
-        self.core = core
-        self.trace = trace
-        self.tv = trace.vaddr
-        self.tm = trace.meta
-        self.xmem = trace.xmem
-        self.n_dense = len(trace.vaddr)
-        self.n_x = len(trace.xmem)
-        self.pos = 0
-        self.xi = 0
-        self.kind = _Y_END
-        self.va = None
-        self.me = None
-        if self.n_dense:
-            va = _np.frombuffer(trace.vaddr, dtype=_np.int64)
-            lo = int(va.min()) + core.offset
-            hi = int(va.max()) + core.offset
-            if -_ADDR_BOUND < lo and hi < _ADDR_BOUND:
-                self.va = va
-                self.me = _np.frombuffer(trace.meta, dtype=_np.int64)
-        # Decomposition chunk (empty until the first _classify).
-        self.cbase = 0
-        self.cend = 0
-        self.csets_l: list = []
-        self.ctags_l: list = []
-        self.cmem_l: list = []
-        self.cwrite_l: list = []
-        self.ccum_l: list = []
-        self.cmcum_l: list = []
 
 
 class MultiProcessController:
@@ -296,10 +246,12 @@ class CorunSystem:
                 raise ConfigurationError(
                     f"corun's {name} must use {policy!r}, "
                     f"not {level.policy!r}")
-        if config.line_bytes & (config.line_bytes - 1):
+        lb = config.line_bytes
+        # Record codes carry flags in a line's bits 0-2.
+        if lb < 8 or lb & (lb - 1):
             raise ConfigurationError(
-                f"corun expects a power-of-two line size: "
-                f"{config.line_bytes}")
+                f"corun expects a power-of-two line size of at least 8 "
+                f"bytes: {lb}")
         self.config = config
         l3 = config.levels[2]
         self.llc = Cache("sharedL3", l3.size_bytes, l3.ways,
@@ -327,14 +279,6 @@ class CorunSystem:
                 core.xmem_pf = pf
                 self.controller.register(core.offset, lib, pf)
         self._prefetch_ready: Dict[int, float] = {}
-        # Hot-loop hoists (issue width, line size), whether private
-        # stretches are fast-forwarded (set by ``run``), and the
-        # exactness ceiling of batched time accumulation (set by
-        # ``packed_eligible``).
-        self._issue = config.cpu.issue_width
-        self._line_bytes = config.line_bytes
-        self._fast_forward = False
-        self._now_limit = 0.0
 
     @staticmethod
     def _app_lookup(offset: int, lib: XMemLib):
@@ -380,353 +324,171 @@ class CorunSystem:
     def run(self, traces: Sequence[Trace]) -> List[CoreStats]:
         """Interleave one trace per core until all complete.
 
-        Object event streams are packed first.  The heap pops the core
-        with the smallest ``(now, index)``, which executes its planned
-        yield point (an XMemOp here, a dense event through the fused
-        body of :meth:`_yield_body`) and plans its next one.
+        Object event streams are packed first.  Each core is a
+        :meth:`_tenant` generator; the heap pops the core with the
+        smallest ``(now, index)`` key and resumes it, which executes
+        its yield point and yields the key of its next one.
         """
         if len(traces) != len(self.cores):
             raise ConfigurationError(
                 f"{len(self.cores)} cores need {len(self.cores)} traces"
             )
-        self._fast_forward = self.packed_eligible()
-        issue = self._issue
-        step = self._yield_body()
-        cursors = [_PackedCursor(core, trace if type(trace) is PackedTrace
-                                 else PackedTrace.from_events(trace))
-                   for core, trace in zip(self.cores, traces)]
+        checking = _checks.enabled()
+        body = self._yield_body(checking)
+        first = self.cores[0]
+        ceiling = fold_ceiling(self.config.cpu.issue_width,
+                               self.dram.timing,
+                               (first.l1_lat, first.l2_lat, self.llc_lat))
+        tenants = [
+            self._tenant(core, trace if type(trace) is PackedTrace
+                         else PackedTrace.from_events(trace),
+                         body(core), ceiling, checking)
+            for core, trace in zip(self.cores, traces)]
         heap: List[Tuple[float, int]] = []
-        for cur in cursors:
-            self._plan(cur)
-            heappush(heap, (cur.core.now, cur.core.index))
+        for idx, tenant in enumerate(tenants):
+            key = next(tenant, None)
+            if key is not None:
+                heappush(heap, (key, idx))
         while heap:
             _, idx = heappop(heap)
-            cur = cursors[idx]
-            core = cur.core
-            kind = cur.kind
-            if kind == _Y_END:
-                # Drain the window: the core ends when its last miss
-                # lands.
-                tail = core.mshr.latest_completion()
-                if tail is not None and tail > core.now:
-                    core.now = tail
-                core.mshr.flush()
-                core.stats.cycles = core.now
-                continue
-            if kind == _Y_XMEM:
-                op = cur.xmem[cur.xi][1]
-                core.stats.instructions += 1
-                core.now += 1.0 / issue
-                if core.xmemlib is not None:
-                    getattr(core.xmemlib, op.method)(*op.args)
-                cur.xi += 1
-            else:
-                step(cur)
-            self._plan(cur)
-            heappush(heap, (core.now, idx))
+            key = next(tenants[idx], None)
+            if key is not None:
+                heappush(heap, (key, idx))
         return [c.stats for c in self.cores]
 
-    # -- Fast-forward planner --------------------------------------------
+    def _tenant(self, core: _Core, trace: PackedTrace, access,
+                ceiling: float, checking: bool):
+        """One core's run: a generator that yields the core's heap key
+        before each yield point and executes the point when resumed.
 
-    def packed_eligible(self) -> bool:
-        """Whether the machine shape admits the batched fast path.
-
-        The constructor already fixes the L1 to a shift-decomposable
-        LRU cache that never holds prefetched tags (co-run prefetches
-        only fill the LLC), so what remains is time, as in the
-        single-core interpreter (:mod:`repro.cpu.vector_engine`): every
-        quantum on one dyadic grid, so batched ``now`` accumulation is
-        exact.
-        Failing the gate turns fast-forwarding off -- every event then
-        executes as a yield point -- so the gate never changes the
-        model, only how fast it is evaluated.
+        The front-end runs the core's L1 and L2 a chunk ahead.  Between
+        yield points ``now`` advances by the issue slots of the L1 hits
+        and Work blocks passed -- folded from the records' slot counts
+        below ``ceiling``, else replayed per position in the
+        reference's order.  A record's or an XMemOp's key is the
+        core's time before its own work; a record then runs through
+        ``access`` (:meth:`_yield_body`).  At the end the window drains
+        and the core's counters are set.
         """
         issue = self.config.cpu.issue_width
-        if issue <= 0 or issue & (issue - 1):
-            return False
-        lats = [float(self.llc_lat)]
-        for core in self.cores:
-            lats.append(float(core.l1_lat))
-            lats.append(float(core.l2_lat))
-        timing = self.dram.timing
-        k = dyadic_k((1.0 / issue, 1.0, 4.0, timing.t_cl, timing.t_rcd,
-                      timing.t_rp, timing.t_burst, *lats))
-        if k is None:
-            return False
-        # Grid points below 2**(52-k) carry <= 52 mantissa bits, so
-        # every addition in a batched sum is exact.
-        self._now_limit = float(1 << (52 - k))
-        return True
+        slot = 1.0 / issue
+        tm = trace.meta
+        xops = trace.xmem
+        n_ops = len(xops)
+        xmemlib = core.xmemlib
+        chunk, finish = _front_end(core.l1, core.l2, None,
+                                   self.config.line_bytes, trace, checking)
 
-    def _plan(self, cur: _PackedCursor) -> None:
-        """Fast-forward the core's private prefix and record the next
-        yield point in ``cur.kind``.
+        def xmem_op(k):
+            op = xops[k][1]
+            if xmemlib is not None:
+                getattr(xmemlib, op.method)(*op.args)
 
-        Applies batched L1-hit/Work stretches eagerly (they commute
-        with other cores' shared events), stopping at the first access
-        that can leave the L1, at the next XMemOp position, or at the
-        end of the trace.  Without fast-forwarding, the next dense
-        event is the yield point.
-        """
-        n_dense = cur.n_dense
-        while True:
-            pos = cur.pos
-            if cur.xi < cur.n_x and cur.xmem[cur.xi][0] <= pos:
-                cur.kind = _Y_XMEM
-                return
-            if pos >= n_dense:
-                cur.kind = _Y_END
-                return
-            if not self._fast_forward:
-                cur.kind = _Y_MEM
-                return
-            bound = cur.xmem[cur.xi][0] if cur.xi < cur.n_x else n_dense
-            if not self._advance(cur, bound):
-                cur.kind = _Y_MEM
-                return
-            # Reached the bound: loop to emit the XMemOp / END, or to
-            # continue into the next inter-op window.
-
-    def _advance(self, cur: _PackedCursor, bound: int) -> bool:
-        """Consume private events up to ``bound``; True iff reached."""
-        if cur.va is None:
-            return self._advance_scalar(cur, bound)
-        while cur.pos < bound:
-            if cur.pos >= cur.cend:
-                self._classify(cur)
-            hi = cur.cend if cur.cend < bound else bound
-            if not self._advance_scalar_snap(cur, hi):
-                return False
-        return True
-
-    def _classify(self, cur: _PackedCursor) -> None:
-        """Decompose the next chunk of packed columns in one pass.
-
-        One vectorized sweep splits each position into L1 set index,
-        tag, work count and write flag (the loop-header decomposition
-        of the single-core engine), so the planner's walk needs no per-event
-        address arithmetic.  Residency is *not*
-        snapshotted: a chunk's own misses fill lines its later
-        positions reuse, so a static residency table misclassifies
-        whole miss-then-reuse groups -- the planner probes the live
-        tag table instead, which can never go stale.
-        """
-        pos = cur.pos
-        stop = pos + CHUNK
-        if stop > cur.n_dense:
-            stop = cur.n_dense
-        cur.cbase = pos
-        cur.cend = stop
-        l1 = cur.core.l1
-        m = cur.me[pos:stop]
-        v = cur.va[pos:stop]
-        ga = v + cur.core.offset
-        lkey = ga >> l1._line_shift
-        is_mem = (m & META_WORK_BIT) == 0
-        cur.csets_l = (lkey & l1._set_mask).tolist()
-        cur.ctags_l = (ga >> l1._tag_shift).tolist()
-        cur.cmem_l = is_mem.tolist()
-        cur.cwrite_l = ((m & META_WRITE_BIT) != 0).tolist()
-        # Inclusive prefix sums of the work counts and the MemAccess
-        # flags: any walked range's instruction/access totals become
-        # two subtractions instead of per-event accumulation.
-        cur.ccum_l = (m >> META_COUNT_SHIFT).cumsum().tolist()
-        cur.cmcum_l = is_mem.cumsum().tolist()
-
-    def _advance_scalar_snap(self, cur: _PackedCursor, bound: int) -> bool:
-        """Fused live-probing planner over the chunk's snapshot columns.
-
-        Walks positions with set/tag/write pre-decomposed (no per-event
-        address arithmetic), probing the *live* L1 tag table, and
-        applies each hit's replacement/dirty effect inline -- the same
-        per-event state writes an L1 hit performs (one LRU clock tick
-        and a stamp, the dirty bit of a write), so no replay pass is
-        needed.  Counters and model time for the whole run then commit
-        in one batched step.  Probes are live, so snapshot staleness
-        never matters here.  True iff ``bound`` reached.
-        """
-        core = cur.core
-        l1 = core.l1
-        l1_tags = l1._tags
-        l1_dirty = l1._dirty
-        base = cur.cbase
-        cmem = cur.cmem_l
-        csets = cur.csets_l
-        ctags = cur.ctags_l
-        cwr = cur.cwrite_l
-        start = pos = cur.pos
-        i = pos - base
-        pol = l1.policy
-        clock = pol._clock
-        stamp = pol._stamp
-        while pos < bound:
-            if cmem[i]:
-                sidx = csets[i]
-                tags = l1_tags[sidx]
-                try:
-                    w = tags.index(ctags[i])
-                except ValueError:
+        now = core.now
+        u_done = oi = 0
+        op_at = xops[0][0] if n_ops else _NEVER
+        total = len(tm)
+        for pos in range(0, total, CHUNK):
+            begin, n, ua, _, _, rec_i, rec_code, rec_ext, u_end = chunk(
+                pos, min(pos + CHUNK, total))
+            q = xi = 0
+            # The records, then the sentinel ``(n, -1)``: the chunk's
+            # end.  XMemOps due before a record's position run first.
+            for i, code in zip(rec_i, rec_code):
+                at = op_at - begin
+                while True:
+                    j = at if at < i else i
+                    # Pass the private positions [q, j): ``pre`` counts
+                    # the issue slots before position j's own work
+                    # (meta: count << 2 | Work << 1 | write).
+                    pre = ua[j] - (tm[begin + j] >> 2) if j < n else u_end
+                    if now < ceiling:
+                        if pre != u_done:
+                            now += (pre - u_done) / issue
+                    else:
+                        for m in tm[begin + q:begin + j]:
+                            if m >> 2:
+                                now += (m >> 2) / issue
+                            if not m & 2:
+                                now += slot      # an L1 hit
+                    u_done = pre
+                    q = j
+                    if at > i:
+                        break
+                    yield now
+                    now += slot
+                    xmem_op(oi)
+                    oi += 1
+                    op_at = xops[oi][0] if oi < n_ops else _NEVER
+                    at = op_at - begin
+                if code < 0:
                     break
-                clock += 1
-                stamp[sidx][w] = clock
-                if cwr[i]:
-                    l1_dirty[sidx][w] = True
-            pos += 1
-            i += 1
-        pol._clock = clock
-        if pos > start:
-            i0 = start - base
-            i1 = pos - base - 1
-            ccum = cur.ccum_l
-            cmcum = cur.cmcum_l
-            total = ccum[i1] - (ccum[i0 - 1] if i0 else 0)
-            n_mem = cmcum[i1] - (cmcum[i0 - 1] if i0 else 0)
-            self._commit_run(cur, start, pos, total, n_mem)
-            cur.pos = pos
-        return pos >= bound
-
-    def _advance_scalar(self, cur: _PackedCursor, bound: int) -> bool:
-        """Fallback planner over the raw packed columns (addresses
-        outside the int64-safe window).
-
-        Interprets hit events one at a time with the arithmetic of the
-        yield-point body -- pure Python ints, so it is exact
-        for any addresses -- and yields at the first probe miss.  True
-        iff ``bound`` reached.
-        """
-        core = cur.core
-        l1 = core.l1
-        l1_tags = l1._tags
-        ls = l1._line_shift
-        sm = l1._set_mask
-        ts = l1._tag_shift
-        lb = self._line_bytes
-        offs = core.offset
-        issue = self._issue
+                yield now
+                work = tm[begin + i] >> 2
+                if work:
+                    now += work / issue
+                ext = None
+                if code & 4:
+                    ext = rec_ext[xi]
+                    xi += 1
+                now = access(code, ext, now)
+                u_done = ua[i] + 1
+                q = i + 1
+        while oi < n_ops:                # an empty dense stream
+            yield now
+            now += slot
+            xmem_op(oi)
+            oi += 1
+        instructions, mem_accesses = finish()
+        tail = core.mshr.latest_completion()
+        if tail is not None and tail > now:
+            now = tail
+        core.mshr.flush()
+        core.now = now
         stats = core.stats
-        tv, tm = cur.tv, cur.tm
-        pos = cur.pos
-        while pos < bound:
-            m = tm[pos]
-            if m & META_WORK_BIT:
-                count = m >> META_COUNT_SHIFT
-                core.now += count / issue
-                stats.instructions += count
-                pos += 1
-                continue
-            ga = tv[pos] + offs
-            if (ga >> ts) not in l1_tags[(ga >> ls) & sm]:
-                break
-            work = m >> META_COUNT_SHIFT
-            if work:
-                core.now += work / issue
-                stats.instructions += work
-            stats.instructions += 1
-            stats.mem_accesses += 1
-            l1.access(ga - ga % lb, bool(m & META_WRITE_BIT))
-            # L1 hit: completes - now is the 1.0 L1 latency, which
-            # never exceeds the 4.0 MSHR threshold.
-            core.now += 1.0 / issue
-            pos += 1
-        cur.pos = pos
-        return pos >= bound
+        stats.cycles = now
+        stats.instructions += instructions + n_ops
+        stats.mem_accesses += mem_accesses
 
-    def _commit_run(self, cur: _PackedCursor, begin: int, end: int,
-                    total: int, n_mem: int) -> None:
-        """Apply an accumulated hit run's counters and time in one step.
+    # -- The shared half of the memory path ---------------------------------
 
-        Replacement and dirty state were already written inline by the
-        fused walk; what remains advances by run totals -- ``now`` by
-        the run's exact issue-slot sum (dyadic grid), the core and L1
-        counters by batch increments.  Past the exactness ceiling --
-        unreachable in practice -- model time is re-walked event by
-        event with per-event rounding instead.
-        """
-        core = cur.core
-        issue = self._issue
-        add = (total + n_mem) / issue
-        if core.now + add >= self._now_limit:
-            self._commit_sequential(cur, begin, end, total, n_mem)
-            return
-        core.stats.instructions += total + n_mem
-        if total:
-            core.now += total / issue
-        if n_mem:
-            core.stats.mem_accesses += n_mem
-            core.now += n_mem * (1.0 / issue)
-            l1stats = core.l1.stats
-            l1stats.accesses += n_mem
-            l1stats.hits += n_mem
+    def _yield_body(self, checking: bool):
+        """Build the shared half of the memory path of one :meth:`run`.
 
-    def _commit_sequential(self, cur: _PackedCursor, begin: int,
-                           end: int, total: int, n_mem: int) -> None:
-        """Event-by-event time replay of a known-hit run (per-event
-        float rounding beyond the dyadic-grid ceiling).  Replacement state
-        was already applied by the fused walk; only ``now`` needs the
-        per-event rounding, and the integer counters batch as usual."""
-        core = cur.core
-        issue = self._issue
-        tm = cur.tm
-        for pos in range(begin, end):
-            m = tm[pos]
-            if m & META_WORK_BIT:
-                core.now += (m >> META_COUNT_SHIFT) / issue
-                continue
-            work = m >> META_COUNT_SHIFT
-            if work:
-                core.now += work / issue
-            # L1 hit: completes - now is the 1.0 L1 latency, which
-            # never exceeds the 4.0 MSHR threshold.
-            core.now += 1.0 / issue
-        core.stats.instructions += total + n_mem
-        core.stats.mem_accesses += n_mem
-        l1stats = core.l1.stats
-        l1stats.accesses += n_mem
-        l1stats.hits += n_mem
-
-    # -- Fused memory path ------------------------------------------------
-
-    def _yield_body(self):
-        """Build the yield-point body of one :meth:`run`.
-
-        Returns ``step(cur)``, which executes the dense event at
-        ``cur.pos``: a Work block, or a memory access through the
-        core's L1 and L2, the shared LLC, DRAM and the core's MSHR
-        window.  Every per-core and shared table is hoisted here, once
-        per run; the body then performs the method descent of
-        :class:`repro.testing.oracles.ReferenceCorun` -- ``Cache.access``
-        / ``fill_absent`` / ``fill``, the replacement hooks, the
-        prefetchers and ``MSHRFile.reserve`` -- written out for the
-        shape the constructor enforces (LRU L1, DRRIP L2/L3, pins and
-        prefetched tags only at the LLC), statement for statement in
-        the same order, so counters and float sums are identical.
-        Scalar replacement state (the L1 clock, which the planner also
-        advances, and the DRRIP duel counters) is read and written
-        through its owner on every use.  DRAM stays behind
+        Returns ``for_core(core)``, which returns the core's
+        ``access(code, ext, now)``: one record of the core's front-end
+        -- an L1 miss, ``now`` its time after its work -- through the
+        shared LLC, DRAM and the core's MSHR window, returning the
+        core's time after the access's issue slot.  Every shared and
+        per-core table is hoisted here, once per run; ``access`` then
+        performs the shared half of the method descent of
+        :class:`repro.testing.oracles.ReferenceCorun` --
+        ``Cache.access``/``fill_absent``/``fill`` at the LLC, the
+        replacement hooks, the prefetchers and ``MSHRFile.reserve`` --
+        written out for the shape the constructor enforces, statement
+        for statement in the same order, so counters and float sums
+        are identical.  The DRRIP duel counters are read and written
+        through their owner on every use.  DRAM stays behind
         :meth:`DramSystem.access_completes`.
 
-        With ``REPRO_CHECK`` set (read once, here) every cache set a
-        yield point touched is re-derived by
-        :func:`~repro.testing.checks.check_cache_set` and every
+        With ``checking`` every LLC fill and the LLC set of every
+        record are re-derived by
+        :func:`~repro.testing.checks.check_cache_set`, and every
         reservation by :func:`~repro.testing.checks.check_mshr`.
         """
-        checking = _checks.enabled()
-        issue = self._issue
-        slot = 1.0 / issue
-        lb = self._line_bytes
-        line_mask = ~(lb - 1)
+        slot = 1.0 / self.config.cpu.issue_width
+        lb = self.config.line_bytes
+        not7 = ~7                        # record code -> line
         duel = DRRIPPolicy.DUEL_PERIOD
         lip = BRRIPPolicy.LONG_INTERVAL_PERIOD
         RMAX, RLONG, ITAG = RRPV_MAX, RRPV_LONG, INVALID_TAG
-        # Geometry and latencies (every core's private levels are alike).
+        # Latencies (every core's private levels are alike).
         first = self.cores[0]
-        llc = self.llc
-        ((ls0, sm0, ts0, ns0, ways0), (ls1, sm1, ts1, ns1, ways1),
-         (ls2, sm2, ts2, ns2, ways2)) = [
-            (c._line_shift, c._set_mask, c._tag_shift, c.num_sets, c.ways)
-            for c in (first.l1, first.l2, llc)]
         lat1, lat2, lat3 = first.l1_lat, first.l2_lat, self.llc_lat
         # The shared LLC.
+        llc = self.llc
+        ls2, sm2, ts2 = llc._line_shift, llc._set_mask, llc._tag_shift
+        ns2, ways2 = llc.num_sets, llc.ways
         tags2, dirty2, pinned2 = llc._tags, llc._dirty, llc._pinned
         vc2, pc2 = llc._valid_counts, llc._pinned_counts
         allways2, maxpin2 = llc._all_ways, llc._max_pinned_ways
@@ -825,233 +587,103 @@ class CorunSystem:
             if victim is not None:
                 dram_access(victim, now, True)
 
-        def private_l2(l2):
-            """The fill paths of one core's L2 (DRRIP; never pinned or
-            prefetched): ``fill_absent`` and the victim-ripple ``put``."""
-            tags1, dirty1, vc1 = l2._tags, l2._dirty, l2._valid_counts
-            p1 = l2.policy
-            b1 = p1._brrip
-            rrpv1 = p1._rrpv
-            st1 = l2.stats
-
-            def l2_fill(si, tg, dty):
-                row = tags1[si]
-                rr = rrpv1[si]
-                victim = None
-                if vc1[si] < ways1:
-                    way = row.index(ITAG)
-                    vc1[si] += 1
-                else:
-                    if RMAX in rr:
-                        way = rr.index(RMAX)
-                    else:
-                        bump = RMAX - max(rr)
-                        for w in range(ways1):
-                            rr[w] += bump
-                        way = rr.index(RMAX)
-                    st1.evictions += 1
-                    if dirty1[si][way]:
-                        st1.writebacks += 1
-                        victim = (row[way] * ns1 + si) * lb
-                row[way] = tg
-                dirty1[si][way] = dty
-                ph = si % duel
-                if ph == 1 or (ph != 0 and p1._psel > p1._psel_half):
-                    b1._fill_count += 1
-                    rr[way] = RLONG if b1._fill_count % lip == 0 else RMAX
-                else:
-                    rr[way] = RLONG
-                return victim
-
-            def l2_put(line, now):
-                si = (line >> ls1) & sm1
-                tg = line >> ts1
-                row = tags1[si]
-                if tg in row:
-                    dirty1[si][row.index(tg)] = True
-                    return
-                victim = l2_fill(si, tg, True)
-                if victim is not None:
-                    llc_put(victim, now)
-
-            if checking:
-                l2_fill = _checks.checked_fill(l2_fill, l2)
-                l2_put = _checks.checked_fill(l2_put, l2, by_line=True)
-            return l2_fill, l2_put
-
         if checking:
             llc_fill = _checks.checked_fill(llc_fill, llc)
             llc_put = _checks.checked_fill(llc_put, llc, by_line=True)
 
-        per_core = []
-        for core in self.cores:
-            l1, l2, mshr = core.l1, core.l2, core.mshr
-            per_core.append((
-                l1._tags, l1._dirty, l1._valid_counts, l1.policy,
-                l1.policy._stamp, l1.stats,
-                l2._tags, l2.policy, l2.policy._rrpv, l2.stats,
-                *private_l2(l2),
-                mshr, mshr._completions, mshr.entries, mshr.stats,
-                core.stats, core.offset,
-                (core.xmem_pf.on_demand_miss if core.xmem_pf is not None
-                 else None),
-            ))
+        def for_core(core: _Core):
+            offset = core.offset
+            mshr = core.mshr
+            comp, cap, mstats = mshr._completions, mshr.entries, mshr.stats
+            cstats = core.stats
+            xmem_miss = (core.xmem_pf.on_demand_miss
+                         if core.xmem_pf is not None else None)
 
-        def step(cur):
-            core = cur.core
-            pos = cur.pos
-            m = cur.tm[pos]
-            cur.pos = pos + 1
-            if m & META_WORK_BIT:
-                count = m >> META_COUNT_SHIFT
-                core.now += count / issue
-                core.stats.instructions += count
-                return
-            (tags0, dirty0, vc0, pol0, stamps0, st0, tags1, p1, rrpv1, st1,
-             l2_fill, l2_put, mshr, comp, cap, mstats, cstats, offset,
-             xmem_miss) = per_core[core.index]
-            now = core.now
-            work = m >> META_COUNT_SHIFT
-            if work:
-                now += work / issue
-                cstats.instructions += work
-            cstats.instructions += 1
-            cstats.mem_accesses += 1
-            line = (cur.tv[pos] + offset) & line_mask
-            is_write = (m & META_WRITE_BIT) != 0
-            # L1 probe (LRU).
-            si0 = (line >> ls0) & sm0
-            tg0 = line >> ts0
-            row0 = tags0[si0]
-            st0.accesses += 1
-            if tg0 in row0:
-                st0.hits += 1
-                way = row0.index(tg0)
-                if is_write:
-                    dirty0[si0][way] = True
-                pol0._clock += 1
-                stamps0[si0][way] = pol0._clock
-                # Completes after the 1.0 L1 latency: never past the
-                # 4.0 MSHR threshold.
-                core.now = now + slot
-                return
-            st0.misses += 1
-            t = now + lat1
-            # L2 probe (DRRIP; a miss trains the duel).
-            si1 = (line >> ls1) & sm1
-            tg1 = line >> ts1
-            row1 = tags1[si1]
-            st1.accesses += 1
-            if tg1 in row1:
-                st1.hits += 1
-                rrpv1[si1][row1.index(tg1)] = 0
-                completes = t + lat2
-            else:
-                st1.misses += 1
-                ph = si1 % duel
-                if ph == 0:
-                    if p1._psel < p1._psel_max:
-                        p1._psel += 1
-                elif ph == 1:
-                    if p1._psel > 0:
-                        p1._psel -= 1
-                t += lat2
-                # LLC probe (DRRIP, prefetched tags).
-                si2 = (line >> ls2) & sm2
-                tg2 = line >> ts2
-                row2 = tags2[si2]
-                st2.accesses += 1
-                llc_hit = tg2 in row2
-                if llc_hit:
-                    st2.hits += 1
-                    rrpv2[si2][row2.index(tg2)] = 0
-                    if pfd2 and (si2, tg2) in pfd2:
-                        st2.prefetch_hits += 1
-                        pfd2.discard((si2, tg2))
+            def access(code, ext, now):
+                line = (code & not7) + offset
+                t = now + lat1
+                if code & 2:                 # L2 hit
+                    completes = t + lat2
                 else:
-                    st2.misses += 1
-                    ph = si2 % duel
-                    if ph == 0:
-                        if p2._psel < p2._psel_max:
-                            p2._psel += 1
-                    elif ph == 1:
-                        if p2._psel > 0:
-                            p2._psel -= 1
-                t += lat3
-                if observe is not None:
-                    for target in observe(line):
-                        prefetch(target, now)
-                if llc_hit:
-                    ready = prefetch_ready.pop(line, None)
-                    if ready is not None and ready > t:
-                        t = ready
-                    completes = t
-                else:
-                    # Stride targets are never the demand line, so it
-                    # is still absent.
-                    cstats.llc_misses += 1
-                    completes = dram_access(line, t, False)
-                    prefetch_ready.pop(line, None)
-                    victim = llc_fill(si2, tg2, False, pin_predicate(line),
-                                      False)
-                    if victim is not None:
-                        dram_access(victim, t, True)
-                    if xmem_miss is not None:
-                        for target in xmem_miss(line):
+                    t += lat2
+                    # LLC probe (DRRIP, prefetched tags).
+                    si2 = (line >> ls2) & sm2
+                    tg2 = line >> ts2
+                    row2 = tags2[si2]
+                    st2.accesses += 1
+                    llc_hit = tg2 in row2
+                    if llc_hit:
+                        st2.hits += 1
+                        rrpv2[si2][row2.index(tg2)] = 0
+                        if pfd2 and (si2, tg2) in pfd2:
+                            st2.prefetch_hits += 1
+                            pfd2.discard((si2, tg2))
+                    else:
+                        st2.misses += 1
+                        ph = si2 % duel
+                        if ph == 0:
+                            if p2._psel < p2._psel_max:
+                                p2._psel += 1
+                        elif ph == 1:
+                            if p2._psel > 0:
+                                p2._psel -= 1
+                    t += lat3
+                    if observe is not None:
+                        for target in observe(line):
                             prefetch(target, now)
-                victim = l2_fill(si1, tg1, False)
-                if victim is not None:
-                    llc_put(victim, now)
-            # L1 fill (LRU victim) and its ripple down the hierarchy.
-            if vc0[si0] < ways0:
-                way = row0.index(ITAG)
-                vc0[si0] += 1
-                victim = None
-            else:
-                stamps = stamps0[si0]
-                way = stamps.index(min(stamps))
-                st0.evictions += 1
-                if dirty0[si0][way]:
-                    st0.writebacks += 1
-                    victim = (row0[way] * ns0 + si0) * lb
-                else:
-                    victim = None
-            row0[way] = tg0
-            dirty0[si0][way] = is_write
-            pol0._clock += 1
-            stamps0[si0][way] = pol0._clock
-            if victim is not None:
-                l2_put(victim, now)
-            # MSHR reserve for a long access.
-            if completes - now > 4.0:
-                while comp and comp[0] <= now:
-                    heappop(comp)
-                start = now
-                if len(comp) >= cap:
-                    start = heappop(comp)
-                    mstats.full_stalls += 1
-                heappush(comp, completes)
-                mstats.reservations += 1
-                if checking:
-                    _checks.check_mshr(mshr, now, start)
-                if start > now:
-                    now = start
-            core.now = now + slot
+                    if llc_hit:
+                        ready = prefetch_ready.pop(line, None)
+                        if ready is not None and ready > t:
+                            t = ready
+                        completes = t
+                    else:
+                        # Stride targets are never the demand line, so
+                        # it is still absent.
+                        cstats.llc_misses += 1
+                        completes = dram_access(line, t, False)
+                        prefetch_ready.pop(line, None)
+                        victim = llc_fill(si2, tg2, False,
+                                          pin_predicate(line), False)
+                        if victim is not None:
+                            dram_access(victim, t, True)
+                        if xmem_miss is not None:
+                            for target in xmem_miss(line):
+                                prefetch(target, now)
+                if ext is not None:
+                    # The L2 fill's victim, then the L1 victim's ripple
+                    # (tenant-local lines).
+                    wb1, wbx, _ = ext
+                    if wb1 is not None:
+                        llc_put(wb1 + offset, now)
+                    if wbx is not None:
+                        llc_put(wbx + offset, now)
+                # MSHR reserve for a long access.
+                if completes - now > 4.0:
+                    while comp and comp[0] <= now:
+                        heappop(comp)
+                    start = now
+                    if len(comp) >= cap:
+                        start = heappop(comp)
+                        mstats.full_stalls += 1
+                    heappush(comp, completes)
+                    mstats.reservations += 1
+                    if checking:
+                        _checks.check_mshr(mshr, now, start)
+                    if start > now:
+                        now = start
+                return now + slot
 
-        if not checking:
-            return step
-        unchecked = step
+            if not checking:
+                return access
 
-        def checked_step(cur):
-            core = cur.core
-            pos = cur.pos
-            unchecked(cur)
-            if not cur.tm[pos] & META_WORK_BIT:
-                addr = cur.tv[pos] + core.offset
-                for cache in (core.l1, core.l2, llc):
-                    _checks.check_cache_set(cache, cache._index(addr))
-        return checked_step
+            def checked_access(code, ext, now):
+                now = access(code, ext, now)
+                _checks.check_cache_set(llc, llc._index((code & not7)
+                                                         + offset))
+                return now
+            return checked_access
 
+        return for_core
 
 def _coalesce(chunks: List[int], chunk_bytes: int
               ) -> List[Tuple[int, int]]:

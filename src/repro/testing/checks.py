@@ -20,11 +20,15 @@ construction time that re-derive that state the slow way and compare:
   times.
 
 The engines inline the cache and MSHR operations, so they call the
-same checkers themselves: the single-core split interpreter
-(:mod:`repro.cpu.vector_engine`) after every L2 and LLC fill
-(:func:`checked_fill`), at every chunk end on the sets it probed and
-on its MSHR heap, and at the end of every run; the co-run interleaver
-(:mod:`repro.sim.corun`) after every fill and at every yield point.
+same checkers themselves: the split interpreter's front-end
+(:mod:`repro.cpu.vector_engine`, both engines) after every L2 fill
+(:func:`checked_fill`) and at every chunk end on the L1 and L2 sets it
+probed and on the L1's fill conservation
+(:func:`check_fill_conservation`); the single-core back-end after
+every LLC fill, at every chunk end on the LLC sets it probed and on
+its MSHR heap, and at the end of every run; the co-run interleaver
+(:mod:`repro.sim.corun`) after every LLC fill, on the LLC set of every
+yield point and after every MSHR reservation.
 
 The flag is read once per component construction and once per engine
 run, so a disabled run pays nothing per event.  Checkers raise
@@ -109,13 +113,31 @@ def checked_fill(fill, cache, by_line: bool = False):
     return checked
 
 
+def valid_lines(cache) -> int:
+    """The valid lines in ``cache``, counted from its tag columns."""
+    return sum(1 for tags in cache._tags for t in tags if t >= 0)
+
+
+def check_fill_conservation(cache, valid0: int, misses: int,
+                            evictions: int) -> None:
+    """Every miss since a count of ``valid0`` valid lines filled one way
+    -- an invalid one unless it counted an eviction -- and nothing
+    invalidated a line.  Catches a wrong valid count that a later fill
+    of the same set mended before its set was re-derived."""
+    actual = valid_lines(cache)
+    if actual != valid0 + misses - evictions:
+        raise CheckError(
+            f"{cache.name}: actual valid count {actual} breaks fill "
+            f"conservation ({valid0} + {misses} misses - {evictions} "
+            f"evictions)"
+        )
+
+
 def check_cache_all(cache) -> None:
     """Every set, plus the cache-wide maintained aggregates."""
     for set_idx in range(cache.num_sets):
         check_cache_set(cache, set_idx)
-    resident = sum(
-        1 for tags in cache._tags for t in tags if t >= 0
-    )
+    resident = valid_lines(cache)
     if resident != cache.resident_lines:
         raise CheckError(
             f"{cache.name}: resident_lines {cache.resident_lines} "

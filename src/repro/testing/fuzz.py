@@ -17,12 +17,12 @@ Seven lanes, each pairing a hot-path implementation with its oracle
   pass over L1, L2 and stride training -- and holds each to its own
   ``ReferenceEngine`` twin.
 * ``corun``   -- random multi-tenant mixes (2-3 cores, per-core
-  generated streams, atom churn on the XMem tenant, issue width 3 or
-  4) through two identically built
+  generated streams, atom churn on the XMem tenant, the ``packed``
+  lane's issue widths and windows) through two identically built
   :class:`~repro.sim.corun.CorunSystem` machines: the per-event
   :class:`~repro.testing.oracles.ReferenceCorun` vs. the
-  heap-scheduled interleaver (fast-forwarding at width 4, every event
-  a yield point at width 3), per-core CoreStats and full snapshot
+  heap-scheduled interleaver (folded time on the dyadic grid,
+  per-position time at width 3), per-core CoreStats and full snapshot
   bit-identical.  Items are ``(core, event)`` pairs, so shrinking
   drops events from any tenant.
 * ``cache``   -- random access/fill/unpin op strings through the
@@ -265,12 +265,15 @@ class PackedLane(Lane):
 class CorunLane(Lane):
     """Per-event reference interleaver vs. ``CorunSystem.run``.
 
-    Issue width 3 is outside the fast-forward domain
-    (:meth:`~repro.sim.corun.CorunSystem.packed_eligible`), so those
-    cases pit the heap's every-event-a-yield-point path against the
-    reference.  Core 0 optionally carries XMem semantics with atom
-    churn, exercising yield-at-XMemOp scheduling and the shared pin
-    controller under interleaving.
+    Issue widths 1-4 and windows down to one entry draw the packed
+    lane's timing: width 3 is off the dyadic grid
+    (:func:`~repro.cpu.vector_engine.fold_ceiling` is 0), so those
+    cases replay every position's time in the reference's order,
+    the others fold it, and small windows fill the MSHR file.  Core 0
+    optionally carries XMem semantics with atom churn, exercising
+    yield-at-XMemOp scheduling and the shared pin controller under
+    interleaving.  Reproducers written before the timing draws carry
+    no ``issue_width`` or ``window`` and replay at width 4, window 32.
     """
 
     name = "corun"
@@ -297,7 +300,8 @@ class CorunLane(Lane):
             "xmem": [0] if mode == "xmem" else [],
             "atoms": atoms,
             "scale": rng.choice((16, 32)),
-            "issue_width": rng.choice((3, 4)),
+            "issue_width": rng.choice((1, 2, 3, 4)),
+            "window": rng.choice((1, 2, 4, 8, 16, 32)),
         }
         return params, items
 
@@ -307,10 +311,9 @@ class CorunLane(Lane):
         from repro.sim.config import CpuConfig, scaled_config
         from repro.sim.corun import CorunSystem
 
-        # Reproducers written before the issue-width draw ran at the
-        # default width.
         cfg = dc.replace(scaled_config(params["scale"]), cpu=CpuConfig(
-            issue_width=params.get("issue_width", 4)))
+            issue_width=params.get("issue_width", 4),
+            window=params.get("window", 32)))
         system = CorunSystem(cfg, params["cores"],
                              xmem_cores=tuple(params["xmem"]))
         for idx in params["xmem"]:

@@ -20,7 +20,9 @@ require the answers to agree exactly:
   the per-event co-run interleaver, an explicit ``(now, index)``
   minimum over the unfinished cores instead of a heap, one object
   event per step through its own method descent over the system's
-  caches, prefetchers and DRAM (production runs a fused body).
+  caches, prefetchers and DRAM (production runs each core's private
+  levels through the split interpreter's front-end and a fused LLC
+  body).
   Per-core statistics and the full snapshot must be bit-identical.
 * :class:`ReferenceDram` vs. :class:`repro.dram.system.DramSystem`
   under FIFO issue: a naive open-row bank/channel timing model over
@@ -288,7 +290,7 @@ class ReferenceCorun:
     :class:`CorunSystem`'s components.
 
     Restates :meth:`repro.sim.corun.CorunSystem.run` without its
-    structure: no packing, no heap, no fast-forwarding, no fused body.
+    structure: no packing, no heap, no front-end, no fused body.
     Each step picks the unfinished core with the smallest ``(now,
     index)`` -- the lowest core index breaking clock ties -- and
     interprets that core's next object event; a memory access descends

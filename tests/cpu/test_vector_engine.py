@@ -693,8 +693,8 @@ def _count_chunks(monkeypatch):
     chunks = []
     real = vector_engine._front_end
 
-    def spy(engine, trace, checking):
-        chunk, finish = real(engine, trace, checking)
+    def spy(*args):
+        chunk, finish = real(*args)
 
         def counted(begin, end):
             chunks.append(begin)
@@ -734,3 +734,23 @@ def test_checked_run_identical_and_catches_drift(monkeypatch):
         with pytest.raises(CheckError, match="valid count"):
             run_machines(handles, traces)
         assert chunks == [0]
+
+
+def test_checked_run_catches_a_mended_l1_count(monkeypatch):
+    """An L1 valid count one too high on a set with exactly one invalid
+    way: the set's next miss takes the full-set path, evicts the
+    invalid way (its LRU stamp is the oldest) and so mends the count
+    before the chunk-end recount.  Fill conservation still sees the
+    phantom eviction."""
+    from repro.testing.checks import check_cache_set
+
+    monkeypatch.setenv("REPRO_CHECK", "1")
+    h = build_baseline(scaled_config(32))
+    l1 = h.memory.hierarchy.levels[0]
+    span = l1.num_sets * l1.line_bytes
+    for way in range(l1.ways - 1):
+        l1.fill(way * span)
+    l1._valid_counts[0] += 1
+    with pytest.raises(CheckError, match="fill conservation"):
+        h.run(PackedTrace.from_events([MemAccess((l1.ways - 1) * span)]))
+    check_cache_set(l1, 0)          # mended: the set recount passes

@@ -35,9 +35,13 @@ class TestBasics:
             CorunSystem(dataclasses.replace(cfg, levels=levels), 2)
 
     def test_shape_gate_line_size(self):
-        cfg = dataclasses.replace(scaled_config(16), line_bytes=48)
-        with pytest.raises(ConfigurationError, match="line size"):
-            CorunSystem(cfg, 1)
+        """Lines must be a power of two of at least 8 bytes: record
+        codes carry flags in a line's bits 0-2."""
+        for line_bytes in (48, 4):
+            cfg = dataclasses.replace(scaled_config(16),
+                                      line_bytes=line_bytes)
+            with pytest.raises(ConfigurationError, match="line size"):
+                CorunSystem(cfg, 1)
 
     def test_trace_count_validation(self):
         sys_ = CorunSystem(scaled_config(16), 2)

@@ -1,13 +1,13 @@
 """The co-run interleaver vs. the per-event reference oracle.
 
-:meth:`CorunSystem.run` (heap-scheduled, with private stretches
-fast-forwarded) must be bit-identical to
-:class:`~repro.testing.oracles.ReferenceCorun` -- CoreStats and the
-full stats snapshot -- on real suite-catalog tenant mixes, baseline
-and XMem, on a machine shape outside the fast-forward domain, and on a
-mix that reaches the fused memory path's rare branches.  Plus
-``REPRO_CHECK`` coverage of that path and unit coverage of the global
-pin controller's budget edge cases.
+:meth:`CorunSystem.run` (heap-scheduled, each core's private levels
+run ahead through the split interpreter's front-end) must be
+bit-identical to :class:`~repro.testing.oracles.ReferenceCorun` --
+CoreStats and the full stats snapshot -- on real suite-catalog tenant
+mixes, baseline and XMem, on a machine shape off the dyadic time grid,
+past a lowered fold ceiling, and on a mix that reaches the memory
+path's rare branches.  Plus ``REPRO_CHECK`` coverage of that path and
+unit coverage of the global pin controller's budget edge cases.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ import pytest
 from repro.core.attributes import PatternType
 from repro.core.xmemlib import XMemLib
 from repro.cpu.trace import MemAccess
+from repro.cpu.vector_engine import fold_ceiling
 from repro.mem.cache import Cache
 from repro.sim.config import CpuConfig, scaled_config
 from repro.sim.corun import CorunSystem, MultiProcessController
 from repro.sim.runner import record_suite_trace
-from repro.testing.checks import CheckError
+from repro.testing.checks import CheckError, check_cache_set
 from repro.testing.oracles import ReferenceCorun
 
 PAIRS = [
@@ -87,12 +88,12 @@ def test_run_packs_object_streams():
 
 @pytest.mark.parametrize("mode", ["baseline", "xmem"])
 def test_ineligible_shape_matches_reference(mode):
-    """Issue width 3 is off the dyadic time grid, so the heap runs
-    without fast-forwarding -- every event a yield point -- and must
+    """Issue width 3 is off the dyadic time grid, so no time folds --
+    every position is replayed in the reference's order -- and must
     still match the reference exactly."""
     cfg = dataclasses.replace(scaled_config(32),
                               cpu=CpuConfig(issue_width=3))
-    assert not CorunSystem(cfg, 2).packed_eligible()
+    assert fold_ceiling(3, CorunSystem(cfg, 2).dram.timing) == 0.0
     stats_ref, snap_ref = run_pair(PAIRS[0], mode, "reference", cfg=cfg)
     stats_packed, snap_packed = run_pair(PAIRS[0], mode, "packed",
                                          cfg=cfg)
@@ -107,7 +108,7 @@ RARE_BRANCH_MIX = dict(names=("astar", "lbm"), mode="xmem",
 
 
 def test_rare_branches_covered_and_identical():
-    """Snapshot equality only vouches for the fused body's branches the
+    """Snapshot equality only vouches for the memory path's branches the
     mix reaches: pins and pin refusals at the LLC, prefetched-tag hits,
     dirty victims rippling from every core's L1 and L2, DRAM writes."""
     stats_ref, snap_ref = run_pair(engine="reference", **RARE_BRANCH_MIX)
@@ -125,9 +126,10 @@ def test_rare_branches_covered_and_identical():
 
 
 def test_checked_run_identical_and_catches_drift(monkeypatch):
-    """``REPRO_CHECK`` covers the fused body: a checked run snapshots
-    exactly like an unchecked one, and a corrupted L1 occupancy count
-    is caught at the first yield point touching its set."""
+    """``REPRO_CHECK`` covers the co-run memory path: a checked run
+    snapshots exactly like an unchecked one, and a corrupted L1
+    occupancy count is caught by the core's front-end at the end of
+    its first chunk."""
     _, snap_plain = run_pair(PAIRS[0], "xmem", "packed")
     monkeypatch.setenv("REPRO_CHECK", "1")
     _, snap_checked = run_pair(PAIRS[0], "xmem", "packed")
@@ -140,6 +142,38 @@ def test_checked_run_identical_and_catches_drift(monkeypatch):
     l1._valid_counts[l1._index(first.vaddr + system.cores[1].offset)] += 1
     with pytest.raises(CheckError, match="valid count"):
         system.run(traces)
+
+
+def test_checked_run_catches_a_mended_l1_count(monkeypatch):
+    """An L1 valid count one too high on a set with exactly one invalid
+    way: the set's next miss takes the full-set path, evicts the
+    invalid way (its LRU stamp is the oldest) and so mends the count
+    before any recount.  Fill conservation still sees the phantom
+    eviction."""
+    monkeypatch.setenv("REPRO_CHECK", "1")
+    system = CorunSystem(scaled_config(32), 2)
+    l1 = system.cores[1].l1
+    span = l1.num_sets * l1.line_bytes
+    for way in range(l1.ways - 1):
+        l1.fill(way * span)
+    l1._valid_counts[0] += 1
+    with pytest.raises(CheckError, match="fill conservation"):
+        system.run([[], [MemAccess((l1.ways - 1) * span)]])
+    check_cache_set(l1, 0)          # mended: the set recount passes
+
+
+def test_exactness_ceiling_falls_back_to_per_position_time(monkeypatch):
+    """Past the fold ceiling a core's time accrues per position, as in
+    the reference.  A patched grid exponent puts the ceiling at 2**12
+    cycles, so both cores cross it early in the mix."""
+    from repro.cpu import vector_engine
+
+    monkeypatch.setattr(vector_engine, "_dyadic_k", lambda values: 40)
+    stats_ref, snap_ref = run_pair(PAIRS[0], "xmem", "reference")
+    stats_packed, snap_packed = run_pair(PAIRS[0], "xmem", "packed")
+    assert stats_packed == stats_ref
+    assert snap_packed == snap_ref
+    assert all(s.cycles > 3 * 2 ** 12 for s in stats_packed)
 
 
 # -- MultiProcessController.refresh edge cases --------------------------

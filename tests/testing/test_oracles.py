@@ -7,10 +7,13 @@ lanes (:mod:`repro.testing.fuzz`) add randomized coverage on top.
 import dataclasses
 import random
 
+from repro.cpu import vector_engine
 from repro.cpu.engine import TraceEngine
 from repro.cpu.trace import MemAccess, PackedTrace, TraceBuilder
+from repro.cpu.vector_engine import fold_ceiling
 from repro.dram.system import DramSystem
 from repro.mem.cache import Cache
+from repro.sim import corun
 from repro.sim.config import CpuConfig, scaled_config
 from repro.sim.corun import CorunSystem
 from repro.testing.generators import GenConfig, generate_lines, generate_trace
@@ -187,13 +190,14 @@ class TestReferenceCorunVsCorunSystem:
         return CorunSystem(cfg, 2)
 
     def test_bit_identical(self):
-        """Fast-forwarded (width 4) and every-event (width 3) heap runs
-        both match the per-event reference."""
+        """Folded-time (width 4) and per-position-time (width 3) heap
+        runs both match the per-event reference."""
         streams = [generate_trace(GenConfig(seed=s, length=300))[0]
                    for s in (1, 2)]
         for width in (3, 4):
             ref_sys, opt_sys = self._system(width), self._system(width)
-            assert opt_sys.packed_eligible() is (width == 4)
+            ceiling = fold_ceiling(width, opt_sys.dram.timing)
+            assert (ceiling > 0) is (width == 4)
             assert ReferenceCorun(ref_sys).run(streams) \
                 == opt_sys.run(streams)
             assert ref_sys.stats_snapshot() == opt_sys.stats_snapshot()
@@ -213,19 +217,22 @@ class TestReferenceCorunVsCorunSystem:
         assert order == [0, 1]
 
     def test_reference_shares_no_production_memory_path(self, monkeypatch):
-        """With the fused yield-point body unbuildable, the reference
-        still runs -- it owns its memory path -- and still matches an
-        unpatched twin's ``CorunSystem.run``."""
+        """With the shared front-end and the yield-point body both
+        unbuildable, the reference still runs -- it owns its memory
+        path -- and still matches an unpatched twin's
+        ``CorunSystem.run``."""
         streams = [generate_trace(GenConfig(seed=s, length=300))[0]
                    for s in (3, 4)]
         for width in (3, 4):
             ref_sys, opt_sys = self._system(width), self._system(width)
 
-            def unbuildable(system):
+            def unbuildable(*args):
                 raise AssertionError("production memory path used")
 
             with monkeypatch.context() as patch:
                 patch.setattr(CorunSystem, "_yield_body", unbuildable)
+                patch.setattr(vector_engine, "_front_end", unbuildable)
+                patch.setattr(corun, "_front_end", unbuildable)
                 stats_ref = ReferenceCorun(ref_sys).run(streams)
             assert stats_ref == opt_sys.run(streams)
             assert ref_sys.stats_snapshot() == opt_sys.stats_snapshot()
