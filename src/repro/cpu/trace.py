@@ -44,6 +44,8 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
+from repro.core.errors import ConfigurationError
+
 
 class MemAccess:
     """One memory reference (plus optional preceding ALU work)."""
@@ -252,7 +254,9 @@ class TraceBuilder:
 
     def access(self, vaddr: int, is_write: bool = False,
                work: int = 0) -> None:
-        """Append one memory access."""
+        """Append one memory access (a negative address is refused)."""
+        if vaddr < 0:
+            raise ConfigurationError(f"negative address {vaddr:#x}")
         self.vaddr.append(vaddr)
         self.meta.append((work << META_COUNT_SHIFT)
                          | (META_WRITE_BIT if is_write else 0))

@@ -1,5 +1,5 @@
-"""The split interpreter: the private-level front-end of both engines,
-and the single-core engine.
+"""The split interpreter: the private-level front-end and the shared
+LLC of both engines, and the single-core engine.
 
 :func:`run_shared` executes :class:`PackedTrace` runs on one or more
 machines with statistics bit-identical to
@@ -8,10 +8,11 @@ statement; :meth:`TraceEngine.run` is its one-machine case.
 Interpretation cost is per-event Python, not model arithmetic, so the
 interpreter decodes whole chunks of the dense columns with numpy
 (line/set/tag by shift and mask) and runs each event through scalar
-code that inlines the engine / hierarchy / prefetcher / DRAM
-bookkeeping of the exact model -- the same operations in the same
-order, so float accumulation is unchanged -- instead of descending
-through six layers of method calls per access.
+code that inlines the engine / hierarchy / prefetcher bookkeeping of
+the exact model -- the same operations in the same order, so float
+accumulation is unchanged -- instead of descending through six layers
+of method calls per access.  DRAM stays one method,
+:meth:`~repro.dram.system.DramSystem.access_completes`.
 
 **The private levels depend on the trace alone.**  The hierarchy is
 inclusive-by-fill with no back-invalidation, prefetches fill only the
@@ -28,10 +29,14 @@ run therefore runs split:
   prefetcher, and records every L1 miss -- its position, whether L2
   hit, its LLC-bound writebacks and its stride targets;
 * a **back-end** replays the records.  Here it is the single-core
-  machine's own (:func:`_back_end`: LLC probe and fill, writebacks,
-  DRAM, prefetch issue, the write drain, the MSHR file and model
-  time); the co-run engine (:mod:`repro.sim.corun`) replays each
-  core's records at its yield points through the shared LLC.
+  machine's own (:func:`_back_end`: the LLC, writebacks, DRAM,
+  prefetch issue, the write drain, the MSHR file and model time); the
+  co-run engine (:mod:`repro.sim.corun`) replays each core's records
+  at its yield points through the shared LLC.  Both back-ends build
+  the LLC from one builder, :func:`_llc_ops` (probe, fill, victim
+  ripple, prefetch issue), and pass it what differs: the pin
+  predicate and what becomes of a dirty LLC victim (the single-core
+  write buffer, or co-run's immediate DRAM write).
 
 Machines of one point whose private parts are equal run in lockstep
 (:func:`_run_lockstep`): per chunk the front-end runs once, on the
@@ -80,7 +85,6 @@ import numpy as np
 from repro.core.errors import ConfigurationError
 from repro.cpu.engine import EngineStats, TraceEngine
 from repro.cpu.trace import PackedTrace
-from repro.dram.bank import RowOutcome
 from repro.mem.cache import Cache, INVALID_TAG
 from repro.mem.hierarchy import _never_pin
 from repro.mem.prefetch import _Stream
@@ -360,10 +364,12 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
     victim, L1-victim ripple victim, stride targets) -- the LLC-bound
     writebacks and prefetches, in model order.  A sentinel record
     ``(n, -1)`` ends the lists.  ``finish()`` flushes the counters and
-    returns the trace's (instructions, mem_accesses).  When
-    ``checking``, every L2 fill re-derives its set, and ``chunk`` ends
-    by re-deriving every L1 and L2 set it probed and holding the L1's
-    valid lines to fill conservation.
+    returns the trace's (instructions, mem_accesses).  A trace with a
+    negative address is refused with :class:`ConfigurationError`,
+    naming its first position.  When ``checking``, every L2 fill
+    re-derives its set, and ``chunk`` ends by re-deriving every L1 and
+    L2 set it probed and holding the L1's valid lines to fill
+    conservation.
 
     The caches hold the trace's own addresses: a co-run core adds its
     address-space offset to a record's lines where they leave the core.
@@ -373,6 +379,12 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
         else np.empty(0, dtype=np.int64)
     me = np.frombuffer(trace.meta, dtype=np.int64) if len(trace.meta) \
         else np.empty(0, dtype=np.int64)
+    if len(va) and va.min() < 0:
+        # A negative line would alias invalid ways (tag -1) and the
+        # Work marker in ``lines``.
+        pos = int(np.flatnonzero(va < 0)[0])
+        raise ConfigurationError(
+            f"negative address {int(va[pos]):#x} at trace position {pos}")
     tm = trace.meta
     tags0, tags1 = l1._tags, l2._tags
     dirty0, dirty1 = l1._dirty, l2._dirty
@@ -607,11 +619,175 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
     return checked_chunk, finish
 
 
+def _llc_ops(llc: Cache, pin_predicate, dram, writeback, prefetch_ready,
+             checking: bool):
+    """The shared LLC of both engines: its primitives, built once per
+    run over the LLC's hoisted tables.
+
+    Returns ``(probe, fill, put, prefetch)``, the LLC half of the
+    method descent (``Cache.access``/``fill_absent``/``fill``, the
+    DRRIP hooks, ``MemorySystem._prefetch``) written out for the
+    shipped shape (:func:`check_shape`):
+
+    * ``probe(line)`` -- 0 on a miss (the set duel trained), 1 on a hit
+      (RRPV promoted), 2 on a hit that consumes a prefetched tag;
+    * ``fill(line)`` -- the demand fill of an absent line: the DRRIP
+      victim (unpinned ways first), the pin quota and its refusals,
+      prefetched tags; it asks to pin when ``pin_predicate(line)``
+      (None: nothing pins) and returns the dirty victim line or None;
+    * ``put(line)`` -- a victim ripple: marks a resident line dirty or
+      fills it dirty, and returns the dirty victim line or None;
+    * ``prefetch(line, t)`` -- one prefetch issue: False when the line
+      is resident; else its DRAM read at ``t`` (``prefetch_ready``
+      keeps the completion), its fill as a prefetched line with its
+      pin request, ``writeback(victim, t)`` for a dirty victim, and
+      True.
+
+    Counters go to ``llc.stats``, and the duel's PSEL and BRRIP fill
+    count are read and written through the policy on every use, so an
+    XMemOp between calls sees them current.  DRAM is
+    ``dram.access_completes``.  The caller orders the calls as its
+    oracle does.  When ``checking``, every fill and put re-derives its
+    set.
+    """
+    ls, sm, ts = llc._line_shift, llc._set_mask, llc._tag_shift
+    ns, ways, lb = llc.num_sets, llc.ways, llc.line_bytes
+    tags, dirty, pinned = llc._tags, llc._dirty, llc._pinned
+    vc, pc = llc._valid_counts, llc._pinned_counts
+    allways, maxpin = llc._all_ways, llc._max_pinned_ways
+    pfd = llc._prefetched_tags
+    pol = llc.policy
+    brrip = pol._brrip
+    rrpv = pol._rrpv
+    psel_max, psel_half = pol._psel_max, pol._psel_half
+    st = llc.stats
+    duel = DRRIPPolicy.DUEL_PERIOD
+    lip = BRRIPPolicy.LONG_INTERVAL_PERIOD
+    RMAX, RLONG, ITAG = RRPV_MAX, RRPV_LONG, INVALID_TAG
+    dram_access = dram.access_completes
+
+    def probe(line):
+        si = (line >> ls) & sm
+        tg = line >> ts
+        row = tags[si]
+        st.accesses += 1
+        if tg in row:
+            st.hits += 1
+            rrpv[si][row.index(tg)] = 0
+            if pfd and (si, tg) in pfd:
+                st.prefetch_hits += 1
+                pfd.discard((si, tg))
+                return 2
+            return 1
+        st.misses += 1
+        ph = si % duel
+        if ph == 0:
+            if pol._psel < psel_max:
+                pol._psel += 1
+        elif ph == 1:
+            if pol._psel > 0:
+                pol._psel -= 1
+        return 0
+
+    def fill_absent(si, tg, dty, pin_req, pref):
+        """``Cache.fill_absent`` at the LLC; returns the dirty victim."""
+        row = tags[si]
+        rr = rrpv[si]
+        pr = pinned[si]
+        victim = None
+        if vc[si] < ways:
+            way = row.index(ITAG)
+            vc[si] += 1
+        else:
+            if pc[si]:
+                cands = [w for w in allways if not pr[w]] or allways
+                hi = max(map(rr.__getitem__, cands))
+                if hi < RMAX:
+                    for w in cands:
+                        rr[w] += RMAX - hi
+                for w in cands:
+                    if rr[w] >= RMAX:
+                        way = w
+                        break
+            elif RMAX in rr:
+                way = rr.index(RMAX)
+            else:
+                bump = RMAX - max(rr)
+                for w in allways:
+                    rr[w] += bump
+                way = rr.index(RMAX)
+            st.evictions += 1
+            vt = row[way]
+            if dirty[si][way]:
+                st.writebacks += 1
+                victim = (vt * ns + si) * lb
+            if pfd:
+                pfd.discard((si, vt))
+            if pr[way]:
+                pr[way] = False
+                pc[si] -= 1
+        row[way] = tg
+        dirty[si][way] = dty
+        if pin_req and pc[si] < maxpin:
+            pr[way] = True
+            st.pinned_fills += 1
+            pc[si] += 1
+            rr[way] = 0
+        else:
+            if pin_req:
+                st.pin_refusals += 1
+            pr[way] = False
+            ph = si % duel
+            if ph == 1 or (ph != 0 and pol._psel > psel_half):
+                brrip._fill_count += 1
+                rr[way] = RLONG if brrip._fill_count % lip == 0 else RMAX
+            else:
+                rr[way] = RLONG
+        if pref:
+            st.prefetch_fills += 1
+            pfd.add((si, tg))
+        return victim
+
+    def fill(line):
+        return fill_absent((line >> ls) & sm, line >> ts, False,
+                           pin_predicate is not None
+                           and pin_predicate(line), False)
+
+    def put(line):
+        si = (line >> ls) & sm
+        tg = line >> ts
+        row = tags[si]
+        if tg in row:
+            dirty[si][row.index(tg)] = True
+            return None
+        return fill_absent(si, tg, True, False, False)
+
+    def prefetch(line, t):
+        si = (line >> ls) & sm
+        tg = line >> ts
+        if tg in tags[si]:
+            return False
+        prefetch_ready[line] = dram_access(line, t, False)
+        victim = fill_absent(si, tg, False, pin_predicate is not None
+                             and pin_predicate(line), True)
+        if victim is not None:
+            writeback(victim, t)
+        return True
+
+    if checking:
+        # ``fill``, ``put`` and ``prefetch`` read ``fill_absent`` from
+        # this scope when they run.
+        fill_absent = _checks.checked_fill(fill_absent, llc)
+        put = _checks.checked_fill(put, llc, by_line=True)
+    return probe, fill, put, prefetch
+
+
 def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
               checking: bool):
-    """The per-machine half of the split interpreter: the LLC, its
-    writebacks, DRAM, prefetch issue, the write drain, the MSHR file
-    and model time, over the records of :func:`_front_end`.
+    """The per-machine half of the split interpreter: the LLC
+    (:func:`_llc_ops`), its writebacks into the write buffer, DRAM,
+    prefetch issue, the MSHR file and model time, over the records of
+    :func:`_front_end`.
 
     ``l1`` is the front-end's L1 (the lockstep group's shared state).
     Returns ``(consume, finish)``: ``consume(chunk)`` replays one
@@ -643,52 +819,27 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
     issue = engine.issue_width
     slot = 1.0 / issue
     pipelined = engine.PIPELINED_LATENCY
-    timing = dram.timing
-    now_limit = fold_ceiling(issue, timing)
+    now_limit = fold_ceiling(issue, dram.timing)
     lk1 = hier.latencies[0]
     lk12 = lk1 + hier.latencies[1]
     lk123 = lk12 + hier.latencies[2]
-    pin_predicate = hier.pin_predicate
-    no_pin = pin_predicate is _never_pin
     tv = trace.vaddr
     xops = trace.xmem
     n_ops = len(xops)
-
-    tags2, dirty2, vc2 = llc._tags, llc._dirty, llc._valid_counts
-    pinned2, pc2 = llc._pinned, llc._pinned_counts
-    allways2 = llc._all_ways
-    ls2, sm2, ts2 = llc._line_shift, llc._set_mask, llc._tag_shift
-    ns2, ways2 = llc.num_sets, llc.ways
-    maxpin2 = llc._max_pinned_ways
-    pfd2 = llc._prefetched_tags
-    lb = hier.line_bytes
-    p2 = llc.policy
-    b2 = p2._brrip
-    rrpv2 = p2._rrpv
-    pmax2, phalf2 = p2._psel_max, p2._psel_half
-    duel = DRRIPPolicy.DUEL_PERIOD
-    lip = BRRIPPolicy.LONG_INTERVAL_PERIOD
-    RMAX, RLONG = RRPV_MAX, RRPV_LONG
-    ITAG = INVALID_TAG
     not7 = ~7                # record code -> line
 
     mem_stats = memory.stats
     prefetch_ready = memory._prefetch_ready
-    wbuf = memory._write_buffer
-    drain_threshold = memory.write_drain_threshold
-    drain_writes = memory.drain_writes
+    # The write buffer (its drain threshold, ``memory.writebacks``)
+    # takes every dirty LLC victim.
+    buffer_write = memory._buffer_write
+    dram_access = dram.access_completes
     xmem_pf = memory.xmem_prefetcher
     xmem_on_miss = xmem_pf.on_demand_miss if xmem_pf is not None else None
-
-    # DRAM, inlined (bank.classify/bank.access stay method calls: they
-    # are the model's replaceable seam).
-    addr_bank = dram._addr_bank
-    dmemo = dram._decomposed
-    chfree = dram._channel_free
-    t_burst = timing.t_burst
-    force_hit = dram.perfect_rbl
-    OUT_HIT, OUT_CLOSED = RowOutcome.HIT, RowOutcome.CLOSED
-    dbuck = dram.stats.read_latency_hist.buckets
+    pin_predicate = hier.pin_predicate
+    probe, fill, put, prefetch = _llc_ops(
+        llc, None if pin_predicate is _never_pin else pin_predicate, dram,
+        buffer_write, prefetch_ready, checking)
     mshr_comp = mshr._completions
     mshr_cap = mshr.entries
 
@@ -702,13 +853,6 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
     n_x = 0
     u_done = 0
     oi = 0
-    psel2 = p2._psel
-    fc2 = b2._fill_count
-    c2a = c2h = c2m = c2ev = c2wb = 0
-    c2pf = c2ph = c2pin = c2ref = 0
-    m_dr = m_dw = m_pr = m_wb = 0
-    d_rh = d_rc = d_rx = d_n = 0
-    d_sum = 0.0
     ms_res = ms_full = 0
     # Lines that await a prefetch while L1 holds them and whose next
     # access lies beyond the chunks replayed so far.
@@ -721,115 +865,10 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
     rec_i: List[int] = []
     specials: List[int] = []
 
-    def fa2(si, tg, dty, pin_req, pref):
-        """LLC fill_absent: DRRIP + pinning + prefetched tags."""
-        nonlocal fc2, c2ev, c2wb, c2pin, c2ref
-        row = tags2[si]
-        rr = rrpv2[si]
-        pr = pinned2[si]
-        wbl = None
-        if vc2[si] < ways2:
-            way = row.index(ITAG)
-            vc2[si] = vc2[si] + 1
-        else:
-            if pc2[si]:
-                cands = [wy for wy in allways2 if not pr[wy]]
-                if not cands:
-                    cands = allways2
-                hi = max(map(rr.__getitem__, cands))
-                if hi < RMAX:
-                    b = RMAX - hi
-                    for wy in cands:
-                        rr[wy] += b
-                for wy in cands:
-                    if rr[wy] >= RMAX:
-                        way = wy
-                        break
-            else:
-                if RMAX in rr:
-                    way = rr.index(RMAX)
-                else:
-                    b = RMAX - max(rr)
-                    for wy in allways2:
-                        rr[wy] += b
-                    way = rr.index(RMAX)
-            c2ev += 1
-            vt = row[way]
-            if dirty2[si][way]:
-                c2wb += 1
-                wbl = (vt * ns2 + si) * lb
-            if pfd2:
-                pfd2.discard((si, vt))
-            if pr[way]:
-                pr[way] = False
-                pc2[si] = pc2[si] - 1
-        row[way] = tg
-        dirty2[si][way] = dty
-        if pin_req and pc2[si] < maxpin2:
-            pr[way] = True
-            c2pin += 1
-            pc2[si] = pc2[si] + 1
-            rr[way] = 0
-        else:
-            if pin_req:
-                c2ref += 1
-            pr[way] = False
-            ph = si % duel
-            if ph == 1 or (ph != 0 and psel2 > phalf2):
-                fc2 += 1
-                rr[way] = RLONG if fc2 % lip == 0 else RMAX
-            else:
-                rr[way] = RLONG
-        if pref:
-            pfd2.add((si, tg))
-        return wbl
-
-    def dram_read(line, t):
-        """Inline of DramSystem.access_completes for a read."""
-        nonlocal d_rh, d_rc, d_rx, d_n, d_sum
-        ent = dmemo.get(line)
-        if ent is None:
-            ent = addr_bank(line)
-        daddr, dbank = ent
-        busy = dbank.busy_until
-        dstart = t if t > busy else busy
-        arow = daddr.row
-        outc = OUT_HIT if force_hit else dbank.classify(arow)
-        dready = dbank.access(arow, dstart, timing, force_hit)
-        dch = daddr.channel
-        dfree = chfree[dch]
-        done = (dready if dready > dfree else dfree) + t_burst
-        chfree[dch] = done
-        dlat = done - t
-        if outc is OUT_HIT:
-            d_rh += 1
-        elif outc is OUT_CLOSED:
-            d_rc += 1
-        else:
-            d_rx += 1
-        d_n += 1
-        d_sum += dlat
-        dv = int(dlat)
-        dbd = 1 if dv <= 1 else 1 << ((dv - 1).bit_length())
-        dbuck[dbd] = dbuck.get(dbd, 0) + 1
-        return done
-
-    def prefetch(target, i):
-        """Inline of MemorySystem._prefetch (LLC fill plus DRAM read)
-        of a target absent from the LLC, at record index ``i``; a
-        target the front-end's L1 holds gets its next L1 hit marked
-        special."""
-        nonlocal c2pf, m_pr, m_wb
-        pwb = fa2((target >> ls2) & sm2, target >> ts2, False,
-                  False if no_pin else pin_predicate(target), True)
-        c2pf += 1
-        m_pr += 1
-        prefetch_ready[target] = dram_read(target, now)
-        if pwb is not None:
-            m_wb += 1
-            wbuf.append(pwb)
-            if len(wbuf) >= drain_threshold:
-                drain_writes(now)
+    def issued(target, i):
+        """Count a prefetch issued at record index ``i``; a target the
+        front-end's L1 holds gets its next L1 hit marked special."""
+        mem_stats.prefetch_reads += 1
         if target in line_set:
             try:
                 q = lines.index(target, i + 1)
@@ -850,9 +889,8 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
                 specials.insert(k, q)
 
     def consume(chunk) -> None:
-        nonlocal now, stall, misses, n_x, u_done, oi, psel2, fc2
-        nonlocal lines, line_set, rec_i, specials
-        nonlocal c2a, c2h, c2m, c2ph, m_dr, m_dw, m_wb, ms_res, ms_full
+        nonlocal now, stall, misses, n_x, u_done, oi
+        nonlocal lines, line_set, rec_i, specials, ms_res, ms_full
         begin, n, ua, lines, line_set, rec_i, rec_code, rec_ext, u_end = \
             chunk
         if now >= now_limit:
@@ -884,12 +922,7 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
                     n_x += 1
                     now += slot
                     if xmemlib is not None:
-                        # The op may reach the LLC: hand it the policy.
-                        p2._psel = psel2
-                        b2._fill_count = fc2
                         getattr(xmemlib, op.method)(*op.args)
-                        psel2 = p2._psel
-                        fc2 = b2._fill_count
                 else:
                     q = sp_at
                     spi += 1
@@ -919,38 +952,17 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
             u_done = u + 1
             line = code & not7
             mem_wbs = None
-            llc_pf = False
-            memread = False
+            llc_pf = memread = False
             if code & 2:                     # L2 hit
                 t_lookup = now + lk12
             else:
                 t_lookup = now + lk123
-                si2 = (line >> ls2) & sm2
-                tg2 = line >> ts2
-                row2 = tags2[si2]
-                c2a += 1
-                if tg2 in row2:
-                    c2h += 1
-                    rrpv2[si2][row2.index(tg2)] = 0
-                    if pfd2:
-                        key = (si2, tg2)
-                        if key in pfd2:
-                            c2ph += 1
-                            pfd2.discard(key)
-                            llc_pf = True
+                hit = probe(line)
+                if hit:
+                    llc_pf = hit == 2
                 else:
-                    c2m += 1
-                    ph = si2 % duel
-                    if ph == 0:
-                        if psel2 < pmax2:
-                            psel2 += 1
-                    elif ph == 1:
-                        if psel2 > 0:
-                            psel2 -= 1
                     memread = True
-                    wb = fa2(si2, tg2, False,
-                             False if no_pin else pin_predicate(line),
-                             False)
+                    wb = fill(line)
                     if wb is not None:
                         mem_wbs = [wb]
             targets = None
@@ -960,15 +972,8 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
                 wb1, wbx, targets = rec_ext[xi]
                 xi += 1
                 for wb in (wb1, wbx):
-                    if wb is None:
-                        continue
-                    sj = (wb >> ls2) & sm2
-                    tj = wb >> ts2
-                    rowj = tags2[sj]
-                    if tj in rowj:
-                        dirty2[sj][rowj.index(tj)] = True
-                    else:
-                        wb = fa2(sj, tj, True, False, False)
+                    if wb is not None:
+                        wb = put(wb)
                         if wb is not None:
                             if mem_wbs is None:
                                 mem_wbs = [wb]
@@ -976,13 +981,13 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
                                 mem_wbs.append(wb)
             # ---- timing ----
             if memread:
-                completes = dram_read(line, t_lookup)
+                completes = dram_access(line, t_lookup, False)
                 if prefetch_ready:
                     prefetch_ready.pop(line, None)
                 if code & 1:
-                    m_dw += 1
+                    mem_stats.demand_writes += 1
                 else:
-                    m_dr += 1
+                    mem_stats.demand_reads += 1
             else:
                 completes = t_lookup
                 if prefetch_ready:
@@ -991,24 +996,19 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
                         completes = ready
             if mem_wbs is not None:
                 for wb in mem_wbs:
-                    m_wb += 1
-                    wbuf.append(wb)
-                    if len(wbuf) >= drain_threshold:
-                        drain_writes(t_lookup)
+                    buffer_write(wb, t_lookup)
             # ---- prefetchers (issue at `now`, as in the model) ----
             if targets or (xmem_on_miss is not None
                            and (memread or llc_pf)):
                 n_sp = len(specials)
                 if targets:
                     for target in targets:
-                        if (target >> ts2) not in tags2[(target >> ls2)
-                                                        & sm2]:
-                            prefetch(target, i)
+                        if prefetch(target, now):
+                            issued(target, i)
                 if xmem_on_miss is not None and (memread or llc_pf):
                     for target in xmem_on_miss(tv[begin + i]):
-                        if (target >> ts2) not in tags2[(target >> ls2)
-                                                        & sm2]:
-                            prefetch(target, i)
+                        if prefetch(target, now):
+                            issued(target, i)
                 if len(specials) != n_sp:
                     sp_at = specials[spi]
                     nxt = op_at if op_at < sp_at else sp_at
@@ -1035,37 +1035,12 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
 
     def finish(instructions: int, mem_accesses: int) -> EngineStats:
         nonlocal now, n_x
-        p2._psel = psel2
-        b2._fill_count = fc2
         # XMemOps at the end of the stream when no chunk ran.
         for _, op in xops[oi:]:
             n_x += 1
             now += slot
             if xmemlib is not None:
                 getattr(xmemlib, op.method)(*op.args)
-        s2 = llc.stats
-        s2.accesses += c2a
-        s2.hits += c2h
-        s2.misses += c2m
-        s2.evictions += c2ev
-        s2.writebacks += c2wb
-        s2.prefetch_fills += c2pf
-        s2.prefetch_hits += c2ph
-        s2.pinned_fills += c2pin
-        s2.pin_refusals += c2ref
-        mem_stats.demand_reads += m_dr
-        mem_stats.demand_writes += m_dw
-        mem_stats.prefetch_reads += m_pr
-        mem_stats.writebacks += m_wb
-        ds = dram.stats
-        ds.row_hits += d_rh
-        ds.row_closed += d_rc
-        ds.row_conflicts += d_rx
-        ds.reads += d_n
-        ds.read_latency_sum += d_sum
-        hist = ds.read_latency_hist
-        hist.count += d_n
-        hist.total += d_sum
         mshr.stats.reservations += ms_res
         mshr.stats.full_stalls += ms_full
         tail = mshr.latest_completion()
@@ -1084,16 +1059,12 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
 
     if not checking:
         return consume, finish
-    # ``consume`` and ``prefetch`` read ``fa2`` from this scope when
-    # they run, so the rebinding re-derives the set of every LLC fill
-    # as it happens.
-    fa2 = _checks.checked_fill(fa2, llc)
     plain_consume, plain_finish = consume, finish
 
     def checked_consume(chunk) -> None:
         plain_consume(chunk)
         # Every record that missed L2 probed the LLC.
-        for si in {(code >> ls2) & sm2 for code in chunk[6][:-1]
+        for si in {llc._index(code & not7) for code in chunk[6][:-1]
                    if not code & 2}:
             _checks.check_cache_set(llc, si)
         _checks.check_mshr_capacity(mshr)

@@ -12,8 +12,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.dram.timing import DramTiming
-
 
 class RowOutcome(enum.Enum):
     """Classification of one access against the bank's row buffer."""
@@ -48,44 +46,12 @@ class BankStats:
 
 @dataclass
 class Bank:
-    """One DRAM bank: open row, busy horizon, counters."""
+    """One DRAM bank: open row, busy horizon, counters.
+
+    Plain state: :meth:`repro.dram.system.DramSystem.access_completes`
+    classifies each access against ``open_row`` and advances both.
+    """
 
     open_row: Optional[int] = None
     busy_until: float = 0.0
     stats: BankStats = field(default_factory=BankStats)
-
-    def classify(self, row: int) -> RowOutcome:
-        """How an access to ``row`` would interact with the row buffer."""
-        if self.open_row is None:
-            return RowOutcome.CLOSED
-        if self.open_row == row:
-            return RowOutcome.HIT
-        return RowOutcome.CONFLICT
-
-    def access(self, row: int, start: float,
-               timing: DramTiming,
-               force_hit: bool = False) -> float:
-        """Perform the row-buffer side of an access starting at ``start``.
-
-        Returns the time the requested data is ready to burst onto the
-        channel.  Also advances ``busy_until`` to when the bank can
-        accept the *next* command: consecutive CAS commands to an open
-        row pipeline at burst intervals (tCCD), so only activates and
-        precharges serialize at full latency.
-
-        ``force_hit`` models the Ideal perfect-RBL system of Section 6.4.
-        """
-        outcome = RowOutcome.HIT if force_hit else self.classify(row)
-        self.stats.accesses += 1
-        if outcome is RowOutcome.HIT:
-            self.stats.row_hits += 1
-            overhead = 0.0
-        elif outcome is RowOutcome.CLOSED:
-            self.stats.row_closed += 1
-            overhead = timing.t_rcd
-        else:
-            self.stats.row_conflicts += 1
-            overhead = timing.t_rp + timing.t_rcd
-        self.open_row = row
-        self.busy_until = start + overhead + timing.t_burst
-        return start + overhead + timing.t_cl

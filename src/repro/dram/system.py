@@ -9,6 +9,13 @@ A trace-driven, cycle-approximate model.  Each access:
 4. waits for, then occupies, the channel data bus for one burst
    (serialization on the bus = finite bandwidth).
 
+:meth:`DramSystem.access_completes` is the one place these steps are
+computed: both engines' demand, prefetch and writeback traffic, the
+memory system's write drain, the FR-FCFS scheduler and the hybrid
+memory's DRAM tier all call it (:meth:`DramSystem.access` wraps it to
+report the outcome).  It stays a method, so a span on it sees every
+DRAM access.
+
 The same model serves reads and writes; read latency is what sits on
 the critical path (Section 6.4), so reads and writes are accounted
 separately for the Figure 8 experiment.
@@ -125,58 +132,78 @@ class DramSystem:
         """Memoized :meth:`AddressMapping.decompose` for this system."""
         return self._addr_bank(paddr)[0]
 
-    def _service(self, paddr: int, now: float,
-                 is_write: bool) -> Tuple[DramAddress, RowOutcome, float]:
-        timing = self.timing
-        addr, bank = self._addr_bank(paddr)
-        busy = bank.busy_until
-        start = now if now > busy else busy
-        outcome = (RowOutcome.HIT if self.perfect_rbl
-                   else bank.classify(addr.row))
-        data_ready = bank.access(addr.row, start, timing,
-                                 force_hit=self.perfect_rbl)
-        channel_free = self._channel_free
-        channel = addr.channel
-        free_at = channel_free[channel]
-        burst_start = data_ready if data_ready > free_at else free_at
-        done = burst_start + timing.t_burst
-        channel_free[channel] = done
-        self._record(outcome, done - now, is_write)
-        return addr, outcome, done
-
     def access(self, paddr: int, now: float,
                is_write: bool = False) -> DramResult:
-        """Service one request arriving at time ``now``."""
-        addr, outcome, done = self._service(paddr, now, is_write)
+        """:meth:`access_completes`, reported as a :class:`DramResult`
+        whose outcome is the one the access recorded."""
+        addr, bank = self._addr_bank(paddr)
+        bstats = bank.stats
+        hits, closed = bstats.row_hits, bstats.row_closed
+        done = self.access_completes(paddr, now, is_write)
+        if bstats.row_hits != hits:
+            outcome = RowOutcome.HIT
+        elif bstats.row_closed != closed:
+            outcome = RowOutcome.CLOSED
+        else:
+            outcome = RowOutcome.CONFLICT
         return DramResult(latency=done - now, completes_at=done,
                           outcome=outcome, address=addr)
 
     def access_completes(self, paddr: int, now: float,
                          is_write: bool = False) -> float:
-        """:meth:`access` without building the :class:`DramResult`.
+        """Service one request arriving at time ``now``; returns when
+        its data burst completes.
 
-        The memory system's demand/prefetch/drain paths only consume
-        ``completes_at``; skipping the frozen-dataclass allocation on
-        every miss is a measurable engine-loop saving.
+        The one computation of a DRAM access, for every caller: the
+        bank wait, the row outcome (classified once; ``perfect_rbl``
+        makes every access a hit), the bank's busy horizon, the channel
+        burst, and the system, bank and latency-histogram counters.
+        Consecutive CAS commands to an open row pipeline at burst
+        intervals (tCCD), so the bank accepts its next command one
+        burst after the access's row overhead: only activates and
+        precharges serialize at full latency.
         """
-        return self._service(paddr, now, is_write)[2]
-
-    def _record(self, outcome: RowOutcome, latency: float,
-                is_write: bool) -> None:
-        if outcome is RowOutcome.HIT:
-            self.stats.row_hits += 1
-        elif outcome is RowOutcome.CLOSED:
-            self.stats.row_closed += 1
+        ent = self._decomposed.get(paddr)
+        addr, bank = ent if ent is not None else self._addr_bank(paddr)
+        timing = self.timing
+        stats = self.stats
+        bstats = bank.stats
+        busy = bank.busy_until
+        start = now if now > busy else busy
+        row = addr.row
+        open_row = bank.open_row
+        bstats.accesses += 1
+        if self.perfect_rbl or open_row == row:
+            stats.row_hits += 1
+            bstats.row_hits += 1
+            overhead = 0.0
+        elif open_row is None:
+            stats.row_closed += 1
+            bstats.row_closed += 1
+            overhead = timing.t_rcd
         else:
-            self.stats.row_conflicts += 1
+            stats.row_conflicts += 1
+            bstats.row_conflicts += 1
+            overhead = timing.t_rp + timing.t_rcd
+        bank.open_row = row
+        bank.busy_until = start + overhead + timing.t_burst
+        data_ready = start + overhead + timing.t_cl
+        channel_free = self._channel_free
+        channel = addr.channel
+        free_at = channel_free[channel]
+        done = (data_ready if data_ready > free_at else free_at) \
+            + timing.t_burst
+        channel_free[channel] = done
+        latency = done - now
         if is_write:
-            self.stats.writes += 1
-            self.stats.write_latency_sum += latency
-            self.stats.write_latency_hist.record(latency)
+            stats.writes += 1
+            stats.write_latency_sum += latency
+            stats.write_latency_hist.record(latency)
         else:
-            self.stats.reads += 1
-            self.stats.read_latency_sum += latency
-            self.stats.read_latency_hist.record(latency)
+            stats.reads += 1
+            stats.read_latency_sum += latency
+            stats.read_latency_hist.record(latency)
+        return done
 
     # -- Introspection ------------------------------------------------------
 

@@ -74,7 +74,7 @@ class HybridMemorySystem:
             )
         if self.is_fast(paddr):
             self.stats.fast_accesses += 1
-            return self.dram.access(paddr, now, is_write).completes_at
+            return self.dram.access_completes(paddr, now, is_write)
         self.stats.slow_accesses += 1
         return self.nvm.access(paddr - self.fast_bytes, now, is_write)
 

@@ -28,16 +28,19 @@ binary heap keyed by ``(now, index)`` -- the core's time before the
 event's own work, the lowest core index breaking ties -- executes them
 in the order of the per-event reference, each record through the
 shared half of the memory path built once per run
-(:meth:`CorunSystem._yield_body`): the LLC probe and duel training,
-the shared stride prefetcher's training, prefetch issue, the demand
-DRAM read and LLC fill, the XMem prefetcher, the record's LLC-bound
-writebacks and the core's MSHR reserve, written out over hoisted
-tables in the order the method descent
+(:meth:`CorunSystem._yield_body`): the LLC probe, the shared stride
+prefetcher's training, prefetch issue, the demand DRAM read and LLC
+fill, the XMem prefetcher, the record's LLC-bound writebacks and the
+core's MSHR reserve, in the order the method descent
 (:class:`repro.testing.oracles.ReferenceCorun`) performs them, so
-every float sum is the same.  The body is specialised to the one
-machine shape every caller builds (``scaled_config``: LRU L1, DRRIP
-L2/L3, power-of-two lines of at least 8 bytes), which the constructor
-enforces.
+every float sum is the same.  The LLC primitives are the single-core
+engine's (:func:`repro.cpu.vector_engine._llc_ops`), pinned by the
+global controller, with a dirty victim written to DRAM at once;
+every DRAM access is a
+:meth:`~repro.dram.system.DramSystem.access_completes` call.  The
+body is specialised to the one machine shape every caller builds
+(``scaled_config``: LRU L1, DRRIP L2/L3, power-of-two lines of at
+least 8 bytes), which the constructor enforces.
 
 Private caches hold tenant-local lines; the core's address-space
 offset (:data:`APP_SPACE`) is added where a record leaves the core --
@@ -78,16 +81,11 @@ from repro.cpu.vector_engine import (
     LEVEL_POLICIES,
     _NEVER,
     _front_end,
+    _llc_ops,
     fold_ceiling,
 )
 from repro.dram.system import DramSystem
-from repro.mem.cache import INVALID_TAG, Cache
-from repro.mem.replacement import (
-    RRPV_LONG,
-    RRPV_MAX,
-    BRRIPPolicy,
-    DRRIPPolicy,
-)
+from repro.mem.cache import Cache
 from repro.mem.mshr import MSHRFile
 from repro.mem.prefetch import MultiStridePrefetcher, XMemPrefetcher
 from repro.sim.config import SimConfig
@@ -459,17 +457,15 @@ class CorunSystem:
         ``access(code, ext, now)``: one record of the core's front-end
         -- an L1 miss, ``now`` its time after its work -- through the
         shared LLC, DRAM and the core's MSHR window, returning the
-        core's time after the access's issue slot.  Every shared and
-        per-core table is hoisted here, once per run; ``access`` then
-        performs the shared half of the method descent of
-        :class:`repro.testing.oracles.ReferenceCorun` --
-        ``Cache.access``/``fill_absent``/``fill`` at the LLC, the
-        replacement hooks, the prefetchers and ``MSHRFile.reserve`` --
-        written out for the shape the constructor enforces, statement
-        for statement in the same order, so counters and float sums
-        are identical.  The DRRIP duel counters are read and written
-        through their owner on every use.  DRAM stays behind
-        :meth:`DramSystem.access_completes`.
+        core's time after the access's issue slot.  The LLC is the
+        single-core back-end's (:func:`~repro.cpu.vector_engine._llc_ops`,
+        pinned by the controller, a dirty victim written to DRAM at
+        once); ``access`` calls it, the shared stride
+        prefetcher, DRAM and the XMem prefetcher in the order of the
+        method descent of :class:`repro.testing.oracles.ReferenceCorun`
+        -- stride prefetches, the demand DRAM read and fill, XMem
+        prefetches, then the record's LLC-bound writebacks -- so
+        counters and float sums are identical.
 
         With ``checking`` every LLC fill and the LLC set of every
         record are re-derived by
@@ -477,119 +473,22 @@ class CorunSystem:
         reservation by :func:`~repro.testing.checks.check_mshr`.
         """
         slot = 1.0 / self.config.cpu.issue_width
-        lb = self.config.line_bytes
         not7 = ~7                        # record code -> line
-        duel = DRRIPPolicy.DUEL_PERIOD
-        lip = BRRIPPolicy.LONG_INTERVAL_PERIOD
-        RMAX, RLONG, ITAG = RRPV_MAX, RRPV_LONG, INVALID_TAG
         # Latencies (every core's private levels are alike).
         first = self.cores[0]
         lat1, lat2, lat3 = first.l1_lat, first.l2_lat, self.llc_lat
-        # The shared LLC.
         llc = self.llc
-        ls2, sm2, ts2 = llc._line_shift, llc._set_mask, llc._tag_shift
-        ns2, ways2 = llc.num_sets, llc.ways
-        tags2, dirty2, pinned2 = llc._tags, llc._dirty, llc._pinned
-        vc2, pc2 = llc._valid_counts, llc._pinned_counts
-        allways2, maxpin2 = llc._all_ways, llc._max_pinned_ways
-        p2 = llc.policy
-        b2 = p2._brrip
-        rrpv2 = p2._rrpv
-        st2 = llc.stats
-        pfd2 = llc._prefetched_tags
-        # DRAM, prefetchers and the pin decision.
         dram_access = self.dram.access_completes
         prefetch_ready = self._prefetch_ready
         observe = (self.stride_pf.observe if self.stride_pf is not None
                    else None)
-        pin_predicate = self.controller.pin_predicate
 
-        def llc_fill(si, tg, dty, pin_req, pref):
-            """``Cache.fill_absent`` at the LLC; returns the dirty victim."""
-            row = tags2[si]
-            rr = rrpv2[si]
-            pr = pinned2[si]
-            victim = None
-            if vc2[si] < ways2:
-                way = row.index(ITAG)
-                vc2[si] += 1
-            else:
-                if pc2[si]:
-                    cands = [w for w in allways2 if not pr[w]] or allways2
-                    hi = max(map(rr.__getitem__, cands))
-                    if hi < RMAX:
-                        for w in cands:
-                            rr[w] += RMAX - hi
-                    for w in cands:
-                        if rr[w] >= RMAX:
-                            way = w
-                            break
-                elif RMAX in rr:
-                    way = rr.index(RMAX)
-                else:
-                    bump = RMAX - max(rr)
-                    for w in allways2:
-                        rr[w] += bump
-                    way = rr.index(RMAX)
-                st2.evictions += 1
-                vt = row[way]
-                if dirty2[si][way]:
-                    st2.writebacks += 1
-                    victim = (vt * ns2 + si) * lb
-                if pfd2:
-                    pfd2.discard((si, vt))
-                if pr[way]:
-                    pr[way] = False
-                    pc2[si] -= 1
-            row[way] = tg
-            dirty2[si][way] = dty
-            if pin_req and pc2[si] < maxpin2:
-                pr[way] = True
-                st2.pinned_fills += 1
-                pc2[si] += 1
-                rr[way] = 0
-            else:
-                if pin_req:
-                    st2.pin_refusals += 1
-                pr[way] = False
-                ph = si % duel
-                if ph == 1 or (ph != 0 and p2._psel > p2._psel_half):
-                    b2._fill_count += 1
-                    rr[way] = RLONG if b2._fill_count % lip == 0 else RMAX
-                else:
-                    rr[way] = RLONG
-            if pref:
-                st2.prefetch_fills += 1
-                pfd2.add((si, tg))
-            return victim
+        def write(line, t):
+            dram_access(line, t, True)
 
-        def llc_put(line, now):
-            """``Cache.fill(line, dirty=True)`` at the LLC (a victim
-            ripple); a dirty LLC victim is written to DRAM at ``now``."""
-            si = (line >> ls2) & sm2
-            tg = line >> ts2
-            row = tags2[si]
-            if tg in row:
-                dirty2[si][row.index(tg)] = True
-                return
-            victim = llc_fill(si, tg, True, False, False)
-            if victim is not None:
-                dram_access(victim, now, True)
-
-        def prefetch(line, now):
-            """One prefetch issue: LLC-only, skipped when resident."""
-            si = (line >> ls2) & sm2
-            tg = line >> ts2
-            if tg in tags2[si]:
-                return
-            prefetch_ready[line] = dram_access(line, now, False)
-            victim = llc_fill(si, tg, False, pin_predicate(line), True)
-            if victim is not None:
-                dram_access(victim, now, True)
-
-        if checking:
-            llc_fill = _checks.checked_fill(llc_fill, llc)
-            llc_put = _checks.checked_fill(llc_put, llc, by_line=True)
+        probe, fill, put, prefetch = _llc_ops(
+            llc, self.controller.pin_predicate, self.dram, write,
+            prefetch_ready, checking)
 
         def for_core(core: _Core):
             offset = core.offset
@@ -606,27 +505,7 @@ class CorunSystem:
                     completes = t + lat2
                 else:
                     t += lat2
-                    # LLC probe (DRRIP, prefetched tags).
-                    si2 = (line >> ls2) & sm2
-                    tg2 = line >> ts2
-                    row2 = tags2[si2]
-                    st2.accesses += 1
-                    llc_hit = tg2 in row2
-                    if llc_hit:
-                        st2.hits += 1
-                        rrpv2[si2][row2.index(tg2)] = 0
-                        if pfd2 and (si2, tg2) in pfd2:
-                            st2.prefetch_hits += 1
-                            pfd2.discard((si2, tg2))
-                    else:
-                        st2.misses += 1
-                        ph = si2 % duel
-                        if ph == 0:
-                            if p2._psel < p2._psel_max:
-                                p2._psel += 1
-                        elif ph == 1:
-                            if p2._psel > 0:
-                                p2._psel -= 1
+                    llc_hit = probe(line)
                     t += lat3
                     if observe is not None:
                         for target in observe(line):
@@ -642,21 +521,20 @@ class CorunSystem:
                         cstats.llc_misses += 1
                         completes = dram_access(line, t, False)
                         prefetch_ready.pop(line, None)
-                        victim = llc_fill(si2, tg2, False,
-                                          pin_predicate(line), False)
+                        victim = fill(line)
                         if victim is not None:
-                            dram_access(victim, t, True)
+                            write(victim, t)
                         if xmem_miss is not None:
                             for target in xmem_miss(line):
                                 prefetch(target, now)
                 if ext is not None:
                     # The L2 fill's victim, then the L1 victim's ripple
                     # (tenant-local lines).
-                    wb1, wbx, _ = ext
-                    if wb1 is not None:
-                        llc_put(wb1 + offset, now)
-                    if wbx is not None:
-                        llc_put(wbx + offset, now)
+                    for wb in ext[:2]:
+                        if wb is not None:
+                            victim = put(wb + offset)
+                            if victim is not None:
+                                write(victim, now)
                 # MSHR reserve for a long access.
                 if completes - now > 4.0:
                     while comp and comp[0] <= now:
@@ -684,6 +562,7 @@ class CorunSystem:
             return checked_access
 
         return for_core
+
 
 def _coalesce(chunks: List[int], chunk_bytes: int
               ) -> List[Tuple[int, int]]:

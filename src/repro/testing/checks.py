@@ -24,10 +24,11 @@ same checkers themselves: the split interpreter's front-end
 (:mod:`repro.cpu.vector_engine`, both engines) after every L2 fill
 (:func:`checked_fill`) and at every chunk end on the L1 and L2 sets it
 probed and on the L1's fill conservation
-(:func:`check_fill_conservation`); the single-core back-end after
-every LLC fill, at every chunk end on the LLC sets it probed and on
-its MSHR heap, and at the end of every run; the co-run interleaver
-(:mod:`repro.sim.corun`) after every LLC fill, on the LLC set of every
+(:func:`check_fill_conservation`); the shared LLC builder
+(``vector_engine._llc_ops``, both engines) after every LLC fill and
+victim ripple; the single-core back-end at every chunk end on the LLC
+sets it probed and on its MSHR heap, and at the end of every run; the
+co-run interleaver (:mod:`repro.sim.corun`) on the LLC set of every
 yield point and after every MSHR reservation.
 
 The flag is read once per component construction and once per engine

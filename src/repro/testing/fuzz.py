@@ -31,9 +31,12 @@ Seven lanes, each pairing a hot-path implementation with its oracle
   writeback addresses, eviction/refusal counts, pinned totals, and the
   final resident set must match.
 * ``dram``    -- timed FIFO request streams, under every mapping
-  scheme, through :class:`~repro.dram.system.DramSystem` and the naive
+  scheme and with ``perfect_rbl`` drawn in a quarter of the cases,
+  through :class:`~repro.dram.system.DramSystem` (whose
+  ``access_completes`` is every engine's DRAM access) and the naive
   :class:`~repro.testing.oracles.ReferenceDram`: per-request row
-  outcome, latency, and completion time, plus the final counters.
+  outcome, latency, and completion time, plus the final counters, the
+  read and write latency histograms and the per-bank row counters.
 * ``sched``   -- request lists through
   :class:`~repro.dram.scheduler.FRFCFSScheduler`: every request
   serviced exactly once, completions self-consistent, service never
@@ -456,14 +459,19 @@ class DramLane(Lane):
             region_bytes=1 << rng.randint(14, 18),
             write_frac=rng.uniform(0.0, 0.5),
         )
-        params = {"mapping": rng.choice(self.MAPPINGS)}
+        params = {"mapping": rng.choice(self.MAPPINGS),
+                  "perfect_rbl": rng.random() < 0.25}
         return params, generators.generate_requests(cfg)
 
     def fail(self, params: dict, items: list) -> Optional[str]:
         from repro.dram.system import DramSystem
 
-        dram = DramSystem(mapping=params["mapping"])
-        ref = ReferenceDram(mapping=params["mapping"])
+        # Reproducers written before the draw replay with it off.
+        perfect_rbl = params.get("perfect_rbl", False)
+        dram = DramSystem(mapping=params["mapping"],
+                          perfect_rbl=perfect_rbl)
+        ref = ReferenceDram(mapping=params["mapping"],
+                            perfect_rbl=perfect_rbl)
         for step, (paddr, arrival, is_write) in enumerate(items):
             res = dram.access(paddr, arrival, is_write=bool(is_write))
             outcome, latency, done = ref.access(paddr, arrival,
@@ -482,6 +490,20 @@ class DramLane(Lane):
                 ref.write_latency_sum)
         if got != want:
             return f"final counters diverged: dram={got} ref={want}"
+        hists = (s.read_latency_hist, s.write_latency_hist)
+        got = [(h.buckets, h.count, h.total) for h in hists]
+        want = [(ref.read_buckets, ref.reads, ref.read_latency_sum),
+                (ref.write_buckets, ref.writes, ref.write_latency_sum)]
+        if got != want:
+            return f"latency histograms diverged: dram={got} ref={want}"
+        banks = dram.bank_summary()
+        got = tuple(banks[k] for k in ("banks_touched", "accesses",
+                                       "row_hits", "row_closed",
+                                       "row_conflicts"))
+        want = (len(ref.banks), ref.reads + ref.writes, ref.row_hits,
+                ref.row_closed, ref.row_conflicts)
+        if got != want:
+            return f"bank counters diverged: dram={got} ref={want}"
         return None
 
 

@@ -483,19 +483,22 @@ class ReferenceDram:
 
     One dict entry per touched bank holding ``[open_row, busy_until]``,
     one free-time per channel, requests served strictly in the order
-    presented.  Restates the
-    :class:`~repro.dram.system.DramSystem`/:class:`~repro.dram.bank.Bank`
-    arithmetic (classify, per-outcome overhead, bank busy advance,
-    channel burst serialization) without the object structure, over
+    presented.  Restates the arithmetic of
+    :meth:`~repro.dram.system.DramSystem.access_completes` (classify,
+    ``perfect_rbl``'s forced hit, per-outcome overhead, bank busy
+    advance, channel burst serialization, power-of-two latency
+    buckets) without the object structure, over
     :func:`reference_decompose` instead of the compiled mapping.
     """
 
     def __init__(self, geometry: Optional[DramGeometry] = None,
                  timing: Optional[DramTiming] = None,
-                 mapping: str = "scheme2") -> None:
+                 mapping: str = "scheme2",
+                 perfect_rbl: bool = False) -> None:
         self.geometry = geometry or DramGeometry()
         self.timing = timing or ddr3_1066()
         self.mapping = make_mapping(mapping, self.geometry)
+        self.perfect_rbl = perfect_rbl
         self.banks: Dict[Tuple[int, int, int], List] = {}
         self.channel_free = [0.0] * self.geometry.channels
         self.reads = 0
@@ -505,6 +508,10 @@ class ReferenceDram:
         self.row_hits = 0
         self.row_closed = 0
         self.row_conflicts = 0
+        #: bucket bound -> samples: the smallest power of two at or
+        #: above a latency's whole cycles (at least 1).
+        self.read_buckets: Dict[int, int] = {}
+        self.write_buckets: Dict[int, int] = {}
 
     def access(self, paddr: int, now: float,
                is_write: bool = False) -> Tuple[str, float, float]:
@@ -513,14 +520,14 @@ class ReferenceDram:
         addr = reference_decompose(self.mapping, paddr)
         bank = self.banks.setdefault(addr.bank_key, [None, 0.0])
         start = now if now >= bank[1] else bank[1]
-        if bank[0] is None:
-            outcome = "closed"
-            overhead = t.t_rcd
-            self.row_closed += 1
-        elif bank[0] == addr.row:
+        if self.perfect_rbl or bank[0] == addr.row:
             outcome = "hit"
             overhead = 0.0
             self.row_hits += 1
+        elif bank[0] is None:
+            outcome = "closed"
+            overhead = t.t_rcd
+            self.row_closed += 1
         else:
             outcome = "conflict"
             overhead = t.t_rp + t.t_rcd
@@ -536,9 +543,15 @@ class ReferenceDram:
         if is_write:
             self.writes += 1
             self.write_latency_sum += latency
+            buckets = self.write_buckets
         else:
             self.reads += 1
             self.read_latency_sum += latency
+            buckets = self.read_buckets
+        bound = 1
+        while bound < int(latency):
+            bound *= 2
+        buckets[bound] = buckets.get(bound, 0) + 1
         return outcome, latency, done
 
 

@@ -12,11 +12,19 @@ refused rather than answered wrongly.  With ``REPRO_CHECK`` set the
 interpreter re-derives what it touched at every chunk end.
 """
 
+from array import array
+
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.cpu.tiers import run_tier
-from repro.cpu.trace import MemAccess, PackedTrace, Work, XMemOp
+from repro.cpu.trace import (
+    MemAccess,
+    PackedTrace,
+    TraceBuilder,
+    Work,
+    XMemOp,
+)
 from repro.cpu.vector_engine import check_shape
 from repro.sim.config import scaled_config
 from repro.sim.system import build_baseline, build_xmem
@@ -155,6 +163,36 @@ PRODUCTION_SHAPES = (
     + [(32, llc, 1.0) for llc in (64 * 1024, 32 * 1024, 16 * 1024)]
     + [(32, None, bw) for bw in (0.5, 0.25)]
 )
+
+
+class TestNegativeAddresses:
+    """A negative line's tag would match an invalid way (-1) and the
+    front-end's Work marker: both engines refuse such a trace, naming
+    the first negative position, and the builder refuses the access."""
+
+    @staticmethod
+    def _trace():
+        # Built column by column, past the builder's own refusal:
+        # an access, a Work block, then the negative access.
+        return PackedTrace(array("q", [0x1000, 0, -64]),
+                           array("q", [0, 7 << 2 | 2, 0]))
+
+    def test_single_core_refuses(self):
+        with pytest.raises(ConfigurationError, match="position 2"):
+            build_baseline(scaled_config(32)).run(self._trace())
+
+    def test_corun_refuses(self):
+        from repro.sim.corun import CorunSystem
+
+        good = PackedTrace.from_events([MemAccess(0x2000)])
+        with pytest.raises(ConfigurationError, match="position 2"):
+            CorunSystem(scaled_config(32), 2).run([good, self._trace()])
+
+    def test_builder_refuses(self):
+        with pytest.raises(ConfigurationError, match="negative address"):
+            TraceBuilder().access(-64)
+        with pytest.raises(ConfigurationError, match="negative address"):
+            build_baseline(scaled_config(32)).run([MemAccess(-64)])
 
 
 def _issue3_config(cfg=None):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dram.bank import Bank, RowOutcome
+from repro.dram.bank import RowOutcome
 from repro.dram.mapping import DramGeometry
 from repro.dram.scheduler import FRFCFSScheduler, Request
 from repro.dram.system import DramSystem
@@ -17,37 +17,51 @@ def small_system(**kw):
 
 
 class TestBank:
+    """One bank's row buffer, through :meth:`DramSystem.access`: an
+    access's data is ready one channel burst before it completes."""
+
+    @staticmethod
+    def row(d, k):
+        """An address in bank 0 of channel 0; each ``k`` its own row."""
+        g = d.geometry
+        return k * g.row_bytes * g.banks_per_rank * g.channels
+
     def test_classification(self):
-        b = Bank()
-        assert b.classify(5) is RowOutcome.CLOSED
-        b.access(5, 0.0, T)
-        assert b.classify(5) is RowOutcome.HIT
-        assert b.classify(6) is RowOutcome.CONFLICT
+        d = small_system()
+        assert d.access(self.row(d, 5), 0.0).outcome is RowOutcome.CLOSED
+        assert d.access(self.row(d, 5), 1000.0).outcome is RowOutcome.HIT
+        assert d.access(self.row(d, 6), 2000.0).outcome is \
+            RowOutcome.CONFLICT
 
     def test_latencies(self):
-        b = Bank()
-        t0 = b.access(1, 0.0, T)             # closed
-        assert t0 == pytest.approx(T.t_rcd + T.t_cl)
-        t1 = b.access(1, 100.0, T)           # hit
-        assert t1 == pytest.approx(100 + T.t_cl)
-        t2 = b.access(2, 200.0, T)           # conflict
-        assert t2 == pytest.approx(200 + T.t_rp + T.t_rcd + T.t_cl)
+        d = small_system()
+        r0 = d.access(self.row(d, 1), 0.0)       # closed
+        assert r0.completes_at - T.t_burst == pytest.approx(
+            T.t_rcd + T.t_cl)
+        r1 = d.access(self.row(d, 1), 100.0)     # hit
+        assert r1.completes_at - T.t_burst == pytest.approx(100 + T.t_cl)
+        r2 = d.access(self.row(d, 2), 200.0)     # conflict
+        assert r2.completes_at - T.t_burst == pytest.approx(
+            200 + T.t_rp + T.t_rcd + T.t_cl)
 
     def test_force_hit(self):
-        b = Bank()
-        b.access(1, 0.0, T)
-        t = b.access(2, 100.0, T, force_hit=True)
-        assert t == pytest.approx(100 + T.t_cl)
-        assert b.stats.row_hits == 1
-        assert b.stats.row_closed == 1
+        d = small_system()
+        d.access(self.row(d, 1), 0.0)
+        d.perfect_rbl = True
+        r = d.access(self.row(d, 2), 100.0)
+        assert r.completes_at - T.t_burst == pytest.approx(100 + T.t_cl)
+        stats = d.bank(r.address.bank_key).stats
+        assert stats.row_hits == 1
+        assert stats.row_closed == 1
 
     def test_stats(self):
-        b = Bank()
-        b.access(1, 0.0, T)
-        b.access(1, 0.0, T)
-        b.access(2, 0.0, T)
-        assert b.stats.accesses == 3
-        assert b.stats.row_hit_rate == pytest.approx(1 / 3)
+        d = small_system()
+        d.access(self.row(d, 1), 0.0)
+        d.access(self.row(d, 1), 0.0)
+        r = d.access(self.row(d, 2), 0.0)
+        stats = d.bank(r.address.bank_key).stats
+        assert stats.accesses == 3
+        assert stats.row_hit_rate == pytest.approx(1 / 3)
 
 
 class TestDramSystem:

@@ -160,20 +160,20 @@ class TestMutationCanary:
                         lanes=["packed"]).ok
 
     def test_reference_dram_catches_timing_drift(self):
-        """Perturbing the bank busy bookkeeping trips the DRAM lane."""
-        from repro.dram.bank import Bank
+        """Perturbing the bank busy horizon trips the DRAM lane."""
+        from repro.dram.system import DramSystem
 
         lane = LANES["dram"]
         params, items = lane.make(case_rng(0, 3), 120)
-        real = Bank.access
+        real = DramSystem.access_completes
 
-        def drifted(self, row, start, timing, force_hit=False):
-            result = real(self, row, start, timing, force_hit)
-            self.busy_until += 0.5
-            return result
+        def drifted(self, paddr, now, is_write=False):
+            done = real(self, paddr, now, is_write)
+            self._addr_bank(paddr)[1].busy_until += 0.5
+            return done
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Bank, "access", drifted)
+            mp.setattr(DramSystem, "access_completes", drifted)
             assert lane.fail(params, items) is not None
         assert lane.fail(params, items) is None
 

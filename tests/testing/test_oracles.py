@@ -139,6 +139,30 @@ class TestReferenceEngineVsTraceEngine:
         opt.run(packed)
         assert ref.stats_snapshot() == opt.stats_snapshot()
 
+    def test_reference_shares_no_production_memory_path(self, monkeypatch):
+        """With the split interpreter's front-end, back-end and LLC
+        builder unbuildable, the reference engine still runs -- it owns
+        its memory path -- and still matches an unpatched twin's
+        ``SystemHandle.run`` on an XMem machine (pins, prefetches)."""
+        from repro.sim.system import build_xmem
+        from repro.testing.generators import setup_atoms
+
+        gen = GenConfig(seed=4, length=400, atoms=3, churn=0.3)
+        events, packed = generate_trace(gen)
+        ref, opt = (build_xmem(scaled_config(32)) for _ in range(2))
+        for handle in (ref, opt):
+            setup_atoms(handle.xmemlib, gen)
+
+        def unbuildable(*args):
+            raise AssertionError("production memory path used")
+
+        with monkeypatch.context() as patch:
+            for name in ("_front_end", "_back_end", "_llc_ops"):
+                patch.setattr(vector_engine, name, unbuildable)
+            stats_ref = with_reference_engine(ref).engine.run(events)
+        assert stats_ref == opt.run(packed)
+        assert ref.stats_snapshot() == opt.stats_snapshot()
+
     def test_window_one_serializes(self):
         events, _ = self.build_trace(8)
         one = ReferenceEngine(ToyMemory(8, miss_rate=1.0), window=1)
@@ -217,9 +241,9 @@ class TestReferenceCorunVsCorunSystem:
         assert order == [0, 1]
 
     def test_reference_shares_no_production_memory_path(self, monkeypatch):
-        """With the shared front-end and the yield-point body both
-        unbuildable, the reference still runs -- it owns its memory
-        path -- and still matches an unpatched twin's
+        """With the shared front-end, the shared LLC builder and the
+        yield-point body unbuildable, the reference still runs -- it
+        owns its memory path -- and still matches an unpatched twin's
         ``CorunSystem.run``."""
         streams = [generate_trace(GenConfig(seed=s, length=300))[0]
                    for s in (3, 4)]
@@ -233,6 +257,8 @@ class TestReferenceCorunVsCorunSystem:
                 patch.setattr(CorunSystem, "_yield_body", unbuildable)
                 patch.setattr(vector_engine, "_front_end", unbuildable)
                 patch.setattr(corun, "_front_end", unbuildable)
+                patch.setattr(vector_engine, "_llc_ops", unbuildable)
+                patch.setattr(corun, "_llc_ops", unbuildable)
                 stats_ref = ReferenceCorun(ref_sys).run(streams)
             assert stats_ref == opt_sys.run(streams)
             assert ref_sys.stats_snapshot() == opt_sys.stats_snapshot()
