@@ -85,6 +85,7 @@ import numpy as np
 from repro.core.errors import ConfigurationError
 from repro.cpu.engine import EngineStats, TraceEngine
 from repro.cpu.trace import PackedTrace
+from repro.dram.system import check_compiled
 from repro.mem.cache import Cache, INVALID_TAG
 from repro.mem.hierarchy import _never_pin
 from repro.mem.prefetch import _Stream
@@ -148,7 +149,8 @@ def check_shape(engine: TraceEngine) -> None:
     lines of at least 8 bytes, integer latencies with first-level hits
     pipelined, pins and prefetched tags only at the LLC, and a
     power-of-two stride-prefetcher region, all behind a
-    :class:`~repro.sim.system.MemorySystem`.  Components carrying
+    :class:`~repro.sim.system.MemorySystem` whose DRAM runs the access
+    path compiled from its mapping's bit layout.  Components carrying
     ``REPRO_CHECK`` wrappers pass: the interpreter inlines what they
     wrap and checks it itself.
     """
@@ -193,6 +195,7 @@ def check_shape(engine: TraceEngine) -> None:
         raise ConfigurationError(
             f"{caches[0].name} latency {hier.latencies[0]} exceeds the "
             f"pipelined {engine.PIPELINED_LATENCY} cycles")
+    check_compiled(mem.dram, "the engine's DRAM")
 
 
 #: Per-level state the front-end evolves (plus stats and policy state).

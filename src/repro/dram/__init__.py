@@ -1,9 +1,9 @@
 """DRAM substrate: banks, row buffers, FR-FCFS, address mapping."""
 
-from repro.dram.bank import Bank, BankStats, RowOutcome
 from repro.dram.mapping import (
     ALL_SCHEMES,
     AddressMapping,
+    BitLayout,
     DramAddress,
     DramGeometry,
     FieldOrderMapping,
@@ -11,14 +11,13 @@ from repro.dram.mapping import (
     make_mapping,
 )
 from repro.dram.scheduler import Completion, FRFCFSScheduler, Request
-from repro.dram.system import DramResult, DramStats, DramSystem
+from repro.dram.system import DramResult, DramStats, DramSystem, RowOutcome
 from repro.dram.timing import DramTiming, ddr3_1066
 
 __all__ = [
     "ALL_SCHEMES",
     "AddressMapping",
-    "Bank",
-    "BankStats",
+    "BitLayout",
     "Completion",
     "DramAddress",
     "DramGeometry",

@@ -78,6 +78,22 @@ class DramAddress(NamedTuple):
         return self[:3]
 
 
+class BitLayout(NamedTuple):
+    """A field order compiled to constants: per field, ``(shift,
+    mask)`` over the line index ``paddr >> line_shift`` (the column is
+    ``col_high`` above ``col_low``), and the low row bits a permutation
+    scheme XORs into the bank index (0 for plain schemes)."""
+
+    line_shift: int
+    channel: Tuple[int, int]
+    rank: Tuple[int, int]
+    bank: Tuple[int, int]
+    row: Tuple[int, int]
+    col_low: Tuple[int, int]
+    col_high: Tuple[int, int]
+    bank_xor: int
+
+
 class AddressMapping:
     """Base: map a physical line address to DRAM coordinates."""
 
@@ -99,7 +115,8 @@ class FieldOrderMapping(AddressMapping):
     ``bank``, ``row``.  ``col_low`` must appear below ``col_high``.
 
     The order is compiled once, here, into per-field shift/mask
-    constants, and ``decompose`` is a straight-line function of them.
+    constants (:attr:`fields`, a :class:`BitLayout`), and
+    ``decompose`` is a straight-line function of them.
     The fields together span exactly ``capacity_bytes``, so an address
     beyond capacity aliases onto ``paddr % capacity_bytes``.
     """
@@ -137,14 +154,14 @@ class FieldOrderMapping(AddressMapping):
         for field_name in self.order:
             shift[field_name] = pos
             pos += widths[field_name]
-        line_shift = _log2(g.line_bytes, "line_bytes")
-        ch_s, ch_m = shift["channel"], g.channels - 1
-        rk_s, rk_m = shift["rank"], g.ranks_per_channel - 1
-        bk_s, bk_m = shift["bank"], g.banks_per_rank - 1
-        rw_s, rw_m = shift["row"], g.rows_per_bank - 1
-        lo_s, lo_m = shift["col_low"], (1 << col_low_bits) - 1
-        hi_s, hi_m = shift["col_high"], (1 << widths["col_high"]) - 1
-        bank_xor = bk_m if self.PERMUTE_BANK else 0
+        #: The one bit-layout definition (decompose, the DRAM system).
+        self.fields = BitLayout(
+            _log2(g.line_bytes, "line_bytes"),
+            *((shift[f], (1 << widths[f]) - 1)
+              for f in BitLayout._fields[1:-1]),
+            g.banks_per_rank - 1 if self.PERMUTE_BANK else 0)
+        line_shift, (ch_s, ch_m), (rk_s, rk_m), (bk_s, bk_m), \
+            (rw_s, rw_m), (lo_s, lo_m), (hi_s, hi_m), bank_xor = self.fields
         new = tuple.__new__
 
         def decompose(paddr: int) -> DramAddress:

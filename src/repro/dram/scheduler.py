@@ -137,8 +137,6 @@ class FRFCFSScheduler:
         """The oldest arrived request that would hit an open row of a
         currently idle bank."""
         for req in arrived:
-            addr = self.dram.decomposed(req.paddr)
-            bank = self.dram.bank(addr.bank_key)
-            if bank.open_row == addr.row and bank.busy_until <= req.arrival:
+            if self.dram.row_ready(req.paddr, req.arrival):
                 return req
         return None

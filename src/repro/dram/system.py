@@ -2,8 +2,8 @@
 
 A trace-driven, cycle-approximate model.  Each access:
 
-1. decomposes the physical address through the configured mapping
-   scheme (:mod:`repro.dram.mapping`);
+1. locates the physical address's bank and row through the configured
+   mapping scheme's bit layout (:mod:`repro.dram.mapping`);
 2. waits for its bank (serialization within a bank = limited MLP);
 3. pays the row-buffer outcome latency (hit / closed / conflict);
 4. waits for, then occupies, the channel data bus for one burst
@@ -14,7 +14,8 @@ computed: both engines' demand, prefetch and writeback traffic, the
 memory system's write drain, the FR-FCFS scheduler and the hybrid
 memory's DRAM tier all call it (:meth:`DramSystem.access` wraps it to
 report the outcome).  It stays a method, so a span on it sees every
-DRAM access.
+DRAM access; the work is a closure compiled from the mapping's
+:class:`~repro.dram.mapping.BitLayout` over flat per-bank lists.
 
 The same model serves reads and writes; read latency is what sits on
 the critical path (Section 6.4), so reads and writes are accounted
@@ -26,18 +27,28 @@ access behaves as a row hit.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.core.errors import ConfigurationError
 from repro.core.stats import Histogram
-from repro.dram.bank import Bank, BankStats, RowOutcome
 from repro.dram.mapping import (
     AddressMapping,
+    BitLayout,
     DramAddress,
     DramGeometry,
     make_mapping,
 )
 from repro.dram.timing import DramTiming, ddr3_1066
+
+
+class RowOutcome(enum.Enum):
+    """One access against its bank's row buffer (open-row policy)."""
+
+    HIT = "hit"
+    CLOSED = "closed"
+    CONFLICT = "conflict"
 
 
 @dataclass
@@ -88,6 +99,16 @@ class DramResult:
     address: DramAddress
 
 
+def check_compiled(dram: "DramSystem", owner: str) -> None:
+    """Refuse, naming ``owner``, a DRAM system whose mapping is not the
+    bit layout its access path was compiled from: one swapped in after
+    the system was built, or one with no field order at all."""
+    if getattr(dram.mapping, "fields", None) != dram.fields:
+        raise ConfigurationError(
+            f"{owner}: DRAM mapping {dram.mapping.name!r} is not the "
+            f"field-order layout the DRAM system was compiled from")
+
+
 class DramSystem:
     """Banks, channels, and the access path."""
 
@@ -98,56 +119,112 @@ class DramSystem:
         mapping: str = "scheme2",
         perfect_rbl: bool = False,
     ) -> None:
-        self.geometry = geometry or DramGeometry()
+        self.geometry = g = geometry or DramGeometry()
         self.timing = timing or ddr3_1066()
-        self.mapping: AddressMapping = make_mapping(mapping, self.geometry)
+        self.mapping: AddressMapping = make_mapping(mapping, g)
+        #: The bit layout the access path is compiled from.
+        self.fields: BitLayout = self.mapping.fields
         self.perfect_rbl = perfect_rbl
-        self._banks: Dict[Tuple[int, int, int], Bank] = {}
-        self._channel_free: List[float] = [0.0] * self.geometry.channels
-        #: paddr -> (DramAddress, Bank) memo.  The mapping is a pure
-        #: function of the address and the bank dict only grows, so the
-        #: pair can be cached; traces revisit a small working set of
-        #: lines, making this the dominant saving of the access path.
-        self._decomposed: Dict[int, Tuple[DramAddress, Bank]] = {}
+        n = g.total_banks
+        #: Per-bank state, indexed by the flat bank id: open row (-1
+        #: when closed), busy horizon, access and row-outcome counters.
+        self._open_row, self._busy_until = [-1] * n, [0.0] * n
+        self._bank_accesses, self._bank_hits = [0] * n, [0] * n
+        self._bank_closed, self._bank_conflicts = [0] * n, [0] * n
+        self._channel_free = [0.0] * g.channels
         self.stats = DramStats()
+        self.locate, self.order_key, self._access = self._compile()
 
-    def bank(self, key: Tuple[int, int, int]) -> Bank:
-        """The bank object for a (channel, rank, bank) triple."""
-        b = self._banks.get(key)
-        if b is None:
-            b = self._banks[key] = Bank()
-        return b
+    def _compile(self) -> Tuple[Callable, Callable, Callable]:
+        """Closures over the bit layout: ``locate(paddr) -> (bank id,
+        row)``; the write-drain key ``order_key(paddr)``, the bank id,
+        row and column packed into one int so that it orders exactly as
+        :class:`DramAddress` does; and :meth:`access_completes`'s body.
+        """
+        line_shift, (ch_s, ch_m), (rk_s, rk_m), (bk_s, bk_m), \
+            (rw_s, rw_m), (lo_s, lo_m), (hi_s, hi_m), bank_xor = self.fields
+        rk_bits, bk_bits = rk_m.bit_length(), bk_m.bit_length()
+        rw_bits, lo_bits = rw_m.bit_length(), lo_m.bit_length()
+        col_bits = lo_bits + hi_m.bit_length()
+        chan_shift = rk_bits + bk_bits
 
-    def _addr_bank(self, paddr: int) -> Tuple[DramAddress, Bank]:
-        ent = self._decomposed.get(paddr)
-        if ent is None:
-            addr = self.mapping.decompose(paddr)
-            ent = (addr, self.bank(addr.bank_key))
-            if len(self._decomposed) >= 1 << 20:
-                self._decomposed.clear()
-            self._decomposed[paddr] = ent
-        return ent
+        def locate(paddr: int) -> Tuple[int, int]:
+            line = paddr >> line_shift
+            row = (line >> rw_s) & rw_m
+            return ((((line >> ch_s) & ch_m) << rk_bits
+                     | (line >> rk_s) & rk_m) << bk_bits
+                    | (line >> bk_s) & bk_m) ^ (row & bank_xor), row
 
-    def decomposed(self, paddr: int) -> DramAddress:
-        """Memoized :meth:`AddressMapping.decompose` for this system."""
-        return self._addr_bank(paddr)[0]
+        def order_key(paddr: int) -> int:
+            bank, row = locate(paddr)
+            line = paddr >> line_shift
+            return ((bank << rw_bits | row) << col_bits
+                    | ((line >> hi_s) & hi_m) << lo_bits
+                    | (line >> lo_s) & lo_m)
+
+        t = self.timing
+        t_burst, t_cl, t_rcd = t.t_burst, t.t_cl, t.t_rcd
+        t_rp_rcd = t.t_rp + t.t_rcd
+        open_row, busy_until = self._open_row, self._busy_until
+        bank_accesses, bank_hits = self._bank_accesses, self._bank_hits
+        bank_closed, bank_conflicts = self._bank_closed, self._bank_conflicts
+        channel_free = self._channel_free
+        stats = self.stats
+        read_record = stats.read_latency_hist.record
+        write_record = stats.write_latency_hist.record
+
+        def access(paddr: int, now: float, is_write: bool) -> float:
+            bank, row = locate(paddr)
+            busy = busy_until[bank]
+            start = now if now > busy else busy
+            was = open_row[bank]
+            bank_accesses[bank] += 1
+            if was == row or self.perfect_rbl:
+                stats.row_hits += 1
+                bank_hits[bank] += 1
+                overhead = 0.0
+            elif was < 0:
+                stats.row_closed += 1
+                bank_closed[bank] += 1
+                overhead = t_rcd
+            else:
+                stats.row_conflicts += 1
+                bank_conflicts[bank] += 1
+                overhead = t_rp_rcd
+            open_row[bank] = row
+            busy_until[bank] = start + overhead + t_burst
+            data_ready = start + overhead + t_cl
+            channel = bank >> chan_shift
+            free_at = channel_free[channel]
+            done = (data_ready if data_ready > free_at else free_at) \
+                + t_burst
+            channel_free[channel] = done
+            latency = done - now
+            if is_write:
+                stats.writes += 1
+                stats.write_latency_sum += latency
+                write_record(latency)
+            else:
+                stats.reads += 1
+                stats.read_latency_sum += latency
+                read_record(latency)
+            return done
+
+        return locate, order_key, access
 
     def access(self, paddr: int, now: float,
                is_write: bool = False) -> DramResult:
         """:meth:`access_completes`, reported as a :class:`DramResult`
         whose outcome is the one the access recorded."""
-        addr, bank = self._addr_bank(paddr)
-        bstats = bank.stats
-        hits, closed = bstats.row_hits, bstats.row_closed
+        bank = self.locate(paddr)[0]
+        hits, closed = self._bank_hits[bank], self._bank_closed[bank]
         done = self.access_completes(paddr, now, is_write)
-        if bstats.row_hits != hits:
-            outcome = RowOutcome.HIT
-        elif bstats.row_closed != closed:
-            outcome = RowOutcome.CLOSED
-        else:
-            outcome = RowOutcome.CONFLICT
+        outcome = (RowOutcome.HIT if self._bank_hits[bank] != hits
+                   else RowOutcome.CLOSED if self._bank_closed[bank] != closed
+                   else RowOutcome.CONFLICT)
         return DramResult(latency=done - now, completes_at=done,
-                          outcome=outcome, address=addr)
+                          outcome=outcome,
+                          address=self.mapping.decompose(paddr))
 
     def access_completes(self, paddr: int, now: float,
                          is_write: bool = False) -> float:
@@ -163,47 +240,13 @@ class DramSystem:
         burst after the access's row overhead: only activates and
         precharges serialize at full latency.
         """
-        ent = self._decomposed.get(paddr)
-        addr, bank = ent if ent is not None else self._addr_bank(paddr)
-        timing = self.timing
-        stats = self.stats
-        bstats = bank.stats
-        busy = bank.busy_until
-        start = now if now > busy else busy
-        row = addr.row
-        open_row = bank.open_row
-        bstats.accesses += 1
-        if self.perfect_rbl or open_row == row:
-            stats.row_hits += 1
-            bstats.row_hits += 1
-            overhead = 0.0
-        elif open_row is None:
-            stats.row_closed += 1
-            bstats.row_closed += 1
-            overhead = timing.t_rcd
-        else:
-            stats.row_conflicts += 1
-            bstats.row_conflicts += 1
-            overhead = timing.t_rp + timing.t_rcd
-        bank.open_row = row
-        bank.busy_until = start + overhead + timing.t_burst
-        data_ready = start + overhead + timing.t_cl
-        channel_free = self._channel_free
-        channel = addr.channel
-        free_at = channel_free[channel]
-        done = (data_ready if data_ready > free_at else free_at) \
-            + timing.t_burst
-        channel_free[channel] = done
-        latency = done - now
-        if is_write:
-            stats.writes += 1
-            stats.write_latency_sum += latency
-            stats.write_latency_hist.record(latency)
-        else:
-            stats.reads += 1
-            stats.read_latency_sum += latency
-            stats.read_latency_hist.record(latency)
-        return done
+        return self._access(paddr, now, is_write)
+
+    def row_ready(self, paddr: int, t: float) -> bool:
+        """Whether an access to ``paddr`` at time ``t`` would hit the
+        open row of an idle bank (the FR-FCFS "first ready" test)."""
+        bank, row = self.locate(paddr)
+        return self._open_row[bank] == row and self._busy_until[bank] <= t
 
     # -- Introspection ------------------------------------------------------
 
@@ -216,35 +259,35 @@ class DramSystem:
     def bank_summary(self) -> Dict[str, float]:
         """Counters summed across banks, plus how many were touched.
 
-        ``banks_touched`` is the run's bank-level parallelism; the
-        summed row counters cross-check the system totals.
+        ``banks_touched`` (and ``banks``) is the run's bank-level
+        parallelism; the summed row counters cross-check the system.
         """
-        agg = BankStats()
-        touched = 0
-        for bank in self._banks.values():
-            if bank.stats.accesses:
-                touched += 1
-            agg.add(bank.stats)
+        touched = self.banks_touched()
+        accesses, hits = sum(self._bank_accesses), sum(self._bank_hits)
         return {
-            "banks": len(self._banks),
+            "banks": touched,
             "banks_touched": touched,
-            "accesses": agg.accesses,
-            "row_hits": agg.row_hits,
-            "row_closed": agg.row_closed,
-            "row_conflicts": agg.row_conflicts,
-            "row_hit_rate": agg.row_hit_rate,
+            "accesses": accesses,
+            "row_hits": hits,
+            "row_closed": sum(self._bank_closed),
+            "row_conflicts": sum(self._bank_conflicts),
+            "row_hit_rate": hits / accesses if accesses else 0.0,
         }
 
     def bank_row_hit_rates(self) -> Dict[Tuple[int, int, int], float]:
-        """Per-bank RBL, for placement diagnostics."""
-        return {key: b.stats.row_hit_rate for key, b in self._banks.items()}
+        """Per-bank RBL of the touched banks, keyed by
+        ``(channel, rank, bank)``, for placement diagnostics."""
+        ranks = self.geometry.ranks_per_channel
+        banks = self.geometry.banks_per_rank
+        return {(i // banks // ranks, i // banks % ranks, i % banks):
+                self._bank_hits[i] / n
+                for i, n in enumerate(self._bank_accesses) if n}
 
     def banks_touched(self) -> int:
         """Number of banks that serviced at least one request (MLP)."""
-        return sum(1 for b in self._banks.values() if b.stats.accesses)
+        return sum(1 for n in self._bank_accesses if n)
 
     def reset_time(self) -> None:
         """Zero the busy horizons (new measurement interval)."""
-        for b in self._banks.values():
-            b.busy_until = 0.0
-        self._channel_free = [0.0] * self.geometry.channels
+        self._busy_until[:] = [0.0] * len(self._busy_until)
+        self._channel_free[:] = [0.0] * len(self._channel_free)

@@ -84,7 +84,7 @@ from repro.cpu.vector_engine import (
     _llc_ops,
     fold_ceiling,
 )
-from repro.dram.system import DramSystem
+from repro.dram.system import DramSystem, check_compiled
 from repro.mem.cache import Cache
 from repro.mem.mshr import MSHRFile
 from repro.mem.prefetch import MultiStridePrefetcher, XMemPrefetcher
@@ -258,6 +258,7 @@ class CorunSystem:
         self.dram = DramSystem(geometry=config.dram_geometry,
                                timing=config.timing(),
                                mapping=config.dram_mapping)
+        check_compiled(self.dram, "corun's DRAM")
         self.stride_pf = MultiStridePrefetcher(
             streams=config.prefetcher.streams,
             degree=config.prefetcher.degree,

@@ -905,8 +905,7 @@ def record_suite_trace(name: str, accesses: int,
         )
         builder.op(XMemOp("atom_map", atom, bases[s.name], s.size_bytes))
         builder.op(XMemOp("atom_activate", atom))
-    for ev in workload.trace(bases):
-        builder.access(ev.vaddr, ev.is_write, ev.work)
+    workload.pack_into(builder, bases)
     return TraceRecording(
         kernel=f"suite:{name}", n=accesses, tile=0, instrumented=True,
         setup=recorder.log, packed=builder.build(),

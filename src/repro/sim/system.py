@@ -133,13 +133,14 @@ class MemorySystem:
 
         Sorting by (bank, row) is what an FR-FCFS controller's write
         drain achieves: consecutive writes to the same row become row
-        hits instead of ping-ponging the row buffer under reads.  A
-        DramAddress orders as (bank key, row, column): it is the key.
+        hits instead of ping-ponging the row buffer under reads.  The
+        key is the DRAM's ``order_key``: (bank, row, column) packed
+        into one int, ordered as a DramAddress is.
         """
         if not self._write_buffer:
             return
         dram = self.dram
-        for line in sorted(self._write_buffer, key=dram.decomposed):
+        for line in sorted(self._write_buffer, key=dram.order_key):
             dram.access_completes(line, now, is_write=True)
         self._write_buffer.clear()
 

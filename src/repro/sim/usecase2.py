@@ -18,9 +18,13 @@ Composes the three systems Figure 7/8 compare, for one workload model:
 Every system runs on the single-core engine (:mod:`repro.cpu.tiers`):
 each is of the shipped shape, so it takes the split interpreter.
 The workload's pages are backed when it is instantiated, so address
-translation during the run is a pure page-table lookup: the access
-stream is translated once per access while it is packed, and the
-engine runs on physical addresses.
+translation during the run is a pure page-table lookup.  The access
+stream is packed directly into the trace arrays
+(:meth:`~repro.workloads.suite.spec.SuiteWorkload.pack_into`), with no
+event object per access: each address is translated by one lookup in
+the process's page map as it is appended, and the engine runs on
+physical addresses.  Truncated probes (``accesses=``) pack the
+stream's first accesses the same way.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Dict, Iterable, Optional
 from repro.core.errors import ConfigurationError
 from repro.cpu.engine import TraceEngine
 from repro.cpu.tiers import run_tier
-from repro.cpu.trace import PackedTrace, TraceBuilder
+from repro.cpu.trace import TraceBuilder
 from repro.dram.system import DramSystem
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.prefetch import MultiStridePrefetcher
@@ -132,10 +136,11 @@ def run_system(
                          issue_width=cfg.cpu.issue_width,
                          window=cfg.cpu.window)
 
-    trace = workload.trace(bases)
-    if accesses is not None:
-        trace = _truncate(trace, accesses)
-    stats = run_tier(engine, _pack_physical(trace, proc.translate))
+    trace = TraceBuilder()
+    workload.pack_into(trace, bases, frames=dict(proc.page_table.items()),
+                       page_bytes=proc.page_table.page_bytes,
+                       accesses=accesses)
+    stats = run_tier(engine, trace.build())
 
     record = RunRecord(
         workload=workload.name,
@@ -198,21 +203,3 @@ def run_figure7(
         "ideal": run_system(workload, "ideal", config, mapping,
                             collect=collect),
     }
-
-
-def _pack_physical(trace, translate) -> PackedTrace:
-    """Pack a suite access stream, translating each address once."""
-    out = TraceBuilder()
-    access = out.access
-    for ev in trace:
-        access(translate(ev.vaddr), ev.is_write, ev.work)
-    return out.build()
-
-
-def _truncate(trace, limit: int):
-    count = 0
-    for ev in trace:
-        yield ev
-        count += 1
-        if count >= limit:
-            return

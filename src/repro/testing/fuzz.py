@@ -31,13 +31,17 @@ Seven lanes, each pairing a hot-path implementation with its oracle
   writeback addresses, eviction/refusal counts, pinned totals, and the
   final resident set must match.
 * ``dram``    -- timed FIFO request streams, under every mapping
-  scheme and with ``perfect_rbl`` drawn in a quarter of the cases,
-  through :class:`~repro.dram.system.DramSystem` (whose
+  scheme on a drawn geometry (1, 2 or 4 channels, 1 or 2 ranks, 4, 8
+  or 16 banks, a capacity small enough that the generated addresses
+  reach every field and alias past it) and with ``perfect_rbl`` drawn
+  in a quarter of the cases, through
+  :class:`~repro.dram.system.DramSystem` (whose
   ``access_completes`` is every engine's DRAM access) and the naive
   :class:`~repro.testing.oracles.ReferenceDram`: per-request row
   outcome, latency, and completion time, plus the final counters, the
   read and write latency histograms and the per-bank row counters.
-* ``sched``   -- request lists through
+* ``sched``   -- request lists, on the ``dram`` lane's drawn
+  geometries, through
   :class:`~repro.dram.scheduler.FRFCFSScheduler`: every request
   serviced exactly once, completions self-consistent, service never
   before arrival (starvation bounds are the scheduler's own
@@ -78,7 +82,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cpu.trace import MemAccess, PackedTrace, TraceEvent, Work, XMemOp
-from repro.dram.mapping import ALL_SCHEMES
+from repro.dram.mapping import ALL_SCHEMES, DramGeometry
 from repro.testing import generators
 from repro.testing.generators import GenConfig, setup_atoms
 from repro.testing.oracles import (
@@ -444,6 +448,34 @@ class CacheLane(Lane):
         return None
 
 
+#: The geometry keys of ``dram`` and ``sched`` reproducers.
+GEOMETRY_KEYS = ("channels", "ranks_per_channel", "banks_per_rank",
+                 "capacity_bytes")
+
+
+def draw_geometry(rng: random.Random) -> dict:
+    """A DRAM geometry as reproducer params: 1, 2 or 4 channels, 1 or
+    2 ranks, 4, 8 or 16 banks of 8 KB rows, and a capacity of at least
+    one row per bank and at most 2 MB -- the size of the generated
+    request streams' address range, so the high fields and the
+    wrap-around past capacity are both exercised."""
+    params = {"channels": rng.choice((1, 2, 4)),
+              "ranks_per_channel": rng.choice((1, 2)),
+              "banks_per_rank": rng.choice((4, 8, 16))}
+    rows_floor = (params["channels"] * params["ranks_per_channel"]
+                  * params["banks_per_rank"] * DramGeometry.row_bytes)
+    params["capacity_bytes"] = 1 << rng.randint(
+        rows_floor.bit_length() - 1, 21)
+    return params
+
+
+def params_geometry(params: dict) -> DramGeometry:
+    """The geometry a reproducer names; the default one for
+    reproducers written before geometries were drawn."""
+    return DramGeometry(**{k: params[k] for k in GEOMETRY_KEYS
+                           if k in params})
+
+
 class DramLane(Lane):
     """FIFO-issued DramSystem vs. the naive open-row reference."""
 
@@ -460,7 +492,8 @@ class DramLane(Lane):
             write_frac=rng.uniform(0.0, 0.5),
         )
         params = {"mapping": rng.choice(self.MAPPINGS),
-                  "perfect_rbl": rng.random() < 0.25}
+                  "perfect_rbl": rng.random() < 0.25,
+                  **draw_geometry(rng)}
         return params, generators.generate_requests(cfg)
 
     def fail(self, params: dict, items: list) -> Optional[str]:
@@ -468,9 +501,10 @@ class DramLane(Lane):
 
         # Reproducers written before the draw replay with it off.
         perfect_rbl = params.get("perfect_rbl", False)
-        dram = DramSystem(mapping=params["mapping"],
+        geometry = params_geometry(params)
+        dram = DramSystem(geometry=geometry, mapping=params["mapping"],
                           perfect_rbl=perfect_rbl)
-        ref = ReferenceDram(mapping=params["mapping"],
+        ref = ReferenceDram(geometry=geometry, mapping=params["mapping"],
                             perfect_rbl=perfect_rbl)
         for step, (paddr, arrival, is_write) in enumerate(items):
             res = dram.access(paddr, arrival, is_write=bool(is_write))
@@ -519,7 +553,8 @@ class SchedLane(Lane):
             regions=rng.randint(1, 3),
             region_bytes=1 << rng.randint(13, 16),
         )
-        params = {"mapping": rng.choice(DramLane.MAPPINGS)}
+        params = {"mapping": rng.choice(DramLane.MAPPINGS),
+                  **draw_geometry(rng)}
         return params, generators.generate_requests(cfg)
 
     def fail(self, params: dict, items: list) -> Optional[str]:
@@ -528,7 +563,8 @@ class SchedLane(Lane):
 
         requests = [Request(paddr, arrival, bool(is_write), req_id=i)
                     for i, (paddr, arrival, is_write) in enumerate(items)]
-        sched = FRFCFSScheduler(DramSystem(mapping=params["mapping"]))
+        sched = FRFCFSScheduler(DramSystem(
+            geometry=params_geometry(params), mapping=params["mapping"]))
         completions = sched.service(list(requests))
         if len(completions) != len(requests):
             return (f"{len(requests)} requests but "

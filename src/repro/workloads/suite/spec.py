@@ -22,8 +22,14 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.attributes import PatternType, RWChar
-from repro.core.errors import ConfigurationError
-from repro.cpu.trace import MemAccess, TraceEvent
+from repro.core.errors import ConfigurationError, TranslationError
+from repro.cpu.trace import (
+    META_COUNT_SHIFT,
+    META_WRITE_BIT,
+    TraceBuilder,
+    TraceEvent,
+)
+from repro.xos.phys import PAGE_BYTES
 
 #: Cache-line granularity of generated accesses.
 LINE = 64
@@ -33,6 +39,10 @@ LINE = 64
 #: (heavy MPKI) without being purely bus-saturated: both latency and
 #: bandwidth effects remain visible.
 WORK_PER_ACCESS = 24
+
+#: :meth:`SuiteWorkload.pack_into`'s per-pattern address rule.
+_KIND = {PatternType.REGULAR: 0, PatternType.IRREGULAR: 1,
+         PatternType.NON_DET: 2}
 
 
 @dataclass(frozen=True)
@@ -136,47 +146,96 @@ class SuiteWorkload:
 
     def trace(self, bases: Dict[str, int],
               seed: Optional[int] = None) -> Iterator[TraceEvent]:
-        """Deterministic interleaved access stream.
+        """Deterministic interleaved access stream, as event objects.
 
         ``bases`` maps structure names to base virtual addresses (from
-        :meth:`instantiate`, or any synthetic layout in tests).
+        :meth:`instantiate`, or any synthetic layout in tests).  The
+        stream is :meth:`pack_into`'s, unpacked.
+        """
+        out = TraceBuilder()
+        self.pack_into(out, bases, seed=seed)
+        yield from out.build().events()
+
+    def pack_into(self, out: TraceBuilder, bases: Dict[str, int],
+                  frames: Optional[Dict[int, int]] = None,
+                  page_bytes: int = PAGE_BYTES,
+                  accesses: Optional[int] = None,
+                  seed: Optional[int] = None) -> None:
+        """Append the access stream to ``out``'s ``vaddr``/``meta``
+        arrays, one entry per access and no event object.
+
+        The stream is a function of the workload name (or ``seed``): a
+        weighted 512-slot schedule of the structures, one shuffled line
+        order per IRREGULAR structure, then per access the structure's
+        next address and, unless it is read-only, a write draw.
+        ``frames`` (virtual page -> physical frame of ``page_bytes``
+        pages: a page table's map) translates each address as it is
+        appended, raising :class:`TranslationError` for an unmapped
+        page.  ``accesses`` keeps only the stream's first that many.
         """
         rng = random.Random(seed if seed is not None
                             else _name_seed(self.name))
-        cursors = {s.name: 0 for s in self.structures}
+        structures = self.structures
         # Repeatable irregular sequences: one shuffled line order per
         # IRREGULAR structure.
-        irregular_orders: Dict[str, List[int]] = {}
-        for s in self.structures:
+        orders: List[Optional[List[int]]] = []
+        for s in structures:
             if s.pattern is PatternType.IRREGULAR:
                 lines = list(range(s.size_bytes // LINE))
                 rng.shuffle(lines)
-                irregular_orders[s.name] = lines
-        schedule = self._schedule(rng)
+                orders.append(lines)
+            else:
+                orders.append(None)
+        # A fixed-length weighted interleaving of the structures.
+        schedule = rng.choices(range(len(structures)),
+                               weights=[s.intensity for s in structures],
+                               k=512)
+        base = [0] * len(structures)
+        for k in set(schedule):
+            base[k] = bases[structures[k].name]
+            if base[k] < 0:
+                raise ConfigurationError(
+                    f"{self.name}.{structures[k].name}: negative base "
+                    f"address {base[k]:#x}")
+        kind = [_KIND[s.pattern] for s in structures]
+        size = [s.size_bytes for s in structures]
+        stride = [s.stride_bytes for s in structures]
+        lines_in = [s.size_bytes // LINE for s in structures]
+        writes = [s.rw is not RWChar.READ_ONLY for s in structures]
+        write_fraction = [s.write_fraction for s in structures]
+        cursor = [0] * len(structures)
+        read_meta = WORK_PER_ACCESS << META_COUNT_SHIFT
+        write_meta = read_meta | META_WRITE_BIT
+        append_addr = out.vaddr.append
+        append_meta = out.meta.append
+        draw = rng.random
+        randrange = rng.randrange
         n_sched = len(schedule)
-        for i in range(self.accesses):
-            s = schedule[i % n_sched]
-            base = bases[s.name]
-            lines_in = s.size_bytes // LINE
-            if s.pattern is PatternType.REGULAR:
-                cursors[s.name] = (cursors[s.name] + s.stride_bytes) \
-                    % s.size_bytes
-                addr = base + cursors[s.name]
-            elif s.pattern is PatternType.IRREGULAR:
-                order = irregular_orders[s.name]
-                idx = order[cursors[s.name] % len(order)]
-                cursors[s.name] += 1
-                addr = base + idx * LINE
-            else:  # NON_DET
-                addr = base + rng.randrange(lines_in) * LINE
-            is_write = (s.rw is not RWChar.READ_ONLY
-                        and rng.random() < s.write_fraction)
-            yield MemAccess(addr, is_write, work=WORK_PER_ACCESS)
-
-    def _schedule(self, rng: random.Random) -> List[StructureSpec]:
-        """A fixed-length weighted interleaving of the structures."""
-        weights = [s.intensity for s in self.structures]
-        return rng.choices(self.structures, weights=weights, k=512)
+        count = self.accesses if accesses is None \
+            else min(accesses, self.accesses)
+        for i in range(count):
+            k = schedule[i % n_sched]
+            pattern = kind[k]
+            if pattern == 0:        # REGULAR
+                c = (cursor[k] + stride[k]) % size[k]
+                cursor[k] = c
+                addr = base[k] + c
+            elif pattern == 1:      # IRREGULAR
+                order = orders[k]
+                c = cursor[k]
+                addr = base[k] + order[c % len(order)] * LINE
+                cursor[k] = c + 1
+            else:                   # NON_DET
+                addr = base[k] + randrange(lines_in[k]) * LINE
+            if frames is not None:
+                try:
+                    frame = frames[addr // page_bytes]
+                except KeyError:
+                    raise TranslationError(addr) from None
+                addr = frame * page_bytes + addr % page_bytes
+            append_addr(addr)
+            append_meta(write_meta if writes[k]
+                        and draw() < write_fraction[k] else read_meta)
 
 
 def _name_seed(name: str) -> int:

@@ -274,11 +274,12 @@ class TestEligibility:
         assert groups == [(1, False)] and grids == [None]
 
     @pytest.mark.parametrize("off", ["memory", "l1-latency",
-                                     "fractional-latency"])
+                                     "fractional-latency", "dram-mapping"])
     def test_off_shape_is_refused(self, off):
         """Machines the interpreter is not written for raise
         ConfigurationError naming the component."""
         from repro.cpu.engine import TraceEngine
+        from repro.dram.mapping import make_mapping
         from repro.testing.oracles import ToyMemory
 
         h, trace = self._handle()
@@ -289,6 +290,9 @@ class TestEligibility:
         elif off == "l1-latency":
             h.memory.hierarchy.latencies[0] = 5
             match = "L1 latency 5 exceeds"
+        elif off == "dram-mapping":
+            h.dram.mapping = make_mapping("scheme5", h.dram.geometry)
+            match = "engine's DRAM: DRAM mapping 'scheme5'"
         else:
             h.memory.hierarchy.latencies[1] = 8.5
             match = "whole cycles"

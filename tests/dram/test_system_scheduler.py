@@ -1,12 +1,20 @@
 """Tests for the DRAM system and FR-FCFS scheduler."""
 
+import random
+
 import pytest
 
-from repro.dram.bank import RowOutcome
-from repro.dram.mapping import DramGeometry
+from repro.core.errors import ConfigurationError
+from repro.dram.mapping import (
+    ALL_SCHEMES,
+    AddressMapping,
+    DramGeometry,
+    make_mapping,
+)
 from repro.dram.scheduler import FRFCFSScheduler, Request
-from repro.dram.system import DramSystem
+from repro.dram.system import DramSystem, RowOutcome, check_compiled
 from repro.dram.timing import ddr3_1066
+from repro.testing.oracles import ReferenceDram, reference_decompose
 
 T = ddr3_1066()
 
@@ -50,18 +58,21 @@ class TestBank:
         d.perfect_rbl = True
         r = d.access(self.row(d, 2), 100.0)
         assert r.completes_at - T.t_burst == pytest.approx(100 + T.t_cl)
-        stats = d.bank(r.address.bank_key).stats
-        assert stats.row_hits == 1
-        assert stats.row_closed == 1
+        stats = d.bank_summary()
+        assert stats["banks_touched"] == 1
+        assert stats["row_hits"] == 1
+        assert stats["row_closed"] == 1
 
     def test_stats(self):
         d = small_system()
         d.access(self.row(d, 1), 0.0)
         d.access(self.row(d, 1), 0.0)
         r = d.access(self.row(d, 2), 0.0)
-        stats = d.bank(r.address.bank_key).stats
-        assert stats.accesses == 3
-        assert stats.row_hit_rate == pytest.approx(1 / 3)
+        stats = d.bank_summary()
+        assert stats["banks_touched"] == 1
+        assert stats["accesses"] == 3
+        assert d.bank_row_hit_rates()[r.address.bank_key] == \
+            pytest.approx(1 / 3)
 
 
 class TestDramSystem:
@@ -204,3 +215,93 @@ class TestFRFCFS:
             [Request(paddr=i * 64, arrival=0.0, req_id=i) for i in range(10)]
         )
         assert all(c.latency > 0 for c in completions)
+
+
+class TestCompiledLayout:
+    """The compiled access path, write-drain key and introspection on
+    a 4-channel, 2-rank, 16-bank geometry, against the mapping's own
+    decomposition and the naive ReferenceDram."""
+
+    GEOMETRY = DramGeometry(channels=4, ranks_per_channel=2,
+                            banks_per_rank=16, capacity_bytes=1 << 28)
+
+    @staticmethod
+    def lines(seed, count=3000):
+        rng = random.Random(seed)
+        # Beyond capacity too: aliased lines must tie with their twins.
+        return [rng.randrange(1 << 30) // 64 * 64 for _ in range(count)]
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_order_key_orders_as_decompose(self, scheme):
+        d = DramSystem(geometry=self.GEOMETRY, mapping=scheme)
+        lines = self.lines(1)
+        lines += [a + self.GEOMETRY.capacity_bytes for a in lines[:200]]
+        assert sorted(lines, key=d.order_key) == \
+            sorted(lines, key=d.mapping.decompose)
+        keys = {d.order_key(a): d.mapping.decompose(a) for a in lines}
+        assert len(keys) == len({d.mapping.decompose(a) for a in lines})
+
+    @pytest.mark.parametrize("scheme", ["scheme2", "scheme5",
+                                        "permutation"])
+    def test_introspection_matches_reference(self, scheme):
+        d = DramSystem(geometry=self.GEOMETRY, mapping=scheme)
+        ref = ReferenceDram(geometry=self.GEOMETRY, mapping=scheme)
+        rng = random.Random(2)
+        hot = self.lines(3, 64)
+        per_bank = {}
+        now = 0.0
+
+        def run(count):
+            nonlocal now
+            for _ in range(count):
+                now += rng.randrange(0, 40) / 4.0
+                paddr = rng.choice(hot)
+                is_write = rng.random() < 0.3
+                done = d.access_completes(paddr, now, is_write)
+                outcome, _, want = ref.access(paddr, now, is_write)
+                assert done == want
+                key = reference_decompose(ref.mapping, paddr).bank_key
+                n, hits = per_bank.get(key, (0, 0))
+                per_bank[key] = (n + 1, hits + (outcome == "hit"))
+
+        run(1500)
+        d.reset_time()
+        for bank in ref.banks.values():
+            bank[1] = 0.0
+        ref.channel_free = [0.0] * self.GEOMETRY.channels
+        now = 0.0
+        run(1500)
+        summary = d.bank_summary()
+        total = ref.reads + ref.writes
+        assert summary == {
+            "banks": len(ref.banks),
+            "banks_touched": len(ref.banks),
+            "accesses": total,
+            "row_hits": ref.row_hits,
+            "row_closed": ref.row_closed,
+            "row_conflicts": ref.row_conflicts,
+            "row_hit_rate": ref.row_hits / total,
+        }
+        assert d.banks_touched() == len(ref.banks)
+        assert d.bank_row_hit_rates() == {
+            key: hits / n for key, (n, hits) in per_bank.items()}
+
+    def test_row_ready(self):
+        d = small_system()
+        g = d.geometry
+        other_row = g.row_bytes * g.banks_per_rank * g.channels
+        assert not d.row_ready(0, 0.0)              # bank closed
+        done = d.access_completes(0, 0.0)
+        assert not d.row_ready(64, 0.0)             # bank busy
+        assert d.row_ready(64, done)                # open row, idle
+        assert not d.row_ready(other_row, done)     # another row
+
+    def test_swapped_mapping_is_refused(self):
+        d = small_system()
+        check_compiled(d, "test")
+        d.mapping = make_mapping("scheme5", d.geometry)
+        with pytest.raises(ConfigurationError, match="test: DRAM mapping"):
+            check_compiled(d, "test")
+        d.mapping = AddressMapping(d.geometry)
+        with pytest.raises(ConfigurationError, match="field-order"):
+            check_compiled(d, "test")

@@ -43,6 +43,22 @@ class TestBasics:
             with pytest.raises(ConfigurationError, match="line size"):
                 CorunSystem(cfg, 1)
 
+    def test_shape_gate_dram_mapping(self, monkeypatch):
+        """The DRAM must run the access path compiled from its
+        mapping's bit layout."""
+        from repro.dram.mapping import make_mapping
+        from repro.dram.system import DramSystem
+        from repro.sim import corun
+
+        class Swapped(DramSystem):
+            def __init__(self, **kw):
+                super().__init__(**kw)
+                self.mapping = make_mapping("scheme5", self.geometry)
+
+        monkeypatch.setattr(corun, "DramSystem", Swapped)
+        with pytest.raises(ConfigurationError, match="corun's DRAM"):
+            CorunSystem(scaled_config(16), 1)
+
     def test_trace_count_validation(self):
         sys_ = CorunSystem(scaled_config(16), 2)
         with pytest.raises(ConfigurationError):

@@ -93,19 +93,37 @@ class TestEngineTiers:
         assert seen == [1]
 
     def test_one_translation_per_access(self, monkeypatch):
-        from repro.xos.loader import Process
+        """Each access is translated once, while the stream is packed:
+        the engine runs exactly the virtual stream's accesses, each
+        through the process's page map."""
+        from repro.cpu.trace import TraceBuilder
+        from repro.sim import usecase2
+        from repro.workloads.suite.spec import SuiteWorkload
 
-        calls = []
-        real = Process.translate
+        packed, ran = [], []
+        real_pack = SuiteWorkload.pack_into
+        real_run = usecase2.run_tier
 
-        def counting(proc, vaddr):
-            calls.append(vaddr)
-            return real(proc, vaddr)
+        def pack_spy(workload, out, bases, **kw):
+            packed.append((workload, bases, kw))
+            return real_pack(workload, out, bases, **kw)
 
-        monkeypatch.setattr(Process, "translate", counting)
+        def run_spy(engine, trace):
+            ran.append(trace)
+            return real_run(engine, trace)
+
+        monkeypatch.setattr(SuiteWorkload, "pack_into", pack_spy)
+        monkeypatch.setattr(usecase2, "run_tier", run_spy)
         r = run_system(BY_NAME["lbm"], "baseline", accesses=700,
                        collect=True)
-        assert len(calls) == r.stats["engine"]["mem_accesses"] == 700
+        (workload, bases, kw), = packed
+        virtual = TraceBuilder()
+        real_pack(workload, virtual, bases, accesses=kw["accesses"])
+        frames, page = kw["frames"], kw["page_bytes"]
+        assert list(ran[0].vaddr) == [
+            frames[va // page] * page + va % page for va in virtual.vaddr]
+        assert len(ran[0].vaddr) == r.stats["engine"]["mem_accesses"] \
+            == 700
 
 
 def stats_digest(stats) -> str:

@@ -169,7 +169,7 @@ class TestMutationCanary:
 
         def drifted(self, paddr, now, is_write=False):
             done = real(self, paddr, now, is_write)
-            self._addr_bank(paddr)[1].busy_until += 0.5
+            self._busy_until[self.locate(paddr)[0]] += 0.5
             return done
 
         with pytest.MonkeyPatch.context() as mp:

@@ -1,10 +1,13 @@
 """Tests for the 27-workload Use-Case-2 suite."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.core.attributes import PatternType, RWChar
-from repro.core.errors import ConfigurationError
-from repro.cpu.trace import MemAccess
+from repro.core.errors import ConfigurationError, TranslationError
+from repro.cpu.trace import MemAccess, TraceBuilder
 from repro.dram.mapping import DramGeometry
 from repro.workloads.suite import (
     BY_NAME,
@@ -13,6 +16,7 @@ from repro.workloads.suite import (
     SUITE,
     StructureSpec,
     SuiteWorkload,
+    WORK_PER_ACCESS,
     graph,
     stream,
     table,
@@ -158,3 +162,103 @@ class TestInstantiation:
         w.instantiate(proc)
         assert proc.placement is not None
         assert proc.placement.isolated
+
+
+def object_stream(w, bases, seed=None):
+    """The suite stream as one object per access, restated from the
+    per-structure-name generator the direct packer replaced (same
+    draws in the same order): the oracle for :meth:`pack_into`."""
+    rng = random.Random(seed if seed is not None else sum(
+        (i + 1) * ord(ch) for i, ch in enumerate(w.name)))
+    cursors = {s.name: 0 for s in w.structures}
+    irregular = {}
+    for s in w.structures:
+        if s.pattern is PatternType.IRREGULAR:
+            lines = list(range(s.size_bytes // 64))
+            rng.shuffle(lines)
+            irregular[s.name] = lines
+    schedule = rng.choices(w.structures,
+                           weights=[s.intensity for s in w.structures],
+                           k=512)
+    for i in range(w.accesses):
+        s = schedule[i % len(schedule)]
+        if s.pattern is PatternType.REGULAR:
+            cursors[s.name] = (cursors[s.name] + s.stride_bytes) \
+                % s.size_bytes
+            addr = bases[s.name] + cursors[s.name]
+        elif s.pattern is PatternType.IRREGULAR:
+            order = irregular[s.name]
+            addr = bases[s.name] + order[cursors[s.name] % len(order)] * 64
+            cursors[s.name] += 1
+        else:
+            addr = bases[s.name] \
+                + rng.randrange(s.size_bytes // 64) * 64
+        is_write = (s.rw is not RWChar.READ_ONLY
+                    and rng.random() < s.write_fraction)
+        yield MemAccess(addr, is_write, work=WORK_PER_ACCESS)
+
+
+def object_pack(events, translate=lambda va: va):
+    out = TraceBuilder()
+    for ev in events:
+        out.access(translate(ev.vaddr), ev.is_write, ev.work)
+    return out.build()
+
+
+def columns(packed):
+    return list(packed.vaddr), list(packed.meta), packed.xmem
+
+
+class TestDirectPacking:
+    """``pack_into`` appends exactly the object stream's pack."""
+
+    ACCESSES = 3000
+
+    @pytest.mark.parametrize("name", sorted(BY_NAME))
+    def test_virtual_equals_object_pack(self, name):
+        w = dataclasses.replace(BY_NAME[name], accesses=self.ACCESSES)
+        bases = synthetic_bases(w)
+        out = TraceBuilder()
+        w.pack_into(out, bases)
+        assert columns(out.build()) == columns(
+            object_pack(object_stream(w, bases)))
+
+    @pytest.mark.parametrize("name", sorted(BY_NAME))
+    def test_physical_equals_translated_object_pack(self, name):
+        w = dataclasses.replace(BY_NAME[name], accesses=self.ACCESSES)
+        osys = OperatingSystem(DramGeometry(capacity_bytes=1 << 26),
+                               allocator="bank_target", seed=17)
+        proc = osys.create_process()
+        bases = w.instantiate(proc)
+        out = TraceBuilder()
+        w.pack_into(out, bases, frames=dict(proc.page_table.items()),
+                    page_bytes=proc.page_table.page_bytes)
+        want = object_pack(object_stream(w, bases), proc.translate)
+        assert columns(out.build()) == columns(want)
+
+    def test_truncation_is_a_prefix(self):
+        w = dataclasses.replace(BY_NAME["mcf"], accesses=2000)
+        bases = synthetic_bases(w)
+        full, head = TraceBuilder(), TraceBuilder()
+        w.pack_into(full, bases)
+        w.pack_into(head, bases, accesses=700)
+        assert list(head.vaddr) == list(full.vaddr)[:700]
+        assert list(head.meta) == list(full.meta)[:700]
+
+    def test_seed_and_trace_agree(self):
+        w = dataclasses.replace(BY_NAME["bfsRod"], accesses=2000)
+        bases = synthetic_bases(w)
+        want = list(object_stream(w, bases, seed=5))
+        assert list(w.trace(bases, seed=5)) == want
+
+    def test_unmapped_address_raises(self):
+        w = dataclasses.replace(BY_NAME["lbm"], accesses=100)
+        bases = synthetic_bases(w)
+        with pytest.raises(TranslationError):
+            w.pack_into(TraceBuilder(), bases, frames={})
+
+    def test_negative_base_is_refused(self):
+        w = dataclasses.replace(BY_NAME["sc"], accesses=10)
+        with pytest.raises(ConfigurationError, match="negative"):
+            w.pack_into(TraceBuilder(),
+                        {s.name: -4096 for s in w.structures})
