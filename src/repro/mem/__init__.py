@@ -37,9 +37,7 @@ from repro.mem.replacement import (
     DRRIPPolicy,
     LRUPolicy,
     POLICIES,
-    RandomPolicy,
     ReplacementPolicy,
-    SRRIPPolicy,
     make_policy,
 )
 
@@ -74,9 +72,7 @@ __all__ = [
     "MultiStridePrefetcher",
     "POLICIES",
     "PrefetchStats",
-    "RandomPolicy",
     "ReplacementPolicy",
-    "SRRIPPolicy",
     "XMemPrefetcher",
     "make_policy",
 ]

@@ -1,8 +1,8 @@
 """Cache replacement policies.
 
 The baseline system of the paper (Table 3) uses DRRIP [83] at L2/L3 and
-LRU at L1; this module implements those plus the building blocks
-(SRRIP, BRRIP) and simple policies for testing.
+LRU at L1; this module implements those plus BRRIP, the bimodal
+insertion DRRIP duels against SRRIP's (DRRIP's own set-0 leaders).
 
 A policy manages per-set metadata and exposes four hooks the cache
 calls:
@@ -20,7 +20,6 @@ Policies are deliberately ignorant of pinning: Use Case 1's pinning is a
 
 from __future__ import annotations
 
-import random
 from typing import Optional, Sequence
 
 from repro.core.errors import ConfigurationError
@@ -90,26 +89,6 @@ class LRUPolicy(ReplacementPolicy):
         self._stamp[set_idx][way] = 0
 
 
-class RandomPolicy(ReplacementPolicy):
-    """Uniform-random victim selection (a testing baseline)."""
-
-    name = "random"
-
-    def __init__(self, num_sets: int, ways: int, seed: int = 0) -> None:
-        super().__init__(num_sets, ways)
-        self._rng = random.Random(seed)
-
-    def on_hit(self, set_idx: int, way: int) -> None:
-        pass
-
-    def on_fill(self, set_idx: int, way: int,
-                high_priority: bool = False) -> None:
-        pass
-
-    def victim(self, set_idx: int, candidates: Sequence[int]) -> int:
-        return self._rng.choice(list(candidates))
-
-
 class _RRIPBase(ReplacementPolicy):
     """Shared RRPV machinery for the RRIP family [83].
 
@@ -154,15 +133,6 @@ class _RRIPBase(ReplacementPolicy):
         self._rrpv[set_idx][way] = (
             0 if high_priority else self._insert_rrpv(set_idx)
         )
-
-
-class SRRIPPolicy(_RRIPBase):
-    """Static RRIP: insert at a long re-reference interval (RRPV 2)."""
-
-    name = "srrip"
-
-    def _insert_rrpv(self, set_idx: int) -> int:
-        return RRPV_LONG
 
 
 class BRRIPPolicy(_RRIPBase):
@@ -251,8 +221,6 @@ class DRRIPPolicy(_RRIPBase):
 
 POLICIES = {
     "lru": LRUPolicy,
-    "random": RandomPolicy,
-    "srrip": SRRIPPolicy,
     "brrip": BRRIPPolicy,
     "drrip": DRRIPPolicy,
 }

@@ -24,7 +24,9 @@ same checkers themselves: the split interpreter's front-end
 (:mod:`repro.cpu.vector_engine`, both engines) after every L2 fill
 (:func:`checked_fill`) and at every chunk end on the L1 and L2 sets it
 probed and on the L1's fill conservation
-(:func:`check_fill_conservation`); the shared LLC builder
+(:func:`check_fill_conservation`), the L1's line-to-way index
+(:func:`check_line_index`) and its folded MRU runs
+(:func:`check_lru_fold`); the shared LLC builder
 (``vector_engine._llc_ops``, both engines) after every LLC fill and
 victim ripple; the single-core back-end at every chunk end on the LLC
 sets it probed and on its MSHR heap, and at the end of every run; the
@@ -132,6 +134,54 @@ def check_fill_conservation(cache, valid0: int, misses: int,
             f"conservation ({valid0} + {misses} misses - {evictions} "
             f"evictions)"
         )
+
+
+def check_lru_fold(cache, clock0: int, lines) -> None:
+    """One front-end chunk over the LRU ``cache``, whose clock read
+    ``clock0`` before it: the clock advanced by exactly the chunk's
+    memory accesses (``lines``, -1 on Work rows), and in every set they
+    touched the way holding the set's last-accessed line holds the
+    set's largest stamp, which is that access's clock.  Catches a
+    folded MRU run stamped or clocked other than access by access."""
+    policy = cache.policy
+    last = {}
+    clock = clock0
+    for line in lines:
+        if line >= 0:
+            clock += 1
+            last[cache._index(line)] = (line, clock)
+    if policy._clock != clock:
+        raise CheckError(
+            f"{cache.name}: LRU clock {policy._clock} after a chunk of "
+            f"{clock - clock0} accesses from {clock0}")
+    for set_idx, (line, clock) in last.items():
+        tags = cache._tags[set_idx]
+        stamps = policy._stamp[set_idx]
+        tag = cache._tag(line)
+        if tag not in tags:
+            raise CheckError(
+                f"{cache.name} set {set_idx}: last-accessed line "
+                f"{line:#x} is not resident")
+        way = tags.index(tag)
+        if stamps[way] != clock or any(
+                s >= clock for w, s in enumerate(stamps) if w != way):
+            raise CheckError(
+                f"{cache.name} set {set_idx}: last-accessed line "
+                f"{line:#x} in way {way} has stamp {stamps[way]}, not "
+                f"its clock {clock} as the set's largest: {stamps}")
+
+
+def check_line_index(cache, where: dict) -> None:
+    """``where`` -- an engine's map of ``cache``'s resident lines to
+    their ways -- equals the map re-derived from the tag columns."""
+    actual = {(tag * cache.num_sets + set_idx) * cache.line_bytes: way
+              for set_idx, tags in enumerate(cache._tags)
+              for way, tag in enumerate(tags) if tag >= 0}
+    if where != actual:
+        wrong = sorted(set(where.items()) ^ set(actual.items()))[:4]
+        raise CheckError(
+            f"{cache.name}: the line-to-way index disagrees with the "
+            f"tags at {[(f'{line:#x}', way) for line, way in wrong]}")
 
 
 def check_cache_all(cache) -> None:

@@ -8,8 +8,10 @@ cache/DRAM/prefetch counter -- as the textbook ``ReferenceEngine`` on
 an identically built machine, on both baseline and XMem machines.
 :func:`check_shape` is the one gate: every machine the runner, Use
 Case 2 and serve build must pass it, and anything outside it is
-refused rather than answered wrongly.  With ``REPRO_CHECK`` set the
-interpreter re-derives what it touched at every chunk end.
+refused rather than answered wrongly.  The front-end's MRU-run fold
+leaves the L1's stamps, clock and dirty bits as the reference's, on
+its edge cases too.  With ``REPRO_CHECK`` set the interpreter
+re-derives what it touched at every chunk end.
 """
 
 from array import array
@@ -636,12 +638,12 @@ class TestSharingGate:
         assert self._run(machines) == [1, 1]
 
     def test_l2_policy_runs_apart(self):
-        """An SRRIP L2 is outside the split shape: the call is refused
+        """A BRRIP L2 is outside the split shape: the call is refused
         before any machine runs."""
         from repro.sim.system import run_machines
 
         handles = [build_baseline(self.CFG),
-                   build_baseline(_variant(self.CFG, 1, policy="srrip"))]
+                   build_baseline(_variant(self.CFG, 1, policy="brrip"))]
         trace = KERNELS["gemm"].build_packed(N, TILE).without_xmem()
         with pytest.raises(ConfigurationError, match="L2 must use"):
             run_machines(handles, [trace] * 2)
@@ -677,7 +679,7 @@ class TestSharingGate:
         assert groups[0] == 2
         assert checked[:2] == [h.engine for h in shared]
 
-    @pytest.mark.parametrize("shape", ["srrip-l2", "random-l1",
+    @pytest.mark.parametrize("shape", ["brrip-l2", "brrip-l1",
                                        "two-level", "issue-3"])
     def test_off_shape_runs_the_scalar_loop(self, shape):
         """A machine off the shipped shape is refused with a
@@ -695,10 +697,10 @@ class TestSharingGate:
                 _recorded("gemm", N, TILE))
             assert groups == [2]
             return
-        if shape == "srrip-l2":
-            off, match = _variant(cfg, 1, policy="srrip"), "L2 must use"
-        elif shape == "random-l1":
-            off, match = _variant(cfg, 0, policy="random"), "L1 must use"
+        if shape == "brrip-l2":
+            off, match = _variant(cfg, 1, policy="brrip"), "L2 must use"
+        elif shape == "brrip-l1":
+            off, match = _variant(cfg, 0, policy="brrip"), "L1 must use"
         else:
             off = dataclasses.replace(
                 cfg, levels=[cfg.levels[0], cfg.levels[2]])
@@ -796,3 +798,173 @@ def test_checked_run_catches_a_mended_l1_count(monkeypatch):
     with pytest.raises(CheckError, match="fill conservation"):
         h.run(PackedTrace.from_events([MemAccess((l1.ways - 1) * span)]))
     check_cache_set(l1, 0)          # mended: the set recount passes
+
+
+# ---------------------------------------------------------------------------
+# The MRU-run fold: L1 stamps, clock and dirty bits equal the reference
+# ---------------------------------------------------------------------------
+
+def _assert_l1_equal(h_ref, h):
+    """The L1 state no stats snapshot shows -- tags, dirty bits, LRU
+    stamps and clock -- equals the reference machine's."""
+    from repro.testing.fuzz import l1_state_delta
+
+    assert l1_state_delta(h_ref.memory.hierarchy.levels[0],
+                          h.memory.hierarchy.levels[0]) is None
+
+
+@pytest.mark.parametrize("system", ["baseline", "xmem"])
+@pytest.mark.parametrize("kernel", ["gemm", "mvt", "trmm"])
+def test_l1_stamps_and_clock_equal_reference(kernel, system):
+    """At run end the L1's stamps and clock equal ``ReferenceEngine``'s,
+    on a machine whose 64-set L1 folds many MRU re-hits -- one run
+    alone, and both machines of a shared baseline+XMem call."""
+    from repro.sim.system import run_machines
+
+    builder = {"baseline": build_baseline, "xmem": build_xmem}[system]
+    cfg = scaled_config(1)
+    h_ref, ref_stats, h_vec, vec_stats = _pair(
+        KERNELS[kernel], builder, with_lib=system == "xmem", cfg=cfg)
+    assert vec_stats == ref_stats
+    assert h_vec.stats_snapshot() == h_ref.stats_snapshot()
+    _assert_l1_equal(h_ref, h_vec)
+
+    trace_for = _recorded(kernel, N, TILE)
+    shared = [build_baseline(cfg), build_xmem(cfg)]
+    run_machines(shared, [trace_for(h) for h in shared])
+    for h in shared:
+        _assert_l1_equal(h_ref, h)
+
+
+def _fold_twins(events, cfg=None, builder=build_baseline):
+    """Run ``events`` on a production machine and a ``ReferenceEngine``
+    twin -- an XMem machine with atoms 0 and 1 created -- and require
+    equal stats, snapshots and L1 state.  Returns the production
+    handle."""
+    from repro.cpu.trace import strip_xmem
+    from repro.testing.generators import GenConfig, setup_atoms
+
+    cfg = cfg or scaled_config(32)
+    h_ref = with_reference_engine(builder(cfg))
+    h = builder(cfg)
+    for handle in (h_ref, h):
+        if handle.xmemlib is not None:
+            setup_atoms(handle.xmemlib, GenConfig(atoms=2))
+    ref_stats = h_ref.engine.run(
+        events if h_ref.xmemlib is not None else strip_xmem(events))
+    assert h.run(PackedTrace.from_events(events)) == ref_stats
+    assert h.stats_snapshot() == h_ref.stats_snapshot()
+    _assert_l1_equal(h_ref, h)
+    return h
+
+
+def _runs_trace(lines=24, repeat=3, span=64):
+    """Each of ``lines`` lines ``span`` bytes apart accessed ``repeat``
+    times in a row -- a leader and its followers, the last of every
+    third run a write -- with Work between some accesses, in two
+    passes, so the second pass re-hits and evicts what the first
+    left."""
+    events = []
+    for _ in range(2):
+        for k in range(lines):
+            for r in range(repeat):
+                events.append(MemAccess(0x40000 + k * span,
+                                        r == repeat - 1 and k % 3 == 0,
+                                        r))
+                if (k + r) % 4 == 0:
+                    events.append(Work(2))
+    return events
+
+
+class TestMruFold:
+    """Edge cases of the fold, each against ``ReferenceEngine`` on
+    stats, snapshot, L1 dirty bits, stamps and clock."""
+
+    def test_read_miss_with_a_write_follower(self):
+        """A read miss whose only write is a follower's: the filled
+        line is dirty, and evicting it writes it back."""
+        cfg = scaled_config(32)
+        l1 = build_baseline(cfg).memory.hierarchy.levels[0]
+        span = l1.num_sets * l1.line_bytes
+        x = 0x80000
+        events = [MemAccess(x, False), MemAccess(x, True),
+                  MemAccess(x, False)]
+        h = _fold_twins(events, cfg)
+        l1 = h.memory.hierarchy.levels[0]
+        assert l1.stats.misses == 1 and l1.stats.hits == 2
+        assert l1._dirty[l1._index(x)][l1._tags[l1._index(x)].index(
+            l1._tag(x))]
+        events += [MemAccess(x + k * span) for k in range(1, l1.ways + 1)]
+        h = _fold_twins(events, cfg)
+        assert h.memory.hierarchy.levels[0].stats.writebacks == 1
+        assert h.memory.stats.demand_writes == 0
+
+    @pytest.mark.parametrize("chunk", [2, 3, 5, 16])
+    def test_run_across_a_chunk_boundary(self, monkeypatch, chunk):
+        """A run cut by a chunk end is folded on each side: the next
+        chunk's first access of the set is interpreted."""
+        from repro.cpu import vector_engine
+
+        monkeypatch.setattr(vector_engine, "CHUNK", chunk)
+        _fold_twins(_runs_trace(lines=12, repeat=4))
+
+    def test_work_and_xmem_ops_inside_a_run(self):
+        """Work rows and XMemOps between a leader and its followers
+        neither break the run nor move its stamp."""
+        x = 0x1000
+        events = [
+            XMemOp("atom_map", 1, x, 256),
+            MemAccess(x, False, 3),
+            Work(7),
+            XMemOp("atom_activate", 1),
+            MemAccess(x, True, 0),
+            Work(1),
+            XMemOp("atom_deactivate", 1),
+            MemAccess(x, False, 2),
+            MemAccess(x + 64, True, 0),
+            Work(2),
+            MemAccess(x + 64, False, 0),
+            XMemOp("atom_unmap", 1, x, 256),
+            MemAccess(x, False, 0),
+        ]
+        for builder in (build_baseline, build_xmem):
+            _fold_twins(events, builder=builder)
+
+    @pytest.mark.parametrize("geometry", ["one-way", "one-set"])
+    def test_degenerate_l1(self, geometry):
+        """A 1-way L1 (every run ends in an eviction) and a 1-set L1
+        (every access shares the one set)."""
+        if geometry == "one-way":
+            cfg = _variant(scaled_config(32), 0, size_bytes=16 * 64, ways=1)
+        else:
+            cfg = _variant(scaled_config(32), 0, size_bytes=8 * 64, ways=8)
+        h = _fold_twins(_runs_trace(), cfg)
+        l1 = h.memory.hierarchy.levels[0]
+        assert (l1.ways, l1.num_sets) == ((1, 16) if geometry == "one-way"
+                                          else (8, 1))
+        assert l1.stats.evictions > 0 and l1.stats.writebacks > 0
+
+    def test_issue_width_3(self):
+        """Off the dyadic grid every position replays as its own event;
+        folded followers still count their issue slots."""
+        _fold_twins(_runs_trace(), _issue3_config())
+        _fold_twins(_runs_trace(), _issue3_config(), builder=build_xmem)
+
+    def test_prefetch_marks_a_follower_special(self):
+        """``_inflight_hit_trace`` with X re-read before the stride
+        stream: the read after the stream is a follower of X's run,
+        and the prefetch of X marks it special, so it waits for the
+        in-flight line."""
+        x = 0x100400
+        events = [MemAccess(x, False, 0)]
+        events += [MemAccess(0x200000 + 64 * k, False, 0)
+                   for k in range(40)]
+        events += [MemAccess(x, False, 0),
+                   MemAccess(x - 192, False, 0), MemAccess(x - 128, False, 0),
+                   MemAccess(x - 64, False, 0), MemAccess(x, False, 1),
+                   Work(3), MemAccess(0x300000, True, 0)]
+        h = _fold_twins(events, _tiny_llc_config())
+        l1 = h.memory.hierarchy.levels[0]
+        # As in test_inflight_prefetch_l1_hit: one reservation more
+        # than the L1 misses comes only from the waiting hit.
+        assert h.engine.mshr.stats.reservations == l1.stats.misses + 1

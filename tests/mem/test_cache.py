@@ -178,7 +178,7 @@ class TestMaintenance:
 @settings(max_examples=30)
 @given(
     addrs=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=300),
-    policy=st.sampled_from(["lru", "srrip", "brrip", "drrip", "random"]),
+    policy=st.sampled_from(["lru", "brrip", "drrip"]),
 )
 def test_cache_never_exceeds_capacity_and_stats_consistent(addrs, policy):
     """Invariants under arbitrary access streams, any policy."""

@@ -20,7 +20,6 @@ from repro.mem.replacement import (
     RRPV_MAX,
     DRRIPPolicy,
     LRUPolicy,
-    SRRIPPolicy,
     make_policy,
 )
 
@@ -132,19 +131,20 @@ def test_drrip_rrpv_and_psel_bounds():
 
 
 def test_srrip_rrpv_bounds():
+    # A one-set DRRIP is SRRIP: its set 0 is an SRRIP leader.
     for seed in range(200):
-        drive_rrip(SRRIPPolicy(4, WAYS), seed, 4, WAYS)
+        drive_rrip(DRRIPPolicy(1, WAYS), seed, 1, WAYS)
 
 
 def test_hit_promotes_to_zero():
-    policy = SRRIPPolicy(1, WAYS)
+    policy = DRRIPPolicy(1, WAYS)
     policy.on_fill(0, 2)
     policy.on_hit(0, 2)
     assert policy._rrpv[0][2] == 0
 
 
 def test_high_priority_fill_inserts_at_zero():
-    for name in ("srrip", "brrip", "drrip"):
+    for name in ("brrip", "drrip"):
         policy = make_policy(name, 4, WAYS)
         policy.on_fill(1, 3, high_priority=True)
         assert policy._rrpv[1][3] == 0, name

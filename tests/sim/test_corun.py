@@ -24,7 +24,7 @@ class TestBasics:
             CorunSystem(scaled_config(16), 0)
 
     @pytest.mark.parametrize("level,policy", [(0, "drrip"), (1, "lru"),
-                                              (2, "srrip")])
+                                              (2, "brrip")])
     def test_shape_gate_names_the_level(self, level, policy):
         """The fused memory path is written for LRU L1, DRRIP L2/L3;
         any other policy is refused up front, naming the level."""

@@ -6,8 +6,10 @@ bit-identical to :class:`~repro.testing.oracles.ReferenceCorun` --
 CoreStats and the full stats snapshot -- on real suite-catalog tenant
 mixes, baseline and XMem, on a machine shape off the dyadic time grid,
 past a lowered fold ceiling, and on a mix that reaches the memory
-path's rare branches.  Plus ``REPRO_CHECK`` coverage of that path and
-unit coverage of the global pin controller's budget edge cases.
+path's rare branches -- and each core's L1 stamps, clock and dirty
+bits, with the front-end's MRU-run fold's edge cases.  Plus
+``REPRO_CHECK`` coverage of that path and unit coverage of the global
+pin controller's budget edge cases.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ import pytest
 
 from repro.core.attributes import PatternType
 from repro.core.xmemlib import XMemLib
-from repro.cpu.trace import MemAccess
+from repro.cpu.trace import MemAccess, PackedTrace, Work, XMemOp
 from repro.cpu.vector_engine import fold_ceiling
 from repro.mem.cache import Cache
 from repro.sim.config import CpuConfig, scaled_config
 from repro.sim.corun import CorunSystem, MultiProcessController
 from repro.sim.runner import record_suite_trace
 from repro.testing.checks import CheckError, check_cache_set
+from repro.testing.fuzz import l1_state_delta
 from repro.testing.oracles import ReferenceCorun
 
 PAIRS = [
@@ -174,6 +177,127 @@ def test_exactness_ceiling_falls_back_to_per_position_time(monkeypatch):
     assert stats_packed == stats_ref
     assert snap_packed == snap_ref
     assert all(s.cycles > 3 * 2 ** 12 for s in stats_packed)
+
+
+# -- The MRU-run fold: L1 stamps, clock and dirty bits -------------------
+
+def _assert_l1s_equal(ref_system, system):
+    """Every core's L1 tags (relabelled by the core's offset), dirty
+    bits, LRU stamps and clock equal the reference run's."""
+    for ref_core, core in zip(ref_system.cores, system.cores):
+        assert l1_state_delta(ref_core.l1, core.l1, core.offset) is None
+
+
+@pytest.mark.parametrize("mode", ["baseline", "xmem"])
+def test_l1_stamps_and_clock_equal_reference(mode):
+    """At run end each core's L1 stamps and clock equal
+    ``ReferenceCorun``'s, on a machine whose 64-set L1s fold many MRU
+    re-hits."""
+    cfg = scaled_config(1)
+    ref_system, traces = build_pair(PAIRS[0], mode, cfg=cfg)
+    stats_ref = ReferenceCorun(ref_system).run(traces)
+    system, traces = build_pair(PAIRS[0], mode, cfg=cfg)
+    assert system.run(traces) == stats_ref
+    assert system.stats_snapshot() == ref_system.stats_snapshot()
+    _assert_l1s_equal(ref_system, system)
+
+
+def _fold_corun(streams, cfg=None, xmem=False):
+    """Run per-core event ``streams`` through ``ReferenceCorun`` and
+    ``CorunSystem.run`` (core 0 with XMem and atoms 0 and 1 when
+    ``xmem``); require equal stats, snapshots and L1 state.  Returns
+    the production system."""
+    from repro.testing.generators import GenConfig, setup_atoms
+
+    systems = []
+    for _ in range(2):
+        system = CorunSystem(cfg or scaled_config(32), len(streams),
+                             xmem_cores=(0,) if xmem else ())
+        if xmem:
+            setup_atoms(system.cores[0].xmemlib, GenConfig(atoms=2))
+        systems.append(system)
+    ref_system, system = systems
+    stats_ref = ReferenceCorun(ref_system).run([list(s) for s in streams])
+    assert system.run([PackedTrace.from_events(s) for s in streams]) \
+        == stats_ref
+    assert system.stats_snapshot() == ref_system.stats_snapshot()
+    _assert_l1s_equal(ref_system, system)
+    return system
+
+
+def _runs_stream(base, lines=24, repeat=3, span=64):
+    """``lines`` lines ``span`` bytes apart, each accessed ``repeat``
+    times in a row (the last of every third run a write), Work between
+    some accesses, in two passes."""
+    events = []
+    for _ in range(2):
+        for k in range(lines):
+            for r in range(repeat):
+                events.append(MemAccess(base + k * span,
+                                        r == repeat - 1 and k % 3 == 0, r))
+                if (k + r) % 4 == 0:
+                    events.append(Work(2))
+    return events
+
+
+class TestMruFold:
+    """Edge cases of the fold in co-run, each against
+    ``ReferenceCorun`` on stats, snapshot, L1 dirty bits, stamps and
+    clock."""
+
+    def test_read_miss_with_a_write_follower(self):
+        l1 = CorunSystem(scaled_config(32), 2).cores[1].l1
+        span = l1.num_sets * l1.line_bytes
+        x = 0x80000
+        stream = [MemAccess(x, False), MemAccess(x, True),
+                  MemAccess(x, False)]
+        stream += [MemAccess(x + k * span) for k in range(1, l1.ways + 1)]
+        system = _fold_corun([_runs_stream(0x40000), stream])
+        assert system.cores[1].l1.stats.writebacks == 1
+
+    @pytest.mark.parametrize("chunk", [2, 3, 5, 16])
+    def test_run_across_a_chunk_boundary(self, monkeypatch, chunk):
+        from repro.sim import corun
+
+        monkeypatch.setattr(corun, "CHUNK", chunk)
+        _fold_corun([_runs_stream(0x40000, lines=12, repeat=4),
+                     _runs_stream(0x90000, lines=8, repeat=3)])
+
+    def test_work_and_xmem_ops_inside_a_run(self):
+        x = 0x1000
+        stream = [
+            XMemOp("atom_map", 1, x, 256),
+            MemAccess(x, False, 3),
+            Work(7),
+            XMemOp("atom_activate", 1),
+            MemAccess(x, True, 0),
+            Work(1),
+            XMemOp("atom_deactivate", 1),
+            MemAccess(x, False, 2),
+            MemAccess(x + 64, True, 0),
+            Work(2),
+            MemAccess(x + 64, False, 0),
+            XMemOp("atom_unmap", 1, x, 256),
+            MemAccess(x, False, 0),
+        ]
+        _fold_corun([stream, _runs_stream(0x40000)], xmem=True)
+
+    @pytest.mark.parametrize("geometry", ["one-way", "one-set"])
+    def test_degenerate_l1(self, geometry):
+        cfg = scaled_config(32)
+        size, ways = (16 * 64, 1) if geometry == "one-way" else (8 * 64, 8)
+        levels = list(cfg.levels)
+        levels[0] = dataclasses.replace(levels[0], size_bytes=size,
+                                        ways=ways)
+        cfg = dataclasses.replace(cfg, levels=levels)
+        system = _fold_corun([_runs_stream(0x40000),
+                              _runs_stream(0x90000, repeat=2)], cfg)
+        assert all(c.l1.stats.writebacks > 0 for c in system.cores)
+
+    def test_issue_width_3(self):
+        cfg = dataclasses.replace(scaled_config(32),
+                                  cpu=CpuConfig(issue_width=3))
+        _fold_corun([_runs_stream(0x40000), _runs_stream(0x90000)], cfg)
 
 
 # -- MultiProcessController.refresh edge cases --------------------------

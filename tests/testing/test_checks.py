@@ -205,6 +205,72 @@ class TestDefaultTierChecks:
         # the run, where the counters are flushed.
         assert l1.stats.accesses == 0
 
+    def test_stale_lru_stamp_fires_during_the_run(self, checked):
+        """A stamp above the clock in an L1 set breaks the fold check:
+        after a chunk, the set's last-accessed line must hold the
+        set's largest stamp."""
+        from repro.cpu.trace import TraceBuilder
+        from repro.sim import build_baseline, scaled_config
+
+        handle = build_baseline(scaled_config(32))
+        l1 = handle.memory.hierarchy.levels[0]
+        out = TraceBuilder()
+        for _ in range(3):
+            out.access(0x10000)
+        l1.policy._stamp[l1._index(0x10000)][l1.ways - 1] = 10 ** 9
+        with pytest.raises(CheckError, match="largest"):
+            handle.run(out.build())
+
+
+class TestFoldChecks:
+    """The front-end's MRU-run fold and L1 line index checks, on a
+    cache driven access by access through its methods."""
+
+    def drive(self):
+        from repro.mem.cache import Cache
+
+        cache = Cache("T", 4096, 4, 64, policy="lru")
+        lines = []
+        for i in range(60):
+            line = (i // 3 % 7) * 64 * cache.num_sets + (i % 2) * 64
+            if not cache.access(line, i % 5 == 0).hit:
+                cache.fill(line, dirty=i % 5 == 0)
+            lines.append(line)
+            if i % 4 == 0:
+                lines.append(-1)         # a Work row
+        return cache, lines
+
+    def test_access_by_access_passes(self):
+        cache, lines = self.drive()
+        checks.check_lru_fold(cache, 0, lines)
+
+    def test_wrong_clock_fires(self):
+        cache, lines = self.drive()
+        cache.policy._clock += 1
+        with pytest.raises(CheckError, match="LRU clock"):
+            checks.check_lru_fold(cache, 0, lines)
+
+    def test_early_stamp_fires(self):
+        """A run's leader stamped with its own clock, one access before
+        the last of its run."""
+        cache, lines = self.drive()
+        last = lines[-1] if lines[-1] >= 0 else lines[-2]
+        si = cache._index(last)
+        way = cache._tags[si].index(cache._tag(last))
+        cache.policy._stamp[si][way] -= 1
+        with pytest.raises(CheckError, match="stamp"):
+            checks.check_lru_fold(cache, 0, lines)
+
+    def test_line_index(self):
+        cache, _ = self.drive()
+        where = {(tag * cache.num_sets + si) * 64: way
+                 for si, row in enumerate(cache._tags)
+                 for way, tag in enumerate(row) if tag >= 0}
+        checks.check_line_index(cache, where)
+        where[next(iter(where)) + 64 * cache.num_sets * 100] = 0
+        with pytest.raises(CheckError, match="line-to-way index"):
+            checks.check_line_index(cache, where)
+
 
 class TestSchedulerHooks:
     def make(self):
