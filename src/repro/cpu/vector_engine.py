@@ -50,15 +50,16 @@ chunk's accesses at its end.  Nothing else touches the set between a
 leader and its last follower, so no victim choice reads the early
 stamp or dirty bit and the end state is the access-by-access one.  A
 run cut by a chunk end is not folded across it.  An L1 miss is always
-a leader, so the records -- and ``ua``, ``lines`` and the back-end's
-specials, all per position -- are unchanged.  An L1 hit is one dict
-lookup in the front-end's map of resident lines to ways.
+a leader, so the records -- and ``ua``, the chunk's lines and the
+back-end's specials, all per position -- are unchanged.  An L1 hit is
+one dict lookup in the front-end's map of resident lines to ways.
 
 Machines of one point whose private parts are equal run in lockstep
 (:func:`_run_lockstep`): per chunk the front-end runs once, on the
-first machine's own L1, L2 and stride prefetcher, and each back-end
-consumes the chunk; at the end the other machines' private state and
-counters are set to the front-end's.  Any other machine runs alone
+first machine's own L1, L2 and stride prefetcher, the chunk's line
+list and set are built once, and each back-end consumes the chunk; at
+the end the other machines' private state and counters are set to the
+front-end's.  Any other machine runs alone
 through the same code (a one-machine group).
 
 :func:`check_shape` is the one gate: the shipped machine shape (the
@@ -80,10 +81,13 @@ set the chunk touched and each L2 and LLC set its records probed is
 re-derived, the L1's valid lines are held to fill conservation
 (:func:`~repro.testing.checks.check_fill_conservation`), its clock and
 last-accessed stamps to the fold
-(:func:`~repro.testing.checks.check_lru_fold`), its line index to its
-tags, and the MSHR heap to its capacity; every single-core run ends in
+(:func:`~repro.testing.checks.check_lru_fold`) and its line index to
+its tags; every single-core run ends in
 :func:`~repro.testing.checks.check_engine_run`.  The checked closures
 are built instead of the plain ones, so an unchecked run pays nothing.
+Both engines reserve MSHRs through :meth:`MSHRFile.reserve
+<repro.mem.mshr.MSHRFile.reserve>`, whose checked form bounds every
+reservation.
 
 Divergence from the reference engine is fuzz-checked by the ``packed``
 lane (:mod:`repro.testing.fuzz`), whose shared leg runs two machines
@@ -94,7 +98,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from copy import deepcopy
-from heapq import heappop, heappush
 from time import perf_counter
 from typing import List, Optional, Sequence, Set
 
@@ -338,15 +341,17 @@ def _run_lockstep(engines: List[TraceEngine], traces: List[PackedTrace],
         stop = pos + CHUNK if pos + CHUNK < total else total
         t0 = perf_counter()
         chunk = front(pos, stop)
+        lines = chunk[3].tolist()
+        line_set = set(lines)
         t1 = perf_counter()
         front_s += t1 - t0
         for k, (consume, _) in enumerate(backs):
-            consume(chunk)
+            consume(chunk, lines, line_set)
             t2 = perf_counter()
             own_s[k] += t2 - t1
             t1 = t2
         # Records live one chunk: drop them before the next is built.
-        chunk = None
+        chunk = lines = line_set = None
         pos = stop
     t0 = perf_counter()
     instructions, mem_accesses = front_finish()
@@ -374,13 +379,13 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
     Returns ``(chunk, finish)``.  ``chunk(begin, end)`` decodes dense
     positions ``[begin, end)``, probes and fills L1 and L2 (both victim
     ripples included), trains the stride prefetcher, and returns the
-    chunk's records for :func:`_back_end`: ``(begin, n, ua, lines,
-    line_set, rec_i, rec_code, rec_ext, u_end)``.  ``ua[i]`` counts the
-    trace's issue slots up to chunk index ``i`` -- its Work block or
-    its access's work included, the access's own slot not -- and
-    ``u_end`` through the chunk; ``lines[i]`` is the access's line (-1
-    on Work rows).  Each L1 miss is one record: its chunk index in
-    ``rec_i``, ``line | write | l2_hit << 1 | extras << 2`` in
+    chunk's records for :func:`_back_end`: ``(begin, n, ua, seg_ln,
+    rec_i, rec_code, rec_ext, u_end)``.  ``ua[i]`` counts the trace's
+    issue slots up to chunk index ``i`` -- its Work block or its
+    access's work included, the access's own slot not -- and ``u_end``
+    through the chunk; ``seg_ln[i]`` (a numpy array) is the access's
+    line (-1 on Work rows).  Each L1 miss is one record: its chunk
+    index in ``rec_i``, ``line | write | l2_hit << 1 | extras << 2`` in
     ``rec_code``, and, when flagged, a ``rec_ext`` entry (L2 fill
     victim, L1-victim ripple victim, stride targets) -- the LLC-bound
     writebacks and prefetches, in model order.  A sentinel record
@@ -508,8 +513,6 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
         u_end = u_base + int(cum[-1])
         u_base = u_end
         n_mem_total += n_mem
-        lines = seg_ln.tolist()
-        line_set = set(lines)
         rec_i: List[int] = []
         rec_code: List[int] = []
         rec_ext: list = []
@@ -641,8 +644,7 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
         p1._brrip._fill_count = fc1
         rec_i.append(n)
         rec_code.append(-1)
-        return (begin, n, ua, lines, line_set, rec_i, rec_code, rec_ext,
-                u_end)
+        return begin, n, ua, seg_ln, rec_i, rec_code, rec_ext, u_end
 
     def finish():
         s0, s1 = l1.stats, l2.stats
@@ -674,14 +676,15 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
     def checked_chunk(begin: int, end: int):
         clock0 = l1pol._clock
         records = plain_chunk(begin, end)
-        for si in {(ln >> ls0) & sm0 for ln in records[4] if ln >= 0}:
+        lines = records[3].tolist()
+        for si in {(ln >> ls0) & sm0 for ln in lines if ln >= 0}:
             _checks.check_cache_set(l1, si)
         _checks.check_fill_conservation(l1, valid0, c0m, c0ev)
-        _checks.check_lru_fold(l1, clock0, records[3])
+        _checks.check_lru_fold(l1, clock0, lines)
         _checks.check_line_index(l1, where0)
         # Every L1 miss probed L2 (record codes keep the line above
         # bit 2, and lines are at least 8 bytes).
-        for si in {(code >> ls1) & sm1 for code in records[6][:-1]}:
+        for si in {(code >> ls1) & sm1 for code in records[5][:-1]}:
             _checks.check_cache_set(l2, si)
         return records
 
@@ -859,11 +862,13 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
     :func:`_front_end`.
 
     ``l1`` is the front-end's L1 (the lockstep group's shared state).
-    Returns ``(consume, finish)``: ``consume(chunk)`` replays one
-    chunk, ``finish(instructions, mem_accesses)`` ends the run and
-    returns its :class:`EngineStats`.  When ``checking``, every LLC
-    fill re-derives its set, ``consume`` ends by re-deriving every LLC
-    set it probed and bounding the MSHR heap, and ``finish`` by
+    Returns ``(consume, finish)``: ``consume(chunk, lines, line_set)``
+    replays one chunk, given its lines as a list and a set,
+    ``finish(instructions, mem_accesses)`` ends the run and returns its
+    :class:`EngineStats`.  Reservations go through the machine's
+    :meth:`MSHRFile.reserve <repro.mem.mshr.MSHRFile.reserve>`.  When
+    ``checking``, every LLC fill re-derives its set, ``consume`` ends by
+    re-deriving every LLC set it probed, and ``finish`` by
     :func:`~repro.testing.checks.check_engine_run`.
 
     Time between records folds in closed form: every L1 hit and Work
@@ -909,8 +914,7 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
     probe, fill, put, prefetch = _llc_ops(
         llc, None if pin_predicate is _never_pin else pin_predicate, dram,
         buffer_write, prefetch_ready, checking)
-    mshr_comp = mshr._completions
-    mshr_cap = mshr.entries
+    reserve = mshr.reserve
 
     ls0, sm0, ts0 = l1._line_shift, l1._set_mask, l1._tag_shift
     l1_tags = l1._tags
@@ -922,17 +926,13 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
     n_x = 0
     u_done = 0
     oi = 0
-    ms_res = ms_full = 0
     # Lines that await a prefetch while L1 holds them and whose next
     # access lies beyond the chunks replayed so far.
     watch: Set[int] = {ln for ln in prefetch_ready
                        if (ln >> ts0) in l1_tags[(ln >> ls0) & sm0]}
     # The current chunk: its lines, their set, its miss indices, and
-    # the sorted indices of its specials.
-    lines: List[int] = []
-    line_set: Set[int] = set()
-    rec_i: List[int] = []
-    specials: List[int] = []
+    # the sorted indices of its specials (set by ``consume``).
+    lines = line_set = rec_i = specials = None
 
     def issued(target, i):
         """Count a prefetch issued at record index ``i``; a target the
@@ -957,11 +957,11 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
             if k == len(specials) or specials[k] != q:
                 specials.insert(k, q)
 
-    def consume(chunk) -> None:
+    def consume(chunk, chunk_lines, chunk_line_set) -> None:
         nonlocal now, stall, misses, n_x, u_done, oi
-        nonlocal lines, line_set, rec_i, specials, ms_res, ms_full
-        begin, n, ua, lines, line_set, rec_i, rec_code, rec_ext, u_end = \
-            chunk
+        nonlocal lines, line_set, rec_i, specials
+        begin, n, ua, _, rec_i, rec_code, rec_ext, u_end = chunk
+        lines, line_set = chunk_lines, chunk_line_set
         if now >= now_limit:
             # Past the exactness ceiling, or off the dyadic grid:
             # replay every position as its own event.
@@ -1007,7 +1007,7 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
                         if ready is not None and ready > completes:
                             completes = ready  # the hit awaits its line
                         if completes - now > pipelined:
-                            start = mshr.reserve(now, completes)
+                            start = reserve(now, completes)
                             if start > now:
                                 stall += start - now
                                 now = start
@@ -1085,15 +1085,7 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
             if memread:
                 misses += 1
             if completes - now > pipelined:
-                # MSHRFile.reserve, inlined (drain + reserve-or-stall).
-                while mshr_comp and mshr_comp[0] <= now:
-                    heappop(mshr_comp)
-                start = now
-                if len(mshr_comp) >= mshr_cap:
-                    start = heappop(mshr_comp)
-                    ms_full += 1
-                heappush(mshr_comp, completes)
-                ms_res += 1
+                start = reserve(now, completes)
                 if start > now:
                     stall += start - now
                     now = start
@@ -1110,8 +1102,6 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
             now += slot
             if xmemlib is not None:
                 getattr(xmemlib, op.method)(*op.args)
-        mshr.stats.reservations += ms_res
-        mshr.stats.full_stalls += ms_full
         tail = mshr.latest_completion()
         if tail is not None and tail > now:
             now = tail
@@ -1130,13 +1120,12 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
         return consume, finish
     plain_consume, plain_finish = consume, finish
 
-    def checked_consume(chunk) -> None:
-        plain_consume(chunk)
+    def checked_consume(chunk, lines, line_set) -> None:
+        plain_consume(chunk, lines, line_set)
         # Every record that missed L2 probed the LLC.
-        for si in {llc._index(code & not7) for code in chunk[6][:-1]
+        for si in {llc._index(code & not7) for code in chunk[5][:-1]
                    if not code & 2}:
             _checks.check_cache_set(llc, si)
-        _checks.check_mshr_capacity(mshr)
 
     def checked_finish(instructions: int, mem_accesses: int) -> EngineStats:
         stats = plain_finish(instructions, mem_accesses)

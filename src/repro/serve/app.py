@@ -475,12 +475,12 @@ class ServeHandler(BaseHTTPRequestHandler):
                           ) -> Tuple[int, Dict[str, object]]:
         """A run served from the workspace after retirement/restart.
 
-        A record whose run never reached a terminal state (the server
-        died mid-batch) reports ``failed``: its completed points are
-        served from disk, its unfinished ones carry an ``interrupted``
-        error, and resubmitting the same points is the recovery path
-        (completed ones become workspace hits; only the interrupted
-        remainder re-executes).
+        A run with a point that never finished (the server died
+        mid-batch) or whose document is gone (evicted, or corrupt)
+        reports ``failed``: its documents on disk are served, the
+        others carry an error with the resubmit hint, and resubmitting
+        the same points is the recovery path (completed ones become
+        workspace hits; only the remainder re-executes).
         """
         ws = self.state.workspace
         record = ws.load_run(run_id) if ws is not None else None
@@ -496,30 +496,26 @@ class ServeHandler(BaseHTTPRequestHandler):
         counts = {"total": len(names), "pending": 0, "running": 0,
                   "done": 0, "failed": 0, "cancelled": 0}
         for index, name in enumerate(names):
-            state = states[index] if index < len(states) else "pending"
-            key = keys[index] if index < len(keys) else None
-            doc = ws.load_point(key) if key is not None else None
+            doc = ws.load_point(keys[index]) if index < len(keys) else None
             if doc is not None:
                 # The document on disk is authoritative: a point that
                 # completed after the last record write still serves.
                 documents[name] = doc
                 counts["done"] += 1
                 errors.pop(name, None)
-            elif terminal and state in counts:
+                continue
+            state = states[index] if index < len(states) else "pending"
+            if terminal and state in counts and state != "done":
                 counts[state] += 1
-                if state == "done":
-                    # Recorded done but evicted since: say so rather
-                    # than serving a hole silently.
-                    counts["done"] -= 1
-                    counts["failed"] += 1
-                    errors[name] = ("document evicted from the "
-                                    "workspace")
-            else:
-                counts["failed"] += 1
-                errors.setdefault(
-                    name, "interrupted by server restart; resubmit "
-                          "to re-execute")
-        if not terminal:
+                continue
+            # Never finished, or recorded done but evicted or corrupt
+            # since: say so rather than serving a hole silently.
+            counts["failed"] += 1
+            errors.setdefault(name, (
+                "document missing from the workspace (evicted or corrupt)"
+                if terminal else "interrupted by server restart")
+                + "; resubmit to re-execute")
+        if status not in ("failed", "cancelled"):
             status = "failed" if counts["failed"] else "done"
         doc = {
             "run": run_id,

@@ -61,6 +61,7 @@ from repro.sim.runner import (
     SimPoint,
     execute_point_job,
 )
+from repro.store import write_documents
 
 #: Completed runs retained in memory for ``GET /v1/runs/<id>``
 #: (oldest retired first; with a workspace attached they remain
@@ -334,6 +335,7 @@ class RunScheduler:
         self.workspace = workspace
         self._queue: "queue.Queue[Optional[PointEntry]]" = queue.Queue()
         self._lock = threading.Lock()
+        self._persist_lock = threading.Lock()
         self._events_cond = threading.Condition(self._lock)
         self._points: Dict[Tuple[str, str], PointEntry] = {}
         self._runs: Dict[str, RunHandle] = {}
@@ -440,10 +442,11 @@ class RunScheduler:
             if run.events:
                 self._events_cond.notify_all()
             self._retire_locked()
+        if self.workspace is not None:
+            # The submit record precedes every point document.
+            self._persist_run(run)
         for pe in fresh:
             self._queue.put(pe)
-        if self.workspace is not None:
-            self._persist_run(run)
         # A run assembled entirely from finished entries completes at
         # submission -- there is no worker left to trigger it.
         self._maybe_complete_run(run)
@@ -456,12 +459,8 @@ class RunScheduler:
         Called under the scheduler lock (lock order: scheduler before
         workspace, everywhere).
         """
-        if self.workspace is None:
-            return None
-        try:
-            document = self.workspace.load_point(key)
-        except OSError:
-            document = None
+        document = (self.workspace.load_point(key)
+                    if self.workspace is not None else None)
         if document is None:
             return None
         pe = PointEntry(key=key, point=point, state="done",
@@ -905,57 +904,45 @@ class RunScheduler:
             run.written = self._write_documents(run)
         if persist:
             self._persist_run(run)
-            try:
-                evicted = self.workspace.evict()
-            except OSError:
-                evicted = 0
+            evicted = self.workspace.evict()
             if evicted:
                 self.stats.bump("workspace_evictions", evicted)
 
     def _persist_run(self, run: RunHandle) -> None:
-        """Write the run's workspace record (submit + terminal)."""
-        with self._lock:
-            progress = self._progress_locked(run)
-            record = {
-                "run": run.id,
-                "status": progress["status"],
-                "points": progress["points"],
-                "names": list(run.names),
-                "point_keys": [list(k) for k in run.point_keys],
-                "states": [pe.state for pe in run.entries],
-                "errors": {name: pe.error
-                           for name, pe in zip(run.names, run.entries)
-                           if pe.error},
-                "created_at": run.created_at,
-                "updated_at": time.time(),
-            }
-        try:
-            self.workspace.save_run(record)
-        except OSError:
-            pass
+        """Write the run's workspace record (submit + terminal), in
+        the order the states were read: a submit record never lands
+        after the completion record of a run whose shared points
+        finished meanwhile."""
+        with self._persist_lock:
+            with self._lock:
+                progress = self._progress_locked(run)
+                record = {
+                    "run": run.id,
+                    "status": progress["status"],
+                    "points": progress["points"],
+                    "names": list(run.names),
+                    "point_keys": [list(k) for k in run.point_keys],
+                    "states": [pe.state for pe in run.entries],
+                    "errors": {name: pe.error
+                               for name, pe in zip(run.names, run.entries)
+                               if pe.error},
+                    "created_at": run.created_at,
+                    "updated_at": time.time(),
+                }
+            try:
+                self.workspace.save_run(record)
+            except OSError:
+                pass
 
     def _write_documents(self, run: RunHandle) -> int:
-        """Persist a completed run's documents to its ``out_dir``.
-
-        Byte-for-byte the :func:`repro.sim.runner.
-        write_point_documents` format (sorted keys, indent 2, trailing
-        newline), so ``repro diff`` can gate a served directory against
-        a CLI sweep directly.
-        """
+        """Persist a completed run's documents to its ``out_dir``, in
+        :func:`repro.store.dump_document` bytes like
+        :func:`repro.sim.runner.write_point_documents`, so ``repro
+        diff`` can gate a served directory against a CLI sweep."""
         if run.out_dir is None:
             return 0
         docs, _ = self.run_documents(run)
-        run.out_dir.mkdir(parents=True, exist_ok=True)
-        written = 0
-        for name in run.names:
-            doc = docs.get(name)
-            if doc is None:
-                continue
-            with open(run.out_dir / name, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-            written += 1
-        return written
+        return len(write_documents(run.out_dir, list(docs.items())))
 
     def _retire_locked(self) -> None:
         """Drop the oldest completed runs past the retention bound."""

@@ -59,20 +59,6 @@ class ScenarioBuildError(Exception):
     """A scenario build failed (the waiting duplicates get this too)."""
 
 
-def make_trace_cache(root: Optional[Path],
-                     disabled: bool = False) -> TraceCache:
-    """One fresh :class:`TraceCache` with the server's configured root.
-
-    Fresh per request/job on purpose: the hit/miss counters that land
-    in manifests and ``/debug/state`` stay scoped to one request
-    instead of accumulating (and racing) across the server's lifetime.
-    """
-    cache = TraceCache(root)
-    if disabled:
-        cache.root = None
-    return cache
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One normalized scenario request.
@@ -363,8 +349,11 @@ class ScenarioStore:
             return True
 
     def new_cache(self) -> TraceCache:
-        """A fresh per-request trace cache on the server's root."""
-        return make_trace_cache(self.cache_root, self.cache_disabled)
+        """A fresh trace cache on the server's root: fresh per request
+        or job, so the hit/miss counters that land in manifests and
+        ``/debug/state`` stay scoped to it instead of racing across
+        the server's lifetime."""
+        return TraceCache(self.cache_root, disabled=self.cache_disabled)
 
     def get(self, scenario_hash: str) -> Optional[ScenarioEntry]:
         """One built scenario by hash, or None."""

@@ -61,9 +61,10 @@ shared interactions* is observable, and the heap fixes it.  Per-core
 of the ``(now, index)``-smallest core at a time through its own
 method descent (fuzz lane ``corun``, pins in
 ``tests/sim/test_corun_packed.py``).  With ``REPRO_CHECK=1`` the
-front-end checks each core's L1 and L2 per chunk, and the shared half
-re-derives every LLC set a yield point touched and the MSHR occupancy
-after each reservation.
+front-end checks each core's L1 and L2 per chunk, the shared half
+re-derives every LLC set a yield point touched, and each core's
+checked :meth:`MSHRFile.reserve <repro.mem.mshr.MSHRFile.reserve>`
+bounds every reservation.
 """
 
 from __future__ import annotations
@@ -388,7 +389,7 @@ class CorunSystem:
         op_at = xops[0][0] if n_ops else _NEVER
         total = len(tm)
         for pos in range(0, total, CHUNK):
-            begin, n, ua, _, _, rec_i, rec_code, rec_ext, u_end = chunk(
+            begin, n, ua, _, rec_i, rec_code, rec_ext, u_end = chunk(
                 pos, min(pos + CHUNK, total))
             q = xi = 0
             # The records, then the sentinel ``(n, -1)``: the chunk's
@@ -468,10 +469,10 @@ class CorunSystem:
         prefetches, then the record's LLC-bound writebacks -- so
         counters and float sums are identical.
 
-        With ``checking`` every LLC fill and the LLC set of every
-        record are re-derived by
-        :func:`~repro.testing.checks.check_cache_set`, and every
-        reservation by :func:`~repro.testing.checks.check_mshr`.
+        The window is the core's ``MSHRFile.reserve``, checked under
+        ``REPRO_CHECK``.  With ``checking`` every LLC fill and the LLC
+        set of every record are re-derived by
+        :func:`~repro.testing.checks.check_cache_set`.
         """
         slot = 1.0 / self.config.cpu.issue_width
         not7 = ~7                        # record code -> line
@@ -493,8 +494,7 @@ class CorunSystem:
 
         def for_core(core: _Core):
             offset = core.offset
-            mshr = core.mshr
-            comp, cap, mstats = mshr._completions, mshr.entries, mshr.stats
+            reserve = core.mshr.reserve
             cstats = core.stats
             xmem_miss = (core.xmem_pf.on_demand_miss
                          if core.xmem_pf is not None else None)
@@ -538,16 +538,7 @@ class CorunSystem:
                                 write(victim, now)
                 # MSHR reserve for a long access.
                 if completes - now > 4.0:
-                    while comp and comp[0] <= now:
-                        heappop(comp)
-                    start = now
-                    if len(comp) >= cap:
-                        start = heappop(comp)
-                        mstats.full_stalls += 1
-                    heappush(comp, completes)
-                    mstats.reservations += 1
-                    if checking:
-                        _checks.check_mshr(mshr, now, start)
+                    start = reserve(now, completes)
                     if start > now:
                         now = start
                 return now + slot

@@ -20,9 +20,9 @@ serially.  This module fixes both:
   instrumentation); the columns serialize via ``tobytes()``/
   ``frombytes()`` -- a memcpy, not a per-event pickle -- and the blob
   is zlib-compressed on disk (strided address columns compress well).
-  Entries carry
-  a content digest; corrupted or stale files are detected and
-  silently regenerated, never replayed.
+  Entries live in a :class:`repro.store.Store`: sha256-verified on
+  load (corrupted or stale files are purged and silently regenerated,
+  never replayed), written crash-consistently, and bounded in size.
 
 * **One point protocol, one run context.**  The four point kinds
   (:class:`SimPoint`, :class:`ScenarioPoint`, :class:`CorunPoint`,
@@ -57,7 +57,6 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import threading
 import time
 import zlib
@@ -81,12 +80,18 @@ from repro.sim.system import (
     build_xmem_pref,
     run_machines,
 )
+from repro.store import Store, write_documents
 
 #: Bump when the payload layout or trace semantics change; old cache
 #: entries then key-miss instead of replaying stale streams.
 #: v2: packed columnar payload (raw column bytes + XMemOp side-table)
-#: replacing the v1 per-event tuple list.
-TRACE_FORMAT_VERSION = 2
+#: replacing the v1 per-event tuple list.  v3: entries in the
+#: verified :mod:`repro.store` format.
+TRACE_FORMAT_VERSION = 3
+
+#: The trace cache's size bound: ``TraceCache.store`` evicts the
+#: oldest entries past it (an n=80 kernel entry is 0.2-0.4 MB).
+TRACE_CACHE_LIMIT_BYTES = 1 << 30
 
 #: The three machine builders a point may compare.
 SYSTEM_BUILDERS: Dict[str, Callable[..., SystemHandle]] = {
@@ -303,73 +308,48 @@ def default_cache_dir() -> Optional[Path]:
 
 
 class TraceCache:
-    """Content-verified pickle cache of :class:`TraceRecording` files.
-
-    Each entry stores the payload bytes together with their SHA-256
-    digest and the entry key.  ``load`` re-hashes on read: a mismatch
-    (bit rot, a partial write, a stale format) deletes the entry and
-    returns None so the caller regenerates -- a bad entry is never
-    replayed.
+    """The on-disk layer: a :class:`repro.store.Store` of
+    ``<key>.trace`` entries, each the zlib-compressed pickle of
+    :meth:`TraceRecording.to_payload`.  ``load`` verifies: a corrupt,
+    renamed or stale entry is purged and counts as a miss, never
+    replayed.  ``store`` then sweeps dead writers' temp files and
+    evicts the oldest entries past :data:`TRACE_CACHE_LIMIT_BYTES`.
+    Concurrent sweep workers may share the directory.
     """
 
-    #: Tmp files older than this are stale (a crashed/killed writer's
-    #: leftovers); :meth:`sweep_stale_tmp` removes them.  Generous --
-    #: no live trace write takes minutes.
-    STALE_TMP_S = 600
-
-    def __init__(self, root: Optional[Path] = None) -> None:
-        self.root = root if root is not None else default_cache_dir()
+    def __init__(self, root: Optional[Path] = None,
+                 disabled: bool = False) -> None:
+        """``root`` None is :func:`default_cache_dir`; ``disabled``
+        turns the on-disk layer off."""
+        self.root = None if disabled else root or default_cache_dir()
         self.hits = 0
         self.misses = 0
-        self._swept_tmp = False
 
     @property
     def enabled(self) -> bool:
         """Whether an on-disk layer is configured."""
         return self.root is not None
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.trace"
+    def _entries(self) -> Store:
+        return Store(self.root, ".trace")
 
     def load(self, key: str) -> Optional[TraceRecording]:
         """The cached recording, or None (missing/corrupt/stale)."""
         if self.root is None:
             return None
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                wrapper = pickle.load(fh)
-            blob = wrapper["blob"]
-            if (wrapper["key"] != key
-                    or hashlib.sha256(blob).hexdigest()
-                    != wrapper["digest"]):
-                raise StaleRecordingError("digest mismatch")
-            recording = TraceRecording.from_payload(
-                pickle.loads(zlib.decompress(blob)))
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (StaleRecordingError, KeyError, TypeError, ValueError,
-                EOFError, pickle.UnpicklingError, IndexError,
-                zlib.error):
-            # Corrupt or stale: purge so the regenerated entry replaces
-            # it, and report a miss.  Concurrent sweep workers race on
-            # exactly this purge (two workers both find a stale v1
-            # entry), so a vanished file -- or any other unlink failure
-            # on a path another worker owns -- must never crash a run.
-            self._purge(path)
-            self.misses += 1
-            return None
-        self.hits += 1
+        entries = self._entries()
+        blob = entries.get(key)
+        recording = None
+        if blob is not None:
+            try:
+                recording = TraceRecording.from_payload(
+                    pickle.loads(zlib.decompress(blob)))
+            except StaleRecordingError:
+                # Verified, but another platform's column width.
+                entries.discard(key)
+        self.hits += recording is not None
+        self.misses += recording is None
         return recording
-
-    @staticmethod
-    def _purge(path: Path) -> None:
-        """Best-effort delete, tolerant of concurrent purgers."""
-        try:
-            path.unlink(missing_ok=True)
-        except OSError:
-            pass
 
     def counters(self) -> Dict[str, int]:
         """StatGroup view of the cache's hit/miss counters."""
@@ -380,75 +360,22 @@ class TraceCache:
         """StatGroup protocol (registers as ``trace_cache``)."""
         yield "trace_cache", self.counters
 
-    def sweep_stale_tmp(self, max_age_s: Optional[float] = None) -> int:
-        """Delete abandoned ``*.trace.tmp`` files older than the bound.
-
-        A writer that dies between ``mkstemp`` and ``os.replace``
-        (SIGKILL, power loss) strands its tmp file; in a long-lived
-        server those would otherwise accumulate forever.  Young tmp
-        files belong to live concurrent writers and are left alone.
-        Returns the number of files removed.
-        """
-        if self.root is None or not self.root.is_dir():
-            return 0
-        if max_age_s is None:
-            max_age_s = self.STALE_TMP_S
-        import time
-        cutoff = time.time() - max_age_s
-        swept = 0
-        for tmp in self.root.glob("*.trace.tmp"):
-            try:
-                if tmp.stat().st_mtime < cutoff:
-                    tmp.unlink()
-                    swept += 1
-            except OSError:
-                # Vanished (a concurrent sweeper) or unreadable: either
-                # way not ours to crash on.
-                continue
-        return swept
-
     def store(self, key: str, recording: TraceRecording) -> None:
-        """Persist a recording (atomic rename; concurrent-writer safe).
-
-        The tmp file is cleaned up on *every* failure path -- not just
-        ``OSError``.  A ``KeyboardInterrupt`` or pickling error between
-        ``mkstemp`` and ``os.replace`` used to strand a ``.trace.tmp``
-        file per incident; ``_purge`` after a successful rename is a
-        no-op (the path no longer exists).
-        """
+        """Persist a recording; disk trouble only loses the entry."""
         if self.root is None:
             return
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            return
-        if not self._swept_tmp:
-            # Once per cache instance: collect tmp files stranded by
-            # earlier crashed writers before adding our own.
-            self._swept_tmp = True
-            self.sweep_stale_tmp()
         # The columns compress well (regular address deltas, repeated
         # flag words); zlib is stdlib and decompression is a small
-        # fraction of a cold trace walk.  Uncompressed v1/v2 entries
-        # fail zlib.decompress on load and purge like any stale entry.
+        # fraction of a cold trace walk.
         blob = zlib.compress(
             pickle.dumps(recording.to_payload(), protocol=4), 6)
-        wrapper = {
-            "key": key,
-            "digest": hashlib.sha256(blob).hexdigest(),
-            "blob": blob,
-        }
-        fd, tmp = tempfile.mkstemp(dir=str(self.root),
-                                   suffix=".trace.tmp")
+        entries = self._entries()
         try:
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(wrapper, fh, protocol=4)
-                os.replace(tmp, self._path(key))
-            except OSError:
-                pass
-        finally:
-            self._purge(Path(tmp))
+            entries.put(key, blob)
+            entries.sweep_tmp()
+            entries.bound(TRACE_CACHE_LIMIT_BYTES)
+        except OSError:
+            pass
 
 
 #: In-process memo of recently used recordings (shared across the
@@ -556,10 +483,8 @@ class RunContext:
         Fresh per run on purpose: the hit/miss counters that land in
         the manifest stay scoped to that run.
         """
-        cache = TraceCache(self.cache_root)
-        if self.cache_root is None:
-            cache.root = None
-        return cache
+        return TraceCache(self.cache_root,
+                          disabled=self.cache_root is None)
 
 
 def _manifest(kind: str, cfg: SimConfig, trace: dict, cache: TraceCache,
@@ -1180,18 +1105,11 @@ def write_point_documents(root: Path, results: Sequence) -> List[Path]:
     """Write one manifest+stats JSON per collecting point under root.
 
     Filenames come from each point's ``document_name`` (sweep index
-    plus point identity), and keys are sorted, so two runs of the same
-    sweep produce directly comparable trees (the ``repro diff``
-    determinism gate relies on this).
+    plus point identity), and the bytes are
+    :func:`repro.store.dump_document`'s, so two runs of the same sweep
+    produce directly comparable trees (the ``repro diff`` determinism
+    gate relies on this).
     """
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-    for index, result in enumerate(results):
-        path = root / result.point.document_name(index)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(point_document(result), fh, sort_keys=True,
-                      indent=2)
-            fh.write("\n")
-        written.append(path)
-    return written
+    return write_documents(root, [
+        (result.point.document_name(index), point_document(result))
+        for index, result in enumerate(results)])

@@ -214,18 +214,14 @@ def check_cache_all(cache) -> None:
 # MSHR invariants
 # ---------------------------------------------------------------------------
 
-def check_mshr_capacity(mshr) -> None:
-    """No more than ``entries`` misses outstanding."""
+def check_mshr(mshr, now: float, start: float) -> None:
+    """Post-``reserve`` state: no more than ``entries`` misses
+    outstanding, no time travel."""
     if len(mshr._completions) > mshr.entries:
         raise CheckError(
             f"MSHR over capacity: {len(mshr._completions)} outstanding "
             f"misses in a {mshr.entries}-entry file"
         )
-
-
-def check_mshr(mshr, now: float, start: float) -> None:
-    """Post-``reserve`` state: bounded occupancy, no time travel."""
-    check_mshr_capacity(mshr)
     if start < now:
         raise CheckError(
             f"MSHR reservation started at {start} before now={now}"

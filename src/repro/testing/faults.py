@@ -1,4 +1,5 @@
-"""Fault injection for the serve worker pool (tests and the fuzz lane).
+"""Fault injection for the serve worker pool and the artifact store
+(tests and the fuzz lane).
 
 :func:`faulty_worker_main` is a drop-in spawn target for
 :func:`repro.serve.pool.pool_worker_main`.  Substitute it on the
@@ -12,6 +13,11 @@ jobs that misbehave: ``REPRO_SERVE_TEST_CRASH=<scenario-hash>`` makes
 the worker ``os._exit(23)`` when it picks up a job for that scenario,
 and ``REPRO_SERVE_TEST_SLOW=<scenario-hash>:<seconds>`` sleeps before
 executing it -- a deterministic window for cancel-while-running.
+
+:func:`crashing_server_main` is the crash-point harness: a spawn
+target serving with :func:`crashing_write` substituted for the
+store's one write path, so a test can kill a server at each
+persistence step of a served run.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ import os
 import time
 from pathlib import Path
 from typing import Optional
+
+from repro import store
 
 #: Scenario hash a worker must crash on.
 CRASH_ENV = "REPRO_SERVE_TEST_CRASH"
@@ -71,3 +79,34 @@ def faulty_worker_main(conn, cache_root: Optional[Path],
 
     pool.pool_worker_main(_FaultyConnection(conn), cache_root,
                           cache_disabled)
+
+
+def crashing_write(write, at: int, before_rename: bool):
+    """Wrap :func:`repro.store.write_atomic`: its ``at``-th call exits
+    the process (:data:`CRASH_EXIT`) at once, or -- ``before_rename``
+    -- once the payload sits in its fsynced temp file."""
+    calls = 0
+
+    def crashing(path, payload):
+        nonlocal calls
+        calls += 1
+        if calls == at:
+            if before_rename:
+                store.stage(Path(path), payload)
+            os._exit(CRASH_EXIT)
+        return write(path, payload)
+
+    return crashing
+
+
+def crashing_server_main(conn, at: int, before_rename: bool,
+                         **serve_kwargs) -> None:
+    """Spawn target: a server whose ``at``-th store write crashes it.
+    Sends its bound port on ``conn``, then serves until the crash."""
+    from repro.serve.app import serve
+
+    store.write_atomic = crashing_write(store.write_atomic, at,
+                                        before_rename)
+    server = serve(port=0, **serve_kwargs)
+    conn.send(server.server_address[1])
+    server.serve_forever()

@@ -85,6 +85,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cpu.trace import MemAccess, PackedTrace, TraceEvent, Work, XMemOp
 from repro.dram.mapping import ALL_SCHEMES, DramGeometry
+from repro.store import write_documents
 from repro.testing import generators
 from repro.testing.generators import GenConfig, setup_atoms
 from repro.testing.oracles import (
@@ -1251,13 +1252,8 @@ def shrink_failure(failure: FuzzFailure,
 
 def write_reproducer(corpus_dir: Path, failure: FuzzFailure) -> Path:
     """One JSON reproducer file per failure, name keyed by the case."""
-    corpus_dir = Path(corpus_dir)
-    corpus_dir.mkdir(parents=True, exist_ok=True)
-    path = corpus_dir / f"{failure.lane}-case{failure.case_index:05d}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(failure.reproducer(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    name = f"{failure.lane}-case{failure.case_index:05d}.json"
+    return write_documents(corpus_dir, [(name, failure.reproducer())])[0]
 
 
 def run_fuzz(cases: int, seed: int = 0, length: int = 400,

@@ -157,7 +157,7 @@ class TestMixedSweep:
         """Every point kind runs through the one run_point and the one
         sweep, serial or over two workers, with the same results."""
         monkeypatch.setattr(runner_mod, "TraceCache",
-                            lambda root=None: disk_cache)
+                            lambda root=None, disabled=False: disk_cache)
         points = [SimPoint(kernel="mvt", n=12, tile=4),
                   example_point(scale=16),
                   CorunPoint(tenants=("mcf", "lbm"), accesses=400,

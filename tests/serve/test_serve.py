@@ -5,7 +5,7 @@ scenario POSTs share one trace build, runs produce the same stats
 documents as direct :func:`~repro.sim.runner.run_point` calls, bad
 configs are 400s, the queue bound is a 429 -- plus the regression
 pins for the bug sweep that rode along: the ``_MEMO`` eviction bound,
-``TraceCache.store`` tmp-file cleanup on every failure path, and a
+``TraceCache.store`` temp-file cleanup on every failure path, and a
 server that no longer reads ``REPRO_ENGINE``.
 """
 
@@ -24,6 +24,7 @@ from repro.serve.jobs import config_hash, normalize_config
 from repro.serve.scenarios import ScenarioEntry, ScenarioSpec
 from repro.sim import runner
 from repro.sim.runner import SimPoint, TraceCache, point_document, run_point
+from repro.store import STALE_TMP_S, Store
 
 
 def call(server, method, path, body=None, raw=None):
@@ -580,7 +581,8 @@ class TestMemoBoundRegression:
 
 
 class TestTraceCacheTmpRegression:
-    """``store`` must never strand ``.trace.tmp`` files."""
+    """``store`` must never strand temp files; the store's one sweep
+    collects those a killed writer left."""
 
     def _recording(self):
         return runner.record_trace("mvt", 4, 4)
@@ -593,9 +595,9 @@ class TestTraceCacheTmpRegression:
         def boom(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr("repro.sim.runner.pickle.dump", boom)
+        monkeypatch.setattr(os, "replace", boom)
         cache.store("k", rec)        # swallowed, like before
-        assert list(tmp_path.glob("*.trace.tmp")) == []
+        assert list(tmp_path.glob("*.tmp")) == []
         assert not (tmp_path / "k.trace").exists()
 
     def test_non_oserror_still_cleans_tmp(self, tmp_path, monkeypatch):
@@ -603,37 +605,35 @@ class TestTraceCacheTmpRegression:
         rec = self._recording()
 
         def boom(*args, **kwargs):
-            raise RuntimeError("interrupted mid-pickle")
+            raise RuntimeError("interrupted mid-write")
 
-        monkeypatch.setattr("repro.sim.runner.pickle.dump", boom)
+        monkeypatch.setattr(os, "replace", boom)
         with pytest.raises(RuntimeError):
             cache.store("k", rec)
-        # Pre-fix only OSError cleaned up; this tmp file was stranded.
-        assert list(tmp_path.glob("*.trace.tmp")) == []
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_successful_store_round_trips(self, tmp_path):
         cache = TraceCache(tmp_path)
         rec = self._recording()
         cache.store("k", rec)
-        assert list(tmp_path.glob("*.trace.tmp")) == []
+        assert list(tmp_path.glob("*.tmp")) == []
         assert cache.load("k") is not None
 
     def test_sweep_removes_only_stale_tmp(self, tmp_path):
-        cache = TraceCache(tmp_path)
         stale = tmp_path / "dead.trace.tmp"
         fresh = tmp_path / "live.trace.tmp"
         stale.write_bytes(b"x")
         fresh.write_bytes(b"x")
-        old = time.time() - 2 * TraceCache.STALE_TMP_S
+        old = time.time() - 2 * STALE_TMP_S
         os.utime(stale, (old, old))
-        assert cache.sweep_stale_tmp() == 1
+        assert Store(tmp_path, ".trace").sweep_tmp() == 1
         assert not stale.exists()
         assert fresh.exists()
 
     def test_store_sweeps_stale_tmp_once(self, tmp_path):
         stale = tmp_path / "dead.trace.tmp"
         stale.write_bytes(b"x")
-        old = time.time() - 2 * TraceCache.STALE_TMP_S
+        old = time.time() - 2 * STALE_TMP_S
         os.utime(stale, (old, old))
         cache = TraceCache(tmp_path)
         cache.store("k", self._recording())

@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from repro.serve.workspace import ArtifactWorkspace, _dump_json
+from repro.serve.workspace import ArtifactWorkspace
+from repro.store import Store, dump_document
 
 from .conftest import (boot_server, call, kernel_scenario, stop_server,
                        submit_run, wait_run)
@@ -22,6 +23,24 @@ from .conftest import (boot_server, call, kernel_scenario, stop_server,
 H1 = "a" * 16
 H2 = "b" * 16
 H3 = "c" * 16
+
+
+def stored_payload(root, sub, name):
+    """One workspace entry's verified payload (its bytes minus the
+    store's digest line)."""
+    return Store(root / sub, ".json").get(name)
+
+
+def flip_digit(path):
+    """Change one digit of an entry's payload: the JSON still parses,
+    only the digest can tell."""
+    raw = bytearray(path.read_bytes())
+    body = raw.index(b"\n") + 1
+    at = next(i for i in range(len(raw) - 1, body, -1)
+              if chr(raw[i]).isdigit())
+    raw[at] = ord(str((int(chr(raw[at])) + 1) % 10))
+    path.write_bytes(bytes(raw))
+    json.loads(raw[body:])
 
 
 class TestWorkspaceUnits:
@@ -48,14 +67,51 @@ class TestWorkspaceUnits:
         ws = ArtifactWorkspace(tmp_path)
         doc = {"b": [1, 2], "a": {"nested": True}}
         ws.save_point((H1, H2), doc)
-        raw = (tmp_path / "points" / f"{H1}_{H2}.json").read_bytes()
-        assert raw == _dump_json(doc)
+        raw = stored_payload(tmp_path, "points", f"{H1}_{H2}")
+        assert raw == dump_document(doc)
         assert raw == (json.dumps(doc, sort_keys=True, indent=2)
                        + "\n").encode()
 
+    def test_flipped_digit_is_a_miss_and_rewritable(self, tmp_path):
+        ws = ArtifactWorkspace(tmp_path)
+        ws.save_point((H1, H2), {"cycles": 1234})
+        path = tmp_path / "points" / f"{H1}_{H2}.json"
+        flip_digit(path)
+        assert ws.load_point((H1, H2)) is None
+        assert not path.exists(), "a corrupt entry is purged"
+        assert ws.save_point((H1, H2), {"cycles": 1234}) is True
+        assert ws.load_point((H1, H2)) == {"cycles": 1234}
+
+    def test_corruption_of_one_entry_spares_the_others(self, tmp_path):
+        ws = ArtifactWorkspace(tmp_path)
+        ws.save_point((H1, H2), {"cycles": 11})
+        ws.save_point((H1, H3), {"cycles": 22})
+        ws.save_run({"run": "run-000001", "status": "done",
+                     "point_keys": [[H1, H2], [H1, H3]]})
+        flip_digit(tmp_path / "points" / f"{H1}_{H3}.json")
+        assert ws.load_point((H1, H3)) is None
+        assert ws.load_point((H1, H2)) == {"cycles": 11}
+        assert ws.load_run("run-000001")["status"] == "done"
+
+    def test_stale_tmp_is_swept_and_never_counted(self, tmp_path):
+        """A writer killed between its temp file and the rename leaves
+        ``*.json.tmp`` behind: usage never counts it, and the next
+        boot sweeps it."""
+        ws = ArtifactWorkspace(tmp_path)
+        ws.save_point((H1, H2), {"v": 1})
+        size = (tmp_path / "points" / f"{H1}_{H2}.json").stat().st_size
+        stale = tmp_path / "points" / f"{H1}_{H3}.json.tmp"
+        stale.write_bytes(b"x" * 4096)
+        usage = ws.usage()
+        assert usage["points"] == {"files": 1, "bytes": size}
+        assert usage["bytes"] == size
+        ArtifactWorkspace(tmp_path)          # the next server's boot
+        assert not stale.exists()
+        assert ws.load_point((H1, H2)) == {"v": 1}
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path,
                                                monkeypatch):
-        """Any exception between mkstemp and the rename -- not just an
+        """Any exception between the temp file and the rename -- not just an
         OSError -- removes the temp file, which eviction and the size
         accounting (``*.json`` only) would never see."""
         ws = ArtifactWorkspace(tmp_path)
@@ -152,7 +208,8 @@ class TestWorkspacePersistence:
                 for d in doc["documents"].values()}
             for path in points:
                 config = path.stem.split("_")[1]
-                assert path.read_bytes() == _dump_json(served[config])
+                assert stored_payload(tmp_path, "points", path.stem) \
+                    == dump_document(served[config])
             # The scenario record landed too (rehydration source).
             assert (tmp_path / "scenarios" / f"{h}.json").exists()
         finally:
@@ -215,8 +272,8 @@ class TestRestartRecovery:
                         if path.stem.endswith(
                             d["manifest"]["serve"]["config_hash"])]
                 assert len(name) == 1
-                assert path.read_bytes() == _dump_json(
-                    before["documents"][name[0]])
+                assert stored_payload(tmp_path, "points", path.stem) \
+                    == dump_document(before["documents"][name[0]])
             # The id sequence resumes past everything persisted.
             rid2 = submit_run(srv, h, [{"scale": 4}])
             assert rid2 > rid
@@ -264,6 +321,40 @@ class TestRestartRecovery:
             _, state = call(srv, "GET", "/debug/state")
             assert state["serve"]["workspace_hits"] == 1
             assert state["serve"]["points_executed"] == 0
+        finally:
+            stop_server(srv, thread)
+
+
+    def test_flipped_digit_point_is_not_served_and_reexecutes(
+            self, tmp_path):
+        srv, thread = boot_server(workspace=str(tmp_path))
+        try:
+            h = kernel_scenario(srv)
+            rid = submit_run(srv, h, [{}])
+            before = wait_run(srv, rid)
+            assert before["status"] == "done"
+        finally:
+            stop_server(srv, thread)
+        (path,) = (tmp_path / "points").glob("*.json")
+        flip_digit(path)
+
+        srv, thread = boot_server(workspace=str(tmp_path))
+        try:
+            status, doc = call(srv, "GET", f"/v1/runs/{rid}")
+            assert status == 200
+            assert doc["status"] == "failed"
+            assert doc["points"]["failed"] == 1
+            assert doc["documents"] == {}
+            (name,) = before["names"]
+            assert "resubmit" in doc["errors"][name]
+            final = wait_run(srv, submit_run(srv, h, [{}]))
+            assert final["status"] == "done"
+            # Re-executed: the manifest's timings are new, the stats not.
+            assert final["documents"][name]["stats"] \
+                == before["documents"][name]["stats"]
+            _, state = call(srv, "GET", "/debug/state")
+            assert state["serve"]["workspace_hits"] == 0
+            assert state["serve"]["points_executed"] == 1
         finally:
             stop_server(srv, thread)
 

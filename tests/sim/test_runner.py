@@ -182,7 +182,7 @@ def test_corrupted_cache_entry_detected_and_regenerated(disk_cache):
 
     # Flip bytes in the middle of the stored blob.
     key = trace_key("gemm", N, TILE, True)
-    path = disk_cache._path(key)
+    path = disk_cache._entries().path(key)
     blob = bytearray(path.read_bytes())
     mid = len(blob) // 2
     blob[mid] ^= 0xFF
@@ -207,7 +207,7 @@ def test_truncated_cache_entry_detected(disk_cache):
     point = SimPoint(kernel="gemm", n=N, tile=TILE)
     run_point(point, cache=disk_cache)
     key = trace_key("gemm", N, TILE, True)
-    path = disk_cache._path(key)
+    path = disk_cache._entries().path(key)
     path.write_bytes(path.read_bytes()[:40])
     runner_mod._MEMO.clear()
     assert disk_cache.load(key) is None
@@ -217,8 +217,8 @@ def test_truncated_cache_entry_detected(disk_cache):
 def test_wrong_key_entry_detected(disk_cache):
     """An entry renamed to another key's filename must not replay."""
     run_point(SimPoint(kernel="gemm", n=N, tile=TILE), cache=disk_cache)
-    src = disk_cache._path(trace_key("gemm", N, TILE, True))
-    dst = disk_cache._path(trace_key("jacobi2d", N, TILE, True))
+    src = disk_cache._entries().path(trace_key("gemm", N, TILE, True))
+    dst = disk_cache._entries().path(trace_key("jacobi2d", N, TILE, True))
     os.replace(src, dst)
     runner_mod._MEMO.clear()
     assert disk_cache.load(trace_key("jacobi2d", N, TILE, True)) is None
@@ -345,31 +345,66 @@ def test_serial_sweep_bit_identical_to_pool(tmp_path, monkeypatch):
 # Concurrent purge tolerance
 # ---------------------------------------------------------------------------
 
-def test_purge_tolerates_missing_file(disk_cache):
+def test_purge_tolerates_missing_file(disk_cache, monkeypatch):
     """Two workers racing to purge the same stale entry: the loser's
     unlink targets a vanished file and must not raise."""
     run_point(SimPoint(kernel="gemm", n=N, tile=TILE), cache=disk_cache)
     key = trace_key("gemm", N, TILE, True)
-    path = disk_cache._path(key)
+    path = disk_cache._entries().path(key)
 
-    real_unlink = type(path).unlink
+    real_unlink = os.unlink
 
-    def racing_unlink(self, missing_ok=False):
+    def racing_unlink(target):
         # The other worker wins the race between the corruption check
         # and our unlink.
-        if self.exists():
-            real_unlink(self)
-        return real_unlink(self, missing_ok=missing_ok)
+        if os.path.exists(target):
+            real_unlink(target)
+        return real_unlink(target)
 
     # Corrupt the entry, then simulate the race during the purge.
     path.write_bytes(b"garbage")
     runner_mod._MEMO.clear()
-    import unittest.mock
-    with unittest.mock.patch.object(type(path), "unlink", racing_unlink):
-        assert disk_cache.load(key) is None  # no FileNotFoundError
+    monkeypatch.setattr(os, "unlink", racing_unlink)
+    assert disk_cache.load(key) is None  # no FileNotFoundError
+    monkeypatch.undo()
     assert not path.exists()
-    # _purge is also directly safe on a path that never existed.
-    TraceCache._purge(disk_cache._path("no-such-key"))
+    # A purge is also directly safe on a path that never existed.
+    assert disk_cache._entries().discard("no-such-key") is False
+
+
+def test_trace_cache_stays_under_its_bound(disk_cache, monkeypatch):
+    """``store`` evicts the oldest entries past the size bound."""
+    import time
+    recording = record_trace("gemm", N, TILE)
+    disk_cache.store("probe", recording)
+    size = disk_cache._entries().path("probe").stat().st_size
+    disk_cache._entries().discard("probe")
+    limit = int(2.5 * size)
+    monkeypatch.setattr(runner_mod, "TRACE_CACHE_LIMIT_BYTES", limit)
+    for i in range(4):
+        disk_cache.store(f"k{i}", recording)
+        time.sleep(0.02)             # distinct mtimes: a strict order
+        entries = disk_cache._entries().entries()
+        assert sum(e.size for e in entries) <= limit
+    names = [e.name for e in disk_cache._entries().entries()]
+    assert "k3" in names and "k0" not in names
+    assert disk_cache.load("k3") is not None
+
+
+def test_corruption_of_one_entry_spares_the_others(disk_cache):
+    """Both layers of a store survive one bad entry: the corrupt one is
+    a miss (and purged), its neighbour still replays."""
+    for tile in (6, TILE):
+        run_point(SimPoint(kernel="gemm", n=N, tile=tile),
+                  cache=disk_cache)
+    bad, good = (trace_key("gemm", N, t, True) for t in (6, TILE))
+    path = disk_cache._entries().path(bad)
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0x01
+    path.write_bytes(bytes(raw))
+    assert disk_cache.load(bad) is None
+    assert not path.exists()
+    assert disk_cache.load(good) is not None
 
 
 def test_trace_cache_stat_group(disk_cache):
