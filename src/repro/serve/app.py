@@ -72,6 +72,9 @@ LONGPOLL_MAX_S = 60.0
 #: A ``?stream=1`` connection is closed after this long regardless.
 STREAM_MAX_S = 600.0
 
+#: A connection's write buffer: a reply up to this size is one send.
+WRITE_BUFFER_BYTES = 64 << 10
+
 
 def resolve_out_dir(raw: str, out_root: Optional[Path]) -> Path:
     """Validate a client-supplied ``out_dir`` against the server policy.
@@ -241,17 +244,56 @@ def _query_float(query: Dict[str, str], name: str,
             f"{name} must be a number, got {raw!r}") from None
 
 
+def _chunk(doc: Dict[str, object]) -> bytes:
+    """One NDJSON line framed as one HTTP/1.1 chunk."""
+    data = (json.dumps(doc, sort_keys=True) + "\n").encode()
+    return b"%x\r\n%s\r\n" % (len(data), data)
+
+
 class ServeHandler(BaseHTTPRequestHandler):
-    """Route table + JSON plumbing for one request."""
+    """Route table + JSON plumbing for one request.
+
+    Transport: HTTP/1.1 keep-alive, so a connection serves request
+    after request, and each one should cost its work and nothing
+    more.  Two settings see to that.  ``disable_nagle_algorithm`` sets
+    ``TCP_NODELAY``: with Nagle on, a reply written in two sends has
+    its second one held back until the client's delayed ACK, about
+    40 ms per request.  ``wbufsize`` buffers the writer, so a reply's
+    status line, headers and body (stdlib error pages included) leave
+    in one send when ``handle_one_request`` flushes.  A body past the
+    buffer goes out right behind its headers.  ``?stream=1`` flushes
+    its headers, then each chunk, as soon as they are written.  A
+    client that goes away mid-request is not an error: :meth:`handle`
+    and :meth:`finish` drop the connection without a traceback.
+    """
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    wbufsize = WRITE_BUFFER_BYTES
 
     @property
     def state(self) -> ServerState:
         return self.server.state  # type: ignore[attr-defined]
 
     # -- stdlib hooks -----------------------------------------------------
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            # The client went away; a buffered reply surfaces that at
+            # the flush in handle_one_request.  A resident server
+            # shrugs, and this connection is done.
+            pass
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        except ConnectionError:
+            # Closing the writer retried the failed flush; the write
+            # side is closed all the same.
+            self.rfile.close()
 
     def log_message(self, fmt: str, *args) -> None:
         if self.state.verbose:
@@ -291,6 +333,9 @@ class ServeHandler(BaseHTTPRequestHandler):
         except ScenarioBuildError as exc:
             state.stats.bump("internal_errors")
             status, doc = 500, {"error": str(exc)}
+        except ConnectionError:
+            # The client went away mid-request: no reply, no 500.
+            raise
         except Exception as exc:                 # noqa: BLE001
             state.stats.bump("internal_errors")
             status, doc = 500, {
@@ -536,7 +581,10 @@ class ServeHandler(BaseHTTPRequestHandler):
         """``?stream=1``: chunked NDJSON events until terminal.
 
         One JSON object per line: the run's completion events as they
-        land, then a final summary line with the terminal status.
+        land, then a final summary line with the terminal status.  The
+        headers leave at once, so a client sees the status line before
+        the first event; each chunk is one send, and the summary goes
+        out together with the terminal chunk.
         """
         sched = self.state.scheduler
         try:
@@ -544,15 +592,14 @@ class ServeHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Type", "application/x-ndjson")
             self.send_header("Transfer-Encoding", "chunked")
             self.end_headers()
+            self.wfile.flush()
             deadline = time.monotonic() + STREAM_MAX_S
             while True:
                 timeout = min(10.0, deadline - time.monotonic())
                 events, next_seq, progress = sched.wait_events(
                     run, since, max(timeout, 0.0))
                 for event in events:
-                    self._write_chunk(
-                        (json.dumps(event, sort_keys=True) + "\n"
-                         ).encode())
+                    self._send(_chunk(event))
                 since = next_seq
                 terminal = progress["status"] in ("done", "failed",
                                                   "cancelled")
@@ -561,20 +608,15 @@ class ServeHandler(BaseHTTPRequestHandler):
                                "status": progress["status"],
                                "points": progress["points"],
                                "next": next_seq}
-                    self._write_chunk(
-                        (json.dumps(summary, sort_keys=True) + "\n"
-                         ).encode())
+                    self._send(_chunk(summary) + b"0\r\n\r\n")
                     break
-            self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError):
+        except ConnectionError:
             # The consumer went away mid-stream; a resident server
             # shrugs (but this connection is done).
             self.close_connection = True
 
-    def _write_chunk(self, data: bytes) -> None:
-        self.wfile.write(b"%x\r\n" % len(data))
+    def _send(self, data: bytes) -> None:
         self.wfile.write(data)
-        self.wfile.write(b"\r\n")
         self.wfile.flush()
 
     # -- JSON plumbing ----------------------------------------------------
@@ -610,17 +652,13 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def _reply(self, status: int, doc: Dict[str, object]) -> None:
         payload = (json.dumps(doc, sort_keys=True) + "\n").encode()
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client went away mid-reply; a resident server shrugs.
-            pass
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(payload)
 
 
 class ReproServer(ThreadingHTTPServer):
