@@ -14,8 +14,10 @@ Scale knobs (environment variables):
   regenerating them.
 * ``REPRO_STATS_JSON``     -- when set to a directory, the figure
   drivers also dump one manifest+stats JSON document per sweep point
-  under ``<dir>/<experiment>/`` (same format as ``repro sweep
-  --stats-json``; compare runs with ``repro diff``).  Off by default;
+  under ``<dir>/<experiment>/`` through
+  :func:`repro.sim.runner.write_point_documents` (the format of
+  ``repro sweep --stats-json``, Use Case 2's ``uc2point`` documents
+  included; compare runs with ``repro diff``).  Off by default;
   collection happens after each run, so the printed tables are
   unchanged.
 
@@ -25,10 +27,9 @@ so EXPERIMENTS.md can quote the measured rows.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-from typing import Dict, Optional
+from typing import Optional
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -73,35 +74,3 @@ def save_stats_documents(experiment: str, results) -> None:
         return
     from repro.sim.runner import write_point_documents
     write_point_documents(root / experiment, results)
-
-
-def save_uc2_stats_documents(experiment: str,
-                             results: Dict[str, dict]) -> None:
-    """Dump one document per collecting Use-Case-2 workload.
-
-    ``results`` maps workload name -> {system: UseCase2Result}; each
-    document mirrors the SimPoint form ({"manifest": ..., "stats":
-    {system: snapshot}}) so ``repro diff`` consumes both.
-    """
-    root = stats_json_dir()
-    if root is None:
-        return
-    out = root / experiment
-    out.mkdir(parents=True, exist_ok=True)
-    for index, name in enumerate(sorted(results)):
-        by_system = results[name]
-        doc = {
-            "manifest": {
-                "schema": 1,
-                "kind": "uc2",
-                "workload": name,
-                "mappings": {sys: r.mapping
-                             for sys, r in sorted(by_system.items())},
-            },
-            "stats": {sys: r.stats
-                      for sys, r in sorted(by_system.items())},
-        }
-        path = out / f"{index:03d}_{name}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")

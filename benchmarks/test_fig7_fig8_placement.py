@@ -21,7 +21,7 @@ from _bench_utils import (
     bench_accesses,
     collect_stats,
     save_result,
-    save_uc2_stats_documents,
+    save_stats_documents,
 )
 from repro.sim import UC2Point, amean, format_table, sweep
 from repro.workloads.suite import (
@@ -42,12 +42,10 @@ def run_suite():
     if "results" in _cache:
         return _cache["results"]
     accesses = bench_accesses()
-    points = [UC2Point(workload=w.name, accesses=accesses,
-                       collect_stats=collect_stats())
-              for w in SUITE]
-    out = sweep(points)
-    results = {p.workload: r for p, r in zip(points, out)}
-    save_uc2_stats_documents("fig7_fig8", results)
+    points = [UC2Point(workload=w.name, accesses=accesses) for w in SUITE]
+    out = sweep(points, collect_stats=collect_stats())
+    save_stats_documents("fig7_fig8", out)
+    results = {p.workload: r.runs for p, r in zip(points, out)}
     _cache["results"] = results
     return results
 
@@ -65,8 +63,8 @@ def test_fig7_speedup(benchmark, results_dir):
         xmem_speedups[name] = xs
         ideal_speedups[name] = xi
         rows.append([name, xs, xi,
-                     f"{base.record.dram_row_hit_rate:.2f}",
-                     f"{xmem.record.dram_row_hit_rate:.2f}"])
+                     f"{base.dram_row_hit_rate:.2f}",
+                     f"{xmem.dram_row_hit_rate:.2f}"])
     rows.sort(key=lambda r: r[1], reverse=True)
     rows.append(["amean", amean(xmem_speedups.values()),
                  amean(ideal_speedups.values()), "-", "-"])
@@ -97,8 +95,8 @@ def test_fig8_read_latency(benchmark, results_dir):
     read_norm = {}
     write_norm = {}
     for name, res in results.items():
-        base = res["baseline"].record
-        xmem = res["xmem"].record
+        base = res["baseline"]
+        xmem = res["xmem"]
         rn = xmem.dram_read_latency / base.dram_read_latency
         wn = (xmem.dram_write_latency / base.dram_write_latency
               if base.dram_write_latency else 1.0)

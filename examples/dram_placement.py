@@ -13,10 +13,7 @@ on the three systems of Figure 7:
 Run:  python examples/dram_placement.py
 """
 
-import dataclasses
-
-from repro.sim import format_table
-from repro.sim.usecase2 import run_figure7
+from repro.sim import UC2Point, format_table, run_point
 from repro.workloads.suite import BY_NAME
 
 WORKLOADS = ("lbm", "spmv", "mcf")
@@ -26,21 +23,20 @@ ACCESSES = 60_000   # trimmed for a quick demo
 def main() -> None:
     rows = []
     for name in WORKLOADS:
-        workload = dataclasses.replace(BY_NAME[name], accesses=ACCESSES)
-        results = run_figure7(workload, pick_mapping=False)
-        base = results["baseline"]
-        xmem = results["xmem"]
-        ideal = results["ideal"]
+        result = run_point(UC2Point(name, ACCESSES), collect=True)
+        base = result.runs["baseline"]
+        xmem = result.runs["xmem"]
+        ideal = result.runs["ideal"]
         rows.append([
             name,
             f"{base.cycles / xmem.cycles:.3f}x",
             f"{base.cycles / ideal.cycles:.3f}x",
-            f"{base.record.dram_row_hit_rate:.2f}",
-            f"{xmem.record.dram_row_hit_rate:.2f}",
-            f"{xmem.record.dram_read_latency / base.record.dram_read_latency - 1:+.1%}",
+            f"{base.dram_row_hit_rate:.2f}",
+            f"{xmem.dram_row_hit_rate:.2f}",
+            f"{xmem.dram_read_latency / base.dram_read_latency - 1:+.1%}",
         ])
         print(f"--- {name}: {BY_NAME[name].description}")
-        print(xmem.placement_report, "\n")
+        print(result.manifest["placement"], "\n")
 
     print(format_table(
         ["workload", "xmem speedup", "ideal speedup",

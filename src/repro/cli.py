@@ -17,7 +17,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import List, Optional
 
@@ -33,7 +32,6 @@ from repro.sim import (
     format_table,
     scaled_config,
 )
-from repro.sim.usecase2 import run_figure7
 from repro.workloads.polybench import FIGURE4_KERNELS, KERNELS
 from repro.workloads.suite import BY_NAME, SUITE
 
@@ -96,35 +94,35 @@ def cmd_usecase1(args) -> int:
 
 def cmd_usecase2(args) -> int:
     """Run one workload on Baseline / XMem / Ideal."""
+    from repro.sim.runner import UC2Point, run_point
+
     if args.workload not in BY_NAME:
         print(f"unknown workload {args.workload!r}; see `repro list`",
               file=sys.stderr)
         return 2
     workload = BY_NAME[args.workload]
-    if args.accesses:
-        workload = dataclasses.replace(workload, accesses=args.accesses)
     try:
-        results = run_figure7(workload, pick_mapping=args.pick_mapping)
+        result = run_point(UC2Point(args.workload, args.accesses or None,
+                                    args.pick_mapping), collect=True)
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
         return 2
-    base = results["baseline"]
+    base = result.runs["baseline"]
     rows = []
-    for system in ("baseline", "xmem", "ideal"):
-        r = results[system]
+    for system, r in result.runs.items():
         rows.append([
             system, f"{r.cycles:.0f}",
             f"{base.cycles / r.cycles:.3f}x",
-            f"{r.record.dram_row_hit_rate:.2f}",
-            f"{r.record.dram_read_latency:.1f}",
+            f"{r.dram_row_hit_rate:.2f}",
+            f"{r.dram_read_latency:.1f}",
         ])
     print(format_table(
         ["system", "cycles", "speedup", "RBL", "read latency"],
         rows, title=f"{workload.name}: {workload.description}",
     ))
-    if results["xmem"].placement_report:
+    if result.manifest["placement"]:
         print("\nplacement decision:")
-        print(results["xmem"].placement_report)
+        print(result.manifest["placement"])
     return 0
 
 

@@ -11,8 +11,8 @@ outside the shape it is written for
 pinned against the textbook
 :class:`repro.testing.oracles.ReferenceEngine`.
 
-:func:`run_tier` runs one machine (:meth:`SystemHandle.run` and the Use
-Case 2 runner); :func:`run_tiers` runs the machines of one point in one
+:func:`run_tier` runs one machine (:meth:`SystemHandle.run`);
+:func:`run_tiers` runs the machines of one point in one
 call (:func:`repro.sim.system.run_machines`).  Object event streams are
 packed first.
 """

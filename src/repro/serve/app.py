@@ -259,7 +259,7 @@ class ServeHandler(BaseHTTPRequestHandler):
     ``TCP_NODELAY``: with Nagle on, a reply written in two sends has
     its second one held back until the client's delayed ACK, about
     40 ms per request.  ``wbufsize`` buffers the writer, so a reply's
-    status line, headers and body (stdlib error pages included) leave
+    status line, headers and body (error replies included) leave
     in one send when ``handle_one_request`` flushes.  A body past the
     buffer goes out right behind its headers.  ``?stream=1`` flushes
     its headers, then each chunk, as soon as they are written.  A
@@ -294,6 +294,27 @@ class ServeHandler(BaseHTTPRequestHandler):
             # Closing the writer retried the failed flush; the write
             # side is closed all the same.
             self.rfile.close()
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """The stdlib's error reply -- logged, ``Connection: close``, no
+        body for HEAD or a 1xx/204/205/304 code, no head for an
+        HTTP/0.9 line -- with ``{"error": message}`` for its HTML page,
+        so the requests it rejects before routing (a malformed request
+        line, an unsupported method) get JSON too."""
+        if message is None:
+            message = self.responses.get(code, ("???",))[0]
+        self.log_error("code %d, message %s", code, message)
+        self.send_response(code, message)
+        self.send_header("Connection", "close")
+        payload = b""
+        if code >= 200 and code not in (204, 205, 304):
+            payload = (json.dumps({"error": message}) + "\n").encode()
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        if self.command != "HEAD":
+            self.wfile.write(payload)
 
     def log_message(self, fmt: str, *args) -> None:
         if self.state.verbose:

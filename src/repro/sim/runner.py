@@ -518,6 +518,20 @@ class SystemRun:
     llc_accesses: int
     dram_reads: int
     dram_row_hit_rate: float
+    dram_read_latency: float
+    dram_write_latency: float
+
+    @classmethod
+    def of(cls, system: str, handle: SystemHandle,
+           stats: EngineStats) -> "SystemRun":
+        """The measurement of ``handle``'s finished run ``stats``."""
+        llc, dram = handle.llc.stats, handle.dram.stats
+        return cls(system=system, stats=stats,
+                   llc_miss_rate=llc.miss_rate, llc_accesses=llc.accesses,
+                   dram_reads=dram.reads,
+                   dram_row_hit_rate=dram.row_hit_rate,
+                   dram_read_latency=dram.avg_read_latency,
+                   dram_write_latency=dram.avg_write_latency)
 
     @property
     def cycles(self) -> float:
@@ -550,6 +564,29 @@ class PointResult:
         cycle count of the tenant on ``core``)."""
         run = self.runs[system]
         return run[core].cycles if isinstance(run, list) else run.cycles
+
+
+def _run_systems(systems: Sequence[str], handles: Sequence[SystemHandle],
+                 traces: Sequence, timer: PhaseTimer, collect: bool,
+                 seconds: List[float]
+                 ) -> Tuple[Dict[str, SystemRun], Dict[str, Snapshot]]:
+    """Run ``traces[k]`` on ``handles[k]`` in one :func:`run_machines`
+    call, so machines that share their private levels share one pass
+    over them; phase ``run:<system>`` gets ``seconds[k]`` (the caller's
+    set-up plus the machine's own run), "front-end" the shared passes'.
+    Returns each :class:`SystemRun` and, with ``collect``, each
+    registry snapshot, taken strictly after every run."""
+    results = run_machines(handles, traces, seconds)
+    timer.record("front-end", seconds[-1])
+    runs: Dict[str, SystemRun] = {}
+    snapshots: Dict[str, Snapshot] = {}
+    for system, handle, stats, wall_s in zip(systems, handles, results,
+                                             seconds):
+        timer.record(f"run:{system}", wall_s)
+        runs[system] = SystemRun.of(system, handle, stats)
+        if collect:
+            snapshots[system] = handle.stats_snapshot()
+    return runs, snapshots
 
 
 class _MachinePoint:
@@ -595,9 +632,6 @@ class _MachinePoint:
         timer.start("trace")
         recording, source = fetch_recording(key, generate, cache)
         timer.stop()
-        # Every machine runs in one call, so machines that share their
-        # private levels share one pass over them; each machine's phase
-        # holds its own seconds, "front-end" the shared passes'.
         seconds = [0.0] * (len(self.systems) + 1)
         handles = []
         traces = []
@@ -607,23 +641,8 @@ class _MachinePoint:
             handles.append(handle)
             traces.append(recording.replay(handle.xmemlib))
             seconds[k] += time.perf_counter() - t0
-        results = run_machines(handles, traces, seconds)
-        timer.record("front-end", seconds[-1])
-        runs: Dict[str, SystemRun] = {}
-        snapshots: Dict[str, Snapshot] = {}
-        for system, handle, stats, wall_s in zip(self.systems, handles,
-                                                 results, seconds):
-            timer.record(f"run:{system}", wall_s)
-            runs[system] = SystemRun(
-                system=system,
-                stats=stats,
-                llc_miss_rate=handle.llc.stats.miss_rate,
-                llc_accesses=handle.llc.stats.accesses,
-                dram_reads=handle.dram.stats.reads,
-                dram_row_hit_rate=handle.dram.stats.row_hit_rate,
-            )
-            if collect:
-                snapshots[system] = handle.stats_snapshot()
+        runs, snapshots = _run_systems(self.systems, handles, traces,
+                                       timer, collect, seconds)
         if not collect:
             return PointResult(point=self, runs=runs)
         trace = {
@@ -985,28 +1004,58 @@ class CorunPoint:
 class UC2Point:
     """One independent Use-Case-2 (workload, three-system) point.
 
-    ``collect_stats`` makes each system's result carry its registry
-    snapshot (``UseCase2Result.stats``), as a collecting run does.
+    ``accesses`` truncates the suite workload's stream (None keeps the
+    catalog's); ``pick_mapping`` probes the baseline's best controller
+    mapping (:func:`repro.sim.usecase2.pick_baseline_mapping`) instead
+    of holding :data:`~repro.sim.usecase2.XMEM_MAPPING` fixed.
     """
+
+    KIND = "uc2point"
 
     workload: str
     accesses: Optional[int] = None
     pick_mapping: bool = False
-    collect_stats: bool = False
+
+    def document_name(self, index: int) -> str:
+        """This point's stats-document filename in a sweep."""
+        budget = "" if self.accesses is None else f"_a{self.accesses}"
+        pick = "_pick" if self.pick_mapping else ""
+        return f"{index:03d}_uc2_{self.workload}{budget}{pick}.json"
 
     def run(self, ctx: RunContext, collect: bool = False,
-            cache: Optional[TraceCache] = None) -> dict:
-        """All three Figure 7/8 systems for this workload.
-
-        Returns the :func:`repro.sim.usecase2.run_figure7` dict
-        (system name -> ``UseCase2Result``); everything in it is plain
-        data, so results travel cleanly back from worker processes.
-        Use Case 2 streams are generated in place: ``cache`` is unused.
+            cache: Optional[TraceCache] = None) -> PointResult:
+        """All three Figure 7/8 systems for this workload, built by
+        :func:`repro.sim.usecase2.build_systems` and run in one call:
+        ``baseline`` and ``ideal`` share one front-end pass.  The
+        manifest adds each system's mapping and the xmem placement
+        report.  Streams are generated in place: ``cache`` only names
+        its root in the manifest.
         """
-        from repro.sim.usecase2 import run_figure7
-        return run_figure7(_suite_workload(self.workload, self.accesses),
-                           pick_mapping=self.pick_mapping,
-                           collect=collect or self.collect_stats)
+        from repro.sim import usecase2
+        workload = _suite_workload(self.workload, self.accesses)
+        if cache is None:
+            cache = ctx.trace_cache()
+        timer = PhaseTimer()
+        mapping = usecase2.XMEM_MAPPING
+        if self.pick_mapping:
+            timer.start("mapping")
+            mapping = usecase2.pick_baseline_mapping(workload)
+        timer.start("trace")
+        handles, traces, mappings, report = usecase2.build_systems(
+            workload, usecase2.SYSTEMS, mapping)
+        timer.stop()
+        runs, snapshots = _run_systems(usecase2.SYSTEMS, handles, traces,
+                                       timer, collect,
+                                       [0.0] * (len(handles) + 1))
+        if not collect:
+            return PointResult(point=self, runs=runs)
+        trace = {"tier": "packed", "source": "generated"}
+        manifest = _manifest(self.KIND, usecase2.usecase2_config(), trace,
+                             cache, ctx, timer,
+                             point=dataclasses.asdict(self),
+                             mappings=mappings, placement=report)
+        return PointResult(point=self, runs=runs, stats=snapshots,
+                           manifest=manifest)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ import math
 import os
 import resource
 import time
-from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
@@ -47,12 +46,10 @@ from repro.core.stats import (
     iter_stat_groups,
     stat_values,
 )
-from repro.cpu.engine import EngineStats
 
 __all__ = [
     "Histogram",
     "PhaseTimer",
-    "RunRecord",
     "StatsRegistry",
     "amean",
     "collect_repro_env",
@@ -249,47 +246,6 @@ class PhaseTimer:
         the peak RSS so far."""
         self.phases[name] = {"wall_s": wall_s,
                              "peak_rss_kb": peak_rss_kb()}
-
-
-# ---------------------------------------------------------------------------
-# Run records (figure-level measurements)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RunRecord:
-    """One (workload, system, parameters) measurement."""
-
-    workload: str
-    system: str
-    cycles: float
-    instructions: int
-    llc_miss_rate: float = 0.0
-    dram_read_latency: float = 0.0
-    dram_write_latency: float = 0.0
-    dram_row_hit_rate: float = 0.0
-    params: Dict[str, object] = field(default_factory=dict)
-
-    @classmethod
-    def from_handle(cls, workload: str, handle, engine_stats: EngineStats,
-                    **params) -> "RunRecord":
-        """Snapshot a finished run from a :class:`SystemHandle`.
-
-        Reads through the handle's stats registry, so the record and
-        the ``--stats-json`` documents come from the same tree.
-        """
-        registry = handle.stats_registry()
-        llc = f"cache.{handle.llc.name.lower()}"
-        return cls(
-            workload=workload,
-            system=handle.name,
-            cycles=engine_stats.cycles,
-            instructions=engine_stats.instructions,
-            llc_miss_rate=registry.query(f"{llc}.miss_rate"),
-            dram_read_latency=registry.query("dram.avg_read_latency"),
-            dram_write_latency=registry.query("dram.avg_write_latency"),
-            dram_row_hit_rate=registry.query("dram.row_hit_rate"),
-            params=dict(params),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Use Case 2 experiment runner: OS page placement in DRAM (Section 6).
+"""Use Case 2 machines: OS page placement in DRAM (Section 6).
 
-Composes the three systems Figure 7/8 compare, for one workload model:
+Builds the three systems Figure 7/8 compare, for one workload model:
 
 * ``baseline`` -- the strengthened baseline of Section 6.3: the best-
   performing controller address mapping for the workload, randomized
@@ -15,33 +15,32 @@ Composes the three systems Figure 7/8 compare, for one workload model:
 * ``ideal``    -- the baseline machine with a perfect row buffer
   (every access a row hit): the upper bound for any RBL optimization.
 
-Every system runs on the single-core engine (:mod:`repro.cpu.tiers`):
-each is of the shipped shape, so it takes the split interpreter.
-The workload's pages are backed when it is instantiated, so address
-translation during the run is a pure page-table lookup.  The access
-stream is packed directly into the trace arrays
-(:meth:`~repro.workloads.suite.spec.SuiteWorkload.pack_into`), with no
-event object per access: each address is translated by one lookup in
-the process's page map as it is appended, and the engine runs on
-physical addresses.  Truncated probes (``accesses=``) pack the
-stream's first accesses the same way.
+Every system is :func:`~repro.sim.system.build_baseline` on
+:func:`usecase2_config` with the system's controller mapping (``ideal``
+then sets ``perfect_rbl`` on its DRAM): a single-core machine like any
+other.  The workload's pages are backed when it is instantiated, and
+the access stream is packed directly into the trace arrays
+(:meth:`~repro.workloads.suite.spec.SuiteWorkload.pack_into`), each
+address translated by one lookup in the process's page map as it is
+appended, so the engine runs on physical addresses.  ``baseline`` and
+``ideal`` run under the same OS (randomized allocator, seed 17, one
+mapping), so :func:`build_systems` packs their stream once, and run
+together (:class:`repro.sim.runner.UC2Point`) they share one front-end
+pass.  :func:`run_system` runs one system alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.cpu.engine import TraceEngine
-from repro.cpu.tiers import run_tier
-from repro.cpu.trace import TraceBuilder
-from repro.dram.system import DramSystem
-from repro.mem.hierarchy import CacheHierarchy
-from repro.mem.prefetch import MultiStridePrefetcher
+from repro.cpu.trace import PackedTrace, TraceBuilder
 from repro.sim.config import SimConfig, scaled_config
-from repro.sim.stats import RunRecord, Snapshot, StatsRegistry
-from repro.sim.system import MemorySystem
+from repro.sim.runner import SystemRun
+from repro.sim.stats import Snapshot
+from repro.sim.system import SystemHandle, build_baseline
 from repro.workloads.suite.spec import SuiteWorkload
 from repro.xos.loader import OperatingSystem
 
@@ -65,22 +64,71 @@ BASELINE_MAPPING_CANDIDATES = ("scheme2", "scheme5", "minimalist_open",
 #: provide the channel-interleaved variant for experimentation.
 XMEM_MAPPING = "scheme2"
 
+#: Each Figure 7/8 system's page allocator, in table order.
+_ALLOCATORS = {"baseline": "randomized", "xmem": "bank_target",
+               "ideal": "randomized"}
 
-def usecase2_config(dram_capacity: int = 1 << 26) -> SimConfig:
+#: The Figure 7/8 systems, in table order.
+SYSTEMS = tuple(_ALLOCATORS)
+
+
+def usecase2_config() -> SimConfig:
     """The scaled Use-Case-2 machine (memory-intensive regime)."""
-    cfg = scaled_config(8, dram_capacity=dram_capacity)
-    return cfg
+    return scaled_config(8)
+
+
+def build_systems(workload: SuiteWorkload, systems: Sequence[str],
+                  mapping: str, accesses: Optional[int] = None
+                  ) -> Tuple[List[SystemHandle], List[PackedTrace],
+                             Dict[str, str], Optional[str]]:
+    """One machine per system and the physical stream it runs (systems
+    under one OS share it), each system's mapping -- ``mapping``, but
+    :data:`XMEM_MAPPING` for ``xmem`` -- and the xmem placement report
+    (None without ``xmem``).  ``accesses`` truncates the stream.
+    """
+    cfg = usecase2_config()
+    handles: List[SystemHandle] = []
+    traces: List[PackedTrace] = []
+    mappings: Dict[str, str] = {}
+    streams: Dict[Tuple[str, str], PackedTrace] = {}
+    report = None
+    for system in systems:
+        if system not in _ALLOCATORS:
+            raise ConfigurationError(f"unknown system {system!r}")
+        allocator = _ALLOCATORS[system]
+        mappings[system] = XMEM_MAPPING if system == "xmem" else mapping
+        key = (allocator, mappings[system])
+        if key not in streams:
+            osys = OperatingSystem(cfg.dram_geometry, mapping=key[1],
+                                   allocator=allocator, seed=17)
+            proc = osys.create_process()
+            bases = workload.instantiate(proc)
+            builder = TraceBuilder()
+            workload.pack_into(builder, bases,
+                               frames=dict(proc.page_table.items()),
+                               page_bytes=proc.page_table.page_bytes,
+                               accesses=accesses)
+            streams[key] = builder.build()
+            if system == "xmem":
+                from repro.policies.dram_placement import placement_report
+                report = placement_report(proc)
+        handle = build_baseline(dataclasses.replace(
+            cfg, dram_mapping=mappings[system]))
+        handle.dram.perfect_rbl = system == "ideal"
+        handles.append(handle)
+        traces.append(streams[key])
+    return handles, traces, mappings, report
 
 
 @dataclass
 class UseCase2Result:
-    """One (workload, system) measurement.
+    """One (workload, system) measurement of :func:`run_system`.
 
     ``stats`` is the machine's full registry snapshot, populated only
-    on ``collect=True`` runs (the ``REPRO_STATS_JSON`` bench knob).
+    on ``collect=True`` runs.
     """
 
-    record: RunRecord
+    run: SystemRun
     mapping: str
     placement_report: Optional[str] = None
     stats: Optional[Snapshot] = None
@@ -88,118 +136,40 @@ class UseCase2Result:
     @property
     def cycles(self) -> float:
         """Execution time in CPU cycles."""
-        return self.record.cycles
+        return self.run.cycles
 
 
 def run_system(
     workload: SuiteWorkload,
     system: str,
-    config: Optional[SimConfig] = None,
     mapping: Optional[str] = None,
     accesses: Optional[int] = None,
     collect: bool = False,
 ) -> UseCase2Result:
-    """Run one workload on one of the three systems.
+    """Run one workload on one of the three systems, alone.
 
     ``collect=True`` snapshots the full stats registry after the run
     (strictly post-run, so it never perturbs the measurement).
     """
-    cfg = config or usecase2_config()
-    if system == "baseline":
-        mapping = mapping or XMEM_MAPPING
-        allocator = "randomized"
-        perfect_rbl = False
-    elif system == "ideal":
-        mapping = mapping or XMEM_MAPPING
-        allocator = "randomized"
-        perfect_rbl = True
-    elif system == "xmem":
-        mapping = XMEM_MAPPING
-        allocator = "bank_target"
-        perfect_rbl = False
-    else:
-        raise ConfigurationError(f"unknown system {system!r}")
-
-    osys = OperatingSystem(cfg.dram_geometry, mapping=mapping,
-                           allocator=allocator, seed=17)
-    proc = osys.create_process()
-    bases = workload.instantiate(proc)
-
-    hierarchy = CacheHierarchy(cfg.levels, cfg.line_bytes)
-    dram = DramSystem(geometry=cfg.dram_geometry, timing=cfg.timing(),
-                      mapping=mapping, perfect_rbl=perfect_rbl)
-    stride = MultiStridePrefetcher(streams=cfg.prefetcher.streams,
-                                   degree=cfg.prefetcher.degree,
-                                   line_bytes=cfg.line_bytes)
-    memory = MemorySystem(hierarchy, dram, stride_prefetcher=stride)
-    engine = TraceEngine(memory, xmemlib=None,
-                         issue_width=cfg.cpu.issue_width,
-                         window=cfg.cpu.window)
-
-    trace = TraceBuilder()
-    workload.pack_into(trace, bases, frames=dict(proc.page_table.items()),
-                       page_bytes=proc.page_table.page_bytes,
-                       accesses=accesses)
-    stats = run_tier(engine, trace.build())
-
-    record = RunRecord(
-        workload=workload.name,
-        system=system,
-        cycles=stats.cycles,
-        instructions=stats.instructions,
-        llc_miss_rate=hierarchy.llc.stats.miss_rate,
-        dram_read_latency=dram.stats.avg_read_latency,
-        dram_write_latency=dram.stats.avg_write_latency,
-        dram_row_hit_rate=dram.stats.row_hit_rate,
-        params={"mapping": mapping},
-    )
-    report = None
-    if system == "xmem":
-        from repro.policies.dram_placement import placement_report
-        report = placement_report(proc)
-    snapshot = None
-    if collect:
-        registry = StatsRegistry()
-        registry.register_provider("engine", engine)
-        registry.register_provider("", memory)
-        snapshot = registry.snapshot()
-    return UseCase2Result(record=record, mapping=mapping,
-                          placement_report=report, stats=snapshot)
+    (handle,), (trace,), mappings, report = build_systems(
+        workload, (system,), mapping or XMEM_MAPPING, accesses)
+    run = SystemRun.of(system, handle, handle.run(trace))
+    return UseCase2Result(
+        run=run, mapping=mappings[system], placement_report=report,
+        stats=handle.stats_snapshot() if collect else None)
 
 
-def pick_baseline_mapping(
-    workload: SuiteWorkload,
-    config: Optional[SimConfig] = None,
-    probe_accesses: int = 20_000,
-    candidates: Iterable[str] = BASELINE_MAPPING_CANDIDATES,
-) -> str:
+def pick_baseline_mapping(workload: SuiteWorkload,
+                          probe_accesses: int = 20_000) -> str:
     """Choose the best-performing mapping for the baseline (Section 6.3).
 
-    Probes each candidate with a truncated trace and returns the one
-    with the lowest cycle count.
+    Probes each of :data:`BASELINE_MAPPING_CANDIDATES` with a truncated
+    trace and returns the one with the lowest cycle count.
     """
     best_name, best_cycles = None, float("inf")
-    for name in candidates:
-        result = run_system(workload, "baseline", config=config,
-                            mapping=name, accesses=probe_accesses)
+    for name in BASELINE_MAPPING_CANDIDATES:
+        result = run_system(workload, "baseline", mapping=name,
+                            accesses=probe_accesses)
         if result.cycles < best_cycles:
             best_name, best_cycles = name, result.cycles
     return best_name
-
-
-def run_figure7(
-    workload: SuiteWorkload,
-    config: Optional[SimConfig] = None,
-    pick_mapping: bool = True,
-    collect: bool = False,
-) -> Dict[str, UseCase2Result]:
-    """All three systems for one workload (one Figure 7/8 column)."""
-    mapping = (pick_baseline_mapping(workload, config)
-               if pick_mapping else XMEM_MAPPING)
-    return {
-        "baseline": run_system(workload, "baseline", config, mapping,
-                               collect=collect),
-        "xmem": run_system(workload, "xmem", config, collect=collect),
-        "ideal": run_system(workload, "ideal", config, mapping,
-                            collect=collect),
-    }

@@ -64,6 +64,35 @@ def _raw_socket(server):
                                     timeout=30)
 
 
+def _raw_exchange(server, line):
+    """Send one raw request line; read until the server closes.
+
+    Returns the status line (None when the reply has no head) and the
+    body, which a head's ``Content-Length`` must match, and which is
+    JSON like every serve reply.
+    """
+    sock = _raw_socket(server)
+    try:
+        sock.sendall(line + b"\r\n\r\n")
+        reply = b""
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            reply += data
+    finally:
+        sock.close()
+    if not reply.startswith(b"HTTP/"):
+        return None, reply
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status, *fields = head.decode().split("\r\n")
+    headers = dict(f.split(": ", 1) for f in fields)
+    assert headers["Connection"] == "close"
+    assert headers["Content-Type"] == "application/json"
+    assert int(headers["Content-Length"]) == len(body)
+    return status, body
+
+
 def _reset(sock):
     """Close with an RST, as a client that crashed would."""
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
@@ -172,27 +201,18 @@ class TestClientDisconnect:
                                       b"GARBAGE"])
     def test_garbage_request_line_is_400_then_close(self, server, capfd,
                                                     line):
-        sock = _raw_socket(server)
-        try:
-            sock.sendall(line + b"\r\n\r\n")
-            reply = b""
-            while True:
-                data = sock.recv(65536)
-                if not data:
-                    break
-                reply += data
-        finally:
-            sock.close()
-        # The stdlib error page is delivered whole before the close.
+        status, body = _raw_exchange(server, line)
         if line.endswith(b"HTTP/1.1"):
-            head, _, body = reply.partition(b"\r\n\r\n")
-            status, *fields = head.decode().split("\r\n")
-            headers = dict(f.split(": ", 1) for f in fields)
-            assert status.startswith("HTTP/1.1 400 "), reply
-            assert headers["Connection"] == "close"
-            assert int(headers["Content-Length"]) == len(body)
+            assert status.startswith("HTTP/1.1 400 ")
         else:
-            # An HTTP/0.9-style line gets the page without a head.
-            body = reply
-        assert b"Error code: 400" in body and body.endswith(b"</html>\n")
+            # An HTTP/0.9-style line gets the body without a head.
+            assert status is None
+        assert "Bad request syntax" in json.loads(body)["error"]
+        _assert_still_serving(server, capfd)
+
+    def test_unsupported_method_is_501_then_close(self, server, capfd):
+        status, body = _raw_exchange(server, b"PUT /v1/runs HTTP/1.1")
+        assert status.startswith("HTTP/1.1 501 ")
+        assert json.loads(body) == {
+            "error": "Unsupported method ('PUT')"}
         _assert_still_serving(server, capfd)

@@ -285,17 +285,22 @@ def test_parallel_sweep_matches_serial(tmp_path, monkeypatch):
             assert s.runs[system].dram_reads == p.runs[system].dram_reads
 
 
-def test_uc2_parallel_matches_serial(monkeypatch, tmp_path):
+def test_uc2_parallel_matches_serial(monkeypatch, tmp_path, capsys):
+    """A collecting Use Case 2 sweep writes the same documents from one
+    worker and from two: ``repro diff`` finds zero deltas."""
+    from repro.cli import main
+    from repro.sim.runner import write_point_documents
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "tc"))
     points = [UC2Point(workload="lbm", accesses=2000),
               UC2Point(workload="mcf", accesses=2000)]
-    serial = sweep(points, jobs=1)
-    parallel = sweep(points, jobs=2)
-    for s, p in zip(serial, parallel):
-        for system in ("baseline", "xmem", "ideal"):
-            assert s[system].cycles == p[system].cycles
-            assert (s[system].record.dram_row_hit_rate
-                    == p[system].record.dram_row_hit_rate)
+    for jobs in (1, 2):
+        results = sweep(points, jobs=jobs, collect_stats=True)
+        paths = write_point_documents(tmp_path / f"jobs{jobs}", results)
+    assert [p.name for p in paths] == ["000_uc2_lbm_a2000.json",
+                                       "001_uc2_mcf_a2000.json"]
+    assert main(["diff", str(tmp_path / "jobs1"),
+                 str(tmp_path / "jobs2")]) == 0
+    assert "zero deltas" in capsys.readouterr().out
 
 
 def test_run_parallel_preserves_order():
@@ -434,14 +439,13 @@ def test_collecting_sweep_documents(tmp_path, monkeypatch):
 
 def test_uc2_collecting_snapshot(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "tc"))
-    res = run_point(UC2Point(workload="lbm", accesses=2000,
-                             collect_stats=True))
+    res = run_point(UC2Point(workload="lbm", accesses=2000), collect=True)
     for system in ("baseline", "xmem", "ideal"):
-        assert res[system].stats is not None
-        assert "dram" in res[system].stats
+        assert "dram" in res.stats[system]
+    assert res.manifest["kind"] == "uc2point"
     plain = run_point(UC2Point(workload="lbm", accesses=2000))
-    assert plain["xmem"].stats is None
-    assert plain["xmem"].cycles == res["xmem"].cycles
+    assert plain.stats is None and plain.manifest is None
+    assert plain.runs == res.runs
 
 
 # ---------------------------------------------------------------------------

@@ -334,14 +334,22 @@ class TestManifest:
 
 
 # ---------------------------------------------------------------------------
-# RunRecord through the registry
+# The run record through the registry
 # ---------------------------------------------------------------------------
 
 def test_run_record_reads_registry():
-    from repro.sim.stats import RunRecord
+    """The run record reads the counters the stats documents hold."""
+    from repro.sim.runner import SystemRun
     h = build_baseline(scaled_config(8))
     stats = h.run(stream_trace(512, passes=2))
-    rec = RunRecord.from_handle("stream", h, stats)
-    assert rec.llc_miss_rate == h.llc.stats.miss_rate
-    assert rec.dram_read_latency == h.dram.stats.avg_read_latency
-    assert rec.dram_row_hit_rate == h.dram.stats.row_hit_rate
+    run = SystemRun.of("baseline", h, stats)
+    registry = h.stats_registry()
+    llc = f"cache.{h.llc.name.lower()}"
+    assert run.llc_miss_rate == registry.query(f"{llc}.miss_rate")
+    assert run.llc_accesses == registry.query(f"{llc}.accesses")
+    assert run.dram_reads == registry.query("dram.reads")
+    assert run.dram_read_latency == registry.query("dram.avg_read_latency")
+    assert run.dram_write_latency == \
+        registry.query("dram.avg_write_latency")
+    assert run.dram_row_hit_rate == registry.query("dram.row_hit_rate")
+    assert run.dram_reads > 0 and run.dram_read_latency > 0

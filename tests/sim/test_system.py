@@ -6,8 +6,8 @@ from repro.core.attributes import PatternType
 from repro.core.errors import ConfigurationError
 from repro.cpu.trace import MemAccess, XMemOp
 from repro.sim.config import scaled_config, table3_config
+from repro.sim.runner import SystemRun
 from repro.sim.stats import (
-    RunRecord,
     amean,
     format_table,
     geomean,
@@ -180,8 +180,7 @@ class TestStatsHelpers:
     def test_run_record_from_handle(self):
         h = build_baseline(scaled_config(8))
         stats = h.run(stream_trace(32))
-        rec = RunRecord.from_handle("stream", h, stats, tile=4)
-        assert rec.workload == "stream"
-        assert rec.system == "baseline"
-        assert rec.cycles == stats.cycles
-        assert rec.params == {"tile": 4}
+        run = SystemRun.of("baseline", h, stats)
+        assert run.system == "baseline"
+        assert run.stats is stats
+        assert run.cycles == stats.cycles

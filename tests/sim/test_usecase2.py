@@ -6,12 +6,12 @@ import json
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.sim.runner import UC2Point, run_point
 from repro.sim.usecase2 import (
     BASELINE_MAPPING_CANDIDATES,
+    SYSTEMS,
     pick_baseline_mapping,
-    run_figure7,
     run_system,
-    usecase2_config,
 )
 from repro.workloads.suite import BY_NAME
 
@@ -26,9 +26,9 @@ class TestRunSystem:
 
     def test_baseline_produces_record(self):
         r = run_system(BY_NAME["sc"], "baseline", accesses=FAST)
-        assert r.record.system == "baseline"
-        assert r.record.cycles > 0
-        assert r.record.dram_read_latency > 0
+        assert r.run.system == "baseline"
+        assert r.run.cycles > 0
+        assert r.run.dram_read_latency > 0
         assert r.placement_report is None
 
     def test_xmem_reports_placement(self):
@@ -38,13 +38,12 @@ class TestRunSystem:
 
     def test_ideal_has_perfect_rbl(self):
         r = run_system(BY_NAME["lbm"], "ideal", accesses=FAST)
-        assert r.record.dram_row_hit_rate == pytest.approx(1.0)
+        assert r.run.dram_row_hit_rate == pytest.approx(1.0)
 
     def test_mapping_honoured(self):
         r = run_system(BY_NAME["sc"], "baseline", mapping="scheme5",
                        accesses=FAST)
         assert r.mapping == "scheme5"
-        assert r.record.params["mapping"] == "scheme5"
 
 
 class TestEngineTiers:
@@ -59,50 +58,60 @@ class TestEngineTiers:
     def test_object_and_packed_tiers_bit_identical(self, monkeypatch,
                                                    name, system):
         """The object-event reference interpreter and the production
-        engine: the same run record and the same full stats
-        snapshot."""
+        engine: the same run record and the same full stats snapshot,
+        for the system run alone and run with the point's other
+        systems (baseline and ideal on one shared front-end)."""
         from repro.sim import usecase2
-        from repro.testing.oracles import ReferenceEngine
+        from repro.testing.oracles import (ReferenceEngine,
+                                           with_reference_engine)
 
         packed = run_system(BY_NAME[name], system, accesses=self.SMALL,
                             collect=True)
+        point = run_point(UC2Point(name, self.SMALL), collect=True)
+        build, built = usecase2.build_baseline, []
+
+        def build_reference(cfg):
+            built.append(with_reference_engine(build(cfg)))
+            return built[-1]
+
         with monkeypatch.context() as mp:
-            mp.setattr(usecase2, "TraceEngine", ReferenceEngine)
-            mp.setattr(usecase2, "run_tier",
-                       lambda engine, trace: engine.run(trace))
+            mp.setattr(usecase2, "build_baseline", build_reference)
             reference = run_system(BY_NAME[name], system,
                                    accesses=self.SMALL, collect=True)
-        assert reference.stats == packed.stats
-        assert reference.record == packed.record
+        (handle,) = built
+        assert type(handle.engine) is ReferenceEngine
+        assert handle.engine.last_stats == reference.run.stats
+        assert reference.stats == packed.stats == point.stats[system]
+        assert reference.run == packed.run == point.runs[system]
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_every_machine_shape_is_fused(self, monkeypatch, system):
         """Every Use Case 2 machine passes the split interpreter's
         gate and runs on it as a one-machine group."""
-        from repro.cpu import vector_engine
-
-        seen = []
-        real = vector_engine._run_lockstep
-
-        def spy(engines, traces, checking):
-            seen.append(len(engines))
-            return real(engines, traces, checking)
-
-        monkeypatch.setattr(vector_engine, "_run_lockstep", spy)
+        seen = _spy_lockstep(monkeypatch)
         run_system(BY_NAME["mcf"], system, accesses=500)
         assert seen == [1]
+
+    @pytest.mark.parametrize("pick", [False, True])
+    def test_point_shares_baseline_and_ideal(self, monkeypatch, pick):
+        """A point runs baseline and ideal as one lockstep group and
+        xmem alone; a mapping probe runs each candidate alone first."""
+        seen = _spy_lockstep(monkeypatch)
+        run_point(UC2Point("mcf", 500, pick_mapping=pick))
+        probes = len(BASELINE_MAPPING_CANDIDATES) if pick else 0
+        assert seen == [1] * probes + [2, 1]
 
     def test_one_translation_per_access(self, monkeypatch):
         """Each access is translated once, while the stream is packed:
         the engine runs exactly the virtual stream's accesses, each
         through the process's page map."""
+        from repro.cpu import tiers
         from repro.cpu.trace import TraceBuilder
-        from repro.sim import usecase2
         from repro.workloads.suite.spec import SuiteWorkload
 
         packed, ran = [], []
         real_pack = SuiteWorkload.pack_into
-        real_run = usecase2.run_tier
+        real_run = tiers.run_tier
 
         def pack_spy(workload, out, bases, **kw):
             packed.append((workload, bases, kw))
@@ -113,7 +122,7 @@ class TestEngineTiers:
             return real_run(engine, trace)
 
         monkeypatch.setattr(SuiteWorkload, "pack_into", pack_spy)
-        monkeypatch.setattr(usecase2, "run_tier", run_spy)
+        monkeypatch.setattr(tiers, "run_tier", run_spy)
         r = run_system(BY_NAME["lbm"], "baseline", accesses=700,
                        collect=True)
         (workload, bases, kw), = packed
@@ -124,6 +133,21 @@ class TestEngineTiers:
             frames[va // page] * page + va % page for va in virtual.vaddr]
         assert len(ran[0].vaddr) == r.stats["engine"]["mem_accesses"] \
             == 700
+
+
+def _spy_lockstep(monkeypatch):
+    """Record the machine count of every split-interpreter group."""
+    from repro.cpu import vector_engine
+
+    seen = []
+    real = vector_engine._run_lockstep
+
+    def spy(engines, traces, checking):
+        seen.append(len(engines))
+        return real(engines, traces, checking)
+
+    monkeypatch.setattr(vector_engine, "_run_lockstep", spy)
+    return seen
 
 
 def stats_digest(stats) -> str:
@@ -187,8 +211,7 @@ class TestFigure7Shape:
         # The multi-stream workload must benefit from isolation.
         assert xmem.cycles < base.cycles
         # And the gain is driven by lower read latency.
-        assert xmem.record.dram_read_latency < \
-            base.record.dram_read_latency
+        assert xmem.run.dram_read_latency < base.run.dram_read_latency
 
     def test_low_headroom_workload_near_parity(self):
         w = BY_NAME["sc"]
@@ -203,13 +226,15 @@ class TestMappingPick:
         m = pick_baseline_mapping(BY_NAME["sc"], probe_accesses=4_000)
         assert m in BASELINE_MAPPING_CANDIDATES
 
-    def test_run_figure7_all_three(self):
-        w = BY_NAME["histo"]
-        cfg = usecase2_config()
-        import dataclasses
-        # Shrink the trace through the workload for speed.
-        small = dataclasses.replace(w, accesses=10_000)
-        res = run_figure7(small, config=cfg, pick_mapping=False)
-        assert set(res) == {"baseline", "xmem", "ideal"}
-        for r in res.values():
-            assert r.record.cycles > 0
+    def test_uc2point_runs_all_three(self):
+        res = run_point(UC2Point("histo", 10_000), collect=True)
+        assert tuple(res.runs) == tuple(res.stats) == SYSTEMS
+        for r in res.runs.values():
+            assert r.cycles > 0
+        manifest = res.manifest
+        assert manifest["kind"] == "uc2point"
+        assert manifest["point"] == {"workload": "histo",
+                                     "accesses": 10_000,
+                                     "pick_mapping": False}
+        assert manifest["mappings"] == dict.fromkeys(SYSTEMS, "scheme2")
+        assert "isolated" in manifest["placement"]

@@ -136,5 +136,5 @@ class TestUseCasesSmoke:
 
     def test_usecase2_full_path(self):
         r = run_system(BY_NAME["leslie3d"], "xmem", accesses=20_000)
-        assert r.record.cycles > 0
+        assert r.run.cycles > 0
         assert "isolated" in r.placement_report

@@ -36,8 +36,8 @@ def test_usecase1_baseline_deterministic():
 def test_usecase2_deterministic():
     def once(system):
         r = run_system(BY_NAME["kmeans"], system, accesses=8_000)
-        return (r.cycles, r.record.dram_read_latency,
-                r.record.dram_row_hit_rate)
+        return (r.cycles, r.run.dram_read_latency,
+                r.run.dram_row_hit_rate)
 
     for system in ("baseline", "xmem", "ideal"):
         assert once(system) == once(system)
