@@ -38,7 +38,7 @@ def run_alb_sweep():
         cfg = scaled_config(16)
         process = XMemProcess(alb_entries=entries)
         handle = build_xmem(cfg, process=process)
-        handle.run(KERNELS[KERNEL].build_trace(64, 32,
+        handle.run(KERNELS[KERNEL].build_packed(64, 32,
                                                lib=handle.xmemlib))
         stats = handle.xmemlib.process.amu.alb.stats
         rows.append([entries, stats.lookups, f"{stats.hit_rate:.3%}"])
@@ -59,13 +59,13 @@ def test_ablation_alb_size(benchmark, results_dir):
 def run_chunk_sweep():
     kernel = KERNELS[KERNEL]
     cfg = scaled_config(SCALE_FACTOR)
-    base = build_baseline(cfg).run(kernel.build_trace(N, N)).cycles
+    base = build_baseline(cfg).run(kernel.build_packed(N, N)).cycles
     rows = []
     for chunk in (512, 1024, 4096):
         process = XMemProcess(aam_config=AAMConfig(chunk_bytes=chunk))
         handle = build_xmem(cfg, process=process)
         cycles = handle.run(
-            kernel.build_trace(N, N, lib=handle.xmemlib)
+            kernel.build_packed(N, N, lib=handle.xmemlib)
         ).cycles
         rows.append([f"{chunk} B", base / cycles])
     return rows
@@ -86,13 +86,13 @@ def test_ablation_aam_granularity(benchmark, results_dir):
 def run_pin_fraction_sweep():
     kernel = KERNELS[KERNEL]
     cfg = scaled_config(SCALE_FACTOR)
-    base = build_baseline(cfg).run(kernel.build_trace(N, N)).cycles
+    base = build_baseline(cfg).run(kernel.build_packed(N, N)).cycles
     rows = []
     for fraction in (0.25, 0.5, 0.75, 0.95):
         handle = build_xmem(cfg)
         handle.controller.pin_fraction = fraction
         cycles = handle.run(
-            kernel.build_trace(N, N, lib=handle.xmemlib)
+            kernel.build_packed(N, N, lib=handle.xmemlib)
         ).cycles
         rows.append([f"{fraction:.0%}", base / cycles])
     return rows

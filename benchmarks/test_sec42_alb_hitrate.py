@@ -23,7 +23,7 @@ def run_alb_experiment():
     for name in KERNEL_SET:
         handle = build_xmem(scaled_config(16))
         kernel = KERNELS[name]
-        handle.run(kernel.build_trace(N, N // 2, lib=handle.xmemlib))
+        handle.run(kernel.build_packed(N, N // 2, lib=handle.xmemlib))
         stats = handle.xmemlib.process.amu.alb.stats
         rows.append([name, stats.lookups, f"{stats.hit_rate:.3%}"])
     return rows

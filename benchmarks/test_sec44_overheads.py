@@ -57,7 +57,7 @@ def run_instruction_overhead():
     for name in KERNEL_SET:
         handle = build_xmem(scaled_config(16))
         kernel = KERNELS[name]
-        stats = handle.run(kernel.build_trace(N, 16, lib=handle.xmemlib))
+        stats = handle.run(kernel.build_packed(N, 16, lib=handle.xmemlib))
         frac = instruction_overhead(stats.xmem_instructions,
                                     stats.instructions)
         fractions.append(frac)

@@ -26,10 +26,10 @@ def main() -> None:
     rows = []
     for tile in TILES:
         baseline = build_baseline(cfg)
-        b = baseline.run(kernel.build_trace(N, tile))
+        b = baseline.run(kernel.build_packed(N, tile))
 
         xmem = build_xmem(cfg)
-        x = xmem.run(kernel.build_trace(N, tile, lib=xmem.xmemlib))
+        x = xmem.run(kernel.build_packed(N, tile, lib=xmem.xmemlib))
 
         rows.append([
             tile,

@@ -71,9 +71,9 @@ def cmd_usecase1(args) -> int:
     cfg = scaled_config(args.scale)
 
     baseline = build_baseline(cfg)
-    b = baseline.run(kernel.build_trace(args.n, tile))
+    b = baseline.run(kernel.build_packed(args.n, tile))
     xmem = build_xmem(cfg)
-    x = xmem.run(kernel.build_trace(args.n, tile, lib=xmem.xmemlib))
+    x = xmem.run(kernel.build_packed(args.n, tile, lib=xmem.xmemlib))
 
     print(format_table(
         ["system", "cycles", "IPC", "LLC miss", "DRAM reads"],

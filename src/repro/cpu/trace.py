@@ -28,6 +28,20 @@ Traces run to millions of events, and two representations coexist:
   :class:`TraceBuilder` is the append-side of the format -- the
   polybench generators pack their streams directly into it.
 
+Line-granular streams are appended as **segments**: one row
+``(start, end, work_per_elem, write)`` per contiguous byte range
+``[start, end)``, held in the builder's pending segment table and
+expanded by numpy into one access per :data:`LINE`-byte line the range
+touches.  A line's address is ``max(line, start)`` and its work is
+``work_per_elem`` per :data:`ELEM`-byte element of the range inside it,
+so a partial first or last line carries only its own elements.  The
+table is expanded, in slices of at most :data:`FLUSH_LINES` lines,
+before every other append (``access``, ``work``, ``op``, ``add``,
+``extend``), when a column is read (``vaddr``/``meta``, ``len``,
+``build``), and whenever it holds more than :data:`FLUSH_LINES` lines
+-- so the stream order and every XMem op position are those of
+appending each line as it comes.
+
 Flag-word encoding (``meta`` column, one 64-bit word per dense event)::
 
     bit 0      is_write   (MemAccess only)
@@ -43,6 +57,8 @@ from __future__ import annotations
 
 from array import array
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.core.errors import ConfigurationError
 
@@ -123,6 +139,15 @@ Trace = Iterable[TraceEvent]
 META_WRITE_BIT = 0x1   # MemAccess: is_write
 META_WORK_BIT = 0x2    # event kind: set = Work, clear = MemAccess
 META_COUNT_SHIFT = 2   # work / count field
+
+#: Segment expansion granularity: segments split at ``LINE``-byte
+#: boundaries, and work counts ``ELEM``-byte elements.
+LINE = 64
+ELEM = 8
+#: Pending lines past which the segment table is expanded, and the
+#: most lines one expansion slice materializes (a longer segment is a
+#: slice of its own).  Bounds the numpy temporaries of an expansion.
+FLUSH_LINES = 16384
 
 
 class PackedTrace:
@@ -240,35 +265,119 @@ class TraceBuilder:
     """Append-side of the packed format.
 
     Generators call :meth:`access`/:meth:`work`/:meth:`op` (or feed
-    whole object streams through :meth:`extend`); :meth:`build` returns
-    the finished :class:`PackedTrace`.  The ``vaddr``/``meta`` arrays
-    are public so tight emission loops can append to them directly.
+    whole object streams through :meth:`extend`), and append
+    line-granular ranges through :meth:`segment`/:meth:`segments`;
+    :meth:`build` returns the finished :class:`PackedTrace`.  Reading
+    the ``vaddr``/``meta`` columns expands pending segments first, so
+    code that appends to the columns directly keeps the stream order.
     """
 
-    __slots__ = ("vaddr", "meta", "xmem")
+    __slots__ = ("_vaddr", "_meta", "xmem", "_seg", "_seg_lines")
 
     def __init__(self) -> None:
-        self.vaddr = array("q")
-        self.meta = array("q")
+        self._vaddr = array("q")
+        self._meta = array("q")
         self.xmem: List[Tuple[int, XMemOp]] = []
+        #: Pending segment table: flat (start, end, work_per_elem,
+        #: write bit) rows, and the lines they expand to.
+        self._seg = array("q")
+        self._seg_lines = 0
+
+    @property
+    def vaddr(self) -> array:
+        """The address column (pending segments expanded first)."""
+        if self._seg:
+            self.flush()
+        return self._vaddr
+
+    @property
+    def meta(self) -> array:
+        """The flag-word column (pending segments expanded first)."""
+        if self._seg:
+            self.flush()
+        return self._meta
 
     def access(self, vaddr: int, is_write: bool = False,
                work: int = 0) -> None:
         """Append one memory access (a negative address is refused)."""
         if vaddr < 0:
             raise ConfigurationError(f"negative address {vaddr:#x}")
-        self.vaddr.append(vaddr)
-        self.meta.append((work << META_COUNT_SHIFT)
-                         | (META_WRITE_BIT if is_write else 0))
+        if self._seg:
+            self.flush()
+        self._vaddr.append(vaddr)
+        self._meta.append((work << META_COUNT_SHIFT)
+                          | (META_WRITE_BIT if is_write else 0))
 
     def work(self, count: int) -> None:
         """Append a block of non-memory instructions."""
-        self.vaddr.append(0)
-        self.meta.append((count << META_COUNT_SHIFT) | META_WORK_BIT)
+        if self._seg:
+            self.flush()
+        self._vaddr.append(0)
+        self._meta.append((count << META_COUNT_SHIFT) | META_WORK_BIT)
 
     def op(self, xmem_op: XMemOp) -> None:
         """Append one XMemLib call at the current stream position."""
-        self.xmem.append((len(self.vaddr), xmem_op))
+        if self._seg:
+            self.flush()
+        self.xmem.append((len(self._vaddr), xmem_op))
+
+    def segment(self, start: int, end: int, work_per_elem: int,
+                write: bool = False) -> None:
+        """Append the bytes ``[start, end)`` as one access per line
+        they touch (see the module docstring; ``start <= end``)."""
+        self._seg.fromlist([start, end, work_per_elem,
+                            META_WRITE_BIT if write else 0])
+        # _line_counts, inlined on the per-row hot path.
+        self._seg_lines += (end - (start & -LINE) + LINE - 1) // LINE
+        if self._seg_lines > FLUSH_LINES:
+            self.flush()
+
+    def segments(self, table: np.ndarray) -> None:
+        """Append a ``(k, 4)`` int64 table of :meth:`segment` rows
+        ``(start, end, work_per_elem, write bit)``, in stream order."""
+        if not len(table):
+            return
+        self._seg.frombytes(
+            np.ascontiguousarray(table, dtype=np.int64).view(np.uint8))
+        self._seg_lines += int(_line_counts(table[:, 0],
+                                            table[:, 1]).sum())
+        if self._seg_lines > FLUSH_LINES:
+            self.flush()
+
+    def flush(self) -> None:
+        """Expand the pending segment table into the columns, in
+        slices of at most :data:`FLUSH_LINES` lines."""
+        if not self._seg:
+            return
+        table = np.frombuffer(self._seg, dtype=np.int64).reshape(-1, 4)
+        self._seg = array("q")
+        self._seg_lines = 0
+        lines = _line_counts(table[:, 0], table[:, 1])
+        upto = np.cumsum(lines)
+        lo = 0
+        while lo < len(table):
+            base = upto[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(
+                upto, base + FLUSH_LINES, side="right")))
+            self._expand(table[lo:hi], lines[lo:hi])
+            lo = hi
+
+    def _expand(self, table: np.ndarray, lines: np.ndarray) -> None:
+        """Append the accesses of one slice of segments."""
+        total = int(lines.sum())
+        if not total:
+            return
+        start, end, wpe, wbit = table.T
+        # Line address: the segment's first line, plus LINE per line
+        # already emitted for it.
+        first = (start & -LINE) - LINE * (np.cumsum(lines) - lines)
+        line = np.repeat(first, lines) + LINE * np.arange(total)
+        lo = np.maximum(line, np.repeat(start, lines))
+        hi = np.minimum(line + LINE, np.repeat(end, lines))
+        meta = ((((hi - lo) // ELEM) * np.repeat(wpe, lines))
+                << META_COUNT_SHIFT) | np.repeat(wbit, lines)
+        self._vaddr.frombytes(lo.view(np.uint8))
+        self._meta.frombytes(meta.view(np.uint8))
 
     def add(self, ev: TraceEvent) -> None:
         """Append one object event (compat path)."""
@@ -293,6 +402,11 @@ class TraceBuilder:
     def build(self) -> PackedTrace:
         """Finish: the packed trace (builder may keep being appended)."""
         return PackedTrace(self.vaddr, self.meta, tuple(self.xmem))
+
+
+def _line_counts(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Lines each segment ``[start, end)`` expands to."""
+    return (end - (start & -LINE) + LINE - 1) // LINE
 
 
 def count_events(trace: Trace) -> Tuple[int, int, int]:

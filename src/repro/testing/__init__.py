@@ -10,8 +10,8 @@ package holds that second way and the machinery to compare the two:
   the engines call (zero-cost when disabled);
 * :mod:`repro.testing.oracles` -- executable reference models: a
   dict-of-lists LRU cache, a naive in-order miss engine, a FIFO
-  open-row DRAM model, and a seeded toy memory for reference-engine
-  tests;
+  open-row DRAM model, the per-line Polybench emission loops, and a
+  seeded toy memory for reference-engine tests;
 * :mod:`repro.testing.generators` -- seeded random trace/request
   generators (strided, pointer-chase-like, hot-set, atom churn);
 * :mod:`repro.testing.shrink` -- the greedy delta-debugging shrinker;

@@ -29,6 +29,12 @@ require the answers to agree exactly:
   :func:`reference_decompose`, the field-by-field restatement of the
   compiled address mapping.  Per-request (outcome, latency,
   completion) must match exactly.
+* :func:`reference_pack_row` / :func:`reference_pack_col` vs.
+  :func:`repro.workloads.polybench.common.pack_row` /
+  :func:`~repro.workloads.polybench.common.pack_col`: the per-line
+  emission loops, appending each access to the builder's columns as
+  it goes, against the segment table the builder expands with numpy.
+  The packed columns and every XMem op position must be identical.
 * :class:`ToyMemory`: not an oracle but a seeded, deterministic memory
   stand-in for :class:`ReferenceEngine` tests -- two instances with
   the same seed give identical (completes_at, went_to_memory) streams,
@@ -40,7 +46,16 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.cpu.trace import MemAccess, PackedTrace, Trace, Work, XMemOp
+from repro.cpu.trace import (
+    META_COUNT_SHIFT,
+    META_WRITE_BIT,
+    MemAccess,
+    PackedTrace,
+    Trace,
+    TraceBuilder,
+    Work,
+    XMemOp,
+)
 from repro.dram.mapping import (
     DramAddress,
     DramGeometry,
@@ -48,6 +63,13 @@ from repro.dram.mapping import (
     make_mapping,
 )
 from repro.dram.timing import DramTiming, ddr3_1066
+from repro.workloads.polybench.common import (
+    ELEM,
+    EPL,
+    LINE,
+    WORK_PER_ELEM,
+    Array,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +575,60 @@ class ReferenceDram:
             bound *= 2
         buckets[bound] = buckets.get(bound, 0) + 1
         return outcome, latency, done
+
+
+# ---------------------------------------------------------------------------
+# Line-granular emission reference
+# ---------------------------------------------------------------------------
+
+def reference_pack_row(out: TraceBuilder, arr: Array, i: int, j0: int,
+                       width: int, write: bool = False,
+                       work_per_elem: int = WORK_PER_ELEM) -> None:
+    """Append elements [i][j0 : j0+width) one cache line at a time.
+
+    A line's address is the first byte of the range inside it, and it
+    carries ``work_per_elem`` work per element of the range inside it.
+    Full interior lines all carry the same flag word, so it is computed
+    once.
+    """
+    vbuf = out.vaddr
+    mbuf = out.meta
+    wbit = META_WRITE_BIT if write else 0
+    row_base = arr.base + i * arr.cols * ELEM
+    start = row_base + j0 * ELEM
+    end = start + width * ELEM
+    addr = start - (start % LINE)
+    full_meta = ((EPL * work_per_elem) << META_COUNT_SHIFT) | wbit
+    while addr < end:
+        lo = addr if addr > start else start
+        hi = addr + LINE
+        if lo == addr and hi <= end:
+            vbuf.append(addr)
+            mbuf.append(full_meta)
+        else:
+            if hi > end:
+                hi = end
+            vbuf.append(lo)
+            mbuf.append(((((hi - lo) // ELEM) * work_per_elem)
+                         << META_COUNT_SHIFT) | wbit)
+        addr += LINE
+
+
+def reference_pack_col(out: TraceBuilder, arr: Array, j: int, i0: int,
+                       height: int, write: bool = False,
+                       work_per_elem: int = WORK_PER_ELEM) -> None:
+    """Append a column walk: one access per element, element by
+    element."""
+    vbuf = out.vaddr
+    mbuf = out.meta
+    meta = (work_per_elem << META_COUNT_SHIFT) | (META_WRITE_BIT
+                                                  if write else 0)
+    row_bytes = arr.cols * ELEM
+    addr = arr.base + (i0 * arr.cols + j) * ELEM
+    for _ in range(height):
+        vbuf.append(addr)
+        mbuf.append(meta)
+        addr += row_bytes
 
 
 # ---------------------------------------------------------------------------

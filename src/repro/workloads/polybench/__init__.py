@@ -17,6 +17,7 @@ from repro.workloads.polybench.common import (
     map_range,
     map_tile_2d,
     pack_col,
+    pack_mm_block,
     pack_row,
     register,
     row_segment,
@@ -51,6 +52,7 @@ __all__ = [
     "map_range",
     "map_tile_2d",
     "pack_col",
+    "pack_mm_block",
     "pack_row",
     "register",
     "row_segment",

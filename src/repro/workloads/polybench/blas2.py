@@ -5,6 +5,10 @@ gemver) or a small coefficient matrix (doitgen).  The XMem atom maps
 the reused vector/coefficient *tile*; the matrix itself is expressed as
 a zero-reuse streaming atom, letting the cache deprioritize it -- the
 "bypassing data that has no reuse" benefit of Table 1.
+
+Scalar accesses are one-element :func:`pack_row` segments with no
+work: the same single access, appended to the builder's segment table
+instead of forcing it to be expanded.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from repro.workloads.polybench.common import (
     Layout,
     map_range,
     map_tile_2d,
+    pack_mm_block,
     pack_row,
     register,
     tiles,
@@ -62,7 +67,7 @@ def _mvt_trace(n: int, tile: int, atoms: Dict[str, int],
             # Vector re-reads and the accumulator update are redundant
             # per-block traffic: no arithmetic work attached.
             pack_row(out, y1, 0, jt.start, len(jt), work_per_elem=0)
-            out.access(x1.addr(0, i), True)
+            pack_row(out, x1, 0, i, 1, write=True, work_per_elem=0)
     # Phase 2: x2 += A^T . y2 -- a column walk of A.
     for jt in tiles(n, tile):
         if vec is not None:
@@ -97,8 +102,8 @@ def _gemver_trace(n: int, tile: int, atoms: Dict[str, int],
         if vec is not None:
             out.op(map_range(vec, v1, jt.start, len(jt)))
         for i in range(n):
-            out.access(u1.addr(0, i))
-            out.access(u2.addr(0, i))
+            pack_row(out, u1, 0, i, 1, work_per_elem=0)
+            pack_row(out, u2, 0, i, 1, work_per_elem=0)
             pack_row(out, v1, 0, jt.start, len(jt), work_per_elem=0)
             pack_row(out, v2, 0, jt.start, len(jt), work_per_elem=0)
             pack_row(out, a, i, jt.start, len(jt), write=True)
@@ -107,7 +112,7 @@ def _gemver_trace(n: int, tile: int, atoms: Dict[str, int],
         if vec is not None:
             out.op(map_range(vec, x, jt.start, len(jt)))
         for i in range(n):
-            out.access(y.addr(0, i))
+            pack_row(out, y, 0, i, 1, work_per_elem=0)
             pack_row(out, a, i, jt.start, len(jt))
             pack_row(out, x, 0, jt.start, len(jt), write=True,
                      work_per_elem=0)
@@ -118,7 +123,7 @@ def _gemver_trace(n: int, tile: int, atoms: Dict[str, int],
         for i in range(n):
             pack_row(out, a, i, jt.start, len(jt))
             pack_row(out, x, 0, jt.start, len(jt), work_per_elem=0)
-            out.access(w.addr(0, i), True)
+            pack_row(out, w, 0, i, 1, write=True, work_per_elem=0)
 
 
 def _doitgen_trace(n: int, tile: int, atoms: Dict[str, int],
@@ -141,12 +146,9 @@ def _doitgen_trace(n: int, tile: int, atoms: Dict[str, int],
             if vec is not None:
                 out.op(map_tile_2d(vec, c4, st.start, pt.start,
                                    len(st), len(pt)))
-            for rq in range(n * n):
-                pack_row(out, a, rq, st.start, len(st), work_per_elem=0)
-                for s in st:
-                    pack_row(out, c4, s, pt.start, len(pt))
-                    pack_row(out, s_out, rq, pt.start, len(pt),
-                             write=True)
+            # Per (r, q) row: A[rq][st], then C4[s][pt] and
+            # sum[rq][pt] per s -- a tiled product over n*n rows.
+            pack_mm_block(out, a, c4, s_out, n * n, st, pt)
 
 
 MVT = register(Kernel(

@@ -15,12 +15,17 @@ remaps the same atom (`atom_remap`), and the cache controller re-runs
 its pinning decision.
 
 Kernels generate **packed** traces: each ``Kernel.trace`` callable
-appends into a :class:`repro.cpu.trace.TraceBuilder` via
-:func:`pack_row`/:func:`pack_col` (no per-event objects), and
-``Kernel.build_packed`` returns the finished
-:class:`~repro.cpu.trace.PackedTrace`.  ``Kernel.build_trace`` keeps the
-historical signature and returns the same packed trace -- it iterates as
-an object stream, so object-path consumers are unaffected.
+appends into a :class:`repro.cpu.trace.TraceBuilder` (no per-event
+objects), and ``Kernel.build_packed`` returns the finished
+:class:`~repro.cpu.trace.PackedTrace`.  The hot path of trace
+generation is the builder's segment table: :func:`pack_row` appends a
+row segment as one ``(start, end, work_per_elem, write)`` row,
+:func:`pack_col` a column walk as a run of one-element rows, and
+:func:`pack_mm_block` the whole ``(kt, jt)`` block of a tiled product
+(gemm, 2mm, 3mm, doitgen) as one broadcast table.  The builder splits
+the table into cache lines with numpy (see :mod:`repro.cpu.trace`);
+the per-line loop it replaces is the reference emitter in
+:mod:`repro.testing.oracles`.
 """
 
 from __future__ import annotations
@@ -28,21 +33,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List
 
+import numpy as np
+
 from repro.core.errors import ConfigurationError
 from repro.cpu.trace import (
+    ELEM,
+    FLUSH_LINES,
+    LINE,
     MemAccess,
-    META_COUNT_SHIFT,
     META_WRITE_BIT,
     PackedTrace,
     TraceBuilder,
-    TraceEvent,
     XMemOp,
 )
 
-#: Elements are double-precision floats throughout Polybench.
-ELEM = 8
-#: Cache-line size assumed by line-granular emission.
-LINE = 64
+# Elements are double-precision floats throughout Polybench (ELEM, 8
+# bytes); LINE is the cache-line size of line-granular emission.
 #: Elements per cache line.
 EPL = LINE // ELEM
 
@@ -91,50 +97,58 @@ class Layout:
 def pack_row(out: TraceBuilder, arr: Array, i: int, j0: int, width: int,
              write: bool = False,
              work_per_elem: int = WORK_PER_ELEM) -> None:
-    """Append elements [i][j0 : j0+width) at line granularity.
-
-    The hot path of trace generation: integers go straight into the
-    builder's columns -- no event objects.  Full interior lines all
-    carry the same flag word, so it is computed once.
-    """
-    vbuf = out.vaddr
-    mbuf = out.meta
-    wbit = META_WRITE_BIT if write else 0
-    row_base = arr.base + i * arr.cols * ELEM
-    start = row_base + j0 * ELEM
-    end = start + width * ELEM
-    addr = start - (start % LINE)
-    full_meta = ((EPL * work_per_elem) << META_COUNT_SHIFT) | wbit
-    while addr < end:
-        lo = addr if addr > start else start
-        hi = addr + LINE
-        if lo == addr and hi <= end:
-            vbuf.append(addr)
-            mbuf.append(full_meta)
-        else:
-            if hi > end:
-                hi = end
-            vbuf.append(lo)
-            mbuf.append(((((hi - lo) // ELEM) * work_per_elem)
-                         << META_COUNT_SHIFT) | wbit)
-        addr += LINE
+    """Append elements [i][j0 : j0+width) at line granularity: one
+    segment row, expanded by the builder."""
+    start = arr.base + (i * arr.cols + j0) * ELEM
+    out.segment(start, start + width * ELEM, work_per_elem, write)
 
 
 def pack_col(out: TraceBuilder, arr: Array, j: int, i0: int, height: int,
              write: bool = False,
              work_per_elem: int = WORK_PER_ELEM) -> None:
-    """Append a column walk: one access per element (each its own line
-    when cols*ELEM >= LINE, which holds for all our kernels)."""
-    vbuf = out.vaddr
-    mbuf = out.meta
-    meta = (work_per_elem << META_COUNT_SHIFT) | (META_WRITE_BIT
-                                                  if write else 0)
-    row_bytes = arr.cols * ELEM
-    addr = arr.base + (i0 * arr.cols + j) * ELEM
-    for _ in range(height):
-        vbuf.append(addr)
-        mbuf.append(meta)
-        addr += row_bytes
+    """Append a column walk: one access per element, as a run of
+    one-element segments."""
+    starts = arr.addr(i0, j) + np.arange(height) * (arr.cols * ELEM)
+    table = np.empty((height, 4), dtype=np.int64)
+    table[:, 0] = starts
+    table[:, 1] = starts + ELEM
+    table[:, 2] = work_per_elem
+    table[:, 3] = META_WRITE_BIT if write else 0
+    out.segments(table)
+
+
+def pack_mm_block(out: TraceBuilder, a: Array, b: Array, c: Array,
+                  rows: int, kt: range, jt: range) -> None:
+    """Append one ``(kt, jt)`` block of a tiled ``C += A.B``.
+
+    For each row ``i`` in ``range(rows)``: ``A[i][kt]`` (a redundant
+    per-block re-read, no work), then for each ``k`` in ``kt`` the
+    reused tile row ``B[k][jt]`` and the update ``C[i][jt]``.  The
+    block's ``rows x (1 + 2 len(kt))`` segments are built by one
+    broadcast, in chunks of at most :data:`FLUSH_LINES` segments.
+    """
+    per_row = 1 + 2 * len(kt)
+    a_len = len(kt) * ELEM
+    bc_len = len(jt) * ELEM
+    b_start = b.base + (np.arange(kt.start, kt.stop) * b.cols
+                        + jt.start) * ELEM
+    step = max(1, FLUSH_LINES // per_row)
+    for r0 in range(0, rows, step):
+        i = np.arange(r0, min(r0 + step, rows))
+        table = np.empty((len(i), per_row, 4), dtype=np.int64)
+        a_start = a.base + (i * a.cols + kt.start) * ELEM
+        table[:, 0, 0] = a_start
+        table[:, 0, 1] = a_start + a_len
+        table[:, 0, 2:] = 0
+        table[:, 1::2, 0] = b_start
+        table[:, 1::2, 1] = b_start + bc_len
+        table[:, 1::2, 3] = 0
+        c_start = (c.base + (i * c.cols + jt.start) * ELEM)[:, None]
+        table[:, 2::2, 0] = c_start
+        table[:, 2::2, 1] = c_start + bc_len
+        table[:, 2::2, 3] = META_WRITE_BIT
+        table[:, 1:, 2] = WORK_PER_ELEM
+        out.segments(table.reshape(-1, 4))
 
 
 def row_segment(arr: Array, i: int, j0: int, width: int,
@@ -213,16 +227,6 @@ class Kernel:
         out = TraceBuilder()
         self.trace(n, tile, atoms, out)
         return out.build()
-
-    def build_trace(self, n: int, tile: int, lib=None) -> PackedTrace:
-        """Historical entry point; now an alias of :meth:`build_packed`.
-
-        The returned :class:`PackedTrace` iterates as the same object
-        stream the old generator produced, so existing consumers (and
-        `engine.run`) are unaffected -- they just get the packed fast
-        path for free.
-        """
-        return self.build_packed(n, tile, lib)
 
 
 #: Global kernel registry, filled by the kernel modules at import time.

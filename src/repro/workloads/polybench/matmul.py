@@ -21,7 +21,7 @@ from repro.workloads.polybench.common import (
     Kernel,
     Layout,
     map_tile_2d,
-    pack_row,
+    pack_mm_block,
     register,
     tiles,
 )
@@ -52,17 +52,12 @@ def _gemm_pass(a: Array, b: Array, c: Array, n: int, tile: int,
             if atom is not None:
                 out.op(map_tile_2d(atom, b, kt.start, jt.start,
                                    len(kt), len(jt)))
-            for i in range(n):
-                # A[i][kt]: re-read once per (jt) block -- a redundant
-                # load, so it carries no arithmetic work (the FMAs are
-                # attributed to the innermost B/C segments, keeping
-                # total work identical across tile sizes, as the paper
-                # ensures).
-                pack_row(out, a, i, kt.start, len(kt), work_per_elem=0)
-                for k in kt:
-                    # B[k][jt] (the reused tile) and C[i][jt].
-                    pack_row(out, b, k, jt.start, len(jt))
-                    pack_row(out, c, i, jt.start, len(jt), write=True)
+            # Per row i: A[i][kt], re-read once per (jt) block -- a
+            # redundant load, so it carries no arithmetic work (the
+            # FMAs are attributed to the B/C segments, keeping total
+            # work identical across tile sizes, as the paper ensures)
+            # -- then B[k][jt] (the reused tile) and C[i][jt] per k.
+            pack_mm_block(out, a, b, c, n, kt, jt)
 
 
 def _gemm_trace(n: int, tile: int, atoms: Dict[str, int],

@@ -6,6 +6,10 @@ tiles (one of A, one of B) and therefore expresses *two* atoms --
 exercising multi-atom pinning.  trmm is the triangular variant: the
 amount of reuse per tile shrinks toward the matrix edge, but the tile
 atom semantics are identical.
+
+Scalar accesses are one-element :func:`pack_row` segments with no
+work: the same single access, appended to the builder's segment table
+instead of forcing it to be expanded.
 """
 
 from __future__ import annotations
@@ -69,7 +73,8 @@ def _syrk_trace(n: int, tile: int, atoms: Dict[str, int],
                 pack_row(out, a, i, kt.start, len(kt), work_per_elem=0)
                 for j in jt:
                     pack_row(out, a, j, kt.start, len(kt))
-                    out.access(c.addr(i, j), True)
+                    pack_row(out, c, i, j, 1, write=True,
+                             work_per_elem=0)
 
 
 def _syr2k_trace(n: int, tile: int, atoms: Dict[str, int],
@@ -95,7 +100,8 @@ def _syr2k_trace(n: int, tile: int, atoms: Dict[str, int],
                     # C[i][j] += A[i][k]B[j][k] + B[i][k]A[j][k]
                     pack_row(out, a, j, kt.start, len(kt))
                     pack_row(out, b, j, kt.start, len(kt))
-                    out.access(c.addr(i, j), True)
+                    pack_row(out, c, i, j, 1, write=True,
+                             work_per_elem=0)
 
 
 def _trmm_trace(n: int, tile: int, atoms: Dict[str, int],

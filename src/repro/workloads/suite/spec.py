@@ -206,6 +206,8 @@ class SuiteWorkload:
         cursor = [0] * len(structures)
         read_meta = WORK_PER_ACCESS << META_COUNT_SHIFT
         write_meta = read_meta | META_WRITE_BIT
+        # Reading a column expands the builder's pending segments, so
+        # this stream lands after them.
         append_addr = out.vaddr.append
         append_meta = out.meta.append
         draw = rng.random

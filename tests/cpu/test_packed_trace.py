@@ -214,7 +214,7 @@ def test_side_table_applies_at_recorded_position():
 
 
 def test_build_trace_returns_packed():
-    """The historical entry point now hands back the packed form."""
-    trace = KERNELS["gemm"].build_trace(N, TILE, lib=XMemLib())
+    """The kernel entry point hands back the packed form."""
+    trace = KERNELS["gemm"].build_packed(N, TILE, lib=XMemLib())
     assert isinstance(trace, PackedTrace)
     assert any(isinstance(ev, XMemOp) for ev in trace)

@@ -64,9 +64,9 @@ def fresh_stats(kernel_name, with_xmem):
     kernel = KERNELS[kernel_name]
     if with_xmem:
         handle = build_xmem(cfg)
-        return handle.run(kernel.build_trace(N, TILE, lib=handle.xmemlib))
+        return handle.run(kernel.build_packed(N, TILE, lib=handle.xmemlib))
     handle = build_baseline(cfg)
-    return handle.run(kernel.build_trace(N, TILE))
+    return handle.run(kernel.build_packed(N, TILE))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ def test_disk_cache_hit_replays_identically(kernel, disk_cache):
 
 def test_setup_recorder_logs_and_replays():
     recorder = SetupRecorder()
-    events = list(KERNELS["gemm"].build_trace(N, TILE, lib=recorder))
+    events = list(KERNELS["gemm"].build_packed(N, TILE, lib=recorder))
     assert recorder.log, "gemm instruments atoms at trace-build time"
     assert any(isinstance(ev, XMemOp) for ev in events)
 
@@ -109,7 +109,7 @@ def test_setup_recorder_logs_and_replays():
 def test_stale_setup_log_raises():
     from repro.core.xmemlib import XMemLib
     recorder = SetupRecorder()
-    list(KERNELS["gemm"].build_trace(N, TILE, lib=recorder))
+    list(KERNELS["gemm"].build_packed(N, TILE, lib=recorder))
     # Claim an atom call returned a different ID than it will now.
     method, args, kwargs, result = recorder.log[0]
     stale = [(method, args, kwargs, 9999)] + recorder.log[1:]

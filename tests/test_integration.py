@@ -19,8 +19,8 @@ class TestHintOnlySemantics:
     def test_stripped_trace_has_identical_accesses(self):
         k = KERNELS["gemm"]
         from repro.core.xmemlib import XMemLib
-        instrumented = list(k.build_trace(16, 8, lib=XMemLib()))
-        plain = list(k.build_trace(16, 8))
+        instrumented = list(k.build_packed(16, 8, lib=XMemLib()))
+        plain = list(k.build_packed(16, 8))
         stripped = [e for e in strip_xmem(instrumented)]
         assert stripped == plain
 
@@ -28,9 +28,9 @@ class TestHintOnlySemantics:
         cfg = scaled_config(16)
         k = KERNELS["syrk"]
         base = build_baseline(cfg)
-        b = base.run(k.build_trace(32, 16))
+        b = base.run(k.build_packed(32, 16))
         xmem = build_xmem(cfg)
-        x = xmem.run(k.build_trace(32, 16, lib=xmem.xmemlib))
+        x = xmem.run(k.build_packed(32, 16, lib=xmem.xmemlib))
         assert b.mem_accesses == x.mem_accesses
 
     @settings(max_examples=15, deadline=None)
@@ -129,7 +129,7 @@ class TestUseCasesSmoke:
         cfg = scaled_config(16)
         handle = build_xmem(cfg)
         k = KERNELS["jacobi2d"]
-        stats = handle.run(k.build_trace(64, 64, lib=handle.xmemlib))
+        stats = handle.run(k.build_packed(64, 64, lib=handle.xmemlib))
         assert stats.cycles > 0
         assert handle.controller.stats.refreshes > 0
         assert handle.xmemlib.process.amu.alb.stats.lookups > 0

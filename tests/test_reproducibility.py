@@ -16,7 +16,7 @@ def test_usecase1_deterministic():
     def once():
         handle = build_xmem(scaled_config(16))
         stats = handle.run(
-            KERNELS["gemm"].build_trace(48, 24, lib=handle.xmemlib)
+            KERNELS["gemm"].build_packed(48, 24, lib=handle.xmemlib)
         )
         return (stats.cycles, stats.instructions,
                 handle.llc.stats.misses, handle.dram.stats.reads)
@@ -27,7 +27,7 @@ def test_usecase1_deterministic():
 def test_usecase1_baseline_deterministic():
     def once():
         handle = build_baseline(scaled_config(16))
-        stats = handle.run(KERNELS["jacobi2d"].build_trace(48, 24))
+        stats = handle.run(KERNELS["jacobi2d"].build_packed(48, 24))
         return (stats.cycles, handle.dram.stats.read_latency_sum)
 
     assert once() == once()

@@ -21,6 +21,8 @@ from repro.workloads.suite import (
     stream,
     table,
 )
+from repro.testing.oracles import reference_pack_row
+from repro.workloads.polybench.common import Array, pack_row
 from repro.xos.loader import OperatingSystem
 
 
@@ -235,6 +237,22 @@ class TestDirectPacking:
                     page_bytes=proc.page_table.page_bytes)
         want = object_pack(object_stream(w, bases), proc.translate)
         assert columns(out.build()) == columns(want)
+
+    def test_packs_after_pending_segments(self):
+        """Row segments still pending in the builder stay ahead of the
+        suite stream packed after them."""
+        w = dataclasses.replace(BY_NAME["mcf"], accesses=500)
+        bases = synthetic_bases(w)
+        arr = Array("x", 0x7000_0008, 4, 21)
+        out, want = TraceBuilder(), TraceBuilder()
+        pack_row(out, arr, 1, 3, 17)
+        assert out._seg_lines > 0   # pending, not yet expanded
+        w.pack_into(out, bases)
+        pack_row(out, arr, 2, 0, 9, write=True)
+        reference_pack_row(want, arr, 1, 3, 17)
+        w.pack_into(want, bases)
+        reference_pack_row(want, arr, 2, 0, 9, write=True)
+        assert columns(out.build()) == columns(want.build())
 
     def test_truncation_is_a_prefix(self):
         w = dataclasses.replace(BY_NAME["mcf"], accesses=2000)
