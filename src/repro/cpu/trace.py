@@ -335,8 +335,6 @@ class TraceBuilder:
     def segments(self, table: np.ndarray) -> None:
         """Append a ``(k, 4)`` int64 table of :meth:`segment` rows
         ``(start, end, work_per_elem, write bit)``, in stream order."""
-        if not len(table):
-            return
         self._seg.frombytes(
             np.ascontiguousarray(table, dtype=np.int64).view(np.uint8))
         self._seg_lines += int(_line_counts(table[:, 0],

@@ -135,14 +135,12 @@ def pack_mm_block(out: TraceBuilder, a: Array, b: Array, c: Array,
     step = max(1, FLUSH_LINES // per_row)
     for r0 in range(0, rows, step):
         i = np.arange(r0, min(r0 + step, rows))
-        table = np.empty((len(i), per_row, 4), dtype=np.int64)
+        table = np.zeros((len(i), per_row, 4), dtype=np.int64)
         a_start = a.base + (i * a.cols + kt.start) * ELEM
         table[:, 0, 0] = a_start
         table[:, 0, 1] = a_start + a_len
-        table[:, 0, 2:] = 0
         table[:, 1::2, 0] = b_start
         table[:, 1::2, 1] = b_start + bc_len
-        table[:, 1::2, 3] = 0
         c_start = (c.base + (i * c.cols + jt.start) * ELEM)[:, None]
         table[:, 2::2, 0] = c_start
         table[:, 2::2, 1] = c_start + bc_len
