@@ -6,8 +6,10 @@ the *components themselves* need live here, at the bottom of the
 import graph, so ``repro.mem`` / ``repro.dram`` / ``repro.cpu`` can
 use them without importing the simulation package:
 
-* :class:`Histogram` -- a power-of-two-bucketed latency histogram,
-  cheap enough to update on the DRAM access path.
+* :class:`Histogram` -- a power-of-two-bucketed latency histogram.
+  It takes one sample at a time (:meth:`Histogram.record`) or a whole
+  logged run of them (:meth:`Histogram.record_all`); the DRAM system
+  logs its latencies on the access path and folds them in on read.
 * :func:`stat_values` -- the **StatGroup protocol**: any dataclass of
   numeric counters (plus numeric ``@property`` derived rates) *is* a
   stat group; this function extracts its name -> value mapping.  A
@@ -23,7 +25,10 @@ sub-trees into a :class:`repro.sim.stats.StatsRegistry`.
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from typing import Dict, Iterator, Mapping, Tuple, Union
+
+import numpy as np
 
 #: What a stat group flattens to: plain counters, or one nested level
 #: (histogram buckets).
@@ -47,14 +52,51 @@ class Histogram:
         self.count = 0
         self.total = 0.0
 
+    #: Samples :meth:`record_all` folds per numpy pass, bounding its
+    #: temporaries (a few arrays of this many elements).
+    FOLD_SLICE = 1 << 14
+
     def record(self, value: float) -> None:
-        """Add one sample (negative values clamp to the first bucket)."""
+        """Add one sample (negative values clamp to the first bucket).
+
+        The bucket is chosen from the sample truncated toward zero, so
+        ``record(8.5)`` lands in ``le_8``.
+        """
         v = int(value)
         bound = 1 if v <= 1 else 1 << (v - 1).bit_length()
         buckets = self.buckets
         buckets[bound] = buckets.get(bound, 0) + 1
         self.count += 1
         self.total += value
+
+    def record_all(self, values: array) -> None:
+        """Add an ``array('d')`` of samples: the same buckets, count
+        and total, bit for bit, as :meth:`record` on each in order.
+
+        Per slice, ``frexp`` of the truncated sample minus one is the
+        bit length :meth:`record` takes, and the total is a running sum
+        in sample order (``np.add.accumulate``, neither pairwise nor
+        compensated).  A slice with a sample at or above ``2**53``
+        (where ``trunc(x) - 1`` rounds) or a non-finite one goes
+        through :meth:`record` itself.
+        """
+        buckets = self.buckets
+        view = np.frombuffer(values, dtype=np.float64)
+        for start in range(0, len(view), self.FOLD_SLICE):
+            chunk = view[start:start + self.FOLD_SLICE]
+            if not -np.inf < chunk.min() <= chunk.max() < 2.0 ** 53:
+                for value in chunk.tolist():
+                    self.record(value)
+                continue
+            lengths = np.frexp(np.maximum(np.trunc(chunk) - 1.0, 0.0))[1]
+            for k, n in enumerate(np.bincount(lengths).tolist()):
+                if n:
+                    buckets[1 << k] = buckets.get(1 << k, 0) + n
+            self.count += len(chunk)
+            running = np.empty(len(chunk) + 1)
+            running[0] = self.total
+            running[1:] = chunk
+            self.total = float(np.add.accumulate(running)[-1])
 
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram's samples into this one."""

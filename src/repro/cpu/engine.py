@@ -87,7 +87,8 @@ class TraceEngine:
 
     def stat_groups(self):
         """StatGroup protocol: the engine and its MSHR file."""
-        yield "", self.last_stats
+        # Read when the group is: each run replaces ``last_stats``.
+        yield "", lambda: self.last_stats
         yield "mshr", self.mshr.stats
 
     #: Accesses at most this many cycles long are considered hidden by

@@ -36,11 +36,12 @@ touches.  A line's address is ``max(line, start)`` and its work is
 ``work_per_elem`` per :data:`ELEM`-byte element of the range inside it,
 so a partial first or last line carries only its own elements.  The
 table is expanded, in slices of at most :data:`FLUSH_LINES` lines,
-before every other append (``access``, ``work``, ``op``, ``add``,
-``extend``), when a column is read (``vaddr``/``meta``, ``len``,
-``build``), and whenever it holds more than :data:`FLUSH_LINES` lines
--- so the stream order and every XMem op position are those of
-appending each line as it comes.
+before every other dense append (``access``, ``work``), when a column
+is read (``vaddr``/``meta``, ``len``, ``build``), and whenever it
+holds more than :data:`FLUSH_LINES` lines -- so the stream order is
+that of appending each line as it comes.  An XMem op (``op``) expands
+nothing: the table counts its lines exactly, so the op's position is
+the expanded length plus the pending lines.
 
 Flag-word encoding (``meta`` column, one 64-bit word per dense event)::
 
@@ -316,10 +317,10 @@ class TraceBuilder:
         self._meta.append((count << META_COUNT_SHIFT) | META_WORK_BIT)
 
     def op(self, xmem_op: XMemOp) -> None:
-        """Append one XMemLib call at the current stream position."""
-        if self._seg:
-            self.flush()
-        self.xmem.append((len(self._vaddr), xmem_op))
+        """Append one XMemLib call at the current stream position:
+        after the expanded columns and the lines still pending in the
+        segment table (an exact count, so nothing is expanded here)."""
+        self.xmem.append((len(self._vaddr) + self._seg_lines, xmem_op))
 
     def segment(self, start: int, end: int, work_per_elem: int,
                 write: bool = False) -> None:

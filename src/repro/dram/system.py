@@ -17,6 +17,13 @@ report the outcome).  It stays a method, so a span on it sees every
 DRAM access; the work is a closure compiled from the mapping's
 :class:`~repro.dram.mapping.BitLayout` over flat per-bank lists.
 
+The access path keeps only what the next access needs -- the bank
+state and per-bank row-outcome counters -- and appends each latency to
+a per-direction ``array('d')`` log (8 bytes per access).  The system
+statistics (:attr:`DramSystem.stats`) fold those logs in when they are
+read: counts, latency sums and histogram buckets come out bit for bit
+as if every access had updated them.
+
 The same model serves reads and writes; read latency is what sits on
 the critical path (Section 6.4), so reads and writes are accounted
 separately for the Figure 8 experiment.
@@ -28,6 +35,7 @@ access behaves as a row hit.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -53,7 +61,11 @@ class RowOutcome(enum.Enum):
 
 @dataclass
 class DramStats:
-    """System-wide counters and latency accumulators."""
+    """System-wide counters and latency accumulators.
+
+    :attr:`DramSystem.stats` keeps one of these up to date: it folds
+    the access path's latency logs in whenever it is read.
+    """
 
     reads: int = 0
     writes: int = 0
@@ -127,12 +139,14 @@ class DramSystem:
         self.perfect_rbl = perfect_rbl
         n = g.total_banks
         #: Per-bank state, indexed by the flat bank id: open row (-1
-        #: when closed), busy horizon, access and row-outcome counters.
+        #: when closed), busy horizon and row-outcome counters.
         self._open_row, self._busy_until = [-1] * n, [0.0] * n
-        self._bank_accesses, self._bank_hits = [0] * n, [0] * n
-        self._bank_closed, self._bank_conflicts = [0] * n, [0] * n
+        self._bank_hits, self._bank_closed = [0] * n, [0] * n
+        self._bank_conflicts = [0] * n
         self._channel_free = [0.0] * g.channels
-        self.stats = DramStats()
+        #: Latencies not yet folded into :attr:`stats`, in access order.
+        self._read_log, self._write_log = array("d"), array("d")
+        self._stats = DramStats()
         self.locate, self.order_key, self._access = self._compile()
 
     def _compile(self) -> Tuple[Callable, Callable, Callable]:
@@ -166,29 +180,23 @@ class DramSystem:
         t_burst, t_cl, t_rcd = t.t_burst, t.t_cl, t.t_rcd
         t_rp_rcd = t.t_rp + t.t_rcd
         open_row, busy_until = self._open_row, self._busy_until
-        bank_accesses, bank_hits = self._bank_accesses, self._bank_hits
-        bank_closed, bank_conflicts = self._bank_closed, self._bank_conflicts
+        bank_hits, bank_closed = self._bank_hits, self._bank_closed
+        bank_conflicts = self._bank_conflicts
         channel_free = self._channel_free
-        stats = self.stats
-        read_record = stats.read_latency_hist.record
-        write_record = stats.write_latency_hist.record
+        read_log, write_log = self._read_log.append, self._write_log.append
 
         def access(paddr: int, now: float, is_write: bool) -> float:
             bank, row = locate(paddr)
             busy = busy_until[bank]
             start = now if now > busy else busy
             was = open_row[bank]
-            bank_accesses[bank] += 1
             if was == row or self.perfect_rbl:
-                stats.row_hits += 1
                 bank_hits[bank] += 1
                 overhead = 0.0
             elif was < 0:
-                stats.row_closed += 1
                 bank_closed[bank] += 1
                 overhead = t_rcd
             else:
-                stats.row_conflicts += 1
                 bank_conflicts[bank] += 1
                 overhead = t_rp_rcd
             open_row[bank] = row
@@ -199,15 +207,7 @@ class DramSystem:
             done = (data_ready if data_ready > free_at else free_at) \
                 + t_burst
             channel_free[channel] = done
-            latency = done - now
-            if is_write:
-                stats.writes += 1
-                stats.write_latency_sum += latency
-                write_record(latency)
-            else:
-                stats.reads += 1
-                stats.read_latency_sum += latency
-                read_record(latency)
+            (write_log if is_write else read_log)(done - now)
             return done
 
         return locate, order_key, access
@@ -234,11 +234,13 @@ class DramSystem:
         The one computation of a DRAM access, for every caller: the
         bank wait, the row outcome (classified once; ``perfect_rbl``
         makes every access a hit), the bank's busy horizon, the channel
-        burst, and the system, bank and latency-histogram counters.
-        Consecutive CAS commands to an open row pipeline at burst
-        intervals (tCCD), so the bank accepts its next command one
-        burst after the access's row overhead: only activates and
-        precharges serialize at full latency.
+        burst, and the bank's row-outcome counter.  The latency goes
+        to the direction's log; :attr:`stats` folds it into the system
+        counters and histograms when read.  Consecutive CAS commands to
+        an open row pipeline at burst intervals (tCCD), so the bank
+        accepts its next command one burst after the access's row
+        overhead: only activates and precharges serialize at full
+        latency.
         """
         return self._access(paddr, now, is_write)
 
@@ -250,10 +252,35 @@ class DramSystem:
 
     # -- Introspection ------------------------------------------------------
 
+    @property
+    def stats(self) -> DramStats:
+        """The system counters, with every access so far folded in."""
+        return self._fold()
+
+    def _fold(self) -> DramStats:
+        """Fold the pending latency logs into the one :class:`DramStats`
+        and return it: counts, sums and buckets from the logs, row
+        outcomes from the per-bank counters."""
+        s = self._stats
+        for log, hist in ((self._read_log, s.read_latency_hist),
+                          (self._write_log, s.write_latency_hist)):
+            if log:
+                hist.record_all(log)
+                del log[:]
+        s.reads, s.read_latency_sum = (s.read_latency_hist.count,
+                                       s.read_latency_hist.total)
+        s.writes, s.write_latency_sum = (s.write_latency_hist.count,
+                                         s.write_latency_hist.total)
+        s.row_hits = sum(self._bank_hits)
+        s.row_closed = sum(self._bank_closed)
+        s.row_conflicts = sum(self._bank_conflicts)
+        return s
+
     def stat_groups(self):
-        """StatGroup protocol: the system counters plus a lazily
-        aggregated per-bank view (bank-level parallelism)."""
-        yield "dram", self.stats
+        """StatGroup protocol: the system counters, folded whenever the
+        group is read, plus a lazily aggregated per-bank view
+        (bank-level parallelism)."""
+        yield "dram", self._fold
         yield "dram.banks", self.bank_summary
 
     def bank_summary(self) -> Dict[str, float]:
@@ -263,14 +290,16 @@ class DramSystem:
         parallelism; the summed row counters cross-check the system.
         """
         touched = self.banks_touched()
-        accesses, hits = sum(self._bank_accesses), sum(self._bank_hits)
+        hits, closed = sum(self._bank_hits), sum(self._bank_closed)
+        conflicts = sum(self._bank_conflicts)
+        accesses = hits + closed + conflicts
         return {
             "banks": touched,
             "banks_touched": touched,
             "accesses": accesses,
             "row_hits": hits,
-            "row_closed": sum(self._bank_closed),
-            "row_conflicts": sum(self._bank_conflicts),
+            "row_closed": closed,
+            "row_conflicts": conflicts,
             "row_hit_rate": hits / accesses if accesses else 0.0,
         }
 
@@ -281,11 +310,16 @@ class DramSystem:
         banks = self.geometry.banks_per_rank
         return {(i // banks // ranks, i // banks % ranks, i % banks):
                 self._bank_hits[i] / n
-                for i, n in enumerate(self._bank_accesses) if n}
+                for i, n in enumerate(self._bank_accesses()) if n}
 
     def banks_touched(self) -> int:
         """Number of banks that serviced at least one request (MLP)."""
-        return sum(1 for n in self._bank_accesses if n)
+        return sum(1 for n in self._bank_accesses() if n)
+
+    def _bank_accesses(self):
+        """Requests each bank serviced: the sum of its row outcomes."""
+        return map(sum, zip(self._bank_hits, self._bank_closed,
+                            self._bank_conflicts))
 
     def reset_time(self) -> None:
         """Zero the busy horizons (new measurement interval)."""

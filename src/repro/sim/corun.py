@@ -291,8 +291,7 @@ class CorunSystem:
     def stat_groups(self):
         """StatGroup protocol: shared resources plus per-core groups."""
         yield "llc", self.llc.stats
-        yield "dram", self.dram.stats
-        yield "dram.banks", self.dram.bank_summary
+        yield from self.dram.stat_groups()
         if self.stride_pf is not None:
             yield "prefetch.stride", self.stride_pf.stats
         yield from iter_stat_groups(self.controller, "controller")

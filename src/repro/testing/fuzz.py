@@ -40,8 +40,10 @@ Seven lanes, each pairing a hot-path implementation with its oracle
   :class:`~repro.dram.system.DramSystem` (whose
   ``access_completes`` is every engine's DRAM access) and the naive
   :class:`~repro.testing.oracles.ReferenceDram`: per-request row
-  outcome, latency, and completion time, plus the final counters, the
-  read and write latency histograms and the per-bank row counters.
+  outcome, latency, and completion time, plus the counters, the read
+  and write latency histograms and the per-bank row counters, read at
+  a drawn mid-stream step and again at the end (the DRAM system folds
+  its latency logs on every read, so both reads must agree).
 * ``sched``   -- request lists, on the ``dram`` lane's drawn
   geometries, through
   :class:`~repro.dram.scheduler.FRFCFSScheduler`: every request
@@ -511,19 +513,28 @@ class DramLane(Lane):
         params = {"mapping": rng.choice(self.MAPPINGS),
                   "perfect_rbl": rng.random() < 0.25,
                   **draw_geometry(rng)}
+        # Where in the stream the counters are read mid-run, as a
+        # fraction of its length, so a shrunk stream keeps a mid read.
+        params["mid_read"] = rng.random()
         return params, generators.generate_requests(cfg)
 
     def fail(self, params: dict, items: list) -> Optional[str]:
         from repro.dram.system import DramSystem
 
-        # Reproducers written before the draw replay with it off.
+        # Reproducers written before the draws replay with them off.
         perfect_rbl = params.get("perfect_rbl", False)
+        mid_read = (int(params["mid_read"] * len(items))
+                    if "mid_read" in params else None)
         geometry = params_geometry(params)
         dram = DramSystem(geometry=geometry, mapping=params["mapping"],
                           perfect_rbl=perfect_rbl)
         ref = ReferenceDram(geometry=geometry, mapping=params["mapping"],
                             perfect_rbl=perfect_rbl)
         for step, (paddr, arrival, is_write) in enumerate(items):
+            if step == mid_read:
+                error = self._counters_differ(dram, ref)
+                if error:
+                    return f"before step {step}: {error}"
             res = dram.access(paddr, arrival, is_write=bool(is_write))
             outcome, latency, done = ref.access(paddr, arrival,
                                                 bool(is_write))
@@ -533,6 +544,13 @@ class DramLane(Lane):
                         f"dram=({res.outcome.value}, {res.latency}, "
                         f"{res.completes_at}) ref=({outcome}, {latency},"
                         f" {done})")
+        error = self._counters_differ(dram, ref)
+        return f"at the end: {error}" if error else None
+
+    @staticmethod
+    def _counters_differ(dram, ref) -> Optional[str]:
+        """How the system's folded counters, histograms and per-bank
+        sums differ from the reference's running ones (None if not)."""
         s = dram.stats
         got = (s.reads, s.writes, s.row_hits, s.row_closed,
                s.row_conflicts, s.read_latency_sum, s.write_latency_sum)
@@ -540,7 +558,7 @@ class DramLane(Lane):
                 ref.row_conflicts, ref.read_latency_sum,
                 ref.write_latency_sum)
         if got != want:
-            return f"final counters diverged: dram={got} ref={want}"
+            return f"counters diverged: dram={got} ref={want}"
         hists = (s.read_latency_hist, s.write_latency_hist)
         got = [(h.buckets, h.count, h.total) for h in hists]
         want = [(ref.read_buckets, ref.reads, ref.read_latency_sum),

@@ -223,7 +223,8 @@ class ReferenceEngine:
 
     def stat_groups(self):
         """StatGroup protocol: the run's statistics and the window's."""
-        yield "", self.last_stats
+        # Read when the group is: each run replaces ``last_stats``.
+        yield "", lambda: self.last_stats
         yield "mshr", self.mshr_stats
 
     def run(self, trace: Trace):

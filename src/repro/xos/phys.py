@@ -6,9 +6,11 @@ page's data lives in.  The frame pool therefore indexes free frames by
 the bank they decompose to under the memory controller's address
 mapping.
 
-Bank sets are computed lazily: frames are scanned (decomposed at the
+Bank sets are computed lazily: frames are scanned (sampled at the
 interleave granularity) only as allocations demand them, so building a
-pool over a multi-GB capacity is cheap.
+pool over a multi-GB capacity is cheap.  A sample's bank is read off
+the mapping's compiled :class:`~repro.dram.mapping.BitLayout` by shift
+and mask -- the same fields the DRAM system's access path uses.
 
 Frames that span multiple banks (possible under channel- or
 bank-interleaved mapping schemes with interleave granularity smaller
@@ -58,16 +60,20 @@ class FramePool:
     # -- Lazy bank discovery ---------------------------------------------------
 
     def frame_banks(self, frame: int) -> FrozenSet[BankKey]:
-        """The banks frame ``frame`` touches under the controller map."""
+        """The banks frame ``frame`` touches under the controller map:
+        each :data:`SCAN_STEP_BYTES` sample's ``(channel, rank, bank)``
+        by shift and mask over the mapping's bit layout (a permutation
+        scheme's row XOR included), as ``decompose(addr).bank_key``."""
         banks = self._banks_of.get(frame)
         if banks is None:
-            base = frame * self.page_bytes
-            step = min(SCAN_STEP_BYTES, self.page_bytes)
-            banks = frozenset(
-                self.mapping.decompose(base + off).bank_key
-                for off in range(0, self.page_bytes, step)
-            )
-            self._banks_of[frame] = banks
+            line_shift, (ch_s, ch_m), (rk_s, rk_m), (bk_s, bk_m), \
+                (rw_s, rw_m), _, _, bank_xor = self.mapping.fields
+            base, page = frame * self.page_bytes, self.page_bytes
+            banks = self._banks_of[frame] = frozenset([
+                ((line >> ch_s) & ch_m, (line >> rk_s) & rk_m,
+                 ((line >> bk_s) & bk_m) ^ ((line >> rw_s) & rw_m & bank_xor))
+                for line in [(base + off) >> line_shift for off in
+                             range(0, page, min(SCAN_STEP_BYTES, page))]])
             if frame in self._free:
                 for bank in banks:
                     self._free_by_bank[bank].add(frame)

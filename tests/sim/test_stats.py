@@ -3,12 +3,16 @@ diff/merge, run manifests, and the edge-case guards in the stats
 helpers."""
 
 import json
+from array import array
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.stats import Histogram, iter_stat_groups, stat_values
 from repro.cpu.trace import MemAccess
 from repro.sim.config import scaled_config
+from repro.sim.corun import CorunSystem
 from repro.sim.runner import (
     SimPoint,
     TraceCache,
@@ -67,6 +71,70 @@ class TestHistogram:
         assert d["count"] == 3
         assert d["le_2"] == 2
         assert d["le_512"] == 1
+
+
+#: Samples at the bucket rule's edges: zero, negatives, powers of two
+#: and quarter steps above them (``record`` truncates, so 8.5 lands in
+#: ``le_8``), and plain non-dyadic latencies.
+_EDGE_SAMPLES = st.one_of(
+    st.sampled_from([0.0, -0.0, -0.25, -1.0, -3.5, -1e9, 0.5, 1.0, 1.5]),
+    st.builds(lambda k, frac: 2.0 ** k + frac,
+              st.integers(0, 40), st.sampled_from([0.0, 0.25, 0.5, 0.75])),
+    st.floats(-1e6, 1e12, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.1, 1 / 3, 52.37, 71.1, 1e-300, 2.0 ** 53 - 1]),
+)
+
+
+def _recorded(values, start=()):
+    h = Histogram()
+    for v in list(start) + list(values):
+        h.record(v)
+    return h
+
+
+def _same(a, b):
+    """Bit for bit: buckets, count, and the total's exact float."""
+    assert a.buckets == b.buckets
+    assert a.count == b.count
+    assert a.total.hex() == b.total.hex()
+
+
+class TestRecordAll:
+    """``record_all`` folds a logged run of samples; it must give what
+    ``record`` on each sample in order gives (today's truncating rule,
+    and a running sum in sample order)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_EDGE_SAMPLES, max_size=60),
+           st.lists(_EDGE_SAMPLES, max_size=5),
+           st.sampled_from([1, 2, 7, 1 << 14]))
+    def test_matches_record_in_order(self, values, start, fold_slice):
+        folded = _recorded([], start)
+        with mock.patch.object(Histogram, "FOLD_SLICE", fold_slice):
+            folded.record_all(array("d", values))
+        _same(folded, _recorded(values, start))
+
+    def test_truncating_rule_pinned(self):
+        h = Histogram()
+        h.record_all(array("d", [8.5, 8.0, 9.0, 1.75, -2.0, 0.0, 2.25]))
+        assert h.buckets == {8: 2, 16: 1, 1: 3, 2: 1}
+
+    def test_large_and_non_finite_samples_take_record(self):
+        values = [3.0, 2.0 ** 53, 2.0 ** 60 + 2.0 ** 8, 5.5]
+        folded = Histogram()
+        folded.record_all(array("d", values))
+        _same(folded, _recorded(values))
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises((OverflowError, ValueError)):
+                Histogram().record_all(array("d", [1.0, bad]))
+
+    def test_sum_is_sequential_not_pairwise(self):
+        # A pairwise or compensated sum rounds this differently.
+        values = [1.0] + [2.0 ** -53] * 4096
+        folded = Histogram()
+        folded.record_all(array("d", values))
+        assert folded.total == 1.0
+        _same(folded, _recorded(values))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +204,24 @@ class TestRegistry:
         assert reg.query("dram.reads") == h.dram.stats.reads
         # The whole snapshot is JSON-serializable.
         json.dumps(snap)
+
+    def test_registry_built_before_run_folds_at_snapshot(self):
+        """The ``dram`` group is the fold, not a copy: a registry built
+        before a run reads the same values as one built after it."""
+        h = build_baseline(scaled_config(8))
+        before = h.stats_registry()
+        h.run(stream_trace(512, passes=2))
+        snap = before.snapshot()
+        assert snap["dram"]["reads"] > 0
+        assert snap == h.stats_registry().snapshot()
+
+    def test_corun_registry_built_before_run_folds_at_snapshot(self):
+        sys_ = CorunSystem(scaled_config(16), 2)
+        before = sys_.stats_registry()
+        sys_.run([stream_trace(256), stream_trace(256)])
+        snap = before.snapshot()
+        assert snap["dram"]["reads"] > 0
+        assert snap == sys_.stats_registry().snapshot()
 
     def test_longest_prefix_wins(self):
         h = build_baseline(scaled_config(8))

@@ -1,5 +1,7 @@
 """Tests for the frame pool and page table."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,9 +11,12 @@ from repro.core.errors import (
     TranslationError,
 )
 from repro.core.ranges import AddressRange
-from repro.dram.mapping import DramGeometry, make_mapping
+from repro.dram.mapping import ALL_SCHEMES, DramGeometry, make_mapping
+from repro.sim.usecase2 import usecase2_config
+from repro.workloads.suite import BY_NAME
+from repro.xos.loader import OperatingSystem
 from repro.xos.page_table import PageTable
-from repro.xos.phys import FramePool
+from repro.xos.phys import SCAN_STEP_BYTES, FramePool
 
 
 def small_pool(mapping="scheme2", capacity=1 << 24, seed=0):
@@ -105,6 +110,53 @@ class TestFramePool:
         for _ in range(20):
             frame = pool.alloc_in_banks(targets, randomize=True)
             assert pool.frame_banks(frame) <= set(targets)
+
+
+class TestFrameBanks:
+    """``frame_banks`` reads the compiled bit layout; it must name the
+    banks ``decompose`` names for the same samples."""
+
+    @pytest.mark.parametrize("mapping", ALL_SCHEMES)
+    @pytest.mark.parametrize("page_bytes", [128, SCAN_STEP_BYTES, 4096,
+                                            16384])
+    def test_matches_decompose(self, mapping, page_bytes):
+        g = DramGeometry(channels=2, ranks_per_channel=2,
+                         capacity_bytes=1 << 24)
+        m = make_mapping(mapping, g)
+        pool = FramePool(g, m, page_bytes=page_bytes)
+        step = min(SCAN_STEP_BYTES, page_bytes)
+        frames = list(range(0, pool.num_frames,
+                            max(1, pool.num_frames // 512)))
+        frames += [pool.num_frames - 1]
+        for frame in frames:
+            base = frame * page_bytes
+            want = frozenset(m.decompose(base + off).bank_key
+                             for off in range(0, page_bytes, step))
+            assert pool.frame_banks(frame) == want, (mapping, frame)
+
+    # sha256 of the sorted (virtual page, frame) pairs after a Use Case
+    # 2 workload is instantiated under its allocator at seed 17.
+    FRAME_PINS = {
+        ("randomized", "lbm"): "a7e9fc3908a04609a7dd9d54706dddfc"
+                               "2bfdbcbd2a63d0f798cf458a5783903b",
+        ("randomized", "mcf"): "6c797667b4f3b7b916efbd4ee8200f5e"
+                               "8305dd26297a2401ccdfcf4b2e10b773",
+        ("bank_target", "lbm"): "fed9206818cbfe4a64bf6f69b00863ac"
+                                "c2bb367f4b80e7a6baf300b3d6d5038c",
+        ("bank_target", "mcf"): "7892580be3d0867549b7eb7511061c0f"
+                                "7af0eebe06a776c25c7588f83d48a4e8",
+    }
+
+    @pytest.mark.parametrize("allocator,model", sorted(FRAME_PINS))
+    def test_use_case_2_frames_pinned(self, allocator, model):
+        osys = OperatingSystem(usecase2_config().dram_geometry,
+                               mapping="scheme2", allocator=allocator,
+                               seed=17)
+        proc = osys.create_process()
+        BY_NAME[model].instantiate(proc)
+        pairs = sorted(proc.page_table.items())
+        digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+        assert digest == self.FRAME_PINS[allocator, model]
 
 
 class TestPageTable:
