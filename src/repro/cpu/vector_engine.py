@@ -185,10 +185,9 @@ def check_shape(engine: TraceEngine) -> None:
             f"the engine's memory must be a MemorySystem, not "
             f"{type(mem).__name__}")
     hier = mem.hierarchy
-    if hier._line_mask is None or hier.line_bytes < 8:
+    if hier.line_bytes < 8:
         raise ConfigurationError(
-            f"cache lines must be a power of two of at least 8 bytes: "
-            f"{hier.line_bytes}")
+            f"cache lines must be at least 8 bytes: {hier.line_bytes}")
     caches = hier.levels
     if len(caches) != len(LEVEL_POLICIES):
         raise ConfigurationError(
@@ -696,10 +695,11 @@ def _llc_ops(llc: Cache, pin_predicate, dram, writeback, prefetch_ready,
     """The shared LLC of both engines: its primitives, built once per
     run over the LLC's hoisted tables.
 
-    Returns ``(probe, fill, put, prefetch)``, the LLC half of the
-    method descent (``Cache.access``/``fill_absent``/``fill``, the
-    DRRIP hooks, ``MemorySystem._prefetch``) written out for the
-    shipped shape (:func:`check_shape`):
+    Returns ``(probe, fill, put, prefetch)``, the LLC half of
+    :meth:`MemorySystem.access <repro.sim.system.MemorySystem.access>`
+    (its ``Cache.access``/``fill_absent``/``fill`` calls, the DRRIP
+    hooks, ``MemorySystem._prefetch``) written out for the shipped
+    shape (:func:`check_shape`):
 
     * ``probe(line)`` -- 0 on a miss (the set duel trained), 1 on a hit
       (RRPV promoted), 2 on a hit that consumes a prefetched tag;

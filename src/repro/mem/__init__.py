@@ -21,11 +21,7 @@ from repro.mem.nuca import (
     mean_latency,
     plan_nuca_placement,
 )
-from repro.mem.hierarchy import (
-    CacheHierarchy,
-    HierarchyOutcome,
-    LevelConfig,
-)
+from repro.mem.hierarchy import CacheHierarchy, LevelConfig
 from repro.mem.mshr import MSHRFile, MSHRStats
 from repro.mem.prefetch import (
     MultiStridePrefetcher,
@@ -64,7 +60,6 @@ __all__ = [
     "CacheHierarchy",
     "CacheStats",
     "DRRIPPolicy",
-    "HierarchyOutcome",
     "LRUPolicy",
     "LevelConfig",
     "MSHRFile",

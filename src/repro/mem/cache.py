@@ -109,6 +109,9 @@ class Cache:
         policy: str = "lru",
         pin_quota: float = 0.75,
     ) -> None:
+        if line_bytes & (line_bytes - 1):
+            raise ConfigurationError(
+                f"{name}: line size {line_bytes} is not a power of two")
         if size_bytes % (ways * line_bytes):
             raise ConfigurationError(
                 f"{name}: size {size_bytes} not divisible by "
@@ -135,16 +138,11 @@ class Cache:
         self._policy_victim = self.policy.victim
         self._policy_on_invalidate = self.policy.on_invalidate
         # Address decomposition is on every access path: precompute
-        # shift/mask forms (line_bytes is a power of two in every
-        # shipped configuration; num_sets is asserted above).
-        if line_bytes & (line_bytes - 1):
-            self._line_shift = None
-            self._set_mask = self.num_sets - 1
-        else:
-            self._line_shift = line_bytes.bit_length() - 1
-            self._set_mask = self.num_sets - 1
-            self._tag_shift = (self._line_shift
-                               + self.num_sets.bit_length() - 1)
+        # shift/mask forms (line size and set count are powers of two,
+        # both asserted above).
+        self._line_shift = line_bytes.bit_length() - 1
+        self._set_mask = self.num_sets - 1
+        self._tag_shift = self._line_shift + self.num_sets.bit_length() - 1
         self.pin_quota = pin_quota
         self._max_pinned_ways = max(0, int(ways * pin_quota))
         # Columnar line state: parallel per-set lists.
@@ -174,8 +172,7 @@ class Cache:
         """``REPRO_CHECK=1``: shadow the mutating entry points with
         checked wrappers that re-derive the maintained occupancy state
         after every operation.  Instance attributes win over bound
-        methods, and the hierarchy's ``c.access`` hoists happen after
-        construction, so every caller picks the wrappers up; a disabled
+        methods, so every caller picks the wrappers up; a disabled
         run never reaches this method and pays nothing per access.
         """
         access_inner = self.access
@@ -228,17 +225,13 @@ class Cache:
 
     def line_addr(self, addr: int) -> int:
         """The line-aligned address containing ``addr``."""
-        return addr - (addr % self.line_bytes)
+        return addr & -self.line_bytes
 
     def _index(self, addr: int) -> int:
-        if self._line_shift is not None:
-            return (addr >> self._line_shift) & self._set_mask
-        return (addr // self.line_bytes) % self.num_sets
+        return (addr >> self._line_shift) & self._set_mask
 
     def _tag(self, addr: int) -> int:
-        if self._line_shift is not None:
-            return addr >> self._tag_shift
-        return addr // (self.line_bytes * self.num_sets)
+        return addr >> self._tag_shift
 
     # -- Lookup / fill ------------------------------------------------------
 
@@ -262,12 +255,8 @@ class Cache:
         """
         stats = self.stats
         stats.accesses += 1
-        if self._line_shift is not None:
-            set_idx = (addr >> self._line_shift) & self._set_mask
-            tag = addr >> self._tag_shift
-        else:
-            set_idx = self._index(addr)
-            tag = self._tag(addr)
+        set_idx = (addr >> self._line_shift) & self._set_mask
+        tag = addr >> self._tag_shift
         tags = self._tags[set_idx]
         # Membership test before index: both scans run in C, and the
         # miss path (the majority at L2/L3) avoids raising ValueError.
@@ -299,12 +288,8 @@ class Cache:
         present, the flags are merged instead (a prefetch racing a
         demand fill, or a writeback landing on a resident copy).
         """
-        if self._line_shift is not None:
-            set_idx = (addr >> self._line_shift) & self._set_mask
-            tag = addr >> self._tag_shift
-        else:
-            set_idx = self._index(addr)
-            tag = self._tag(addr)
+        set_idx = (addr >> self._line_shift) & self._set_mask
+        tag = addr >> self._tag_shift
         way = self._find(set_idx, tag)
         if way is not None:
             if dirty:
@@ -322,18 +307,15 @@ class Cache:
                     ) -> Optional[int]:
         """:meth:`fill` for a line the caller knows is not resident.
 
-        The demand-fill path always qualifies: the hierarchy only fills
-        a level after that level reported a miss for the same line, so
+        The demand-fill path always qualifies: the memory system only
+        fills a level after that level reported a miss for the same line
+        (and a prefetch only after :meth:`probe` found it absent), so
         the presence re-scan :meth:`fill` starts with is pure overhead
         there.  Behaviour is otherwise identical to :meth:`fill`, and
         :meth:`fill` delegates here once absence is established.
         """
-        if self._line_shift is not None:
-            set_idx = (addr >> self._line_shift) & self._set_mask
-            tag = addr >> self._tag_shift
-        else:
-            set_idx = self._index(addr)
-            tag = self._tag(addr)
+        set_idx = (addr >> self._line_shift) & self._set_mask
+        tag = addr >> self._tag_shift
         # Allocation is fused in (one call per miss adds up): free way
         # first, else evict a victim among the non-pinned ways.
         tags = self._tags[set_idx]

@@ -1,9 +1,12 @@
 """Multi-level cache hierarchy (Table 3: L1 / L2 / L3).
 
-The hierarchy is functional: it decides hits, fills, evictions, and
-writebacks, and reports which level satisfied each access.  Timing
-(latencies, DRAM service) is layered on top by :mod:`repro.sim.system`
-so the same functional model serves both use cases.
+A :class:`CacheHierarchy` is the level list of one core's caches: the
+:class:`~repro.mem.cache.Cache` per level, their lookup latencies, the
+LLC's pin predicate, and the stats tree.  The walk over the levels --
+hits, fills, the dirty-victim ripple, prefetch fills -- is
+:class:`repro.sim.system.MemorySystem`'s (``access`` and
+``_prefetch``), which also layers the timing (latencies, DRAM service)
+on top.
 
 Policy hooks:
 
@@ -14,8 +17,8 @@ Policy hooks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.mem.cache import Cache
@@ -30,25 +33,6 @@ class LevelConfig:
     ways: int
     latency: int                  # lookup latency, CPU cycles
     policy: str = "lru"
-
-
-@dataclass
-class HierarchyOutcome:
-    """Functional outcome of one demand access."""
-
-    #: Index of the level that hit (0 = L1); None = missed everywhere.
-    hit_level: Optional[int]
-    #: Line addresses evicted dirty from the LLC (DRAM writes).
-    memory_writebacks: List[int] = field(default_factory=list)
-    #: Cycles spent traversing cache lookups (excl. DRAM).
-    lookup_latency: int = 0
-    #: The LLC access missed but hit a prefetched line further probing.
-    llc_prefetch_hit: bool = False
-
-    @property
-    def memory_read(self) -> bool:
-        """True when the access had to be fetched from DRAM."""
-        return self.hit_level is None
 
 
 def _never_pin(addr: int) -> bool:
@@ -68,11 +52,6 @@ class CacheHierarchy:
         if not levels:
             raise ConfigurationError("hierarchy needs at least one level")
         self.line_bytes = line_bytes
-        #: Mask form of line alignment (None when line_bytes is not a
-        #: power of two and the modulo fallback must be used).
-        self._line_mask = (~(line_bytes - 1)
-                           if not (line_bytes & (line_bytes - 1))
-                           else None)
         self.levels: List[Cache] = [
             Cache(cfg.name, cfg.size_bytes, cfg.ways,
                   line_bytes=line_bytes, policy=cfg.policy)
@@ -80,12 +59,6 @@ class CacheHierarchy:
         ]
         self.latencies: List[int] = [cfg.latency for cfg in levels]
         self.pin_predicate: Callable[[int], bool] = _never_pin
-        # Hot-path hoists (the level list is fixed after construction):
-        # bound per-level access methods and the level count, so
-        # access_flat does no len()/getattr work per trace event.
-        self._num_levels = len(self.levels)
-        self._last_level = self._num_levels - 1
-        self._level_access = [c.access for c in self.levels]
 
     @property
     def llc(self) -> Cache:
@@ -97,126 +70,6 @@ class CacheHierarchy:
         for cache in self.levels:
             for sub, group in cache.stat_groups():
                 yield f"cache.{sub}", group
-
-    def line_addr(self, addr: int) -> int:
-        """Line-align an address."""
-        if self._line_mask is not None:
-            return addr & self._line_mask
-        return addr - (addr % self.line_bytes)
-
-    # -- Demand path ----------------------------------------------------
-
-    def access(self, addr: int, is_write: bool) -> HierarchyOutcome:
-        """One demand access, with all fills and writebacks applied."""
-        hit_level, lookup, llc_prefetch_hit, wbs = self.access_flat(
-            addr, is_write)
-        return HierarchyOutcome(
-            hit_level=hit_level,
-            memory_writebacks=wbs if wbs is not None else [],
-            lookup_latency=lookup,
-            llc_prefetch_hit=llc_prefetch_hit,
-        )
-
-    def access_flat(self, addr: int, is_write: bool):
-        """:meth:`access` without the outcome object -- the engine's
-        zero-object fast path.
-
-        Returns ``(hit_level, lookup_latency, llc_prefetch_hit,
-        memory_writebacks)`` where the writeback list is None unless a
-        dirty LLC victim was produced, so the dominant hit path
-        allocates nothing at all.
-        """
-        # Hot path: every trace event lands here.
-        line = (addr & self._line_mask if self._line_mask is not None
-                else addr - (addr % self.line_bytes))
-        latencies = self.latencies
-        level_access = self._level_access
-        num_levels = self._num_levels
-        last = self._last_level
-        lookup = 0
-        hit_level: Optional[int] = None
-        llc_prefetch_hit = False
-        for i in range(num_levels):
-            lookup += latencies[i]
-            result = level_access[i](line, is_write and i == 0)
-            if result.hit:
-                hit_level = i
-                if i == last:
-                    llc_prefetch_hit = result.was_prefetched
-                break
-        if hit_level == 0:
-            return 0, lookup, llc_prefetch_hit, None
-        # Fill the levels above the hit point (or all levels on a full
-        # miss -- the caller charges the DRAM read).  L1 gets the dirty
-        # bit on a write (write-allocate); inner copies stay clean.
-        # Every level above the hit point just missed in the lookup
-        # scan, so the fills use :meth:`Cache.fill_absent`; the
-        # downward victim ripple -- which may land on a resident
-        # line -- pays for the presence check via :meth:`Cache.fill`.
-        # Dirty LLC victims are collected for the caller (None when
-        # there are none -- the common case, kept allocation-free).
-        levels = self.levels
-        top = hit_level if hit_level is not None else num_levels
-        pin_predicate = self.pin_predicate
-        mem_wbs: Optional[List[int]] = None
-        for i in range(top - 1, -1, -1):
-            pinned = i == last and pin_predicate(line)
-            wb = levels[i].fill_absent(line, dirty=(is_write and i == 0),
-                                       pinned=pinned)
-            if wb is not None:
-                j = i + 1
-                while True:
-                    if j > last:
-                        if mem_wbs is None:
-                            mem_wbs = []
-                        mem_wbs.append(wb)
-                        break
-                    wb = levels[j].fill(wb, dirty=True)
-                    if wb is None:
-                        break
-                    j += 1
-        return hit_level, lookup, llc_prefetch_hit, mem_wbs
-
-    # -- Prefetch path ----------------------------------------------------
-
-    def fill_prefetch(self, line: int) -> HierarchyOutcome:
-        """Install a prefetched line into the LLC only.
-
-        Returns an outcome whose ``memory_read`` indicates whether the
-        line actually had to be fetched (False if already resident).
-        """
-        memory_read, wb = self.fill_prefetch_flat(line)
-        outcome = HierarchyOutcome(
-            hit_level=None if memory_read else self._last_level)
-        if wb is not None:
-            outcome.memory_writebacks.append(wb)
-        return outcome
-
-    def fill_prefetch_flat(self, line: int):
-        """:meth:`fill_prefetch` without the outcome object.
-
-        Returns ``(memory_read, dirty_victim_line_or_None)``.  One tag
-        scan decides residency (``probe`` followed by ``fill`` scanned
-        the set twice), and nothing is allocated on the already-resident
-        path -- the common case once a stream's lead lines are in.
-        """
-        llc = self.llc
-        if llc._find(llc._index(line), llc._tag(line)) is not None:
-            return False, None
-        wb = llc.fill_absent(line, pinned=self.pin_predicate(line),
-                             prefetch=True)
-        return True, wb
-
-    # -- Maintenance ---------------------------------------------------------
-
-    def invalidate_all(self) -> None:
-        """Flush every level without writebacks (test helper)."""
-        for cache in self.levels:
-            cache.invalidate_all()
-
-    def total_hits(self) -> int:
-        """Demand hits summed over all levels."""
-        return sum(c.stats.hits for c in self.levels)
 
     def __repr__(self) -> str:
         return "CacheHierarchy(" + ", ".join(map(repr, self.levels)) + ")"

@@ -8,7 +8,6 @@ from repro.policies.cache_mgmt import (
 from repro.policies.dram_placement import (
     bank_occupancy,
     placement_report,
-    plan_and_apply,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "PIN_FRACTION",
     "bank_occupancy",
     "placement_report",
-    "plan_and_apply",
 ]

@@ -87,7 +87,7 @@ class CacheController:
         for atom in atoms:
             # Budget in AAM-chunk space: that is the granularity the
             # pin predicate (and hence cache occupancy) works at.
-            spans = self._physical_spans(atom.atom_id)
+            spans = physical_spans(self.process.amu.aam, atom.atom_id)
             size = sum(e - s for s, e in spans)
             if size == 0:
                 continue
@@ -95,7 +95,7 @@ class CacheController:
             if take < chunk:
                 self.stats.atoms_skipped_budget += 1
                 continue
-            chosen[atom.atom_id] = _prefix_spans(spans, take)
+            chosen[atom.atom_id] = prefix_spans(spans, take)
             budget -= take
         if chosen != self._pin_spans:
             # Section 5.2(3): age high-priority lines only when the
@@ -122,7 +122,7 @@ class CacheController:
             attrs = self.process.gat.get(atom_id)
             if attrs is None:
                 continue
-            spans = self._physical_spans(atom_id)
+            spans = physical_spans(self.process.amu.aam, atom_id)
             full = sum(e - s for s, e in spans)
             pinned = sum(e - s for s, e in self._pin_spans[atom_id])
             if pinned >= full:
@@ -130,20 +130,6 @@ class CacheController:
             prims = translate_for_prefetcher(attrs)
             entries[atom_id] = XMemPrefetcher.entry(prims, spans)
         self.prefetcher.set_pinned_atoms(entries)
-
-    def _physical_spans(self, atom_id: int) -> List[Tuple[int, int]]:
-        """Coalesced physical spans of an atom, from the AAM's chunks."""
-        aam = self.process.amu.aam
-        chunk = aam.config.chunk_bytes
-        chunks = sorted(aam.mapped_chunks(atom_id))
-        spans: List[Tuple[int, int]] = []
-        for c in chunks:
-            start = c * chunk
-            if spans and spans[-1][1] == start:
-                spans[-1] = (spans[-1][0], start + chunk)
-            else:
-                spans.append((start, start + chunk))
-        return spans
 
     # -- Hooks for the memory system -----------------------------------
 
@@ -180,8 +166,22 @@ class CacheController:
         hierarchy.pin_predicate = self.pin_predicate
 
 
-def _prefix_spans(spans: List[Tuple[int, int]],
-                  budget: int) -> List[Tuple[int, int]]:
+def physical_spans(aam, atom_id: int) -> List[Tuple[int, int]]:
+    """Coalesced physical (start, end) spans of an atom, from the AAM's
+    chunks."""
+    chunk_bytes = aam.config.chunk_bytes
+    spans: List[Tuple[int, int]] = []
+    for c in sorted(aam.mapped_chunks(atom_id)):
+        start = c * chunk_bytes
+        if spans and spans[-1][1] == start:
+            spans[-1] = (spans[-1][0], start + chunk_bytes)
+        else:
+            spans.append((start, start + chunk_bytes))
+    return spans
+
+
+def prefix_spans(spans: List[Tuple[int, int]],
+                 budget: int) -> List[Tuple[int, int]]:
     """The leading ``budget`` bytes of a span list."""
     out: List[Tuple[int, int]] = []
     remaining = budget

@@ -2,7 +2,7 @@
 
 The heavy lifting lives in :mod:`repro.xos.placement` (the algorithm)
 and :mod:`repro.xos.allocator` (the bank-targeting allocator); this
-module packages the three-step mechanism of Section 6.2 for callers:
+module reports on the three-step mechanism of Section 6.2:
 
 1. the OS obtains atom attributes when loading the program (the atom
    segment -> GAT);
@@ -10,8 +10,9 @@ module packages the three-step mechanism of Section 6.2 for callers:
 3. it steers the virtual-to-physical mapping so each data structure's
    pages land in its assigned banks.
 
-It also provides :func:`placement_report`, a human-readable summary
-used by the examples and experiment logs.
+:func:`placement_report` is a human-readable summary of a decision,
+used by the examples and experiment logs; :func:`bank_occupancy`
+counts a process's pages per bank.
 """
 
 from __future__ import annotations
@@ -19,13 +20,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.xos.loader import OperatingSystem, Process
-from repro.xos.placement import PlacementDecision
-
-
-def plan_and_apply(osys: OperatingSystem, proc: Process
-                   ) -> PlacementDecision:
-    """Steps 1-2 of Section 6.2 for an already-loaded process."""
-    return osys.apply_placement(proc)
 
 
 def placement_report(proc: Process) -> str:

@@ -89,6 +89,7 @@ from repro.dram.system import DramSystem, check_compiled
 from repro.mem.cache import Cache
 from repro.mem.mshr import MSHRFile
 from repro.mem.prefetch import MultiStridePrefetcher, XMemPrefetcher
+from repro.policies.cache_mgmt import physical_spans, prefix_spans
 from repro.sim.config import SimConfig
 from repro.testing import checks as _checks
 
@@ -181,13 +182,12 @@ class MultiProcessController:
                 break
             aam = lib.process.amu.aam
             chunk = aam.config.chunk_bytes
-            atom_spans = _coalesce(sorted(aam.mapped_chunks(atom.atom_id)),
-                                   chunk)
+            atom_spans = physical_spans(aam, atom.atom_id)
             size = sum(e - s for s, e in atom_spans)
             take = min(size, budget)
             if take < chunk:
                 continue
-            taken = _prefix(atom_spans, take)
+            taken = prefix_spans(atom_spans, take)
             spans.setdefault(offset, []).extend(
                 (s + offset, e + offset) for s, e in taken
             )
@@ -553,30 +553,3 @@ class CorunSystem:
             return checked_access
 
         return for_core
-
-
-def _coalesce(chunks: List[int], chunk_bytes: int
-              ) -> List[Tuple[int, int]]:
-    """Chunk indices -> coalesced (start, end) byte spans."""
-    spans: List[Tuple[int, int]] = []
-    for c in chunks:
-        start = c * chunk_bytes
-        if spans and spans[-1][1] == start:
-            spans[-1] = (spans[-1][0], start + chunk_bytes)
-        else:
-            spans.append((start, start + chunk_bytes))
-    return spans
-
-
-def _prefix(spans: List[Tuple[int, int]], budget: int
-            ) -> List[Tuple[int, int]]:
-    """Leading ``budget`` bytes of a span list."""
-    out: List[Tuple[int, int]] = []
-    remaining = budget
-    for s, e in spans:
-        if remaining <= 0:
-            break
-        take = min(e - s, remaining)
-        out.append((s, s + take))
-        remaining -= take
-    return out

@@ -30,6 +30,10 @@ from repro.policies.cache_mgmt import CacheController
 from repro.sim.config import SimConfig
 
 
+#: Buffered writebacks that trigger a drain of the write queue.
+WRITE_DRAIN_LINES = 32
+
+
 @dataclass
 class MemoryStats:
     """Counters owned by the memory system wrapper."""
@@ -41,7 +45,17 @@ class MemoryStats:
 
 
 class MemorySystem:
-    """The engine-facing memory side of the machine."""
+    """The engine-facing memory side of the machine.
+
+    :meth:`access` is the single-core memory model written out plainly:
+    the walk over the hierarchy's levels, the DRAM read of a full miss,
+    the write queue, the prefetchers and their LLC fills.  Production
+    runs execute the same model fused into the engine loop
+    (:mod:`repro.cpu.vector_engine`), which calls only the write
+    queue's methods (:meth:`_buffer_write`, :meth:`drain_writes`) of
+    this class; :meth:`access` is called by the reference engine
+    (:class:`repro.testing.oracles.ReferenceEngine`) and by tests.
+    """
 
     def __init__(
         self,
@@ -54,14 +68,6 @@ class MemorySystem:
         self.dram = dram
         self.stride_prefetcher = stride_prefetcher
         self.xmem_prefetcher = xmem_prefetcher
-        self._llc_level = len(hierarchy.levels) - 1
-        # Per-access bound-method hoists: `access` runs once per trace
-        # event and these attribute chains dominate its fixed cost.
-        self._hier_access_flat = hierarchy.access_flat
-        self._line_addr = hierarchy.line_addr
-        self._line_mask = hierarchy._line_mask
-        self._dram_access = dram.access_completes
-        self._fill_prefetch_flat = hierarchy.fill_prefetch_flat
         #: line -> DRAM completion time of an in-flight prefetch; a
         #: demand hit to a line that has not arrived yet waits for it
         #: (prefetch timeliness).
@@ -70,7 +76,6 @@ class MemorySystem:
         #: the memory controller's write queue.  Writes leave the
         #: critical path and stop closing rows under demand reads.
         self._write_buffer: List[int] = []
-        self.write_drain_threshold = 32
         self.stats = MemoryStats()
 
     def stat_groups(self):
@@ -87,45 +92,76 @@ class MemorySystem:
     def access(self, paddr: int, is_write: bool,
                now: float) -> Tuple[float, bool]:
         """One demand access; returns (completion time, went-to-DRAM)."""
-        hit_level, lookup, llc_prefetch_hit, wbs = self._hier_access_flat(
-            paddr, is_write)
+        hierarchy = self.hierarchy
+        levels = hierarchy.levels
+        last = len(levels) - 1
+        line = paddr & -hierarchy.line_bytes
+        # Look the line up level by level; only L1 sees the write.
+        lookup = 0
+        hit_level: Optional[int] = None
+        llc_prefetch_hit = False
+        for i, cache in enumerate(levels):
+            lookup += hierarchy.latencies[i]
+            result = cache.access(line, is_write and i == 0)
+            if result.hit:
+                hit_level = i
+                llc_prefetch_hit = i == last and result.was_prefetched
+                break
+        # Fill every level above the hit (all of them on a full miss),
+        # the LLC first and L1 last.  L1 gets the dirty bit on a write
+        # (write-allocate); inner copies stay clean, and only the LLC
+        # consults the pin predicate.  A dirty victim ripples down,
+        # landing dirty on the next level; one that leaves the LLC is
+        # a DRAM write.
+        writebacks: List[int] = []
+        top = last + 1 if hit_level is None else hit_level
+        for i in range(top - 1, -1, -1):
+            wb = levels[i].fill_absent(
+                line, dirty=is_write and i == 0,
+                pinned=i == last and hierarchy.pin_predicate(line))
+            j = i + 1
+            while wb is not None and j <= last:
+                wb = levels[j].fill(wb, dirty=True)
+                j += 1
+            if wb is not None:
+                writebacks.append(wb)
+        # The integer lookup latencies are summed first and added to
+        # ``now`` once, as the engine does: adding them level by level
+        # rounds differently.
         t_lookup = now + lookup
-        mask = self._line_mask
-        line = paddr & mask if mask is not None else self._line_addr(paddr)
         memory_read = hit_level is None
+        ready = self._prefetch_ready.pop(line, None)
         if memory_read:
-            completes = self._dram_access(line, t_lookup, is_write=False)
-            if self._prefetch_ready:
-                self._prefetch_ready.pop(line, None)
+            completes = self.dram.access_completes(line, t_lookup,
+                                                   is_write=False)
             if is_write:
                 self.stats.demand_writes += 1
             else:
                 self.stats.demand_reads += 1
         else:
             completes = t_lookup
-            if self._prefetch_ready:
-                ready = self._prefetch_ready.pop(line, None)
-                if ready is not None and ready > completes:
-                    # The prefetch was issued but its data has not
-                    # arrived: the demand access waits (late prefetch).
-                    completes = ready
-        if wbs is not None:
-            for wb in wbs:
-                self._buffer_write(wb, t_lookup)
-        # Prefetcher preconditions checked inline: most accesses hit
-        # above the LLC and trigger neither engine.
-        reached_llc = memory_read or hit_level >= self._llc_level
-        if (self.stride_prefetcher is not None and reached_llc) or (
-                self.xmem_prefetcher is not None
-                and (memory_read or llc_prefetch_hit)):
-            self._run_prefetchers(paddr, line, memory_read, reached_llc,
-                                  llc_prefetch_hit, now)
+            if ready is not None and ready > completes:
+                # The prefetch was issued but its data has not
+                # arrived: the demand access waits (late prefetch).
+                completes = ready
+        for wb in writebacks:
+            self._buffer_write(wb, t_lookup)
+        if self.stride_prefetcher is not None and (
+                memory_read or hit_level == last):
+            for target in self.stride_prefetcher.observe(line):
+                self._prefetch(target, now)
+        if self.xmem_prefetcher is not None and (
+                memory_read or llc_prefetch_hit):
+            # A miss to a pinned atom starts the stream; a demand hit on
+            # a prefetched line keeps it running ahead.
+            for target in self.xmem_prefetcher.on_demand_miss(paddr):
+                self._prefetch(target, now)
         return completes, memory_read
 
     def _buffer_write(self, line: int, now: float) -> None:
         self.stats.writebacks += 1
         self._write_buffer.append(line)
-        if len(self._write_buffer) >= self.write_drain_threshold:
+        if len(self._write_buffer) >= WRITE_DRAIN_LINES:
             self.drain_writes(now)
 
     def drain_writes(self, now: float) -> None:
@@ -144,25 +180,17 @@ class MemorySystem:
             dram.access_completes(line, now, is_write=True)
         self._write_buffer.clear()
 
-    def _run_prefetchers(self, paddr: int, line: int, memory_read: bool,
-                         reached_llc: bool, llc_prefetch_hit: bool,
-                         now: float) -> None:
-        if self.stride_prefetcher is not None and reached_llc:
-            for target in self.stride_prefetcher.observe(line):
-                self._prefetch(target, now)
-        if self.xmem_prefetcher is not None and (
-                memory_read or llc_prefetch_hit):
-            # A miss to a pinned atom starts the stream; a demand hit on
-            # a prefetched line keeps it running ahead.
-            for target in self.xmem_prefetcher.on_demand_miss(paddr):
-                self._prefetch(target, now)
-
     def _prefetch(self, line: int, now: float) -> None:
-        memory_read, wb = self._fill_prefetch_flat(line)
-        if memory_read:
-            self.stats.prefetch_reads += 1
-            self._prefetch_ready[line] = self._dram_access(
-                line, now, is_write=False)
+        """Prefetch one line into the LLC only; free when resident."""
+        hierarchy = self.hierarchy
+        llc = hierarchy.llc
+        if llc.probe(line):
+            return
+        wb = llc.fill_absent(line, pinned=hierarchy.pin_predicate(line),
+                             prefetch=True)
+        self.stats.prefetch_reads += 1
+        self._prefetch_ready[line] = self.dram.access_completes(
+            line, now, is_write=False)
         if wb is not None:
             self._buffer_write(wb, now)
 

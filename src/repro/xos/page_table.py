@@ -75,11 +75,6 @@ class PageTable:
         if run_start is not None:
             yield AddressRange(run_start, run_end)
 
-    @property
-    def mapped_pages(self) -> int:
-        """Number of live translations."""
-        return len(self._map)
-
     def items(self) -> Iterator[Tuple[int, int]]:
         """(vpage, pframe) pairs, sorted by vpage."""
         return iter(sorted(self._map.items()))

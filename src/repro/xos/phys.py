@@ -86,10 +86,6 @@ class FramePool:
         """Number of currently unallocated frames."""
         return len(self._free)
 
-    def free_in_bank(self, bank: BankKey) -> int:
-        """Free *indexed* frames touching ``bank`` (lazy lower bound)."""
-        return len(self._free_by_bank.get(bank, ()))
-
     @property
     def all_banks(self) -> List[BankKey]:
         """Every bank key of the machine, in a stable order."""

@@ -27,6 +27,12 @@ class TestGeometry:
         with pytest.raises(ConfigurationError):
             Cache("x", 4096 * 3, 4, 64)
 
+    def test_non_pow2_line_rejected(self):
+        # 4096 B / (4 ways x 48 B) would give 16 sets, a power of two:
+        # only the line size is wrong.
+        with pytest.raises(ConfigurationError, match="line size"):
+            Cache("x", 48 * 4 * 16, 4, 48)
+
     def test_line_addr(self):
         c = small_cache()
         assert c.line_addr(130) == 128

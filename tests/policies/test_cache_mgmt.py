@@ -6,7 +6,7 @@ from repro.core.attributes import PatternType
 from repro.core.xmemlib import XMemLib
 from repro.mem.cache import Cache
 from repro.mem.prefetch import XMemPrefetcher
-from repro.policies.cache_mgmt import CacheController, _prefix_spans
+from repro.policies.cache_mgmt import CacheController, prefix_spans
 
 
 def setup(llc_bytes=64 * 1024, with_prefetcher=True):
@@ -141,14 +141,14 @@ class TestPrefetcherArming:
 
 class TestPrefixSpans:
     def test_exact_fit(self):
-        assert _prefix_spans([(0, 100)], 100) == [(0, 100)]
+        assert prefix_spans([(0, 100)], 100) == [(0, 100)]
 
     def test_truncates(self):
-        assert _prefix_spans([(0, 100)], 40) == [(0, 40)]
+        assert prefix_spans([(0, 100)], 40) == [(0, 40)]
 
     def test_spills_across_spans(self):
-        assert _prefix_spans([(0, 100), (200, 300)], 150) == \
+        assert prefix_spans([(0, 100), (200, 300)], 150) == \
             [(0, 100), (200, 250)]
 
     def test_zero_budget(self):
-        assert _prefix_spans([(0, 100)], 0) == []
+        assert prefix_spans([(0, 100)], 0) == []

@@ -7,6 +7,7 @@ from repro.dram.mapping import DramGeometry
 from repro.dram.system import DramSystem
 from repro.mem.hierarchy import CacheHierarchy, LevelConfig
 from repro.mem.prefetch import MultiStridePrefetcher
+from repro.sim import system
 from repro.sim.system import MemorySystem
 
 
@@ -21,9 +22,9 @@ def make_memory(llc_bytes=4096, stride_pf=False, **dram_kw):
 
 
 class TestWriteQueue:
-    def test_writebacks_buffered_until_threshold(self):
+    def test_writebacks_buffered_until_threshold(self, monkeypatch):
+        monkeypatch.setattr(system, "WRITE_DRAIN_LINES", 8)
         mem = make_memory(llc_bytes=1024)
-        mem.write_drain_threshold = 8
         # Dirty lines that conflict-evict: 1KB/4way/64B = 4 sets.
         now = 0.0
         for i in range(12):
@@ -36,9 +37,9 @@ class TestWriteQueue:
         assert len(mem._write_buffer) == mem.stats.writebacks - \
             mem.dram.stats.writes
 
-    def test_drain_writes_flushes_and_sorts(self):
+    def test_drain_writes_flushes_and_sorts(self, monkeypatch):
+        monkeypatch.setattr(system, "WRITE_DRAIN_LINES", 1000)  # never
         mem = make_memory(llc_bytes=1024)
-        mem.write_drain_threshold = 1000  # never auto-drain
         now = 0.0
         for i in range(12):
             mem.access(i * 4 * 64, True, now)
@@ -54,9 +55,9 @@ class TestWriteQueue:
         mem.drain_writes(0.0)
         assert mem.dram.stats.writes == 0
 
-    def test_sorted_drain_gets_row_hits(self):
+    def test_sorted_drain_gets_row_hits(self, monkeypatch):
+        monkeypatch.setattr(system, "WRITE_DRAIN_LINES", 1000)
         mem = make_memory(llc_bytes=1024)
-        mem.write_drain_threshold = 1000
         # Fill dirty lines spread across two rows of one bank, in an
         # interleaved order that would ping-pong if unsorted.
         g = mem.dram.geometry
