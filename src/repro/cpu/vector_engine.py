@@ -32,7 +32,9 @@ run therefore runs split:
   machine's own (:func:`_back_end`: the LLC, writebacks, DRAM,
   prefetch issue, the write drain, the MSHR file and model time); the
   co-run engine (:mod:`repro.sim.corun`) replays each core's records
-  at its yield points through the shared LLC.  Both back-ends build
+  at its yield points through the shared LLC, and computes each
+  core's front-end once per dense stream and pre-run L1/L2 state
+  (:func:`recorded_front_end`).  Both back-ends build
   the LLC from one builder, :func:`_llc_ops` (probe, fill, victim
   ripple, prefetch issue), and pass it what differs: the pin
   predicate and what becomes of a dirty LLC victim (the single-core
@@ -83,7 +85,9 @@ re-derived, the L1's valid lines are held to fill conservation
 last-accessed stamps to the fold
 (:func:`~repro.testing.checks.check_lru_fold`) and its line index to
 its tags; every single-core run ends in
-:func:`~repro.testing.checks.check_engine_run`.  The checked closures
+:func:`~repro.testing.checks.check_engine_run`, and every co-run
+replay of a stored front-end recomputes it and compares the records
+and end state.  The checked closures
 are built instead of the plain ones, so an unchecked run pays nothing.
 Both engines reserve MSHRs through :meth:`MSHRFile.reserve
 <repro.mem.mshr.MSHRFile.reserve>`, whose checked form bounds every
@@ -96,10 +100,14 @@ sharing rule in ``tests/cpu/test_vector_engine.py``.
 """
 from __future__ import annotations
 
+import pickle
+import threading
+import weakref
+from array import array
 from bisect import bisect_left
 from copy import deepcopy
 from time import perf_counter
-from typing import List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -229,6 +237,38 @@ def _policy_state(policy) -> dict:
             for k, v in vars(policy).items()}
 
 
+def _set_policy(policy, state: dict) -> None:
+    """Set a replacement policy to a :func:`_policy_state` (taken
+    over, not copied)."""
+    for k, v in state.items():
+        current = getattr(policy, k)
+        if isinstance(current, ReplacementPolicy):
+            _set_policy(current, v)
+        else:
+            setattr(policy, k, v)
+
+
+def _level_state(cache: Cache) -> tuple:
+    """One private level's geometry, contents, counters and policy
+    state as plain comparable data (live references: deep-copy it to
+    keep it)."""
+    return ((cache.num_sets, cache.ways, cache._max_pinned_ways,
+             cache.line_bytes),
+            [getattr(cache, name) for name in _CACHE_STATE],
+            vars(cache.stats), _policy_state(cache.policy))
+
+
+def _set_level(cache: Cache, state: tuple) -> None:
+    """Set a level's contents, counters and policy state to a
+    :func:`_level_state` of the same geometry (taken over, not
+    copied)."""
+    _, contents, stats, policy = state
+    for name, value in zip(_CACHE_STATE, contents):
+        setattr(cache, name, value)
+    vars(cache.stats).update(stats)
+    _set_policy(cache.policy, policy)
+
+
 def _same_private(a: TraceEngine, ta: PackedTrace, b: TraceEngine,
                   tb: PackedTrace) -> bool:
     """The sharing gate: whether ``b`` may replay ``a``'s front-end --
@@ -238,17 +278,9 @@ def _same_private(a: TraceEngine, ta: PackedTrace, b: TraceEngine,
             ta.meta is tb.meta or ta.meta == tb.meta):
         return False
     ma, mb = a.memory, b.memory
-    if ma.hierarchy.line_bytes != mb.hierarchy.line_bytes:
+    if any(_level_state(ca) != _level_state(cb) for ca, cb in
+           zip(ma.hierarchy.levels[:2], mb.hierarchy.levels[:2])):
         return False
-    for ca, cb in zip(ma.hierarchy.levels[:2], mb.hierarchy.levels[:2]):
-        if (ca.num_sets, ca.ways, ca._max_pinned_ways) != (
-                cb.num_sets, cb.ways, cb._max_pinned_ways):
-            return False
-        if any(getattr(ca, n) != getattr(cb, n) for n in _CACHE_STATE):
-            return False
-        if ca.stats != cb.stats or \
-                _policy_state(ca.policy) != _policy_state(cb.policy):
-            return False
     sa, sb = ma.stride_prefetcher, mb.stride_prefetcher
     if sa is None or sb is None:
         return sa is sb
@@ -264,10 +296,7 @@ def _copy_private(src: TraceEngine, dst: TraceEngine) -> None:
     them)."""
     ms, md = src.memory, dst.memory
     for cs, cd in zip(ms.hierarchy.levels[:2], md.hierarchy.levels[:2]):
-        for name in _CACHE_STATE:
-            setattr(cd, name, deepcopy(getattr(cs, name)))
-        vars(cd.stats).update(vars(cs.stats))
-        vars(cd.policy).update(deepcopy(vars(cs.policy)))
+        _set_level(cd, deepcopy(_level_state(cs)))
     if ms.stride_prefetcher is not None:
         md.stride_prefetcher._streams = deepcopy(
             ms.stride_prefetcher._streams)
@@ -688,6 +717,180 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
         return records
 
     return checked_chunk, finish
+
+
+#: Stored co-run front-ends (:func:`recorded_front_end`): per dense
+#: stream ``(id(vaddr), id(meta), len(vaddr), len(meta))``, the
+#: columns' weak references and the stream's entries.
+_RECORDED: Dict[tuple, tuple] = {}
+#: Serve runs points on threads: lookups and inserts hold the lock.
+_RECORDED_LOCK = threading.Lock()
+#: Entries kept per dense stream (one per pre-run private state).
+_ENTRIES_PER_STREAM = 2
+
+
+class _Recorded:
+    """One stored front-end: the L1/L2 state it started from and ended
+    in (:func:`_private_bytes`), its chunks' records (:func:`_keep`),
+    and its ``finish()`` result."""
+
+    __slots__ = ("before", "chunks", "after", "result")
+
+    def __init__(self, before, chunks, after, result) -> None:
+        self.before = before
+        self.chunks = chunks
+        self.after = after
+        self.result = result
+
+
+def _private_bytes(l1: Cache, l2: Cache) -> bytes:
+    """The L1 and L2 :func:`_level_state` pickled: a compact copy, and
+    a sound equality test (equal bytes load as equal states)."""
+    return pickle.dumps((_level_state(l1), _level_state(l2)),
+                        pickle.HIGHEST_PROTOCOL)
+
+
+def _keep(records, tm) -> tuple:
+    """What a co-run consumer reads of one :func:`_front_end` chunk:
+    ``(begin, n, rec_i, rec_code, rec_ext, rec_u)``, each list an
+    ``array('q')``.  ``rec_ext`` holds each flagged record's two
+    LLC-bound writebacks (-1 for none) -- a co-run front-end trains no
+    stride prefetcher, so no record has targets -- and ``rec_u[r]``
+    counts the issue slots before record ``r``'s position's own work
+    (the sentinel's: ``u_end``)."""
+    begin, n, ua, _, rec_i, rec_code, rec_ext, u_end = records
+    rec_u = array("q", [ua[i] - (tm[begin + i] >> 2) for i in rec_i[:-1]])
+    rec_u.append(u_end)
+    return (begin, n, array("q", rec_i), array("q", rec_code),
+            array("q", [-1 if wb is None else wb
+                        for ext in rec_ext for wb in ext[:2]]), rec_u)
+
+
+def _with_ops(chunks, trace: PackedTrace):
+    """Each kept chunk plus ``op_u``: for every XMemOp position ``at``
+    (chunk-relative) inside the chunk, the issue slots before it; None
+    for a chunk that holds no op."""
+    positions = [p for p, _ in trace.xmem]
+    k = u_base = 0
+    for chunk in chunks:
+        begin, n = chunk[0], chunk[1]
+        op_u = None
+        if k < len(positions) and positions[k] < begin + n:
+            meta = np.frombuffer(trace.meta, dtype=np.int64)[begin:begin + n]
+            slots = (meta >> 2) + ((meta & 2) == 0)
+            pre = np.cumsum(slots) - slots + u_base
+            op_u = {}
+            while k < len(positions) and positions[k] < begin + n:
+                at = positions[k] - begin
+                op_u[at] = int(pre[at])
+                k += 1
+        u_base = chunk[5][-1]
+        yield chunk + (op_u,)
+
+
+def recorded_front_end(l1: Cache, l2: Cache, line_bytes: int,
+                       trace: PackedTrace, checking: bool):
+    """One co-run core's front-end (:func:`_front_end`, no stride
+    prefetcher), computed once per dense stream and pre-run L1/L2
+    state and replayed from then on.
+
+    Returns ``(chunks, finish)``.  ``chunks`` iterates over the
+    stream's chunks, each ``(begin, n, rec_i, rec_code, rec_ext,
+    rec_u, op_u)``: :func:`_front_end`'s records and the issue slots
+    before each record (:func:`_keep`) and XMemOp (:func:`_with_ops`).
+    ``finish()``, once every chunk is consumed, leaves L1 and L2 in
+    their end state and returns (instructions, mem_accesses).
+
+    The front-end is a function of the dense stream and of the L1 and
+    L2 alone.  A stored entry is keyed weakly on the trace's ``vaddr``
+    and ``meta`` columns (shared by every replay of a recording) and
+    their lengths, and serves a run whose L1 and L2 equal its
+    pre-run state -- geometry, contents, counters and policy state
+    (:func:`_private_bytes`): a warm core or another geometry computes
+    afresh.  An entry dies with its columns, and a stream keeps at
+    most :data:`_ENTRIES_PER_STREAM`.  A computed run stores its
+    records, the L1/L2 end state and the ``finish()`` result, never
+    the per-position ``ua`` or lines; the columns are not written once
+    run.
+
+    With ``checking``, a replay also recomputes the front-end on the
+    core's L1 and L2 and raises :class:`ConfigurationError` where a
+    chunk's records, the end state or the result differ.
+    """
+    vaddr, meta = trace.vaddr, trace.meta
+    key = (id(vaddr), id(meta), len(vaddr), len(meta))
+    before = _private_bytes(l1, l2)
+    with _RECORDED_LOCK:
+        stored = _RECORDED.get(key)
+        entry = next((e for e in stored[1] if e.before == before),
+                     None) if stored is not None else None
+    if entry is None:
+        return _record(l1, l2, line_bytes, trace, checking, key, before)
+
+    def finish():
+        after1, after2 = pickle.loads(entry.after)
+        _set_level(l1, after1)
+        _set_level(l2, after2)
+        return entry.result
+
+    if not checking:
+        return _with_ops(entry.chunks, trace), finish
+    chunk, fresh_finish = _front_end(l1, l2, None, line_bytes, trace, True)
+
+    def checked_chunks():
+        for records in entry.chunks:
+            begin, n = records[0], records[1]
+            if _keep(chunk(begin, begin + n), meta) != records:
+                raise ConfigurationError(
+                    f"the stored front-end records of the chunk at "
+                    f"position {begin} differ from a fresh front-end's")
+            yield records
+
+    def checked_finish():
+        if fresh_finish() != entry.result or pickle.loads(entry.after) != (
+                _level_state(l1), _level_state(l2)):
+            raise ConfigurationError(
+                "the stored front-end's L1/L2 end state or counts differ "
+                "from a fresh front-end's")
+        return finish()
+
+    return _with_ops(checked_chunks(), trace), checked_finish
+
+
+def _record(l1: Cache, l2: Cache, line_bytes: int, trace: PackedTrace,
+            checking: bool, key: tuple, before: bytes):
+    """:func:`recorded_front_end`'s miss: compute the front-end, keep
+    each chunk as it is consumed, and store the entry at ``finish``."""
+    chunk, front_finish = _front_end(l1, l2, None, line_bytes, trace,
+                                     checking)
+    kept: list = []
+    tm = trace.meta
+
+    def chunks():
+        total = len(tm)
+        for pos in range(0, total, CHUNK):
+            kept.append(_keep(chunk(pos, min(pos + CHUNK, total)), tm))
+            yield kept[-1]
+
+    def finish():
+        result = front_finish()
+        entry = _Recorded(before, kept, _private_bytes(l1, l2), result)
+        with _RECORDED_LOCK:
+            stored = _RECORDED.get(key)
+            if stored is None:
+                # Either column's death drops the stream's entries.
+                def forget(_ref):
+                    _RECORDED.pop(key, None)
+                stored = _RECORDED[key] = (
+                    (weakref.ref(trace.vaddr, forget),
+                     weakref.ref(tm, forget)), [])
+            entries = stored[1]
+            if all(e.before != before for e in entries):
+                entries.append(entry)
+                del entries[:-_ENTRIES_PER_STREAM]
+        return result
+
+    return _with_ops(chunks(), trace), finish
 
 
 def _llc_ops(llc: Cache, pin_predicate, dram, writeback, prefetch_ready,

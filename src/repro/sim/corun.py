@@ -18,10 +18,13 @@ own trace, sharing the L3 and DRAM:
 A core's private levels depend on its own trace alone: the hierarchy
 is inclusive-by-fill with no back-invalidation, and prefetches and
 pins fill only the LLC.  So each core runs its L1 and L2 ahead, chunk
-by chunk, through the single-core interpreter's front-end
-(:func:`repro.cpu.vector_engine._front_end`, with no stride
-prefetcher: the shared one trains at the LLC), and only events that
-reach shared state are ordered -- the bound/weave split of zsim.  A
+by chunk, through the single-core interpreter's front-end (with no
+stride prefetcher: the shared one trains at the LLC), and only events
+that reach shared state are ordered -- the bound/weave split of zsim.
+The front-end is then a function of the dense stream and the core's
+pre-run L1 and L2, so it is computed once per recording and replayed
+by every later run of it from the same private state, whatever the
+mode (:func:`repro.cpu.vector_engine.recorded_front_end`).  A
 core's *yield points* are the front-end's records (its L1 misses) and
 its XMemOps (they can retrigger the global pinning decision).  A
 binary heap keyed by ``(now, index)`` -- the core's time before the
@@ -78,12 +81,11 @@ from repro.core.stats import iter_stat_groups
 from repro.core.xmemlib import XMemLib
 from repro.cpu.trace import PackedTrace, Trace
 from repro.cpu.vector_engine import (
-    CHUNK,
     LEVEL_POLICIES,
     _NEVER,
-    _front_end,
     _llc_ops,
     fold_ceiling,
+    recorded_front_end,
 )
 from repro.dram.system import DramSystem, check_compiled
 from repro.mem.cache import Cache
@@ -360,7 +362,9 @@ class CorunSystem:
         """One core's run: a generator that yields the core's heap key
         before each yield point and executes the point when resumed.
 
-        The front-end runs the core's L1 and L2 a chunk ahead.  Between
+        The front-end (:func:`recorded_front_end`: computed, or
+        replayed from a stored run) runs the core's L1 and L2 a chunk
+        ahead.  Between
         yield points ``now`` advances by the issue slots of the L1 hits
         and Work blocks passed -- folded from the records' slot counts
         below ``ceiling``, else replayed per position in the
@@ -375,8 +379,8 @@ class CorunSystem:
         xops = trace.xmem
         n_ops = len(xops)
         xmemlib = core.xmemlib
-        chunk, finish = _front_end(core.l1, core.l2, None,
-                                   self.config.line_bytes, trace, checking)
+        chunks, finish = recorded_front_end(
+            core.l1, core.l2, self.config.line_bytes, trace, checking)
 
         def xmem_op(k):
             op = xops[k][1]
@@ -386,25 +390,26 @@ class CorunSystem:
         now = core.now
         u_done = oi = 0
         op_at = xops[0][0] if n_ops else _NEVER
-        total = len(tm)
-        for pos in range(0, total, CHUNK):
-            begin, n, ua, _, rec_i, rec_code, rec_ext, u_end = chunk(
-                pos, min(pos + CHUNK, total))
+        for begin, n, rec_i, rec_code, rec_ext, rec_u, op_u in chunks:
             q = xi = 0
             # The records, then the sentinel ``(n, -1)``: the chunk's
             # end.  XMemOps due before a record's position run first.
-            for i, code in zip(rec_i, rec_code):
+            for i, code, u in zip(rec_i, rec_code, rec_u):
                 at = op_at - begin
                 while True:
-                    j = at if at < i else i
                     # Pass the private positions [q, j): ``pre`` counts
-                    # the issue slots before position j's own work
-                    # (meta: count << 2 | Work << 1 | write).
-                    pre = ua[j] - (tm[begin + j] >> 2) if j < n else u_end
+                    # the issue slots before position j's own work.
+                    if at < i:
+                        j = at
+                        pre = op_u[at]
+                    else:
+                        j = i
+                        pre = u
                     if now < ceiling:
                         if pre != u_done:
                             now += (pre - u_done) / issue
                     else:
+                        # (meta: count << 2 | Work << 1 | write)
                         for m in tm[begin + q:begin + j]:
                             if m >> 2:
                                 now += (m >> 2) / issue
@@ -428,10 +433,10 @@ class CorunSystem:
                     now += work / issue
                 ext = None
                 if code & 4:
-                    ext = rec_ext[xi]
-                    xi += 1
+                    ext = rec_ext[xi:xi + 2]
+                    xi += 2
                 now = access(code, ext, now)
-                u_done = ua[i] + 1
+                u_done = u + work + 1
                 q = i + 1
         while oi < n_ops:                # an empty dense stream
             yield now
@@ -529,9 +534,9 @@ class CorunSystem:
                                 prefetch(target, now)
                 if ext is not None:
                     # The L2 fill's victim, then the L1 victim's ripple
-                    # (tenant-local lines).
-                    for wb in ext[:2]:
-                        if wb is not None:
+                    # (tenant-local lines, -1 for none).
+                    for wb in ext:
+                        if wb >= 0:
                             victim = put(wb + offset)
                             if victim is not None:
                                 write(victim, now)

@@ -295,6 +295,9 @@ class CorunLane(Lane):
     yield-at-XMemOp scheduling and the shared pin controller under
     interleaving.  Reproducers written before the timing draws carry
     no ``issue_width`` or ``window`` and replay at width 4, window 32.
+    A second packed leg runs the same traces on a fresh machine, which
+    replays the front-ends the first leg stored
+    (:func:`~repro.cpu.vector_engine.recorded_front_end`).
     """
 
     name = "corun"
@@ -348,13 +351,13 @@ class CorunLane(Lane):
             streams[core].append(ev)
         ref_sys = self._build(params)
         stats_ref = ReferenceCorun(ref_sys).run(streams)
+        snap_ref = ref_sys.stats_snapshot()
+        traces = [PackedTrace.from_events(s) for s in streams]
         packed_sys = self._build(params)
-        stats_packed = packed_sys.run(
-            [PackedTrace.from_events(s) for s in streams])
+        stats_packed = packed_sys.run(traces)
         if stats_ref != stats_packed:
             return (f"core stats diverged: reference={stats_ref} "
                     f"packed={stats_packed}")
-        snap_ref = ref_sys.stats_snapshot()
         snap_packed = packed_sys.stats_snapshot()
         if snap_ref != snap_packed:
             keys = _first_snapshot_delta(snap_ref, snap_packed)
@@ -364,6 +367,18 @@ class CorunLane(Lane):
             delta = l1_state_delta(ref_core.l1, core.l1, core.offset)
             if delta:
                 return f"core {k}: {delta}"
+        # The same traces on a fresh machine replay the front-ends the
+        # packed leg stored.
+        replay_sys = self._build(params)
+        stats_replay = replay_sys.run(traces)
+        if stats_ref != stats_replay:
+            return (f"stored front-end replay: core stats diverged: "
+                    f"reference={stats_ref} replay={stats_replay}")
+        snap_replay = replay_sys.stats_snapshot()
+        if snap_ref != snap_replay:
+            keys = _first_snapshot_delta(snap_ref, snap_replay)
+            return (f"stored front-end replay: stats snapshot diverged "
+                    f"at {keys}")
         return None
 
     def to_json(self, items: list) -> list:

@@ -9,17 +9,23 @@ atom semantics are identical.
 
 Scalar accesses are one-element :func:`pack_row` segments with no
 work: the same single access, appended to the builder's segment table
-instead of forcing it to be expanded.
+instead of forcing it to be expanded.  trmm's triangular block is one
+ragged broadcast table (:func:`_pack_trmm_block`), like
+:func:`~repro.workloads.polybench.common.pack_mm_block`'s.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
+import numpy as np
+
 from repro.core.attributes import PatternType
-from repro.cpu.trace import TraceBuilder
+from repro.cpu.trace import FLUSH_LINES, META_WRITE_BIT, TraceBuilder
 from repro.workloads.polybench.common import (
     ELEM,
+    WORK_PER_ELEM,
+    Array,
     Kernel,
     Layout,
     map_tile_2d,
@@ -104,6 +110,45 @@ def _syr2k_trace(n: int, tile: int, atoms: Dict[str, int],
                              work_per_elem=0)
 
 
+def _pack_trmm_block(out: TraceBuilder, a: Array, b: Array, n: int,
+                     kt: range, jt: range) -> None:
+    """Append one ``(kt, jt)`` block of the triangular ``B = A.B``.
+
+    For each row ``i`` in ``[kt.start, n)`` only the ``r_i = min(i -
+    kt.start + 1, len(kt))`` columns ``k < i + 1`` of ``kt``
+    contribute: ``A[i][kt.start : kt.start + r_i]`` (a redundant
+    re-read, no work), then for each such ``k`` the tile row
+    ``B[k][jt]`` and the update ``B[i][jt]``.  The block's ragged
+    ``1 + 2 r_i`` segments per row are built by one broadcast, in
+    chunks of whole rows of at most about :data:`FLUSH_LINES`
+    segments.
+    """
+    bc_len = len(jt) * ELEM
+    step = max(1, FLUSH_LINES // (1 + 2 * len(kt)))
+    for r0 in range(kt.start, n, step):
+        i = np.arange(r0, min(r0 + step, n))
+        r = np.minimum(i - kt.start + 1, len(kt))
+        per_row = 1 + 2 * r
+        first = np.cumsum(per_row) - per_row
+        table = np.zeros((int(per_row.sum()), 4), dtype=np.int64)
+        a_start = a.base + (i * a.cols + kt.start) * ELEM
+        table[first, 0] = a_start
+        table[first, 1] = a_start + r * ELEM
+        # Pair p of its row is (k, B[i][jt]) with k = kt.start + p.
+        row = np.repeat(np.arange(len(i)), r)
+        pair = np.arange(len(row)) - np.repeat(np.cumsum(r) - r, r)
+        at = first[row] + 1 + 2 * pair
+        b_k = b.base + ((kt.start + pair) * b.cols + jt.start) * ELEM
+        table[at, 0] = b_k
+        table[at, 1] = b_k + bc_len
+        b_i = b.base + (i[row] * b.cols + jt.start) * ELEM
+        table[at + 1, 0] = b_i
+        table[at + 1, 1] = b_i + bc_len
+        table[at + 1, 3] = META_WRITE_BIT
+        table[at, 2] = table[at + 1, 2] = WORK_PER_ELEM
+        out.segments(table)
+
+
 def _trmm_trace(n: int, tile: int, atoms: Dict[str, int],
                 out: TraceBuilder) -> None:
     lay = Layout()
@@ -116,15 +161,7 @@ def _trmm_trace(n: int, tile: int, atoms: Dict[str, int],
                 out.op(map_tile_2d(atom, b, kt.start, jt.start,
                                    len(kt), len(jt)))
             # Triangular: only rows i >= k contribute.
-            for i in range(kt.start, n):
-                hi = min(i + 1, kt.stop)
-                if hi <= kt.start:
-                    continue
-                pack_row(out, a, i, kt.start, hi - kt.start,
-                         work_per_elem=0)
-                for k in range(kt.start, hi):
-                    pack_row(out, b, k, jt.start, len(jt))
-                    pack_row(out, b, i, jt.start, len(jt), write=True)
+            _pack_trmm_block(out, a, b, n, kt, jt)
 
 
 SYRK = register(Kernel(

@@ -8,17 +8,22 @@ mixes, baseline and XMem, on a machine shape off the dyadic time grid,
 past a lowered fold ceiling, and on a mix that reaches the memory
 path's rare branches -- and each core's L1 stamps, clock and dirty
 bits, with the front-end's MRU-run fold's edge cases.  Plus
-``REPRO_CHECK`` coverage of that path and unit coverage of the global
-pin controller's budget edge cases.
+``REPRO_CHECK`` coverage of that path, the stored front-ends that
+later runs of a recording replay (each replay against a run that
+computes everything), and unit coverage of the global pin
+controller's budget edge cases.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+from array import array
 
 import pytest
 
 from repro.core.attributes import PatternType
+from repro.core.errors import ConfigurationError
 from repro.core.xmemlib import XMemLib
 from repro.cpu.trace import MemAccess, PackedTrace, Work, XMemOp
 from repro.cpu.vector_engine import fold_ceiling
@@ -40,12 +45,19 @@ PAIRS = [
 def build_pair(names, mode, accesses=2500, footprint_div=256, cfg=None):
     """A co-run system for one mix (XMem on core 0 in ``"xmem"``
     mode) and its per-core traces."""
+    return build_mix([record_suite_trace(name, accesses, footprint_div)
+                      for name in names], mode, cfg)
+
+
+def build_mix(recordings, mode, cfg=None):
+    """A co-run system over ``recordings`` (XMem on core 0 in
+    ``"xmem"`` mode) and its per-core traces, which share the
+    recordings' columns."""
     cfg = cfg or scaled_config(32)
     xmem = (0,) if mode == "xmem" else ()
-    system = CorunSystem(cfg, len(names), xmem_cores=xmem)
+    system = CorunSystem(cfg, len(recordings), xmem_cores=xmem)
     traces = []
-    for core, name in zip(system.cores, names):
-        recording = record_suite_trace(name, accesses, footprint_div)
+    for core, recording in zip(system.cores, recordings):
         if core.xmemlib is not None:
             traces.append(recording.replay(core.xmemlib))
         else:
@@ -257,9 +269,9 @@ class TestMruFold:
 
     @pytest.mark.parametrize("chunk", [2, 3, 5, 16])
     def test_run_across_a_chunk_boundary(self, monkeypatch, chunk):
-        from repro.sim import corun
+        from repro.cpu import vector_engine
 
-        monkeypatch.setattr(corun, "CHUNK", chunk)
+        monkeypatch.setattr(vector_engine, "CHUNK", chunk)
         _fold_corun([_runs_stream(0x40000, lines=12, repeat=4),
                      _runs_stream(0x90000, lines=8, repeat=3)])
 
@@ -298,6 +310,190 @@ class TestMruFold:
         cfg = dataclasses.replace(scaled_config(32),
                                   cpu=CpuConfig(issue_width=3))
         _fold_corun([_runs_stream(0x40000), _runs_stream(0x90000)], cfg)
+
+
+# -- Stored front-ends: recorded_front_end --------------------------------
+
+def _copied(trace):
+    """``trace`` on fresh copies of its columns, which no stored
+    front-end is keyed on."""
+    return PackedTrace(array("q", trace.vaddr), array("q", trace.meta),
+                       trace.xmem)
+
+
+def _fresh_snapshot(recordings, mode, cfg=None, runs=1):
+    """The snapshot of ``runs`` runs of one system over copies of the
+    recordings' columns: every front-end computed, none replayed."""
+    system, traces = build_mix(recordings, mode, cfg)
+    traces = [_copied(t) for t in traces]
+    for _ in range(runs):
+        system.run(traces)
+    return system.stats_snapshot()
+
+
+@pytest.fixture
+def misses(monkeypatch):
+    """The cores whose front-end was computed rather than replayed
+    (one entry per miss, its dense length)."""
+    from repro.cpu import vector_engine
+
+    seen = []
+    record = vector_engine._record
+
+    def counting(l1, l2, line_bytes, trace, *rest):
+        seen.append(len(trace))
+        return record(l1, l2, line_bytes, trace, *rest)
+
+    monkeypatch.setattr(vector_engine, "_record", counting)
+    return seen
+
+
+def _mix_recordings(names=PAIRS[0]):
+    return [record_suite_trace(name, 2500, 256) for name in names]
+
+
+def _key(trace):
+    """The key of ``trace``'s stored front-ends."""
+    return (id(trace.vaddr), id(trace.meta), len(trace.vaddr),
+            len(trace.meta))
+
+
+@pytest.mark.parametrize("order", [("baseline", "xmem"),
+                                   ("xmem", "baseline")])
+def test_stored_front_end_serves_the_other_mode(order, misses):
+    """The first mode computes each tenant's front-end; the second, on
+    a fresh system over the same recordings, replays it -- and both
+    snapshot exactly like runs that compute everything."""
+    recordings = _mix_recordings()
+    fresh = {mode: _fresh_snapshot(recordings, mode) for mode in order}
+    misses.clear()
+    for mode in order:
+        system, traces = build_mix(recordings, mode)
+        system.run(traces)
+        assert len(misses) == len(recordings)
+        assert system.stats_snapshot() == fresh[mode]
+
+
+@pytest.mark.parametrize("mode", ["baseline", "xmem"])
+def test_one_tenant_twice(mode, misses):
+    """Two cores over one recording share one stored front-end (in
+    ``xmem`` mode one core replays it with the XMemOps, the other
+    without), computed by both in the first run and replayed by both
+    in the second."""
+    recordings = _mix_recordings(("mcf",)) * 2
+    fresh = _fresh_snapshot(recordings, mode)
+    misses.clear()
+    for _ in range(2):
+        system, traces = build_mix(recordings, mode)
+        system.run(traces)
+        assert len(misses) == 2
+        assert system.stats_snapshot() == fresh
+
+
+def test_warm_system_is_not_served(misses):
+    """A second run on the same system starts from warm L1s and L2s:
+    it computes its front-ends, as a system that never stores does."""
+    recordings = _mix_recordings()
+    fresh = _fresh_snapshot(recordings, "xmem", runs=2)
+    first, traces = build_mix(recordings, "xmem")
+    first.run(traces)
+    misses.clear()
+    system, traces = build_mix(recordings, "xmem")
+    system.run(traces)
+    assert misses == []                       # a cold system hits
+    system.run(traces)
+    assert len(misses) == 2
+    assert system.stats_snapshot() == fresh
+
+
+def test_other_scale_misses(misses):
+    """Scale 16's private levels differ from scale 32's: one recording
+    run at both computes both front-ends."""
+    recordings = _mix_recordings()
+    configs = (scaled_config(32), scaled_config(16))
+    fresh = [_fresh_snapshot(recordings, "baseline", cfg)
+             for cfg in configs]
+    misses.clear()
+    for cfg, snapshot in zip(configs, fresh):
+        system, traces = build_mix(recordings, "baseline", cfg)
+        system.run(traces)
+        assert system.stats_snapshot() == snapshot
+    assert len(misses) == 4
+
+
+def test_entry_dies_with_its_recording():
+    """An entry is keyed weakly on its columns: dropping the recording
+    frees it."""
+    from repro.cpu import vector_engine
+
+    recordings = _mix_recordings()
+    system, traces = build_mix(recordings, "baseline")
+    system.run(traces)
+    keys = [_key(t) for t in traces]
+    assert all(key in vector_engine._RECORDED for key in keys)
+    del recordings, system, traces
+    gc.collect()
+    assert not any(key in vector_engine._RECORDED for key in keys)
+
+
+@pytest.mark.parametrize("corrupt", ["records", "end state"])
+def test_checked_replay_catches_a_corrupted_entry(corrupt, monkeypatch):
+    """Under ``REPRO_CHECK`` a replay recomputes the front-end: a
+    stored record code or L1/L2 end state that differs raises."""
+    from repro.cpu import vector_engine
+
+    recordings = _mix_recordings()
+    system, traces = build_mix(recordings, "baseline")
+    system.run(traces)
+    entry = vector_engine._RECORDED[_key(traces[1])][1][0]
+    if corrupt == "records":
+        entry.chunks[0][3][0] ^= 2            # flip the first L2 hit bit
+    else:                                     # another tenant's
+        entry.after = vector_engine._private_bytes(system.cores[0].l1,
+                                                   system.cores[0].l2)
+    monkeypatch.setenv("REPRO_CHECK", "1")
+    system, traces = build_mix(recordings, "baseline")
+    with pytest.raises(ConfigurationError, match=corrupt):
+        system.run(traces)
+
+
+def test_threads_share_the_store():
+    """Points run on threads (``repro serve``'s thread executor) share
+    the store: six threads over one recording pair, with a short
+    switch interval, each snapshot like a computed run, and each
+    stream keeps one entry."""
+    import sys
+    import threading
+
+    from repro.cpu import vector_engine
+
+    recordings = _mix_recordings()
+    fresh = _fresh_snapshot(recordings, "xmem")
+    snapshots, errors = [], []
+
+    def run():
+        try:
+            system, traces = build_mix(recordings, "xmem")
+            system.run(traces)
+            snapshots.append(system.stats_snapshot())
+        except Exception as exc:             # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert snapshots == [fresh] * 6
+    for recording in recordings:
+        assert len(vector_engine._RECORDED[_key(recording.packed)][1]) == 1
 
 
 # -- MultiProcessController.refresh edge cases --------------------------

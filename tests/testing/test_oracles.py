@@ -256,7 +256,7 @@ class TestReferenceCorunVsCorunSystem:
             with monkeypatch.context() as patch:
                 patch.setattr(CorunSystem, "_yield_body", unbuildable)
                 patch.setattr(vector_engine, "_front_end", unbuildable)
-                patch.setattr(corun, "_front_end", unbuildable)
+                patch.setattr(corun, "recorded_front_end", unbuildable)
                 patch.setattr(vector_engine, "_llc_ops", unbuildable)
                 patch.setattr(corun, "_llc_ops", unbuildable)
                 stats_ref = ReferenceCorun(ref_sys).run(streams)
