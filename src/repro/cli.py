@@ -96,17 +96,13 @@ def cmd_usecase2(args) -> int:
     """Run one workload on Baseline / XMem / Ideal."""
     from repro.sim.runner import UC2Point, run_point
 
-    if args.workload not in BY_NAME:
-        print(f"unknown workload {args.workload!r}; see `repro list`",
-              file=sys.stderr)
-        return 2
-    workload = BY_NAME[args.workload]
     try:
         result = run_point(UC2Point(args.workload, args.accesses or None,
                                     args.pick_mapping), collect=True)
     except ConfigurationError as exc:
         print(exc, file=sys.stderr)
         return 2
+    workload = BY_NAME[args.workload]
     base = result.runs["baseline"]
     rows = []
     for system, r in result.runs.items():
@@ -131,7 +127,6 @@ def cmd_sweep(args) -> int:
     from pathlib import Path
 
     from repro.sim.runner import (
-        SYSTEM_BUILDERS,
         RunContext,
         ScenarioPoint,
         SimPoint,
@@ -144,18 +139,8 @@ def cmd_sweep(args) -> int:
         kernels = list(FIGURE4_KERNELS)
     else:
         kernels = [k.strip() for k in args.kernels.split(",") if k.strip()]
-    unknown = [k for k in kernels if k not in KERNELS]
-    if unknown:
-        print(f"unknown kernels {unknown}; see `repro list`",
-              file=sys.stderr)
-        return 2
     systems = tuple(s.strip() for s in args.systems.split(",")
                     if s.strip())
-    bad_systems = [s for s in systems if s not in SYSTEM_BUILDERS]
-    if bad_systems:
-        print(f"unknown systems {bad_systems}; "
-              f"choices: {sorted(SYSTEM_BUILDERS)}", file=sys.stderr)
-        return 2
     if args.tiles:
         try:
             tile_list = [int(t) for t in args.tiles.split(",")]
@@ -166,26 +151,23 @@ def cmd_sweep(args) -> int:
     else:
         n = args.n
         tile_list = sorted({max(4, n // 8), n // 4, n // 2, n})
-    points = [
-        SimPoint(kernel=k, n=args.n, tile=t, scale=args.scale,
-                 systems=systems)
-        for k in kernels for t in tile_list
-    ]
-    if args.scenarios:
-        from repro.core.errors import ScenarioError
-        from repro.scenarios import resolve
-        from repro.scenarios.spec import canonical_json
-        refs = [r.strip() for r in args.scenarios.split(",")
-                if r.strip()]
-        for ref in refs:
-            try:
-                canonical = resolve(ref)
-            except ScenarioError as exc:
-                print(f"bad scenario {ref!r}: {exc}", file=sys.stderr)
-                return 2
-            points.append(ScenarioPoint(
-                spec_json=canonical_json(canonical), scale=args.scale,
-                systems=systems))
+    try:
+        points = [
+            SimPoint(kernel=k, n=args.n, tile=t, scale=args.scale,
+                     systems=systems)
+            for k in kernels for t in tile_list
+        ]
+        if args.scenarios:
+            from repro.scenarios import resolve
+            from repro.scenarios.spec import canonical_json
+            for ref in args.scenarios.split(","):
+                if ref.strip():
+                    points.append(ScenarioPoint(
+                        spec_json=canonical_json(resolve(ref.strip())),
+                        scale=args.scale, systems=systems))
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if not points:
         print("nothing to sweep: no kernels and no --scenarios",
               file=sys.stderr)
@@ -238,42 +220,19 @@ def cmd_corun(args) -> int:
 
     tenants = tuple(t.strip() for t in args.tenants.split(",")
                     if t.strip())
-    unknown = [t for t in tenants
-               if not t.startswith("scenario:") and t not in BY_NAME]
-    if unknown:
-        print(f"unknown workloads {unknown}; see `repro list`",
-              file=sys.stderr)
-        return 2
-    scenario_tenants = [t for t in tenants
-                        if t.startswith("scenario:")]
-    if scenario_tenants:
-        from repro.core.errors import ScenarioError
-        from repro.scenarios import resolve
-        if args.footprint_div != 1:
-            print(f"--footprint-div scales suite structures; scenario "
-                  f"tenants {scenario_tenants} have fixed declared "
-                  f"footprints", file=sys.stderr)
-            return 2
-        for t in scenario_tenants:
-            try:
-                resolve(t[len("scenario:"):])
-            except ScenarioError as exc:
-                print(f"bad scenario tenant {t!r}: {exc}",
-                      file=sys.stderr)
-                return 2
     try:
         xmem = tuple(int(t) for t in args.xmem_tenants.split(","))
     except ValueError:
         print(f"--xmem-tenants must be comma-separated core indices, "
               f"got {args.xmem_tenants!r}", file=sys.stderr)
         return 2
-    if any(i < 0 or i >= len(tenants) for i in xmem):
-        print(f"--xmem-tenants {xmem} outside the "
-              f"{len(tenants)}-tenant mix", file=sys.stderr)
+    try:
+        point = CorunPoint(tenants=tenants, accesses=args.accesses,
+                           scale=args.scale, xmem_tenants=xmem,
+                           footprint_div=args.footprint_div)
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    point = CorunPoint(tenants=tenants, accesses=args.accesses,
-                       scale=args.scale, xmem_tenants=xmem,
-                       footprint_div=args.footprint_div)
     collect = args.stats_json is not None
     result = run_point(point, collect=collect, ctx=RunContext.from_env())
     if collect:

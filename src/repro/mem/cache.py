@@ -91,6 +91,28 @@ _HIT_PREFETCHED = AccessResult(hit=True, was_prefetched=True)
 _MISS = AccessResult(hit=False)
 
 
+def check_geometry(name: str, size_bytes: int, ways: int,
+                   line_bytes: int) -> int:
+    """The set count of a ``name`` cache of this shape; raises
+    :class:`ConfigurationError` when no :class:`Cache` can have it
+    (lines and sets must be powers of two).  Points call it to refuse
+    an unbuildable machine without building one."""
+    if line_bytes & (line_bytes - 1):
+        raise ConfigurationError(
+            f"{name}: line size {line_bytes} is not a power of two")
+    if size_bytes % (ways * line_bytes):
+        raise ConfigurationError(
+            f"{name}: size {size_bytes} not divisible by "
+            f"{ways} ways x {line_bytes}B lines"
+        )
+    num_sets = size_bytes // (ways * line_bytes)
+    if num_sets & (num_sets - 1):
+        raise ConfigurationError(
+            f"{name}: number of sets ({num_sets}) must be a power of two"
+        )
+    return num_sets
+
+
 class Cache:
     """A single cache level.
 
@@ -109,24 +131,11 @@ class Cache:
         policy: str = "lru",
         pin_quota: float = 0.75,
     ) -> None:
-        if line_bytes & (line_bytes - 1):
-            raise ConfigurationError(
-                f"{name}: line size {line_bytes} is not a power of two")
-        if size_bytes % (ways * line_bytes):
-            raise ConfigurationError(
-                f"{name}: size {size_bytes} not divisible by "
-                f"{ways} ways x {line_bytes}B lines"
-            )
         self.name = name
         self.size_bytes = size_bytes
         self.ways = ways
         self.line_bytes = line_bytes
-        self.num_sets = size_bytes // (ways * line_bytes)
-        if self.num_sets & (self.num_sets - 1):
-            raise ConfigurationError(
-                f"{name}: number of sets ({self.num_sets}) must be a "
-                f"power of two"
-            )
+        self.num_sets = check_geometry(name, size_bytes, ways, line_bytes)
         self.policy: ReplacementPolicy = make_policy(
             policy, self.num_sets, ways
         )

@@ -41,6 +41,7 @@ resubmitted points are served straight from the workspace
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import queue
@@ -54,13 +55,7 @@ from repro.core.errors import ConfigurationError
 from repro.serve.pool import WorkerProcess
 from repro.serve.scenarios import ScenarioEntry, ScenarioStore
 from repro.serve.workspace import ArtifactWorkspace
-from repro.sim.runner import (
-    SYSTEM_BUILDERS,
-    CorunPoint,
-    ScenarioPoint,
-    SimPoint,
-    execute_point_job,
-)
+from repro.sim.runner import execute_point_job
 from repro.store import write_documents
 
 #: Completed runs retained in memory for ``GET /v1/runs/<id>``
@@ -123,17 +118,14 @@ class ServeStats:
 # Run configs -> points
 # ---------------------------------------------------------------------------
 
-_KERNEL_CONFIG_KEYS = ("scale", "llc_bytes", "bandwidth", "systems")
-_SUITE_CONFIG_KEYS = ("scale", "xmem_tenants", "modes")
-
-
 def normalize_config(entry: ScenarioEntry, config: object
                      ) -> Dict[str, object]:
-    """Validate one run config against its scenario's kind.
+    """Check one run config against its scenario's point kind.
 
-    Returns the fully defaulted, canonically ordered config dict (what
-    gets hashed); raises :class:`ConfigurationError` -- HTTP 400 -- on
-    anything malformed.
+    The keys a config may hold are the kind's ``KNOBS``.  Returns the
+    fully defaulted knob values as read back off the configured point
+    (what gets hashed); raises :class:`ConfigurationError` -- HTTP 400
+    -- on an unknown key or on any value the point refuses.
     """
     if config is None:
         config = {}
@@ -141,98 +133,30 @@ def normalize_config(entry: ScenarioEntry, config: object
         raise ConfigurationError(
             f"run config must be a JSON object, "
             f"got {type(config).__name__}")
-    # Spec scenarios run as ScenarioPoint sweeps: same machine knobs
-    # as kernel scenarios.
-    kernel_like = entry.spec.kind in ("kernel", "spec")
-    allowed = (_KERNEL_CONFIG_KEYS if kernel_like
-               else _SUITE_CONFIG_KEYS)
-    unknown = sorted(set(config) - set(allowed))
+    knobs = entry.spec.point.KNOBS
+    unknown = sorted(set(config) - set(knobs))
     if unknown:
         raise ConfigurationError(
             f"unknown {entry.spec.kind}-run config keys {unknown}; "
-            f"allowed: {sorted(allowed)}")
-    scale = config.get("scale", 32)
-    if isinstance(scale, bool) or not isinstance(scale, int) or scale <= 0:
-        raise ConfigurationError(
-            f"scale must be a positive integer, got {scale!r}")
-    if kernel_like:
-        llc = config.get("llc_bytes")
-        if llc is not None and (isinstance(llc, bool)
-                                or not isinstance(llc, int) or llc <= 0):
-            raise ConfigurationError(
-                f"llc_bytes must be a positive integer or null, "
-                f"got {llc!r}")
-        bandwidth = config.get("bandwidth", 1.0)
-        if (isinstance(bandwidth, bool)
-                or not isinstance(bandwidth, (int, float))
-                or bandwidth <= 0):
-            raise ConfigurationError(
-                f"bandwidth must be a positive number, "
-                f"got {bandwidth!r}")
-        systems = config.get("systems", ["baseline", "xmem"])
-        if (not isinstance(systems, list) or not systems
-                or not all(isinstance(s, str) for s in systems)):
-            raise ConfigurationError(
-                f"systems must be a non-empty list of names, "
-                f"got {systems!r}")
-        bad = [s for s in systems if s not in SYSTEM_BUILDERS]
-        if bad:
-            raise ConfigurationError(
-                f"unknown systems {bad}; "
-                f"choices: {sorted(SYSTEM_BUILDERS)}")
-        return {"scale": scale, "llc_bytes": llc,
-                "bandwidth": float(bandwidth),
-                "systems": list(systems)}
-    modes = config.get("modes", ["baseline", "xmem"])
-    if (not isinstance(modes, list) or not modes
-            or any(m not in ("baseline", "xmem") for m in modes)):
-        raise ConfigurationError(
-            f"modes must be a non-empty list drawn from "
-            f"['baseline', 'xmem'], got {modes!r}")
-    xmem_tenants = config.get("xmem_tenants", [0])
-    if (not isinstance(xmem_tenants, list)
-            or not all(isinstance(i, int) and not isinstance(i, bool)
-                       for i in xmem_tenants)):
-        raise ConfigurationError(
-            f"xmem_tenants must be a list of core indices, "
-            f"got {xmem_tenants!r}")
-    if any(i != 0 for i in xmem_tenants):
-        # A suite scenario is one tenant; core 0 is the only index.
-        raise ConfigurationError(
-            f"xmem_tenants {xmem_tenants} outside the 1-tenant mix")
-    return {"scale": scale, "modes": list(modes),
-            "xmem_tenants": list(xmem_tenants)}
+            f"allowed: {sorted(knobs)}")
+    point = configured_point(entry, config)
+    values = {knob: getattr(point, knob) for knob in knobs}
+    return {knob: list(value) if isinstance(value, tuple) else value
+            for knob, value in values.items()}
+
+
+def configured_point(entry: ScenarioEntry, config: Dict[str, object]):
+    """The scenario's identity point with the run knobs of ``config``
+    applied (JSON lists become tuples); the point checks them."""
+    return dataclasses.replace(entry.spec.point, **{
+        knob: tuple(value) if isinstance(value, list) else value
+        for knob, value in config.items()})
 
 
 def config_hash(config: Dict[str, object]) -> str:
     """Content hash of one normalized run config (16 hex chars)."""
     payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def build_point(entry: ScenarioEntry, config: Dict[str, object]):
-    """The runnable point for (scenario, normalized config)."""
-    spec = entry.spec
-    if spec.kind == "spec":
-        return ScenarioPoint(
-            spec_json=spec.spec, scale=config["scale"],
-            llc_bytes=config["llc_bytes"],
-            bandwidth=config["bandwidth"],
-            systems=tuple(config["systems"]),
-        )
-    if spec.kind == "kernel":
-        return SimPoint(
-            kernel=spec.workload, n=spec.n, tile=spec.tile,
-            scale=config["scale"], llc_bytes=config["llc_bytes"],
-            bandwidth=config["bandwidth"],
-            systems=tuple(config["systems"]),
-        )
-    return CorunPoint(
-        tenants=(spec.workload,), accesses=spec.n,
-        footprint_div=spec.tile, scale=config["scale"],
-        xmem_tenants=tuple(config["xmem_tenants"]),
-        modes=tuple(config["modes"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +314,7 @@ class RunScheduler:
             fresh_by_key: Dict[Tuple[str, str], PointEntry] = {}
             for index, (entry, config) in enumerate(points):
                 key = (entry.hash, config_hash(config))
-                point = build_point(entry, config)
+                point = configured_point(entry, config)
                 keys.append(key)
                 names.append(point.document_name(index))
                 if key in fresh_by_key:

@@ -15,7 +15,7 @@ Three scenario kinds are accepted:
   runs against it are :class:`~repro.sim.runner.SimPoint` sweeps.
 * ``suite``  -- a suite-catalog workload ``(workload, accesses,
   footprint_div)`` recorded as a co-run tenant; runs against it are
-  single-tenant :class:`~repro.sim.runner.CorunPoint` mixes.
+  one-tenant :class:`~repro.sim.runner.CorunPoint` mixes.
 * ``spec``   -- a declarative :mod:`repro.scenarios` workload/import
   spec, inlined in the request body (the server never reads
   server-side paths); runs against it are
@@ -40,15 +40,15 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.sim.runner import (
+    CorunPoint,
     ScenarioPoint,
     SimPoint,
     TraceCache,
     fetch_recording,
-    suite_trace_source,
 )
 
 #: How long a parked duplicate request waits for the in-flight build.
@@ -61,21 +61,13 @@ class ScenarioBuildError(Exception):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One normalized scenario request.
+    """One normalized scenario request: its identity point (see the
+    module docstring), with the default run knobs.  The point checked
+    itself when it was built, names the recording, and is what every
+    run against the scenario configures
+    (:func:`repro.serve.jobs.normalize_config`)."""
 
-    ``workload``/``n``/``tile`` hold ``(kernel, n, tile)`` for kernel
-    scenarios and ``(workload, accesses, footprint_div)`` for suite
-    scenarios -- the same field-reuse discipline as
-    :func:`~repro.sim.runner.suite_trace_source`.  ``spec`` scenarios
-    carry their canonical compact JSON in ``spec`` (``workload`` holds
-    the declared name; ``n``/``tile`` are 0).
-    """
-
-    kind: str
-    workload: str
-    n: int
-    tile: int
-    spec: Optional[str] = None
+    point: object
 
     @classmethod
     def from_request(cls, body: object) -> "ScenarioSpec":
@@ -115,68 +107,52 @@ class ScenarioSpec:
                 canonicalize,
             )
             if "spec" in body:
-                unknown = sorted(set(body) - {"kind", "spec"})
-                if unknown:
-                    raise ConfigurationError(
-                        f"unknown spec-scenario keys {unknown}; "
-                        f"allowed: ['kind', 'spec']")
+                _known_keys(body, "spec", {"kind", "spec"})
                 raw = body["spec"]
             else:
                 # The spec fields inline in the scenario body.
                 raw = {k: v for k, v in body.items() if k != "kind"}
             # canonicalize raises ScenarioError (a ConfigurationError
             # subclass) on unknown fields at any level -> HTTP 400.
-            canonical = canonicalize(raw)
-            return cls(kind="spec", workload=canonical["name"], n=0,
-                       tile=0, spec=canonical_json(canonical))
+            return cls(ScenarioPoint(canonical_json(canonicalize(raw))))
         if kind == "kernel":
-            allowed = {"kind", "kernel", "n", "tile"}
-            unknown = sorted(set(body) - allowed)
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown kernel-scenario keys {unknown}; "
-                    f"allowed: {sorted(allowed)}")
-            from repro.workloads.polybench import KERNELS
-            kernel = body.get("kernel")
-            if kernel not in KERNELS:
-                raise ConfigurationError(
-                    f"unknown kernel {kernel!r}; "
-                    f"choices: {sorted(KERNELS)}")
-            n = _positive_int(body.get("n", 96), "n")
-            tile = _positive_int(body.get("tile", n), "tile")
-            return cls(kind="kernel", workload=kernel, n=n, tile=tile)
+            _known_keys(body, "kernel", {"kind", "kernel", "n", "tile"})
+            n = body.get("n", 96)
+            return cls(SimPoint(body.get("kernel"), n,
+                                body.get("tile", n)))
         if kind == "suite":
-            allowed = {"kind", "workload", "accesses", "footprint_div"}
-            unknown = sorted(set(body) - allowed)
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown suite-scenario keys {unknown}; "
-                    f"allowed: {sorted(allowed)}")
-            from repro.workloads.suite import BY_NAME
+            _known_keys(body, "suite",
+                        {"kind", "workload", "accesses", "footprint_div"})
             workload = body.get("workload")
-            if workload not in BY_NAME:
+            # A scenario tenant would resolve a server-side path.
+            if isinstance(workload, str) \
+                    and workload.startswith("scenario:"):
                 raise ConfigurationError(
-                    f"unknown suite workload {workload!r}; "
-                    f"choices: {sorted(BY_NAME)}")
-            accesses = _positive_int(body.get("accesses", 4000),
-                                     "accesses")
-            div = _positive_int(body.get("footprint_div", 1),
-                                "footprint_div")
-            return cls(kind="suite", workload=workload, n=accesses,
-                       tile=div)
+                    f"a suite scenario names a suite workload, "
+                    f"got {workload!r}")
+            sizes = {k: body[k] for k in ("accesses", "footprint_div")
+                     if k in body}
+            return cls(CorunPoint((workload,), **sizes))
         raise ConfigurationError(
             f"unknown scenario kind {kind!r}; "
             f"choices: kernel, suite, spec")
 
+    @property
+    def kind(self) -> str:
+        """``kernel``, ``suite`` or ``spec``."""
+        return _KINDS[type(self.point)]
+
     def canonical(self) -> Dict[str, object]:
         """The normalized, kind-specific spec (what gets hashed)."""
+        point = self.point
         if self.kind == "spec":
-            return json.loads(self.spec)
+            return point.canonical()
         if self.kind == "kernel":
-            return {"kind": "kernel", "kernel": self.workload,
-                    "n": self.n, "tile": self.tile}
-        return {"kind": "suite", "workload": self.workload,
-                "accesses": self.n, "footprint_div": self.tile}
+            return {"kind": "kernel", "kernel": point.kernel,
+                    "n": point.n, "tile": point.tile}
+        return {"kind": "suite", "workload": point.tenants[0],
+                "accesses": point.accesses,
+                "footprint_div": point.footprint_div}
 
     def display(self) -> Dict[str, object]:
         """The canonical spec, safe for listings.
@@ -203,12 +179,9 @@ class ScenarioSpec:
         """The recording's cache key and generator: the same hook the
         runs against this scenario use, so a build warms their
         caches."""
-        if self.kind == "spec":
-            return ScenarioPoint(self.spec).trace_source()
-        if self.kind == "kernel":
-            return SimPoint(self.workload, self.n,
-                            self.tile).trace_source()
-        return suite_trace_source(self.workload, self.n, self.tile)
+        if self.kind == "suite":
+            return self.point.tenant_source(self.point.tenants[0])
+        return self.point.trace_source()
 
     @property
     def trace_cache_key(self) -> str:
@@ -221,13 +194,17 @@ class ScenarioSpec:
         return fetch_recording(*self.trace_source(), cache)
 
 
-def _positive_int(value: object, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+#: Each scenario kind by the type of its identity point.
+_KINDS = {SimPoint: "kernel", CorunPoint: "suite", ScenarioPoint: "spec"}
+
+
+def _known_keys(body: Dict[str, object], kind: str,
+                allowed: Set[str]) -> None:
+    unknown = sorted(set(body) - allowed)
+    if unknown:
         raise ConfigurationError(
-            f"{name} must be a positive integer, got {value!r}")
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be > 0: {value}")
-    return value
+            f"unknown {kind}-scenario keys {unknown}; "
+            f"allowed: {sorted(allowed)}")
 
 
 @dataclass

@@ -19,6 +19,7 @@ from typing import List, Optional
 from repro.core.errors import ConfigurationError
 from repro.dram.mapping import DramGeometry
 from repro.dram.timing import DramTiming, ddr3_1066
+from repro.mem.cache import check_geometry
 from repro.mem.hierarchy import LevelConfig
 
 
@@ -74,15 +75,20 @@ class SimConfig:
         return self.levels[-1].size_bytes
 
     def with_llc(self, size_bytes: int) -> "SimConfig":
-        """A copy with the LLC resized (the Figure 5 portability sweep)."""
-        last = self.levels[-1]
-        if size_bytes % (last.ways * self.line_bytes):
-            raise ConfigurationError(
-                f"LLC size {size_bytes} incompatible with {last.ways} ways"
-            )
+        """A copy with the LLC resized (the Figure 5 portability sweep);
+        :meth:`check_geometry` or the machine build refuses a size no
+        cache can have."""
         levels = list(self.levels)
-        levels[-1] = replace(last, size_bytes=size_bytes)
+        levels[-1] = replace(levels[-1], size_bytes=size_bytes)
         return replace(self, levels=levels)
+
+    def check_geometry(self) -> None:
+        """Raise :class:`ConfigurationError` unless every cache level
+        can be built, by the check each :class:`~repro.mem.cache.Cache`
+        makes -- without building one."""
+        for level in self.levels:
+            check_geometry(level.name, level.size_bytes, level.ways,
+                           self.line_bytes)
 
     def with_bandwidth(self, scale: float) -> "SimConfig":
         """A copy with scaled per-core DRAM bandwidth (Figure 6)."""

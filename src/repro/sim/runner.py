@@ -263,18 +263,20 @@ class TraceRecording:
         )
 
 
+def _kernel(name: object):
+    """The Polybench kernel called ``name``, or a ConfigurationError."""
+    from repro.workloads.polybench import KERNELS
+    if not isinstance(name, str) or name not in KERNELS:
+        raise ConfigurationError(
+            f"unknown kernel {name!r}; choices: {sorted(KERNELS)}")
+    return KERNELS[name]
+
+
 def record_trace(kernel_name: str, n: int, tile: int) -> TraceRecording:
     """Walk a kernel's XMem-instrumented loop nest once and pack its
     trace (baseline machines drop the hints at replay)."""
-    from repro.workloads.polybench import KERNELS
-    try:
-        kernel = KERNELS[kernel_name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown kernel {kernel_name!r}"
-        ) from None
     recorder = SetupRecorder()
-    packed = kernel.build_packed(n, tile, lib=recorder)
+    packed = _kernel(kernel_name).build_packed(n, tile, lib=recorder)
     return TraceRecording(kernel=kernel_name, n=n, tile=tile,
                           instrumented=True, setup=recorder.log,
                           packed=packed)
@@ -505,6 +507,30 @@ def _manifest(kind: str, cfg: SimConfig, trace: dict, cache: TraceCache,
 
 
 # ---------------------------------------------------------------------------
+# Point checks: every point kind refuses itself at construction
+# ---------------------------------------------------------------------------
+
+def _positive_int(name: str, value: object) -> None:
+    """Refuse anything but a positive int; a bool is no int here, as
+    points take JSON from outside the program (``repro serve``)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ConfigurationError(
+            f"{name} must be a positive integer, got {value!r}")
+
+
+def _names(name: str, values: object, choices, what: str) -> None:
+    """Refuse ``values`` unless it is a non-empty tuple of ``choices``."""
+    if not isinstance(values, tuple) or not values:
+        raise ConfigurationError(
+            f"{name} must be a non-empty tuple of names, got {values!r}")
+    unknown = [v for v in values
+               if not isinstance(v, str) or v not in choices]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} {unknown[0]!r}; choices: {sorted(choices)}")
+
+
+# ---------------------------------------------------------------------------
 # Machine points: every system replays one recording
 # ---------------------------------------------------------------------------
 
@@ -594,8 +620,27 @@ class _MachinePoint:
     system of the point replays one recording on one configuration.
 
     A subclass names its recording (``trace_source``) and may override
-    the manifest blocks that identify it (``_describe``).
+    the manifest blocks that identify it (``_describe``).  Construction
+    checks the machine fields, and that every cache of ``config()`` can
+    be built, without building a machine.
     """
+
+    #: The fields ``repro serve`` lets a run set on a scenario's point.
+    KNOBS = ("scale", "llc_bytes", "bandwidth", "systems")
+
+    def __post_init__(self) -> None:
+        _positive_int("scale", self.scale)
+        if self.llc_bytes is not None:
+            _positive_int("llc_bytes", self.llc_bytes)
+        if (isinstance(self.bandwidth, bool)
+                or not isinstance(self.bandwidth, (int, float))
+                or not self.bandwidth > 0):
+            raise ConfigurationError(
+                f"bandwidth must be a positive number, "
+                f"got {self.bandwidth!r}")
+        object.__setattr__(self, "bandwidth", float(self.bandwidth))
+        _names("systems", self.systems, SYSTEM_BUILDERS, "system")
+        self.config().check_geometry()
 
     def config(self) -> SimConfig:
         """The machine configuration this point runs on."""
@@ -619,11 +664,6 @@ class _MachinePoint:
         cannot perturb timing -- collecting and plain runs produce
         identical ``SystemRun`` numbers.
         """
-        unknown = [s for s in self.systems if s not in SYSTEM_BUILDERS]
-        if unknown:
-            raise ConfigurationError(
-                f"unknown system {unknown[0]!r}; "
-                f"choices: {sorted(SYSTEM_BUILDERS)}")
         if cache is None:
             cache = ctx.trace_cache()
         cfg = self.config()
@@ -679,6 +719,12 @@ class SimPoint(_MachinePoint):
     bandwidth: float = 1.0
     systems: Tuple[str, ...] = ("baseline", "xmem")
 
+    def __post_init__(self) -> None:
+        _kernel(self.kernel)
+        _positive_int("n", self.n)
+        _positive_int("tile", self.tile)
+        super().__post_init__()
+
     def trace_source(self) -> Tuple[str, Callable[[], TraceRecording]]:
         """The recording's cache key and its generator."""
         return (trace_key(self.kernel, self.n, self.tile, True),
@@ -706,8 +752,8 @@ class ScenarioPoint(_MachinePoint):
 
     The mirror of :class:`SimPoint` with the kernel identity replaced
     by a canonical spec (as compact JSON, so the point stays plain
-    picklable data).  Runs on the same machines, caches, manifests,
-    and diff tooling.  The manifest's ``point`` block carries the
+    picklable data; canonicalizing checked the spec).  Runs on the
+    same machines, caches, manifests, and diff tooling.  The manifest's ``point`` block carries the
     scenario's name and content hash rather than the full spec (an
     import spec embeds the whole trace text); the ``scenario`` block
     records the provenance a reader needs to re-resolve it.
@@ -787,12 +833,19 @@ class ScenarioPoint(_MachinePoint):
 PAGE_BYTES = 4096
 
 
-def _suite_workload(name: str, accesses: Optional[int]):
-    """A suite catalog entry by name, with its access budget set
-    (``None`` keeps the catalog's)."""
+def _suite_names(names: Sequence[object]) -> None:
+    """Refuse any name that is not a suite catalog workload."""
     from repro.workloads.suite import BY_NAME
-    if name not in BY_NAME:
-        raise ConfigurationError(f"unknown suite workload {name!r}")
+    unknown = [n for n in names if not isinstance(n, str) or n not in BY_NAME]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown workloads {unknown}; choices: {sorted(BY_NAME)}")
+
+
+def _suite_workload(name: str, accesses: Optional[int]):
+    """A suite catalog entry by name (the point naming it checked the
+    name), with its access budget set (``None`` keeps the catalog's)."""
+    from repro.workloads.suite import BY_NAME
     workload = BY_NAME[name]
     if accesses is None:
         return workload
@@ -822,9 +875,6 @@ def record_suite_trace(name: str, accesses: int,
     """
     from repro.workloads.suite import LINE
     workload = _suite_workload(name, accesses)
-    if footprint_div < 1:
-        raise ConfigurationError(
-            f"footprint_div must be >= 1: {footprint_div}")
     if footprint_div > 1:
         workload = dataclasses.replace(workload, structures=tuple(
             dataclasses.replace(s, size_bytes=max(
@@ -878,10 +928,15 @@ class CorunPoint:
     runs on: ``baseline`` (no semantics anywhere) and/or ``xmem`` (the
     cores listed in ``xmem_tenants`` carry an XMemLib, so their
     structures become atoms the shared controller may pin against the
-    other tenants).  Plain data; pickles cleanly into sweep workers.
+    other tenants).  A ``scenario:<ref>`` tenant names a spec instead
+    of a suite workload.  Construction checks every field, resolves
+    every scenario tenant, and checks that the caches can be built.
+    Plain data; pickles cleanly into sweep workers.
     """
 
     KIND = "corunpoint"
+    #: The fields ``repro serve`` lets a run set on a scenario's point.
+    KNOBS = ("scale", "xmem_tenants", "modes")
 
     tenants: Tuple[str, ...]
     accesses: int = 4000
@@ -890,6 +945,39 @@ class CorunPoint:
     modes: Tuple[str, ...] = ("baseline", "xmem")
     #: Structure shrink factor (see :func:`record_suite_trace`).
     footprint_div: int = 1
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.tenants, tuple) or not self.tenants:
+            raise ConfigurationError(
+                f"tenants must be a non-empty tuple of names, "
+                f"got {self.tenants!r}")
+        scenarios = [t for t in self.tenants
+                     if isinstance(t, str) and t.startswith("scenario:")]
+        _suite_names([t for t in self.tenants if t not in scenarios])
+        _positive_int("accesses", self.accesses)
+        _positive_int("scale", self.scale)
+        _positive_int("footprint_div", self.footprint_div)
+        if scenarios and self.footprint_div != 1:
+            raise ConfigurationError(
+                f"footprint_div scales suite structures; scenario "
+                f"tenants {scenarios} have fixed declared footprints")
+        for tenant in scenarios:
+            from repro.scenarios import resolve
+            try:
+                resolve(tenant[len("scenario:"):])
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"bad scenario tenant {tenant!r}: {exc}") from None
+        _names("modes", self.modes, ("baseline", "xmem"), "co-run mode")
+        if not isinstance(self.xmem_tenants, tuple) or any(
+                isinstance(i, bool) or not isinstance(i, int)
+                or not 0 <= i < len(self.tenants)
+                for i in self.xmem_tenants):
+            raise ConfigurationError(
+                f"xmem_tenants {self.xmem_tenants!r} must be core "
+                f"indices, none outside the {len(self.tenants)}-tenant "
+                f"mix")
+        self.config().check_geometry()
 
     def config(self) -> SimConfig:
         """The machine configuration this mix runs on."""
@@ -904,33 +992,33 @@ class CorunPoint:
                        for t in self.tenants)
         return f"{index:03d}_corun_{mix}_a{self.accesses}{div}.json"
 
-    def _tenant(self, name: str, cache: TraceCache
-                ) -> Tuple[TraceRecording, str, str]:
-        """One tenant's recording, its provenance and its cache key.
+    def tenant_source(self, name: str
+                      ) -> Tuple[str, Callable[[], TraceRecording]]:
+        """One tenant's cache key and its generator.
 
         A ``scenario:<ref>`` tenant's cache entry is the full compiled
-        trace (keyed by the spec's content hash alone); the mix's
-        ``accesses`` budget is applied in-memory via
-        :meth:`PackedTrace.truncated`, so every budget shares one
-        compilation.
+        trace (keyed by the spec's content hash alone); :meth:`_tenant`
+        applies the mix's ``accesses`` budget in memory, so every
+        budget shares one compilation.
         """
         if not name.startswith("scenario:"):
-            key, generate = suite_trace_source(name, self.accesses,
-                                               self.footprint_div)
-            return (*fetch_recording(key, generate, cache), key)
-        if self.footprint_div != 1:
-            raise ConfigurationError(
-                f"footprint_div scales suite structures; scenario "
-                f"tenant {name!r} has a fixed declared footprint")
+            return suite_trace_source(name, self.accesses,
+                                      self.footprint_div)
         from repro.scenarios import resolve
         from repro.scenarios.spec import canonical_json
-        key, generate = ScenarioPoint(canonical_json(
+        return ScenarioPoint(canonical_json(
             resolve(name[len("scenario:"):]))).trace_source()
+
+    def _tenant(self, name: str, cache: TraceCache
+                ) -> Tuple[TraceRecording, str, str]:
+        """One tenant's recording, its provenance and its cache key."""
+        key, generate = self.tenant_source(name)
         recording, source = fetch_recording(key, generate, cache)
-        packed = recording.packed.truncated(self.accesses)
-        if packed is not recording.packed:
-            recording = dataclasses.replace(recording, n=self.accesses,
-                                            packed=packed)
+        if name.startswith("scenario:"):
+            packed = recording.packed.truncated(self.accesses)
+            if packed is not recording.packed:
+                recording = dataclasses.replace(
+                    recording, n=self.accesses, packed=packed)
         return recording, source, key
 
     def run(self, ctx: RunContext, collect: bool = False,
@@ -945,20 +1033,6 @@ class CorunPoint:
         assembles a manifest, strictly after the runs -- collecting and
         plain runs produce identical :class:`CoreStats`.
         """
-        if not self.tenants:
-            raise ConfigurationError("a co-run point needs tenants")
-        bad_modes = [m for m in self.modes
-                     if m not in ("baseline", "xmem")]
-        if bad_modes:
-            raise ConfigurationError(
-                f"unknown co-run modes {bad_modes}; "
-                f"choices: ('baseline', 'xmem')")
-        out_of_range = [i for i in self.xmem_tenants
-                        if not 0 <= i < len(self.tenants)]
-        if out_of_range:
-            raise ConfigurationError(
-                f"xmem_tenants {out_of_range} outside the "
-                f"{len(self.tenants)}-tenant mix")
         if cache is None:
             cache = ctx.trace_cache()
         cfg = self.config()
@@ -1015,6 +1089,14 @@ class UC2Point:
     workload: str
     accesses: Optional[int] = None
     pick_mapping: bool = False
+
+    def __post_init__(self) -> None:
+        _suite_names((self.workload,))
+        if self.accesses is not None:
+            _positive_int("accesses", self.accesses)
+        if not isinstance(self.pick_mapping, bool):
+            raise ConfigurationError(
+                f"pick_mapping must be a bool, got {self.pick_mapping!r}")
 
     def document_name(self, index: int) -> str:
         """This point's stats-document filename in a sweep."""

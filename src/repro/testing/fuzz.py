@@ -668,11 +668,38 @@ class ServeLane(Lane):
     SUITE_NAMES = ("mcf", "libquantum", "milc")
     #: Every op runs real simulations; keep sequences short.
     MAX_OPS = 8
-    #: Reserved fault-injection shapes -- ``n=10`` never appears in
+    #: Reserved fault-injection scenarios -- ``n=10`` never appears in
     #: randomly drawn scenarios/runs, so the CRASH/SLOW env markers
     #: (one scenario hash each) cannot collide with normal ops.
-    CRASH_SCENARIO = ("jacobi2d", 10, 4)
-    SLOW_SCENARIO = ("gemver", 10, 4)
+    CRASH_SCENARIO = {"kernel": "jacobi2d", "n": 10, "tile": 4}
+    SLOW_SCENARIO = {"kernel": "gemver", "n": 10, "tile": 4}
+    #: ``bad`` ops: (method, path, body, raw bytes, wanted status,
+    #: scenario to build first).  With a scenario, ``body`` is a run
+    #: config against it that the scenario's point refuses: nothing
+    #: may be enqueued.  Reproducers name a case by its index, so new
+    #: cases go at the end.
+    BAD_CASES = (
+        ("POST", "/v1/scenarios", {"kernel": "nope"}, None, 400, None),
+        ("POST", "/v1/scenarios", {"kernel": "mvt", "n": -3}, None, 400,
+         None),
+        ("POST", "/v1/runs", {"scenario": "0" * 16, "configs": [{}]},
+         None, 404, None),
+        ("POST", "/v1/runs", {}, None, 400, None),
+        ("GET", "/v1/runs/run-999999", None, None, 404, None),
+        ("POST", "/v1/scenarios", None, b"not json", 400, None),
+        ("POST", "/v1/runs", {"scale": 3}, None, 400,
+         {"kernel": "mvt", "n": 8, "tile": 4}),
+        ("POST", "/v1/runs", {"llc_bytes": 1000}, None, 400,
+         {"kernel": "mvt", "n": 8, "tile": 4}),
+        ("POST", "/v1/runs", {"llc_bytes": 3072}, None, 400,
+         {"kernel": "gemver", "n": 8, "tile": 4}),
+        ("POST", "/v1/runs", {"systems": "xmem"}, None, 400,
+         {"kernel": "gemver", "n": 8, "tile": 4}),
+        ("POST", "/v1/runs", {"scale": 3}, None, 400,
+         {"workload": "mcf", "accesses": 300, "footprint_div": 64}),
+        ("POST", "/v1/runs", {"modes": ["xmem", 1]}, None, 400,
+         {"workload": "milc", "accesses": 300, "footprint_div": 16}),
+    )
 
     def make(self, rng: random.Random, length: int) -> Tuple[dict, list]:
         executor = rng.choice(("thread", "process"))
@@ -703,7 +730,7 @@ class ServeLane(Lane):
                             rng.choice((8, 12)), 4,
                             rng.choice((16, 32)), dup))
             else:
-                ops.append(("bad", rng.randrange(6)))
+                ops.append(("bad", rng.randrange(len(self.BAD_CASES))))
         params = {"workers": rng.choice((1, 2)), "queue_limit": 32,
                   "executor": executor}
         return params, ops
@@ -723,8 +750,8 @@ class ServeLane(Lane):
         )
 
         executor = params.get("executor", "thread")
-        crash_hash = _kernel_scenario_hash(*self.CRASH_SCENARIO)
-        slow_hash = _kernel_scenario_hash(*self.SLOW_SCENARIO)
+        crash_hash = _scenario_hash(self.CRASH_SCENARIO)
+        slow_hash = _scenario_hash(self.SLOW_SCENARIO)
         # The markers and the fault-injecting spawn target must be in
         # place before any worker child spawns (children inherit the
         # environment); scope them to this case.
@@ -845,17 +872,6 @@ class ServeLane(Lane):
                 return f"duplicate POSTs returned hashes {hashes}"
             return None
 
-        bad_cases = (
-            ("POST", "/v1/scenarios", {"kernel": "nope"}, None, 400),
-            ("POST", "/v1/scenarios", {"kernel": "mvt", "n": -3},
-             None, 400),
-            ("POST", "/v1/runs",
-             {"scenario": "0" * 16, "configs": [{}]}, None, 404),
-            ("POST", "/v1/runs", {}, None, 400),
-            ("GET", "/v1/runs/run-999999", None, None, 404),
-            ("POST", "/v1/scenarios", None, b"not json", 400),
-        )
-
         try:
             for step, item in enumerate(items):
                 op = item[0]
@@ -888,12 +904,12 @@ class ServeLane(Lane):
                         return f"{where}: {error}"
                 elif op == "run":
                     _, kernel, n, tile, scale, dup = item
-                    error = check_scenario(post_scenario(
-                        {"kernel": kernel, "n": n, "tile": tile}, 0))
+                    body = {"kernel": kernel, "n": n, "tile": tile}
+                    error = check_scenario(post_scenario(body, 0))
                     if error:
                         return f"{where}: {error}"
-                    run_body = {"scenario": _kernel_scenario_hash(
-                        kernel, n, tile), "configs": [{"scale": scale}]}
+                    run_body = {"scenario": _scenario_hash(body),
+                                "configs": [{"scale": scale}]}
                     if dup:
                         results = concurrent_pair("POST", "/v1/runs",
                                                   run_body)
@@ -919,17 +935,34 @@ class ServeLane(Lane):
                         if error:
                             return f"{where}: {error}"
                 elif op == "bad":
-                    method, path, body, raw, want = bad_cases[item[1]]
+                    method, path, body, raw, want, scenario = \
+                        self.BAD_CASES[item[1]]
+                    if scenario is not None:
+                        error = check_scenario(post_scenario(scenario, 0))
+                        if error:
+                            return f"{where}: {error}"
+                        body = {"scenario": _scenario_hash(scenario),
+                                "configs": [body]}
+                        before = call("GET", "/debug/state")[1]["serve"]
                     status, doc = call(method, path, body, raw=raw)
                     if status != want or doc is None:
-                        return (f"{where}: {method} {path} gave HTTP "
-                                f"{status} (doc {doc!r}), want {want}")
+                        return (f"{where}: {method} {path} {body} gave "
+                                f"HTTP {status} (doc {doc!r}), "
+                                f"want {want}")
                     if "error" not in doc:
                         return f"{where}: {want} body without error key"
+                    if scenario is not None:
+                        after = call("GET", "/debug/state")[1]["serve"]
+                        for counter in ("points_submitted",
+                                        "points_dispatched"):
+                            if after[counter] != before[counter]:
+                                return (f"{where}: refused run moved "
+                                        f"{counter} from "
+                                        f"{before[counter]} to "
+                                        f"{after[counter]}")
                 elif op == "crash":
-                    kernel, n, tile = self.CRASH_SCENARIO
                     error = check_scenario(post_scenario(
-                        {"kernel": kernel, "n": n, "tile": tile}, 0))
+                        self.CRASH_SCENARIO, 0))
                     if error:
                         return f"{where}: {error}"
                     status, doc = call("POST", "/v1/runs",
@@ -955,9 +988,8 @@ class ServeLane(Lane):
                         return (f"{where}: health {status} after a "
                                 f"worker crash -- not isolated")
                 elif op == "cancel":
-                    kernel, n, tile = self.SLOW_SCENARIO
                     error = check_scenario(post_scenario(
-                        {"kernel": kernel, "n": n, "tile": tile}, 0))
+                        self.SLOW_SCENARIO, 0))
                     if error:
                         return f"{where}: {error}"
                     status, doc = call("POST", "/v1/runs",
@@ -1164,12 +1196,11 @@ class ScenarioLane(Lane):
         return [dict(p) for p in data]
 
 
-def _kernel_scenario_hash(kernel: str, n: int, tile: int) -> str:
+def _scenario_hash(body: dict) -> str:
     """Client-side scenario hash, for addressing runs in the lane."""
     from repro.serve.scenarios import ScenarioSpec
 
-    return ScenarioSpec(kind="kernel", workload=kernel, n=n,
-                        tile=tile).scenario_hash
+    return ScenarioSpec.from_request(body).scenario_hash
 
 
 LANES: Dict[str, Lane] = {

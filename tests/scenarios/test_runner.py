@@ -98,9 +98,8 @@ class TestScenarioPoint:
             run_point(object())
 
     def test_unknown_system_rejected(self, disk_cache):
-        point = example_point(systems=("warp",))
         with pytest.raises(ConfigurationError, match="unknown system"):
-            run_point(point, cache=disk_cache)
+            example_point(systems=("warp",))
 
     def test_document_name(self, disk_cache):
         point = example_point()
@@ -141,15 +140,13 @@ class TestScenarioTenants:
             > a.runs["baseline"][0].mem_accesses
 
     def test_footprint_div_rejected_for_scenarios(self, disk_cache):
-        point = CorunPoint(tenants=("scenario:hotcold",),
-                           accesses=200, footprint_div=4)
         with pytest.raises(ConfigurationError, match="footprint_div"):
-            run_point(point, cache=disk_cache)
+            CorunPoint(tenants=("scenario:hotcold",), accesses=200,
+                       footprint_div=4)
 
     def test_unknown_ref_is_configuration_error(self, disk_cache):
-        point = CorunPoint(tenants=("scenario:nope",), accesses=200)
         with pytest.raises(ConfigurationError):
-            run_point(point, cache=disk_cache)
+            CorunPoint(tenants=("scenario:nope",), accesses=200)
 
 
 class TestMixedSweep:

@@ -27,8 +27,8 @@ from .conftest import (boot_server, call, kernel_scenario, stop_server,
 
 
 def _hash(kernel, n=48, tile=16):
-    return ScenarioSpec(kind="kernel", workload=kernel,
-                        n=n, tile=tile).scenario_hash
+    return ScenarioSpec.from_request(
+        {"kernel": kernel, "n": n, "tile": tile}).scenario_hash
 
 
 @pytest.fixture

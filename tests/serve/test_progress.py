@@ -86,8 +86,8 @@ class TestSincePolling:
         assert doc["status"] == "done"
 
     def test_long_poll_blocks_until_completion(self, monkeypatch):
-        slow = ScenarioSpec(kind="kernel", workload="gemver",
-                            n=48, tile=16).scenario_hash
+        slow = ScenarioSpec.from_request(
+            {"kernel": "gemver", "n": 48, "tile": 16}).scenario_hash
         monkeypatch.setenv(SLOW_ENV, f"{slow}:1.5")
         monkeypatch.setattr(pool, "pool_worker_main", faulty_worker_main)
         srv, thread = boot_server(workers=1, executor="process")

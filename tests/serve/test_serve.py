@@ -102,6 +102,17 @@ def idle_server():
 
 
 SCENARIO = {"kernel": "mvt", "n": 8, "tile": 4}
+SUITE_SCENARIO = {"workload": "mcf", "accesses": 400, "footprint_div": 64}
+
+
+def scenario_entry(body):
+    """The registry entry of one scenario request body, unbuilt."""
+    spec = ScenarioSpec.from_request(body)
+    return ScenarioEntry(spec=spec, hash=spec.scenario_hash,
+                         trace_key=spec.trace_cache_key,
+                         source="generated", events=0, setup_calls=0,
+                         build_wall_s=0.0, created_at=0.0,
+                         cache_counters={})
 
 
 class TestScenarioDedup:
@@ -257,6 +268,28 @@ class TestValidation:
         assert "error" in got
         assert server.state.stats.bad_requests == before + 1
 
+    @pytest.mark.parametrize("scenario, config", [
+        (SCENARIO, {"scale": 3}),
+        (SCENARIO, {"llc_bytes": 1000}),
+        (SCENARIO, {"llc_bytes": 3072}),
+        (SUITE_SCENARIO, {"scale": 3}),
+    ])
+    def test_unbuildable_run_config_is_400(self, server, scenario,
+                                           config):
+        """A config whose caches cannot be built is refused with the
+        whole request, before anything is enqueued."""
+        _, doc = call(server, "POST", "/v1/scenarios", scenario)
+        stats = server.state.stats
+        before = (stats.points_submitted, stats.points_dispatched)
+        status, got = call(server, "POST", "/v1/runs",
+                           {"scenario": doc["scenario"],
+                            "configs": [{}, config]})
+        assert status == 400
+        assert "error" in got
+        assert (stats.points_submitted, stats.points_dispatched) == before
+        assert server.state.scheduler.queue_depth() == 0
+        assert call(server, "GET", "/v1/runs")[1] == {"runs": {}}
+
     def test_unknown_route_is_404(self, server):
         assert call(server, "GET", "/v2/everything")[0] == 404
         assert call(server, "GET", "/v1/runs/run-999999")[0] == 404
@@ -340,7 +373,7 @@ class TestQueueAndCancel:
         _, sdoc = call(idle_server, "POST", "/v1/scenarios", SCENARIO)
         status, doc = call(idle_server, "POST", "/v1/runs",
                            {"scenario": sdoc["scenario"],
-                            "configs": [{"scale": 16}, {"scale": 24}]})
+                            "configs": [{"scale": 16}, {"scale": 8}]})
         assert status == 429
         assert "queue full" in doc["error"]
         assert idle_server.state.stats.queue_rejections == 1
@@ -655,14 +688,8 @@ class TestEngineEnvRegression:
 
 class TestSpecAndConfigUnits:
     def _entry(self, kind="kernel"):
-        spec = (ScenarioSpec(kind="kernel", workload="mvt", n=8, tile=4)
-                if kind == "kernel" else
-                ScenarioSpec(kind="suite", workload="mcf", n=400,
-                             tile=64))
-        return ScenarioEntry(spec=spec, hash="h", trace_key="k",
-                             source="generated", events=0, setup_calls=0,
-                             build_wall_s=0.0, created_at=0.0,
-                             cache_counters={})
+        return scenario_entry(SCENARIO if kind == "kernel"
+                              else SUITE_SCENARIO)
 
     def test_hash_ignores_request_key_order(self):
         a = ScenarioSpec.from_request({"kernel": "mvt", "n": 8,
@@ -816,3 +843,35 @@ class TestSpecScenarios:
                             "configs": [{"accesses": 100}]})
         assert status == 400
         assert "unknown" in doc["error"]
+
+
+class TestHashPins:
+    """Scenario hashes, config hashes and trace-cache keys name
+    workspace and trace-cache entries: these values, computed by the
+    previous release, must hold so that its workspaces are served
+    without re-execution."""
+
+    @pytest.mark.parametrize("body, scenario, trace_key, plain, scale16", [
+        ({"kernel": "gemm", "n": 48, "tile": 8}, "ede6560680aef34b",
+         "176daab0c7b447d3", "ef385d9d15762e02", "2d4c01d9730fc141"),
+        ({"workload": "mcf", "accesses": 400, "footprint_div": 64},
+         "6315052e136a5b3c", "d230d5f772d6ebc8", "2f2fcd3d641fc3e7",
+         "8108dc30c6833b85"),
+        ({"spec": SPEC_SCENARIO}, "3cd500f2f6d9a20f", "cfb086d776505bb2",
+         "ef385d9d15762e02", "2d4c01d9730fc141"),
+    ])
+    def test_hashes_are_pinned(self, body, scenario, trace_key, plain,
+                               scale16):
+        entry = scenario_entry(body)
+        assert entry.hash == scenario
+        assert entry.trace_key[:16] == trace_key
+        assert config_hash(normalize_config(entry, {})) == plain
+        assert config_hash(normalize_config(entry, {"scale": 16})) \
+            == scale16
+
+    def test_int_and_float_bandwidth_hash_alike(self):
+        entry = scenario_entry({"kernel": "gemm", "n": 48, "tile": 8})
+        two = config_hash(normalize_config(entry, {"bandwidth": 2}))
+        assert two == "c26dfbbcb81cb477"
+        assert two == config_hash(normalize_config(entry,
+                                                   {"bandwidth": 2.0}))

@@ -83,6 +83,15 @@ class TestCommands:
         assert main(["sweep", "--systems", "warp"]) == 2
         assert "choices" in capsys.readouterr().err
 
+    def test_sweep_unbuildable_scale_exits_two(self, capsys):
+        """Scale 3 leaves no cache geometry to build: a message and
+        exit 2, not a traceback from inside the run."""
+        assert main(["sweep", "--kernels", "mvt", "--n", "8",
+                     "--scale", "3", "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "not divisible" in err
+        assert "Traceback" not in err
+
     def test_sweep_bad_tiles(self, capsys):
         assert main(["sweep", "--tiles", "8,abc"]) == 2
         assert "comma-separated integers" in capsys.readouterr().err
@@ -307,6 +316,12 @@ class TestCorunCliAudit:
         assert main(["corun", "--tenants", "mcf,lbm",
                      "--xmem-tenants", "5"]) == 2
         assert "outside" in capsys.readouterr().err
+
+    def test_unbuildable_scale_exits_two(self, capsys):
+        assert main(["corun", "--tenants", "mcf", "--scale", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "not divisible" in err
+        assert "Traceback" not in err
 
     def test_unknown_engine_exits_two(self, capsys):
         """The co-run engine has one interleaver, so ``repro corun``
