@@ -26,12 +26,7 @@ from repro.core.overheads import (
     hardware_area_fraction,
     storage_overheads,
 )
-from repro.sim import (
-    build_baseline,
-    build_xmem,
-    format_table,
-    scaled_config,
-)
+from repro.sim import format_table
 from repro.workloads.polybench import FIGURE4_KERNELS, KERNELS
 from repro.workloads.suite import BY_NAME, SUITE
 
@@ -62,33 +57,24 @@ def cmd_list(_args) -> int:
 
 def cmd_usecase1(args) -> int:
     """Run one kernel at one tile size on Baseline and XMem."""
-    if args.kernel not in KERNELS:
-        print(f"unknown kernel {args.kernel!r}; see `repro list`",
-              file=sys.stderr)
-        return 2
-    kernel = KERNELS[args.kernel]
+    from repro.sim.runner import SimPoint, run_point
+
     tile = args.tile or args.n
-    cfg = scaled_config(args.scale)
-
-    baseline = build_baseline(cfg)
-    b = baseline.run(kernel.build_packed(args.n, tile))
-    xmem = build_xmem(cfg)
-    x = xmem.run(kernel.build_packed(args.n, tile, lib=xmem.xmemlib))
-
+    try:
+        point = SimPoint(args.kernel, args.n, tile, scale=args.scale)
+        result = run_point(point)
+    except ConfigurationError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     print(format_table(
         ["system", "cycles", "IPC", "LLC miss", "DRAM reads"],
-        [
-            ["baseline", f"{b.cycles:.0f}", b.ipc,
-             f"{baseline.llc.stats.miss_rate:.2%}",
-             baseline.dram.stats.reads],
-            ["xmem", f"{x.cycles:.0f}", x.ipc,
-             f"{xmem.llc.stats.miss_rate:.2%}",
-             xmem.dram.stats.reads],
-        ],
+        [[system, f"{r.cycles:.0f}", r.stats.ipc, f"{r.llc_miss_rate:.2%}",
+          r.dram_reads] for system, r in result.runs.items()],
         title=(f"{args.kernel} N={args.n} tile={tile} "
-               f"LLC={cfg.llc_bytes // 1024}KB"),
+               f"LLC={point.config().llc_bytes // 1024}KB"),
     ))
-    print(f"\nXMem speedup: {b.cycles / x.cycles:.3f}x")
+    speedup = result.cycles("baseline") / result.cycles("xmem")
+    print(f"\nXMem speedup: {speedup:.3f}x")
     return 0
 
 

@@ -100,13 +100,13 @@ class TraceEngine:
 
         Object event streams are packed first
         (:meth:`PackedTrace.from_events`, which rejects anything that
-        is not a trace event with ``TypeError``); the run is the
-        one-machine case of :func:`repro.cpu.vector_engine.run_shared`.
+        is not a trace event with ``TypeError``); the run is
+        :func:`repro.cpu.vector_engine.run_trace`.
         """
-        from repro.cpu.vector_engine import run_shared
+        from repro.cpu import vector_engine
         if type(trace) is not PackedTrace:
             trace = PackedTrace.from_events(trace)
-        return run_shared([self], [trace])[0]
+        return vector_engine.run_trace(self, trace)
 
     def run_packed(self, trace: PackedTrace) -> EngineStats:
         """:meth:`run` under the name the perf harness's spans wrap."""

@@ -1,12 +1,12 @@
 """The split interpreter: the private-level front-end and the shared
 LLC of both engines, and the single-core engine.
 
-:func:`run_shared` executes :class:`PackedTrace` runs on one or more
-machines with statistics bit-identical to
+:func:`run_trace` (:meth:`TraceEngine.run`) executes a
+:class:`PackedTrace` on one machine with statistics bit-identical to
 :class:`repro.testing.oracles.ReferenceEngine`, the model's textbook
-statement; :meth:`TraceEngine.run` is its one-machine case.
-Interpretation cost is per-event Python, not model arithmetic, so the
-interpreter decodes whole chunks of the dense columns with numpy
+statement.  Interpretation cost is per-event Python, not model
+arithmetic, so the interpreter decodes whole chunks of the dense
+columns with numpy
 (line/set/tag by shift and mask) and runs each event through scalar
 code that inlines the engine / hierarchy / prefetcher bookkeeping of
 the exact model -- the same operations in the same order, so float
@@ -32,13 +32,20 @@ run therefore runs split:
   machine's own (:func:`_back_end`: the LLC, writebacks, DRAM,
   prefetch issue, the write drain, the MSHR file and model time); the
   co-run engine (:mod:`repro.sim.corun`) replays each core's records
-  at its yield points through the shared LLC, and computes each
-  core's front-end once per dense stream and pre-run L1/L2 state
-  (:func:`recorded_front_end`).  Both back-ends build
-  the LLC from one builder, :func:`_llc_ops` (probe, fill, victim
-  ripple, prefetch issue), and pass it what differs: the pin
-  predicate and what becomes of a dirty LLC victim (the single-core
-  write buffer, or co-run's immediate DRAM write).
+  at its yield points through the shared LLC.
+
+Both engines take their front-end from one store,
+:func:`recorded_front_end`: it is computed once per dense stream and
+pre-run private state (L1, L2 and, single-core, the stride
+prefetcher) and replayed by every later run that starts from the same
+state -- the XMem machine after the baseline one, another LLC size or
+bandwidth, the other co-run mode.  A single-core entry also keeps the
+L1's resident lines at each chunk end, which the back-end reads for
+the prefetches it issues; a co-run entry keeps none.  Both back-ends
+build the LLC from one builder, :func:`_llc_ops` (probe, fill, victim
+ripple, prefetch issue), and pass it what differs: the pin predicate
+and what becomes of a dirty LLC victim (the single-core write buffer,
+or co-run's immediate DRAM write).
 
 **MRU runs fold.**  An access whose line is the last one its L1 set
 saw is an LRU hit by construction, and its only effects are the line's
@@ -52,17 +59,9 @@ chunk's accesses at its end.  Nothing else touches the set between a
 leader and its last follower, so no victim choice reads the early
 stamp or dirty bit and the end state is the access-by-access one.  A
 run cut by a chunk end is not folded across it.  An L1 miss is always
-a leader, so the records -- and ``ua``, the chunk's lines and the
-back-end's specials, all per position -- are unchanged.  An L1 hit is
-one dict lookup in the front-end's map of resident lines to ways.
-
-Machines of one point whose private parts are equal run in lockstep
-(:func:`_run_lockstep`): per chunk the front-end runs once, on the
-first machine's own L1, L2 and stride prefetcher, the chunk's line
-list and set are built once, and each back-end consumes the chunk; at
-the end the other machines' private state and counters are set to the
-front-end's.  Any other machine runs alone
-through the same code (a one-machine group).
+a leader, so the records -- and the back-end's specials, per position
+-- are unchanged.  An L1 hit is one dict lookup in the front-end's map
+of resident lines to ways.
 
 :func:`check_shape` is the one gate: the shipped machine shape (the
 :data:`LEVEL_POLICIES` -- LRU L1, DRRIP L2 and LLC -- pins and
@@ -85,18 +84,18 @@ re-derived, the L1's valid lines are held to fill conservation
 last-accessed stamps to the fold
 (:func:`~repro.testing.checks.check_lru_fold`) and its line index to
 its tags; every single-core run ends in
-:func:`~repro.testing.checks.check_engine_run`, and every co-run
-replay of a stored front-end recomputes it and compares the records
-and end state.  The checked closures
+:func:`~repro.testing.checks.check_engine_run`, and every replay of a
+stored front-end recomputes it and compares the records and end
+state.  The checked closures
 are built instead of the plain ones, so an unchecked run pays nothing.
 Both engines reserve MSHRs through :meth:`MSHRFile.reserve
 <repro.mem.mshr.MSHRFile.reserve>`, whose checked form bounds every
 reservation.
 
 Divergence from the reference engine is fuzz-checked by the ``packed``
-lane (:mod:`repro.testing.fuzz`), whose shared leg runs two machines
-in one call, and pinned per kernel, per Use Case 2 machine and per
-sharing rule in ``tests/cpu/test_vector_engine.py``.
+lane (:mod:`repro.testing.fuzz`), whose replay leg runs three fresh
+machines over a stored front-end, and pinned per kernel, per Use Case
+2 machine and per sharing rule in ``tests/cpu/test_vector_engine.py``.
 """
 from __future__ import annotations
 
@@ -105,9 +104,7 @@ import threading
 import weakref
 from array import array
 from bisect import bisect_left
-from copy import deepcopy
-from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -152,8 +149,6 @@ def dyadic_k(values, k_max: int = 12) -> Optional[int]:
             return k
     return None
 
-_dyadic_k = dyadic_k
-
 
 def fold_ceiling(issue_width: int, timing, latencies=()) -> float:
     """The exactness ceiling of folded time, for both engines.
@@ -164,7 +159,7 @@ def fold_ceiling(issue_width: int, timing, latencies=()) -> float:
     folded sum below that ceiling is exact.  Off any dyadic grid
     nothing folds: the ceiling is 0.
     """
-    k = _dyadic_k((1.0 / issue_width, *latencies, timing.t_cl,
+    k = dyadic_k((1.0 / issue_width, *latencies, timing.t_cl,
                    timing.t_rcd, timing.t_rp, timing.t_burst))
     return 0.0 if k is None else float(1 << (52 - k))
 
@@ -269,136 +264,49 @@ def _set_level(cache: Cache, state: tuple) -> None:
     _set_policy(cache.policy, policy)
 
 
-def _same_private(a: TraceEngine, ta: PackedTrace, b: TraceEngine,
-                  tb: PackedTrace) -> bool:
-    """The sharing gate: whether ``b`` may replay ``a``'s front-end --
-    the same dense stream, and private parts (L1, L2, stride
-    prefetcher) equal in geometry, policy, state and counters."""
-    if not (ta.vaddr is tb.vaddr or ta.vaddr == tb.vaddr) or not (
-            ta.meta is tb.meta or ta.meta == tb.meta):
-        return False
-    ma, mb = a.memory, b.memory
-    if any(_level_state(ca) != _level_state(cb) for ca, cb in
-           zip(ma.hierarchy.levels[:2], mb.hierarchy.levels[:2])):
-        return False
-    sa, sb = ma.stride_prefetcher, mb.stride_prefetcher
-    if sa is None or sb is None:
-        return sa is sb
-    return ((sa.max_streams, sa.degree, sa.line_bytes, sa.region_bytes)
-            == (sb.max_streams, sb.degree, sb.line_bytes, sb.region_bytes)
-            and list(sa._streams.items()) == list(sb._streams.items())
-            and sa.stats == sb.stats)
-
-
-def _copy_private(src: TraceEngine, dst: TraceEngine) -> None:
-    """Set ``dst``'s L1, L2 and stride state and counters to ``src``'s
-    (the end of a shared run: only the front-end machine evolved
-    them)."""
-    ms, md = src.memory, dst.memory
-    for cs, cd in zip(ms.hierarchy.levels[:2], md.hierarchy.levels[:2]):
-        _set_level(cd, deepcopy(_level_state(cs)))
-    if ms.stride_prefetcher is not None:
-        md.stride_prefetcher._streams = deepcopy(
-            ms.stride_prefetcher._streams)
-        vars(md.stride_prefetcher.stats).update(
-            vars(ms.stride_prefetcher.stats))
-
-
-def run_shared(engines: Sequence[TraceEngine], traces: Sequence[PackedTrace],
-               seconds: Optional[List[float]] = None) -> List[EngineStats]:
-    """Execute ``traces[k]`` on ``engines[k]`` for every ``k``; each
-    result is bit-identical to a
+def run_trace(engine: TraceEngine, trace: PackedTrace) -> EngineStats:
+    """Execute ``trace`` on ``engine``: statistics bit-identical to a
     :class:`~repro.testing.oracles.ReferenceEngine` run of the same
     trace on the same machine.
 
-    Every machine must pass :func:`check_shape`.  Machines whose dense
-    streams and private parts are equal (:func:`_same_private`) run in
-    lockstep on one front-end pass; a machine with no twin is a
-    one-machine group.  ``seconds``, when given, is a list of
-    ``len(engines) + 1`` floats that accumulates each machine's own
-    wall seconds and, last, the seconds of the shared front-end passes.
+    The machine must pass :func:`check_shape`.  Its L1, L2 and stride
+    prefetcher run through :func:`recorded_front_end` -- computed, or
+    replayed when an earlier run of the same dense stream started from
+    the same private state -- and its own back-end
+    (:func:`_back_end`) replays the records chunk by chunk.
+    ``REPRO_CHECK`` is read once, here.
     """
-    for engine in engines:
-        check_shape(engine)
+    check_shape(engine)
     checking = _checks.enabled()
-    if seconds is None:
-        seconds = [0.0] * (len(engines) + 1)
-    results: List[Optional[EngineStats]] = [None] * len(engines)
-    groups: List[List[int]] = []
-    for k, (engine, trace) in enumerate(zip(engines, traces)):
-        for group in groups:
-            lead = group[0]
-            if _same_private(engines[lead], traces[lead], engine, trace):
-                group.append(k)
-                break
-        else:
-            groups.append([k])
-    for group in groups:
-        stats, front_s, own_s = _run_lockstep([engines[k] for k in group],
-                                              [traces[k] for k in group],
-                                              checking)
-        seconds[-1] += front_s
-        for k, result, wall_s in zip(group, stats, own_s):
-            results[k] = result
-            seconds[k] += wall_s
-    return results
+    memory = engine.memory
+    hier = memory.hierarchy
+    # The back-end reads the L1 as the run finds it: build it before
+    # the front-end's first chunk.
+    consume, finish = _back_end(engine, trace, checking)
+    chunks, front_finish = recorded_front_end(
+        hier.levels[0], hier.levels[1], memory.stride_prefetcher,
+        hier.line_bytes, trace, checking, l1_ends=True)
+    for chunk in chunks:
+        consume(chunk)
+    return finish(*front_finish())
 
 
-def _run_lockstep(engines: List[TraceEngine], traces: List[PackedTrace],
-                  checking: bool):
-    """Run machines that share a dense stream and private parts: per
-    chunk, one front-end pass on the first machine's L1, L2 and stride
-    prefetcher, then every machine's back-end over the records.
-    ``checking`` builds the ``REPRO_CHECK`` closures.
+def _columns(trace: PackedTrace):
+    """The trace's ``vaddr`` and ``meta`` columns as int64 numpy views."""
+    return tuple(np.frombuffer(col, dtype=np.int64) if len(col)
+                 else np.empty(0, dtype=np.int64)
+                 for col in (trace.vaddr, trace.meta))
 
-    Returns the machines' stats, the front-end's seconds, and each
-    machine's own (back-end) seconds.
-    """
-    lead = engines[0]
-    hier = lead.memory.hierarchy
-    l1, l2 = hier.levels[0], hier.levels[1]
-    front, front_finish = _front_end(l1, l2, lead.memory.stride_prefetcher,
-                                     hier.line_bytes, traces[0], checking)
-    backs = [_back_end(engine, trace, l1, checking)
-             for engine, trace in zip(engines, traces)]
-    front_s = 0.0
-    own_s = [0.0] * len(engines)
-    total = len(traces[0].vaddr)
-    pos = 0
-    while pos < total:
-        stop = pos + CHUNK if pos + CHUNK < total else total
-        t0 = perf_counter()
-        chunk = front(pos, stop)
-        lines = chunk[3].tolist()
-        line_set = set(lines)
-        t1 = perf_counter()
-        front_s += t1 - t0
-        for k, (consume, _) in enumerate(backs):
-            consume(chunk, lines, line_set)
-            t2 = perf_counter()
-            own_s[k] += t2 - t1
-            t1 = t2
-        # Records live one chunk: drop them before the next is built.
-        chunk = lines = line_set = None
-        pos = stop
-    t0 = perf_counter()
-    instructions, mem_accesses = front_finish()
-    for engine in engines[1:]:
-        _copy_private(lead, engine)
-        if checking:
-            for cache in engine.memory.hierarchy.levels[:2]:
-                _checks.check_cache_all(cache)
-    front_s += perf_counter() - t0
-    results = []
-    for k, (_, finish) in enumerate(backs):
-        t0 = perf_counter()
-        results.append(finish(instructions, mem_accesses))
-        own_s[k] += perf_counter() - t0
-    return results, front_s, own_s
+
+def _chunk_lines(va, me, begin: int, end: int, line_mask: int) -> list:
+    """The lines of dense positions ``[begin, end)``, -1 on Work rows."""
+    seg = va[begin:end] & line_mask
+    seg[(me[begin:end] & 2) != 0] = -1
+    return seg.tolist()
 
 
 def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
-               trace: PackedTrace, checking: bool):
+               trace: PackedTrace, checking: bool, l1_ends: bool = False):
     """The private half of the split interpreter, on one machine's or
     one co-run core's own L1 and L2, and its stride prefetcher unless
     ``stride`` is None (a co-run machine's is shared and trains at its
@@ -407,20 +315,22 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
     Returns ``(chunk, finish)``.  ``chunk(begin, end)`` decodes dense
     positions ``[begin, end)``, probes and fills L1 and L2 (both victim
     ripples included), trains the stride prefetcher, and returns the
-    chunk's records for :func:`_back_end`: ``(begin, n, ua, seg_ln,
-    rec_i, rec_code, rec_ext, u_end)``.  ``ua[i]`` counts the trace's
-    issue slots up to chunk index ``i`` -- its Work block or its
-    access's work included, the access's own slot not -- and ``u_end``
-    through the chunk; ``seg_ln[i]`` (a numpy array) is the access's
-    line (-1 on Work rows).  Each L1 miss is one record: its chunk
-    index in ``rec_i``, ``line | write | l2_hit << 1 | extras << 2`` in
-    ``rec_code``, and, when flagged, a ``rec_ext`` entry (L2 fill
-    victim, L1-victim ripple victim, stride targets) -- the LLC-bound
-    writebacks and prefetches, in model order.  A sentinel record
-    ``(n, -1)`` ends the lists.  ``finish()`` flushes the counters and
-    returns the trace's (instructions, mem_accesses).  A trace with a
-    negative address is refused with :class:`ConfigurationError`,
-    naming its first position.
+    chunk's records, ``(begin, n, rec_i, rec_code, rec_ext, rec_u,
+    rec_pf, l1_end)``, each list an ``array('q')``.  Each L1 miss is
+    one record: its chunk index in ``rec_i``, ``line | write | l2_hit
+    << 1 | writebacks << 2`` in ``rec_code``, and ``rec_u``, the
+    trace's issue slots before its position's own work; a sentinel
+    record ``(n, -1, u_end)`` -- ``u_end`` the slots through the chunk
+    -- ends the three.  A flagged record's LLC-bound writebacks (the
+    L2 fill's victim, then the L1 victim's ripple victim; -1 for none)
+    are two ``rec_ext`` entries.  ``rec_pf`` holds ``i, k`` and the
+    ``k`` stride targets of each record ``i`` that has some (``()``
+    without a stride prefetcher).  ``l1_end`` is, with ``l1_ends``,
+    the L1's resident lines at the chunk's end, else None.
+    ``finish()`` flushes the counters and returns the trace's
+    (instructions, mem_accesses).  A trace with a negative address is
+    refused with :class:`ConfigurationError`, naming its first
+    position.
 
     The L1 is probed once per MRU run, not per access.  A run is a
     set's accesses to one line in a row within the chunk; its first
@@ -444,13 +354,10 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
     address-space offset to a record's lines where they leave the core.
     """
     line_mask = -line_bytes
-    va = np.frombuffer(trace.vaddr, dtype=np.int64) if len(trace.vaddr) \
-        else np.empty(0, dtype=np.int64)
-    me = np.frombuffer(trace.meta, dtype=np.int64) if len(trace.meta) \
-        else np.empty(0, dtype=np.int64)
+    va, me = _columns(trace)
     if len(va) and va.min() < 0:
         # A negative line would alias invalid ways (tag -1) and the
-        # Work marker in ``lines``.
+        # Work marker of a chunk's lines.
         pos = int(np.flatnonzero(va < 0)[0])
         raise ConfigurationError(
             f"negative address {int(va[pos]):#x} at trace position {pos}")
@@ -531,19 +438,19 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
         nonlocal n_mem_total, u_base, psel1, fc1
         n = end - begin
         seg_m = me[begin:end]
-        seg_ln = va[begin:end] & line_mask
         is_mem = (seg_m & 2) == 0
         n_mem = int(np.count_nonzero(is_mem))
-        cum = np.cumsum((seg_m >> 2) + is_mem)
-        if n_mem < n:
-            seg_ln[~is_mem] = -1
-        ua = (cum - is_mem + u_base).tolist()
+        slots = (seg_m >> 2) + is_mem
+        cum = np.cumsum(slots)
+        # Issue slots before each position's own work.
+        pre = cum - slots + u_base
         u_end = u_base + int(cum[-1])
         u_base = u_end
         n_mem_total += n_mem
         rec_i: List[int] = []
         rec_code: List[int] = []
-        rec_ext: list = []
+        rec_ext: List[int] = []
+        rec_pf: List[int] = []
         c0a += n_mem
         psel1 = p1._psel
         fc1 = p1._brrip._fill_count
@@ -554,7 +461,7 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
         # bit and its last access's clock as its stamp (the chunk's
         # start clock + 1 + that access's memory ordinal).
         mpos = np.flatnonzero(is_mem)
-        mln = seg_ln[mpos]
+        mln = va[begin:end][mpos] & line_mask
         mw = seg_m[mpos] & 1
         msi = (mln >> ls0) & sm0
         # Memory ordinals in set order, time order within a set; a line
@@ -662,17 +569,27 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
             where0[line] = fway
             dirty0[si0][fway] = dty
             stamps0[si0][fway] = stamp
-            if wb1 is not None or wbx is not None or targets:
+            if wb1 is not None or wbx is not None:
                 code |= 4
-                rec_ext.append((wb1, wbx, targets))
+                rec_ext.append(-1 if wb1 is None else wb1)
+                rec_ext.append(-1 if wbx is None else wbx)
+            if targets:
+                rec_pf.append(i)
+                rec_pf.append(len(targets))
+                rec_pf.extend(targets)
             rec_i.append(i)
             rec_code.append(code)
         l1pol._clock += n_mem
         p1._psel = psel1
         p1._brrip._fill_count = fc1
+        rec_u = array("q", pre[rec_i].tobytes())
+        rec_u.append(u_end)
         rec_i.append(n)
         rec_code.append(-1)
-        return begin, n, ua, seg_ln, rec_i, rec_code, rec_ext, u_end
+        return (begin, n, array("q", rec_i), array("q", rec_code),
+                array("q", rec_ext), rec_u,
+                array("q", rec_pf) if stride_on else (),
+                array("q", where0) if l1_ends else None)
 
     def finish():
         s0, s1 = l1.stats, l2.stats
@@ -704,7 +621,7 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
     def checked_chunk(begin: int, end: int):
         clock0 = l1pol._clock
         records = plain_chunk(begin, end)
-        lines = records[3].tolist()
+        lines = _chunk_lines(va, me, begin, end, line_mask)
         for si in {(ln >> ls0) & sm0 for ln in lines if ln >= 0}:
             _checks.check_cache_set(l1, si)
         _checks.check_fill_conservation(l1, valid0, c0m, c0ev)
@@ -712,16 +629,16 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
         _checks.check_line_index(l1, where0)
         # Every L1 miss probed L2 (record codes keep the line above
         # bit 2, and lines are at least 8 bytes).
-        for si in {(code >> ls1) & sm1 for code in records[5][:-1]}:
+        for si in {(code >> ls1) & sm1 for code in records[3][:-1]}:
             _checks.check_cache_set(l2, si)
         return records
 
     return checked_chunk, finish
 
 
-#: Stored co-run front-ends (:func:`recorded_front_end`): per dense
-#: stream ``(id(vaddr), id(meta), len(vaddr), len(meta))``, the
-#: columns' weak references and the stream's entries.
+#: Stored front-ends (:func:`recorded_front_end`): per dense stream
+#: ``(id(vaddr), id(meta), len(vaddr), len(meta))``, the columns' weak
+#: references and the stream's entries.
 _RECORDED: Dict[tuple, tuple] = {}
 #: Serve runs points on threads: lookups and inserts hold the lock.
 _RECORDED_LOCK = threading.Lock()
@@ -730,9 +647,10 @@ _ENTRIES_PER_STREAM = 2
 
 
 class _Recorded:
-    """One stored front-end: the L1/L2 state it started from and ended
-    in (:func:`_private_bytes`), its chunks' records (:func:`_keep`),
-    and its ``finish()`` result."""
+    """One stored front-end: its key (whether it keeps the L1's chunk
+    ends, and the :func:`_private_bytes` it started from), its chunks'
+    records (:func:`_front_end`), the private state it ended in, and
+    its ``finish()`` result."""
 
     __slots__ = ("before", "chunks", "after", "result")
 
@@ -743,27 +661,37 @@ class _Recorded:
         self.result = result
 
 
-def _private_bytes(l1: Cache, l2: Cache) -> bytes:
-    """The L1 and L2 :func:`_level_state` pickled: a compact copy, and
-    a sound equality test (equal bytes load as equal states)."""
-    return pickle.dumps((_level_state(l1), _level_state(l2)),
+def _stride_state(stride) -> Optional[tuple]:
+    """A stride prefetcher's configuration, streams (in their LRU
+    order) and counters as plain comparable data (live references);
+    None for none."""
+    if stride is None:
+        return None
+    return ((stride.max_streams, stride.degree, stride.line_bytes,
+             stride.region_bytes),
+            list(stride._streams.items()), vars(stride.stats))
+
+
+def _set_stride(stride, state: Optional[tuple]) -> None:
+    """Set a stride prefetcher's streams and counters to a
+    :func:`_stride_state` of the same configuration."""
+    if stride is not None:
+        _, streams, stats = state
+        stride._streams = dict(streams)
+        vars(stride.stats).update(stats)
+
+
+def _private_state(l1: Cache, l2: Cache, stride) -> tuple:
+    """What a front-end reads and evolves: the L1 and L2
+    :func:`_level_state` and the :func:`_stride_state`."""
+    return _level_state(l1), _level_state(l2), _stride_state(stride)
+
+
+def _private_bytes(l1: Cache, l2: Cache, stride) -> bytes:
+    """The :func:`_private_state` pickled: a compact copy, and a sound
+    equality test (equal bytes load as equal states)."""
+    return pickle.dumps(_private_state(l1, l2, stride),
                         pickle.HIGHEST_PROTOCOL)
-
-
-def _keep(records, tm) -> tuple:
-    """What a co-run consumer reads of one :func:`_front_end` chunk:
-    ``(begin, n, rec_i, rec_code, rec_ext, rec_u)``, each list an
-    ``array('q')``.  ``rec_ext`` holds each flagged record's two
-    LLC-bound writebacks (-1 for none) -- a co-run front-end trains no
-    stride prefetcher, so no record has targets -- and ``rec_u[r]``
-    counts the issue slots before record ``r``'s position's own work
-    (the sentinel's: ``u_end``)."""
-    begin, n, ua, _, rec_i, rec_code, rec_ext, u_end = records
-    rec_u = array("q", [ua[i] - (tm[begin + i] >> 2) for i in rec_i[:-1]])
-    rec_u.append(u_end)
-    return (begin, n, array("q", rec_i), array("q", rec_code),
-            array("q", [-1 if wb is None else wb
-                        for ext in rec_ext for wb in ext[:2]]), rec_u)
 
 
 def _with_ops(chunks, trace: PackedTrace):
@@ -788,93 +716,98 @@ def _with_ops(chunks, trace: PackedTrace):
         yield chunk + (op_u,)
 
 
-def recorded_front_end(l1: Cache, l2: Cache, line_bytes: int,
-                       trace: PackedTrace, checking: bool):
-    """One co-run core's front-end (:func:`_front_end`, no stride
-    prefetcher), computed once per dense stream and pre-run L1/L2
-    state and replayed from then on.
+def recorded_front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
+                       trace: PackedTrace, checking: bool,
+                       l1_ends: bool = False):
+    """A front-end (:func:`_front_end`) computed once per dense stream
+    and pre-run private state, and replayed from then on: every
+    single-core run's, and every co-run core's (no stride prefetcher,
+    no ``l1_ends``).
 
     Returns ``(chunks, finish)``.  ``chunks`` iterates over the
-    stream's chunks, each ``(begin, n, rec_i, rec_code, rec_ext,
-    rec_u, op_u)``: :func:`_front_end`'s records and the issue slots
-    before each record (:func:`_keep`) and XMemOp (:func:`_with_ops`).
-    ``finish()``, once every chunk is consumed, leaves L1 and L2 in
-    their end state and returns (instructions, mem_accesses).
+    stream's chunks, each :func:`_front_end`'s records.  ``finish()``,
+    once every chunk is consumed, leaves L1, L2 and the stride
+    prefetcher in their end state and returns (instructions,
+    mem_accesses).
 
-    The front-end is a function of the dense stream and of the L1 and
-    L2 alone.  A stored entry is keyed weakly on the trace's ``vaddr``
-    and ``meta`` columns (shared by every replay of a recording) and
-    their lengths, and serves a run whose L1 and L2 equal its
-    pre-run state -- geometry, contents, counters and policy state
-    (:func:`_private_bytes`): a warm core or another geometry computes
-    afresh.  An entry dies with its columns, and a stream keeps at
-    most :data:`_ENTRIES_PER_STREAM`.  A computed run stores its
-    records, the L1/L2 end state and the ``finish()`` result, never
-    the per-position ``ua`` or lines; the columns are not written once
-    run.
+    The front-end is a function of the dense stream and of the L1, L2
+    and stride prefetcher alone.  A stored entry is keyed weakly on
+    the trace's ``vaddr`` and ``meta`` columns (shared by every replay
+    of a recording) and their lengths, and serves a run that asks for
+    the same ``l1_ends`` and whose private parts equal its pre-run
+    state -- geometry, contents, counters and policy state
+    (:func:`_private_bytes`): a warm machine or another geometry
+    computes afresh.  An entry dies with its columns, and a stream
+    keeps at most :data:`_ENTRIES_PER_STREAM`.  A computed run stores
+    its records, the private end state and the ``finish()`` result;
+    the columns are not written once run.
 
     With ``checking``, a replay also recomputes the front-end on the
-    core's L1 and L2 and raises :class:`ConfigurationError` where a
-    chunk's records, the end state or the result differ.
+    machine's own private parts and raises :class:`ConfigurationError`
+    where a chunk's records, the end state or the result differ.
     """
     vaddr, meta = trace.vaddr, trace.meta
     key = (id(vaddr), id(meta), len(vaddr), len(meta))
-    before = _private_bytes(l1, l2)
+    before = (l1_ends, _private_bytes(l1, l2, stride))
     with _RECORDED_LOCK:
         stored = _RECORDED.get(key)
         entry = next((e for e in stored[1] if e.before == before),
                      None) if stored is not None else None
     if entry is None:
-        return _record(l1, l2, line_bytes, trace, checking, key, before)
+        return _record(l1, l2, stride, line_bytes, trace, checking,
+                       l1_ends, key, before)
 
     def finish():
-        after1, after2 = pickle.loads(entry.after)
+        after1, after2, after_stride = pickle.loads(entry.after)
         _set_level(l1, after1)
         _set_level(l2, after2)
+        _set_stride(stride, after_stride)
         return entry.result
 
     if not checking:
-        return _with_ops(entry.chunks, trace), finish
-    chunk, fresh_finish = _front_end(l1, l2, None, line_bytes, trace, True)
+        return iter(entry.chunks), finish
+    chunk, fresh_finish = _front_end(l1, l2, stride, line_bytes, trace,
+                                     True, l1_ends)
 
     def checked_chunks():
         for records in entry.chunks:
             begin, n = records[0], records[1]
-            if _keep(chunk(begin, begin + n), meta) != records:
+            if chunk(begin, begin + n) != records:
                 raise ConfigurationError(
                     f"the stored front-end records of the chunk at "
                     f"position {begin} differ from a fresh front-end's")
             yield records
 
     def checked_finish():
-        if fresh_finish() != entry.result or pickle.loads(entry.after) != (
-                _level_state(l1), _level_state(l2)):
+        if fresh_finish() != entry.result or pickle.loads(
+                entry.after) != _private_state(l1, l2, stride):
             raise ConfigurationError(
-                "the stored front-end's L1/L2 end state or counts differ "
-                "from a fresh front-end's")
+                "the stored front-end's private end state or counts "
+                "differ from a fresh front-end's")
         return finish()
 
-    return _with_ops(checked_chunks(), trace), checked_finish
+    return checked_chunks(), checked_finish
 
 
-def _record(l1: Cache, l2: Cache, line_bytes: int, trace: PackedTrace,
-            checking: bool, key: tuple, before: bytes):
+def _record(l1: Cache, l2: Cache, stride, line_bytes: int,
+            trace: PackedTrace, checking: bool, l1_ends: bool, key: tuple,
+            before: tuple):
     """:func:`recorded_front_end`'s miss: compute the front-end, keep
     each chunk as it is consumed, and store the entry at ``finish``."""
-    chunk, front_finish = _front_end(l1, l2, None, line_bytes, trace,
-                                     checking)
+    chunk, front_finish = _front_end(l1, l2, stride, line_bytes, trace,
+                                     checking, l1_ends)
     kept: list = []
-    tm = trace.meta
 
     def chunks():
-        total = len(tm)
+        total = len(trace.meta)
         for pos in range(0, total, CHUNK):
-            kept.append(_keep(chunk(pos, min(pos + CHUNK, total)), tm))
+            kept.append(chunk(pos, min(pos + CHUNK, total)))
             yield kept[-1]
 
     def finish():
         result = front_finish()
-        entry = _Recorded(before, kept, _private_bytes(l1, l2), result)
+        entry = _Recorded(before, kept, _private_bytes(l1, l2, stride),
+                          result)
         with _RECORDED_LOCK:
             stored = _RECORDED.get(key)
             if stored is None:
@@ -883,14 +816,14 @@ def _record(l1: Cache, l2: Cache, line_bytes: int, trace: PackedTrace,
                     _RECORDED.pop(key, None)
                 stored = _RECORDED[key] = (
                     (weakref.ref(trace.vaddr, forget),
-                     weakref.ref(tm, forget)), [])
+                     weakref.ref(trace.meta, forget)), [])
             entries = stored[1]
             if all(e.before != before for e in entries):
                 entries.append(entry)
                 del entries[:-_ENTRIES_PER_STREAM]
         return result
 
-    return _with_ops(chunks(), trace), finish
+    return chunks(), finish
 
 
 def _llc_ops(llc: Cache, pin_predicate, dram, writeback, prefetch_ready,
@@ -1057,18 +990,18 @@ def _llc_ops(llc: Cache, pin_predicate, dram, writeback, prefetch_ready,
     return probe, fill, put, prefetch
 
 
-def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
-              checking: bool):
+def _back_end(engine: TraceEngine, trace: PackedTrace, checking: bool):
     """The per-machine half of the split interpreter: the LLC
     (:func:`_llc_ops`), its writebacks into the write buffer, DRAM,
     prefetch issue, the MSHR file and model time, over the records of
     :func:`_front_end`.
 
-    ``l1`` is the front-end's L1 (the lockstep group's shared state).
-    Returns ``(consume, finish)``: ``consume(chunk, lines, line_set)``
-    replays one chunk, given its lines as a list and a set,
-    ``finish(instructions, mem_accesses)`` ends the run and returns its
-    :class:`EngineStats`.  Reservations go through the machine's
+    Returns ``(consume, finish)``: ``consume(chunk)`` replays one
+    chunk's records (with ``l1_end``), ``finish(instructions,
+    mem_accesses)`` ends the run and returns its :class:`EngineStats`.
+    Besides the records it reads the trace's columns, and the L1 only
+    as the run finds it: build the back-end before the front-end's
+    first chunk.  Reservations go through the machine's
     :meth:`MSHRFile.reserve <repro.mem.mshr.MSHRFile.reserve>`.  When
     ``checking``, every LLC fill re-derives its set, ``consume`` ends by
     re-deriving every LLC set it probed, and ``finish`` by
@@ -1084,8 +1017,10 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
     count, or its access's work, as the reference engine does.
     An L1 hit is replayed on its own too (a *special*) when its line
     awaits an in-flight prefetch: a prefetch that targets a line the
-    front-end's L1 holds marks the line's next access, if that access
-    hits L1, so it pops the prefetch and may wait in the MSHR file.
+    L1 holds at the chunk's end marks the line's next access, if that
+    access hits L1, so it pops the prefetch and may wait in the MSHR
+    file.  A chunk's lines and per-position issue slots are decoded
+    from the columns only when it issues a prefetch or has a special.
     """
     memory = engine.memory
     hier = memory.hierarchy
@@ -1100,7 +1035,9 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
     lk1 = hier.latencies[0]
     lk12 = lk1 + hier.latencies[1]
     lk123 = lk12 + hier.latencies[2]
-    tv = trace.vaddr
+    tv, tm = trace.vaddr, trace.meta
+    va, me = _columns(trace)
+    line_mask = -hier.line_bytes
     xops = trace.xmem
     n_ops = len(xops)
     not7 = ~7                # record code -> line
@@ -1119,9 +1056,6 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
         buffer_write, prefetch_ready, checking)
     reserve = mshr.reserve
 
-    ls0, sm0, ts0 = l1._line_shift, l1._set_mask, l1._tag_shift
-    l1_tags = l1._tags
-
     # Machine state and deferred counters (flushed by finish).
     now = 0.0
     stall = 0.0
@@ -1131,16 +1065,36 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
     oi = 0
     # Lines that await a prefetch while L1 holds them and whose next
     # access lies beyond the chunks replayed so far.
+    l1 = hier.levels[0]
     watch: Set[int] = {ln for ln in prefetch_ready
-                       if (ln >> ts0) in l1_tags[(ln >> ls0) & sm0]}
-    # The current chunk: its lines, their set, its miss indices, and
-    # the sorted indices of its specials (set by ``consume``).
-    lines = line_set = rec_i = specials = None
+                       if (ln >> l1._tag_shift)
+                       in l1._tags[(ln >> l1._line_shift) & l1._set_mask]}
+    # The current chunk (set by ``consume``): its first position and
+    # length, its miss indices, the sorted indices of its specials and
+    # the L1's lines at its end (``resident``: as a set, when asked);
+    # its lines (a list and a set) when decoded.
+    begin = n = 0
+    rec_i = specials = l1_end = resident = lines = line_set = None
+
+    def decode():
+        """Decode the current chunk's lines."""
+        nonlocal lines, line_set
+        lines = _chunk_lines(va, me, begin, begin + n, line_mask)
+        line_set = set(lines)
+
+    def held(target):
+        """Whether the L1 holds ``target`` at the chunk's end."""
+        nonlocal resident
+        if resident is None:
+            resident = set(l1_end)
+        return target in resident
 
     def issued(target, i):
         """Count a prefetch issued at record index ``i``; a target the
-        front-end's L1 holds gets its next L1 hit marked special."""
+        L1 holds gets its next L1 hit marked special."""
         mem_stats.prefetch_reads += 1
+        if lines is None:
+            decode()
         if target in line_set:
             try:
                 q = lines.index(target, i + 1)
@@ -1149,7 +1103,7 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
             else:
                 mark(q)
                 return
-        if (target >> ts0) in l1_tags[(target >> ls0) & sm0]:
+        if held(target):
             watch.add(target)
 
     def mark(q):
@@ -1160,11 +1114,19 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
             if k == len(specials) or specials[k] != q:
                 specials.insert(k, q)
 
-    def consume(chunk, chunk_lines, chunk_line_set) -> None:
+    def consume(chunk) -> None:
         nonlocal now, stall, misses, n_x, u_done, oi
-        nonlocal lines, line_set, rec_i, specials
-        begin, n, ua, _, rec_i, rec_code, rec_ext, u_end = chunk
-        lines, line_set = chunk_lines, chunk_line_set
+        nonlocal begin, n, rec_i, specials, l1_end, resident, lines
+        nonlocal line_set
+        begin, n, rec_i, rec_code, rec_ext, rec_u, rec_pf, l1_end = chunk
+        # Lists, not the kept arrays: their items need no boxing.
+        rec_i = rec_i.tolist()
+        rec_code = rec_code.tolist()
+        rec_ext = rec_ext.tolist()
+        rec_u = rec_u.tolist()
+        resident = lines = line_set = None
+        ua = None                    # per-position slots, when decoded
+        u_base = u_done
         if now >= now_limit:
             # Past the exactness ceiling, or off the dyadic grid:
             # replay every position as its own event.
@@ -1172,18 +1134,22 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
             specials = [q for q in range(n) if q not in in_rec]
         else:
             specials = []
-        for target in list(watch):
-            if target in line_set:
-                watch.discard(target)
-                mark(lines.index(target))
-            elif (target >> ts0) not in l1_tags[(target >> ls0) & sm0]:
-                watch.discard(target)
+        if watch:
+            decode()
+            for target in list(watch):
+                if target in line_set:
+                    watch.discard(target)
+                    mark(lines.index(target))
+                elif not held(target):
+                    watch.discard(target)
         spi = 0
         sp_at = specials[0] if specials else _NEVER
         op_at = xops[oi][0] - begin if oi < n_ops else _NEVER
         nxt = op_at if op_at < sp_at else sp_at
-        xi = 0
-        for i, code in zip(rec_i, rec_code):
+        xi = pj = 0
+        n_pf = len(rec_pf)
+        pf_at = rec_pf[0] if n_pf else _NEVER
+        for i, code, pre in zip(rec_i, rec_code, rec_u):
             # XMemOps (each before its dense position) and specials
             # due before this record, in trace order.
             while i >= nxt:
@@ -1200,6 +1166,13 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
                     spi += 1
                     sp_at = specials[spi] if spi < len(specials) \
                         else _NEVER
+                    if ua is None:
+                        if lines is None:
+                            decode()
+                        seg = me[begin:begin + n]
+                        is_mem = (seg & 2) == 0
+                        ua = (np.cumsum((seg >> 2) + is_mem) - is_mem
+                              + u_base).tolist()
                     u = ua[q]
                     now += (u - u_done) / issue
                     u_done = u
@@ -1219,7 +1192,7 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
                 nxt = op_at if op_at < sp_at else sp_at
             if code < 0:                     # the chunk's sentinel
                 break
-            u = ua[i]
+            u = pre + (tm[begin + i] >> 2)
             now += (u - u_done) / issue
             u_done = u + 1
             line = code & not7
@@ -1237,20 +1210,24 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
                     wb = fill(line)
                     if wb is not None:
                         mem_wbs = [wb]
-            targets = None
             if code & 4:
                 # LLC-bound victims of the L2 fill and of the L1
                 # victim's ripple, in that order.
-                wb1, wbx, targets = rec_ext[xi]
-                xi += 1
-                for wb in (wb1, wbx):
-                    if wb is not None:
+                for wb in (rec_ext[xi], rec_ext[xi + 1]):
+                    if wb >= 0:
                         wb = put(wb)
                         if wb is not None:
                             if mem_wbs is None:
                                 mem_wbs = [wb]
                             else:
                                 mem_wbs.append(wb)
+                xi += 2
+            targets = None
+            if i == pf_at:
+                k = rec_pf[pj + 1]
+                targets = rec_pf[pj + 2:pj + 2 + k]
+                pj += 2 + k
+                pf_at = rec_pf[pj] if pj < n_pf else _NEVER
             # ---- timing ----
             if memread:
                 completes = dram_access(line, t_lookup, False)
@@ -1293,9 +1270,10 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
                     stall += start - now
                     now = start
             now += slot
+        u_end = rec_u[-1]
         now += (u_end - u_done) / issue
         u_done = u_end
-        lines = line_set = rec_i = specials = None
+        rec_i = specials = l1_end = resident = lines = line_set = None
 
     def finish(instructions: int, mem_accesses: int) -> EngineStats:
         nonlocal now, n_x
@@ -1323,10 +1301,10 @@ def _back_end(engine: TraceEngine, trace: PackedTrace, l1: Cache,
         return consume, finish
     plain_consume, plain_finish = consume, finish
 
-    def checked_consume(chunk, lines, line_set) -> None:
-        plain_consume(chunk, lines, line_set)
+    def checked_consume(chunk) -> None:
+        plain_consume(chunk)
         # Every record that missed L2 probed the LLC.
-        for si in {llc._index(code & not7) for code in chunk[5][:-1]
+        for si in {llc._index(code & not7) for code in chunk[3][:-1]
                    if not code & 2}:
             _checks.check_cache_set(llc, si)
 

@@ -24,7 +24,8 @@ that reach shared state are ordered -- the bound/weave split of zsim.
 The front-end is then a function of the dense stream and the core's
 pre-run L1 and L2, so it is computed once per recording and replayed
 by every later run of it from the same private state, whatever the
-mode (:func:`repro.cpu.vector_engine.recorded_front_end`).  A
+mode, from the store single-core runs use too
+(:func:`repro.cpu.vector_engine.recorded_front_end`).  A
 core's *yield points* are the front-end's records (its L1 misses) and
 its XMemOps (they can retrigger the global pinning decision).  A
 binary heap keyed by ``(now, index)`` -- the core's time before the
@@ -84,6 +85,7 @@ from repro.cpu.vector_engine import (
     LEVEL_POLICIES,
     _NEVER,
     _llc_ops,
+    _with_ops,
     fold_ceiling,
     recorded_front_end,
 )
@@ -380,7 +382,7 @@ class CorunSystem:
         n_ops = len(xops)
         xmemlib = core.xmemlib
         chunks, finish = recorded_front_end(
-            core.l1, core.l2, self.config.line_bytes, trace, checking)
+            core.l1, core.l2, None, self.config.line_bytes, trace, checking)
 
         def xmem_op(k):
             op = xops[k][1]
@@ -390,7 +392,8 @@ class CorunSystem:
         now = core.now
         u_done = oi = 0
         op_at = xops[0][0] if n_ops else _NEVER
-        for begin, n, rec_i, rec_code, rec_ext, rec_u, op_u in chunks:
+        for (begin, n, rec_i, rec_code, rec_ext, rec_u, _, _,
+             op_u) in _with_ops(chunks, trace):
             q = xi = 0
             # The records, then the sentinel ``(n, -1)``: the chunk's
             # end.  XMemOps due before a record's position run first.

@@ -78,7 +78,6 @@ from repro.sim.system import (
     build_baseline,
     build_xmem,
     build_xmem_pref,
-    run_machines,
 )
 from repro.store import Store, write_documents
 
@@ -592,23 +591,23 @@ class PointResult:
         return run[core].cycles if isinstance(run, list) else run.cycles
 
 
-def _run_systems(systems: Sequence[str], handles: Sequence[SystemHandle],
-                 traces: Sequence, timer: PhaseTimer, collect: bool,
-                 seconds: List[float]
+def _run_systems(systems: Sequence[str],
+                 build: Callable[[str], Tuple[SystemHandle, object]],
+                 timer: PhaseTimer, collect: bool
                  ) -> Tuple[Dict[str, SystemRun], Dict[str, Snapshot]]:
-    """Run ``traces[k]`` on ``handles[k]`` in one :func:`run_machines`
-    call, so machines that share their private levels share one pass
-    over them; phase ``run:<system>`` gets ``seconds[k]`` (the caller's
-    set-up plus the machine's own run), "front-end" the shared passes'.
-    Returns each :class:`SystemRun` and, with ``collect``, each
-    registry snapshot, taken strictly after every run."""
-    results = run_machines(handles, traces, seconds)
-    timer.record("front-end", seconds[-1])
+    """Run each system on the machine and trace ``build(system)``
+    gives, one after the other: a later machine whose private levels
+    equal an earlier one's replays its front-end.  Phase
+    ``run:<system>`` times the build and the run.  Returns each
+    :class:`SystemRun` and, with ``collect``, each registry snapshot,
+    taken after the machine's run."""
     runs: Dict[str, SystemRun] = {}
     snapshots: Dict[str, Snapshot] = {}
-    for system, handle, stats, wall_s in zip(systems, handles, results,
-                                             seconds):
-        timer.record(f"run:{system}", wall_s)
+    for system in systems:
+        t0 = time.perf_counter()
+        handle, trace = build(system)
+        stats = handle.run(trace)
+        timer.record(f"run:{system}", time.perf_counter() - t0)
         runs[system] = SystemRun.of(system, handle, stats)
         if collect:
             snapshots[system] = handle.stats_snapshot()
@@ -672,17 +671,12 @@ class _MachinePoint:
         timer.start("trace")
         recording, source = fetch_recording(key, generate, cache)
         timer.stop()
-        seconds = [0.0] * (len(self.systems) + 1)
-        handles = []
-        traces = []
-        for k, system in enumerate(self.systems):
-            t0 = time.perf_counter()
+
+        def build(system):
             handle = SYSTEM_BUILDERS[system](cfg)
-            handles.append(handle)
-            traces.append(recording.replay(handle.xmemlib))
-            seconds[k] += time.perf_counter() - t0
-        runs, snapshots = _run_systems(self.systems, handles, traces,
-                                       timer, collect, seconds)
+            return handle, recording.replay(handle.xmemlib)
+
+        runs, snapshots = _run_systems(self.systems, build, timer, collect)
         if not collect:
             return PointResult(point=self, runs=runs)
         trace = {
@@ -1107,8 +1101,8 @@ class UC2Point:
     def run(self, ctx: RunContext, collect: bool = False,
             cache: Optional[TraceCache] = None) -> PointResult:
         """All three Figure 7/8 systems for this workload, built by
-        :func:`repro.sim.usecase2.build_systems` and run in one call:
-        ``baseline`` and ``ideal`` share one front-end pass.  The
+        :func:`repro.sim.usecase2.build_systems` and run one after the
+        other: ``ideal`` replays ``baseline``'s front-end.  The
         manifest adds each system's mapping and the xmem placement
         report.  Streams are generated in place: ``cache`` only names
         its root in the manifest.
@@ -1126,9 +1120,9 @@ class UC2Point:
         handles, traces, mappings, report = usecase2.build_systems(
             workload, usecase2.SYSTEMS, mapping)
         timer.stop()
-        runs, snapshots = _run_systems(usecase2.SYSTEMS, handles, traces,
-                                       timer, collect,
-                                       [0.0] * (len(handles) + 1))
+        machines = dict(zip(usecase2.SYSTEMS, zip(handles, traces)))
+        runs, snapshots = _run_systems(usecase2.SYSTEMS, machines.get,
+                                       timer, collect)
         if not collect:
             return PointResult(point=self, runs=runs)
         trace = {"tier": "packed", "source": "generated"}

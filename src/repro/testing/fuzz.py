@@ -12,11 +12,12 @@ Seven lanes, each pairing a hot-path implementation with its oracle
   machine's engine, and as a :class:`PackedTrace` through
   :meth:`SystemHandle.run` (the split interpreter).  Engine statistics
   and full stats snapshots must be bit-identical, and so must the L1's
-  tags, dirty bits, LRU stamps and clock.  A *shared* leg runs
-  the trace on two machines that differ only below L2 (LLC size, DRAM
-  bandwidth, or XMem vs. baseline) in one shared call -- one front-end
-  pass over L1, L2 and stride training -- and holds each to its own
-  ``ReferenceEngine`` twin.
+  tags, dirty bits, LRU stamps and clock.  A *replay* leg runs the
+  trace on two fresh machines that differ only below L2 (LLC size,
+  DRAM bandwidth, or XMem vs. baseline), one after the other, then on
+  a third fresh machine equal to the first -- each replays the
+  front-end pass over L1, L2 and stride training an earlier run
+  stored -- and holds each to its own ``ReferenceEngine`` twin.
 * ``corun``   -- random multi-tenant mixes (2-3 cores, per-core
   generated streams, atom churn on the XMem tenant, the ``packed``
   lane's issue widths and windows) through two identically built
@@ -156,14 +157,14 @@ class Lane:
 
 
 class PackedLane(Lane):
-    """Reference engine vs. ``SystemHandle.run``, plus a shared leg:
-    two machines in one shared call.
+    """Reference engine vs. ``SystemHandle.run``, plus a replay leg:
+    three fresh machines that replay the stored front-end.
 
     Any pair diverging -- stats, full snapshot or L1 state (tags,
     dirty bits, LRU stamps and clock) -- is a failure.
     Issue width 3 puts the split interpreter off its dyadic grid, so
     those cases replay every position as its own event.  Reproducers
-    written before the shared leg existed carry no ``shared`` param and
+    written before the replay leg existed carry no ``shared`` param and
     replay it as XMem vs. baseline; those written before issue widths
     were drawn carry no ``issue_width`` and replay at width 4.
     """
@@ -171,7 +172,7 @@ class PackedLane(Lane):
     name = "packed"
     #: How each of the two machines runs the trace.
     WAYS = ("reference", "packed")
-    #: What the shared leg's second machine changes below L2.
+    #: What the replay leg's second machine changes below L2.
     SHARED = ("llc", "bandwidth", "system")
 
     def make(self, rng: random.Random, length: int) -> Tuple[dict, list]:
@@ -239,14 +240,15 @@ class PackedLane(Lane):
                                systems["packed"].memory.hierarchy.levels[0])
         if delta:
             return delta
-        return self._shared_fail(params, items, packed)
+        return self._replay_fail(params, items, packed)
 
-    def _shared_fail(self, params: dict, items: list,
+    def _replay_fail(self, params: dict, items: list,
                      packed: PackedTrace) -> Optional[str]:
-        """The shared leg: two machines that differ only below L2 run
-        in one shared call; each must equal its reference twin."""
+        """The replay leg: two fresh machines that differ only below L2
+        run the trace one after the other, then a third equal to the
+        first; each replays the front-end an earlier run of the trace
+        stored, and each must equal its reference twin."""
         from repro.cpu.trace import strip_xmem
-        from repro.sim.system import run_machines
 
         shared = params.get("shared", "system")
         if shared == "system":
@@ -256,24 +258,24 @@ class PackedLane(Lane):
             twins = [params, dict(params, llc_div=2)]
         else:
             twins = [params, dict(params, bandwidth=0.5)]
-        handles = [self._build(p) for p in twins]
-        got = run_machines(handles, [packed] * 2)
-        for k, (p, handle, stats) in enumerate(zip(twins, handles, got)):
+        for k, p in enumerate(twins + twins[:1]):
+            handle = self._build(p)
+            stats = handle.run(packed)
             ref = with_reference_engine(self._build(p))
             want = ref.engine.run(
                 items if ref.xmemlib is not None else strip_xmem(items))
             if stats != want:
-                return (f"shared machine {k} stats diverged from "
-                        f"reference: reference={want} shared={stats}")
+                return (f"replay machine {k} stats diverged from "
+                        f"reference: reference={want} replay={stats}")
             snap, ref_snap = handle.stats_snapshot(), ref.stats_snapshot()
             if snap != ref_snap:
                 keys = _first_snapshot_delta(ref_snap, snap)
-                return (f"shared machine {k} snapshot diverged from "
+                return (f"replay machine {k} snapshot diverged from "
                         f"reference at {keys}")
             delta = l1_state_delta(ref.memory.hierarchy.levels[0],
                                    handle.memory.hierarchy.levels[0])
             if delta:
-                return f"shared machine {k}: {delta}"
+                return f"replay machine {k}: {delta}"
         return None
 
     def to_json(self, items: list) -> list:

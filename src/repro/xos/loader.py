@@ -17,7 +17,8 @@ algorithm over the freshly loaded attributes.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import weakref
+from typing import Optional
 
 from repro.core.errors import ConfigurationError
 from repro.core.segment import AtomSegment, load_segment
@@ -48,14 +49,17 @@ class Process:
             translate=self.page_table.translate_range,
         )
         self.xmemlib = XMemLib(self.xmem)
-        self.heap = HeapAllocator(self._back_page, page_bytes)
+        page_table = self.page_table
+
+        def back_page(vpage: int, atom_id: Optional[int]) -> None:
+            page_table.map_page(vpage, allocator.allocate(atom_id))
+
+        # A closure, not a bound method: the heap would hold the process
+        # in a reference cycle, freed only by the cyclic collector.
+        self.heap = HeapAllocator(back_page, page_bytes)
         self.placement: Optional[PlacementDecision] = None
         #: Back-reference to the owning OS (set by ``create_process``).
         self.os: Optional["OperatingSystem"] = None
-
-    def _back_page(self, vpage: int, atom_id: Optional[int]) -> None:
-        frame = self.allocator.allocate(atom_id)
-        self.page_table.map_page(vpage, frame)
 
     # -- The augmented allocation API (Section 4.1.2) ------------------
 
@@ -98,7 +102,10 @@ class OperatingSystem:
         self.allocator_name = allocator
         self.page_bytes = page_bytes
         self._next_pid = 1
-        self.processes: Dict[int, Process] = {}
+        #: Held weakly: a process holds its OS (``Process.os``), so a
+        #: strong map back would make every OS a reference cycle.
+        self.processes: "weakref.WeakValueDictionary[int, Process]" = (
+            weakref.WeakValueDictionary())
 
     def _make_allocator(self) -> FrameAllocator:
         cls = ALLOCATORS[self.allocator_name]

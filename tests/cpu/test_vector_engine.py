@@ -68,20 +68,20 @@ def _pair(kernel, system_builder, with_lib, cfg=None):
     return h_ref, ref_stats, h_vec, vec_stats
 
 
-def _spy_lockstep(monkeypatch):
-    """Record every lockstep group the split interpreter runs, as
-    ``(machines, checking)``."""
+def _spy_passes(monkeypatch):
+    """Record every front-end pass the split interpreter computes
+    rather than replays from the store, as its ``checking`` flag."""
     from repro.cpu import vector_engine
 
-    groups = []
-    real = vector_engine._run_lockstep
+    passes = []
+    real = vector_engine._record
 
-    def spy(engines, traces, checking):
-        groups.append((len(engines), checking))
-        return real(engines, traces, checking)
+    def spy(l1, l2, stride, line_bytes, trace, checking, *rest):
+        passes.append(checking)
+        return real(l1, l2, stride, line_bytes, trace, checking, *rest)
 
-    monkeypatch.setattr(vector_engine, "_run_lockstep", spy)
-    return groups
+    monkeypatch.setattr(vector_engine, "_record", spy)
+    return passes
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +108,10 @@ def test_vector_equals_packed_checked_mode(monkeypatch):
     """With REPRO_CHECK=1 the run still takes the split interpreter,
     now with its checks armed, and every invariant holds."""
     monkeypatch.setenv("REPRO_CHECK", "1")
-    groups = _spy_lockstep(monkeypatch)
+    passes = _spy_passes(monkeypatch)
     h_ref, ref_stats, h_vec, vec_stats = _pair(
         KERNELS["gemm"], build_xmem, with_lib=True)
-    assert groups == [(1, True)]
+    assert passes == [True]
     assert vec_stats == ref_stats
     assert h_vec.stats_snapshot() == h_ref.stats_snapshot()
 
@@ -222,13 +222,13 @@ class TestEligibility:
         from repro.cpu import vector_engine
 
         seen = []
-        real = vector_engine.run_shared
+        real = vector_engine.run_trace
 
-        def spy(engines, traces, seconds=None):
-            seen.extend(type(t) for t in traces)
-            return real(engines, traces, seconds)
+        def spy(engine, trace):
+            seen.append(type(trace))
+            return real(engine, trace)
 
-        monkeypatch.setattr(vector_engine, "run_shared", spy)
+        monkeypatch.setattr(vector_engine, "run_trace", spy)
         h, trace = self._handle()
         h.engine.run(list(trace.events()))
         assert seen == [PackedTrace]
@@ -248,10 +248,10 @@ class TestEligibility:
         else:
             h.engine.mshr._install_checks()
         check_shape(h.engine)
-        groups = _spy_lockstep(monkeypatch)
+        passes = _spy_passes(monkeypatch)
         ref = with_reference_engine(build_baseline(scaled_config(32)))
         assert h.engine.run(trace) == ref.engine.run(trace)
-        assert groups == [(1, False)]
+        assert passes == [False]
         assert h.stats_snapshot() == ref.stats_snapshot()
 
     def test_non_pow2_issue_width_falls_back(self, monkeypatch):
@@ -264,16 +264,16 @@ class TestEligibility:
         h = build_baseline(_issue3_config())
         check_shape(h.engine)
         grids = []
-        real = vector_engine._dyadic_k
+        real = vector_engine.dyadic_k
 
         def spy(values):
             grids.append(real(values))
             return grids[-1]
 
-        monkeypatch.setattr(vector_engine, "_dyadic_k", spy)
-        groups = _spy_lockstep(monkeypatch)
+        monkeypatch.setattr(vector_engine, "dyadic_k", spy)
+        passes = _spy_passes(monkeypatch)
         h.run(KERNELS["gemm"].build_packed(N, TILE))
-        assert groups == [(1, False)] and grids == [None]
+        assert passes == [False] and grids == [None]
 
     @pytest.mark.parametrize("off", ["memory", "l1-latency",
                                      "fractional-latency", "dram-mapping"])
@@ -424,10 +424,10 @@ class TestTierSelector:
         assert result.runs["baseline"].stats == stats
 
     def test_packed_tier_runs_the_fused_interpreter(self, monkeypatch):
-        groups = _spy_lockstep(monkeypatch)
+        passes = _spy_passes(monkeypatch)
         h = build_baseline(scaled_config(32))
         h.run(KERNELS["gemm"].build_packed(N, TILE))
-        assert groups == [(1, False)]
+        assert passes == [False]
 
     @pytest.mark.parametrize("form", ["object", "packed"])
     def test_exact_tiers_agree_via_run_tier(self, form):
@@ -451,7 +451,7 @@ class TestTierSelector:
 
 
 # ---------------------------------------------------------------------------
-# Shared runs: one front-end pass, per-machine back-ends
+# Shared front-ends: one computed pass, replayed by later machines
 # ---------------------------------------------------------------------------
 
 def _plain(trace):
@@ -468,45 +468,34 @@ def _recorded(kernel, n, tile):
 
 
 def _assert_shared_matches(machines, trace_for, warm=()):
-    """Run ``machines`` ((builder, cfg) pairs) three ways -- in one
-    shared call, one at a time, and on ``ReferenceEngine`` twins -- on
-    the trace ``trace_for(handle)`` gives each, and require equal
-    EngineStats and full snapshots.  Machines whose index is in
-    ``warm`` run the trace once beforehand, in every way.  Returns the
-    shared run's handles and the sizes of its lockstep groups."""
-    from repro.cpu import vector_engine
+    """Run ``machines`` ((builder, cfg) pairs) one after the other on
+    the trace ``trace_for(handle)`` gives each -- a machine whose
+    private parts start as an earlier one's did replays its front-end
+    -- and on ``ReferenceEngine`` twins, and require equal EngineStats
+    and full snapshots.  Machines whose index is in ``warm`` run the
+    trace once beforehand, in both ways.  Returns the handles and the
+    number of front-end passes computed, warm runs included."""
     from repro.cpu.trace import strip_xmem
-    from repro.sim.system import run_machines
-
-    groups = []
-    lockstep = vector_engine._run_lockstep
-
-    def spy(engines, traces, checking):
-        groups.append(len(engines))
-        return lockstep(engines, traces, checking)
 
     def reference_run(ref):
         trace = trace_for(ref)
         return ref.engine.run(trace if ref.xmemlib is not None
                               else strip_xmem(trace))
 
-    shared = [builder(cfg) for builder, cfg in machines]
-    for k in warm:
-        shared[k].run(trace_for(shared[k]))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vector_engine, "_run_lockstep", spy)
-        got = run_machines(shared, [trace_for(h) for h in shared])
+        passes = _spy_passes(mp)
+        shared = [builder(cfg) for builder, cfg in machines]
+        for k in warm:
+            shared[k].run(trace_for(shared[k]))
+        got = [h.run(trace_for(h)) for h in shared]
     for k, ((builder, cfg), h, stats) in enumerate(
             zip(machines, shared, got)):
-        solo = builder(cfg)
         ref = with_reference_engine(builder(cfg))
         for _ in range(2 if k in warm else 1):
-            solo_stats = solo.run(trace_for(solo))
             ref_stats = reference_run(ref)
-        assert solo_stats == stats == ref_stats
-        assert h.stats_snapshot() == solo.stats_snapshot() \
-            == ref.stats_snapshot()
-    return shared, groups
+        assert stats == ref_stats
+        assert h.stats_snapshot() == ref.stats_snapshot()
+    return shared, len(passes)
 
 
 def _tiny_llc_config():
@@ -539,18 +528,18 @@ def _inflight_hit_trace():
 
 @pytest.mark.parametrize("chunk", [4096, 44])
 def test_inflight_prefetch_l1_hit(monkeypatch, chunk):
-    """An L1 hit that must wait for an in-flight prefetch: the shared
-    run, the one-machine run and ReferenceEngine agree.  ``chunk=44``
+    """An L1 hit that must wait for an in-flight prefetch: the
+    computed run, the replaying run and ReferenceEngine agree.  ``chunk=44``
     ends a chunk right after the prefetching access, so the awaited
     line is carried into the next chunk."""
     from repro.cpu import vector_engine
 
     monkeypatch.setattr(vector_engine, "CHUNK", chunk)
     cfg = _tiny_llc_config()
-    shared, groups = _assert_shared_matches(
+    shared, passes = _assert_shared_matches(
         [(build_baseline, cfg), (build_baseline, cfg.with_bandwidth(0.5))],
         _plain(_inflight_hit_trace()))
-    assert groups == [2]
+    assert passes == 1
     for h in shared:
         l1 = h.memory.hierarchy.levels[0].stats
         # Every L1 miss reserves an MSHR entry (its L2 lookup alone
@@ -560,17 +549,19 @@ def test_inflight_prefetch_l1_hit(monkeypatch, chunk):
 
 
 def test_copied_private_state_carries_into_the_next_run():
-    """After a shared run every machine holds the front-end's L1, L2
-    and stride state: running the trace again matches a reference
-    twin that ran it twice."""
+    """After a run -- the first computes the front-end, the second
+    replays it -- every machine holds the front-end's L1, L2 and
+    stride state: running the trace again (the second machine again
+    replays the first one's warm pass) matches a reference twin that
+    ran it twice."""
     from repro.cpu.trace import strip_xmem
-    from repro.sim.system import run_machines
 
     cfg = scaled_config(32)
     trace_for = _recorded("mvt", 24, TILE)
     builders = [build_baseline, build_xmem]
     shared = [builder(cfg) for builder in builders]
-    run_machines(shared, [trace_for(h) for h in shared])
+    for h in shared:
+        h.run(trace_for(h))
     for builder, h in zip(builders, shared):
         ref = with_reference_engine(builder(cfg))
         for _ in range(2):
@@ -590,7 +581,7 @@ def test_exactness_ceiling_falls_back_to_per_event_time(monkeypatch,
     from repro.cpu import vector_engine
     from repro.sim.runner import SYSTEM_BUILDERS
 
-    monkeypatch.setattr(vector_engine, "_dyadic_k", lambda values: 40)
+    monkeypatch.setattr(vector_engine, "dyadic_k", lambda values: 40)
     monkeypatch.setattr(vector_engine, "CHUNK", 128)
     cfg = scaled_config(32)
     shared, _ = _assert_shared_matches(
@@ -613,9 +604,9 @@ def _variant(cfg, level=None, **changes):
 
 
 class TestSharingGate:
-    """Machines share a front-end pass only when their private parts
-    are equal; every other machine runs alone and still matches the
-    reference."""
+    """A machine replays a stored front-end only when its private parts
+    start equal to the stored run's; every other machine computes its
+    own pass and still matches the reference."""
 
     CFG = scaled_config(32)
 
@@ -629,39 +620,59 @@ class TestSharingGate:
         machines = [(build_baseline, self.CFG),
                     (build_xmem, self.CFG.with_llc(16 * 1024)),
                     (build_xmem_pref, self.CFG.with_bandwidth(0.5))]
-        assert self._run(machines) == [3]
+        assert self._run(machines) == 1
+
+    def test_sim_point_computes_one_pass(self, monkeypatch):
+        """A point's machines run one after the other: baseline
+        computes the front-end, XMem and XMem-Pref replay it."""
+        from repro.sim import runner
+
+        monkeypatch.setattr(runner, "_MEMO", {})
+        passes = _spy_passes(monkeypatch)
+        result = runner.run_point(runner.SimPoint(
+            "gemm", N, TILE, systems=("baseline", "xmem", "xmem-pref")),
+            collect=True)
+        assert passes == [False]
+        l1 = [snap["cache.l1"] for snap in result.stats.values()]
+        assert l1[0] == l1[1] == l1[2]
 
     def test_l1_size_runs_apart(self):
         machines = [(build_baseline, self.CFG),
                     (build_baseline, _variant(self.CFG, 0,
                                               size_bytes=4096))]
-        assert self._run(machines) == [1, 1]
+        assert self._run(machines) == 2
 
     def test_l2_policy_runs_apart(self):
-        """A BRRIP L2 is outside the split shape: the call is refused
-        before any machine runs."""
-        from repro.sim.system import run_machines
+        """An L2 whose DRRIP set duel stands elsewhere computes its own
+        pass; a BRRIP L2 is outside the split shape and is refused
+        before it runs."""
+        def moved_duel(cfg):
+            handle = build_xmem(cfg)
+            handle.memory.hierarchy.levels[1].policy._psel += 1
+            return handle
 
-        handles = [build_baseline(self.CFG),
-                   build_baseline(_variant(self.CFG, 1, policy="brrip"))]
+        machines = [(build_baseline, self.CFG), (moved_duel, self.CFG)]
+        assert self._run(machines) == 2
+        handle = build_baseline(_variant(self.CFG, 1, policy="brrip"))
         trace = KERNELS["gemm"].build_packed(N, TILE).without_xmem()
         with pytest.raises(ConfigurationError, match="L2 must use"):
-            run_machines(handles, [trace] * 2)
-        assert handles[0].engine.last_stats.instructions == 0
+            handle.run(trace)
+        assert handle.engine.last_stats.instructions == 0
 
     def test_stride_degree_runs_apart(self):
         machines = [(build_baseline, self.CFG),
                     (build_xmem, _variant(self.CFG, degree=4))]
-        assert self._run(machines) == [1, 1]
+        assert self._run(machines) == 2
 
     def test_already_run_machine_runs_apart(self):
         machines = [(build_baseline, self.CFG), (build_xmem, self.CFG)]
-        assert self._run(machines, warm=(1,)) == [1, 1]
+        assert self._run(machines, warm=(1,)) == 2
 
     def test_checked_runs_keep_the_scalar_loop(self, monkeypatch):
-        """``REPRO_CHECK`` runs keep the split interpreter -- the two
-        machines still share one front-end -- with its checks armed:
-        every run ends in ``check_engine_run``."""
+        """``REPRO_CHECK`` runs keep the split interpreter -- the
+        second machine still replays the first one's front-end, and
+        recomputes it -- with its checks armed: every run ends in
+        ``check_engine_run``."""
         from repro.testing import checks
 
         monkeypatch.setenv("REPRO_CHECK", "1")
@@ -674,9 +685,9 @@ class TestSharingGate:
 
         monkeypatch.setattr(checks, "check_engine_run", spy)
         machines = [(build_baseline, self.CFG), (build_xmem, self.CFG)]
-        shared, groups = _assert_shared_matches(
+        shared, passes = _assert_shared_matches(
             machines, _recorded("gemm", N, TILE))
-        assert groups[0] == 2
+        assert passes == 1
         assert checked[:2] == [h.engine for h in shared]
 
     @pytest.mark.parametrize("shape", ["brrip-l2", "brrip-l1",
@@ -684,18 +695,16 @@ class TestSharingGate:
     def test_off_shape_runs_the_scalar_loop(self, shape):
         """A machine off the shipped shape is refused with a
         ConfigurationError naming the level; issue width 3 is in the
-        shape and runs split -- alone, and in a shared group with a
-        width-4 machine -- equal to ``ReferenceEngine``."""
+        shape and runs split -- and a width-4 machine replays its
+        front-end -- equal to ``ReferenceEngine``."""
         import dataclasses
-
-        from repro.sim.system import run_machines
 
         cfg = self.CFG
         if shape == "issue-3":
-            shared, groups = _assert_shared_matches(
+            shared, passes = _assert_shared_matches(
                 [(build_xmem, _issue3_config(cfg)), (build_baseline, cfg)],
                 _recorded("gemm", N, TILE))
-            assert groups == [2]
+            assert passes == 1
             return
         if shape == "brrip-l2":
             off, match = _variant(cfg, 1, policy="brrip"), "L2 must use"
@@ -705,10 +714,10 @@ class TestSharingGate:
             off = dataclasses.replace(
                 cfg, levels=[cfg.levels[0], cfg.levels[2]])
             match = "L1/L2/L3 hierarchy, not 2 levels"
-        handles = [build_xmem(off), build_baseline(cfg)]
+        handle = build_xmem(off)
         trace = _recorded("gemm", N, TILE)
         with pytest.raises(ConfigurationError, match=match):
-            run_machines(handles, [trace(h) for h in handles])
+            handle.run(trace(handle))
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +725,8 @@ class TestSharingGate:
 # ---------------------------------------------------------------------------
 
 def _checked_pair(monkeypatch):
-    """A baseline+XMem pair -- XMem first, so the baseline machine is
-    the second of the lockstep group -- and a gemm trace of many
-    chunks.  The chunks are short: an L1 set that fills up evicts the
+    """A baseline+XMem pair -- XMem first, so the baseline machine
+    replays its front-end -- and a gemm trace of many chunks.  The chunks are short: an L1 set that fills up evicts the
     way an inflated count left invalid, which would mend the count
     before a longer chunk ended."""
     from repro.cpu import vector_engine
@@ -751,21 +759,20 @@ def _count_chunks(monkeypatch):
 
 def test_checked_run_identical_and_catches_drift(monkeypatch):
     """``REPRO_CHECK`` covers the split interpreter: a checked run of a
-    baseline+XMem pair snapshots exactly like an unchecked one, and a
-    corrupted occupancy count -- in the first machine's L1, or in the
-    LLC of the second machine of the lockstep group -- is caught at
-    the end of the first chunk."""
-    from repro.sim.system import run_machines
-
+    baseline+XMem pair -- the second machine replays the first one's
+    front-end and recomputes it -- snapshots exactly like an unchecked
+    one, and a corrupted occupancy count -- in the first machine's L1,
+    or in the LLC of the replaying machine -- is caught at the end of
+    that machine's first chunk."""
     handles, traces = _checked_pair(monkeypatch)
-    plain = run_machines(handles, traces)
+    plain = [h.run(t) for h, t in zip(handles, traces)]
     snaps = [h.stats_snapshot() for h in handles]
     monkeypatch.setenv("REPRO_CHECK", "1")
     handles, traces = _checked_pair(monkeypatch)
-    groups = _spy_lockstep(monkeypatch)
-    assert run_machines(handles, traces) == plain
+    passes = _spy_passes(monkeypatch)
+    assert [h.run(t) for h, t in zip(handles, traces)] == plain
     assert [h.stats_snapshot() for h in handles] == snaps
-    assert groups == [(2, True)]
+    assert passes == [True]
     assert len(traces[0]) > 4 * 32
 
     first = next(ev.vaddr for ev in traces[1].events()
@@ -774,9 +781,11 @@ def test_checked_run_identical_and_catches_drift(monkeypatch):
         handles, traces = _checked_pair(monkeypatch)
         cache = handles[victim].memory.hierarchy.levels[level]
         cache._valid_counts[cache._index(first)] += 1
+        for h, trace in zip(handles[:victim], traces):
+            h.run(trace)
         chunks = _count_chunks(monkeypatch)
         with pytest.raises(CheckError, match="valid count"):
-            run_machines(handles, traces)
+            handles[victim].run(traces[victim])
         assert chunks == [0]
 
 
@@ -818,9 +827,8 @@ def _assert_l1_equal(h_ref, h):
 def test_l1_stamps_and_clock_equal_reference(kernel, system):
     """At run end the L1's stamps and clock equal ``ReferenceEngine``'s,
     on a machine whose 64-set L1 folds many MRU re-hits -- one run
-    alone, and both machines of a shared baseline+XMem call."""
-    from repro.sim.system import run_machines
-
+    alone, and both machines of a baseline+XMem pair, the second
+    replaying the first one's front-end."""
     builder = {"baseline": build_baseline, "xmem": build_xmem}[system]
     cfg = scaled_config(1)
     h_ref, ref_stats, h_vec, vec_stats = _pair(
@@ -831,8 +839,8 @@ def test_l1_stamps_and_clock_equal_reference(kernel, system):
 
     trace_for = _recorded(kernel, N, TILE)
     shared = [build_baseline(cfg), build_xmem(cfg)]
-    run_machines(shared, [trace_for(h) for h in shared])
     for h in shared:
+        h.run(trace_for(h))
         _assert_l1_equal(h_ref, h)
 
 

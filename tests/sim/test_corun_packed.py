@@ -183,7 +183,7 @@ def test_exactness_ceiling_falls_back_to_per_position_time(monkeypatch):
     cycles, so both cores cross it early in the mix."""
     from repro.cpu import vector_engine
 
-    monkeypatch.setattr(vector_engine, "_dyadic_k", lambda values: 40)
+    monkeypatch.setattr(vector_engine, "dyadic_k", lambda values: 40)
     stats_ref, snap_ref = run_pair(PAIRS[0], "xmem", "reference")
     stats_packed, snap_packed = run_pair(PAIRS[0], "xmem", "packed")
     assert stats_packed == stats_ref
@@ -340,9 +340,9 @@ def misses(monkeypatch):
     seen = []
     record = vector_engine._record
 
-    def counting(l1, l2, line_bytes, trace, *rest):
+    def counting(l1, l2, stride, line_bytes, trace, *rest):
         seen.append(len(trace))
-        return record(l1, l2, line_bytes, trace, *rest)
+        return record(l1, l2, stride, line_bytes, trace, *rest)
 
     monkeypatch.setattr(vector_engine, "_record", counting)
     return seen
@@ -450,7 +450,7 @@ def test_checked_replay_catches_a_corrupted_entry(corrupt, monkeypatch):
         entry.chunks[0][3][0] ^= 2            # flip the first L2 hit bit
     else:                                     # another tenant's
         entry.after = vector_engine._private_bytes(system.cores[0].l1,
-                                                   system.cores[0].l2)
+                                                   system.cores[0].l2, None)
     monkeypatch.setenv("REPRO_CHECK", "1")
     system, traces = build_mix(recordings, "baseline")
     with pytest.raises(ConfigurationError, match=corrupt):

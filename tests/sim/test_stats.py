@@ -393,8 +393,8 @@ class TestManifest:
         assert m["trace"]["format_version"] >= 2
         assert "trace" in m["phases"]
         assert "run:baseline" in m["phases"]
-        # One phase per machine plus the shared front-end passes.
-        assert {"front-end", "run:baseline", "run:xmem"} <= set(m["phases"])
+        # One phase per machine, its whole run; no shared phase.
+        assert set(m["phases"]) == {"trace", "run:baseline", "run:xmem"}
         assert set(doc["stats"]) == {"baseline", "xmem"}
         paths = write_point_documents(tmp_path / "docs", [res])
         loaded = json.loads(paths[0].read_text())

@@ -60,7 +60,7 @@ class TestEngineTiers:
         """The object-event reference interpreter and the production
         engine: the same run record and the same full stats snapshot,
         for the system run alone and run with the point's other
-        systems (baseline and ideal on one shared front-end)."""
+        systems (ideal replays baseline's front-end)."""
         from repro.sim import usecase2
         from repro.testing.oracles import (ReferenceEngine,
                                            with_reference_engine)
@@ -87,19 +87,24 @@ class TestEngineTiers:
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_every_machine_shape_is_fused(self, monkeypatch, system):
         """Every Use Case 2 machine passes the split interpreter's
-        gate and runs on it as a one-machine group."""
-        seen = _spy_lockstep(monkeypatch)
+        gate and runs on it, computing its front-end."""
+        seen = _spy_passes(monkeypatch)
         run_system(BY_NAME["mcf"], system, accesses=500)
-        assert seen == [1]
+        assert len(seen) == 1
 
     @pytest.mark.parametrize("pick", [False, True])
     def test_point_shares_baseline_and_ideal(self, monkeypatch, pick):
-        """A point runs baseline and ideal as one lockstep group and
-        xmem alone; a mapping probe runs each candidate alone first."""
-        seen = _spy_lockstep(monkeypatch)
-        run_point(UC2Point("mcf", 500, pick_mapping=pick))
+        """Baseline and ideal run one stream: the point computes its
+        front-end once (ideal replays it) and xmem's once; a mapping
+        probe computes each candidate's first."""
+        seen = _spy_passes(monkeypatch)
+        result = run_point(UC2Point("mcf", 500, pick_mapping=pick),
+                           collect=True)
         probes = len(BASELINE_MAPPING_CANDIDATES) if pick else 0
-        assert seen == [1] * probes + [2, 1]
+        assert len(seen) == probes + 2
+        assert seen[-2] != seen[-1]     # baseline's stream, xmem's
+        assert result.stats["ideal"]["cache.l1"] \
+            == result.stats["baseline"]["cache.l1"]
 
     def test_one_translation_per_access(self, monkeypatch):
         """Each access is translated once, while the stream is packed:
@@ -135,18 +140,20 @@ class TestEngineTiers:
             == 700
 
 
-def _spy_lockstep(monkeypatch):
-    """Record the machine count of every split-interpreter group."""
+def _spy_passes(monkeypatch):
+    """Record the dense stream (its ``vaddr`` column's id) of every
+    front-end pass the split interpreter computes rather than
+    replays."""
     from repro.cpu import vector_engine
 
     seen = []
-    real = vector_engine._run_lockstep
+    real = vector_engine._record
 
-    def spy(engines, traces, checking):
-        seen.append(len(engines))
-        return real(engines, traces, checking)
+    def spy(l1, l2, stride, line_bytes, trace, *rest):
+        seen.append(id(trace.vaddr))
+        return real(l1, l2, stride, line_bytes, trace, *rest)
 
-    monkeypatch.setattr(vector_engine, "_run_lockstep", spy)
+    monkeypatch.setattr(vector_engine, "_record", spy)
     return seen
 
 

@@ -69,6 +69,33 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "XMem speedup" in out
 
+    #: ``repro usecase1 --kernel mvt --n 32 --tile 16 --scale 16``
+    #: as it printed while the command built its machines itself.
+    USECASE1_MVT = (
+        'mvt N=32 tile=16 LLC=64KB\n'
+        'system    cycles  IPC    LLC miss  DRAM reads\n'
+        '--------  ------  -----  --------  ----------\n'
+        'baseline  4216    1.624  86.96%    153       \n'
+        'xmem      4217    1.625  86.96%    153       \n'
+        '\n'
+        'XMem speedup: 1.000x\n'
+    )
+
+    def test_usecase1_output_is_unchanged(self, capsys):
+        """The command runs a ``SimPoint``; its table is the one the
+        hand-built machines printed."""
+        assert main(["usecase1", "--kernel", "mvt", "--n", "32",
+                     "--tile", "16", "--scale", "16"]) == 0
+        assert capsys.readouterr().out == self.USECASE1_MVT
+
+    def test_usecase1_unbuildable_scale(self, capsys):
+        """A scale whose caches cannot be built is the point's own
+        refusal: exit 2 and one line on stderr, no traceback."""
+        assert main(["usecase1", "--kernel", "mvt", "--n", "16",
+                     "--scale", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "L1" in err and "Traceback" not in err
+
     def test_usecase2_small_run(self, capsys):
         rc = main(["usecase2", "--workload", "sc",
                    "--accesses", "4000"])

@@ -136,17 +136,18 @@ class TestEngineHooks:
         return build_baseline(cfg).engine
 
     def checking_of_a_run(self, monkeypatch):
-        """The ``checking`` flag one run hands the split interpreter."""
+        """The ``checking`` flag one run hands the front-end pass it
+        computes."""
         from repro.cpu import vector_engine
 
         flags = []
-        real = vector_engine._run_lockstep
+        real = vector_engine._record
 
-        def spy(engines, traces, checking):
+        def spy(l1, l2, stride, line_bytes, trace, checking, *rest):
             flags.append(checking)
-            return real(engines, traces, checking)
+            return real(l1, l2, stride, line_bytes, trace, checking, *rest)
 
-        monkeypatch.setattr(vector_engine, "_run_lockstep", spy)
+        monkeypatch.setattr(vector_engine, "_record", spy)
         _, packed = generate_trace(GenConfig(seed=1, length=50))
         self.make_engine().run(packed)
         return flags

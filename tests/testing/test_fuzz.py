@@ -134,19 +134,17 @@ class TestMutationCanary:
         trips no lane that does not run it."""
         from repro.cpu import vector_engine
 
-        real = vector_engine.run_shared
+        real = vector_engine.run_trace
 
-        def skewed(engines, traces, seconds=None):
-            results = real(engines, traces, seconds)
-            for stats in results:
-                stats.misses_to_memory += 1
-            return results
+        def skewed(engine, trace):
+            stats = real(engine, trace)
+            stats.misses_to_memory += 1
+            return stats
 
         with pytest.MonkeyPatch.context() as mp:
-            # TraceEngine.run and tiers.run_tiers resolve run_shared
-            # through the module attribute at call time, so patching
-            # the module works.
-            mp.setattr(vector_engine, "run_shared", skewed)
+            # TraceEngine.run resolves run_trace through the module
+            # attribute at call time, so patching the module works.
+            mp.setattr(vector_engine, "run_trace", skewed)
             report = run_fuzz(cases=4, seed=0, length=80,
                               lanes=["packed"])
             assert not report.ok

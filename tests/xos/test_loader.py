@@ -29,6 +29,26 @@ class TestOperatingSystem:
         assert os.processes == {1: a, 2: b}
         assert a.os is os and b.os is os
 
+    def test_os_and_process_free_without_the_cycle_collector(self):
+        """Neither the heap's page hook nor the OS's process map holds
+        a process in a reference cycle: dropping the last references
+        frees the OS and its processes at once, not whenever the
+        cyclic collector next runs (a run's peak memory held every
+        earlier run's OS until then)."""
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            os = OperatingSystem()
+            proc = os.create_process()
+            proc.malloc(os.page_bytes)
+            refs = [weakref.ref(os), weakref.ref(proc)]
+            del os, proc
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
     def test_processes_get_private_address_spaces(self):
         os = OperatingSystem()
         a = os.create_process()
