@@ -16,7 +16,8 @@ This is the reproduction's stand-in for the paper's zsim OOO core
 The engine owns no policy: it forwards the trace's accesses to a
 memory system (see :class:`repro.sim.system.MemorySystem`).  Traces
 carry the addresses the memory system sees; callers that model an MMU
-translate while packing (see :func:`repro.sim.usecase2.build_systems`).
+translate the stream before the run (see
+:func:`repro.sim.usecase2.physical_stream`).
 
 :class:`TraceEngine` holds the machine's core-side state (issue
 width, MSHR file, last run's statistics); the interpreter is the split

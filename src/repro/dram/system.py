@@ -136,7 +136,10 @@ class DramSystem:
         self.mapping: AddressMapping = make_mapping(mapping, g)
         #: The bit layout the access path is compiled from.
         self.fields: BitLayout = self.mapping.fields
-        self.perfect_rbl = perfect_rbl
+        #: ``perfect_rbl``, in a cell the access path reads: the path
+        #: holds no reference back to the system, which would make
+        #: every DRAM a reference cycle.
+        self._perfect = [perfect_rbl]
         n = g.total_banks
         #: Per-bank state, indexed by the flat bank id: open row (-1
         #: when closed), busy horizon and row-outcome counters.
@@ -148,6 +151,15 @@ class DramSystem:
         self._read_log, self._write_log = array("d"), array("d")
         self._stats = DramStats()
         self.locate, self.order_key, self._access = self._compile()
+
+    @property
+    def perfect_rbl(self) -> bool:
+        """Whether every access is a row hit (settable after build)."""
+        return self._perfect[0]
+
+    @perfect_rbl.setter
+    def perfect_rbl(self, value: bool) -> None:
+        self._perfect[0] = value
 
     def _compile(self) -> Tuple[Callable, Callable, Callable]:
         """Closures over the bit layout: ``locate(paddr) -> (bank id,
@@ -182,7 +194,7 @@ class DramSystem:
         open_row, busy_until = self._open_row, self._busy_until
         bank_hits, bank_closed = self._bank_hits, self._bank_closed
         bank_conflicts = self._bank_conflicts
-        channel_free = self._channel_free
+        channel_free, perfect = self._channel_free, self._perfect
         read_log, write_log = self._read_log.append, self._write_log.append
 
         def access(paddr: int, now: float, is_write: bool) -> float:
@@ -190,7 +202,7 @@ class DramSystem:
             busy = busy_until[bank]
             start = now if now > busy else busy
             was = open_row[bank]
-            if was == row or self.perfect_rbl:
+            if was == row or perfect[0]:
                 bank_hits[bank] += 1
                 overhead = 0.0
             elif was < 0:

@@ -380,8 +380,9 @@ class TraceCache:
 
 
 #: In-process memo of recently used recordings (shared across the
-#: systems of a point and across points of the same kernel).  Small:
-#: recordings run to millions of events.
+#: systems of a point and across points of the same kernel), and of
+#: Use Case 2's virtual streams (:func:`repro.sim.usecase2.
+#: virtual_stream`).  Small: recordings run to millions of events.
 _MEMO: Dict[str, TraceRecording] = {}
 _MEMO_LIMIT = 4
 #: ``repro serve`` hits the memo from its worker pool and its

@@ -18,31 +18,35 @@ Builds the three systems Figure 7/8 compare, for one workload model:
 Every system is :func:`~repro.sim.system.build_baseline` on
 :func:`usecase2_config` with the system's controller mapping (``ideal``
 then sets ``perfect_rbl`` on its DRAM): a single-core machine like any
-other.  The workload's pages are backed when it is instantiated, and
-the access stream is packed directly into the trace arrays
-(:meth:`~repro.workloads.suite.spec.SuiteWorkload.pack_into`), each
-address translated by one lookup in the process's page map as it is
-appended, so the engine runs on physical addresses.  ``baseline`` and
-``ideal`` run under the same OS (randomized allocator, seed 17, one
-mapping), so :func:`build_systems` packs their stream once, and run
-together (:class:`repro.sim.runner.UC2Point`) they share one front-end
-pass.  :func:`run_system` runs one system alone.
+other.  The workload's pages are backed when it is instantiated.  Its
+virtual access stream is drawn once per process
+(:func:`virtual_stream`) and translated through each OS's page map, one
+lookup per distinct page, so the engine runs on physical addresses.
+``baseline`` and ``ideal`` run under the same OS (randomized allocator,
+seed 17), so :func:`build_systems` translates their stream once, and
+run together (:class:`repro.sim.runner.UC2Point`) they share one
+front-end pass; so do the mapping probes of
+:func:`pick_baseline_mapping`.  :func:`run_system` runs one system
+alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.cpu.trace import PackedTrace, TraceBuilder
 from repro.sim.config import SimConfig, scaled_config
-from repro.sim.runner import SystemRun
+from repro.sim.runner import (SystemRun, TraceCache, TraceRecording,
+                              fetch_recording)
 from repro.sim.stats import Snapshot
 from repro.sim.system import SystemHandle, build_baseline
-from repro.workloads.suite.spec import SuiteWorkload
-from repro.xos.loader import OperatingSystem
+from repro.testing import checks as _checks
+from repro.workloads.suite.spec import SuiteWorkload, translate_stream
+from repro.xos.loader import OperatingSystem, Process
 
 #: Address-mapping candidates the strengthened baseline picks from:
 #: the row-interleaved, channel-interleaved, and permutation corners of
@@ -77,46 +81,98 @@ def usecase2_config() -> SimConfig:
     return scaled_config(8)
 
 
+def virtual_stream(workload: SuiteWorkload, bases: Dict[str, int],
+                   accesses: Optional[int] = None) -> PackedTrace:
+    """``workload``'s virtual access stream over structure ``bases``
+    (:meth:`~repro.workloads.suite.spec.SuiteWorkload.pack_into`,
+    untranslated), drawn once per process and shared by every OS that
+    runs it: the stream is a function of the workload's name (its
+    seed), structures, ``bases`` and access count alone.
+
+    Held in :mod:`repro.sim.runner`'s in-process recording memo (its
+    bound and lock), never on disk: a trace-cache ``suite:`` entry is
+    keyed by name and cannot tell a renamed or resized model from the
+    catalog's.  Under ``REPRO_CHECK`` a reused stream is drawn again,
+    and a difference raises :class:`ConfigurationError`.
+    """
+    count = workload.accesses if accesses is None \
+        else min(accesses, workload.accesses)
+    text = repr((workload.name, workload.structures,
+                 sorted(bases.items()), count))
+    key = "uc2-stream:" + hashlib.sha256(text.encode()).hexdigest()
+
+    def draw() -> TraceRecording:
+        builder = TraceBuilder()
+        workload.pack_into(builder, bases, accesses=count)
+        return TraceRecording(kernel=f"suite:{workload.name}", n=count,
+                              tile=0, instrumented=False,
+                              packed=builder.build())
+
+    recording, source = fetch_recording(key, draw,
+                                        TraceCache(disabled=True))
+    if source == "memo" and _checks.enabled() \
+            and draw().packed != recording.packed:
+        raise ConfigurationError(
+            f"{workload.name}: the stored virtual stream differs from a "
+            f"fresh draw")
+    return recording.packed
+
+
+def physical_stream(workload: SuiteWorkload, allocator: str, mapping: str,
+                    accesses: Optional[int] = None
+                    ) -> Tuple[PackedTrace, Process]:
+    """The stream ``workload`` runs under a fresh OS (``allocator``,
+    controller ``mapping``, seed 17), and the process it is loaded in:
+    :func:`virtual_stream` translated through the process's page map
+    (the meta column is shared)."""
+    osys = OperatingSystem(usecase2_config().dram_geometry,
+                           mapping=mapping, allocator=allocator, seed=17)
+    proc = osys.create_process()
+    virtual = virtual_stream(workload, workload.instantiate(proc),
+                             accesses)
+    page_table = proc.page_table
+    return PackedTrace(translate_stream(virtual.vaddr, page_table.frame_of,
+                                        page_table.page_bytes),
+                       virtual.meta), proc
+
+
+def _machine(mapping: str, ideal: bool = False) -> SystemHandle:
+    """A Use Case 2 machine with controller ``mapping``; ``ideal``
+    sets its perfect row buffer."""
+    handle = build_baseline(dataclasses.replace(usecase2_config(),
+                                                dram_mapping=mapping))
+    handle.dram.perfect_rbl = ideal
+    return handle
+
+
 def build_systems(workload: SuiteWorkload, systems: Sequence[str],
                   mapping: str, accesses: Optional[int] = None
                   ) -> Tuple[List[SystemHandle], List[PackedTrace],
                              Dict[str, str], Optional[str]]:
     """One machine per system and the physical stream it runs (systems
-    under one OS share it), each system's mapping -- ``mapping``, but
-    :data:`XMEM_MAPPING` for ``xmem`` -- and the xmem placement report
-    (None without ``xmem``).  ``accesses`` truncates the stream.
+    under one allocator share it: a randomized page map does not depend
+    on the controller mapping), each system's mapping -- ``mapping``,
+    but :data:`XMEM_MAPPING` for ``xmem`` -- and the xmem placement
+    report (None without ``xmem``).  ``accesses`` truncates the stream.
     """
-    cfg = usecase2_config()
     handles: List[SystemHandle] = []
     traces: List[PackedTrace] = []
     mappings: Dict[str, str] = {}
-    streams: Dict[Tuple[str, str], PackedTrace] = {}
+    streams: Dict[str, PackedTrace] = {}
     report = None
     for system in systems:
         if system not in _ALLOCATORS:
             raise ConfigurationError(f"unknown system {system!r}")
         allocator = _ALLOCATORS[system]
         mappings[system] = XMEM_MAPPING if system == "xmem" else mapping
-        key = (allocator, mappings[system])
-        if key not in streams:
-            osys = OperatingSystem(cfg.dram_geometry, mapping=key[1],
-                                   allocator=allocator, seed=17)
-            proc = osys.create_process()
-            bases = workload.instantiate(proc)
-            builder = TraceBuilder()
-            workload.pack_into(builder, bases,
-                               frames=dict(proc.page_table.items()),
-                               page_bytes=proc.page_table.page_bytes,
-                               accesses=accesses)
-            streams[key] = builder.build()
+        if allocator not in streams:
+            streams[allocator], proc = physical_stream(
+                workload, allocator, mappings[system], accesses)
             if system == "xmem":
                 from repro.policies.dram_placement import placement_report
                 report = placement_report(proc)
-        handle = build_baseline(dataclasses.replace(
-            cfg, dram_mapping=mappings[system]))
-        handle.dram.perfect_rbl = system == "ideal"
-        handles.append(handle)
-        traces.append(streams[key])
+        handles.append(_machine(mappings[system], system == "ideal"))
+        traces.append(streams[allocator])
     return handles, traces, mappings, report
 
 
@@ -159,17 +215,26 @@ def run_system(
         stats=handle.stats_snapshot() if collect else None)
 
 
+def mapping_probes(workload: SuiteWorkload,
+                   probe_accesses: int = 20_000) -> Dict[str, float]:
+    """The baseline's cycles under each of
+    :data:`BASELINE_MAPPING_CANDIDATES`, over a truncated stream.
+
+    The randomized page map does not depend on the controller mapping,
+    so every probe runs one physical stream, and probes after the
+    first replay the first's front-end.
+    """
+    trace, _ = physical_stream(workload, _ALLOCATORS["baseline"],
+                               BASELINE_MAPPING_CANDIDATES[0],
+                               probe_accesses)
+    return {name: _machine(name).run(trace).cycles
+            for name in BASELINE_MAPPING_CANDIDATES}
+
+
 def pick_baseline_mapping(workload: SuiteWorkload,
                           probe_accesses: int = 20_000) -> str:
-    """Choose the best-performing mapping for the baseline (Section 6.3).
-
-    Probes each of :data:`BASELINE_MAPPING_CANDIDATES` with a truncated
-    trace and returns the one with the lowest cycle count.
-    """
-    best_name, best_cycles = None, float("inf")
-    for name in BASELINE_MAPPING_CANDIDATES:
-        result = run_system(workload, "baseline", mapping=name,
-                            accesses=probe_accesses)
-        if result.cycles < best_cycles:
-            best_name, best_cycles = name, result.cycles
-    return best_name
+    """Choose the best-performing mapping for the baseline (Section 6.3):
+    the first of :func:`mapping_probes`' candidates with the lowest
+    cycle count."""
+    cycles = mapping_probes(workload, probe_accesses)
+    return min(cycles, key=cycles.get)

@@ -18,8 +18,11 @@ and atom-aware placement removes.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.attributes import PatternType, RWChar
 from repro.core.errors import ConfigurationError, TranslationError
@@ -169,9 +172,10 @@ class SuiteWorkload:
         order per IRREGULAR structure, then per access the structure's
         next address and, unless it is read-only, a write draw.
         ``frames`` (virtual page -> physical frame of ``page_bytes``
-        pages: a page table's map) translates each address as it is
-        appended, raising :class:`TranslationError` for an unmapped
-        page.  ``accesses`` keeps only the stream's first that many.
+        pages: a page table's map) translates the stream
+        (:func:`translate_stream`), raising :class:`TranslationError`
+        for an unmapped page.  ``accesses`` keeps only the stream's
+        first that many.
         """
         rng = random.Random(seed if seed is not None
                             else _name_seed(self.name))
@@ -208,7 +212,9 @@ class SuiteWorkload:
         write_meta = read_meta | META_WRITE_BIT
         # Reading a column expands the builder's pending segments, so
         # this stream lands after them.
-        append_addr = out.vaddr.append
+        vaddr = out.vaddr
+        start = len(vaddr)
+        append_addr = vaddr.append
         append_meta = out.meta.append
         draw = rng.random
         randrange = rng.randrange
@@ -229,15 +235,42 @@ class SuiteWorkload:
                 cursor[k] = c + 1
             else:                   # NON_DET
                 addr = base[k] + randrange(lines_in[k]) * LINE
-            if frames is not None:
-                try:
-                    frame = frames[addr // page_bytes]
-                except KeyError:
-                    raise TranslationError(addr) from None
-                addr = frame * page_bytes + addr % page_bytes
             append_addr(addr)
             append_meta(write_meta if writes[k]
                         and draw() < write_fraction[k] else read_meta)
+        if frames is not None:
+            vaddr[start:] = translate_stream(vaddr[start:], frames.get,
+                                             page_bytes)
+
+
+#: Accesses :func:`translate_stream` translates at once: bounds its
+#: numpy temporaries (a whole stream's would raise a run's peak memory).
+TRANSLATE_CHUNK = 8192
+
+
+def translate_stream(vaddr: array, frame_of: Callable[[int], Optional[int]],
+                     page_bytes: int = PAGE_BYTES) -> array:
+    """``vaddr`` translated page by page: each address's frame
+    ``frame_of(page)`` (a page table's :meth:`frame_of`, or a map's
+    ``get``) times ``page_bytes``, plus its page offset.  Looks up each
+    distinct page of a :data:`TRANSLATE_CHUNK` once; raises
+    :class:`TranslationError` naming the first address whose page
+    ``frame_of`` leaves unmapped.
+    """
+    out = array("q")
+    column = np.frombuffer(vaddr, dtype=np.int64)
+    for begin in range(0, len(column), TRANSLATE_CHUNK):
+        va = column[begin:begin + TRANSLATE_CHUNK]
+        pages, where = np.unique(va // page_bytes, return_inverse=True)
+        frames = [frame_of(page) for page in pages.tolist()]
+        if None in frames:
+            unmapped = pages[[f is None for f in frames]]
+            raise TranslationError(int(va[np.isin(va // page_bytes,
+                                                  unmapped).argmax()]))
+        physical = np.array(frames, dtype=np.int64)[where] * page_bytes
+        physical += va % page_bytes
+        out.frombytes(physical.tobytes())
+    return out
 
 
 def _name_seed(name: str) -> int:

@@ -1,26 +1,23 @@
-"""Physical memory: the frame pool, organized by DRAM bank.
+"""Physical memory: the frame pool, and the DRAM banks a frame touches.
 
 The OS's lever for Use Case 2 is the virtual-to-physical mapping: by
 choosing *which frame* backs a page, it chooses which DRAM bank(s) the
-page's data lives in.  The frame pool therefore indexes free frames by
-the bank they decompose to under the memory controller's address
-mapping.
+page's data lives in.  The pool keeps the free frames; a placement-
+capable allocator asks :meth:`FramePool.frame_banks` which banks a
+candidate frame touches under the memory controller's address mapping,
+and a randomized allocation never consults the mapping.
 
-Bank sets are computed lazily: frames are scanned (sampled at the
-interleave granularity) only as allocations demand them, so building a
-pool over a multi-GB capacity is cheap.  A sample's bank is read off
-the mapping's compiled :class:`~repro.dram.mapping.BitLayout` by shift
-and mask -- the same fields the DRAM system's access path uses.
-
-Frames that span multiple banks (possible under channel- or
-bank-interleaved mapping schemes with interleave granularity smaller
-than a page) are indexed under every bank they touch.
+A frame's banks are read off the mapping's compiled
+:class:`~repro.dram.mapping.BitLayout` by shift and mask -- the same
+fields the DRAM system's access path uses -- when first asked for.
+A page spans several banks when a channel- or bank-interleaved scheme
+puts such fields below the page offset; it is then sampled at the
+interleave granularity, and otherwise once.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import AllocationError, ConfigurationError
@@ -38,7 +35,7 @@ BankKey = Tuple[int, int, int]
 
 
 class FramePool:
-    """All physical frames of the machine, with per-bank free lists."""
+    """All physical frames of the machine and which of them are free."""
 
     def __init__(self, geometry: DramGeometry, mapping: AddressMapping,
                  page_bytes: int = PAGE_BYTES, seed: int = 0) -> None:
@@ -54,29 +51,36 @@ class FramePool:
         self._rng = random.Random(seed)
         self._free: Set[int] = set(range(self.num_frames))
         self._banks_of: Dict[int, FrozenSet[BankKey]] = {}
-        self._free_by_bank: Dict[BankKey, Set[int]] = defaultdict(set)
         self._seq_next = 0
+        # A power-of-two page is sampled once when all its lines share
+        # the base's bank: no channel, rank or bank bit, nor a row bit
+        # the permutation XORs into the bank, lies below its offset.
+        f = mapping.fields
+        lines = page_bytes >> f.line_shift
+        one_bank = not lines & (lines - 1) and all(
+            not mask or 1 << shift >= lines for shift, mask in (
+                f.channel, f.rank, f.bank, (f.row[0], f.row[1] & f.bank_xor)))
+        self._step = page_bytes if one_bank \
+            else min(SCAN_STEP_BYTES, page_bytes)
 
-    # -- Lazy bank discovery ---------------------------------------------------
+    # -- Bank discovery ----------------------------------------------------
 
     def frame_banks(self, frame: int) -> FrozenSet[BankKey]:
         """The banks frame ``frame`` touches under the controller map:
-        each :data:`SCAN_STEP_BYTES` sample's ``(channel, rank, bank)``
-        by shift and mask over the mapping's bit layout (a permutation
-        scheme's row XOR included), as ``decompose(addr).bank_key``."""
+        each sample's ``(channel, rank, bank)`` by shift and mask over
+        the mapping's bit layout (a permutation scheme's row XOR
+        included), as ``decompose(addr).bank_key``."""
         banks = self._banks_of.get(frame)
         if banks is None:
             line_shift, (ch_s, ch_m), (rk_s, rk_m), (bk_s, bk_m), \
                 (rw_s, rw_m), _, _, bank_xor = self.mapping.fields
-            base, page = frame * self.page_bytes, self.page_bytes
+            base = frame * self.page_bytes
             banks = self._banks_of[frame] = frozenset([
                 ((line >> ch_s) & ch_m, (line >> rk_s) & rk_m,
                  ((line >> bk_s) & bk_m) ^ ((line >> rw_s) & rw_m & bank_xor))
-                for line in [(base + off) >> line_shift for off in
-                             range(0, page, min(SCAN_STEP_BYTES, page))]])
-            if frame in self._free:
-                for bank in banks:
-                    self._free_by_bank[bank].add(frame)
+                for line in [(base + off) >> line_shift
+                             for off in range(0, self.page_bytes,
+                                              self._step)]])
         return banks
 
     # -- Queries ------------------------------------------------------------
@@ -147,7 +151,7 @@ class FramePool:
                 frame = next(iter(self._free))
         else:
             frame = self._lowest_free()
-        self._take(frame)
+        self._free.discard(frame)
         return frame
 
     def _lowest_free(self) -> int:
@@ -179,9 +183,9 @@ class FramePool:
                 frame = self._rng.randrange(self.num_frames)
                 if frame in self._free and \
                         self.frame_banks(frame) <= bankset:
-                    self._take(frame)
+                    self._free.discard(frame)
                     return frame
-        # Deterministic (or post-probe) path: full lazy scan for a pure
+        # Deterministic (or post-probe) path: full scan for a pure
         # frame, then for any frame touching the set.
         pure = impure = None
         for frame in range(self.num_frames):
@@ -194,16 +198,9 @@ class FramePool:
             if impure is None and fb & bankset:
                 impure = frame
         frame = pure if pure is not None else impure
-        if frame is None:
-            return None
-        self._take(frame)
+        if frame is not None:
+            self._free.discard(frame)
         return frame
-
-    def _take(self, frame: int) -> None:
-        self.frame_banks(frame)  # ensure indexed
-        self._free.discard(frame)
-        for bank in self._banks_of[frame]:
-            self._free_by_bank[bank].discard(frame)
 
     def free(self, frame: int) -> None:
         """Return a frame to the pool."""
@@ -212,5 +209,3 @@ class FramePool:
         if frame in self._free:
             raise AllocationError(f"double free of frame {frame}")
         self._free.add(frame)
-        for bank in self._banks_of.get(frame, ()):
-            self._free_by_bank[bank].add(frame)

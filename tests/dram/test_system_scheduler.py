@@ -129,6 +129,36 @@ class TestDramSystem:
         for t0, t1 in zip(times, times[1:]):
             assert t1 - t0 >= T.t_burst - 1e-9
 
+    def test_frees_without_the_cycle_collector(self):
+        """The compiled access path holds no reference to its system
+        (``perfect_rbl`` lives in a cell the path reads), so dropping
+        the last reference frees the DRAM at once, not whenever the
+        cyclic collector next runs."""
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            d = small_system()
+            d.perfect_rbl = True
+            d.access(0, 0.0)
+            ref = weakref.ref(d)
+            del d
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_perfect_rbl_settable_both_ways(self):
+        d = small_system()
+        g = d.geometry
+        conflict_addr = g.row_bytes * g.banks_per_rank * g.channels
+        d.access(0, 0.0)
+        d.perfect_rbl = True
+        assert d.perfect_rbl is True
+        assert d.access(conflict_addr, 1000.0).outcome is RowOutcome.HIT
+        d.perfect_rbl = False
+        assert d.access(0, 2000.0).outcome is RowOutcome.CONFLICT
+
     def test_perfect_rbl_flag(self):
         d = small_system(perfect_rbl=True)
         g = d.geometry

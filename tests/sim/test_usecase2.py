@@ -47,8 +47,8 @@ class TestRunSystem:
 
 
 class TestEngineTiers:
-    """Use Case 2 runs on the split interpreter, translated while
-    packing."""
+    """Use Case 2 runs on the split interpreter, over a stream
+    translated before the run."""
 
     SYSTEMS = ("baseline", "xmem", "ideal")
     SMALL = 3_000
@@ -95,47 +95,53 @@ class TestEngineTiers:
     @pytest.mark.parametrize("pick", [False, True])
     def test_point_shares_baseline_and_ideal(self, monkeypatch, pick):
         """Baseline and ideal run one stream: the point computes its
-        front-end once (ideal replays it) and xmem's once; a mapping
-        probe computes each candidate's first."""
+        front-end once (ideal replays it) and xmem's once; the mapping
+        probes run one stream too, so only the first computes its
+        front-end."""
         seen = _spy_passes(monkeypatch)
         result = run_point(UC2Point("mcf", 500, pick_mapping=pick),
                            collect=True)
-        probes = len(BASELINE_MAPPING_CANDIDATES) if pick else 0
-        assert len(seen) == probes + 2
+        assert len(seen) == (1 if pick else 0) + 2
         assert seen[-2] != seen[-1]     # baseline's stream, xmem's
         assert result.stats["ideal"]["cache.l1"] \
             == result.stats["baseline"]["cache.l1"]
 
     def test_one_translation_per_access(self, monkeypatch):
-        """Each access is translated once, while the stream is packed:
-        the engine runs exactly the virtual stream's accesses, each
-        through the process's page map."""
+        """The virtual stream is drawn once and each access is
+        translated once, through the process's page map: the engine
+        runs exactly the virtual stream's accesses, each at its
+        frame plus its page offset."""
         from repro.cpu import tiers
-        from repro.cpu.trace import TraceBuilder
+        from repro.sim import runner, usecase2
         from repro.workloads.suite.spec import SuiteWorkload
 
-        packed, ran = [], []
+        packed, translated, ran = [], [], []
         real_pack = SuiteWorkload.pack_into
+        real_translate = usecase2.translate_stream
         real_run = tiers.run_tier
 
         def pack_spy(workload, out, bases, **kw):
-            packed.append((workload, bases, kw))
+            packed.append(kw)
             return real_pack(workload, out, bases, **kw)
+
+        def translate_spy(vaddr, frame_of, page_bytes):
+            translated.append((list(vaddr), frame_of, page_bytes))
+            return real_translate(vaddr, frame_of, page_bytes)
 
         def run_spy(engine, trace):
             ran.append(trace)
             return real_run(engine, trace)
 
+        monkeypatch.setattr(runner, "_MEMO", {})
         monkeypatch.setattr(SuiteWorkload, "pack_into", pack_spy)
+        monkeypatch.setattr(usecase2, "translate_stream", translate_spy)
         monkeypatch.setattr(tiers, "run_tier", run_spy)
         r = run_system(BY_NAME["lbm"], "baseline", accesses=700,
                        collect=True)
-        (workload, bases, kw), = packed
-        virtual = TraceBuilder()
-        real_pack(workload, virtual, bases, accesses=kw["accesses"])
-        frames, page = kw["frames"], kw["page_bytes"]
+        assert packed == [{"accesses": 700}]    # drawn, untranslated
+        (virtual, frame_of, page), = translated
         assert list(ran[0].vaddr) == [
-            frames[va // page] * page + va % page for va in virtual.vaddr]
+            frame_of(va // page) * page + va % page for va in virtual]
         assert len(ran[0].vaddr) == r.stats["engine"]["mem_accesses"] \
             == 700
 

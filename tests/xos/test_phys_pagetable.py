@@ -134,6 +134,40 @@ class TestFrameBanks:
                              for off in range(0, page_bytes, step))
             assert pool.frame_banks(frame) == want, (mapping, frame)
 
+    @pytest.mark.parametrize("mapping", ALL_SCHEMES)
+    @pytest.mark.parametrize("row_bytes", [8192, 1024])
+    def test_one_sample_pages_match_the_scan(self, mapping, row_bytes):
+        """A page none of whose bank-selecting bits lie below the page
+        offset is sampled once; its banks are the 512-byte scan's.  At
+        1 KB rows a page spans several banks under scheme2 and the
+        permutation too."""
+        g = DramGeometry(row_bytes=row_bytes)
+        m = make_mapping(mapping, g)
+        pool = FramePool(g, m)
+        frames = list(range(0, pool.num_frames, pool.num_frames // 997))
+        for frame in frames + [pool.num_frames - 1]:
+            base = frame * pool.page_bytes
+            scan = frozenset(m.decompose(base + off).bank_key
+                             for off in range(0, pool.page_bytes,
+                                              SCAN_STEP_BYTES))
+            assert pool.frame_banks(frame) == scan, (mapping, frame)
+        one_sample = {8192: ("scheme2", "scheme3", "scheme4", "permutation"),
+                      1024: ("scheme3", "scheme4")}[row_bytes]
+        assert (pool._step == pool.page_bytes) == (mapping in one_sample)
+
+    def test_randomized_frames_ignore_bank_queries(self):
+        """A randomized allocation never consults the controller
+        mapping: asking for frames' banks in between leaves the frame
+        sequence as it was."""
+        quiet, asked = small_pool(seed=3), small_pool(seed=3)
+        plain = [quiet.alloc_any(randomize=True) for _ in range(200)]
+        seen = []
+        for i in range(200):
+            asked.frame_banks(i * 37 % asked.num_frames)
+            seen.append(asked.alloc_any(randomize=True))
+            asked.frame_banks(seen[-1])
+        assert seen == plain
+
     # sha256 of the sorted (virtual page, frame) pairs after a Use Case
     # 2 workload is instantiated under its allocator at seed 17.
     FRAME_PINS = {
