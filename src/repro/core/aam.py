@@ -9,17 +9,19 @@ with 8-bit atom IDs; a 1 KB unit with 6-bit IDs gives 0.07%.
 Because XMem is hint-based, this approximation can cause optimization
 inaccuracy at chunk boundaries but never affects correctness.
 
-The table is indexed by physical page: conceptually, entry ``p`` holds
-the atom IDs of every chunk inside physical page ``p``.  We model it as
-a dict keyed by chunk index (sparse -- only mapped chunks are stored),
-while the *storage overhead model* accounts for the dense table the
-hardware would provision.
+The table is indexed by physical page: entry ``p`` holds the atom IDs
+of every chunk inside physical page ``p``.  We model it as a dict from
+page index to that row, a tuple of ``chunks_per_page`` atom IDs (None
+for an unmapped chunk), sparse -- only pages with a mapped chunk are
+stored -- while the *storage overhead model* accounts for the dense
+table the hardware would provision.  A row is the ALB's fill unit, so
+:meth:`AtomAddressMap.lookup_page` returns the stored row itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.core.atom import resolve_overlap
 from repro.core.errors import ConfigurationError
@@ -91,8 +93,27 @@ class AtomAddressMap:
 
     def __init__(self, config: Optional[AAMConfig] = None) -> None:
         self.config = config or AAMConfig()
-        #: chunk index -> atom ID (sparse model of the dense table).
-        self._chunks: Dict[int, int] = {}
+        #: physical page index -> its row (sparse model of the dense
+        #: table; no row is all None).
+        self._pages: Dict[int, Tuple[Optional[int], ...]] = {}
+        #: The row of a page with no mapped chunk.
+        self._empty: Tuple[Optional[int], ...] = \
+            (None,) * self.config.chunks_per_page
+        #: Chunks with a live mapping, over every row.
+        self._mapped = 0
+
+    def _rows(self, pa_range: AddressRange
+              ) -> Iterator[Tuple[int, int, int]]:
+        """``(page, lo, hi)`` for every page ``pa_range`` touches: the
+        page's chunks ``[lo, hi)`` are the ones it covers."""
+        if pa_range.size == 0:
+            return
+        chunk, cpp = self.config.chunk_bytes, self.config.chunks_per_page
+        first = pa_range.start // chunk
+        end = (pa_range.end - 1) // chunk + 1
+        for page in range(first // cpp, (end - 1) // cpp + 1):
+            base = page * cpp
+            yield page, max(first - base, 0), min(end - base, cpp)
 
     # -- Updates (from the AMU) ----------------------------------------
 
@@ -108,12 +129,15 @@ class AtomAddressMap:
                 f"atom id {atom_id} exceeds {self.config.atom_id_bits}-bit "
                 f"AAM encoding"
             )
+        pages = self._pages
         written = 0
-        for chunk in pa_range.chunks(self.config.chunk_bytes):
-            self._chunks[chunk] = resolve_overlap(
-                self._chunks.get(chunk), atom_id
-            )
-            written += 1
+        for page, lo, hi in self._rows(pa_range):
+            row = pages.get(page, self._empty)
+            old = row[lo:hi]
+            self._mapped += old.count(None)
+            pages[page] = row[:lo] + tuple(
+                [resolve_overlap(a, atom_id) for a in old]) + row[hi:]
+            written += hi - lo
         return written
 
     def unmap_range(self, pa_range: AddressRange,
@@ -124,47 +148,59 @@ class AtomAddressMap:
         are cleared (so unmapping atom A does not destroy a later mapping
         of the same bytes to atom B).  Returns chunks cleared.
         """
+        pages = self._pages
         cleared = 0
-        for chunk in pa_range.chunks(self.config.chunk_bytes):
-            owner = self._chunks.get(chunk)
-            if owner is None:
+        for page, lo, hi in self._rows(pa_range):
+            row = pages.get(page)
+            if row is None:
                 continue
-            if atom_id is not None and owner != atom_id:
+            old = row[lo:hi]
+            kept = tuple([None if atom_id is None or a == atom_id else a
+                          for a in old])
+            count = kept.count(None) - old.count(None)
+            if not count:
                 continue
-            del self._chunks[chunk]
-            cleared += 1
+            row = row[:lo] + kept + row[hi:]
+            if row == self._empty:
+                del pages[page]
+            else:
+                pages[page] = row
+            cleared += count
+        self._mapped -= cleared
         return cleared
 
     def clear(self) -> None:
         """Drop every mapping (e.g., on process teardown)."""
-        self._chunks.clear()
+        self._pages.clear()
+        self._mapped = 0
 
     # -- Lookups (from components, via the AMU/ALB) --------------------
 
     def lookup(self, paddr: int) -> Optional[int]:
         """Atom ID owning the chunk containing ``paddr``, or None."""
-        return self._chunks.get(paddr // self.config.chunk_bytes)
+        page, at = divmod(paddr // self.config.chunk_bytes,
+                          self.config.chunks_per_page)
+        row = self._pages.get(page)
+        return None if row is None else row[at]
 
     def lookup_page(self, page_index: int) -> Tuple[Optional[int], ...]:
         """All chunk entries of one physical page (the ALB fill unit).
 
         The ALB caches whole pages: its tag is the physical page index
-        and its data is this tuple.
+        and its data is this tuple, the stored row.
         """
-        base = page_index * self.config.chunks_per_page
-        return tuple(
-            self._chunks.get(base + i)
-            for i in range(self.config.chunks_per_page)
-        )
+        return self._pages.get(page_index, self._empty)
 
     def mapped_chunks(self, atom_id: int) -> Iterable[int]:
         """Chunk indices currently owned by ``atom_id`` (for tests)."""
-        return (c for c, a in self._chunks.items() if a == atom_id)
+        cpp = self.config.chunks_per_page
+        return (page * cpp + i for page, row in self._pages.items()
+                for i, a in enumerate(row) if a == atom_id)
 
     @property
     def mapped_chunk_count(self) -> int:
         """Number of chunks with a live atom mapping."""
-        return len(self._chunks)
+        return self._mapped
 
     def footprint_bytes(self, atom_id: int) -> int:
         """Bytes of physical memory currently mapped to ``atom_id``.
@@ -172,5 +208,5 @@ class AtomAddressMap:
         Measured at chunk granularity, since that is all the hardware
         table knows.
         """
-        count = sum(1 for a in self._chunks.values() if a == atom_id)
+        count = sum(row.count(atom_id) for row in self._pages.values())
         return count * self.config.chunk_bytes

@@ -305,6 +305,20 @@ def _chunk_lines(va, me, begin: int, end: int, line_mask: int) -> list:
     return seg.tolist()
 
 
+#: The largest value an ``array('i')`` holds.
+_INT_MAX = (1 << (8 * array("i").itemsize - 1)) - 1
+
+
+def _narrow(values) -> array:
+    """``values`` as an ``array('i')``, or as an ``array('q')`` when
+    one of them does not fit: a stored front-end's records are half
+    the size for every address below 2**31."""
+    try:
+        return array("i", values)
+    except OverflowError:
+        return array("q", values)
+
+
 def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
                trace: PackedTrace, checking: bool, l1_ends: bool = False):
     """The private half of the split interpreter, on one machine's or
@@ -316,7 +330,8 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
     positions ``[begin, end)``, probes and fills L1 and L2 (both victim
     ripples included), trains the stride prefetcher, and returns the
     chunk's records, ``(begin, n, rec_i, rec_code, rec_ext, rec_u,
-    rec_pf, l1_end)``, each list an ``array('q')``.  Each L1 miss is
+    rec_pf, l1_end)``, each list an ``array('i')``, or an
+    ``array('q')`` where a value needs 64 bits.  Each L1 miss is
     one record: its chunk index in ``rec_i``, ``line | write | l2_hit
     << 1 | writebacks << 2`` in ``rec_code``, and ``rec_u``, the
     trace's issue slots before its position's own work; a sentinel
@@ -582,14 +597,18 @@ def _front_end(l1: Cache, l2: Cache, stride, line_bytes: int,
         l1pol._clock += n_mem
         p1._psel = psel1
         p1._brrip._fill_count = fc1
-        rec_u = array("q", pre[rec_i].tobytes())
+        # Issue slots only grow: ``u_end`` bounds the chunk's.
+        if u_end <= _INT_MAX:
+            rec_u = array("i", pre[rec_i].astype(np.intc).tobytes())
+        else:
+            rec_u = array("q", pre[rec_i].tobytes())
         rec_u.append(u_end)
         rec_i.append(n)
         rec_code.append(-1)
-        return (begin, n, array("q", rec_i), array("q", rec_code),
-                array("q", rec_ext), rec_u,
-                array("q", rec_pf) if stride_on else (),
-                array("q", where0) if l1_ends else None)
+        return (begin, n, _narrow(rec_i), _narrow(rec_code),
+                _narrow(rec_ext), rec_u,
+                _narrow(rec_pf) if stride_on else (),
+                _narrow(where0) if l1_ends else None)
 
     def finish():
         s0, s1 = l1.stats, l2.stats

@@ -22,20 +22,27 @@ other.  The workload's pages are backed when it is instantiated.  Its
 virtual access stream is drawn once per process
 (:func:`virtual_stream`) and translated through each OS's page map, one
 lookup per distinct page, so the engine runs on physical addresses.
-``baseline`` and ``ideal`` run under the same OS (randomized allocator,
-seed 17), so :func:`build_systems` translates their stream once, and
-run together (:class:`repro.sim.runner.UC2Point`) they share one
-front-end pass; so do the mapping probes of
-:func:`pick_baseline_mapping`.  :func:`run_system` runs one system
-alone.
+The translation is kept with the virtual stream (:func:`translated`),
+keyed on the frames of the pages it touches: every later OS with the
+same frames there -- ``baseline`` and ``ideal`` (randomized allocator,
+seed 17), a repeated run, the mapping probes of
+:func:`pick_baseline_mapping` -- gets the same trace, and its run
+replays the first one's front-end, whether the systems run together
+(:class:`repro.sim.runner.UC2Point`) or each alone
+(:func:`run_system`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import threading
+import weakref
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.errors import ConfigurationError
 from repro.cpu.trace import PackedTrace, TraceBuilder
@@ -47,6 +54,7 @@ from repro.sim.system import SystemHandle, build_baseline
 from repro.testing import checks as _checks
 from repro.workloads.suite.spec import SuiteWorkload, translate_stream
 from repro.xos.loader import OperatingSystem, Process
+from repro.xos.page_table import PageTable
 
 #: Address-mapping candidates the strengthened baseline picks from:
 #: the row-interleaved, channel-interleaved, and permutation corners of
@@ -118,22 +126,83 @@ def virtual_stream(workload: SuiteWorkload, bases: Dict[str, int],
     return recording.packed
 
 
+#: Translations kept per virtual stream (:func:`translated`): the
+#: randomized OS's page map and the bank-targeting OS's.
+_TRANSLATIONS_PER_STREAM = 2
+#: Translated streams, per virtual stream ``(id(vaddr), len(vaddr),
+#: page_bytes)``: the ``vaddr`` column's weak reference, the stream's
+#: distinct pages, and its translations as ``(frames, trace)`` pairs.
+_TRANSLATED: Dict[tuple, tuple] = {}
+#: Serve runs points on threads: lookups and inserts hold the lock.
+_TRANSLATED_LOCK = threading.Lock()
+
+
+def translated(virtual: PackedTrace, page_table: PageTable) -> PackedTrace:
+    """``virtual`` translated through ``page_table``
+    (:func:`~repro.workloads.suite.spec.translate_stream`; the meta
+    column is shared), kept with the virtual stream: a later page
+    table that gives every page the stream touches the same frame gets
+    the same trace object, so a run over it replays the stored
+    front-end (:func:`~repro.cpu.vector_engine.recorded_front_end`).
+
+    A translation is keyed on the frames of the stream's distinct
+    pages, in page order: equal frames give an equal column, whatever
+    allocator or seed drew them.  Translations die with the virtual
+    ``vaddr`` column (so with its :func:`virtual_stream` memo entry),
+    and a stream keeps at most :data:`_TRANSLATIONS_PER_STREAM`.
+    Under ``REPRO_CHECK`` a reused translation is translated again,
+    and a difference raises :class:`ConfigurationError`.
+    """
+    vaddr, page = virtual.vaddr, page_table.page_bytes
+
+    def translate() -> PackedTrace:
+        return PackedTrace(translate_stream(vaddr, page_table.frame_of,
+                                            page), virtual.meta)
+
+    key = (id(vaddr), len(vaddr), page)
+    with _TRANSLATED_LOCK:
+        stored = _TRANSLATED.get(key)
+    if stored is None:
+        # The column's death drops its translations.
+        def forget(_ref):
+            _TRANSLATED.pop(key, None)
+        pages = np.unique(np.frombuffer(vaddr, dtype=np.int64) // page)
+        with _TRANSLATED_LOCK:
+            stored = _TRANSLATED.setdefault(
+                key, (weakref.ref(vaddr, forget), pages, []))
+    _, pages, entries = stored
+    frames = [page_table.frame_of(p) for p in pages.tolist()]
+    if None in frames:
+        return translate()      # raises TranslationError
+    frames = array("q", frames).tobytes()
+    with _TRANSLATED_LOCK:
+        trace = next((t for f, t in entries if f == frames), None)
+    if trace is None:
+        trace = translate()
+        with _TRANSLATED_LOCK:
+            if all(f != frames for f, _ in entries):
+                entries.append((frames, trace))
+                del entries[:-_TRANSLATIONS_PER_STREAM]
+    elif _checks.enabled() and translate().vaddr != trace.vaddr:
+        raise ConfigurationError(
+            "the stored translation of a Use Case 2 stream differs from "
+            "a fresh one")
+    return trace
+
+
 def physical_stream(workload: SuiteWorkload, allocator: str, mapping: str,
                     accesses: Optional[int] = None
                     ) -> Tuple[PackedTrace, Process]:
     """The stream ``workload`` runs under a fresh OS (``allocator``,
     controller ``mapping``, seed 17), and the process it is loaded in:
-    :func:`virtual_stream` translated through the process's page map
-    (the meta column is shared)."""
+    :func:`virtual_stream` :func:`translated` through the process's
+    page map."""
     osys = OperatingSystem(usecase2_config().dram_geometry,
                            mapping=mapping, allocator=allocator, seed=17)
     proc = osys.create_process()
     virtual = virtual_stream(workload, workload.instantiate(proc),
                              accesses)
-    page_table = proc.page_table
-    return PackedTrace(translate_stream(virtual.vaddr, page_table.frame_of,
-                                        page_table.page_bytes),
-                       virtual.meta), proc
+    return translated(virtual, proc.page_table), proc
 
 
 def _machine(mapping: str, ideal: bool = False) -> SystemHandle:

@@ -156,3 +156,132 @@ def test_map_unmap_restores_empty(base, size, atom_id):
     aam.map_range(rng, atom_id)
     aam.unmap_range(rng, atom_id)
     assert aam.mapped_chunk_count == 0
+
+
+class ChunkDictAAM:
+    """The AAM as a dict keyed by chunk index: the model the
+    page-indexed table replaced, restated as the reference its queries
+    must equal."""
+
+    def __init__(self, config=None):
+        self.config = config or AAMConfig()
+        self._chunks = {}
+
+    def map_range(self, pa_range, atom_id):
+        if not 0 <= atom_id <= self.config.max_atom_id:
+            raise ConfigurationError(f"atom id {atom_id} too wide")
+        written = 0
+        for chunk in pa_range.chunks(self.config.chunk_bytes):
+            self._chunks[chunk] = atom_id
+            written += 1
+        return written
+
+    def unmap_range(self, pa_range, atom_id=None):
+        cleared = 0
+        for chunk in pa_range.chunks(self.config.chunk_bytes):
+            owner = self._chunks.get(chunk)
+            if owner is None or atom_id is not None and owner != atom_id:
+                continue
+            del self._chunks[chunk]
+            cleared += 1
+        return cleared
+
+    def clear(self):
+        self._chunks.clear()
+
+    def lookup(self, paddr):
+        return self._chunks.get(paddr // self.config.chunk_bytes)
+
+    def lookup_page(self, page_index):
+        base = page_index * self.config.chunks_per_page
+        return tuple(self._chunks.get(base + i)
+                     for i in range(self.config.chunks_per_page))
+
+    def mapped_chunks(self, atom_id):
+        return (c for c, a in self._chunks.items() if a == atom_id)
+
+    @property
+    def mapped_chunk_count(self):
+        return len(self._chunks)
+
+    def footprint_bytes(self, atom_id):
+        count = sum(1 for a in self._chunks.values() if a == atom_id)
+        return count * self.config.chunk_bytes
+
+
+class TestPageRows:
+    """The page-indexed table answers every query as the chunk-dict
+    model does, through random map/unmap sequences with partial pages,
+    overlapping atoms and unmap's atom filter."""
+
+    ATOMS = (0, 1, 2, 5)
+
+    def _same(self, aam, ref, pages, page_bytes):
+        assert aam.mapped_chunk_count == ref.mapped_chunk_count
+        for atom in self.ATOMS + (3,):
+            assert sorted(aam.mapped_chunks(atom)) \
+                == sorted(ref.mapped_chunks(atom))
+            assert aam.footprint_bytes(atom) == ref.footprint_bytes(atom)
+        for page in range(pages + 1):
+            assert aam.lookup_page(page) == ref.lookup_page(page)
+            for offset in range(0, page_bytes, aam.config.chunk_bytes):
+                addr = page * page_bytes + offset
+                assert aam.lookup(addr) == ref.lookup(addr)
+                assert aam.lookup(addr + aam.config.chunk_bytes - 1) \
+                    == ref.lookup(addr + aam.config.chunk_bytes - 1)
+
+    @pytest.mark.parametrize("chunk,page", [(512, 4096), (1024, 4096),
+                                            (512, 512), (512, 1536)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sequences_match_chunk_dict(self, seed, chunk, page):
+        import random
+
+        rng = random.Random(seed)
+        cfg = AAMConfig(chunk_bytes=chunk, page_bytes=page)
+        aam, ref = AtomAddressMap(cfg), ChunkDictAAM(cfg)
+        pages = 6
+        for _ in range(60):
+            start = rng.randrange(pages * page)
+            end = min(start + rng.choice([0, 1, chunk // 2, chunk,
+                                          page - 7, page, 3 * page + 5]),
+                      pages * page)
+            pa_range = AddressRange(start, end)
+            if rng.random() < 0.6:
+                atom = rng.choice(self.ATOMS)
+                assert aam.map_range(pa_range, atom) \
+                    == ref.map_range(pa_range, atom)
+            else:
+                atom = rng.choice(self.ATOMS + (None, None))
+                assert aam.unmap_range(pa_range, atom) \
+                    == ref.unmap_range(pa_range, atom)
+            self._same(aam, ref, pages, page)
+        aam.clear()
+        ref.clear()
+        self._same(aam, ref, pages, page)
+
+    def test_row_is_stored_and_emptied_pages_are_dropped(self):
+        aam = AtomAddressMap()
+        aam.map_range(AddressRange(4096 + 512, 4096 + 1024), atom_id=4)
+        row = aam.lookup_page(1)
+        assert row == (None, 4) + (None,) * 6
+        assert aam.lookup_page(1) is row
+        aam.unmap_range(AddressRange(4096, 8192), atom_id=4)
+        assert aam._pages == {}
+        assert aam.lookup_page(1) == (None,) * 8
+
+    def test_use_case_1_point_unchanged(self, monkeypatch):
+        """AMU lookups and ALB fills on a Use Case 1 point read as they
+        did over the chunk-dict table: equal full snapshots."""
+        from repro.core import amu
+        from repro.sim import runner
+
+        point = runner.SimPoint("gemm", 16, 8,
+                                systems=("xmem", "xmem-pref"))
+        monkeypatch.setattr(runner, "_MEMO", {})
+        paged = runner.run_point(point, collect=True).stats
+        monkeypatch.setattr(amu, "AtomAddressMap", ChunkDictAAM)
+        monkeypatch.setattr(runner, "_MEMO", {})
+        chunked = runner.run_point(point, collect=True).stats
+        assert paged == chunked
+        assert paged["xmem"]["amu"]["lookups"] > 0
+        assert paged["xmem"]["amu.alb"]["misses"] > 0     # ALB fills

@@ -548,6 +548,40 @@ def test_inflight_prefetch_l1_hit(monkeypatch, chunk):
         assert h.engine.mshr.stats.reservations == l1.misses + 1
 
 
+@pytest.mark.parametrize("checked", [False, True])
+@pytest.mark.parametrize("shift", [0, 1 << 32])
+def test_stored_records_narrow_unless_a_value_needs_64_bits(monkeypatch,
+                                                           checked, shift):
+    """A stored front-end keeps each record array as ``array('i')``,
+    or as ``array('q')`` where a value does not fit: addresses at or
+    above 2**31 store their lines and stride targets in 64 bits.  Its
+    replay is bit-identical to a computed run and to the reference,
+    plain and under ``REPRO_CHECK`` (which recomputes and compares)."""
+    from repro.cpu import vector_engine
+
+    monkeypatch.setenv("REPRO_CHECK", "1" if checked else "0")
+    base = KERNELS["gemm"].build_packed(N, TILE).without_xmem()
+    vaddr = array("q", base.vaddr)
+    for k, meta in enumerate(base.meta):
+        if not meta & 2:
+            vaddr[k] += shift
+    trace = PackedTrace(vaddr, array("q", base.meta))
+    machines = [(build_baseline, scaled_config(32))] * 2
+    _, passes = _assert_shared_matches(machines, lambda _: trace)
+    assert passes == 1
+    key = (id(trace.vaddr), id(trace.meta), len(trace.vaddr),
+           len(trace.meta))
+    (entry,) = vector_engine._RECORDED[key][1]
+    wide = "q" if shift else "i"
+    for chunk in entry.chunks:
+        _, _, rec_i, rec_code, rec_ext, rec_u, rec_pf, l1_end = chunk
+        assert rec_i.typecode == rec_u.typecode == "i"
+        assert rec_code.typecode == l1_end.typecode == wide
+        if rec_ext:
+            assert rec_ext.typecode == wide
+    assert {c[6].typecode for c in entry.chunks if c[6]} == {wide}
+
+
 def test_copied_private_state_carries_into_the_next_run():
     """After a run -- the first computes the front-end, the second
     replays it -- every machine holds the front-end's L1, L2 and

@@ -3,8 +3,11 @@
 :func:`repro.sim.usecase2.virtual_stream` keeps each suite workload's
 untranslated stream in the runner's in-process recording memo, and
 :func:`repro.sim.usecase2.physical_stream` translates it through an
-OS's page map.  These tests hold the translated stream to the
-per-access translation that packing once did, address by address.
+OS's page map, keeping the translation with the virtual stream
+(:func:`repro.sim.usecase2.translated`).  These tests hold the
+translated stream to the per-access translation that packing once did,
+address by address, and a run over a stored translation to a run on an
+emptied memo.
 """
 
 import dataclasses
@@ -13,7 +16,7 @@ from array import array
 import pytest
 
 from repro.core.errors import ConfigurationError, TranslationError
-from repro.cpu.trace import TraceBuilder
+from repro.cpu.trace import PackedTrace, TraceBuilder
 from repro.sim import runner, usecase2
 from repro.sim.usecase2 import (BASELINE_MAPPING_CANDIDATES,
                                 mapping_probes, physical_stream,
@@ -164,6 +167,149 @@ class TestVirtualStreamStore:
             virtual_stream(workload, bases, 800)
         monkeypatch.setenv("REPRO_CHECK", "0")
         assert virtual_stream(workload, bases, 800) is stream
+
+
+def page_table(frames, page=4096):
+    """A page table mapping vpage -> frame as ``frames`` says."""
+    from repro.xos.page_table import PageTable
+
+    table = PageTable(page)
+    for vpage, frame in frames.items():
+        table.map_page(vpage, frame)
+    return table
+
+
+class TestTranslationStore:
+    """A translation is kept with its virtual stream and served to
+    every later page map that gives the stream's pages equal frames."""
+
+    def test_equal_page_map_returns_the_same_column(self, memo):
+        workload = BY_NAME["lbm"]
+        first, _ = physical_stream(workload, "randomized",
+                                   usecase2.XMEM_MAPPING, 2_000)
+        again, _ = physical_stream(workload, "randomized",
+                                   usecase2.XMEM_MAPPING, 2_000)
+        # The randomized page map does not depend on the mapping.
+        other, _ = physical_stream(workload, "randomized", "scheme5",
+                                   2_000)
+        assert again is first and other is first
+
+    def test_bank_target_os_gets_its_own_column(self, memo):
+        workload = BY_NAME["mcf"]
+        randomized, _ = physical_stream(workload, "randomized",
+                                        usecase2.XMEM_MAPPING, 2_000)
+        targeted, proc = physical_stream(workload, "bank_target",
+                                         usecase2.XMEM_MAPPING, 2_000)
+        assert targeted.vaddr is not randomized.vaddr
+        assert targeted.vaddr != randomized.vaddr
+        assert targeted.meta is randomized.meta
+        bases = {s.name: a.start for s, a in zip(
+            workload.structures, proc.heap.static_atom_map)}
+        want = per_access(workload, bases, dict(proc.page_table.items()),
+                          proc.page_table.page_bytes, 2_000)
+        assert list(targeted.vaddr) == want[0]
+        for allocator, trace in (("randomized", randomized),
+                                 ("bank_target", targeted)):
+            assert physical_stream(workload, allocator,
+                                   usecase2.XMEM_MAPPING,
+                                   2_000)[0] is trace
+
+    def test_only_the_touched_pages_key_a_translation(self):
+        virtual = PackedTrace(array("q", [5, 4096 + 7, 5]),
+                              array("q", [0, 0, 0]))
+        first = usecase2.translated(virtual, page_table({0: 3, 1: 9}))
+        same = usecase2.translated(virtual,
+                                   page_table({0: 3, 1: 9, 2: 4}))
+        moved = usecase2.translated(virtual, page_table({0: 3, 1: 2}))
+        assert same is first and moved is not first
+        assert list(first.vaddr) == [3 * 4096 + 5, 9 * 4096 + 7,
+                                     3 * 4096 + 5]
+        assert list(moved.vaddr) == [3 * 4096 + 5, 2 * 4096 + 7,
+                                     3 * 4096 + 5]
+        with pytest.raises(TranslationError):
+            usecase2.translated(virtual, page_table({0: 3}))
+
+    def test_translations_die_with_their_virtual_stream(self, memo):
+        import gc
+        import weakref
+
+        workload = BY_NAME["sc"]
+        trace, _ = physical_stream(workload, "randomized",
+                                   usecase2.XMEM_MAPPING, 1_000)
+        (virtual,) = memo.values()
+        key = (id(virtual.packed.vaddr), 1_000, 4096)
+        assert key in usecase2._TRANSLATED
+        column = weakref.ref(trace.vaddr)
+        del trace, virtual
+        memo.clear()
+        gc.collect()
+        assert column() is None
+        assert key not in usecase2._TRANSLATED
+
+    def test_store_keeps_its_cap_per_stream(self):
+        virtual = PackedTrace(array("q", [5, 4096 + 7]),
+                              array("q", [0, 0]))
+        tables = [page_table({0: k, 1: 20 + k}) for k in range(4)]
+        traces = [usecase2.translated(virtual, t) for t in tables]
+        key = (id(virtual.vaddr), 2, 4096)
+        entries = usecase2._TRANSLATED[key][2]
+        assert len(entries) == usecase2._TRANSLATIONS_PER_STREAM
+        keep = traces[-usecase2._TRANSLATIONS_PER_STREAM:]
+        assert [t for _, t in entries] == keep
+        for table, trace in zip(tables[-len(keep):], keep):
+            assert usecase2.translated(virtual, table) is trace
+        assert usecase2.translated(virtual, tables[0]) is not traces[0]
+
+    def test_checked_reuse_catches_a_corrupted_translation(self,
+                                                           monkeypatch):
+        virtual = PackedTrace(array("q", [5, 4096 + 7, 9]),
+                              array("q", [0, 0, 0]))
+        table = page_table({0: 3, 1: 9})
+        trace = usecase2.translated(virtual, table)
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        assert usecase2.translated(virtual, table) is trace
+        trace.vaddr[1] += 64
+        with pytest.raises(ConfigurationError, match="stored translation"):
+            usecase2.translated(virtual, table)
+        monkeypatch.setenv("REPRO_CHECK", "0")
+        assert usecase2.translated(virtual, table) is trace
+
+    def test_placement_operations_twice_equal_fresh_runs(self, memo,
+                                                         monkeypatch):
+        """The six (model, system) runs of a Figure 7/8 pair, in a
+        shuffled order, twice in one process: every run -- replayed
+        translation, replayed front-end -- snapshots as a run on an
+        emptied memo does."""
+        import random
+
+        ops = [(name, system) for name in ("lbm", "mcf")
+               for system in usecase2.SYSTEMS]
+        random.Random(0).shuffle(ops)
+        models = {name: dataclasses.replace(BY_NAME[name], accesses=2_000)
+                  for name in ("lbm", "mcf")}
+
+        def snapshot(name, system):
+            return run_system(models[name], system,
+                              mapping=usecase2.XMEM_MAPPING,
+                              collect=True).stats
+
+        from repro.cpu import vector_engine
+
+        computed = []
+        real = vector_engine._record
+
+        def spy(*args):
+            computed.append(id(args[4].vaddr))
+            return real(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(vector_engine, "_record", spy)
+            shared = [snapshot(*op) for op in ops + ops]
+        # One front-end per (model, page map): 4 of the 12 runs.
+        assert len(computed) == len(set(computed)) == 4
+        for op, got in zip(ops + ops, shared):
+            monkeypatch.setattr(runner, "_MEMO", {})
+            assert got == snapshot(*op), op
 
 
 class TestMappingProbes:

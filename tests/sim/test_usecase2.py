@@ -88,6 +88,8 @@ class TestEngineTiers:
     def test_every_machine_shape_is_fused(self, monkeypatch, system):
         """Every Use Case 2 machine passes the split interpreter's
         gate and runs on it, computing its front-end."""
+        from repro.sim import runner
+        monkeypatch.setattr(runner, "_MEMO", {})
         seen = _spy_passes(monkeypatch)
         run_system(BY_NAME["mcf"], system, accesses=500)
         assert len(seen) == 1
@@ -95,14 +97,29 @@ class TestEngineTiers:
     @pytest.mark.parametrize("pick", [False, True])
     def test_point_shares_baseline_and_ideal(self, monkeypatch, pick):
         """Baseline and ideal run one stream: the point computes its
-        front-end once (ideal replays it) and xmem's once; the mapping
-        probes run one stream too, so only the first computes its
-        front-end."""
+        front-end once (ideal replays it) and xmem's once.  The mapping
+        probes run one stream too, and at 500 accesses their 20,000-
+        access truncation is the baseline's whole stream over the same
+        page map: the first probe computes the front-end that the other
+        probes, baseline and ideal replay."""
+        from repro.cpu import vector_engine
+        from repro.sim import runner
+        monkeypatch.setattr(runner, "_MEMO", {})
         seen = _spy_passes(monkeypatch)
+        asked = []
+        real = vector_engine.recorded_front_end
+
+        def ask_spy(*args, **kw):
+            asked.append(id(args[4].vaddr))
+            return real(*args, **kw)
+
+        monkeypatch.setattr(vector_engine, "recorded_front_end", ask_spy)
         result = run_point(UC2Point("mcf", 500, pick_mapping=pick),
                            collect=True)
-        assert len(seen) == (1 if pick else 0) + 2
-        assert seen[-2] != seen[-1]     # baseline's stream, xmem's
+        assert len(asked) == (4 if pick else 0) + 3
+        assert len(seen) == 2
+        assert seen == [asked[0], asked[-2]]    # baseline's, xmem's
+        assert seen[0] != seen[1]
         assert result.stats["ideal"]["cache.l1"] \
             == result.stats["baseline"]["cache.l1"]
 
